@@ -49,10 +49,10 @@ KILL_AT = 5_000                 # virtual tick of the SIGKILL
 TRACE = ("FAULT", "MSG_SEND", "MSG_ACCEPT")
 
 
-def config(core: str = "threaded", ckpt_dir: str = "") -> Configuration:
+def config(ckpt_dir: str = "") -> Configuration:
     return Configuration(
         clusters=(ClusterSpec(1, 3, 4), ClusterSpec(2, 4, 4)),
-        name="ckpt-example", trace_events=TRACE, exec_core=core,
+        name="ckpt-example", trace_events=TRACE,
         checkpoint_every=CHECKPOINT_EVERY if ckpt_dir else 0,
         checkpoint_dir=ckpt_dir, checkpoint_keep=3, run_seed=11)
 

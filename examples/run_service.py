@@ -7,7 +7,7 @@ port), then drives it through :class:`repro.service.client.ServiceClient`
 the way an external tool would:
 
 1. two tenants submit a mixed bag of runs -- a windows Jacobi solve,
-   a matrix multiply on the coop core, and a *fault-injected*
+   a matrix multiply, and a *fault-injected*
    chaos Jacobi whose plan kills a worker task mid-solve;
 2. a third submission over tenant bob's quota is refused with the
    HTTP 429 -> :class:`~repro.errors.QuotaExceeded` mapping;
@@ -39,8 +39,7 @@ CHAOS_PLAN = dump_plan(FaultPlan(
     seed=7, kills=(TaskKill(at=5_000, tasktype="CWORKER"),)))
 
 JACOBI = {"app": "jacobi", "params": {"n": 16, "sweeps": 3}}
-MATMUL = {"app": "matmul", "params": {"n": 10, "n_workers": 2},
-          "exec_core": "coop"}
+MATMUL = {"app": "matmul", "params": {"n": 10, "n_workers": 2}}
 CHAOS = {"app": "chaos_jacobi",
          "params": {"n": 12, "sweeps": 2, "on_death": "reassign"},
          "fault_plan": CHAOS_PLAN}
@@ -80,8 +79,7 @@ def main() -> None:
         for rec in finals:
             print(f"  {rec['run_id']} -> {rec['state']}  "
                   f"elapsed={rec['exit']['elapsed_ticks']} ticks  "
-                  f"core={rec['provenance']['exec_core']}"
-                  f"/{rec['provenance']['task_bodies']}")
+                  f"bodies={rec['provenance']['task_bodies']}")
             assert rec["state"] == "DONE"
 
         print("  usage[alice]:", alice.usage())

@@ -86,7 +86,6 @@ def make_vm(n_clusters: int = 2, slots: int = 4, *,
             time_limit: Optional[int] = None,
             trace_events: Tuple[str, ...] = (),
             window_path: str = "",
-            exec_core: str = "",
             task_bodies: str = "",
             fault_plan: Optional[Any] = None,
             detect_races: Optional[Any] = None,
@@ -99,7 +98,7 @@ def make_vm(n_clusters: int = 2, slots: int = 4, *,
     :func:`simple_configuration` of ``n_clusters`` x ``slots`` (plus
     ``force_pes_per_cluster`` secondary PEs each) is built and the
     keyword toggles (metrics, time limit, tracing, window data-plane
-    path, execution core, task-body vehicle) applied to it.
+    path, task-body vehicle) applied to it.
     ``detect_races`` / ``recorder`` / ``replay`` reach the correctness
     subsystem (:mod:`repro.correctness`).
     """
@@ -110,7 +109,7 @@ def make_vm(n_clusters: int = 2, slots: int = 4, *,
                                  name=name),
             metrics_enabled=metrics, time_limit=time_limit,
             trace_events=tuple(trace_events), window_path=window_path,
-            exec_core=exec_core, task_bodies=task_bodies)
+            task_bodies=task_bodies)
     return PiscesVM(config, registry=registry, machine=machine,
                     fault_plan=fault_plan, detect_races=detect_races,
                     recorder=recorder, replay=replay)

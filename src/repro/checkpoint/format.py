@@ -10,7 +10,7 @@ digest to validate against:
 * line 1 -- the magic ``#pckpt 1``;
 * one ``meta`` line -- compact JSON: the manifest (virtual clock,
   dispatch/schedule position, app request, configuration, resolved
-  exec core / window path / dispatcher, fault-plan text and cursor,
+  window path, fault-plan text and cursor,
   run seed, tracing/detector/profiler switches);
 * one ``state`` line -- compact JSON: the run-stable state snapshot
   (per-PE clocks, process scheduling state, in-queues, SHARED COMMON

@@ -26,11 +26,13 @@ from dataclasses import dataclass as _dataclass, fields as _fields, replace as _
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from ..config.configuration import ClusterSpec, Configuration
+from ..config.configuration import (ClusterSpec, Configuration,
+                                    map_legacy_axes)
 from ..correctness.recorder import Schedule, ScheduleRecorder
 from ..core.taskid import Designator
 from ..core.tracing import TraceEventType
-from ..errors import CheckpointError, CheckpointFormatError
+from ..errors import (CheckpointError, CheckpointFormatError,
+                      ConfigurationError)
 from ..results import RunRecord
 from .format import dumps_bundle, load_bundle, write_bundle_atomic
 from .snapshot import snapshot_state, verify_snapshot
@@ -46,7 +48,7 @@ class PrefixSchedule:
     against the prefix (exactly like a full :class:`Schedule` replay);
     once a stream's prefix is spent, its decisions are *recorded* into
     the live tail instead.  When the dispatch stream runs dry the
-    engine switches to a live dispatcher (``Engine._switch_to_live``)
+    engine switches to live selection (``Engine._switch_to_live``)
     and fires :attr:`on_prefix_complete` -- restore hangs the snapshot
     validation there.
 
@@ -57,14 +59,11 @@ class PrefixSchedule:
     """
 
     #: Engine contract: do not raise when the dispatch stream runs dry;
-    #: switch to the live dispatcher and keep going.
+    #: switch to live selection and keep going.
     live_after_prefix = True
 
-    def __init__(self, prefix: Schedule, live_dispatcher: str = ""):
+    def __init__(self, prefix: Schedule):
         self.prefix = prefix
-        #: Dispatcher the engine continues under after the prefix
-        #: ("indexed"/"scan"; "" lets the engine pick its default).
-        self.live_dispatcher = live_dispatcher
         #: Live decisions made after each stream's prefix was spent.
         self.tail = ScheduleRecorder()
         #: Called once with the engine at the replay-to-live switch.
@@ -200,16 +199,13 @@ def build_manifest(vm) -> Dict[str, Any]:
         "dispatch_seq": int(eng._dispatch_seq),
         "app": {"tasktype": name, "args": list(run_args),
                 "placement": _placement_to_json(placement)},
-        # The config is serialized with its core/path choices already
+        # The config is serialized with its window path already
         # resolved, so a bundle written by a restored run (whose config
-        # was forced to the resolved values) is byte-identical to the
+        # was forced to the resolved value) is byte-identical to the
         # original run's bundle at the same mark.
         "config": config_to_dict(_replace(vm.config,
-                                          exec_core=vm.exec_core,
                                           window_path=vm.window_path)),
-        "exec_core": vm.exec_core,
         "window_path": vm.window_path,
-        "dispatcher": eng._live_dispatcher,
         "run_seed": vm.config.run_seed,
         "schedule_position": eng.sched_hook.position(),
         "trace_events": sorted(t.value for t in vm.tracer.enabled_types),
@@ -312,14 +308,16 @@ def restore_vm(path: Union[str, Path], registry=None) -> RestoredRun:
         raise CheckpointFormatError(
             f"unsupported checkpoint format {manifest.get('format')!r} "
             f"(this build reads format {FORMAT_VERSION})")
-    config = config_from_dict(manifest["config"])
-    # The resolved core/path/dispatcher choices are part of the
-    # checkpoint identity: force them so the recovering environment's
-    # PISCES_* variables cannot change the replay.
-    config = _replace(config, exec_core=manifest["exec_core"],
-                      window_path=manifest["window_path"])
-    sched = PrefixSchedule(Schedule.parse(psched_text),
-                           live_dispatcher=manifest.get("dispatcher", ""))
+    try:
+        manifest = map_legacy_axes(manifest)
+        config = config_from_dict(map_legacy_axes(manifest["config"]))
+    except ConfigurationError as e:
+        raise CheckpointFormatError(f"{path}: {e}") from None
+    # The resolved window path is part of the checkpoint identity:
+    # force it so the recovering environment's PISCES_WINDOW_PATH
+    # cannot change the replay.
+    config = _replace(config, window_path=manifest["window_path"])
+    sched = PrefixSchedule(Schedule.parse(psched_text))
     plan = None
     if manifest.get("fault_plan"):
         from ..faults.plan import loads as _plan_loads

@@ -48,6 +48,21 @@ def _rng_digest(rng) -> int:
     return zlib.adler32(repr(rng.getstate()).encode("utf-8"))
 
 
+#: RunStats counters that describe host-side work, not virtual state:
+#: checkpoint accounting (the original run and a restored continuation
+#: legitimately differ in how many bundles each process wrote) and the
+#: window data plane's transfer and cache counters (they depend on the
+#: window path, a host-level choice -- a legacy bundle's ``batched``
+#: path restores onto ``fast``).
+_HOST_STATS = frozenset({
+    "checkpoints_written", "checkpoint_bytes", "window_bytes_moved",
+    "window_txns", "window_cache_hits", "window_cache_misses"})
+
+
+def _run_stats(stats: Dict[str, Any]) -> Dict[str, Any]:
+    return {k: v for k, v in stats.items() if k not in _HOST_STATS}
+
+
 def snapshot_state(vm) -> Dict[str, Any]:
     """Capture the run-stable state digest of a VM between dispatches."""
     eng = vm.engine
@@ -79,15 +94,12 @@ def snapshot_state(vm) -> Dict[str, Any]:
         "tasks": tasks,
         "controllers": controllers,
         "rng": {"run": _rng_digest(vm.run_rng)},
-        # Host-side checkpoint accounting is excluded: the original run
-        # and a restored continuation legitimately differ in how many
-        # bundles each process wrote.  Counters fed by numpy (e.g. the
-        # window byte totals) arrive as numpy scalars; coerce so the
-        # digest is JSON-stable.
+        # Counters fed by numpy (e.g. the window byte totals) arrive as
+        # numpy scalars; coerce so the digest is JSON-stable.
         "stats": {k: (int(v) if isinstance(v, _numbers.Integral)
                       and not isinstance(v, bool) else v)
-                  for k, v in dataclasses.asdict(vm.stats).items()
-                  if k not in ("checkpoints_written", "checkpoint_bytes")},
+                  for k, v in _run_stats(
+                      dataclasses.asdict(vm.stats)).items()},
     }
     if vm.file_controller is not None:
         state["file_store"] = vm.file_controller.arrays.snapshot()
@@ -112,6 +124,8 @@ def verify_snapshot(vm, expected: Dict[str, Any]) -> None:
     """
     actual = _normalize(snapshot_state(vm))
     expected = _normalize(expected)
+    if "stats" in expected:     # bundles written before _HOST_STATS grew
+        expected["stats"] = _run_stats(expected["stats"])
     if actual == expected:
         return
     keys = sorted(set(actual) | set(expected))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..flex.machine import MachineSpec
@@ -33,10 +33,8 @@ DEFAULT_ACCEPT_DELAY = 1_000_000
 #: names missing from it (so a new reader cannot slip in undocumented),
 #: and the test suite asserts each entry appears in the manual's table.
 ENV_VARS: Dict[str, str] = {
-    "PISCES_EXEC_CORE": "execution core: threaded (oracle) or coop",
-    "PISCES_DISPATCHER": "dispatch picker: indexed, scan or replay",
     "PISCES_TASK_BODIES": "task-body vehicle: auto or callable",
-    "PISCES_WINDOW_PATH": "window data plane: fast, batched or reference",
+    "PISCES_WINDOW_PATH": "window data plane: fast or reference",
     "PISCES_ACCEPT_TIMEOUT": "system ACCEPT timeout in ticks",
     "PISCES_CHECKPOINT": "periodic checkpoint interval in ticks (0 = off)",
     "PISCES_CHECKPOINT_DIR": "directory receiving periodic .pckpt bundles",
@@ -45,6 +43,41 @@ ENV_VARS: Dict[str, str] = {
     "PISCES_RECORD_SCHEDULE": "autosave the dispatch schedule to this path",
     "PISCES_REPLAY_SCHEDULE": "replay the .psched recording at this path",
 }
+
+
+#: Execution-axis values that artifacts written by older builds carry
+#: (checkpoint manifests, run specs, run records), mapped onto what
+#: exists today; None drops the key.  Every retired choice -- the
+#: thread-per-process core, the O(n) ``scan`` dispatcher, the uncached
+#: ``batched`` window path -- had a virtual history identical to its
+#: replacement, so the mapping is exact.
+LEGACY_AXES: Dict[str, Dict[str, Optional[str]]] = {
+    "exec_core": {"": None, "threaded": None, "coop": None},
+    "dispatcher": {"": None, "indexed": None, "scan": None},
+    "window_path": {"": "", "fast": "fast", "batched": "fast",
+                    "reference": "reference"},
+    "task_bodies": {"": "", "auto": "auto", "callable": "callable"},
+}
+
+
+def map_legacy_axes(d: Dict[str, Any]) -> Dict[str, Any]:
+    """A copy of ``d`` with every execution-axis key mapped through
+    :data:`LEGACY_AXES` -- the one place old axis names are read.
+    Raises :class:`ConfigurationError` for a value no build ever wrote."""
+    out = dict(d)
+    for key, table in LEGACY_AXES.items():
+        if key not in out:
+            continue
+        v = out[key]
+        if not isinstance(v, str) or v not in table:
+            raise ConfigurationError(
+                f"{key}={v!r} is not one of "
+                f"{'/'.join(k for k in table if k)}")
+        if table[v] is None:
+            del out[key]
+        else:
+            out[key] = table[v]
+    return out
 
 
 def env_value(name: str, default: str = "") -> str:
@@ -177,24 +210,17 @@ class Configuration:
     accept_retries: int = 0
     accept_backoff: float = 2.0
     #: Window data-plane selection: "fast" (batched transfers + reader
-    #: cache), "batched" (no cache) or "reference" (the unbatched
-    #: per-row oracle).  "" defers to the ``PISCES_WINDOW_PATH``
-    #: environment variable, then to "fast".  Every path is bit-identical
-    #: in virtual time (see docs/architecture.md).
+    #: cache) or "reference" (the unbatched per-row oracle).  "" defers
+    #: to the ``PISCES_WINDOW_PATH`` environment variable, then to
+    #: "fast".  Both paths are bit-identical in virtual time (see
+    #: docs/architecture.md).
     window_path: str = ""
-    #: Execution-core selection: "threaded" (one OS thread per process,
-    #: the determinism oracle) or "coop" (single-threaded discrete-event
-    #: loop; coroutine bodies dispatch by function call).  "" defers to
-    #: the ``PISCES_EXEC_CORE`` environment variable, then to
-    #: "threaded".  Both cores are bit-identical in virtual time and
-    #: dispatch order (see docs/architecture.md, "Execution cores").
-    exec_core: str = ""
     #: Task-body vehicle: "auto" lets coroutine-style bodies (generator
-    #: functions) suspend as coroutines at the KernelOp seam -- on the
-    #: coop core they then run with no worker thread at all -- while
-    #: "callable" forces every body onto the classic blocking-call
-    #: driver (worker threads on both cores).  "" defers to the
-    #: ``PISCES_TASK_BODIES`` environment variable, then to "auto".
+    #: functions) suspend as coroutines at the KernelOp seam, with no
+    #: worker thread at all, while "callable" forces every body onto
+    #: the classic blocking-call driver on a worker thread.  "" defers
+    #: to the ``PISCES_TASK_BODIES`` environment variable, then to
+    #: "auto".
     #: Both vehicles are bit-identical in virtual time (the body-form
     #: equivalence suite asserts this across the app zoo).
     task_bodies: str = ""
@@ -300,13 +326,10 @@ class Configuration:
             raise ConfigurationError("accept_retries must be >= 0")
         if self.accept_backoff < 1.0:
             raise ConfigurationError("accept_backoff must be >= 1")
-        if self.window_path not in ("", "fast", "batched", "reference"):
+        if self.window_path not in ("", "fast", "reference"):
             raise ConfigurationError(
-                f"window_path must be fast/batched/reference, "
+                f"window_path must be fast/reference, "
                 f"got {self.window_path!r}")
-        if self.exec_core not in ("", "threaded", "coop"):
-            raise ConfigurationError(
-                f"exec_core must be threaded/coop, got {self.exec_core!r}")
         if self.task_bodies not in ("", "auto", "callable"):
             raise ConfigurationError(
                 f"task_bodies must be auto/callable, "
@@ -347,8 +370,6 @@ class Configuration:
             lines.append("  metrics: enabled")
         if self.window_path:
             lines.append(f"  window data plane: {self.window_path}")
-        if self.exec_core:
-            lines.append(f"  execution core: {self.exec_core}")
         if self.task_bodies:
             lines.append(f"  task bodies: {self.task_bodies}")
         if self.profile:

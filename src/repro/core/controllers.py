@@ -75,9 +75,9 @@ class Controller:
     # ---------------------------------------------------------- main loop --
 
     def _serve_forever(self):
-        # A coroutine body: controllers suspend at the KernelOp seam on
-        # every core, so a booted VM runs its whole operating system
-        # with zero controller threads on the coop core.
+        # A coroutine body: controllers suspend at the KernelOp seam,
+        # so a booted VM runs its whole operating system with zero
+        # controller threads.
         while True:
             msg = yield from self._next_message()
             try:

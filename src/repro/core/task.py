@@ -225,12 +225,11 @@ class TaskContext:
       sequential code on a worker thread.
     * **coroutine mode** (``coroutine=True``): each suspending method
       *returns* its generator for the body to ``yield from``, so the
-      whole task suspends at the KernelOp seam -- on the coop core it
-      then runs with no worker thread at all.
+      whole task suspends at the KernelOp seam and runs with no worker
+      thread at all.
 
     Both modes interpret the identical op stream and are bit-identical
-    in virtual time (see docs/architecture.md, "Task runtime on the
-    coop core").
+    in virtual time (see docs/architecture.md, "Task runtime").
     """
 
     def __init__(self, task: Task, process: KernelProcess,

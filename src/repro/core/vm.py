@@ -112,7 +112,7 @@ from .windows import (
 )
 
 #: Valid window data-plane selections (see Configuration.window_path).
-WINDOW_PATHS = ("fast", "batched", "reference")
+WINDOW_PATHS = ("fast", "reference")
 
 
 def resolve_window_path(config: Configuration) -> str:
@@ -123,18 +123,6 @@ def resolve_window_path(config: Configuration) -> str:
         raise ConfigurationError(
             f"PISCES_WINDOW_PATH={path!r}: must be one of {WINDOW_PATHS}")
     return path
-
-
-def resolve_exec_core(config: Configuration) -> str:
-    """Execution-core selection: configuration wins, then the
-    ``PISCES_EXEC_CORE`` environment variable, then "threaded" (the
-    determinism oracle; see docs/architecture.md, "Execution cores")."""
-    from ..mmos.scheduler import EXEC_CORES
-    core = config.exec_core or env_value("PISCES_EXEC_CORE") or "threaded"
-    if core not in EXEC_CORES:
-        raise ConfigurationError(
-            f"PISCES_EXEC_CORE={core!r}: must be one of {EXEC_CORES}")
-    return core
 
 
 #: Valid task-body vehicles (see Configuration.task_bodies).
@@ -253,11 +241,8 @@ class PiscesVM:
             schedule = (Schedule.load(replay)
                         if isinstance(replay, (str, os.PathLike))
                         else replay)
-        #: Which execution core runs the processes ("threaded"/"coop");
-        #: stamped into the export_run manifest and state dumps.
-        self.exec_core = resolve_exec_core(config)
         self.kernel = MMOSKernel(self.machine, time_limit=config.time_limit,
-                                 schedule=schedule, exec_core=self.exec_core)
+                                 schedule=schedule)
         self.engine = self.kernel.engine
         if recorder is not None:
             # Explicit recorder wins over the PISCES_RECORD_SCHEDULE env
@@ -593,7 +578,7 @@ class PiscesVM:
 
         A generator-function body is a *coroutine body*: it ``yield
         from``s the ctx operations, so the whole task suspends at the
-        KernelOp seam (no worker thread on the coop core).  Under the
+        KernelOp seam, with no worker thread at all.  Under the
         "callable" vehicle the identical op stream is instead driven
         through the engine's blocking calls on a worker thread -- the
         oracle leg of the body-form equivalence suite.  A plain
@@ -1098,11 +1083,10 @@ class PiscesVM:
         if done > now:
             yield co_block("disk-io", deadline=done, cost=0)
 
-    # Every data-plane path below charges the identical virtual-time
+    # Both data-plane paths below charge the identical virtual-time
     # cost (one window_transfer_cost, the same disk wait, one preempt),
-    # so fast/batched/reference runs are bit-identical in virtual time;
-    # the paths differ only in host-level data movement.  This is the
-    # same oracle pattern as the PR-2 scan dispatcher.
+    # so fast and reference runs are bit-identical in virtual time; the
+    # paths differ only in host-level data movement.
 
     def _requester_id(self, ctx, store: ArrayStore) -> TaskId:
         return getattr(ctx, "self_id", None) or store.owner
@@ -1202,16 +1186,14 @@ class PiscesVM:
         nbytes = w.nbytes
         self.engine.charge(window_transfer_cost(nbytes))
         yield from self._file_io_wait(w, write=False)
-        path = self.window_path
         hit = False
         cache = None
-        if path == "reference":
+        if self.window_path == "reference":
             data = self._window_read_reference(
                 store, w, self._requester_id(ctx, store))
             moved = nbytes
         else:
-            if path == "fast":
-                cache = self._requester_cache(ctx)
+            cache = self._requester_cache(ctx)
             entry = cache.lookup(w) if cache is not None else None
             txn = WindowTxn(op="read", window=w,
                             cached_generation=None if entry is None

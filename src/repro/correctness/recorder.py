@@ -16,8 +16,8 @@ The artifact is plain text: a ``#psched 1`` magic line, one ``meta``
 line, then chunked record lines (16 tokens each) -- compact, diffable
 and stable under round-trips.
 
-Replay is a third dispatcher mode (``PISCES_DISPATCHER=replay``): the
-engine *peeks* the next D record to drive selection and the
+Replay is the engine's second dispatcher (``PISCES_REPLAY_SCHEDULE=``
+a ``.psched`` path, or a ``schedule=`` argument): the engine *peeks* the next D record to drive selection and the
 :class:`Schedule` verifies every decision as the hooks consume it,
 raising :class:`~repro.errors.ReplayDivergence` on the first mismatch.
 """

@@ -64,7 +64,7 @@ def render_system_dump(vm: PiscesVM) -> str:
     parts: List[str] = [
         "PISCES 2 SYSTEM STATE DUMP",
         f"virtual time: {vm.machine.elapsed()} ticks "
-        f"({vm.engine.exec_core} core, {vm.engine.dispatcher} dispatcher)"]
+        f"({vm.engine.dispatcher} dispatcher)"]
     for num, cr in sorted(vm.clusters.items()):
         parts.append(cr.describe())
         for t in cr.running_tasks():

@@ -12,7 +12,7 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from ..flex.machine import FlexMachine
 from .process import KernelProcess, co_preempt
-from .scheduler import DEFAULT_KERNEL_COST, create_engine
+from .scheduler import DEFAULT_KERNEL_COST, Engine
 
 #: Tick costs of kernel services (arbitrary units; relative magnitudes
 #: follow the usual ordering: process creation >> I/O >> a CPU swap).
@@ -34,12 +34,9 @@ class MMOSKernel:
     """Kernel services for one machine."""
 
     def __init__(self, machine: FlexMachine, time_limit: Optional[int] = None,
-                 dispatcher: Optional[str] = None, schedule=None,
-                 exec_core: Optional[str] = None):
+                 schedule=None):
         self.machine = machine
-        self.engine = create_engine(machine, time_limit=time_limit,
-                                    dispatcher=dispatcher, schedule=schedule,
-                                    exec_core=exec_core)
+        self.engine = Engine(machine, time_limit=time_limit, schedule=schedule)
         self.console: List[Tuple[int, int, str]] = []
         #: Optional live sink for terminal output (the execution
         #: environment hooks this to echo to the real screen).

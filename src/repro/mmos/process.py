@@ -7,30 +7,26 @@ few other services"; PISCES calls the kernel "primarily for process
 creation and termination, input/output to the terminal, and swapping the
 CPU among ready processes".
 
-How a process *executes* is an engine strategy, not a property of the
-process (see ``docs/architecture.md``, "Execution cores"):
+A process has one of two body forms (see ``docs/architecture.md``,
+"The engine"):
 
-* on the **threaded** core every process body runs in its own Python
-  thread that the engine admits one-at-a-time, switching only at kernel
-  points;
-* on the **coop** core a *coroutine* body (a generator function that
-  yields :class:`KernelOp` values from :func:`co_charge` /
-  :func:`co_preempt` / :func:`co_block`) is resumed by a plain function
-  call on the engine thread -- no OS thread at all -- while an ordinary
-  callable body falls back to a pinned worker thread with a raw-lock
-  handoff.
+* a *coroutine* body -- a generator function that yields
+  :class:`KernelOp` values from :func:`co_charge` / :func:`co_preempt` /
+  :func:`co_block` -- is resumed by a plain function call on the engine
+  thread, with no OS thread at all;
+* an ordinary callable body runs on a pinned worker thread that the
+  engine admits one-at-a-time through a raw-lock handoff, switching
+  only at kernel points.
 
-Both cores accept both body forms: the threaded core drives a coroutine
-body through a trampoline that maps each yielded op onto the classic
-blocking calls, so the same program text is executable (and
-bit-identical) everywhere.
+:func:`drive_kernel_ops` runs the same op stream through the blocking
+calls, so one program text is executable (and bit-identical) in both
+forms.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import threading
 from typing import Any, Callable, Generator, Optional
 
 #: Default ticks charged by a kernel point when the caller gives none.
@@ -52,7 +48,7 @@ class KernelOp:
     Build them with :func:`co_charge`, :func:`co_preempt` and
     :func:`co_block`; the engine interprets the op and resumes the
     generator with the op's result (the waker's ``info`` for a block,
-    ``None`` otherwise).  Ops are plain data so both execution cores
+    ``None`` otherwise).  Ops are plain data so both body forms
     interpret the identical stream.
     """
 
@@ -81,7 +77,7 @@ def co_charge(ticks: int) -> KernelOp:
 
 
 #: Interned preempt ops for the common costs.  A KernelOp is read-only
-#: data to both engines (the drivers only ever read kind/cost), and the
+#: data to both drivers (they only ever read kind/cost), and the
 #: hot path yields one preempt per dispatch, so small costs share a
 #: singleton instead of allocating a fresh op every time.
 _PREEMPT_OPS = {c: KernelOp("preempt", c) for c in range(33)}
@@ -117,7 +113,7 @@ def drive_kernel_ops(engine: Any, gen: Generator) -> Any:
     If a blocking call unwinds (``ProcessKilled`` / ``EngineShutdown``),
     the generator is closed first so its cleanup handlers run at the
     suspension point -- the same ``GeneratorExit`` they observe when a
-    coroutine body is killed on either core.
+    coroutine body is killed.
     """
     try:
         val: Any = None
@@ -149,10 +145,10 @@ _pid_counter = itertools.count(1)
 
 
 class KernelProcess:
-    """One simulated process: thread + scheduling metadata.
+    """One simulated process: body vehicle + scheduling metadata.
 
-    Scheduling fields are only touched while the caller holds the
-    engine's condition variable or is the single admitted runner.
+    Scheduling fields are only touched by the single admitted runner
+    (the engine loop or the process it granted the machine to).
     """
 
     def __init__(self, name: str, pe: int, target: Callable[[], Any],
@@ -194,24 +190,13 @@ class KernelProcess:
         #: first slice.  Must not yield (no kernel blocking calls).
         self.on_exit: Optional[Callable[["KernelProcess"], None]] = None
 
-        self.run_granted = False
-        #: Per-process admission gate (indexed dispatcher): the engine
-        #: sets it to hand this thread the machine, so a context switch
-        #: wakes exactly one thread instead of broadcasting to all.
-        self.grant = threading.Event()
-        self.thread: Optional[threading.Thread] = None
-        #: True when ``target`` is a generator function (a coroutine
-        #: body yielding :class:`KernelOp` values).  The coop core runs
-        #: it by function call on the engine thread; the threaded core
-        #: drives it through a thread trampoline.
-        self.is_coroutine = False
-        #: The instantiated coroutine body (coop core, or the threaded
-        #: trampoline once started); None for plain callable bodies.
+        #: Worker thread of a callable body; None for coroutine bodies.
+        self.thread: Optional[Any] = None
+        #: The instantiated coroutine body; None for callable bodies.
         self.gen: Optional[Generator] = None
-        #: Raw handoff lock for the coop core's pinned-worker fallback
-        #: (callable bodies): always held; the engine passes control by
-        #: releasing it, the worker parks by re-acquiring.  None on the
-        #: threaded core and for coroutine processes.
+        #: Raw handoff lock of a callable body's worker: always held;
+        #: the engine passes control by releasing it, the worker parks
+        #: by re-acquiring.  None for coroutine bodies.
         self.handoff: Optional[Any] = None
         #: Dispatch sequence number of the last slice (for round-robin
         #: tie-breaking among processes sharing a PE).

@@ -3,17 +3,17 @@
 This is the substrate substitution for the real MMOS kernel running on
 20 FLEX/32 processors (DESIGN.md section 3).  The contract:
 
-* every simulated process runs in its own Python thread, but the engine
-  admits **exactly one** thread at a time;
-* threads hand control back at *kernel points* -- every PISCES run-time
-  library call, plus explicit ``compute(ticks)`` charges;
+* the engine admits **exactly one** simulated process at a time, and
+  processes hand control back at *kernel points* -- every PISCES
+  run-time library call, plus explicit ``compute(ticks)`` charges;
 * each slice executed on PE *p* advances *p*'s virtual clock by the
   ticks charged during the slice; distinct PEs overlap in virtual time,
   processes sharing a PE serialize on it (multiprogramming);
 * dispatch order: the runnable process with the least slice start time
-  ``max(ready_time, pe_clock)``, ties broken by pid.  Dispatch starts
-  are therefore non-decreasing, which guarantees no causality violation
-  (a wake or message can never arrive in a receiver's past);
+  ``max(ready_time, pe_clock)``, then the one that has waited longest
+  since its last slice, then pid.  Dispatch starts are therefore
+  non-decreasing, which guarantees no causality violation (a wake or
+  message can never arrive in a receiver's past);
 * a blocked process with a deadline is runnable at its deadline (the
   DELAY clause of ACCEPT); whoever wakes it earlier clears the deadline;
 * when nothing is runnable and a non-daemon process is still blocked,
@@ -24,37 +24,21 @@ Determinism: given the same program and configuration, every dispatch,
 message arrival and timeout happens in the same order with the same
 virtual timestamps.  The whole test-suite relies on this.
 
-Two dispatcher implementations share that contract (see
-``docs/architecture.md``, "Dispatch algorithm and determinism
-contract"):
+The engine is a single-threaded discrete-event loop (see
+``docs/architecture.md``, "The engine"):
 
-* ``indexed`` (default) -- a lazy-deletion min-heap over runnable
-  processes, O(log n) per dispatch, with a per-process grant event so a
-  context switch wakes exactly one thread;
-* ``scan`` -- the original O(n) linear scan with a broadcast on one
-  shared condition variable, kept as the reference oracle.  Both must
-  produce bit-identical virtual timestamps and dispatch order; the
-  property suite and the engine-throughput benchmark assert it.
+* **coroutine bodies** (generator functions yielding
+  :class:`~repro.mmos.process.KernelOp`) run *on the engine thread*; a
+  dispatch is one ``gen.send`` and no OS thread exists for them;
+* **callable bodies** (ordinary functions) run on a pinned worker
+  thread with a raw-lock token handoff: the engine passes control by
+  releasing the process's ``handoff`` lock and parks by re-acquiring
+  its own ``_resume`` token; the worker does the reverse at every
+  kernel point.
 
-The default can be forced with the ``PISCES_DISPATCHER`` environment
-variable (``indexed`` or ``scan``).
-
-Orthogonal to the dispatcher, two **execution cores** decide how a
-granted process actually runs its slice (``PISCES_EXEC_CORE``, or the
-:func:`create_engine` factory):
-
-* ``threaded`` (this module's :class:`Engine`, the determinism oracle)
-  -- every process body runs in its own OS thread; a dispatch is a
-  grant-event wake plus a thread park;
-* ``coop`` (:class:`repro.mmos.coop.CoopEngine`) -- a single-threaded
-  discrete-event loop: coroutine bodies are resumed by a plain
-  function call (no OS context switch on the hot path), callable
-  bodies fall back to a pinned worker thread with a raw-lock handoff.
-
-Both cores share this module's picker, hooks and slice bookkeeping, so
-virtual timestamps, dispatch order and trace streams are bit-identical
-across every core x dispatcher combination; the dispatcher-identity
-matrix and the dispatch-equivalence property suite assert it.
+Selection is a two-level stale-free heap (``indexed``), or -- when a
+schedule is passed or ``PISCES_REPLAY_SCHEDULE`` names a ``.psched``
+recording -- the recorded decision stream (``replay``).
 """
 
 from __future__ import annotations
@@ -75,108 +59,35 @@ from ..errors import (
     TimeLimitExceeded,
 )
 from ..flex.machine import FlexMachine
-from .process import (
-    DEFAULT_KERNEL_COST,
-    KernelOp,
-    KernelProcess,
-    ProcState,
-    drive_kernel_ops,
-)
+from .process import DEFAULT_KERNEL_COST, KernelOp, KernelProcess, ProcState
 
-#: Recognized dispatcher implementations.  ``replay`` re-executes a
+#: Recognized dispatchers: the live two-level heap, and ``replay`` of a
 #: recorded decision stream (see :mod:`repro.correctness.recorder`).
-DISPATCHERS = ("indexed", "scan", "replay")
+DISPATCHERS = ("indexed", "replay")
 
-#: Recognized execution cores (see module docstring).
-EXEC_CORES = ("threaded", "coop")
-
-
-def default_dispatcher() -> str:
-    """Dispatcher used when the Engine caller does not choose one."""
-    d = env_value("PISCES_DISPATCHER", "indexed")
-    if d not in DISPATCHERS:
-        raise ValueError(
-            f"PISCES_DISPATCHER={d!r}: must be one of {DISPATCHERS}")
-    return d
-
-
-def _live_dispatcher_for(schedule: Any) -> str:
-    """The live dispatcher a replay of ``schedule`` continues with once
-    the recorded stream runs dry (prefix schedules name one; anything
-    else falls back to the environment default, never ``replay``)."""
-    d = getattr(schedule, "live_dispatcher", "") or default_dispatcher()
-    return d if d in ("indexed", "scan") else "indexed"
-
-
-def default_exec_core() -> str:
-    """Execution core used when the caller does not choose one."""
-    c = env_value("PISCES_EXEC_CORE", "threaded")
-    if c not in EXEC_CORES:
-        raise ValueError(
-            f"PISCES_EXEC_CORE={c!r}: must be one of {EXEC_CORES}")
-    return c
-
-
-def create_engine(machine: FlexMachine, time_limit: Optional[int] = None,
-                  dispatcher: Optional[str] = None,
-                  schedule: Optional[Any] = None,
-                  exec_core: Optional[str] = None) -> "Engine":
-    """Build an engine for ``exec_core`` (default: ``PISCES_EXEC_CORE``,
-    then ``threaded``).  This is the one place that knows which class
-    implements which core; the VM and benchmarks go through it."""
-    if not exec_core:
-        exec_core = default_exec_core()
-    if exec_core not in EXEC_CORES:
-        raise ValueError(
-            f"exec_core {exec_core!r}: must be one of {EXEC_CORES}")
-    if exec_core == "coop":
-        from .coop import CoopEngine
-        return CoopEngine(machine, time_limit=time_limit,
-                          dispatcher=dispatcher, schedule=schedule)
-    return Engine(machine, time_limit=time_limit, dispatcher=dispatcher,
-                  schedule=schedule)
+#: Slices :meth:`Engine.run` dispatches per batch with the hooks read
+#: into locals once.
+BATCH = 1024
 
 
 class Engine:
-    """The MMOS scheduler/dispatcher for one machine (threaded core).
-
-    Also the base class of the coop core: everything that decides *what
-    runs next and when* (picker, keys, hooks, slice accounting) lives
-    here and is shared; subclasses override only the handoff strategy
-    (:meth:`_launch`, :meth:`_run_slice`, :meth:`_yield`,
-    :meth:`_drain_process`).
-    """
-
-    #: Which execution core this class implements (manifest stamping).
-    exec_core = "threaded"
+    """The MMOS scheduler/dispatcher for one machine."""
 
     def __init__(self, machine: FlexMachine, time_limit: Optional[int] = None,
-                 dispatcher: Optional[str] = None, schedule: Optional[Any] = None):
+                 schedule: Optional[Any] = None):
         self.machine = machine
         #: PE -> PEClock, cached off the ClockBank: the dispatch hot
         #: path touches a clock several times per slice and the mapping
         #: is immutable for the machine's lifetime.
         self._clockmap = {pe: machine.clocks[pe] for pe in machine.pes}
         self.time_limit = time_limit
-        if dispatcher is None:
-            dispatcher = "replay" if schedule is not None \
-                else default_dispatcher()
-        if dispatcher not in DISPATCHERS:
-            raise ValueError(
-                f"dispatcher {dispatcher!r}: must be one of {DISPATCHERS}")
-        self.dispatcher = dispatcher
-        self._replay = dispatcher == "replay"
-        # Replay reuses the scan picker's data structures only for state
-        # dumps; selection itself is driven by the recorded stream.
-        self._indexed = dispatcher == "indexed"
-        self._cv = threading.Condition()
         self._procs: Dict[int, KernelProcess] = {}
-        #: Indexed-dispatcher index (see "Dispatch algorithm" in
-        #: docs/architecture.md).  Two-level, with keys that *never go
-        #: stale*: per PE, a "ripe" heap of ``(last_dispatched, pid,
-        #: gen)`` over runnable processes whose start time is the PE
-        #: clock (``ready_time <= clock``; both components immutable
-        #: while queued), and a "future" heap of ``(ready_time|deadline,
+        #: Two-level dispatch index (see "The engine" in
+        #: docs/architecture.md), with keys that *never go stale*: per
+        #: PE, a "ripe" heap of ``(last_dispatched, pid, gen)`` over
+        #: runnable processes whose start time is the PE clock
+        #: (``ready_time <= clock``; both components immutable while
+        #: queued), and a "future" heap of ``(ready_time|deadline,
         #: last_dispatched, pid, gen)`` over processes that become
         #: runnable at a fixed later tick.  Entries migrate future ->
         #: ripe as the PE clock advances.  A single candidate heap of
@@ -192,8 +103,19 @@ class Engine:
         self._now: int = 0          # start time of the latest dispatch
         self._dispatch_seq: int = 0
         self._shutdown = False
-        #: Names of processes whose threads survived :meth:`shutdown`
-        #: (stuck mid-slice or unjoinable) -- see the RuntimeWarning.
+        #: Engine-side token of the raw-lock handoff (callable bodies):
+        #: always held while the engine runs; a worker ends its slice by
+        #: releasing it, the engine parks by re-acquiring.
+        self._resume = threading.Lock()
+        self._resume.acquire()
+        #: Thread ident driving the current coroutine slice (the engine
+        #: thread while inside ``gen.send``), or None.  This is what
+        #: makes ``in_process``/``current`` answer correctly for bodies
+        #: that have no thread of their own.
+        self._gen_runner: Optional[int] = None
+        #: Names of processes whose worker threads survived
+        #: :meth:`shutdown` (stuck mid-slice or unjoinable) -- see the
+        #: RuntimeWarning.
         self.leaked_threads: List[str] = []
         #: Names of processes that were blocked in an ACCEPT when
         #: :meth:`shutdown` drained them (each raised
@@ -204,14 +126,14 @@ class Engine:
         #: None when nothing is runnable; returns True when a fault
         #: fired (scheduling state may have changed).  None means no
         #: fault plan is installed -- the zero-fault cost is one
-        #: attribute test per dispatch.
+        #: attribute test per batch.
         self._fault_pump: Optional[Callable[[Optional[int]], bool]] = None
         #: Periodic-checkpoint hook (see :mod:`repro.checkpoint`):
-        #: called with this engine at the top of every dispatch step,
-        #: before the pick and before any fault can fire for the step --
-        #: the engine is between slices there, which is exactly the
-        #: state a restore reconstructs.  A checkpointer is a pure
-        #: observer (zero virtual time); None costs one attribute test.
+        #: called with this engine before every dispatch, before the
+        #: pick and before any fault can fire for it -- the engine is
+        #: between slices there, which is exactly the state a restore
+        #: reconstructs.  A checkpointer is a pure observer (zero
+        #: virtual time).
         self._ckpt_pump: Optional[Callable[["Engine"], None]] = None
         #: When True, every executed slice is appended to ``slices`` as
         #: (pe, start, end, process name) -- the raw material for the
@@ -231,8 +153,7 @@ class Engine:
         #: Causal-profiler hook (see :mod:`repro.obs.profile`), or None.
         #: Called on spawn, wake, kill and once per completed slice;
         #: like the other hooks it is a pure observer -- it never
-        #: charges ticks, never changes scheduling state, and costs one
-        #: attribute test per site when off.
+        #: charges ticks and never changes scheduling state.
         self.prof_hook: Optional[Any] = None
         #: Per-run spawn ordinals: kernel pids come from a process-global
         #: counter and are not stable across runs, so the schedule
@@ -241,28 +162,22 @@ class Engine:
         self._by_ordinal: List[KernelProcess] = []
         #: Schedule decision hook: a ScheduleRecorder when recording, the
         #: replayed Schedule (consume == verify) when replaying, None
-        #: otherwise.  One attribute test per dispatch when unused.
+        #: otherwise.
         self.sched_hook: Optional[Any] = None
         self._schedule: Optional[Any] = None
-        #: The dispatcher a *live* continuation of this run uses --
-        #: equal to ``dispatcher`` except under replay, where it is
-        #: what the engine switches to after a prefix schedule runs dry
-        #: (checkpoint-manifest stamping).
-        self._live_dispatcher = dispatcher
-        if self._replay:
-            if schedule is None:
-                path = env_value("PISCES_REPLAY_SCHEDULE")
-                if not path:
-                    raise ValueError(
-                        "replay dispatcher needs a schedule: pass "
-                        "schedule=... or set PISCES_REPLAY_SCHEDULE to a "
-                        ".psched path")
+        if schedule is None:
+            path = env_value("PISCES_REPLAY_SCHEDULE")
+            if path:
                 from ..correctness.recorder import Schedule
                 schedule = Schedule.load(path)
+        #: "replay" while a recorded stream drives selection, else
+        #: "indexed" (manifest stamping and state dumps).
+        self.dispatcher = "indexed" if schedule is None else "replay"
+        self._replay = schedule is not None
+        if schedule is not None:
             schedule.reset()
             self._schedule = schedule
             self.sched_hook = schedule
-            self._live_dispatcher = _live_dispatcher_for(schedule)
         else:
             rec_path = env_value("PISCES_RECORD_SCHEDULE")
             if rec_path:
@@ -276,8 +191,10 @@ class Engine:
               ) -> KernelProcess:
         """Create a process on PE ``pe``.
 
-        ``target`` is called with no arguments in the new thread.  The
-        process becomes READY at ``start_time`` (default: now).
+        ``target`` is called with no arguments: a generator function
+        becomes a coroutine body on the engine thread, anything else
+        runs on its own worker thread.  The process becomes READY at
+        ``start_time`` (default: now).
         """
         if pe not in self.machine.pes:
             raise ValueError(f"no PE {pe}")
@@ -297,69 +214,53 @@ class Engine:
         pr = self.prof_hook
         if pr is not None:
             pr.on_spawn(self._current if self.in_process() else None, p)
-        p.is_coroutine = inspect.isgeneratorfunction(target)
         self._procs[p.pid] = p
         self._requeue(p)
-        self._launch(p)
+        if inspect.isgeneratorfunction(target):
+            # No thread at all: the body is a generator resumed by the
+            # engine loop.  Instantiating it runs no user code.
+            p.gen = target()
+        else:
+            p.handoff = threading.Lock()
+            p.handoff.acquire()
+            t = threading.Thread(target=self._thread_body, args=(p,),
+                                 name=f"pisces-{p.name}-{p.pid}", daemon=True)
+            p.thread = t
+            t.start()
         return p
 
-    # ------------------------------------------------ execution strategy --
-
-    def _launch(self, p: KernelProcess) -> None:
-        """Start the execution vehicle for ``p`` (threaded core: one OS
-        thread per process, coroutine bodies included -- the thread
-        drives them through :meth:`_coroutine_trampoline`)."""
-        t = threading.Thread(target=self._thread_body, args=(p,),
-                             name=f"pisces-{p.name}-{p.pid}", daemon=True)
-        p.thread = t
-        t.start()
-
-    def _coroutine_trampoline(self, p: KernelProcess) -> Any:
-        """Drive a coroutine body from a process thread by mapping each
-        yielded :class:`KernelOp` onto the classic blocking calls.  This
-        is what makes coroutine bodies first-class citizens of the
-        threaded (oracle) core: the op stream executes with exactly the
-        virtual-time semantics the coop core gives it."""
-        gen = p.target()
-        p.gen = gen
-        try:
-            return drive_kernel_ops(self, gen)
-        finally:
-            gen.close()
+    # ------------------------------------------------- callable bodies --
 
     def _thread_body(self, p: KernelProcess) -> None:
-        self._wait_for_grant(p)
+        # Raw-lock park until the first grant (level-triggered, so the
+        # engine's release may legally precede this acquire).
+        p.handoff.acquire()
         try:
             if p.killed:
                 raise ProcessKilled(p.name)
-            if p.is_coroutine:
-                p.result = self._coroutine_trampoline(p)
-            else:
-                p.result = p.target()
+            p.result = p.target()
         except ProcessKilled:
             pass
         except BaseException as e:  # surface in the engine thread
             p.exc = e
         finally:
-            if p.on_exit is not None:
-                try:
-                    p.on_exit(p)
-                except BaseException as e:
-                    if p.exc is None:
-                        p.exc = e
-            self._finish_thread(p)
-
-    def _finish_thread(self, p: KernelProcess) -> None:
-        """Final DONE bookkeeping, from the process's own thread."""
-        with self._cv:
+            self._on_exit(p)
+            # The engine is parked on _resume and nothing else runs.
             self._settle_done(p)
-            self._cv.notify_all()
+            self._resume.release()
+
+    def _on_exit(self, p: KernelProcess) -> None:
+        if p.on_exit is not None:
+            try:
+                p.on_exit(p)
+            except BaseException as e:
+                if p.exc is None:
+                    p.exc = e
 
     # ----------------------------------------------- slice bookkeeping ----
 
     def _settle_done(self, p: KernelProcess) -> None:
-        """Account the final slice and mark ``p`` DONE (shared by both
-        cores; the caller owns whatever synchronization its core needs)."""
+        """Account the final slice and mark ``p`` DONE."""
         cost = p.pending_cost
         end = p.clock.run(p.slice_start, cost)
         if self.record_slices and cost > 0:
@@ -373,9 +274,9 @@ class Engine:
                       reason: str, deadline: Optional[int]) -> None:
         """Account a finished (non-final) slice and park/requeue ``p``.
 
-        The single source of truth for end-of-slice state: both cores
-        and every body form go through it, which is what keeps virtual
-        timestamps bit-identical across cores.
+        The single source of truth for end-of-slice state: both body
+        forms go through it, which is what keeps virtual timestamps
+        bit-identical across them.
         """
         cost = p.pending_cost
         end = p.clock.run(p.slice_start, cost)
@@ -395,53 +296,25 @@ class Engine:
         p.deadline = deadline
         self._requeue(p)
 
-    # ------------------------------------------------------ thread handoff --
-
-    def _wait_for_grant(self, p: KernelProcess) -> None:
-        """Park the calling process thread until the engine admits it.
-
-        Indexed mode: each process waits on its own event, so a grant
-        wakes exactly one thread.  Scan (reference) mode: all parked
-        threads share the engine condition variable and every grant is
-        a broadcast -- the O(n)-wakeups behaviour the indexed path
-        replaces.
-        """
-        if self._indexed:
-            p.grant.wait()
-            p.grant.clear()
-            p.run_granted = False
-        else:
-            with self._cv:
-                while not p.run_granted:
-                    self._cv.wait()
-                p.run_granted = False
-
-    def _grant_locked(self, p: KernelProcess) -> None:
-        """Admit ``p`` (caller holds ``_cv``).
-
-        Both wake paths are signalled: a process that parked while the
-        engine was in one dispatch mode may be granted after a
-        replay-to-live switch flipped ``_indexed`` (restored runs), so
-        it may be waiting on either the condition variable or its
-        personal grant event.
-        """
-        p.run_granted = True
-        if self._indexed:
-            p.grant.set()
-        self._cv.notify_all()
-
     # ---------------------------------------------------- process-side ----
 
     def current(self) -> KernelProcess:
-        """The process whose thread is calling; raises if external."""
+        """The process whose slice is calling; raises if external."""
         p = self._current
-        if p is None or p.thread is not threading.current_thread():
-            raise NotInProcess("kernel call from outside a simulated process")
-        return p
+        if p is not None and (
+                self._gen_runner == threading.get_ident()
+                if p.gen is not None
+                else p.thread is threading.current_thread()):
+            return p
+        raise NotInProcess("kernel call from outside a simulated process")
 
     def in_process(self) -> bool:
         p = self._current
-        return p is not None and p.thread is threading.current_thread()
+        if p is None:
+            return False
+        if p.gen is not None:
+            return self._gen_runner == threading.get_ident()
+        return p.thread is threading.current_thread()
 
     def now(self) -> int:
         """Current virtual time as seen by the caller.
@@ -530,19 +403,16 @@ class Engine:
 
     def _yield(self, p: KernelProcess, new_state: ProcState, *,
                reason: str = "", deadline: Optional[int] = None) -> None:
-        """Finish the current slice and hand control to the engine."""
-        with self._cv:
-            self._settle_yield(p, new_state, reason, deadline)
-            self._current = None
-            self._cv.notify_all()
-            if not self._indexed:
-                while not p.run_granted:
-                    self._cv.wait()
-                p.run_granted = False
-        if self._indexed:
-            p.grant.wait()
-            p.grant.clear()
-            p.run_granted = False
+        """Finish a callable body's slice and hand the machine back."""
+        if p.gen is not None:
+            raise RuntimeError(
+                f"coroutine process {p.name!r} called a blocking kernel "
+                "primitive; yield co_preempt()/co_block() instead "
+                "(charge/now are allowed)")
+        self._settle_yield(p, new_state, reason, deadline)
+        self._current = None
+        self._resume.release()
+        p.handoff.acquire()
         if p.killed:
             raise self._kill_exc(p)
 
@@ -553,6 +423,81 @@ class Engine:
                 f"engine shut down while {p.name!r} was "
                 f"{p.blocked_on or 'running'}")
         return ProcessKilled(p.name)
+
+    # ------------------------------------------------- coroutine bodies --
+
+    def _step_coroutine(self, p: KernelProcess) -> None:
+        """One slice of a coroutine body: resume the generator and
+        interpret yielded ops until it parks (preempt/block) or ends.
+        A dispatch is this function call, no OS handoff anywhere."""
+        gen = p.gen
+        # The runner ident covers kill/close cleanup too: a generator's
+        # GeneratorExit handlers (lock hand-off, barrier retraction) and
+        # the exit hooks run kernel calls like wake()/now(), which must
+        # see in_process().
+        self._gen_runner = threading.get_ident()
+        try:
+            if p.killed:
+                # A killed coroutine body never observes ProcessKilled:
+                # it sees GeneratorExit via close(), the result stays
+                # None -- exactly what a callable body driving the same
+                # ops through drive_kernel_ops observes.
+                try:
+                    gen.close()
+                except BaseException as e:
+                    p.exc = e
+                self._proc_exit(p)
+                return
+            val = p.wake_info
+            while True:
+                try:
+                    op = gen.send(val)
+                except StopIteration as e:
+                    p.result = e.value
+                    self._proc_exit(p)
+                    return
+                except ProcessKilled:
+                    self._proc_exit(p)
+                    return
+                except BaseException as e:
+                    p.exc = e
+                    self._proc_exit(p)
+                    return
+                if not isinstance(op, KernelOp):
+                    p.exc = RuntimeError(
+                        f"coroutine process {p.name!r} yielded {op!r}; "
+                        "expected a KernelOp from co_charge/co_preempt/"
+                        "co_block")
+                    gen.close()
+                    self._proc_exit(p)
+                    return
+                kind = op.kind
+                if kind == "charge":
+                    p.pending_cost += op.cost
+                    val = None
+                    continue
+                if kind == "preempt":
+                    p.pending_cost += op.cost
+                    p.wake_info = None
+                    self._settle_yield(p, ProcState.READY, "", None)
+                else:  # block
+                    p.pending_cost += op.cost
+                    p.timed_out = False
+                    p.wake_info = None
+                    m = self.metrics
+                    if m is not None and m.enabled:
+                        m.counter("blocks",
+                                  reason=op.reason.split("(", 1)[0]).inc()
+                    self._settle_yield(p, ProcState.BLOCKED, op.reason,
+                                       op.deadline)
+                return
+        finally:
+            self._gen_runner = None
+
+    def _proc_exit(self, p: KernelProcess) -> None:
+        """Coroutine-body counterpart of ``_thread_body``'s finally."""
+        self._on_exit(p)
+        self._settle_done(p)
 
     # ----------------------------------------------------- engine-side ----
 
@@ -575,15 +520,15 @@ class Engine:
 
         Bumps the process's generation (invalidating every entry it
         already has in the per-PE heaps), inserts one fresh entry if the
-        process is runnable, and refreshes its PE's candidate.  No-op in
-        scan mode.
+        process is runnable, and refreshes its PE's candidate.  No-op
+        while a replay drives selection.
         """
-        if not self._indexed:
+        if self._replay:
             return
         p.sched_gen += 1
         pe = p.pe
-        # Inlined _is_runnable/_runnable_key/_touch_pe: this runs once
-        # per state change, which on the coop core is once per dispatch.
+        # Inlined _is_runnable/_runnable_key: this runs once per state
+        # change, which is about once per dispatch.
         state = p.state
         if state is ProcState.READY:
             base = p.ready_time
@@ -674,23 +619,12 @@ class Engine:
             return self._procs[pid], key
         return None, None
 
-    def _pick(self) -> Optional[KernelProcess]:
-        """Reference dispatcher: O(n) scan over all processes."""
-        best = None
-        best_key = None
-        for p in self._procs.values():
-            if self._is_runnable(p):
-                k = self._runnable_key(p)
-                if best_key is None or k < best_key:
-                    best, best_key = p, k
-        return best
-
     def _peek_replay(self) -> Tuple[Optional[KernelProcess], Optional[tuple]]:
         """Replay selection: the recorded stream *is* the dispatch order.
 
         Peeks (does not consume) the next D record; the ``on_dispatch``
-        verification in :meth:`step` consumes it.  A record naming a
-        process that does not exist or is not runnable means the live
+        verification in :meth:`_dispatch` consumes it.  A record naming
+        a process that does not exist or is not runnable means the live
         run diverged from the recording.
         """
         from ..errors import ReplayDivergence
@@ -715,20 +649,17 @@ class Engine:
 
     def _switch_to_live(self) -> None:
         """A *prefix* schedule (a restored checkpoint) ran dry: hand
-        selection back to a live dispatcher and keep going.
+        selection back to the heap and keep going.
 
         Only selection changes -- ``sched_hook`` stays the prefix
         wrapper, which keeps recording the live tail.  During replay the
-        indexed heaps were never fed (``_requeue`` no-ops off-index), so
-        requeueing every process in pid order rebuilds them exactly as a
-        fresh engine would have.
+        heaps were never fed (``_requeue`` no-ops), so requeueing every
+        process in pid order rebuilds them exactly as a fresh engine
+        would have.
         """
         sched = self._schedule
-        dispatcher = _live_dispatcher_for(sched)
-        self.dispatcher = dispatcher
-        self._live_dispatcher = dispatcher
+        self.dispatcher = "indexed"
         self._replay = False
-        self._indexed = dispatcher == "indexed"
         self._schedule = None
         for p in sorted(self._procs.values(), key=lambda q: q.pid):
             self._requeue(p)
@@ -745,132 +676,55 @@ class Engine:
         after that virtual time -- the monitor uses this so that pumping
         the machine "now" does not fast-forward through long DELAYs.
         """
+        return self._dispatch(1, horizon)
+
+    def _dispatch(self, batch: int, horizon: Optional[int] = None) -> bool:
+        """Dispatch up to ``batch`` slices; the one dispatch loop.
+
+        Every hook is read into a local once per batch and costs one
+        ``is not None`` test per slice when off.  Hooks are pure
+        observers installed at boot or between runs; the replay -> live
+        switch is the only place one can change mid-run, so it ends the
+        batch.  Returns False when nothing was runnable (or the next
+        slice would start after ``horizon``), True otherwise.
+        """
         ck = self._ckpt_pump
-        if ck is not None:
-            # Between slices, before this step's pick and fault pump:
-            # the exact state a restore reconstructs (see
-            # docs/architecture.md, "Checkpoint/restore").
-            ck(self)
-        while True:
-            if self._replay:
-                p, key = self._peek_replay()
-                if p is None and getattr(self._schedule,
-                                         "live_after_prefix", False):
-                    self._switch_to_live()
-                    continue
-            elif self._indexed:
-                p, key = self._pop_runnable()
-            else:
-                p = self._pick()
-                key = None if p is None else self._runnable_key(p)
-            if p is None:
-                return False
-            if horizon is not None and key[0] > horizon:
-                if self._indexed:
+        fp = self._fault_pump
+        sh = self.sched_hook
+        pr = self.prof_hook
+        idle = self.on_idle_check
+        limit = self.time_limit
+        m = self.metrics
+        if m is not None and not m.enabled:
+            m = None
+        replay = self._replay
+        pick = self._peek_replay if replay else self._pop_runnable
+        resume = self._resume
+        for _ in range(batch):
+            if ck is not None:
+                # Between slices, before the pick and fault pump: the
+                # exact state a restore reconstructs (see
+                # docs/architecture.md, "Checkpoint/restore").
+                ck(self)
+            while True:
+                p, key = pick()
+                if p is None:
+                    if replay and getattr(self._schedule,
+                                          "live_after_prefix", False):
+                        self._switch_to_live()
+                        return True
+                    return False
+                if horizon is not None and key[0] > horizon:
                     # The pick was valid; re-index it for the next step.
                     self._requeue(p)
-                return False
-            if self._fault_pump is not None and self._fault_pump(key[0]):
-                # A timed fault fired at or before this slice's start;
-                # it may have killed/woken processes (including this
-                # one), so re-index the pick and re-pick.
-                if self._indexed:
+                    return False
+                if fp is not None and fp(key[0]):
+                    # A timed fault fired at or before this slice's
+                    # start; it may have killed/woken processes
+                    # (including this one), so re-index and re-pick.
                     self._requeue(p)
-                continue
-            break
-        if p.state is ProcState.BLOCKED:
-            # Deadline fired: resume with timed_out set.
-            p.timed_out = True
-            p.wake_info = None
-            p.ready_time = max(p.ready_time, p.deadline)
-            p.deadline = None
-            p.state = ProcState.READY
-        clock = p.clock
-        rt = p.ready_time
-        ticks = clock.ticks
-        start = rt if rt > ticks else ticks
-        if self.time_limit is not None and start > self.time_limit:
-            raise TimeLimitExceeded(self.time_limit)
-        sh = self.sched_hook
-        if sh is not None:
-            # Recording appends; replay consumes-and-verifies (the start
-            # tick doubles as a virtual-time checksum per dispatch).
-            sh.on_dispatch(p.spawn_ordinal, start, p.name)
-        if start > self._now:
-            self._now = start
-        self._dispatch_seq += 1
-        p.last_dispatched = self._dispatch_seq
-        m = self.metrics
-        if m is not None and m.enabled:
-            m.counter("dispatches", pe=p.pe).inc()
-        if start > ticks:
-            clock.ticks = start
-        pr = self.prof_hook
-        t_wall = time.perf_counter() if pr is not None else 0.0
-        self._run_slice(p, start)
-        self._current = None
-        if pr is not None:
-            # The slice just completed: under the lock above _yield (or
-            # _thread_body) set p.ready_time to its end tick and left
-            # the new state/reason/deadline on the process.
-            pr.on_slice(p, start, p.ready_time, p.state, p.blocked_on,
-                        p.deadline, time.perf_counter() - t_wall)
-        if p.exc is not None:
-            exc, p.exc = p.exc, None
-            self.shutdown()
-            raise exc
-        if self.on_idle_check is not None:
-            self.on_idle_check()
-        return True
-
-    def _run_slice(self, p: KernelProcess, start: int) -> None:
-        """Execute one slice of ``p`` starting at virtual tick ``start``
-        and return when the slice has ended (threaded core: grant the
-        process thread and park the engine on the condition variable --
-        the OS handoff the coop core's override replaces with a plain
-        function call)."""
-        with self._cv:
-            p.slice_start = start
-            p.state = ProcState.RUNNING
-            self._current = p
-            self._grant_locked(p)
-            while p.state is ProcState.RUNNING:
-                self._cv.wait()
-
-    def _fast_eligible(self) -> bool:
-        """True when no per-slice hook is installed -- replay,
-        checkpoint pump, fault pump, schedule recording, profiling,
-        metrics, time limit, idle callback -- so :meth:`run` may
-        dispatch through :meth:`_step_fast` batches."""
-        m = self.metrics
-        return (self._indexed and not self._replay
-                and self._ckpt_pump is None
-                and self._fault_pump is None
-                and self.sched_hook is None
-                and self.prof_hook is None
-                and self.on_idle_check is None
-                and self.time_limit is None
-                and (m is None or not m.enabled))
-
-    def _step_fast(self, batch: int) -> bool:
-        """Dispatch up to ``batch`` slices with the hook tests hoisted
-        out of the loop (the caller checked :meth:`_fast_eligible`;
-        eligibility cannot change inside the batch -- hooks install at
-        boot, between runs, or via the replay path, all ineligible).
-
-        Selection and accounting mirror :meth:`step` exactly minus the
-        hook branches, so dispatch streams are identical -- and the
-        replay suite cross-checks that claim on every recorded run: the
-        recording dispatches through here while its replay (ineligible)
-        re-executes the same stream through :meth:`step`.  Returns
-        False when nothing was runnable, True when the batch was
-        exhausted with work remaining.
-        """
-        pop = self._pop_runnable
-        for _ in range(batch):
-            p, key = pop()
-            if p is None:
-                return False
+                    continue
+                break
             if p.state is ProcState.BLOCKED:
                 # Deadline fired: resume with timed_out set.
                 p.timed_out = True
@@ -882,18 +736,43 @@ class Engine:
             rt = p.ready_time
             ticks = clock.ticks
             start = rt if rt > ticks else ticks
+            if limit is not None and start > limit:
+                raise TimeLimitExceeded(limit)
+            if sh is not None:
+                # Recording appends; replay consumes-and-verifies (the
+                # start tick doubles as a virtual-time checksum).
+                sh.on_dispatch(p.spawn_ordinal, start, p.name)
             if start > self._now:
                 self._now = start
             self._dispatch_seq += 1
             p.last_dispatched = self._dispatch_seq
+            if m is not None:
+                m.counter("dispatches", pe=p.pe).inc()
             if start > ticks:
                 clock.ticks = start
-            self._run_slice(p, start)
+            if pr is not None:
+                t_wall = time.perf_counter()
+            p.slice_start = start
+            p.state = ProcState.RUNNING
+            self._current = p
+            if p.gen is None:
+                p.handoff.release()
+                resume.acquire()
+            else:
+                self._step_coroutine(p)
             self._current = None
+            if pr is not None:
+                # The slice just completed: its settle set p.ready_time
+                # to its end tick and left the new state/reason/deadline
+                # on the process.
+                pr.on_slice(p, start, p.ready_time, p.state, p.blocked_on,
+                            p.deadline, time.perf_counter() - t_wall)
             if p.exc is not None:
                 exc, p.exc = p.exc, None
                 self.shutdown()
                 raise exc
+            if idle is not None:
+                idle()
         return True
 
     @property
@@ -909,15 +788,7 @@ class Engine:
         """
         try:
             while True:
-                if self._fast_eligible():
-                    # Hookless runs (the common case) dispatch in
-                    # batches with the per-slice hook tests hoisted;
-                    # the trailing step() below re-confirms idleness
-                    # through the general path.
-                    while self._step_fast(1024):
-                        pass
-                progressed = self.step()
-                if progressed:
+                if self._dispatch(BATCH):
                     continue
                 if self._fault_pump is not None and self._fault_pump(None):
                     # Nothing runnable, but a timed fault was pending:
@@ -944,14 +815,14 @@ class Engine:
     # --------------------------------------------------------- shutdown --
 
     def shutdown(self, join_timeout: float = 5.0) -> None:
-        """Kill every live process and join their threads.
+        """Kill every live process and reap it.
 
-        A thread that does not come back to a kernel point within
+        A worker thread that does not come back to a kernel point within
         ``join_timeout`` wall-clock seconds (it is stuck in user code,
         or swallowed :class:`ProcessKilled`) is recorded in
         :attr:`leaked_threads` and reported with a ``RuntimeWarning`` --
         a leaked thread is a bug to diagnose, never something to ignore
-        silently.
+        silently.  Coroutine bodies have no thread and can never leak.
         """
         if self._shutdown:
             return
@@ -990,26 +861,49 @@ class Engine:
                 RuntimeWarning, stacklevel=2)
 
     def _drain_processes(self, join_timeout: float) -> List[str]:
-        """Give every live process one chance per slice to observe
-        ``killed`` and unwind; returns names of processes that stayed
-        stuck in user code past ``join_timeout``.  Threaded core: grant
-        each thread and wait on the condition variable."""
+        """Give every live process the chance to observe ``killed`` and
+        unwind; returns names of processes that stayed stuck in user
+        code past ``join_timeout``.
+
+        Coroutine bodies are closed on the engine thread (their finally
+        clauses and the exit hook run, the process settles DONE).
+        Callable bodies are granted their handoff so the worker observes
+        ``killed`` and unwinds.
+        """
         stuck: List[str] = []
         for p in list(self._procs.values()):
+            if not p.live:
+                continue
+            if p.gen is not None:
+                self._current = p
+                self._gen_runner = threading.get_ident()
+                try:
+                    try:
+                        p.gen.close()
+                    except BaseException:
+                        pass
+                    p.exc = None
+                    self._proc_exit(p)
+                finally:
+                    self._gen_runner = None
+                    self._current = None
+                continue
             while p.live and p.thread is not None and p.thread.is_alive():
-                with self._cv:
-                    if p.state is ProcState.DONE:
+                if p.state is ProcState.DONE:
+                    break
+                p.state = ProcState.RUNNING
+                self._current = p
+                p.handoff.release()
+                limit = time.monotonic() + join_timeout
+                timed_out = False
+                # Re-acquire the engine token; absorb any stray release
+                # from a previously-stuck thread (the state check, not
+                # the lock, decides whether *this* slice ended).
+                while p.state is ProcState.RUNNING:
+                    if not self._resume.acquire(timeout=0.05) \
+                            and time.monotonic() > limit:
+                        timed_out = True
                         break
-                    p.state = ProcState.RUNNING
-                    self._current = p
-                    self._grant_locked(p)
-                    limit = time.monotonic() + join_timeout
-                    while p.state is ProcState.RUNNING:
-                        remaining = limit - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cv.wait(remaining)
-                    timed_out = p.state is ProcState.RUNNING
                 self._current = None
                 p.exc = None
                 if timed_out:
@@ -1026,8 +920,7 @@ class Engine:
         return [p for p in self._procs.values() if p.live]
 
     def state_dump(self) -> str:
-        lines = [f"engine time {self.now()} ({self.exec_core} core, "
-                 f"{self.dispatcher} dispatcher), "
+        lines = [f"engine time {self.now()} ({self.dispatcher} dispatcher), "
                  f"{len(self.live_processes())} live processes:"]
         failed = self.machine.failed_pes()
         if failed:

@@ -156,7 +156,6 @@ def run_manifest(vm, files: Optional[Dict[str, Path]] = None,
     manifest: Dict[str, Any] = {
         "repro_version": repro_version,
         "dispatcher": vm.engine.dispatcher,
-        "exec_core": vm.engine.exec_core,
         "task_bodies": vm.task_bodies,
         "window_path": vm.window_path,
         "seed": seed,

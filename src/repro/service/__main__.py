@@ -50,13 +50,6 @@ def main(argv=None) -> int:
                     default=DEFAULT_QUOTA, metavar="R,Q,P")
     ap.add_argument("--quantum", type=int, default=8,
                     help="fair-share DRR quantum in PEs (default 8)")
-    ap.add_argument("--exec-core", default="",
-                    choices=("", "threaded", "coop"),
-                    help="default execution core for submitted runs")
-    ap.add_argument("--window-path", default="",
-                    choices=("", "fast", "batched", "reference"))
-    ap.add_argument("--task-bodies", default="",
-                    choices=("", "auto", "callable"))
     ap.add_argument("--log-requests", action="store_true")
     args = ap.parse_args(argv)
 
@@ -67,12 +60,9 @@ def main(argv=None) -> int:
             ap.error(f"--quota {entry!r}: want TENANT=R,Q,P")
         quotas[tenant] = parse_quota(spec)
 
-    defaults = {k: v for k, v in (("exec_core", args.exec_core),
-                                  ("window_path", args.window_path),
-                                  ("task_bodies", args.task_bodies)) if v}
     service = RunService(args.root, n_workers=args.workers, quotas=quotas,
                          default_quota=args.default_quota,
-                         defaults=defaults, quantum=args.quantum)
+                         quantum=args.quantum)
     service.start()
     _Handler.log_to_stderr = args.log_requests
     server = ServiceHTTPServer(service, host=args.host, port=args.port)

@@ -4,7 +4,7 @@ archive, record the exit.
 The executor is where the service's three core guarantees live:
 
 * **Determinism** -- the VM is built from the catalog's pure plan plus
-  the spec's execution axes; the service adds only *pure observers*
+  the spec's run toggles; the service adds only *pure observers*
   (full trace stream, metrics, the kill hook on the engine's
   ``on_idle_check`` seam, periodic checkpointing), so a service run's
   virtual time and trace stream are bit-identical to the same spec run
@@ -62,31 +62,23 @@ class ExecutionHandle:
         self.kill_event.set()
 
 
-#: Axis defaults the service applies when the spec leaves them "".
-ServiceDefaults = Dict[str, str]
-
 #: Checkpoints kept per run; > 1 so a bundle torn by kill -9 mid-write
 #: still leaves a previous complete one to resume from.
 CHECKPOINT_KEEP = 3
 
-_PROVENANCE_KEYS = ("dispatcher", "exec_core", "task_bodies", "window_path",
+_PROVENANCE_KEYS = ("dispatcher", "task_bodies", "window_path",
                     "repro_version", "seed", "fault_plan_hash")
 
 
-def build_vm(rec: RunRecord, store: RunStore,
-             defaults: Optional[ServiceDefaults] = None) -> PiscesVM:
+def build_vm(rec: RunRecord, store: RunStore) -> PiscesVM:
     """Build the (fresh-start) VM for a run record."""
     spec = rec.spec
-    defaults = defaults or {}
     plan = catalog.build(spec)
     config = replace(
         plan.config,
         name=f"{rec.run_id}-{plan.config.name}",
         trace_events=_ALL_TRACE_EVENTS if spec.trace else (),
         metrics_enabled=True,
-        exec_core=spec.exec_core or defaults.get("exec_core", ""),
-        window_path=spec.window_path or defaults.get("window_path", ""),
-        task_bodies=spec.task_bodies or defaults.get("task_bodies", ""),
         run_seed=spec.run_seed,
         checkpoint_every=spec.checkpoint_every,
         checkpoint_dir=str(store.checkpoint_dir(rec.run_id)),
@@ -104,8 +96,7 @@ def _install_kill_hook(vm: PiscesVM, handle: ExecutionHandle) -> None:
 
     The hook runs between dispatches on the engine thread and only
     reads an Event, so it is a pure observer: virtual time is
-    untouched (it does disable the engine's fast batch path, which is
-    a host-speed matter only).
+    untouched.
     """
 
     def check() -> None:
@@ -147,25 +138,21 @@ def _archive(vm: PiscesVM, rec: RunRecord, store: RunStore) -> Dict[str, Any]:
     return provenance
 
 
-def standalone_run(spec, defaults: Optional[ServiceDefaults] = None):
+def standalone_run(spec):
     """Run a spec outside the service: the bit-identity reference leg.
 
-    Builds the same catalog plan with the same execution axes but none
+    Builds the same catalog plan with the same run toggles but none
     of the service's observers (no kill hook, no checkpointing, no
     run-id config name) and runs it to completion.  The soak tests
     compare a service run's virtual time and trace stream against this
     -- equality is the proof that the service added nothing but pure
     observers.
     """
-    defaults = defaults or {}
     plan = catalog.build(spec)
     config = replace(
         plan.config,
         trace_events=_ALL_TRACE_EVENTS if spec.trace else (),
         metrics_enabled=True,
-        exec_core=spec.exec_core or defaults.get("exec_core", ""),
-        window_path=spec.window_path or defaults.get("window_path", ""),
-        task_bodies=spec.task_bodies or defaults.get("task_bodies", ""),
         run_seed=spec.run_seed,
     )
     fault_plan = (load_fault_plan(spec.fault_plan)
@@ -174,8 +161,8 @@ def standalone_run(spec, defaults: Optional[ServiceDefaults] = None):
     return vm.run(plan.tasktype, *plan.args, shutdown=True)
 
 
-def execute_run(rec: RunRecord, store: RunStore, handle: ExecutionHandle,
-                defaults: Optional[ServiceDefaults] = None) -> RunRecord:
+def execute_run(rec: RunRecord, store: RunStore,
+                handle: ExecutionHandle) -> RunRecord:
     """Run one ADMITTED record to a terminal state.  Called on a worker
     thread; never raises (failures become the FAILED state)."""
     if handle.kill_event.is_set():        # killed while waiting to start
@@ -200,7 +187,7 @@ def execute_run(rec: RunRecord, store: RunStore, handle: ExecutionHandle,
                 except Exception:
                     restored, vm = None, None     # fall back to fresh
         if vm is None:
-            vm = build_vm(rec, store, defaults)
+            vm = build_vm(rec, store)
         handle.vm = vm
         _install_kill_hook(vm, handle)
         rec = store.transition(rec.run_id, RUNNING, started_at=time.time())

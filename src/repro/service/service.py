@@ -32,7 +32,7 @@ from ..obs.export import event_to_dict
 from ..obs.spans import derive_spans
 from . import catalog
 from .admission import DEFAULT_QUOTA, AdmissionScheduler, TenantQuota
-from .executor import ExecutionHandle, ServiceDefaults, execute_run
+from .executor import ExecutionHandle, execute_run
 from .spec import RunSpec
 from .store import KILLED, QUEUED, RunRecord, RunStore, TERMINAL_STATES
 
@@ -45,11 +45,9 @@ class RunService:
     def __init__(self, root: Union[str, Path], n_workers: int = 4,
                  quotas: Optional[Dict[str, TenantQuota]] = None,
                  default_quota: TenantQuota = DEFAULT_QUOTA,
-                 defaults: Optional[ServiceDefaults] = None,
                  quantum: int = 8) -> None:
         self.root = Path(root)
         self.n_workers = n_workers
-        self.defaults: ServiceDefaults = dict(defaults or {})
         self.store = RunStore(self.root)
         #: Runs a previous service life left unfinished, re-queued at
         #: construction (before any worker can race the rescan).
@@ -102,7 +100,7 @@ class RunService:
                 handle = ExecutionHandle(rec.run_id, threading.Event())
                 self._handles[rec.run_id] = handle
             try:
-                execute_run(rec, self.store, handle, self.defaults)
+                execute_run(rec, self.store, handle)
             finally:
                 with self._cv:
                     self._handles.pop(rec.run_id, None)

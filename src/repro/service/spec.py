@@ -4,7 +4,7 @@ A :class:`RunSpec` is the JSON-shaped description of one PISCES run --
 which app (a name from the service :mod:`~repro.service.catalog`, or
 ``"fortran"`` with inline Pisces Fortran source), its parameters, and
 the run toggles the service honours (fault plan, tracing, periodic
-checkpointing, execution core / window path / task-body vehicle).
+checkpointing, run seed).
 
 The spec is deliberately *data*, never code: everything in it is
 JSON-stable, so the store can persist it, the REST layer can carry it,
@@ -18,19 +18,23 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from ..errors import InvalidRunSpec
+from ..config.configuration import map_legacy_axes
+from ..errors import ConfigurationError, InvalidRunSpec
 
 #: Fields a spec dict may carry (anything else is refused loudly --
 #: a typo'd field name must not silently change nothing).
 SPEC_FIELDS = ("app", "params", "fault_plan", "trace", "checkpoint_every",
-               "exec_core", "window_path", "task_bodies", "run_seed")
+               "run_seed")
 
-#: Axes with a closed set of values ("" defers to the service default).
-_CHOICES = {
-    "exec_core": ("", "threaded", "coop"),
-    "window_path": ("", "fast", "batched", "reference"),
-    "task_bodies": ("", "auto", "callable"),
-}
+#: Execution-axis fields older specs (and stored run records) carry.
+#: Every choice was bit-identical in virtual time, so they are checked
+#: against the values any build wrote and then dropped.
+LEGACY_FIELDS = ("exec_core", "window_path", "task_bodies")
+
+
+def _is_int(v: Any) -> bool:
+    # bool is an int subclass, but true/false is never a tick count.
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -53,12 +57,6 @@ class RunSpec:
     #: with checkpoints survive a service crash via checkpoint-resume;
     #: runs without are re-queued from the start.
     checkpoint_every: int = 0
-    #: Execution axes, "" = service default.  Every choice is
-    #: bit-identical in virtual time (the core x dispatcher x body-form
-    #: identity matrix), so tenants pick purely for host speed.
-    exec_core: str = ""
-    window_path: str = ""
-    task_bodies: str = ""
     #: Seed of the VM-level run RNG (backoff jitter determinism).
     run_seed: int = 0
 
@@ -68,14 +66,14 @@ class RunSpec:
         if not isinstance(self.params, dict):
             raise InvalidRunSpec(f"params must be an object, "
                                  f"got {type(self.params).__name__}")
-        for axis, choices in _CHOICES.items():
-            v = getattr(self, axis)
-            if v not in choices:
-                raise InvalidRunSpec(
-                    f"{axis}={v!r} is not one of {'/'.join(c or '<default>' for c in choices)}")
-        if not isinstance(self.checkpoint_every, int) \
-                or self.checkpoint_every < 0:
+        if not _is_int(self.checkpoint_every) or self.checkpoint_every < 0:
             raise InvalidRunSpec("checkpoint_every must be an int >= 0")
+        if not _is_int(self.run_seed):
+            raise InvalidRunSpec(f"run_seed must be an int, "
+                                 f"got {self.run_seed!r}")
+        if not isinstance(self.trace, bool):
+            raise InvalidRunSpec(f"trace must be true or false, "
+                                 f"got {self.trace!r}")
         if self.fault_plan is not None \
                 and not isinstance(self.fault_plan, str):
             raise InvalidRunSpec("fault_plan must be .pfault text or null")
@@ -89,13 +87,18 @@ class RunSpec:
     def from_dict(cls, d: Dict[str, Any]) -> "RunSpec":
         if not isinstance(d, dict):
             raise InvalidRunSpec(f"spec must be an object, got {d!r}")
-        unknown = sorted(set(d) - set(SPEC_FIELDS))
+        unknown = sorted(set(d) - set(SPEC_FIELDS) - set(LEGACY_FIELDS))
         if unknown:
             raise InvalidRunSpec(
                 f"unknown spec field(s) {', '.join(unknown)} "
                 f"(recognized: {', '.join(SPEC_FIELDS)})")
         try:
-            return cls(**d)
+            d = map_legacy_axes(d)
+        except ConfigurationError as e:
+            raise InvalidRunSpec(str(e)) from None
+        try:
+            return cls(**{k: v for k, v in d.items()
+                          if k not in LEGACY_FIELDS})
         except TypeError as e:
             raise InvalidRunSpec(str(e)) from None
 

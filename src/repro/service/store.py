@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..errors import ServiceError, UnknownRun
+from ..errors import InvalidRunSpec, ServiceError, UnknownRun
 from .spec import RunSpec
 
 QUEUED = "QUEUED"
@@ -84,8 +84,8 @@ class RunRecord:
     #: Archived artifact filenames (relative to ``artifacts/``).
     artifacts: List[str] = field(default_factory=list)
     #: Execution provenance mirrored from the run manifest so the
-    #: record alone identifies the reproduction axes (includes the
-    #: ``task_bodies`` axis -- see obs/export.py).
+    #: record alone identifies how the run executed (dispatcher, window
+    #: path, task bodies, fault plan -- see obs/export.py).
     provenance: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -148,7 +148,8 @@ class RunStore:
             try:
                 with rec_path.open() as f:
                     rec = RunRecord.from_dict(json.load(f))
-            except (OSError, ValueError, KeyError, TypeError):
+            except (OSError, ValueError, KeyError, TypeError,
+                    InvalidRunSpec):
                 continue      # torn tmp leftovers etc.: not a record
             self._cache[rec.run_id] = rec
             self._next_seq = max(self._next_seq, rec.seq + 1)

@@ -10,9 +10,9 @@ from repro.api import make_vm, restore_vm
 from repro.checkpoint import checkpoint_vm, find_latest_checkpoint, load_bundle
 from repro.core.tracing import TraceEventType
 from repro.errors import CheckpointError
+from tests.bodies import BOTH_VEHICLES
 
 ALL_TRACE = tuple(t.value for t in TraceEventType)
-BOTH_CORES = pytest.mark.parametrize("core", ["threaded", "coop"])
 
 
 def build_registry():
@@ -23,6 +23,7 @@ def build_registry():
         total = 0
         for i in range(n):
             total += i * i
+        yield from ctx.compute(n)
         ctx.send(PARENT, "DONE", total)
 
     @reg.tasktype("MAIN")
@@ -31,34 +32,35 @@ def build_registry():
             ctx.initiate("WORKER", 50 + i)
         acc = 0
         for _ in range(6):
-            m = ctx.accept("DONE")
+            m = yield from ctx.accept("DONE")
             acc += m.args[0]
         return acc
 
     return reg
 
 
-def config(core, ckpt_dir=None, every=500, keep=3):
+def config(bodies, ckpt_dir=None, every=500, keep=3):
     return replace(
         simple_configuration(n_clusters=2, slots=4, name="ckpt-test"),
-        exec_core=core, trace_events=ALL_TRACE,
+        task_bodies=bodies, trace_events=ALL_TRACE,
         checkpoint_every=(every if ckpt_dir else 0),
         checkpoint_dir=str(ckpt_dir) if ckpt_dir else "",
         checkpoint_keep=keep)
 
 
-def run(core, ckpt_dir=None, **cfg_kwargs):
+def run(bodies, ckpt_dir=None, **cfg_kwargs):
     reg = build_registry()
-    vm = make_vm(config=config(core, ckpt_dir, **cfg_kwargs), registry=reg)
+    vm = make_vm(config=config(bodies, ckpt_dir, **cfg_kwargs),
+                 registry=reg)
     r = vm.run("MAIN")
     return r, [e.line() for e in vm.tracer.events]
 
 
-@BOTH_CORES
+@BOTH_VEHICLES
 class TestRestoreIdentity:
-    def test_restore_resumes_bit_identically(self, core, tmp_path):
-        base, base_trace = run(core)
-        _, _ = run(core, ckpt_dir=tmp_path)
+    def test_restore_resumes_bit_identically(self, bodies, tmp_path):
+        base, base_trace = run(bodies)
+        _, _ = run(bodies, ckpt_dir=tmp_path)
         latest = find_latest_checkpoint(tmp_path)
         assert latest is not None
         rr = restore_vm(latest, registry=build_registry())
@@ -67,22 +69,22 @@ class TestRestoreIdentity:
         assert res.elapsed == base.elapsed
         assert [e.line() for e in rr.vm.tracer.events] == base_trace
 
-    def test_checkpointing_is_a_pure_observer(self, core, tmp_path):
+    def test_checkpointing_is_a_pure_observer(self, bodies, tmp_path):
         """Virtual time and the trace stream are bit-identical with
         checkpointing on and off."""
-        base, base_trace = run(core)
-        ck, ck_trace = run(core, ckpt_dir=tmp_path)
+        base, base_trace = run(bodies)
+        ck, ck_trace = run(bodies, ckpt_dir=tmp_path)
         assert ck.value == base.value
         assert ck.elapsed == base.elapsed
         assert ck_trace == base_trace
         assert ck.stats.checkpoints_written > 0
         assert ck.stats.checkpoint_bytes > 0
 
-    def test_restored_run_rewrites_identical_bundles(self, core, tmp_path):
+    def test_restored_run_rewrites_identical_bundles(self, bodies, tmp_path):
         """A restored run re-crosses the same checkpoint marks during
         replay and writes byte-identical bundles -- recovery composes
         across repeated crashes."""
-        run(core, ckpt_dir=tmp_path)
+        run(bodies, ckpt_dir=tmp_path)
         bundles = {p.name: p.read_bytes()
                    for p in tmp_path.glob("*.pckpt")}
         latest = find_latest_checkpoint(tmp_path)
@@ -93,12 +95,12 @@ class TestRestoreIdentity:
             assert rewritten.exists(), f"restored run did not re-mark {name}"
             assert rewritten.read_bytes() == original
 
-    def test_restore_detects_wrong_task_code(self, core, tmp_path):
+    def test_restore_detects_wrong_task_code(self, bodies, tmp_path):
         """A registry whose kernel-visible behaviour diverges from the
         original run fails replay verification (ReplayDivergence is a
         PiscesError) instead of silently computing garbage."""
         from repro.errors import PiscesError
-        run(core, ckpt_dir=tmp_path)
+        run(bodies, ckpt_dir=tmp_path)
         wrong = TaskRegistry()
 
         @wrong.tasktype("WORKER")
@@ -123,7 +125,7 @@ class TestRestoreIdentity:
 
 class TestCaptureGuards:
     def test_checkpoint_before_run_raises(self, tmp_path):
-        vm = make_vm(config=config("coop"), registry=build_registry())
+        vm = make_vm(config=config("auto"), registry=build_registry())
         with pytest.raises(CheckpointError, match="vm.run"):
             checkpoint_vm(vm, tmp_path / "x.pckpt")
         vm.shutdown()
@@ -139,13 +141,13 @@ class TestCaptureGuards:
             except CheckpointError as e:
                 seen["err"] = str(e)
 
-        vm = make_vm(config=config("threaded"), registry=reg)
+        vm = make_vm(config=config("callable"), registry=reg)
         vm.run("MAIN")
         assert "between dispatches" in seen["err"]
 
     def test_checkpoint_without_recorder_raises(self, tmp_path):
         reg = build_registry()
-        vm = make_vm(config=config("coop"), registry=reg)
+        vm = make_vm(config=config("auto"), registry=reg)
         vm._run_request = ("MAIN", (), 1)
         if vm.engine.sched_hook is None:
             with pytest.raises(CheckpointError, match="decision stream"):
@@ -155,7 +157,7 @@ class TestCaptureGuards:
 
 class TestPeriodicPolicy:
     def test_keep_prunes_old_bundles(self, tmp_path):
-        r, _ = run("coop", ckpt_dir=tmp_path, every=300, keep=2)
+        r, _ = run("auto", ckpt_dir=tmp_path, every=300, keep=2)
         assert r.stats.checkpoints_written > 2
         assert len(list(tmp_path.glob("*.pckpt"))) == 2
 
@@ -163,9 +165,8 @@ class TestPeriodicPolicy:
         monkeypatch.setenv("PISCES_CHECKPOINT", "500")
         monkeypatch.setenv("PISCES_CHECKPOINT_DIR", str(tmp_path))
         reg = build_registry()
-        cfg = replace(simple_configuration(n_clusters=2, slots=4),
-                      exec_core="coop")
-        vm = make_vm(config=cfg, registry=reg)
+        vm = make_vm(config=simple_configuration(n_clusters=2, slots=4),
+                     registry=reg)
         vm.run("MAIN")
         assert find_latest_checkpoint(tmp_path) is not None
 
@@ -173,7 +174,7 @@ class TestPeriodicPolicy:
         """Each bundle lands in a distinct interval bucket of the
         virtual clock (the mark sequence is a pure function of the
         clock, never of pump count)."""
-        run("coop", ckpt_dir=tmp_path, every=400, keep=50)
+        run("auto", ckpt_dir=tmp_path, every=400, keep=50)
         ticks = sorted(int(p.name.split("-")[1])
                        for p in tmp_path.glob("*.pckpt"))
         assert len(ticks) >= 2
@@ -183,13 +184,13 @@ class TestPeriodicPolicy:
 
 class TestBundleContents:
     def test_manifest_and_state(self, tmp_path):
-        run("coop", ckpt_dir=tmp_path)
+        run("auto", ckpt_dir=tmp_path)
         manifest, state, psched = load_bundle(
             find_latest_checkpoint(tmp_path))
         assert manifest["format"] == 1
         assert manifest["app"]["tasktype"] == "MAIN"
-        assert manifest["exec_core"] == "coop"
-        assert manifest["dispatcher"] in ("indexed", "scan")
+        assert manifest["window_path"] == "fast"
+        assert "exec_core" not in manifest["config"]
         assert manifest["schedule_position"]["D"] > 0
         assert psched.startswith("#psched 1")
         assert state["now"] == manifest["now"]
@@ -208,7 +209,7 @@ class TestBundleContents:
         reg = build_registry()
         plan = FaultPlan(seed=5, name="cursor",
                          messages=MessagePolicy(delay=0.2, delay_ticks=300))
-        vm = make_vm(config=config("coop", tmp_path), registry=reg,
+        vm = make_vm(config=config("auto", tmp_path), registry=reg,
                      fault_plan=plan)
         vm.run("MAIN")
         m = run_manifest(vm)

@@ -1,10 +1,11 @@
 """The window data plane: batched transactions, caching, conflicts.
 
-PR 4's fast path: window reads/writes travel as one strided-block
+The fast path: window reads/writes travel as one strided-block
 WindowTxn request/reply instead of per-row messages; readers keep a
 generation-validated cache; conditional writes surface WindowConflict.
-All three paths (reference / batched / fast) must agree bit-identically
-in virtual time -- the per-row reference path is the oracle.
+The fast path (with and without its reader cache) must agree
+bit-identically in virtual time with the per-row reference path, the
+oracle.
 """
 
 import numpy as np
@@ -253,17 +254,24 @@ def _paths_config(path):
                          trace_events=("MSG_SEND", "MSG_ACCEPT"))
 
 
-def test_three_paths_bit_identical_virtual_time(make_vm):
+def test_three_paths_bit_identical_virtual_time(make_vm, monkeypatch):
+    """reference, fast, and fast with the reader cache switched off
+    (the bare transaction plane)."""
     from repro.apps.jacobi import run_jacobi_windows
+    from repro.core.vm import PiscesVM
 
-    runs = {}
-    for path in ("reference", "batched", "fast"):
+    def run(path):
         r = run_jacobi_windows(n=16, sweeps=3, n_workers=2,
                                config=_paths_config(path))
-        runs[path] = r
         r.vm.shutdown()
+        return r
+
+    runs = {"reference": run("reference"), "fast": run("fast")}
+    with monkeypatch.context() as m:
+        m.setattr(PiscesVM, "_requester_cache", lambda self, ctx: None)
+        runs["uncached"] = run("fast")
     ref = runs["reference"]
-    for path in ("batched", "fast"):
+    for path in ("uncached", "fast"):
         assert runs[path].elapsed == ref.elapsed
         assert np.array_equal(runs[path].grid, ref.grid)
         assert (runs[path].vm.stats.window_bytes_read
@@ -272,9 +280,9 @@ def test_three_paths_bit_identical_virtual_time(make_vm):
         assert lines == [e.line() for e in ref.vm.tracer.events]
     # the reference path never uses the txn plane...
     assert ref.vm.stats.window_txns == 0
-    # ... and the fast path moves no more bytes than batched
+    # ... and the cache never moves more bytes than the bare plane
     assert (runs["fast"].vm.stats.window_bytes_moved
-            <= runs["batched"].vm.stats.window_bytes_moved)
+            <= runs["uncached"].vm.stats.window_bytes_moved)
 
 
 def test_window_path_env_override(make_vm, registry, monkeypatch):

@@ -141,14 +141,14 @@ class TestEnvWiring:
         r = run_app("JMASTER", registry=build_windows_registry(8, 2, 2))
         assert p.exists()
         monkeypatch.delenv("PISCES_RECORD_SCHEDULE")
-        monkeypatch.setenv("PISCES_DISPATCHER", "replay")
         monkeypatch.setenv("PISCES_REPLAY_SCHEDULE", str(p))
         r2 = run_app("JMASTER", registry=build_windows_registry(8, 2, 2))
         assert r2.elapsed == r.elapsed
         assert r2.stats == r.stats
 
-    def test_replay_dispatcher_without_schedule_is_an_error(self, monkeypatch):
-        monkeypatch.setenv("PISCES_DISPATCHER", "replay")
-        monkeypatch.delenv("PISCES_REPLAY_SCHEDULE", raising=False)
-        with pytest.raises(ValueError):
+    def test_replay_dispatcher_without_schedule_is_an_error(self, monkeypatch,
+                                                            tmp_path):
+        monkeypatch.setenv("PISCES_REPLAY_SCHEDULE",
+                           str(tmp_path / "missing.psched"))
+        with pytest.raises(OSError):
             run_app("JMASTER", registry=build_windows_registry(8, 2, 2))

@@ -7,6 +7,12 @@ full trace stream (every trace event on, one sorted-key JSON object per
 event).  ``axis_digests.json`` freezes them; any execution leg that
 reproduces a digest has the identical virtual history.
 
+The committed file was generated while the engine still had a
+thread-per-process core, a ``scan`` dispatcher and a ``batched``
+window path; its ``legs`` list records the 24 live legs (each also
+recorded and replayed) that all agreed on it.  Today's legs are the
+window path x task-body vehicle.
+
 Regenerate (every leg must agree, or nothing is written)::
 
     PYTHONPATH=src python -m tests.golden.digests --write
@@ -65,16 +71,9 @@ SPECS: Dict[str, dict] = {
 
 #: Live execution legs, as environment settings.
 LEGS: List[Dict[str, str]] = [
-    {"PISCES_DISPATCHER": d, "PISCES_EXEC_CORE": c,
-     "PISCES_WINDOW_PATH": w, "PISCES_TASK_BODIES": b}
-    for d in ("indexed", "scan")
-    for c in ("threaded", "coop")
-    for w in ("fast", "batched", "reference")
-    for b in ("auto", "callable")
+    {"PISCES_WINDOW_PATH": w, "PISCES_TASK_BODIES": b}
+    for w in ("fast", "reference") for b in ("auto", "callable")
 ]
-
-#: Each replay leg re-executes a recording of the matching live leg.
-REPLAY_ENV = {"PISCES_DISPATCHER": "replay"}
 
 
 @contextlib.contextmanager
@@ -118,8 +117,7 @@ def leg_digests(spec: dict, env: Dict[str, str]
             live = digest(spec)
             with leg_env({"PISCES_RECORD_SCHEDULE": psched}):
                 recorded = digest(spec)
-            with leg_env({**REPLAY_ENV,
-                          "PISCES_REPLAY_SCHEDULE": psched}):
+            with leg_env({"PISCES_REPLAY_SCHEDULE": psched}):
                 replayed = digest(spec)
     return [(label, live), (label + ",record", recorded),
             (label + ",replay", replayed)]

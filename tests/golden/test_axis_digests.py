@@ -10,12 +10,9 @@ import json
 
 import pytest
 
-from tests.golden.digests import DIGEST_FILE, leg_digests
+from tests.golden.digests import DIGEST_FILE, LEGS, leg_digests
 
 GOLDEN = json.loads(DIGEST_FILE.read_text(encoding="utf-8"))["digests"]
-
-LEGS = [{"PISCES_WINDOW_PATH": w, "PISCES_TASK_BODIES": b}
-        for w in ("fast", "reference") for b in ("auto", "callable")]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -16,7 +16,11 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from repro.api import restore_vm
+from repro.checkpoint.format import dumps_bundle, load_bundle
+from repro.errors import CheckpointFormatError
 from repro.service import DONE, RunService, catalog
 from repro.service.executor import standalone_run
 from repro.service.spec import RunSpec
@@ -49,3 +53,23 @@ def test_store_with_legacy_record_boots_lists_and_reruns(tmp_path):
         assert standalone_run(rec.spec).elapsed == exp["elapsed_ticks"]
     finally:
         svc.stop(timeout=5.0)
+
+
+def test_unknown_axis_value_in_a_bundle_is_refused(tmp_path):
+    exp = EXPECTED["bundle"]
+    manifest, state, psched = load_bundle(FIXTURES / exp["file"])
+    manifest["exec_core"] = "fibers"
+    bad = tmp_path / "bad.pckpt"
+    bad.write_text(dumps_bundle(manifest, state, psched))
+    with pytest.raises(CheckpointFormatError, match="exec_core"):
+        restore_vm(bad, registry=catalog.build(RunSpec(app=exp["app"])).registry)
+
+
+def test_store_skips_a_record_with_an_unknown_axis_value(tmp_path):
+    record = json.loads((FIXTURES / EXPECTED["record"]["file"]).read_text())
+    record["spec"]["exec_core"] = "fibers"
+    run_dir = tmp_path / "runs" / record["run_id"]
+    run_dir.mkdir(parents=True)
+    (run_dir / "record.json").write_text(json.dumps(record))
+    svc = RunService(tmp_path, n_workers=1)
+    assert svc.list_runs() == []

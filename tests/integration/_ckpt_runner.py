@@ -1,10 +1,10 @@
 """Subprocess driver for the checkpoint kill -9 soak.
 
-Three modes, one fixed chaos-jacobi scenario per (scenario, core):
+Three modes, one fixed chaos-jacobi scenario per (scenario, bodies):
 
-* ``reference <out.json> <core> <scenario>`` -- run uninterrupted with
+* ``reference <out.json> <bodies> <scenario>`` -- run uninterrupted with
   checkpointing OFF and no host kill; dump the final artifacts.
-* ``victim <dir> <core> <scenario>`` -- run with periodic checkpoints
+* ``victim <dir> <bodies> <scenario>`` -- run with periodic checkpoints
   into ``<dir>`` and a :class:`~repro.faults.HostKill` in the plan: the
   process dies by ``kill -9`` mid-run (exit code -9 as seen by the
   parent).  Exits 3 if the run somehow completes.
@@ -51,10 +51,10 @@ def plan(scenario: str, host_kill: bool) -> FaultPlan:
     return FaultPlan(seed=3, host_kills=kills, name="soak-plain")
 
 
-def config(core: str, ckpt_dir: str = "") -> Configuration:
+def config(bodies: str, ckpt_dir: str = "") -> Configuration:
     return Configuration(
         clusters=(ClusterSpec(1, 3, 4), ClusterSpec(2, 4, 4)),
-        name="ckpt-soak", trace_events=TRACE, exec_core=core,
+        name="ckpt-soak", trace_events=TRACE, task_bodies=bodies,
         checkpoint_every=CHECKPOINT_EVERY if ckpt_dir else 0,
         checkpoint_dir=ckpt_dir, checkpoint_keep=3, run_seed=11)
 
@@ -81,23 +81,23 @@ def dump(out_path: str, vm, value, elapsed: int) -> None:
 def main(argv) -> int:
     mode = argv[0]
     if mode == "reference":
-        out, core, scenario = argv[1], argv[2], argv[3]
+        out, bodies, scenario = argv[1], argv[2], argv[3]
         r = run_chaos_jacobi(n=N, sweeps=SWEEPS, n_workers=N_WORKERS,
                              supervision=SUPERVISION, on_death=ON_DEATH,
                              resend_delay=RESEND_DELAY,
                              idle_timeout=IDLE_TIMEOUT, max_rounds=MAX_ROUNDS,
-                             config=config(core),
+                             config=config(bodies),
                              fault_plan=plan(scenario, host_kill=False))
         r.vm.shutdown()
         dump(out, r.vm, (r.grid, r.reason, r.rounds), r.elapsed)
         return 0
     if mode == "victim":
-        ckpt_dir, core, scenario = argv[1], argv[2], argv[3]
+        ckpt_dir, bodies, scenario = argv[1], argv[2], argv[3]
         run_chaos_jacobi(n=N, sweeps=SWEEPS, n_workers=N_WORKERS,
                          supervision=SUPERVISION, on_death=ON_DEATH,
                          resend_delay=RESEND_DELAY,
                          idle_timeout=IDLE_TIMEOUT, max_rounds=MAX_ROUNDS,
-                         config=config(core, ckpt_dir=ckpt_dir),
+                         config=config(bodies, ckpt_dir=ckpt_dir),
                          fault_plan=plan(scenario, host_kill=True))
         # The HostKill should have SIGKILLed us mid-run.
         return 3

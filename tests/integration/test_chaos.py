@@ -28,6 +28,7 @@ from repro.apps.pipeline import run_pipeline
 from repro.config.configuration import ClusterSpec, Configuration
 from repro.faults import RESTART, FaultPlan, MessagePolicy, PECrash, plan_scope
 from repro.flex.presets import small_flex
+from tests.bodies import BOTH_VEHICLES
 
 SMOKE = bool(os.environ.get("CHAOS_SMOKE"))
 SEEDS = (1, 7, 42)
@@ -113,33 +114,32 @@ class TestFiveAppSoak:
         assert r.value == pytest.approx(r.exact, rel=0.02)
 
 
-def chaos_config(trace=(), exec_core=""):
+def chaos_config(trace=(), bodies=""):
     return Configuration(clusters=(ClusterSpec(1, 3, 4),
                                    ClusterSpec(2, 4, 4)),
                          name="chaos-jacobi", trace_events=tuple(trace),
-                         exec_core=exec_core)
+                         task_bodies=bodies)
 
 
 CRASH_PLAN = FaultPlan(seed=1, crashes=(PECrash(at=4_000, pe=4),),
                        name="crash-pe4")
 
-#: Supervision recovery is core-independent: both execution cores must
-#: produce the same restart behaviour (and, in TestDeterminism, the
-#: same bits).
-BOTH_CORES = pytest.mark.parametrize("core", ["threaded", "coop"])
 
 
-@BOTH_CORES
+#: Supervision recovery is independent of the task-body vehicle: both
+#: must produce the same restart behaviour (and, in TestDeterminism,
+#: the same bits).
+@BOTH_VEHICLES
 class TestRecovery:
-    """PE crash mid-run against the fault-tolerant Jacobi solver, on
-    both execution cores."""
+    """PE crash mid-run against the fault-tolerant Jacobi solver, under
+    both task-body vehicles."""
 
-    def test_crash_under_restart_converges_to_exact_answer(self, core):
+    def test_crash_under_restart_converges_to_exact_answer(self, bodies):
         r = run_chaos_jacobi(n=N_JACOBI, sweeps=2, n_workers=3,
                              supervision=RESTART(3, backoff_ticks=500),
                              on_death="reassign",
                              fault_plan=CRASH_PLAN,
-                             config=chaos_config(exec_core=core))
+                             config=chaos_config(bodies=bodies))
         r.vm.shutdown()
         assert r.completed
         assert np.array_equal(r.grid, reference_solution(N_JACOBI, 2))
@@ -149,11 +149,11 @@ class TestRecovery:
         kinds = [e.kind for e in r.vm.faults.events]
         assert "pe_crash" in kinds and "restart" in kinds
 
-    def test_crash_without_supervision_aborts_cleanly(self, core):
+    def test_crash_without_supervision_aborts_cleanly(self, bodies):
         r = run_chaos_jacobi(n=N_JACOBI, sweeps=2, n_workers=3,
                              supervision=None, on_death="abort",
                              fault_plan=CRASH_PLAN,
-                             config=chaos_config(exec_core=core))
+                             config=chaos_config(bodies=bodies))
         r.vm.shutdown()
         # The parent observed TASK_DIED, terminated cleanly, and left
         # no threads behind.
@@ -163,20 +163,20 @@ class TestRecovery:
         assert all(p.thread is None or not p.thread.is_alive()
                    for p in r.vm.engine.processes())
 
-    def test_crash_with_reassignment_still_exact(self, core):
+    def test_crash_with_reassignment_still_exact(self, bodies):
         r = run_chaos_jacobi(n=N_JACOBI, sweeps=2, n_workers=3,
                              supervision=None, on_death="reassign",
                              fault_plan=CRASH_PLAN,
-                             config=chaos_config(exec_core=core))
+                             config=chaos_config(bodies=bodies))
         r.vm.shutdown()
         assert r.completed
         assert np.array_equal(r.grid, reference_solution(N_JACOBI, 2))
 
-    def test_lossy_transport_heals_to_exact_answer(self, core):
+    def test_lossy_transport_heals_to_exact_answer(self, bodies):
         plan = FaultPlan(seed=7, messages=LOSSY, name="lossy")
         r = run_chaos_jacobi(n=N_JACOBI, sweeps=2, n_workers=3,
                              fault_plan=plan,
-                             config=chaos_config(exec_core=core))
+                             config=chaos_config(bodies=bodies))
         r.vm.shutdown()
         assert r.completed
         assert np.array_equal(r.grid, reference_solution(N_JACOBI, 2))
@@ -185,7 +185,7 @@ class TestRecovery:
         assert (s.messages_dropped + s.messages_duplicated
                 + s.messages_delayed + s.messages_corrupted) > 0
 
-    def test_restart_backoff_jitter_is_seeded_deterministic(self, core):
+    def test_restart_backoff_jitter_is_seeded_deterministic(self, bodies):
         """RESTART backoff jitter draws from the seeded run RNG: two
         runs with the same run_seed restart at identical ticks (the
         whole fault stream is bit-identical), and jitter != 0 changes
@@ -193,7 +193,7 @@ class TestRecovery:
         from dataclasses import replace as _rep
 
         def once():
-            cfg = _rep(chaos_config(exec_core=core), run_seed=11)
+            cfg = _rep(chaos_config(bodies=bodies), run_seed=11)
             r = run_chaos_jacobi(
                 n=N_JACOBI, sweeps=2, n_workers=3,
                 supervision=RESTART(3, backoff_ticks=500, jitter=0.5),
@@ -211,12 +211,12 @@ class TestRecovery:
         assert f1 == f2
 
 
-@BOTH_CORES
+@BOTH_VEHICLES
 class TestDeterminism:
     """Same seed + same plan => bit-identical fault and trace streams,
-    on both execution cores."""
+    under both task-body vehicles."""
 
-    def run_once(self, core):
+    def run_once(self, bodies):
         plan = FaultPlan(seed=3, crashes=(PECrash(at=4_000, pe=4),),
                          messages=MessagePolicy(drop=0.05, delay=0.1,
                                                 delay_ticks=700),
@@ -226,16 +226,16 @@ class TestDeterminism:
             supervision=RESTART(3, backoff_ticks=500),
             on_death="reassign", fault_plan=plan,
             config=chaos_config(trace=("FAULT", "MSG_SEND", "MSG_ACCEPT"),
-                                exec_core=core))
+                                bodies=bodies))
         faults = r.vm.faults.export_jsonl()
         traces = [e.line() for e in r.vm.tracer.events]
         grid, elapsed = r.grid, r.elapsed
         r.vm.shutdown()
         return faults, traces, grid, elapsed
 
-    def test_two_runs_bit_identical(self, core):
-        f1, t1, g1, e1 = self.run_once(core)
-        f2, t2, g2, e2 = self.run_once(core)
+    def test_two_runs_bit_identical(self, bodies):
+        f1, t1, g1, e1 = self.run_once(bodies)
+        f2, t2, g2, e2 = self.run_once(bodies)
         assert f1 == f2
         assert t1 == t2
         assert e1 == e2

@@ -1,6 +1,6 @@
 """Crash-recovery soak: checkpoint, ``kill -9``, restore, resume.
 
-For each (execution core, fault scenario): a victim subprocess runs
+For each (task-body vehicle, fault scenario): a victim subprocess runs
 the fault-tolerant Jacobi solver with periodic checkpointing and a
 :class:`~repro.faults.HostKill` in its plan -- the process is SIGKILLed
 mid-run.  A fresh subprocess restores the latest valid bundle and
@@ -19,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.bodies import BOTH_VEHICLES
+
 ROOT = Path(__file__).resolve().parents[2]
 RUNNER = ROOT / "tests" / "integration" / "_ckpt_runner.py"
 
@@ -28,7 +30,7 @@ def run_mode(*args, expect: int = 0):
     env["PYTHONPATH"] = str(ROOT / "src")
     # The runner's behaviour must come from its argv alone.
     for var in ("PISCES_CHECKPOINT", "PISCES_CHECKPOINT_DIR",
-                "PISCES_EXEC_CORE", "PISCES_DISPATCHER"):
+                "PISCES_TASK_BODIES", "PISCES_REPLAY_SCHEDULE"):
         env.pop(var, None)
     proc = subprocess.run([sys.executable, str(RUNNER), *args],
                           env=env, cwd=ROOT, capture_output=True,
@@ -39,19 +41,19 @@ def run_mode(*args, expect: int = 0):
     return proc
 
 
-@pytest.mark.parametrize("core", ["threaded", "coop"])
+@BOTH_VEHICLES
 @pytest.mark.parametrize("scenario", ["plain", "faulty"])
-def test_kill9_restore_is_bit_identical(core, scenario, tmp_path):
+def test_kill9_restore_is_bit_identical(bodies, scenario, tmp_path):
     ckpt_dir = tmp_path / "ckpts"
     ckpt_dir.mkdir()
     ref_out = tmp_path / "reference.json"
     res_out = tmp_path / "restored.json"
 
-    run_mode("reference", str(ref_out), core, scenario)
+    run_mode("reference", str(ref_out), bodies, scenario)
 
     # The victim must die by SIGKILL, not finish, and must have left at
     # least one valid bundle behind.
-    run_mode("victim", str(ckpt_dir), core, scenario,
+    run_mode("victim", str(ckpt_dir), bodies, scenario,
              expect=-signal.SIGKILL)
     bundles = list(ckpt_dir.glob("*.pckpt"))
     assert bundles, "victim died before writing any checkpoint"

@@ -1,18 +1,14 @@
-"""Every (execution core x dispatcher) leg must replay bit-for-bit.
+"""Every execution leg must replay bit-for-bit.
 
 The scheduler docstring's determinism contract is load-bearing for the
-whole suite: swapping the O(n) reference scan for the two-level heap
-picker (and broadcast wakeups for per-process grants), or swapping the
-thread-per-process core for the coop discrete-event core, must not
-move a single virtual timestamp.  Each app here runs once per leg of
-the core x dispatcher matrix and the full observable history --
-elapsed virtual time, dispatch count, per-PE clock readings and run
-stats -- must match exactly; the replay tests additionally re-execute
-a threaded-core recording on the coop core, and the chaos test holds
-both cores to the same history under a seeded fault plan.
+whole suite: the host-level choices that survive -- the task-body
+vehicle and the window data plane -- must not move a single virtual
+timestamp.  Each app here runs once per leg and the full observable
+history -- elapsed virtual time, dispatch count, per-PE clock readings
+and run stats -- must match exactly; the replay tests additionally
+re-execute a recording under every leg, and the chaos test holds both
+body vehicles to the same history under a seeded fault plan.
 """
-
-import os
 
 import pytest
 
@@ -24,14 +20,8 @@ from repro.apps.matmul import run_matmul_tasks
 from repro.apps.pipeline import run_pipeline
 from repro.faults import RESTART, FaultPlan, PECrash
 
-#: The full matrix of satellite 4: both cores against both live
-#: dispatchers (replay legs are exercised separately below).
-LEGS = [
-    ("threaded", "indexed"),
-    ("threaded", "scan"),
-    ("coop", "indexed"),
-    ("coop", "scan"),
-]
+#: Task-body vehicle x window data plane.
+LEGS = [(b, w) for b in ("auto", "callable") for w in ("fast", "reference")]
 
 
 def _fingerprint(r):
@@ -50,14 +40,10 @@ def _fingerprint(r):
     return fp
 
 
-def _run_leg(fn, core, dispatcher):
-    os.environ["PISCES_DISPATCHER"] = dispatcher
-    os.environ["PISCES_EXEC_CORE"] = core
-    try:
-        return _fingerprint(fn())
-    finally:
-        os.environ.pop("PISCES_DISPATCHER", None)
-        os.environ.pop("PISCES_EXEC_CORE", None)
+def _run_leg(fn, monkeypatch, bodies, window_path):
+    monkeypatch.setenv("PISCES_TASK_BODIES", bodies)
+    monkeypatch.setenv("PISCES_WINDOW_PATH", window_path)
+    return _fingerprint(fn())
 
 
 APPS = [
@@ -70,8 +56,8 @@ APPS = [
 
 
 @pytest.mark.parametrize("name,fn", APPS, ids=[a[0] for a in APPS])
-def test_app_virtual_history_is_leg_independent(name, fn):
-    got = {leg: _run_leg(fn, *leg) for leg in LEGS}
+def test_app_virtual_history_is_leg_independent(name, fn, monkeypatch):
+    got = {leg: _run_leg(fn, monkeypatch, *leg) for leg in LEGS}
     ref = got[LEGS[0]]
     for leg, fp in got.items():
         assert fp == ref, (
@@ -82,67 +68,60 @@ def test_app_virtual_history_is_leg_independent(name, fn):
 @pytest.mark.parametrize("name,fn", APPS, ids=[a[0] for a in APPS])
 def test_replay_dispatcher_retraces_recorded_history(name, fn, tmp_path,
                                                      monkeypatch):
-    """Replay legs of the matrix: record each app under the threaded
-    core + indexed dispatcher (PISCES_RECORD_SCHEDULE autosaves the
-    .psched at shutdown), then re-run under PISCES_DISPATCHER=replay on
-    *both* cores -- a threaded-core recording must drive the coop core
-    to the identical history."""
+    """Record each app (PISCES_RECORD_SCHEDULE autosaves the .psched at
+    shutdown), then re-run it under PISCES_REPLAY_SCHEDULE on every leg
+    -- a recording made with one body vehicle must drive the other to
+    the identical history."""
     psched = tmp_path / f"{name}.psched"
-    monkeypatch.setenv("PISCES_DISPATCHER", "indexed")
-    monkeypatch.setenv("PISCES_EXEC_CORE", "threaded")
     monkeypatch.setenv("PISCES_RECORD_SCHEDULE", str(psched))
     recorded = _fingerprint(fn())
     monkeypatch.delenv("PISCES_RECORD_SCHEDULE")
     assert psched.exists(), "recorder did not autosave at shutdown"
-    monkeypatch.setenv("PISCES_DISPATCHER", "replay")
     monkeypatch.setenv("PISCES_REPLAY_SCHEDULE", str(psched))
-    for core in ("threaded", "coop"):
-        monkeypatch.setenv("PISCES_EXEC_CORE", core)
-        replayed = _fingerprint(fn())
+    for leg in LEGS:
+        replayed = _run_leg(fn, monkeypatch, *leg)
         assert replayed == recorded, (
-            f"{name}: replay on the {core} core diverged from the "
-            f"threaded-core recording")
+            f"{name}: replay on {leg[0]}x{leg[1]} diverged from the "
+            f"recording")
 
 
 def test_trace_stream_identical_across_cores(monkeypatch):
     """The full trace stream -- not just the summary fingerprint -- is
-    part of the determinism contract between cores."""
+    part of the determinism contract between body vehicles."""
     from repro.api import record_run
 
     runs = {}
-    for core in ("threaded", "coop"):
-        monkeypatch.setenv("PISCES_EXEC_CORE", core)
+    for bodies in ("auto", "callable"):
+        monkeypatch.setenv("PISCES_TASK_BODIES", bodies)
         rec = record_run("JMASTER", registry=build_windows_registry(12, 2, 3))
         rec.result.vm.shutdown()
-        runs[core] = rec
-    assert runs["coop"].elapsed == runs["threaded"].elapsed
-    assert runs["coop"].trace_lines == runs["threaded"].trace_lines, \
-        "trace stream diverged between execution cores"
+        runs[bodies] = rec
+    assert runs["callable"].elapsed == runs["auto"].elapsed
+    assert runs["callable"].trace_lines == runs["auto"].trace_lines, \
+        "trace stream diverged between body vehicles"
 
 
 CRASH_PLAN = FaultPlan(seed=11, crashes=(PECrash(at=4_000, pe=4),),
                        name="identity-crash-pe4")
 
 
-def test_chaos_jacobi_fault_plan_identical_across_cores():
+def test_chaos_jacobi_fault_plan_identical_across_cores(monkeypatch):
     """Fault injection points are virtual-time events, so a seeded plan
-    must produce the same crash/restart/recovery history on both
-    cores."""
+    must produce the same crash/restart/recovery history under both
+    body vehicles."""
     got = {}
-    for core in ("threaded", "coop"):
-        os.environ["PISCES_EXEC_CORE"] = core
-        try:
-            r = run_chaos_jacobi(n=12, sweeps=2, n_workers=3,
-                                 supervision=RESTART(3, backoff_ticks=500),
-                                 on_death="reassign",
-                                 fault_plan=CRASH_PLAN)
-        finally:
-            os.environ.pop("PISCES_EXEC_CORE", None)
+    for bodies in ("auto", "callable"):
+        monkeypatch.setenv("PISCES_TASK_BODIES", bodies)
+        r = run_chaos_jacobi(n=12, sweeps=2, n_workers=3,
+                             supervision=RESTART(3, backoff_ticks=500),
+                             on_death="reassign",
+                             fault_plan=CRASH_PLAN)
         fault_kinds = [e.kind for e in r.vm.faults.events]
         restarted = r.vm.stats.tasks_restarted
-        got[core] = (_fingerprint(r), r.completed, r.rounds, fault_kinds,
-                     restarted)
-    assert got["coop"] == got["threaded"], (
-        "chaos_jacobi under the seeded fault plan diverged between cores")
-    assert got["threaded"][1], "crash plan should still converge"
-    assert "pe_crash" in got["threaded"][3]
+        got[bodies] = (_fingerprint(r), r.completed, r.rounds, fault_kinds,
+                       restarted)
+    assert got["callable"] == got["auto"], (
+        "chaos_jacobi under the seeded fault plan diverged between "
+        "body vehicles")
+    assert got["auto"][1], "crash plan should still converge"
+    assert "pe_crash" in got["auto"][3]

@@ -28,5 +28,5 @@ def test_all_shipped_examples_present():
         "quickstart", "jacobi_heat", "fem_structural", "fortran_program",
         "monitor_session", "dynamic_pipeline", "tune_mapping",
         "parallel_io", "chaos_jacobi", "race_debugging", "profile_jacobi",
-        "coop_core", "checkpoint_restore", "run_service",
+        "checkpoint_restore", "run_service",
     }

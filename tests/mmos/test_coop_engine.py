@@ -1,75 +1,67 @@
-"""Unit tests for the coop (single-threaded discrete-event) core.
+"""Unit tests for the engine's cooperative discrete-event loop.
 
-Covers the execution-strategy split of the coroutine-core tentpole:
-core selection (factory + env), coroutine and callable bodies on both
-cores, the KernelOp protocol (charge/preempt/block yields, wake-info
-resume values, timeout observation), kill/exit semantics parity with
-the threaded oracle, deadlock parity, and the shutdown contract
-(``leaked_threads`` / ``drained_accept_waiters``) for a core where
-coroutine processes have no OS thread to leak.
+Covers both body vehicles on the one engine -- coroutine bodies resumed
+on the engine thread and the same generators driven as callable bodies
+on worker threads through ``drive_kernel_ops`` -- the KernelOp protocol
+(charge/preempt/block yields, wake-info resume values, timeout
+observation), kill/exit semantics parity between the vehicles, deadlock
+parity, and the shutdown contract (``leaked_threads`` /
+``drained_accept_waiters``) where coroutine processes have no OS thread
+to leak.
 """
 
+import inspect
 import threading
 
 import pytest
 
-from repro.errors import DeadlockError, EngineShutdown, ProcessKilled
+from repro.config.configuration import map_legacy_axes
+from repro.errors import (ConfigurationError, DeadlockError, EngineShutdown,
+                          ProcessKilled)
 from repro.flex.presets import small_flex
-from repro.mmos.coop import CoopEngine
+from repro.mmos.kernel import MMOSKernel
 from repro.mmos.process import (
     ProcState,
     co_block,
     co_charge,
     co_preempt,
+    drive_kernel_ops,
 )
-from repro.mmos.scheduler import (
-    EXEC_CORES,
-    Engine,
-    create_engine,
-    default_exec_core,
-)
-
-BOTH_CORES = pytest.mark.parametrize("core", ["threaded", "coop"])
+from repro.mmos.scheduler import Engine
+from tests.bodies import BOTH_VEHICLES
 
 
-def make_engine(core="coop", **kw):
-    return create_engine(small_flex(8), exec_core=core, **kw)
+
+def make_engine(bodies="auto", **kw):
+    """An engine; with ``bodies="callable"`` every generator body is
+    driven as a callable body on a worker thread instead."""
+    eng = Engine(small_flex(8), **kw)
+    if bodies == "callable":
+        spawn = eng.spawn
+
+        def spawn_callable(name, pe, target, **kwargs):
+            if not inspect.isgeneratorfunction(target):
+                return spawn(name, pe, target, **kwargs)
+            return spawn(name, pe, lambda: drive_kernel_ops(eng, target()),
+                         **kwargs)
+        eng.spawn = spawn_callable
+    return eng
 
 
 class TestCoreSelection:
     def test_factory_returns_the_right_class(self):
-        assert type(make_engine("threaded")) is Engine
-        assert type(make_engine("coop")) is CoopEngine
-        assert make_engine("threaded").exec_core == "threaded"
-        assert make_engine("coop").exec_core == "coop"
+        assert type(MMOSKernel(small_flex(8)).engine) is Engine
 
     def test_bad_core_rejected(self):
-        with pytest.raises(ValueError, match="exec_core"):
-            make_engine("fibers")
-
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.delenv("PISCES_EXEC_CORE", raising=False)
-        assert default_exec_core() == "threaded"
-        monkeypatch.setenv("PISCES_EXEC_CORE", "coop")
-        assert default_exec_core() == "coop"
-        assert type(create_engine(small_flex(8))) is CoopEngine
-        monkeypatch.setenv("PISCES_EXEC_CORE", "nope")
-        with pytest.raises(ValueError, match="PISCES_EXEC_CORE"):
-            default_exec_core()
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("PISCES_EXEC_CORE", "coop")
-        assert type(create_engine(small_flex(8),
-                                  exec_core="threaded")) is Engine
-
-    def test_exec_cores_constant(self):
-        assert EXEC_CORES == ("threaded", "coop")
+        assert map_legacy_axes({"exec_core": "threaded"}) == {}
+        with pytest.raises(ConfigurationError, match="exec_core"):
+            map_legacy_axes({"exec_core": "fibers"})
 
 
 class TestCoroutineBodies:
-    @BOTH_CORES
-    def test_basic_charge_preempt_block(self, core):
-        eng = make_engine(core)
+    @BOTH_VEHICLES
+    def test_basic_charge_preempt_block(self, bodies):
+        eng = make_engine(bodies)
 
         def body():
             yield co_charge(10)
@@ -83,9 +75,9 @@ class TestCoroutineBodies:
         assert p.result == "done"
         eng.shutdown()
 
-    @BOTH_CORES
-    def test_no_thread_for_coroutines_on_coop(self, core):
-        eng = make_engine(core)
+    @BOTH_VEHICLES
+    def test_no_thread_for_coroutines_on_coop(self, bodies):
+        eng = make_engine(bodies)
         p = eng.spawn("w", 3, lambda: iter(()))  # not a genfunc: callable
         q = None
 
@@ -94,15 +86,15 @@ class TestCoroutineBodies:
 
         q = eng.spawn("g", 4, body)
         eng.run()
-        if core == "coop":
+        if bodies == "auto":
             assert q.thread is None, "coroutine body must not get a thread"
         else:
             assert q.thread is not None
         eng.shutdown()
 
-    @BOTH_CORES
-    def test_wake_info_is_the_yield_value(self, core):
-        eng = make_engine(core)
+    @BOTH_VEHICLES
+    def test_wake_info_is_the_yield_value(self, bodies):
+        eng = make_engine(bodies)
         got = []
 
         def waiter():
@@ -121,9 +113,9 @@ class TestCoroutineBodies:
         assert got == [{"payload": 7}]
         eng.shutdown()
 
-    @BOTH_CORES
-    def test_deadline_timeout_observable(self, core):
-        eng = make_engine(core)
+    @BOTH_VEHICLES
+    def test_deadline_timeout_observable(self, bodies):
+        eng = make_engine(bodies)
         seen = []
 
         def body():
@@ -135,14 +127,14 @@ class TestCoroutineBodies:
         assert seen == [True]
         eng.shutdown()
 
-    @BOTH_CORES
-    def test_now_and_charge_allowed_inside_gen_body(self, core):
-        eng = make_engine(core)
+    @BOTH_VEHICLES
+    def test_now_and_charge_allowed_inside_gen_body(self, bodies):
+        eng = make_engine(bodies)
         stamps = []
 
         def body():
             stamps.append(eng.now())
-            eng.charge(25)            # plain call, allowed on both cores
+            eng.charge(25)            # plain call, allowed in both vehicles
             yield co_preempt(0)
             stamps.append(eng.now())
 
@@ -152,7 +144,7 @@ class TestCoroutineBodies:
         eng.shutdown()
 
     def test_blocking_kernel_call_from_gen_body_rejected_on_coop(self):
-        eng = make_engine("coop")
+        eng = make_engine()
 
         def body():
             eng.preempt(1)            # must yield co_preempt instead
@@ -163,9 +155,9 @@ class TestCoroutineBodies:
             eng.run()
         eng.shutdown()
 
-    @BOTH_CORES
-    def test_non_kernelop_yield_rejected(self, core):
-        eng = make_engine(core)
+    @BOTH_VEHICLES
+    def test_non_kernelop_yield_rejected(self, bodies):
+        eng = make_engine(bodies)
 
         def body():
             yield 42
@@ -175,9 +167,9 @@ class TestCoroutineBodies:
             eng.run()
         eng.shutdown()
 
-    @BOTH_CORES
-    def test_body_exception_surfaces(self, core):
-        eng = make_engine(core)
+    @BOTH_VEHICLES
+    def test_body_exception_surfaces(self, bodies):
+        eng = make_engine(bodies)
 
         def body():
             yield co_charge(1)
@@ -190,13 +182,12 @@ class TestCoroutineBodies:
 
 
 class TestKillSemantics:
-    @BOTH_CORES
-    def test_killed_coroutine_sees_generator_exit_not_processkilled(
-            self, core):
-        """Parity contract: the threaded trampoline raises ProcessKilled
+    @BOTH_VEHICLES
+    def test_killed_coroutine_sees_generator_exit_not_processkilled(self, bodies):
+        """Parity contract: drive_kernel_ops raises ProcessKilled
         *outside* the generator, so a body can only ever observe
-        GeneratorExit (via close) -- the coop core must match."""
-        eng = make_engine(core)
+        GeneratorExit (via close) -- the coroutine vehicle must match."""
+        eng = make_engine(bodies)
         observed = []
 
         def victim():
@@ -222,9 +213,9 @@ class TestKillSemantics:
         assert v.result is None
         eng.shutdown()
 
-    @BOTH_CORES
-    def test_on_exit_runs_for_killed_coroutine(self, core):
-        eng = make_engine(core)
+    @BOTH_VEHICLES
+    def test_on_exit_runs_for_killed_coroutine(self, bodies):
+        eng = make_engine(bodies)
         log = []
 
         def victim():
@@ -245,8 +236,8 @@ class TestKillSemantics:
 
 
 class TestDeterminismParity:
-    def _mixed_run(self, core):
-        eng = make_engine(core)
+    def _mixed_run(self, bodies):
+        eng = make_engine(bodies)
         eng.record_slices = True
         order = []
 
@@ -276,11 +267,11 @@ class TestDeterminismParity:
         return out
 
     def test_mixed_body_population_identical_across_cores(self):
-        assert self._mixed_run("coop") == self._mixed_run("threaded")
+        assert self._mixed_run("auto") == self._mixed_run("callable")
 
-    @BOTH_CORES
-    def test_deadlock_detected_for_parked_coroutines(self, core):
-        eng = make_engine(core)
+    @BOTH_VEHICLES
+    def test_deadlock_detected_for_parked_coroutines(self, bodies):
+        eng = make_engine(bodies)
 
         def body():
             yield co_block("park")
@@ -294,7 +285,7 @@ class TestDeterminismParity:
 
 class TestCoopShutdown:
     def test_gen_only_run_never_leaks_threads(self):
-        eng = make_engine("coop")
+        eng = make_engine()
 
         def parked():
             yield co_block("park")
@@ -310,7 +301,7 @@ class TestCoopShutdown:
         assert eng.drained_accept_waiters == ["acceptor"]
 
     def test_coroutine_finally_runs_at_shutdown_drain(self):
-        eng = make_engine("coop")
+        eng = make_engine()
         log = []
 
         def parked():
@@ -326,7 +317,7 @@ class TestCoopShutdown:
         assert eng.leaked_threads == []
 
     def test_no_user_threads_exist_in_a_gen_only_run(self):
-        eng = make_engine("coop")
+        eng = make_engine()
         before = threading.active_count()
 
         def body():
@@ -343,7 +334,9 @@ class TestCoopShutdown:
         assert eng.leaked_threads == []
 
     def test_stuck_callable_body_reported_like_threaded_core(self):
-        eng = make_engine("coop")
+        """A worker that swallows the kill and parks in user code is
+        reported, never silently abandoned."""
+        eng = make_engine()
         release = threading.Event()
 
         def stubborn():
@@ -361,7 +354,7 @@ class TestCoopShutdown:
         release.set()
 
     def test_accept_waiter_callable_unwinds_with_engine_shutdown(self):
-        eng = make_engine("coop")
+        eng = make_engine()
         seen = []
 
         def waiter():

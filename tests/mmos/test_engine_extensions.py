@@ -5,14 +5,24 @@ import threading
 
 import pytest
 
-from repro.errors import ProcessKilled
+from repro.correctness.recorder import ScheduleRecorder
+from repro.errors import ProcessKilled, ScheduleFormatError
 from repro.flex.presets import small_flex
-from repro.mmos.process import ProcState
-from repro.mmos.scheduler import Engine, create_engine
+from repro.mmos.process import ProcState, co_block, co_charge
+from repro.mmos.scheduler import Engine
 
 
 def make_engine(**kw):
-    return create_engine(small_flex(8), **kw)
+    return Engine(small_flex(8), **kw)
+
+
+def recorded_schedule_text():
+    eng = make_engine()
+    eng.sched_hook = rec = ScheduleRecorder()
+    eng.spawn("t", 3, lambda: eng.charge(10))
+    eng.run()
+    eng.shutdown()
+    return rec.dumps()
 
 
 class TestOnExit:
@@ -128,7 +138,7 @@ class TestStepHorizon:
     def test_refused_slice_is_not_lost(self):
         # The indexed dispatcher pops the heap entry to inspect it; a
         # horizon refusal must push it back, or the process starves.
-        eng = make_engine(dispatcher="indexed")
+        eng = make_engine()
         eng.spawn("t", 3, lambda: eng.block("z", deadline=5_000))
         assert eng.step(horizon=100)
         assert not eng.step(horizon=100)
@@ -139,35 +149,56 @@ class TestStepHorizon:
 
 
 class TestDispatcherSelection:
-    def test_bad_dispatcher_rejected(self):
-        with pytest.raises(ValueError, match="dispatcher"):
-            make_engine(dispatcher="bogus")
+    """The heap picks live; a schedule -- passed, or named by
+    PISCES_REPLAY_SCHEDULE -- selects replay."""
 
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv("PISCES_DISPATCHER", "scan")
-        assert make_engine().dispatcher == "scan"
-        monkeypatch.setenv("PISCES_DISPATCHER", "nope")
-        with pytest.raises(ValueError, match="PISCES_DISPATCHER"):
+    def test_bad_dispatcher_rejected(self, monkeypatch, tmp_path):
+        bad = tmp_path / "bad.psched"
+        bad.write_text("not a schedule\n")
+        monkeypatch.setenv("PISCES_REPLAY_SCHEDULE", str(bad))
+        with pytest.raises(ScheduleFormatError):
             make_engine()
 
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("PISCES_DISPATCHER", "scan")
-        assert make_engine(dispatcher="indexed").dispatcher == "indexed"
+    def test_env_var_sets_default(self, monkeypatch, tmp_path):
+        assert make_engine().dispatcher == "indexed"
+        path = tmp_path / "run.psched"
+        path.write_text(recorded_schedule_text())
+        monkeypatch.setenv("PISCES_REPLAY_SCHEDULE", str(path))
+        assert make_engine().dispatcher == "replay"
+
+    def test_explicit_argument_beats_env(self, monkeypatch, tmp_path):
+        from repro.correctness.recorder import Schedule
+        sched = Schedule.parse(recorded_schedule_text())
+        monkeypatch.setenv("PISCES_REPLAY_SCHEDULE",
+                           str(tmp_path / "missing.psched"))
+        eng = make_engine(schedule=sched)
+        assert eng.dispatcher == "replay" and eng.sched_hook is sched
 
 
 class TestShutdownLeakReporting:
     @pytest.mark.parametrize("core", ["threaded", "coop"])
     def test_clean_shutdown_reports_no_leaks(self, core):
-        eng = make_engine(exec_core=core)
-        eng.spawn("d", 3, lambda: eng.block("parked"), daemon=True)
-        eng.spawn("t", 4, lambda: eng.charge(10))
+        """Callable bodies on worker threads ("threaded") and coroutine
+        bodies on the engine thread ("coop") both reap cleanly."""
+        eng = make_engine()
+        if core == "threaded":
+            eng.spawn("d", 3, lambda: eng.block("parked"), daemon=True)
+            eng.spawn("t", 4, lambda: eng.charge(10))
+        else:
+            def parked():
+                yield co_block("parked")
+
+            def work():
+                yield co_charge(10)
+
+            eng.spawn("d", 3, parked, daemon=True)
+            eng.spawn("t", 4, work)
         eng.run()
         eng.shutdown()
         assert eng.leaked_threads == []
 
-    @pytest.mark.parametrize("core", ["threaded", "coop"])
-    def test_stuck_thread_is_counted_and_warned(self, core):
-        eng = make_engine(exec_core=core)
+    def test_stuck_thread_is_counted_and_warned(self):
+        eng = make_engine()
         release = threading.Event()
 
         def stubborn():

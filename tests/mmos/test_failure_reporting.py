@@ -14,7 +14,7 @@ from repro.core.taskid import SAME
 from repro.errors import DeadlockError, EngineShutdown, ProcessKilled
 from repro.faults import FaultPlan, PECrash, plan_scope
 from repro.flex.presets import small_flex
-from repro.mmos.scheduler import Engine, create_engine
+from repro.mmos.scheduler import Engine
 
 
 class TestDeadlockReport:
@@ -71,9 +71,8 @@ class TestDeadlockReport:
 
 
 class TestShutdownDrainsAcceptWaiters:
-    @pytest.mark.parametrize("core", ["threaded", "coop"])
-    def test_accept_waiter_unwinds_with_engine_shutdown(self, core):
-        eng = create_engine(small_flex(8), exec_core=core)
+    def test_accept_waiter_unwinds_with_engine_shutdown(self):
+        eng = Engine(small_flex(8))
         seen = []
 
         def waiter():
@@ -95,9 +94,8 @@ class TestShutdownDrainsAcceptWaiters:
         # treats shutdown like any other kill.
         assert issubclass(EngineShutdown, ProcessKilled)
 
-    @pytest.mark.parametrize("core", ["threaded", "coop"])
-    def test_non_accept_blockers_are_not_listed_as_drained(self, core):
-        eng = create_engine(small_flex(8), exec_core=core)
+    def test_non_accept_blockers_are_not_listed_as_drained(self):
+        eng = Engine(small_flex(8))
         eng.spawn("parked", 3, lambda: eng.block("just-parked"),
                   daemon=True)
         assert eng.step()

@@ -11,10 +11,10 @@ def test_manifest_records_all_execution_axes():
         m = run_manifest(vm)
     finally:
         vm.shutdown()
-    assert m["exec_core"] in ("threaded", "coop")
+    assert "exec_core" not in m
     assert m["task_bodies"] in ("auto", "callable")
-    assert m["window_path"] in ("fast", "batched", "reference")
-    assert m["dispatcher"]
+    assert m["window_path"] in ("fast", "reference")
+    assert m["dispatcher"] == "indexed"
 
 
 def test_manifest_task_bodies_follows_config():

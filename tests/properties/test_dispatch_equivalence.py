@@ -1,17 +1,17 @@
-"""Property test: every core x dispatcher leg produces identical traces.
+"""Property test: the heap picker and both body forms agree with the
+brute-force reference picker.
 
 Hypothesis drives randomized spawn/wake/kill/deadline schedules through
-engines that differ only in dispatcher implementation (two-level heap
-vs the O(n) reference scan) and execution core (thread-per-process vs
-the coop discrete-event loop), and demands the complete slice trace --
-(pe, start, end, name) for every slice, in dispatch order -- plus the
-final PE clock readings and the outcome (normal completion or
-deadlock) be identical.  This is the stale-free heap's bookkeeping
-under adversarial interleavings: re-keys after PE clock advances,
-deadline wakeups, wakes that beat deadlines, kills of blocked and
-ready processes -- and the coop core's handoff replacement under the
-same schedules, for both body forms (callable bodies on worker
-threads, coroutine bodies on the engine thread).
+engines that differ only in how the next process is picked (the
+production two-level heap vs :class:`ScanEngine`, a brute-force O(n)
+oracle kept here and nowhere else) and in the body form (callable
+bodies on worker threads vs coroutine bodies on the engine thread), and
+demands the complete slice trace -- (pe, start, end, name) for every
+slice, in dispatch order -- plus the final PE clock readings and the
+outcome (normal completion or deadlock) be identical.  This is the
+stale-free heap's bookkeeping under adversarial interleavings: re-keys
+after PE clock advances, deadline wakeups, wakes that beat deadlines,
+kills of blocked and ready processes.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -19,7 +19,25 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import DeadlockError
 from repro.flex.presets import small_flex
 from repro.mmos.process import co_block, co_charge, co_preempt
-from repro.mmos.scheduler import create_engine
+from repro.mmos.scheduler import Engine
+
+
+class ScanEngine(Engine):
+    """The reference picker: every dispatch scans all processes for the
+    least ``(start, last_dispatched, pid)`` key.  No index to keep."""
+
+    def _requeue(self, p):
+        pass
+
+    def _pop_runnable(self):
+        best, best_key = None, None
+        for p in self._procs.values():
+            if self._is_runnable(p):
+                key = self._runnable_key(p)
+                if best_key is None or key < best_key:
+                    best, best_key = p, key
+        return best, best_key
+
 
 N_PES = 4
 PES = list(range(3, 3 + N_PES))   # small_flex MMOS PEs start at 3
@@ -45,10 +63,8 @@ schedule = st.lists(
     min_size=1, max_size=6)
 
 
-def run_schedule(dispatcher, procs, exec_core="threaded",
-                 coroutine=False):
-    eng = create_engine(small_flex(8), dispatcher=dispatcher,
-                        exec_core=exec_core)
+def run_schedule(engine_cls, procs, coroutine=False):
+    eng = engine_cls(small_flex(8))
     eng.record_slices = True
     handles = []
 
@@ -114,47 +130,32 @@ def run_schedule(dispatcher, procs, exec_core="threaded",
 @given(schedule)
 @settings(max_examples=40, deadline=None)
 def test_dispatchers_produce_identical_slice_traces(procs):
-    a = run_schedule("indexed", procs)
-    b = run_schedule("scan", procs)
+    a = run_schedule(Engine, procs)
+    b = run_schedule(ScanEngine, procs)
     assert a == b, (
-        f"dispatcher divergence:\n indexed={a}\n scan={b}")
-
-
-@given(schedule)
-@settings(max_examples=25, deadline=None)
-def test_coop_core_matches_threaded_on_both_dispatchers(procs):
-    """Core x dispatcher matrix on callable bodies: the coop core's
-    worker-thread handoff must retrace the threaded oracle under both
-    pickers."""
-    ref = run_schedule("indexed", procs, exec_core="threaded")
-    for dispatcher in ("indexed", "scan"):
-        got = run_schedule(dispatcher, procs, exec_core="coop")
-        assert got == ref, (
-            f"coop x {dispatcher} diverged from threaded x indexed:\n"
-            f" coop={got}\n threaded={ref}")
+        f"dispatcher divergence:\n heap={a}\n scan={b}")
 
 
 @given(schedule)
 @settings(max_examples=25, deadline=None)
 def test_coroutine_bodies_match_callable_bodies_on_both_cores(procs):
-    """Body-form invariance: the generator form of the same program
-    (run natively by the coop loop, and via the kernel trampoline on
-    the threaded core) must retrace the callable form exactly."""
-    ref = run_schedule("indexed", procs, exec_core="threaded")
-    for exec_core in ("threaded", "coop"):
-        got = run_schedule("indexed", procs, exec_core=exec_core,
-                           coroutine=True)
+    """Body-form invariance: the generator form of the same program,
+    resumed on the engine thread, must retrace the callable form on
+    worker threads exactly -- under the heap and the scan oracle."""
+    ref = run_schedule(Engine, procs)
+    for engine_cls in (Engine, ScanEngine):
+        got = run_schedule(engine_cls, procs, coroutine=True)
         assert got == ref, (
-            f"coroutine bodies on {exec_core} diverged from callable "
-            f"bodies:\n got={got}\n ref={ref}")
+            f"coroutine bodies under {engine_cls.__name__} diverged "
+            f"from callable bodies:\n got={got}\n ref={ref}")
 
 
 # --------------------------------------------------------------- app zoo --
 #
 # The hypothesis properties above exercise raw engine schedules; the
-# matrix below runs every full application in the repo across
-# {threaded, coop} x {auto, callable} task-body vehicles and demands
-# identical virtual time, dispatch counts and complete trace streams.
+# tests below run every full application in the repo under both
+# task-body vehicles (auto, callable) and demand identical virtual
+# time, dispatch counts and complete trace streams.
 # This is the task-runtime acceptance contract: a PISCES program's
 # observable history does not depend on how its bodies are executed.
 
@@ -265,14 +266,9 @@ APP_CASES = {
     "chaos_jacobi": _case_chaos_jacobi,
 }
 
-_LEGS = (("threaded", "auto"), ("threaded", "callable"),
-         ("coop", "auto"), ("coop", "callable"))
-
-
-def _run_app_leg(case, exec_core, task_bodies):
+def _run_app_leg(case, task_bodies):
     registry, config, tasktype, args = case()
-    config = dataclasses.replace(config, exec_core=exec_core,
-                                 task_bodies=task_bodies,
+    config = dataclasses.replace(config, task_bodies=task_bodies,
                                  trace_events=_ALL_EVENTS)
     vm = PiscesVM(config, registry=registry)
     r = vm.run(tasktype, *args)
@@ -285,26 +281,24 @@ def _run_app_leg(case, exec_core, task_bodies):
 
 @pytest.mark.parametrize("app", sorted(APP_CASES))
 def test_app_zoo_identical_across_cores_and_vehicles(app):
-    ref = _run_app_leg(APP_CASES[app], "threaded", "auto")
+    ref = _run_app_leg(APP_CASES[app], "auto")
     assert ref["trace"], "tracing must be live for the comparison to bite"
-    for exec_core, task_bodies in _LEGS[1:]:
-        got = _run_app_leg(APP_CASES[app], exec_core, task_bodies)
-        assert got == ref, (
-            f"{app}: {exec_core}/{task_bodies} diverged from "
-            f"threaded/auto (elapsed {got['elapsed']} vs {ref['elapsed']})")
+    got = _run_app_leg(APP_CASES[app], "callable")
+    assert got == ref, (
+        f"{app}: callable bodies diverged from coroutine bodies "
+        f"(elapsed {got['elapsed']} vs {ref['elapsed']})")
 
 
 @pytest.mark.parametrize("app", sorted(APP_CASES))
 def test_app_zoo_runs_threadless_on_coop(app):
-    """On the coop core with coroutine bodies nothing gets an OS
-    thread: controllers, task bodies and force members all suspend at
-    the KernelOp seam on the engine thread."""
+    """With coroutine bodies nothing gets an OS thread: controllers,
+    task bodies and force members all suspend at the KernelOp seam on
+    the engine thread."""
     registry, config, tasktype, args = APP_CASES[app]()
-    config = dataclasses.replace(config, exec_core="coop",
-                                 task_bodies="auto")
+    config = dataclasses.replace(config, task_bodies="auto")
     vm = PiscesVM(config, registry=registry)
     vm.run(tasktype, *args)
     procs = vm.engine._by_ordinal
     assert procs, "the run must have spawned processes"
     threaded = [p.name for p in procs if p.thread is not None]
-    assert not threaded, f"worker threads on coop: {threaded}"
+    assert not threaded, f"worker threads: {threaded}"

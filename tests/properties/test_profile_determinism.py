@@ -1,19 +1,20 @@
 """Property: the causal profile is part of the deterministic history.
 
-For any app in the dispatcher-identity matrix and either window
+For any app in the dispatcher-identity suite and either window
 data-plane path, the profiler's complete observable output -- wait
 totals by category, the per-task rollup, and the extracted critical
-path -- must be bit-identical across the ``indexed`` and ``scan``
-dispatchers, across the ``threaded`` and ``coop`` execution cores,
-and across a record/replay cycle where the recording run
-did NOT profile but the replay does (attaching the profiler to a
-replay reproduces the original run's profile exactly).
+path -- must be bit-identical between the heap picker and the
+brute-force scan oracle, across the two task-body vehicles, and across
+a record/replay cycle where the recording run did NOT profile but the
+replay does (attaching the profiler to a replay reproduces the original
+run's profile exactly).
 
 Fingerprints use task *labels* and PE numbers, never kernel pids
 (pids are process-global and differ between VMs by construction).
 """
 
 import os
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +24,7 @@ from repro.apps.jacobi import run_jacobi_windows
 from repro.apps.matmul import run_matmul_tasks
 from repro.apps.pipeline import run_pipeline
 from repro.obs.profile import extract_critical_path
+from tests.properties.test_dispatch_equivalence import ScanEngine
 
 APPS = [
     ("jacobi", lambda: run_jacobi_windows(n=12, sweeps=2, n_workers=3)),
@@ -52,7 +54,10 @@ def _profile_fingerprint(vm, elapsed):
     }
 
 
-def _run(fn, env):
+def _run(fn, env, engine_cls=None):
+    if engine_cls is not None:
+        with mock.patch("repro.mmos.kernel.Engine", engine_cls):
+            return _run(fn, env)
     saved = {}
     for k, v in env.items():
         saved[k] = os.environ.get(k)
@@ -79,26 +84,23 @@ def test_profile_is_dispatcher_and_window_path_independent(
     name, fn = APPS[app]
     base = {"PISCES_PROFILE": "1", "PISCES_WINDOW_PATH": window_path}
 
-    indexed = _run(fn, {**base, "PISCES_DISPATCHER": "indexed"})
-    scan = _run(fn, {**base, "PISCES_DISPATCHER": "scan"})
+    indexed = _run(fn, base)
+    scan = _run(fn, base, engine_cls=ScanEngine)
     assert indexed == scan, (
         f"{name}/{window_path}: profile diverged between dispatchers")
 
-    # The profiler's prof_hook is execution-core-agnostic: the coop
-    # core must reproduce the threaded core's profile bit for bit.
-    coop = _run(fn, {**base, "PISCES_DISPATCHER": "indexed",
-                     "PISCES_EXEC_CORE": "coop"})
-    assert coop == indexed, (
-        f"{name}/{window_path}: profile diverged between execution cores")
+    # The profiler's prof_hook is body-vehicle-agnostic: callable bodies
+    # on worker threads must reproduce the coroutine profile bit for bit.
+    callable_ = _run(fn, {**base, "PISCES_TASK_BODIES": "callable"})
+    assert callable_ == indexed, (
+        f"{name}/{window_path}: profile diverged between body vehicles")
 
     # Record WITHOUT the profiler, replay WITH it: the profile of the
     # replay must reproduce the profiled originals bit for bit.
     psched = tmp_path_factory.mktemp("psched") / f"{name}.psched"
-    _run(fn, {"PISCES_DISPATCHER": "indexed",
-              "PISCES_WINDOW_PATH": window_path,
+    _run(fn, {"PISCES_WINDOW_PATH": window_path,
               "PISCES_RECORD_SCHEDULE": str(psched)})
     assert psched.exists(), "recorder did not autosave at shutdown"
-    replayed = _run(fn, {**base, "PISCES_DISPATCHER": "replay",
-                         "PISCES_REPLAY_SCHEDULE": str(psched)})
+    replayed = _run(fn, {**base, "PISCES_REPLAY_SCHEDULE": str(psched)})
     assert replayed == indexed, (
         f"{name}/{window_path}: replayed profile diverged from original")

@@ -16,7 +16,8 @@ SLOW = {"app": "spin", "params": {"rounds": 400000, "ticks_per_round": 10}}
 @pytest.fixture
 def stack(tmp_path):
     svc = RunService(tmp_path / "store", n_workers=2,
-                     quotas={"bob": TenantQuota(max_queued=1)}).start()
+                     quotas={"bob": TenantQuota(max_running=1,
+                                                max_queued=1)}).start()
     server, thread = serve(svc)
     yield svc, server
     server.shutdown()
@@ -106,7 +107,13 @@ class TestErrorMapping:
     def test_429_over_quota(self, stack):
         _, server = stack
         bob = ServiceClient(server.url, tenant="bob")
-        bob.submit(SLOW)
+        first = bob.submit(SLOW)
+        import time
+        for _ in range(200):
+            if bob.get_run(first["run_id"])["state"] == "RUNNING":
+                break
+            time.sleep(0.02)
+        bob.submit(SLOW)          # waits behind max_running=1
         with pytest.raises(QuotaExceeded):
             bob.submit(SLOW)
 

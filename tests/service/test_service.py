@@ -45,14 +45,14 @@ class TestSubmitAndRun:
         assert "manifest.json" in final.artifacts
 
     def test_record_carries_task_bodies_provenance(self, svc):
-        """The service run record surfaces the full reproduction axes
-        (including the task_bodies axis the manifest now records)."""
+        """The service run record surfaces how the run executed
+        (including the task_bodies axis the manifest records)."""
         rec = svc.submit("alice", QUICK)
         final = wait_state(svc, rec.run_id, DONE)
         assert final.provenance["task_bodies"] in ("auto", "callable")
-        assert final.provenance["exec_core"] in ("threaded", "coop")
-        assert final.provenance["dispatcher"]
-        assert final.provenance["window_path"]
+        assert "exec_core" not in final.provenance
+        assert final.provenance["dispatcher"] == "indexed"
+        assert final.provenance["window_path"] == "fast"
 
     def test_bad_tenant_refused(self, svc):
         with pytest.raises(InvalidRunSpec, match="tenant"):

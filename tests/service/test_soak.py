@@ -38,8 +38,8 @@ FORTRAN_SOURCE = """\
 CHAOS_PLAN = dump_plan(FaultPlan(
     seed=7, kills=(TaskKill(at=5_000, tasktype="CWORKER"),)))
 
-#: The mixed zoo: 12 specs across the app catalog, both exec cores,
-#: one fault-plan run, one checkpointing run, one Fortran-source run.
+#: The mixed zoo: 12 specs across the app catalog, one fault-plan run,
+#: one checkpointing run, one Fortran-source run.
 ZOO = [
     {"app": "jacobi", "params": {"n": 12, "sweeps": 2, "n_workers": 2}},
     {"app": "matmul", "params": {"n": 8, "n_workers": 2}},
@@ -56,10 +56,8 @@ ZOO = [
     {"app": "spin", "params": {"rounds": 50, "ticks_per_round": 20},
      "checkpoint_every": 200},
     {"app": "fortran", "params": {"source": FORTRAN_SOURCE}},
-    {"app": "jacobi", "params": {"n": 10, "sweeps": 2, "n_workers": 2},
-     "exec_core": "coop"},
-    {"app": "matmul", "params": {"n": 8, "n_workers": 2},
-     "exec_core": "coop"},
+    {"app": "jacobi", "params": {"n": 10, "sweeps": 2, "n_workers": 2}},
+    {"app": "matmul", "params": {"n": 10, "n_workers": 2}},
 ]
 
 TENANTS = ("alice", "bob", "carol")
@@ -94,14 +92,16 @@ def test_soak_three_tenants_twelve_runs_bit_identical(tmp_path):
         # --- over-quota tenant is refused with QuotaExceeded ----------
         slow = {"app": "spin", "params": {"rounds": 500000}}
         dave_rec = svc.submit("dave", slow)
-        with pytest.raises(QuotaExceeded):
-            svc.submit("dave", slow)
-
-        # --- kill endpoint terminates dave's live run cleanly ---------
         deadline = time.monotonic() + 120
         while svc.get_run(dave_rec.run_id).state != RUNNING:
             assert time.monotonic() < deadline
             time.sleep(0.02)
+        waiting = svc.submit("dave", slow)     # behind max_running=1
+        with pytest.raises(QuotaExceeded):
+            svc.submit("dave", slow)
+        assert svc.kill(waiting.run_id).state == KILLED
+
+        # --- kill endpoint terminates dave's live run cleanly ---------
         svc.kill(dave_rec.run_id)
 
         wait_all(svc, [rid for rid, _ in submitted] + [dave_rec.run_id])
