@@ -1,22 +1,13 @@
 """Wall-clock throughput of the scheduler/messaging fast path.
 
 The repo's perf trajectory point for the engine (``BENCH_*.json``):
-for each workload and size, run the identical program under every
-relevant (execution core x dispatcher) leg --
-
-* ``scan``    -- threaded core, the seed's O(n) linear scan +
-  broadcast wakeups, kept as the reference oracle;
-* ``indexed`` -- threaded core, two-level stale-free heap picker +
-  per-process grant events (O(log n) per dispatch, exactly one thread
-  woken per switch);
-* ``coop``    -- the coop execution core (single-threaded discrete
-  event loop, coroutine process bodies) with the indexed picker: a
-  dispatch is a generator ``send()``, no thread handoff at all --
-
-measure dispatches/second and end-to-end wall time, assert the virtual
-times and dispatch counts are **bit-identical** across every leg (the
-determinism contract), and write ``BENCH_engine_throughput.json`` at
-the repo root.
+for each workload and size, run the program once on the engine (the
+single-threaded discrete-event loop with the two-level heap picker),
+measure dispatches/second and end-to-end wall time, and write
+``BENCH_engine_throughput.json`` at the repo root.  The virtual times
+and dispatch counts go into the record's ``gate.virtual`` section, the
+determinism contract ``benchmarks/compare.py`` holds every later run
+to.
 
 Sizes shrink when ``ENGINE_BENCH_SMOKE`` is set (the CI smoke job);
 smoke gate keys carry an ``@smoke`` suffix so the committed full-size
@@ -24,25 +15,9 @@ record can also carry the smoke-size virtual expectations -- that way
 the CI smoke run still gets an exact virtual-time gate against the
 committed baseline even though its wall times are not comparable.
 
-Gates on a full-size run:
-
-* indexed vs scan on ``sched_stress/large``: >= 2x wall speedup;
-* coop on ``sched_stress/large``: >= 10x dispatches/s over the
-  committed threaded-indexed baseline rate (16,414/s, the number the
-  coroutine-core work set out to beat), and >= 2.5x live wall speedup
-  over this run's own threaded-indexed leg;
-* ``sched_stress_xl`` (1024 processes on 64 PEs): >= 2.5x live coop
-  speedup -- the "1000-process configurations are routine" check;
-* ``inqueue_backlog/large``: indexed must not be slower than scan
-  (ratio <= 1.0, best-of-3 walls).  The historical 1.07 ratio was
-  timer noise on a dispatch-starved messaging-bound shape (36
-  dispatches in ~14 ms); the reworked shape fans 16 flooders into one
-  receiver so the scan dispatcher's broadcast wakeups actually cost
-  something and the comparison measures scheduling, not jitter;
-* ``task_runtime/stress`` (the coroutine-task-runtime acceptance): a
-  whole application -- coroutine task bodies through initiate/accept/
-  send and the controllers, no per-task worker threads -- must show
-  >= 5x live coop-vs-threaded dispatch throughput (best-of-3 walls).
+Gate on a full-size run: ``sched_stress/large`` must reach >= 10x the
+dispatch rate the thread-per-process engine recorded before the
+cooperative loop replaced it (16,414/s).
 """
 
 from __future__ import annotations
@@ -50,8 +25,6 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
-
-import pytest
 
 from _bench_schema import make_record, write_bench
 
@@ -65,45 +38,25 @@ from repro.core.taskid import ANY, PARENT
 from repro.core.vm import PiscesVM
 from repro.flex.presets import small_flex
 from repro.mmos.process import co_block, co_charge, co_preempt
-from repro.mmos.scheduler import create_engine
+from repro.mmos.scheduler import Engine
 
 SMOKE = bool(os.environ.get("ENGINE_BENCH_SMOKE"))
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine_throughput.json"
 
-#: Minimum indexed-vs-scan speedup demanded on the largest scheduler
-#: stress configuration (full sizes; the smoke run only sanity-checks).
-MIN_SPEEDUP = 2.0 if not SMOKE else 1.2
-
-#: The committed threaded-indexed rate on sched_stress/large before the
-#: coop core landed (BENCH_engine_throughput.json, PRs 2-6).  The coop
-#: acceptance bar is 10x this number.
+#: The committed thread-per-process rate on sched_stress/large before
+#: the cooperative loop landed (BENCH_engine_throughput.json, PRs 2-6).
+#: The acceptance bar is 10x this number.
 BASELINE_THREADED_DPS = 16_414.2
 MIN_COOP_VS_BASELINE = 10.0
-
-#: Live floor: the coop leg must beat this run's own threaded-indexed
-#: leg by this much on sched_stress/large and sched_stress_xl.  (The
-#: same PR's picker rewrite also sped the threaded core up ~3x, so the
-#: live ratio is far smaller than the vs-baseline ratio.)
-MIN_COOP_LIVE_SPEEDUP = 2.5
-
-#: App-level acceptance (the coroutine-task-runtime PR): a whole PISCES
-#: application -- coroutine task bodies end-to-end through initiate /
-#: accept / send / the task controllers -- must dispatch >= 5x faster
-#: on the coop core than on this run's own threaded-indexed leg
-#: (task_runtime/stress, best-of-3 walls per leg).
-MIN_APP_COOP_SPEEDUP = 5.0
 
 
 # ------------------------------------------------------------- workloads --
 
-def sched_stress(n_procs: int, switches: int, dispatcher: str,
-                 exec_core: str = "threaded", n_pes: int = 8):
+def sched_stress(n_procs: int, switches: int, n_pes: int = 8):
     """Pure engine churn: ``n_procs`` coroutine processes on ``n_pes``
     PEs, each cycling charge/preempt with a periodic deadline nap (the
-    heap re-key path).  Coroutine bodies run identically on both cores:
-    natively on coop, via the kernel trampoline on threaded."""
-    eng = create_engine(small_flex(n_pes), dispatcher=dispatcher,
-                        exec_core=exec_core)
+    heap re-key path)."""
+    eng = Engine(small_flex(n_pes))
     pes = sorted(eng.machine.pes)
 
     def body():
@@ -150,33 +103,26 @@ def build_backlog_registry(flooders: int, rounds: int,
 
 
 def inqueue_backlog(flooders: int, rounds: int, backlog: int,
-                    dispatcher: str, exec_core: str = "threaded",
                     trials: int = 1):
     """Best-of-``trials`` wall time for the fan-in backlog program."""
-    os.environ["PISCES_DISPATCHER"] = dispatcher
-    os.environ["PISCES_EXEC_CORE"] = exec_core
-    try:
-        best = None
-        for _ in range(trials):
-            reg = build_backlog_registry(flooders, rounds, backlog)
-            config = Configuration(
-                clusters=(ClusterSpec(1, 3, 8), ClusterSpec(2, 4, 8),
-                          ClusterSpec(3, 5, 8)),
-                name="inqueue-backlog")
-            vm = PiscesVM(config, registry=reg)
-            t0 = time.perf_counter()
-            r = vm.run("BMAIN")
-            wall = time.perf_counter() - t0
-            assert r.value == flooders * rounds * backlog, \
-                "backlog drain lost messages"
-            dispatches, elapsed = vm.engine.dispatch_count, r.elapsed
-            vm.shutdown()
-            if best is None or wall < best[0]:
-                best = (wall, dispatches, elapsed)
-        return best
-    finally:
-        os.environ.pop("PISCES_DISPATCHER", None)
-        os.environ.pop("PISCES_EXEC_CORE", None)
+    best = None
+    for _ in range(trials):
+        reg = build_backlog_registry(flooders, rounds, backlog)
+        config = Configuration(
+            clusters=(ClusterSpec(1, 3, 8), ClusterSpec(2, 4, 8),
+                      ClusterSpec(3, 5, 8)),
+            name="inqueue-backlog")
+        vm = PiscesVM(config, registry=reg)
+        t0 = time.perf_counter()
+        r = vm.run("BMAIN")
+        wall = time.perf_counter() - t0
+        assert r.value == flooders * rounds * backlog, \
+            "backlog drain lost messages"
+        dispatches, elapsed = vm.engine.dispatch_count, r.elapsed
+        vm.shutdown()
+        if best is None or wall < best[0]:
+            best = (wall, dispatches, elapsed)
+    return best
 
 
 def build_task_runtime_registry(n_workers: int, rounds: int) -> TaskRegistry:
@@ -204,61 +150,39 @@ def build_task_runtime_registry(n_workers: int, rounds: int) -> TaskRegistry:
     return reg
 
 
-def task_runtime(n_workers: int, rounds: int, dispatcher: str,
-                 exec_core: str = "threaded", trials: int = 1):
+def task_runtime(n_workers: int, rounds: int, trials: int = 1):
     """Best-of-``trials`` wall time for the task-runtime stress app."""
-    os.environ["PISCES_DISPATCHER"] = dispatcher
-    os.environ["PISCES_EXEC_CORE"] = exec_core
-    try:
-        best = None
-        for _ in range(trials):
-            reg = build_task_runtime_registry(n_workers, rounds)
-            config = Configuration(
-                clusters=(ClusterSpec(1, 3, 16), ClusterSpec(2, 4, 16)),
-                name="task-runtime")
-            vm = PiscesVM(config, registry=reg)
-            t0 = time.perf_counter()
-            r = vm.run("TRMASTER")
-            wall = time.perf_counter() - t0
-            assert r.value == n_workers, "task_runtime lost workers"
-            dispatches, elapsed = vm.engine.dispatch_count, r.elapsed
-            vm.shutdown()
-            if best is None or wall < best[0]:
-                best = (wall, dispatches, elapsed)
-        return best
-    finally:
-        os.environ.pop("PISCES_DISPATCHER", None)
-        os.environ.pop("PISCES_EXEC_CORE", None)
-
-
-def app_workload(fn, dispatcher: str, exec_core: str = "threaded"):
-    """Run one app under a (dispatcher, core) leg; (wall, dispatches, vt)."""
-    os.environ["PISCES_DISPATCHER"] = dispatcher
-    os.environ["PISCES_EXEC_CORE"] = exec_core
-    try:
+    best = None
+    for _ in range(trials):
+        reg = build_task_runtime_registry(n_workers, rounds)
+        config = Configuration(
+            clusters=(ClusterSpec(1, 3, 16), ClusterSpec(2, 4, 16)),
+            name="task-runtime")
+        vm = PiscesVM(config, registry=reg)
         t0 = time.perf_counter()
-        r = fn()
+        r = vm.run("TRMASTER")
         wall = time.perf_counter() - t0
-        dispatches = r.vm.engine.dispatch_count
-        elapsed = int(r.elapsed)
-        r.vm.shutdown()
-        return wall, dispatches, elapsed
-    finally:
-        os.environ.pop("PISCES_DISPATCHER", None)
-        os.environ.pop("PISCES_EXEC_CORE", None)
+        assert r.value == n_workers, "task_runtime lost workers"
+        dispatches, elapsed = vm.engine.dispatch_count, r.elapsed
+        vm.shutdown()
+        if best is None or wall < best[0]:
+            best = (wall, dispatches, elapsed)
+    return best
 
 
-#: Leg name -> (dispatcher, exec_core).
-LEGS = {
-    "scan": ("scan", "threaded"),
-    "indexed": ("indexed", "threaded"),
-    "coop": ("indexed", "coop"),
-}
+def app_workload(fn):
+    """Run one app; (wall, dispatches, virtual time)."""
+    t0 = time.perf_counter()
+    r = fn()
+    wall = time.perf_counter() - t0
+    dispatches = r.vm.engine.dispatch_count
+    elapsed = int(r.elapsed)
+    r.vm.shutdown()
+    return wall, dispatches, elapsed
 
 
 def _matrix(smoke: bool):
-    """Entries: (workload, size, runner(dispatcher, core), params, legs,
-    trials).  ``legs`` names the (core x dispatcher) pairs to run."""
+    """Entries: (workload, size, runner(), params)."""
     if smoke:
         stress_small, stress_large = (10, 8), (40, 12)
         stress_xl = (96, 4, 10)        # n_procs, switches, n_pes
@@ -277,195 +201,106 @@ def _matrix(smoke: bool):
         back_small, back_large = (6, 4, 12), (16, 8, 30)
         tr_small, tr_stress = (12, 200), (24, 1000)
         trials = 3
-    ab = ("scan", "indexed", "coop")
     return [
-        ("sched_stress", "small",
-         lambda d, c: sched_stress(*stress_small, d, c),
-         {"n_procs": stress_small[0]}, ab, 1),
-        ("sched_stress", "large",
-         lambda d, c: sched_stress(*stress_large, d, c),
-         {"n_procs": stress_large[0]}, ab, 1),
+        ("sched_stress", "small", lambda: sched_stress(*stress_small),
+         {"n_procs": stress_small[0]}),
+        ("sched_stress", "large", lambda: sched_stress(*stress_large),
+         {"n_procs": stress_large[0]}),
         ("sched_stress_xl", "xl",
-         lambda d, c: sched_stress(stress_xl[0], stress_xl[1], d, c,
-                                   n_pes=stress_xl[2]),
-         {"n_procs": stress_xl[0], "n_pes": stress_xl[2] - 2},
-         ("indexed", "coop"), 1),
+         lambda: sched_stress(stress_xl[0], stress_xl[1],
+                              n_pes=stress_xl[2]),
+         {"n_procs": stress_xl[0], "n_pes": stress_xl[2] - 2}),
         ("jacobi_windows", "small",
-         lambda d, c: app_workload(lambda: run_jacobi_windows(
-             n=jac_small[0], sweeps=jac_small[1], n_workers=jac_small[2]),
-             d, c),
-         {"n": jac_small[0], "workers": jac_small[2]}, ("scan", "indexed"), 1),
+         lambda: app_workload(lambda: run_jacobi_windows(
+             n=jac_small[0], sweeps=jac_small[1], n_workers=jac_small[2])),
+         {"n": jac_small[0], "workers": jac_small[2]}),
         ("jacobi_windows", "large",
-         lambda d, c: app_workload(lambda: run_jacobi_windows(
-             n=jac_large[0], sweeps=jac_large[1], n_workers=jac_large[2]),
-             d, c),
-         {"n": jac_large[0], "workers": jac_large[2]}, ab, 1),
+         lambda: app_workload(lambda: run_jacobi_windows(
+             n=jac_large[0], sweeps=jac_large[1], n_workers=jac_large[2])),
+         {"n": jac_large[0], "workers": jac_large[2]}),
         ("matmul_tasks", "small",
-         lambda d, c: app_workload(lambda: run_matmul_tasks(
-             n=mm_small[0], n_workers=mm_small[1]), d, c),
-         {"n": mm_small[0], "workers": mm_small[1]}, ("scan", "indexed"), 1),
+         lambda: app_workload(lambda: run_matmul_tasks(
+             n=mm_small[0], n_workers=mm_small[1])),
+         {"n": mm_small[0], "workers": mm_small[1]}),
         ("matmul_tasks", "large",
-         lambda d, c: app_workload(lambda: run_matmul_tasks(
-             n=mm_large[0], n_workers=mm_large[1]), d, c),
-         {"n": mm_large[0], "workers": mm_large[1]}, ab, 1),
+         lambda: app_workload(lambda: run_matmul_tasks(
+             n=mm_large[0], n_workers=mm_large[1])),
+         {"n": mm_large[0], "workers": mm_large[1]}),
         ("pipeline", "small",
-         lambda d, c: app_workload(lambda: run_pipeline(
-             n_stages=pipe_small[0], items=list(range(pipe_small[1]))), d, c),
-         {"stages": pipe_small[0], "items": pipe_small[1]},
-         ("scan", "indexed"), 1),
+         lambda: app_workload(lambda: run_pipeline(
+             n_stages=pipe_small[0], items=list(range(pipe_small[1])))),
+         {"stages": pipe_small[0], "items": pipe_small[1]}),
         ("pipeline", "large",
-         lambda d, c: app_workload(lambda: run_pipeline(
+         lambda: app_workload(lambda: run_pipeline(
              n_stages=pipe_large[0], items=list(range(pipe_large[1])),
-             slots=8), d, c),
-         {"stages": pipe_large[0], "items": pipe_large[1]}, ab, 1),
-        ("task_runtime", "small",
-         lambda d, c: task_runtime(*tr_small, d, c),
-         {"workers": tr_small[0], "rounds": tr_small[1]},
-         ("indexed", "coop"), 1),
+             slots=8)),
+         {"stages": pipe_large[0], "items": pipe_large[1]}),
+        ("task_runtime", "small", lambda: task_runtime(*tr_small),
+         {"workers": tr_small[0], "rounds": tr_small[1]}),
         ("task_runtime", "stress",
-         lambda d, c, t=trials: task_runtime(*tr_stress, d, c, trials=t),
-         {"workers": tr_stress[0], "rounds": tr_stress[1]},
-         ("indexed", "coop"), trials),
-        ("inqueue_backlog", "small",
-         lambda d, c, t=1: inqueue_backlog(*back_small, d, c, trials=t),
+         lambda: task_runtime(*tr_stress, trials=trials),
+         {"workers": tr_stress[0], "rounds": tr_stress[1]}),
+        ("inqueue_backlog", "small", lambda: inqueue_backlog(*back_small),
          {"flooders": back_small[0], "rounds": back_small[1],
-          "backlog": back_small[2]}, ab, 1),
+          "backlog": back_small[2]}),
         ("inqueue_backlog", "large",
-         lambda d, c, t=trials: inqueue_backlog(*back_large, d, c, trials=t),
+         lambda: inqueue_backlog(*back_large, trials=trials),
          {"flooders": back_large[0], "rounds": back_large[1],
-          "backlog": back_large[2]}, ab, trials),
+          "backlog": back_large[2]}),
     ]
 
 
-def _run_matrix(smoke: bool, suffix: str, report, legs_override=None):
-    """Run one size matrix; returns (rows, virtual, ratios, walls)."""
-    rows, virtual, ratios, walls = [], {}, {}, {}
-    for workload, size, runner, params, legs, _trials in _matrix(smoke):
-        if legs_override is not None:
-            legs = tuple(l for l in legs if l in legs_override)
+def _run_matrix(smoke: bool, suffix: str):
+    """Run one size matrix; returns (rows, virtual, walls)."""
+    rows, virtual, walls = [], {}, {}
+    for workload, size, runner, params in _matrix(smoke):
         key = f"{workload}/{size}{suffix}"
-        per, vts, disp = {}, {}, {}
-        for leg in legs:
-            dispatcher, core = LEGS[leg]
-            wall, n_disp, vt = runner(dispatcher, core)
-            per[leg] = {
-                "wall_s": round(wall, 4),
-                "dispatches_per_s":
-                    round(n_disp / wall, 1) if wall > 0 else None,
-            }
-            vts[leg], disp[leg] = vt, n_disp
-        # The determinism contract: every (core x dispatcher) leg
-        # replays the exact same virtual history.
-        for leg in legs:
-            assert vts[leg] == vts[legs[0]], (
-                f"{key}: virtual time diverged on {leg} "
-                f"({vts[leg]} vs {legs[0]}={vts[legs[0]]})")
-            assert disp[leg] == disp[legs[0]], (
-                f"{key}: dispatch count diverged on {leg}")
-        row = {
+        wall, n_disp, vt = runner()
+        rows.append({
             "workload": workload, "size": size + suffix, "params": params,
-            "dispatches": disp[legs[0]], "virtual_elapsed": vts[legs[0]],
-            **{leg: per[leg] for leg in legs},
-        }
-        anchor = "indexed" if "indexed" in per else legs[0]
-        if "scan" in per and "indexed" in per:
-            row["speedup"] = round(
-                per["scan"]["wall_s"] / per["indexed"]["wall_s"], 2) \
-                if per["indexed"]["wall_s"] > 0 else None
-            if per["scan"]["wall_s"] > 0:
-                ratios[key] = per["indexed"]["wall_s"] / per["scan"]["wall_s"]
-        if "coop" in per and "indexed" in per:
-            row["coop_speedup"] = round(
-                per["indexed"]["wall_s"] / per["coop"]["wall_s"], 2) \
-                if per["coop"]["wall_s"] > 0 else None
-            if per["indexed"]["wall_s"] > 0:
-                ratios[f"{key}:coop"] = (per["coop"]["wall_s"]
-                                         / per["indexed"]["wall_s"])
-        virtual[key] = vts[legs[0]]
-        walls[key] = per[anchor]["wall_s"]
-        rows.append(row)
-    return rows, virtual, ratios, walls
+            "dispatches": n_disp, "virtual_elapsed": vt,
+            "wall_s": round(wall, 4),
+            "dispatches_per_s": round(n_disp / wall, 1) if wall > 0 else None,
+        })
+        virtual[key] = vt
+        walls[key] = wall
+    return rows, virtual, walls
 
 
 # ------------------------------------------------------------ the bench --
 
 def test_engine_throughput(report):
     suffix = "@smoke" if SMOKE else ""
-    rows, virtual, ratios, walls = _run_matrix(SMOKE, suffix, report)
+    rows, virtual, walls = _run_matrix(SMOKE, suffix)
     if not SMOKE:
         # Stamp the smoke-size virtual expectations into the committed
-        # record too (indexed leg only -- virtual time is leg-invariant,
-        # asserted above), so the CI smoke run keeps an exact
-        # determinism gate against this baseline.
-        _, smoke_virtual, _, _ = _run_matrix(
-            True, "@smoke", report, legs_override=("indexed",))
-        virtual.update(smoke_virtual)
+        # record too, so the CI smoke run keeps an exact determinism
+        # gate against this baseline.
+        virtual.update(_run_matrix(True, "@smoke")[1])
 
     write_bench(make_record(
         "engine_throughput", smoke=SMOKE,
-        virtual=virtual, wall_ratios=ratios, wall_seconds=walls,
-        min_speedup_required=MIN_SPEEDUP,
+        virtual=virtual, wall_seconds=walls,
         baseline_threaded_dps=BASELINE_THREADED_DPS,
         min_coop_vs_baseline=MIN_COOP_VS_BASELINE,
-        min_coop_live_speedup=MIN_COOP_LIVE_SPEEDUP,
-        min_app_coop_speedup=MIN_APP_COOP_SPEEDUP,
         workloads=rows), BENCH_PATH)
 
     header = (f"{'workload':<16} {'size':<12} {'disp':>6} {'vtime':>8} "
-              f"{'scan /s':>10} {'indexed /s':>11} {'coop /s':>10} "
-              f"{'idx x':>6} {'coop x':>6}")
-    report("engine throughput: (core x dispatcher) legs per workload")
+              f"{'wall s':>8} {'dispatch /s':>12}")
+    report("engine throughput per workload")
     report(header)
     report("-" * len(header))
     for r in rows:
-        def rate(leg):
-            d = r.get(leg)
-            return f"{d['dispatches_per_s']:>{10 + (leg == 'indexed')},.0f}" \
-                if d else " " * (10 + (leg == "indexed"))
         report(f"{r['workload']:<16} {r['size']:<12} {r['dispatches']:>6} "
-               f"{r['virtual_elapsed']:>8} {rate('scan')} {rate('indexed')} "
-               f"{rate('coop')} "
-               f"{r.get('speedup') or '':>6} {r.get('coop_speedup') or '':>6}")
+               f"{r['virtual_elapsed']:>8} {r['wall_s']:>8.4f} "
+               f"{r['dispatches_per_s']:>12,.0f}")
     report(f"\nwritten: {BENCH_PATH.name}")
 
-    def row_for(workload, size):
-        return next(r for r in rows if r["workload"] == workload
-                    and r["size"] == size + suffix)
-
-    largest = row_for("sched_stress", "large")
-    assert largest["speedup"] >= MIN_SPEEDUP, (
-        f"sched_stress/large indexed-vs-scan speedup {largest['speedup']}x "
-        f"is below the required {MIN_SPEEDUP}x (scan {largest['scan']}, "
-        f"indexed {largest['indexed']})")
-
     if not SMOKE:
-        # Tentpole acceptance: >= 10x dispatch throughput over the
-        # committed threaded-indexed baseline on sched_stress/large.
-        coop_dps = largest["coop"]["dispatches_per_s"]
-        assert coop_dps >= MIN_COOP_VS_BASELINE * BASELINE_THREADED_DPS, (
-            f"coop core {coop_dps:,.0f} dispatches/s is below "
-            f"{MIN_COOP_VS_BASELINE}x the committed threaded baseline "
-            f"({BASELINE_THREADED_DPS:,.0f}/s)")
-        for workload, size in (("sched_stress", "large"),
-                               ("sched_stress_xl", "xl")):
-            r = row_for(workload, size)
-            assert r["coop_speedup"] >= MIN_COOP_LIVE_SPEEDUP, (
-                f"{workload}/{size}: live coop speedup {r['coop_speedup']}x "
-                f"below {MIN_COOP_LIVE_SPEEDUP}x (indexed {r['indexed']}, "
-                f"coop {r['coop']})")
-        # App-level acceptance: a full application on coroutine task
-        # bodies must dispatch >= 5x faster on the coop core than on
-        # this run's threaded-indexed leg.
-        tr = row_for("task_runtime", "stress")
-        assert tr["coop_speedup"] >= MIN_APP_COOP_SPEEDUP, (
-            f"task_runtime/stress: app-level coop speedup "
-            f"{tr['coop_speedup']}x below {MIN_APP_COOP_SPEEDUP}x "
-            f"(indexed {tr['indexed']}, coop {tr['coop']})")
-        # The reworked fan-in shape must not leave indexed slower than
-        # scan (the old 36-dispatch shape gated timer noise instead).
-        back = row_for("inqueue_backlog", "large")
-        ratio = back["indexed"]["wall_s"] / back["scan"]["wall_s"]
-        assert ratio <= 1.0, (
-            f"inqueue_backlog/large: indexed dispatcher slower than scan "
-            f"(ratio {ratio:.3f}; scan {back['scan']}, "
-            f"indexed {back['indexed']})")
+        largest = next(r for r in rows if r["workload"] == "sched_stress"
+                       and r["size"] == "large")
+        assert (largest["dispatches_per_s"]
+                >= MIN_COOP_VS_BASELINE * BASELINE_THREADED_DPS), (
+            f"sched_stress/large {largest['dispatches_per_s']:,.0f} "
+            f"dispatches/s is below {MIN_COOP_VS_BASELINE}x the "
+            f"thread-per-process baseline ({BASELINE_THREADED_DPS:,.0f}/s)")

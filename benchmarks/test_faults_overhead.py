@@ -51,8 +51,9 @@ def test_no_plan_is_bit_identical_to_baseline(report):
               f"{'baseline':>9} {'verdict':>10}")
     report(header)
     report("-" * len(header))
-    for workload, size, runner, params in eng_bench._sizes():
-        wall, dispatches, vt = runner("indexed")
+    matrix = eng_bench._matrix(SMOKE)
+    for workload, size, runner, params in matrix:
+        wall, dispatches, vt = runner()
         if compare_baseline:
             base = by_key[(workload, size)]
             assert vt == base["virtual_elapsed"], (
@@ -64,7 +65,7 @@ def test_no_plan_is_bit_identical_to_baseline(report):
             verdict, base_vt = "identical", base["virtual_elapsed"]
         else:
             # Smoke / no baseline: two plan-less runs must agree.
-            wall2, dispatches2, vt2 = runner("indexed")
+            wall2, dispatches2, vt2 = runner()
             assert (vt, dispatches) == (vt2, dispatches2)
             verdict, base_vt = "self-id", vt2
         rows.append({"workload": workload, "size": size, "params": params,
@@ -77,14 +78,16 @@ def test_no_plan_is_bit_identical_to_baseline(report):
     wall_row = None
     if compare_baseline:
         base = by_key[("sched_stress", "large")]
-        best = min(eng_bench._sizes()[1][2]("indexed")[0] for _ in range(3))
-        ratio = best / base["indexed"]["wall_s"]
+        large = next(r for w, s, r, _ in matrix
+                     if (w, s) == ("sched_stress", "large"))
+        best = min(large()[0] for _ in range(3))
+        ratio = best / base["wall_s"]
         wall_row = {"workload": "sched_stress", "size": "large",
                     "wall_s_best_of_3": round(best, 4),
-                    "baseline_wall_s": base["indexed"]["wall_s"],
+                    "baseline_wall_s": base["wall_s"],
                     "ratio": round(ratio, 3)}
         report(f"\nsched_stress/large wall: {best:.4f}s vs baseline "
-               f"{base['indexed']['wall_s']:.4f}s (x{ratio:.3f}, "
+               f"{base['wall_s']:.4f}s (x{ratio:.3f}, "
                f"limit x{MAX_WALL_REGRESSION})")
         assert ratio <= MAX_WALL_REGRESSION, (
             f"plan-less wall clock regressed x{ratio:.3f} "

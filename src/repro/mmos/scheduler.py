@@ -244,18 +244,9 @@ class Engine:
         except BaseException as e:  # surface in the engine thread
             p.exc = e
         finally:
-            self._on_exit(p)
             # The engine is parked on _resume and nothing else runs.
-            self._settle_done(p)
+            self._proc_exit(p)
             self._resume.release()
-
-    def _on_exit(self, p: KernelProcess) -> None:
-        if p.on_exit is not None:
-            try:
-                p.on_exit(p)
-            except BaseException as e:
-                if p.exc is None:
-                    p.exc = e
 
     # ----------------------------------------------- slice bookkeeping ----
 
@@ -495,8 +486,13 @@ class Engine:
             self._gen_runner = None
 
     def _proc_exit(self, p: KernelProcess) -> None:
-        """Coroutine-body counterpart of ``_thread_body``'s finally."""
-        self._on_exit(p)
+        """Run the exit hook and settle DONE (both body forms)."""
+        if p.on_exit is not None:
+            try:
+                p.on_exit(p)
+            except BaseException as e:
+                if p.exc is None:
+                    p.exc = e
         self._settle_done(p)
 
     # ----------------------------------------------------- engine-side ----
