@@ -67,6 +67,7 @@ class AdmissionScheduler:
         self._deficit: Dict[str, int] = {}
         self._rotation: List[str] = []       # fixed visit order, grown
         self._cursor = 0                     # next rotation position
+        #: PE cost per live run id (pruned by :meth:`select`).
         self._cost_cache: Dict[str, int] = {}
 
     def quota_for(self, tenant: str) -> TenantQuota:
@@ -127,12 +128,18 @@ class AdmissionScheduler:
             queued: Dict[str, List[RunRecord]] = {}
             for rec in self.store.list(state=QUEUED):     # seq order
                 queued.setdefault(rec.tenant, []).append(rec)
-            if not queued:
-                return None
             active: Dict[str, List[RunRecord]] = {}
             for state in (RUNNING, ADMITTED):
                 for rec in self.store.list(state=state):
                     active.setdefault(rec.tenant, []).append(rec)
+            # Forget the costs of finished runs: memory follows the
+            # live queue, not the history.
+            live = {r.run_id for recs in (*queued.values(), *active.values())
+                    for r in recs}
+            for run_id in self._cost_cache.keys() - live:
+                del self._cost_cache[run_id]
+            if not queued:
+                return None
 
             # Grow the rotation with newly seen tenants (sorted so the
             # visit order is independent of submission timing).

@@ -24,17 +24,32 @@ RUNNING belongs to a previous life of the service and is re-queued
 with ``recovered`` incremented.  Runs that were checkpointing also
 keep their ``checkpoints/`` directory, so the executor can resume from
 ``find_latest_checkpoint`` instead of starting over.
+
+**Residency** follows the live queue, not the history (the paper's
+system tables are fixed-size slot records, section 11).  Boot still
+parses and validates every ``record.json``, but keeps a full
+:class:`RunRecord` in memory only for live runs (QUEUED/ADMITTED/
+RUNNING).  Every run also has a compact seq-ordered summary
+``run_id -> (seq, tenant, state)``.  Queries for a live state walk
+only the live records; :meth:`get` and terminal or unfiltered
+:meth:`list` read terminal records back from disk, which stays the
+only source of truth.  Run ids come from the highest seq among both
+the valid records and the ``r<seq>`` directory names, so a torn
+record never lends its id -- or its ``artifacts/`` and
+``checkpoints/`` -- to a new run.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+import sys
 import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import InvalidRunSpec, ServiceError, UnknownRun
 from .spec import RunSpec
@@ -49,6 +64,7 @@ KILLED = "KILLED"
 #: States a run can still move out of.
 LIVE_STATES = (QUEUED, ADMITTED, RUNNING)
 TERMINAL_STATES = (DONE, FAILED, KILLED)
+STATES = LIVE_STATES + TERMINAL_STATES
 
 _TRANSITIONS = {
     QUEUED: (ADMITTED, KILLED),
@@ -114,6 +130,31 @@ def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
     os.replace(tmp, path)
 
 
+#: What a ``record.json`` that is not a valid record raises on read.
+_UNREADABLE = (OSError, ValueError, KeyError, TypeError, InvalidRunSpec)
+
+#: Run directory names (``r<seq>``); their seq is never handed out again.
+_RUN_DIR = re.compile(r"r([0-9]{1,18})")
+
+#: Per-run summary: (seq, tenant, state).
+_Summary = Tuple[int, str, str]
+
+
+def _read_record(path: Path) -> RunRecord:
+    # One binary read: finished runs are read back on every query.
+    with path.open("rb") as f:
+        return RunRecord.from_dict(json.loads(f.read()))
+
+
+def _intern(v: Any) -> Any:
+    # Thousands of summaries share a handful of tenant and state names.
+    return sys.intern(v) if type(v) is str else v
+
+
+def _summary(rec: RunRecord) -> _Summary:
+    return rec.seq, _intern(rec.tenant), _intern(rec.state)
+
+
 class RunStore:
     """On-disk run store.  All mutation goes through :meth:`transition`
     / :meth:`amend` under one lock; reads return immutable records."""
@@ -123,7 +164,10 @@ class RunStore:
         self.runs_dir = self.root / "runs"
         self.runs_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
-        self._cache: Dict[str, RunRecord] = {}
+        #: Every run's summary, in seq order.
+        self._index: Dict[str, _Summary] = {}
+        #: Full records of the live runs only, in seq order.
+        self._live: Dict[str, RunRecord] = {}
         self._next_seq = 1
         self._load_all()
 
@@ -144,15 +188,28 @@ class RunStore:
     # ------------------------------------------------------------- boot --
 
     def _load_all(self) -> None:
-        for rec_path in sorted(self.runs_dir.glob("*/record.json")):
+        with os.scandir(self.runs_dir) as entries:
+            names = sorted(e.name for e in entries)
+        index: Dict[str, _Summary] = {}
+        live: Dict[str, RunRecord] = {}
+        for name in names:
+            m = _RUN_DIR.fullmatch(name)
+            if m:
+                self._next_seq = max(self._next_seq, int(m.group(1)) + 1)
             try:
-                with rec_path.open() as f:
-                    rec = RunRecord.from_dict(json.load(f))
-            except (OSError, ValueError, KeyError, TypeError,
-                    InvalidRunSpec):
+                rec = _read_record(self.runs_dir / name / "record.json")
+            except _UNREADABLE:
                 continue      # torn tmp leftovers etc.: not a record
-            self._cache[rec.run_id] = rec
+            index[rec.run_id] = _summary(rec)
+            if rec.is_live:
+                live[rec.run_id] = rec
             self._next_seq = max(self._next_seq, rec.seq + 1)
+        # Sorted by seq once here; later writes keep the order, since a
+        # new run always takes the highest seq.
+        for run_id in sorted(index, key=lambda r: index[r][0]):
+            self._index[run_id] = index[run_id]
+            if run_id in live:
+                self._live[run_id] = live[run_id]
 
     def recover(self) -> List[RunRecord]:
         """Re-queue every run a previous service life left unfinished.
@@ -163,8 +220,8 @@ class RunStore:
         """
         recovered = []
         with self._lock:
-            for rec in list(self._cache.values()):
-                if rec.state in LIVE_STATES and rec.state != QUEUED:
+            for rec in list(self._live.values()):
+                if rec.state != QUEUED:
                     rec = replace(rec, state=QUEUED,
                                   recovered=rec.recovered + 1,
                                   started_at=None)
@@ -179,7 +236,11 @@ class RunStore:
     def _persist(self, rec: RunRecord) -> None:
         self.run_dir(rec.run_id).mkdir(parents=True, exist_ok=True)
         _atomic_write_json(self.record_path(rec.run_id), rec.to_dict())
-        self._cache[rec.run_id] = rec
+        self._index[rec.run_id] = _summary(rec)
+        if rec.is_live:
+            self._live[rec.run_id] = rec
+        else:
+            self._live.pop(rec.run_id, None)
 
     def create(self, tenant: str, spec: RunSpec) -> RunRecord:
         with self._lock:
@@ -214,29 +275,62 @@ class RunStore:
 
     # ------------------------------------------------------------- read --
 
+    def _known(self, run_id: str) -> None:
+        if run_id not in self._index:
+            raise UnknownRun(f"no run {run_id!r}")
+
     def get(self, run_id: str) -> RunRecord:
+        """The run's record: live runs from memory, finished runs from
+        their ``record.json``.  A record that became unreadable since
+        boot raises :class:`UnknownRun`, as it would after a restart."""
         with self._lock:
+            rec = self._live.get(run_id)
+            if rec is not None:
+                return rec
+            self._known(run_id)
             try:
-                return self._cache[run_id]
-            except KeyError:
-                raise UnknownRun(f"no run {run_id!r}") from None
+                return _read_record(self.record_path(run_id))
+            except _UNREADABLE as e:
+                raise UnknownRun(
+                    f"run {run_id!r}: record unreadable ({e})") from None
 
     def list(self, tenant: Optional[str] = None,
              state: Optional[str] = None) -> List[RunRecord]:
+        """Records in seq order, optionally of one tenant and/or state.
+
+        A live state is answered from memory.  Otherwise finished runs
+        are read from disk, skipping any record that became unreadable
+        since boot (as boot itself would)."""
+        if state is not None and state not in STATES:
+            raise InvalidRunSpec(
+                f"unknown run state {state!r} "
+                f"(want one of {', '.join(STATES)})")
         with self._lock:
-            recs = sorted(self._cache.values(), key=lambda r: r.seq)
-        if tenant is not None:
-            recs = [r for r in recs if r.tenant == tenant]
-        if state is not None:
-            recs = [r for r in recs if r.state == state]
-        return recs
+            if state in LIVE_STATES:
+                return [r for r in self._live.values()
+                        if r.state == state
+                        and (tenant is None or r.tenant == tenant)]
+            recs = []
+            for run_id, (_, t, s) in self._index.items():
+                if (tenant is not None and t != tenant) \
+                        or (state is not None and s != state):
+                    continue
+                rec = self._live.get(run_id)
+                if rec is None:
+                    try:
+                        rec = _read_record(self.record_path(run_id))
+                    except _UNREADABLE:
+                        continue
+                recs.append(rec)
+            return recs
 
     def tenants(self) -> List[str]:
         with self._lock:
-            return sorted({r.tenant for r in self._cache.values()})
+            return sorted({t for _, t, _ in self._index.values()})
 
     def list_artifacts(self, run_id: str) -> List[str]:
-        self.get(run_id)                      # raise UnknownRun first
+        with self._lock:
+            self._known(run_id)               # raise UnknownRun first
         d = self.artifacts_dir(run_id)
         if not d.is_dir():
             return []

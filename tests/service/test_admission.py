@@ -5,7 +5,7 @@ import pytest
 from repro.errors import QuotaExceeded
 from repro.service.admission import AdmissionScheduler, TenantQuota
 from repro.service.spec import RunSpec
-from repro.service.store import ADMITTED, QUEUED, RunStore
+from repro.service.store import ADMITTED, DONE, QUEUED, RUNNING, RunStore
 
 SPIN = RunSpec(app="spin", params={"rounds": 3})           # 1 PE
 FORCE = RunSpec(app="jacobi_force", params={"force_pes": 3})  # 4 PEs
@@ -134,6 +134,21 @@ class TestFairShare:
     def test_empty_queue_selects_none(self, store):
         sched = AdmissionScheduler(store, default_quota=GENEROUS)
         assert sched.select() is None
+
+    def test_cost_cache_holds_only_live_runs(self, store):
+        sched = AdmissionScheduler(store, default_quota=GENEROUS)
+        for _ in range(20):
+            store.create("t", SPIN)
+        while (rec := sched.select()) is not None:
+            store.transition(rec.run_id, RUNNING)
+            store.transition(rec.run_id, DONE)
+        live = store.create("t", FORCE)
+        assert sched.select().run_id == live.run_id
+        assert set(sched._cost_cache) == {live.run_id}
+        store.transition(live.run_id, RUNNING)
+        store.transition(live.run_id, DONE)
+        assert sched.select() is None
+        assert sched._cost_cache == {}
 
 
 class TestUsage:

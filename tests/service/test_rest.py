@@ -98,6 +98,10 @@ class TestErrorMapping:
         with pytest.raises(InvalidRunSpec):
             client.submit({"app": "jacobi", "bogus_field": 1})
 
+    def test_400_unknown_state_filter(self, client):
+        with pytest.raises(InvalidRunSpec, match="unknown run state"):
+            client.list_runs(state="BOGUS")
+
     def test_404_unknown_run(self, client):
         with pytest.raises(UnknownRun):
             client.get_run("r999999")
