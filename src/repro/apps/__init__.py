@@ -24,7 +24,6 @@ from .matmul import (
     run_matmul_tasks,
 )
 from .pipeline import PipelineResult, build_pipeline_registry, run_pipeline
-from . import fortran_programs
 from .truss import (
     TrussProblem,
     TrussResult,

@@ -21,6 +21,12 @@ many tenants, with nothing beyond the standard library:
   HTTP control plane and its stdlib client;
 * ``python -m repro.service`` -- the server entry point.
 
+Importing the package loads only the pure-Python layers.  The five
+HTTP-facing names (``RunTimeout``, ``ServiceClient``,
+``ServiceClientError``, ``ServiceHTTPServer``, ``serve``) resolve on
+first access (PEP 562), so a library process that only builds catalog
+plans never loads ``http.server``, ``urllib.request`` or ``ssl``.
+
 The load-bearing guarantee: a run executed by the service has the
 same virtual time and trace stream as the same spec run standalone.
 The service only ever adds pure observers (tracing, metrics, the kill
@@ -28,11 +34,11 @@ hook, periodic checkpoints) to the VM it builds from the catalog's
 pure plan, so multi-tenancy costs no determinism.
 """
 
+from importlib import import_module
+
 from .admission import DEFAULT_QUOTA, AdmissionScheduler, TenantQuota
 from .catalog import APPS, AppPlan, app_names, build, pe_cost
-from .client import RunTimeout, ServiceClient, ServiceClientError
 from .executor import ExecutionHandle, KilledByService, execute_run
-from .rest import ServiceHTTPServer, serve
 from .service import RunService
 from .spec import RunSpec
 from .store import (ADMITTED, DONE, FAILED, KILLED, LIVE_STATES, QUEUED,
@@ -46,3 +52,16 @@ __all__ = [
     "ServiceClientError", "ServiceHTTPServer", "TERMINAL_STATES",
     "TenantQuota", "app_names", "build", "execute_run", "pe_cost", "serve",
 ]
+
+#: HTTP-facing re-exports, imported from their submodule on first access.
+_LAZY = {"RunTimeout": "client", "ServiceClient": "client",
+         "ServiceClientError": "client", "ServiceHTTPServer": "rest",
+         "serve": "rest"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

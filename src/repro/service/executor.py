@@ -70,10 +70,10 @@ _PROVENANCE_KEYS = ("dispatcher", "task_bodies", "window_path",
                     "repro_version", "seed", "fault_plan_hash")
 
 
-def build_vm(rec: RunRecord, store: RunStore) -> PiscesVM:
-    """Build the (fresh-start) VM for a run record."""
+def build_vm(rec: RunRecord, store: RunStore,
+             plan: catalog.AppPlan) -> PiscesVM:
+    """Build the (fresh-start) VM for a run record from its plan."""
     spec = rec.spec
-    plan = catalog.build(spec)
     config = replace(
         plan.config,
         name=f"{rec.run_id}-{plan.config.name}",
@@ -174,29 +174,30 @@ def execute_run(rec: RunRecord, store: RunStore,
     vm: Optional[PiscesVM] = None
     restored = None
     try:
+        # One plan per execution: it is a pure function of the spec, so
+        # the resume registry and the fresh VM can share it.
+        plan = catalog.build(rec.spec)
         # Prefer checkpoint-resume for recovered runs that were
         # checkpointing; anything else starts fresh.
         if rec.recovered and rec.spec.checkpoint_every:
             ckpt = find_latest_checkpoint(store.checkpoint_dir(rec.run_id))
             if ckpt is not None:
                 try:
-                    restored = restore_vm(
-                        ckpt, registry=catalog.build(rec.spec).registry)
+                    restored = restore_vm(ckpt, registry=plan.registry)
                     vm = restored.vm
                     rec = store.amend(rec.run_id, resumed_from=ckpt.name)
                 except Exception:
                     restored, vm = None, None     # fall back to fresh
         if vm is None:
-            vm = build_vm(rec, store)
+            vm = build_vm(rec, store, plan)
         handle.vm = vm
         _install_kill_hook(vm, handle)
         rec = store.transition(rec.run_id, RUNNING, started_at=time.time())
 
-        plan_app = catalog.build(rec.spec)
         if restored is not None:
             result = restored.resume(shutdown=True)
         else:
-            result = vm.run(plan_app.tasktype, *plan_app.args, shutdown=True)
+            result = vm.run(plan.tasktype, *plan.args, shutdown=True)
 
         provenance = _archive(vm, rec, store)
         value_repr = repr(result.value)

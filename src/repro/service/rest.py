@@ -10,7 +10,7 @@ Endpoints (all JSON unless noted)::
     GET  /runs/<id>                      one run record
     POST /runs/<id>/kill                 request kill (poll for KILLED)
     GET  /runs/<id>/metrics              metrics snapshot (live|archived)
-    GET  /runs/<id>/trace[?limit=N]      trace events (tail N)
+    GET  /runs/<id>/trace[?limit=N]      trace events (tail N >= 0)
     GET  /runs/<id>/spans                derived spans
     GET  /runs/<id>/status               monitor status text (text/plain)
     GET  /runs/<id>/artifacts            archived artifact names

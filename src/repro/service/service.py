@@ -219,6 +219,8 @@ class RunService:
                      limit: int = 0) -> List[Dict[str, Any]]:
         """The run's trace stream (tail ``limit`` events if > 0), as
         JSON dicts -- live from the tracer ring, else archived."""
+        if limit < 0:
+            raise InvalidRunSpec(f"trace limit must be >= 0, got {limit}")
         vm = self._live_vm(run_id)
         if vm is not None:
             events = self._stable_read(lambda: list(vm.tracer.events))

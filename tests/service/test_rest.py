@@ -102,6 +102,29 @@ class TestErrorMapping:
         with pytest.raises(InvalidRunSpec, match="unknown run state"):
             client.list_runs(state="BOGUS")
 
+    def test_400_negative_trace_limit(self, stack, client):
+        """A negative tail is refused, not read as "drop the first N"."""
+        _, server = stack
+        done = client.wait(client.submit(QUICK)["run_id"])
+        live = client.submit(SLOW)
+        import time
+        for _ in range(200):
+            if client.get_run(live["run_id"])["state"] == "RUNNING":
+                break
+            time.sleep(0.02)
+        try:
+            for run_id in (done["run_id"], live["run_id"]):
+                with pytest.raises(InvalidRunSpec, match="limit"):
+                    client.trace(run_id, limit=-5)
+            with pytest.raises(urllib.error.HTTPError) as ei:
+                urllib.request.urlopen(
+                    f"{server.url}/runs/{done['run_id']}/trace?limit=-5")
+            assert ei.value.code == 400
+            assert json.loads(ei.value.read())["error"] == "InvalidRunSpec"
+        finally:
+            client.kill(live["run_id"])
+            client.wait(live["run_id"], timeout=30)
+
     def test_404_unknown_run(self, client):
         with pytest.raises(UnknownRun):
             client.get_run("r999999")

@@ -1,12 +1,13 @@
 """RunService in-process: lifecycle, kill, recovery, live queries."""
 
+import threading
 import time
 
 import pytest
 
 from repro.errors import InvalidRunSpec, QuotaExceeded, UnknownRun
 from repro.service import (DONE, KILLED, QUEUED, RUNNING, RunService,
-                           TenantQuota)
+                           TenantQuota, catalog, executor)
 from repro.service.spec import RunSpec
 from repro.service.store import ADMITTED, RunStore
 
@@ -153,6 +154,60 @@ class TestRecovery:
             svc.stop(kill_live=True)
 
 
+class TestPlanBuilds:
+    """``execute_run`` builds the catalog plan once per execution."""
+
+    CKPT = {"app": "spin", "params": {"rounds": 200, "ticks_per_round": 50},
+            "checkpoint_every": 2_000}
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        calls = []
+        build = catalog.build
+
+        def counting(spec):
+            calls.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(catalog, "build", counting)
+        return calls
+
+    @staticmethod
+    def execute(rec, store):
+        handle = executor.ExecutionHandle(rec.run_id, threading.Event())
+        return executor.execute_run(rec, store, handle)
+
+    def test_fresh_run_builds_once(self, tmp_path, monkeypatch):
+        store = RunStore(tmp_path / "s")
+        rec = store.create("alice", RunSpec.from_dict(QUICK))
+        rec = store.transition(rec.run_id, ADMITTED)
+        calls = self.count_builds(monkeypatch)
+        final = self.execute(rec, store)
+        assert final.state == DONE
+        assert calls == [rec.spec]
+
+    def test_checkpoint_resume_builds_once(self, tmp_path, monkeypatch):
+        root = tmp_path / "s"
+        store = RunStore(root)
+        rec = store.create("alice", RunSpec.from_dict(self.CKPT))
+        store.transition(rec.run_id, ADMITTED)
+        rec = store.transition(rec.run_id, RUNNING, started_at=1.0)
+        # The interrupted life: it ran and left its checkpoints behind.
+        plan = catalog.build(rec.spec)
+        vm = executor.build_vm(rec, store, plan)
+        uninterrupted = vm.run(plan.tasktype, *plan.args,
+                               shutdown=True).elapsed
+
+        store = RunStore(root)
+        [rec] = store.recover()
+        rec = store.transition(rec.run_id, ADMITTED)
+        calls = self.count_builds(monkeypatch)
+        final = self.execute(rec, store)
+        assert final.state == DONE and final.exit["resumed_from"]
+        assert final.exit["elapsed_ticks"] == uninterrupted
+        assert calls == [rec.spec]
+
+
 class TestLiveQueries:
 
     def test_live_metrics_and_trace_and_status(self, svc):
@@ -172,6 +227,8 @@ class TestLiveQueries:
         assert events and all("etype" in e for e in events)
         tail = svc.trace_events(rec.run_id, limit=3)
         assert tail == events[-3:]
+        with pytest.raises(InvalidRunSpec, match="limit"):
+            svc.trace_events(rec.run_id, limit=-3)
         spans = svc.trace_spans(rec.run_id)
         assert spans and all(s["end"] >= s["start"] for s in spans)
 
