@@ -62,6 +62,4 @@ _LAZY = {"RunTimeout": "client", "ServiceClient": "client",
 def __getattr__(name):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
-    globals()[name] = value
-    return value
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)

@@ -227,8 +227,6 @@ class TestLiveQueries:
         assert events and all("etype" in e for e in events)
         tail = svc.trace_events(rec.run_id, limit=3)
         assert tail == events[-3:]
-        with pytest.raises(InvalidRunSpec, match="limit"):
-            svc.trace_events(rec.run_id, limit=-3)
         spans = svc.trace_spans(rec.run_id)
         assert spans and all(s["end"] >= s["start"] for s in spans)
 
