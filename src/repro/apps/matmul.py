@@ -20,6 +20,7 @@ expose the overhead of each organization (benchmark A8).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,10 +45,17 @@ class MatmulResult:
 
 
 def make_inputs(n: int, seed: int = 7):
-    rng = np.random.default_rng(seed)
-    A = rng.integers(-3, 4, size=(n, n)).astype(float)
-    B = rng.integers(-3, 4, size=(n, n)).astype(float)
-    return A, B
+    """Two seeded n x n matrices of small integers in [-3, 3].
+
+    Drawn from the stdlib generator: ``numpy.random`` would load a
+    dozen modules and OpenSSL into every process that runs a matmul.
+    Virtual time depends only on the shapes, never on the values."""
+    rng = random.Random(seed)
+
+    def matrix() -> np.ndarray:
+        cells = rng.choices(range(-3, 4), k=n * n)
+        return np.array(cells, dtype=float).reshape(n, n)
+    return matrix(), matrix()
 
 
 # ------------------------------------------------------------- task grain --

@@ -114,7 +114,6 @@ class TaskRegistry:
                           locks=tuple(locks),
                           code_bytes=TaskType.estimate_code_bytes(fn))
             self.define(tt)
-            fn.tasktype = tt  # type: ignore[attr-defined]
             return fn
         return deco
 

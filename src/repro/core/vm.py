@@ -1385,7 +1385,20 @@ class PiscesVM:
     # ------------------------------------------------------------- cleanup --
 
     def shutdown(self) -> None:
+        """End the run: reap every process, then drop every edge that
+        points back at this VM, so a finished VM is freed by reference
+        counting as soon as its last holder lets go (see "Run memory
+        lifetime" in docs/architecture.md).  What post-run reads use --
+        tracer, metrics, stats, clocks, heap, tasks, processes -- stays;
+        the VM is inspect-only afterwards.  Idempotent."""
         self.engine.shutdown()
+        for cluster in self.clusters.values():
+            for slot in cluster.slots:
+                slot.release()
+        for owner in (*self.tasks.values(), *self.controllers.values(),
+                      self.faults, self.checkpointer, self.race_detector):
+            if owner is not None:
+                owner.vm = None
 
     def __enter__(self) -> "PiscesVM":
         self.boot()

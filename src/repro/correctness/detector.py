@@ -369,15 +369,21 @@ class RaceDetector:
     # ------------------------------------------------------------ access --
 
     def common_monitor(self, task):
-        """The per-task callback wired into tracked SHARED COMMON arrays."""
+        """The per-task callback wired into tracked SHARED COMMON arrays.
+
+        It closes over the taskid, not the task: the task owns the
+        arrays that hold the callback, so capturing the task would
+        make a reference cycle."""
+        tid = task.tid
+
         def monitor(label: Tuple[str, str], bounds: Bounds,
                     is_write: bool) -> None:
-            self.on_common_access(task, label[0], label[1], bounds, is_write)
+            self.on_common_access(tid, label[0], label[1], bounds, is_write)
         return monitor
 
-    def on_common_access(self, task, block: str, var: str, bounds: Bounds,
+    def on_common_access(self, tid, block: str, var: str, bounds: Bounds,
                          is_write: bool) -> None:
-        key = ("C", task.tid, block, var)
+        key = ("C", tid, block, var)
         self._record(key, f"{block}.{var}", "shared_common", bounds, is_write)
 
     def on_window_access(self, w, is_write: bool) -> None:

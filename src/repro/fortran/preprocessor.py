@@ -518,7 +518,7 @@ def preprocess(source: str) -> PiscesFortranProgram:
     code = compile(python_source, "<pisces-fortran>", "exec")
     exec(code, namespace)  # noqa: S102 - the code was generated just above
     registry = TaskRegistry()
-    namespace["_register"](registry)
+    namespace.pop("_register")(registry)
     return PiscesFortranProgram(fortran_source=source,
                                 python_source=python_source,
                                 registry=registry, program=program)

@@ -766,7 +766,12 @@ class Engine:
             if p.exc is not None:
                 exc, p.exc = p.exc, None
                 self.shutdown()
-                raise exc
+                try:
+                    raise exc
+                finally:
+                    # The traceback holds this frame: a live ``exc``
+                    # local would make the two a reference cycle.
+                    del exc
             if idle is not None:
                 idle()
         return True
@@ -849,6 +854,14 @@ class Engine:
             if t.is_alive():
                 leaked.append(p.name)
         self.leaked_threads = sorted(set(stuck) | set(leaked))
+        # A reaped process keeps its scheduling record for post-run
+        # reads but drops its body: the target, generator and exit hook
+        # are closures over the VM, and with the pumps and idle hook
+        # they are what ties a finished run into reference cycles.
+        for p in self._procs.values():
+            if not p.live:
+                p.target = p.gen = p.on_exit = None
+        self._fault_pump = self._ckpt_pump = self.on_idle_check = None
         if self.leaked_threads:
             warnings.warn(
                 f"engine shutdown leaked {len(self.leaked_threads)} "

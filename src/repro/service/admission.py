@@ -82,6 +82,11 @@ class AdmissionScheduler:
             c = self._cost_cache[rec.run_id] = catalog.pe_cost(rec.spec)
         return c
 
+    def seed_cost(self, run_id: str, pes: int) -> None:
+        """Cache the cost of a run whose plan the caller already built,
+        so only runs recovered at boot build a plan to be priced."""
+        self._cost_cache[run_id] = pes
+
     # ----------------------------------------------------------- submit --
 
     def check_submit(self, tenant: str) -> None:

@@ -117,9 +117,10 @@ class RunService:
                 f" max 64 chars)")
         if not isinstance(spec, RunSpec):
             spec = RunSpec.from_dict(spec)
-        catalog.build(spec)               # reject unbuildable specs now
+        plan = catalog.build(spec)        # reject unbuildable specs now
         self.admission.check_submit(tenant)           # QuotaExceeded -> 429
         rec = self.store.create(tenant, spec)
+        self.admission.seed_cost(rec.run_id, len(plan.config.used_pes()))
         with self._cv:
             self._cv.notify_all()
         return rec

@@ -140,9 +140,9 @@ _RUN_DIR = re.compile(r"r([0-9]{1,18})")
 _Summary = Tuple[int, str, str]
 
 
-def _read_record(path: Path) -> RunRecord:
+def _read_record(path: str) -> RunRecord:
     # One binary read: finished runs are read back on every query.
-    with path.open("rb") as f:
+    with open(path, "rb") as f:
         return RunRecord.from_dict(json.loads(f.read()))
 
 
@@ -163,6 +163,7 @@ class RunStore:
         self.root = Path(root)
         self.runs_dir = self.root / "runs"
         self.runs_dir.mkdir(parents=True, exist_ok=True)
+        self._runs_path = os.fspath(self.runs_dir)
         self._lock = threading.RLock()
         #: Every run's summary, in seq order.
         self._index: Dict[str, _Summary] = {}
@@ -179,6 +180,10 @@ class RunStore:
     def record_path(self, run_id: str) -> Path:
         return self.run_dir(run_id) / "record.json"
 
+    def _record_file(self, run_id: str) -> str:
+        # A string join: boot and every finished-run query build one.
+        return f"{self._runs_path}{os.sep}{run_id}{os.sep}record.json"
+
     def checkpoint_dir(self, run_id: str) -> Path:
         return self.run_dir(run_id) / "checkpoints"
 
@@ -188,7 +193,7 @@ class RunStore:
     # ------------------------------------------------------------- boot --
 
     def _load_all(self) -> None:
-        with os.scandir(self.runs_dir) as entries:
+        with os.scandir(self._runs_path) as entries:
             names = sorted(e.name for e in entries)
         index: Dict[str, _Summary] = {}
         live: Dict[str, RunRecord] = {}
@@ -197,7 +202,7 @@ class RunStore:
             if m:
                 self._next_seq = max(self._next_seq, int(m.group(1)) + 1)
             try:
-                rec = _read_record(self.runs_dir / name / "record.json")
+                rec = _read_record(self._record_file(name))
             except _UNREADABLE:
                 continue      # torn tmp leftovers etc.: not a record
             index[rec.run_id] = _summary(rec)
@@ -289,7 +294,7 @@ class RunStore:
                 return rec
             self._known(run_id)
             try:
-                return _read_record(self.record_path(run_id))
+                return _read_record(self._record_file(run_id))
             except _UNREADABLE as e:
                 raise UnknownRun(
                     f"run {run_id!r}: record unreadable ({e})") from None
@@ -318,7 +323,7 @@ class RunStore:
                 rec = self._live.get(run_id)
                 if rec is None:
                     try:
-                        rec = _read_record(self.record_path(run_id))
+                        rec = _read_record(self._record_file(run_id))
                     except _UNREADABLE:
                         continue
                 recs.append(rec)

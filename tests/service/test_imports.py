@@ -22,6 +22,9 @@ LIBRARY_MUST_NOT_LOAD = (
     "repro.service.rest", "repro.service.client",
 )
 SERVER_MUST_NOT_LOAD = ("urllib.request", "repro.service.client")
+#: A matmul run draws its inputs from the stdlib generator; numpy's
+#: would load ``numpy.random`` and, through it, the hashing modules.
+MATMUL_MUST_NOT_LOAD = ("numpy.random", "secrets", "hashlib")
 #: ``repro.service.__all__`` as it stood when the HTTP names went lazy.
 PUBLIC_NAMES = (
     "ADMITTED", "APPS", "AdmissionScheduler", "AppPlan", "DEFAULT_QUOTA",
@@ -48,6 +51,16 @@ def loaded_after(code, modules):
 def test_library_path_loads_no_http_or_fortran():
     code = "import repro.api\nfrom repro.service import catalog, spec"
     assert loaded_after(code, LIBRARY_MUST_NOT_LOAD) == []
+
+
+def test_matmul_run_loads_no_numpy_random():
+    code = ("import repro.api\n"
+            "from repro.service import catalog, spec\n"
+            "plan = catalog.build(spec.RunSpec.from_dict({'app': 'matmul'}))\n"
+            "vm = repro.api.make_vm(config=plan.config, "
+            "registry=plan.registry)\n"
+            "vm.run(plan.tasktype, *plan.args)")
+    assert loaded_after(code, MATMUL_MUST_NOT_LOAD) == []
 
 
 def test_server_entry_point_loads_no_http_client():

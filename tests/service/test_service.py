@@ -155,7 +155,8 @@ class TestRecovery:
 
 
 class TestPlanBuilds:
-    """``execute_run`` builds the catalog plan once per execution."""
+    """``execute_run`` builds the catalog plan once per execution, and
+    a submitted run is priced from the plan its validation built."""
 
     CKPT = {"app": "spin", "params": {"rounds": 200, "ticks_per_round": 50},
             "checkpoint_every": 2_000}
@@ -206,6 +207,33 @@ class TestPlanBuilds:
         assert final.state == DONE and final.exit["resumed_from"]
         assert final.exit["elapsed_ticks"] == uninterrupted
         assert calls == [rec.spec]
+
+
+    def test_submitted_run_builds_twice(self, tmp_path, monkeypatch):
+        calls = self.count_builds(monkeypatch)
+        svc = RunService(tmp_path / "s", n_workers=1)
+        try:
+            rec = svc.submit("alice", QUICK)
+            assert len(calls) == 1            # validation at submit
+            svc.start()
+            wait_state(svc, rec.run_id, DONE)
+        finally:
+            svc.stop()
+        assert calls == [rec.spec, rec.spec]  # + one execution
+
+    def test_recovered_run_is_priced_by_a_build(self, tmp_path,
+                                                monkeypatch):
+        root = tmp_path / "s"
+        store = RunStore(root)
+        rec = store.create("alice", RunSpec.from_dict(QUICK))
+        store.transition(rec.run_id, ADMITTED)
+        calls = self.count_builds(monkeypatch)
+        svc = RunService(root, n_workers=1).start()
+        try:
+            wait_state(svc, rec.run_id, DONE)
+        finally:
+            svc.stop()
+        assert calls == [rec.spec, rec.spec]  # pricing + one execution
 
 
 class TestLiveQueries:
