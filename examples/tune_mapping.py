@@ -6,14 +6,15 @@ system, the program can be 'performance tuned' to some degree by
 control of the mapping of virtual machine to hardware."  This example
 automates that loop for a force program: sweep the number of secondary
 (force) PEs, report the elapsed-time curve, then show *why* with the
-per-PE occupancy chart from recorded engine slices.
+per-PE occupancy chart from the causal profiler's slice record.
 
 Run:  python examples/tune_mapping.py
 """
 
 from repro import TaskRegistry, api
-from repro.analysis import force_size_sweep, idle_report, pe_gantt
+from repro.analysis import force_size_sweep
 from repro.flex.presets import nasa_langley_flex32
+from repro.obs.profile import idle_report, pe_gantt
 
 reg = TaskRegistry()
 
@@ -38,15 +39,15 @@ def main():
           f"({result.best.elapsed} ticks)")
     print(result.best.configuration.describe())
 
-    # Re-run the best mapping with slice recording to see PE occupancy.
+    # Re-run the best mapping under the profiler to see PE occupancy.
     print("\nPE occupancy under the best mapping:")
     vm = api.make_vm(config=result.best.configuration, registry=reg,
                      machine=nasa_langley_flex32())
-    vm.engine.record_slices = True
+    prof = vm.enable_profiling()
     api.run_app("KERNEL", vm=vm)
-    print(pe_gantt(vm.engine.slices, width=64))
+    print(pe_gantt(prof, width=64))
     print("\nidle analysis (PE, utilization, largest gap):")
-    for pe, util, gap in idle_report(vm.engine.slices):
+    for pe, util, gap in idle_report(prof):
         print(f"  PE {pe:>2}: {100 * util:5.1f}% busy, "
               f"largest idle gap {gap} ticks")
 

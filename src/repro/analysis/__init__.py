@@ -10,7 +10,6 @@ from .metrics import (
     traffic_matrix,
     traffic_table,
 )
-from .pe_timeline import PEActivity, activities, idle_report, pe_gantt
 from .report import run_report
 from .tuning import TuningResult, TuningTrial, force_size_sweep, sweep
 from .storage import (
@@ -20,25 +19,17 @@ from .storage import (
     measure,
     storage_table,
 )
-from .timeline import MessageEdge, TaskSpan, Timeline
 
 __all__ = [
-    "MessageEdge",
-    "PEActivity",
     "TuningResult",
     "TuningTrial",
-    "activities",
     "force_size_sweep",
-    "idle_report",
-    "pe_gantt",
     "sweep",
     "PAPER_LOCAL_BOUND",
     "PAPER_SHARED_TABLE_BOUND",
     "RunMetrics",
     "ScalingPoint",
     "StorageMeasurement",
-    "TaskSpan",
-    "Timeline",
     "collect_metrics",
     "load_balance",
     "lock_contention",

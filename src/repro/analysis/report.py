@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core.vm import PiscesVM
+from ..obs.profile import pe_gantt, profile_report
+from ..obs.spans import derive_spans, task_gantt
 from .metrics import collect_metrics, traffic_table
-from .pe_timeline import pe_gantt
 from .storage import measure, storage_table
-from .timeline import Timeline
 
 
 def run_report(vm: PiscesVM, gantt_width: int = 64,
@@ -17,8 +15,8 @@ def run_report(vm: PiscesVM, gantt_width: int = 64,
 
     Includes whatever the run recorded: metrics and storage always; a
     by-tasktype traffic matrix when MSG_SEND tracing was on; a per-task
-    gantt when any tracing was on; a per-PE occupancy chart when
-    ``vm.engine.record_slices`` was set.
+    gantt when any tracing was on; a per-PE occupancy chart and the
+    causal profile when the run was profiled.
     """
     parts = [collect_metrics(vm).table()]
     parts.append("")
@@ -27,21 +25,24 @@ def run_report(vm: PiscesVM, gantt_width: int = 64,
     if "no MSG_SEND" not in traffic:
         parts.append("")
         parts.append(traffic)
-    if include_gantt and vm.tracer.events:
-        tl = Timeline.from_events(vm.tracer.events)
+    events = vm.tracer.events
+    if include_gantt and events:
         parts.append("")
-        parts.append(tl.gantt(width=gantt_width))
-    if vm.engine.slices:
+        parts.append(task_gantt(derive_spans(events),
+                                horizon=max(e.ticks for e in events),
+                                width=gantt_width))
+    prof = vm.profiler
+    profiled = prof is not None and bool(prof.slices())
+    if profiled:
         parts.append("")
-        parts.append(pe_gantt(vm.engine.slices, width=gantt_width))
+        parts.append(pe_gantt(prof, width=gantt_width))
     if vm.metrics.families():
         parts.append("")
         parts.append(vm.metrics.snapshot_text())
     if vm.race_detector is not None:
         parts.append("")
         parts.append(vm.race_detector.report_text())
-    if vm.profiler is not None and vm.profiler.slices():
-        from ..obs.profile import profile_report
+    if profiled:
         parts.append("")
-        parts.append(profile_report(vm.profiler))
+        parts.append(profile_report(prof))
     return "\n".join(parts)

@@ -4,8 +4,10 @@ Eight event types can be traced; each trace line carries the event type,
 the taskid of the relevant task(s), a clock reading ("PE number and
 'ticks' count"), and event-specific information.  Tracing may be turned
 on and off per event type and per task; output goes to the screen
-(a callback sink) and/or to a file for off-line timing analysis
-(:mod:`repro.analysis`).
+(a callback sink) and/or to a file for off-line timing analysis:
+:meth:`TraceEvent.parse` reads a line back, and
+:func:`repro.obs.spans.derive_spans` pairs the events into task,
+message and critical-section intervals.
 """
 
 from __future__ import annotations

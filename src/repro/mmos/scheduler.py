@@ -135,11 +135,6 @@ class Engine:
         #: reconstructs.  A checkpointer is a pure observer (zero
         #: virtual time).
         self._ckpt_pump: Optional[Callable[["Engine"], None]] = None
-        #: When True, every executed slice is appended to ``slices`` as
-        #: (pe, start, end, process name) -- the raw material for the
-        #: per-PE timeline in :mod:`repro.analysis`.
-        self.record_slices = False
-        self.slices: List[tuple] = []
         #: Hook invoked (from the engine thread, between slices) after
         #: every dispatch; the execution-environment monitor uses it.
         self.on_idle_check: Optional[Callable[[], None]] = None
@@ -151,7 +146,8 @@ class Engine:
         #: charge ticks or change scheduling state.
         self.hb_hook: Optional[Any] = None
         #: Causal-profiler hook (see :mod:`repro.obs.profile`), or None.
-        #: Called on spawn, wake, kill and once per completed slice;
+        #: Called on spawn, wake, kill and once per completed slice (its
+        #: slice stream also feeds the per-PE occupancy views);
         #: like the other hooks it is a pure observer -- it never
         #: charges ticks and never changes scheduling state.
         self.prof_hook: Optional[Any] = None
@@ -254,8 +250,6 @@ class Engine:
         """Account the final slice and mark ``p`` DONE."""
         cost = p.pending_cost
         end = p.clock.run(p.slice_start, cost)
-        if self.record_slices and cost > 0:
-            self.slices.append((p.pe, end - cost, end, p.name))
         p.pending_cost = 0
         p.ready_time = end
         p.state = ProcState.DONE
@@ -271,8 +265,6 @@ class Engine:
         """
         cost = p.pending_cost
         end = p.clock.run(p.slice_start, cost)
-        if self.record_slices and cost > 0:
-            self.slices.append((p.pe, end - cost, end, p.name))
         m = self.metrics
         if m is not None and m.enabled and cost > 0:
             m.histogram("slice_ticks", pe=p.pe).observe(cost)

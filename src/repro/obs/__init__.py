@@ -27,6 +27,7 @@ from .spans import (
     Span,
     derive_spans,
     span_summary,
+    task_gantt,
 )
 from .export import (
     chrome_trace_events,
@@ -44,6 +45,8 @@ from .profile import (
     CausalProfiler,
     CriticalPath,
     extract_critical_path,
+    idle_report,
+    pe_gantt,
     profile_report,
     write_profile,
 )
@@ -68,10 +71,13 @@ __all__ = [
     "event_to_dict",
     "export_run",
     "extract_critical_path",
+    "idle_report",
     "load_chrome_trace",
+    "pe_gantt",
     "profile_report",
     "read_jsonl",
     "span_summary",
+    "task_gantt",
     "write_chrome_trace",
     "write_jsonl",
     "write_metrics_snapshot",

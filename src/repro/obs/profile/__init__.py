@@ -7,6 +7,7 @@ through :func:`repro.api.profile_run`; the pieces compose directly too:
     prof = vm.enable_profiling()
     result = vm.run(MAIN)
     print(profile_report(prof))
+    print(pe_gantt(prof))            # per-PE occupancy
     cp = extract_critical_path(prof)
     write_profile(prof, "out/", critical_path=cp)
 """
@@ -29,6 +30,8 @@ from .profiler import (
     WAIT_FAULT,
     WAIT_LOCK,
     WAIT_WINDOW,
+    idle_report,
+    pe_gantt,
     profile_report,
     wait_category,
 )
@@ -50,6 +53,8 @@ __all__ = [
     "chrome_profile_trace",
     "extract_critical_path",
     "folded_stacks",
+    "idle_report",
+    "pe_gantt",
     "profile_report",
     "wait_category",
     "write_profile",

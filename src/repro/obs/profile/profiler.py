@@ -403,6 +403,53 @@ def _sparkline(row: Iterable[float]) -> str:
     return "".join(out)
 
 
+def _occupancy(prof: CausalProfiler,
+               ) -> Tuple[int, Dict[int, Tuple[float, List[Tuple[int, int]]]]]:
+    """(horizon, PE -> (utilization, busy intervals)) over the slices
+    that charged ticks -- the per-PE view a user tuning a mapping
+    (section 9) wants: *which PEs sit idle?*"""
+    horizon = prof.elapsed()
+    busy = prof.accounting().busy_by_pe
+    spans: Dict[int, List[Tuple[int, int]]] = {}
+    for s in prof.slices():
+        if s.end > s.start:
+            spans.setdefault(s.pe, []).append((s.start, s.end))
+    return horizon, {pe: (busy[pe] / horizon, spans[pe])
+                     for pe in sorted(spans)}
+
+
+def pe_gantt(prof: CausalProfiler, width: int = 72) -> str:
+    """ASCII PE-occupancy chart: one row per PE, '#' where busy."""
+    horizon, by_pe = _occupancy(prof)
+    if not by_pe:
+        return "(no slices recorded; enable profiling before the run)"
+    lines = [f"virtual time 0 .. {horizon} ticks "
+             f"({max(1, horizon // width)} ticks/char)"]
+    for pe, (util, spans) in by_pe.items():
+        row = [" "] * width
+        for start, end in spans:
+            a = min(width - 1, start * width // horizon)
+            b = min(width - 1, max(a, (end - 1) * width // horizon))
+            row[a:b + 1] = "#" * (b - a + 1)
+        lines.append(f"PE {pe:>2} ({100 * util:5.1f}%) |{''.join(row)}|")
+    return "\n".join(lines)
+
+
+def idle_report(prof: CausalProfiler) -> List[Tuple[int, float, int]]:
+    """(pe, utilization, largest idle gap) per PE -- the tuning signal.
+    A gap is the longest interval with no work on the PE, counting the
+    stretches before its first and after its last slice."""
+    horizon, by_pe = _occupancy(prof)
+    rows = []
+    for pe, (util, spans) in by_pe.items():
+        gap = pos = 0
+        for start, end in sorted(spans):
+            gap = max(gap, start - pos)
+            pos = max(pos, end)
+        rows.append((pe, util, max(gap, horizon - pos)))
+    return rows
+
+
 def profile_report(prof: CausalProfiler, elapsed: Optional[int] = None,
                    n_pes: Optional[int] = None, top: int = 5) -> str:
     """The monitor/report text panel: wait states, per-PE utilization

@@ -12,6 +12,7 @@ the Chrome trace exporter) wants *intervals*:
 Events whose closing partner never appears (a task still running at
 shutdown, a message never accepted, a lock held at kill) yield *open*
 spans with ``end=None``; exporters may drop or clamp them.
+:func:`task_gantt` renders the closed task lifetimes as an ASCII chart.
 """
 
 from __future__ import annotations
@@ -156,3 +157,26 @@ def span_summary(spans: Iterable[Span]) -> Dict[str, Dict[str, int]]:
         else:
             d["open"] += 1
     return out
+
+
+def task_gantt(spans: Iterable[Span], horizon: int, width: int = 72) -> str:
+    """ASCII gantt of closed task lifetimes over virtual time.
+
+    ``horizon`` is the last tick in the trace (the largest event
+    ``ticks``), which lies past the last TASK_TERM: a task's
+    ``@TERMINATED`` notice to its controller is traced after it.
+    """
+    tasks = sorted((s for s in spans if s.cat == CAT_TASK and s.closed),
+                   key=lambda s: (s.start, s.task))
+    if not tasks:
+        return "(no completed task spans in trace)"
+    horizon = max(1, horizon)
+    lines = [f"virtual time 0 .. {horizon} ticks "
+             f"({horizon / width:.0f} ticks/char)"]
+    for s in tasks:
+        a = min(width - 1, s.start * width // horizon)
+        b = min(width - 1, max(a, s.end * width // horizon))
+        bar = " " * a + "#" * (b - a + 1)
+        label = f"{s.task} {s.name}"[:24]
+        lines.append(f"{label:<24} |{bar.ljust(width)}|")
+    return "\n".join(lines)

@@ -1,8 +1,12 @@
-"""Unit tests: per-PE timelines from recorded engine slices."""
+"""Unit tests: per-PE occupancy views over the causal profiler's
+slice stream."""
 
 import pytest
 
-from repro.analysis.pe_timeline import activities, idle_report, pe_gantt
+from repro.flex.presets import small_flex
+from repro.mmos.process import co_charge
+from repro.mmos.scheduler import Engine
+from repro.obs.profile import CausalProfiler, idle_report, pe_gantt
 
 
 SLICES = [
@@ -12,31 +16,51 @@ SLICES = [
 ]
 
 
+def profiled(slices):
+    """A profiler that watched one process per (pe, start, end, name)
+    slice: released at ``start``, charging ``end - start`` ticks."""
+    eng = Engine(small_flex(8))
+    prof = eng.prof_hook = CausalProfiler()
+
+    def body(ticks):
+        def run():
+            yield co_charge(ticks)
+        return run
+
+    for pe, start, end, name in slices:
+        eng.spawn(name, pe, body(end - start), start_time=start)
+    eng.run()
+    eng.shutdown()
+    assert sorted((s.pe, s.start, s.end, s.name)
+                  for s in prof.slices()) == sorted(slices)
+    return prof
+
+
 class TestActivities:
     def test_busy_and_utilization(self):
-        acts = activities(SLICES)
-        assert acts[3].busy == 150
-        assert acts[4].busy == 200
-        assert acts[4].utilization == pytest.approx(1.0)
-        assert acts[3].utilization == pytest.approx(0.75)
+        prof = profiled(SLICES)
+        assert prof.accounting().busy_by_pe == {3: 150, 4: 200}
+        rows = {pe: u for pe, u, _ in idle_report(prof)}
+        assert rows[4] == pytest.approx(1.0)
+        assert rows[3] == pytest.approx(0.75)
 
     def test_largest_gap(self):
-        acts = activities(SLICES)
-        assert acts[3].largest_gap() == 50
-        assert acts[4].largest_gap() == 0
+        gaps = {pe: g for pe, _, g in idle_report(profiled(SLICES))}
+        assert gaps[3] == 50
+        assert gaps[4] == 0
 
     def test_idle_report_rows(self):
-        rows = idle_report(SLICES)
+        rows = idle_report(profiled(SLICES))
         assert [r[0] for r in rows] == [3, 4]
 
     def test_empty(self):
-        assert activities([]) == {}
-        assert "no slices recorded" in pe_gantt([])
+        assert idle_report(CausalProfiler()) == []
+        assert "no slices recorded" in pe_gantt(CausalProfiler())
 
 
 class TestGantt:
     def test_renders_rows_per_pe(self):
-        g = pe_gantt(SLICES, width=40)
+        g = pe_gantt(profiled(SLICES), width=40)
         assert "PE  3" in g and "PE  4" in g
         assert g.count("#") > 0
 
@@ -55,12 +79,12 @@ class TestGantt:
             ctx.accept("DONE", count=2)
 
         vm = make_vm(registry=registry)
-        vm.engine.record_slices = True
+        prof = vm.enable_profiling()
         vm.run("MAIN")
-        pes = {s[0] for s in vm.engine.slices}
+        pes = {s.pe for s in prof.slices() if s.end > s.start}
         assert {3, 4} <= pes
-        g = pe_gantt(vm.engine.slices)
+        g = pe_gantt(prof)
         assert "PE  3" in g
         # both worker PEs show real utilization
-        rows = {pe: u for pe, u, _ in idle_report(vm.engine.slices)}
+        rows = {pe: u for pe, u, _ in idle_report(prof)}
         assert rows[4] > 0

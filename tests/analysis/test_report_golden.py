@@ -15,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import pe_gantt, run_report
-from repro.analysis.timeline import Timeline
+from repro.analysis import run_report
 from repro.core.vm import PiscesVM
+from repro.obs.profile import pe_gantt
+from repro.obs.spans import derive_spans, task_gantt
 from repro.service import catalog
 from repro.service.executor import _ALL_TRACE_EVENTS
 from repro.service.spec import RunSpec
@@ -31,14 +32,15 @@ def render():
     config = replace(plan.config, trace_events=_ALL_TRACE_EVENTS,
                      metrics_enabled=True)
     vm = PiscesVM(config, registry=plan.registry)
-    vm.engine.record_slices = True
-    vm.enable_profiling()
+    prof = vm.enable_profiling()
     try:
         vm.run(plan.tasktype, *plan.args, shutdown=False)
+        events = vm.tracer.events
         return {
             "run_report": run_report(vm),
-            "task_gantt": Timeline.from_events(vm.tracer.events).gantt(),
-            "pe_gantt": pe_gantt(vm.engine.slices),
+            "task_gantt": task_gantt(derive_spans(events),
+                                     horizon=max(e.ticks for e in events)),
+            "pe_gantt": pe_gantt(prof),
         }
     finally:
         vm.shutdown()

@@ -70,7 +70,7 @@ class TestEnrichedReport:
             ctx.compute(200)
 
         nasa_vm.tracer.enable_all()
-        nasa_vm.engine.record_slices = True
+        nasa_vm.enable_profiling()
         nasa_vm.run("MAIN", shutdown=False)
         rep = run_report(nasa_vm)
         assert "MESSAGE TRAFFIC" in rep

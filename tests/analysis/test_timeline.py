@@ -1,11 +1,13 @@
-"""Unit tests: off-line timeline reconstruction and rendering."""
+"""Unit tests: off-line task timelines from trace spans, and the task
+gantt renderer."""
 
 import io
 
 import pytest
 
-from repro.analysis.timeline import Timeline
 from repro.core.taskid import PARENT, SAME
+from repro.core.tracing import TraceEvent
+from repro.obs.spans import CAT_MESSAGE, CAT_TASK, derive_spans, task_gantt
 
 
 @pytest.fixture
@@ -27,46 +29,54 @@ def traced_run(make_vm, registry):
     return vm
 
 
+def task_spans(events):
+    return [s for s in derive_spans(events) if s.cat == CAT_TASK]
+
+
+def gantt(events, width=72):
+    return task_gantt(derive_spans(events),
+                      horizon=max(e.ticks for e in events), width=width)
+
+
 class TestReconstruction:
     def test_spans_have_start_end_and_type(self, traced_run):
-        tl = Timeline.from_events(traced_run.tracer.events)
-        spans = tl.completed_spans()
+        spans = task_spans(traced_run.tracer.events)
         assert len(spans) == 4    # MAIN + 3 children
         for s in spans:
             assert s.end > s.start >= 0
-        types = sorted(s.tasktype for s in spans)
+        types = sorted(s.name for s in spans)
         assert types == ["CHILD", "CHILD", "CHILD", "MAIN"]
 
     def test_counters_accumulate(self, traced_run):
-        tl = Timeline.from_events(traced_run.tracer.events)
-        main = [s for s in tl.spans.values() if s.tasktype == "MAIN"][0]
-        assert main.accepts == 3
-        child = [s for s in tl.spans.values() if s.tasktype == "CHILD"][0]
-        assert child.sends >= 1
+        spans = derive_spans(traced_run.tracer.events)
+        tasks = {s.name: s.task for s in spans if s.cat == CAT_TASK}
+        msgs = [s for s in spans if s.cat == CAT_MESSAGE]
+        assert sum(dict(s.args)["to"] == tasks["MAIN"] for s in msgs) == 3
+        assert sum(s.task == tasks["CHILD"] for s in msgs) >= 1
 
     def test_message_edges_extracted(self, traced_run):
-        tl = Timeline.from_events(traced_run.tracer.events)
-        done_edges = [e for e in tl.edges if e.mtype == "DONE"]
-        assert len(done_edges) == 3
+        done = [s for s in derive_spans(traced_run.tracer.events)
+                if s.cat == CAT_MESSAGE and s.name == "DONE"]
+        assert len(done) == 3
 
     def test_file_roundtrip(self, traced_run):
         buf = io.StringIO()
         for e in traced_run.tracer.events:
             buf.write(e.line() + "\n")
         buf.seek(0)
-        tl = Timeline.from_file(buf)
-        assert len(tl.completed_spans()) == 4
+        events = [TraceEvent.parse(line) for line in buf if line.strip()]
+        assert len(task_spans(events)) == 4
+        assert gantt(events) == gantt(traced_run.tracer.events)
 
     def test_gantt_renders_all_tasks(self, traced_run):
-        tl = Timeline.from_events(traced_run.tracer.events)
-        g = tl.gantt(width=40)
+        g = gantt(traced_run.tracer.events, width=40)
         assert g.count("#") > 0
         assert "MAIN" in g and "CHILD" in g
 
     def test_gantt_empty_trace(self):
-        assert "no completed task spans" in Timeline().gantt()
+        assert "no completed task spans" in task_gantt([], horizon=0)
 
-    def test_concurrency_profile_peaks_during_children(self, traced_run):
-        tl = Timeline.from_events(traced_run.tracer.events)
-        prof = tl.concurrency_profile(buckets=20)
-        assert max(prof) >= 2
+    def test_children_overlap_in_time(self, traced_run):
+        spans = task_spans(traced_run.tracer.events)
+        assert any(a.start < b.end and b.start < a.end
+                   for a in spans for b in spans if a is not b)

@@ -19,10 +19,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis import pe_gantt
 from repro.api import _ALL_TRACE_EVENTS
 from repro.core.vm import PiscesVM
 from repro.obs.export import export_run, run_manifest
+from repro.obs.profile import pe_gantt
 from repro.service import catalog, executor
 from repro.service.executor import standalone_run
 from repro.service.spec import RunSpec
@@ -118,7 +118,7 @@ def test_vm_is_inspectable_after_shutdown_and_freed_on_release(tmp_path):
                      metrics_enabled=True)
     with gc_off():
         vm = PiscesVM(config, registry=plan.registry)
-        vm.engine.record_slices = True
+        prof = vm.enable_profiling()
         result = vm.run(plan.tasktype, *plan.args)
         assert vm.engine.shutting_down
 
@@ -127,7 +127,7 @@ def test_vm_is_inspectable_after_shutdown_and_freed_on_release(tmp_path):
         assert run_manifest(vm)["config"]
         report = vm.storage_report()
         assert report["shared_common_bytes"] == 0
-        assert "PE" in pe_gantt(vm.engine.slices)
+        assert "PE" in pe_gantt(prof)
         assert result.elapsed == vm.machine.elapsed() > 0
 
         ref = weakref.ref(vm)

@@ -147,7 +147,8 @@ class TestTracedTimingAnalysis:
     def test_trace_to_file_then_offline_analysis(self, make_vm, registry,
                                                  tmp_path):
         """Section 12's workflow: trace to a file, analyze off-line."""
-        from repro.analysis.timeline import Timeline
+        from repro.core.tracing import TraceEvent
+        from repro.obs.spans import CAT_TASK, derive_spans
 
         @registry.tasktype("WORKER")
         def worker(ctx, k):
@@ -167,10 +168,10 @@ class TestTracedTimingAnalysis:
             vm.tracer.to_file(f)
             vm.run("MAIN")
         with open(trace_path) as f:
-            tl = Timeline.from_file(f)
-        spans = tl.completed_spans()
+            events = [TraceEvent.parse(line) for line in f if line.strip()]
+        spans = [s for s in derive_spans(events) if s.cat == CAT_TASK]
         assert len(spans) == 3
-        workers = [s for s in spans if s.tasktype == "WORKER"]
+        workers = [s for s in spans if s.name == "WORKER"]
         # both workers overlap with each other (parallel clusters)
         a, b = workers
         assert a.start < b.end and b.start < a.end

@@ -28,6 +28,7 @@ from repro.mmos.process import (
     drive_kernel_ops,
 )
 from repro.mmos.scheduler import Engine
+from repro.obs.profile import CausalProfiler
 from tests.bodies import BOTH_VEHICLES
 
 
@@ -238,7 +239,7 @@ class TestKillSemantics:
 class TestDeterminismParity:
     def _mixed_run(self, bodies):
         eng = make_engine(bodies)
-        eng.record_slices = True
+        prof = eng.prof_hook = CausalProfiler()
         order = []
 
         def gen_body(tag, rounds):
@@ -261,7 +262,8 @@ class TestDeterminismParity:
             eng.spawn(f"g{k}", 3 + (k % 4), gen_body(f"g{k}", 5))
             eng.spawn(f"f{k}", 3 + (k % 4), fn_body(f"f{k}", 5))
         eng.run()
-        out = (order, list(eng.slices), eng.machine.clocks.snapshot(),
+        slices = [(s.pe, s.start, s.end, s.name) for s in prof.slices()]
+        out = (order, slices, eng.machine.clocks.snapshot(),
                eng.dispatch_count)
         eng.shutdown()
         return out

@@ -1,5 +1,6 @@
-"""Unit tests: engine on_exit hooks, slice recording, step horizon,
-dispatcher selection and shutdown leak reporting."""
+"""Unit tests: engine on_exit hooks, slice recording through the
+profiler hook, step horizon, dispatcher selection and shutdown leak
+reporting."""
 
 import threading
 
@@ -10,6 +11,7 @@ from repro.errors import ProcessKilled, ScheduleFormatError
 from repro.flex.presets import small_flex
 from repro.mmos.process import ProcState, co_block, co_charge
 from repro.mmos.scheduler import Engine
+from repro.obs.profile import CausalProfiler
 
 
 def make_engine(**kw):
@@ -68,10 +70,16 @@ class TestOnExit:
             eng.run()
 
 
+def work_slices(prof):
+    """The profiler's (pe, start, end, name) slices that charged ticks."""
+    return [(s.pe, s.start, s.end, s.name)
+            for s in prof.slices() if s.end > s.start]
+
+
 class TestSliceRecording:
     def test_slices_cover_charged_work_exactly(self):
         eng = make_engine()
-        eng.record_slices = True
+        prof = eng.prof_hook = CausalProfiler()
 
         def body():
             eng.charge(100)
@@ -80,13 +88,13 @@ class TestSliceRecording:
 
         eng.spawn("t", 3, body)
         eng.run()
-        total = sum(end - start for _, start, end, _ in eng.slices)
+        total = sum(end - start for _, start, end, _ in work_slices(prof))
         assert total == 150
         assert total == eng.machine.clocks[3].busy_ticks
 
     def test_slices_do_not_overlap_per_pe(self):
         eng = make_engine()
-        eng.record_slices = True
+        prof = eng.prof_hook = CausalProfiler()
 
         def body():
             for _ in range(5):
@@ -96,28 +104,22 @@ class TestSliceRecording:
         eng.spawn("a", 3, body)
         eng.spawn("b", 3, body)
         eng.run()
-        pe3 = sorted((s, e) for pe, s, e, _ in eng.slices if pe == 3)
+        pe3 = sorted((s, e) for pe, s, e, _ in work_slices(prof) if pe == 3)
         for (s1, e1), (s2, e2) in zip(pe3, pe3[1:]):
             assert e1 <= s2
 
     def test_no_ghost_slices_after_shutdown(self):
         eng = make_engine()
-        eng.record_slices = True
+        prof = eng.prof_hook = CausalProfiler()
         eng.spawn("stuck", 3, lambda: eng.block("zzz"), daemon=True)
         eng.spawn("t", 4, lambda: eng.charge(30))
         eng.run()
+        before = prof.slices()
         eng.shutdown()
-        # the killed daemon contributed no bogus slice
-        assert all(name != "stuck" or end - start > 0
-                   for _, start, end, name in eng.slices)
-        total3 = sum(e - s for pe, s, e, _ in eng.slices if pe == 3)
+        # draining the killed daemon recorded no slice
+        assert prof.slices() == before
+        total3 = sum(e - s for pe, s, e, _ in work_slices(prof) if pe == 3)
         assert total3 == eng.machine.clocks[3].busy_ticks
-
-    def test_recording_off_by_default(self):
-        eng = make_engine()
-        eng.spawn("t", 3, lambda: eng.charge(10))
-        eng.run()
-        assert eng.slices == []
 
 
 class TestStepHorizon:

@@ -6,9 +6,10 @@ engines that differ only in how the next process is picked (the
 production two-level heap vs :class:`ScanEngine`, a brute-force O(n)
 oracle kept here and nowhere else) and in the body form (callable
 bodies on worker threads vs coroutine bodies on the engine thread), and
-demands the complete slice trace -- (pe, start, end, name) for every
-slice, in dispatch order -- plus the final PE clock readings and the
-outcome (normal completion or deadlock) be identical.  This is the
+demands the complete slice trace the causal profiler records -- (pe,
+start, end, name) for every slice, zero-cost ones included, in dispatch
+order -- plus the final PE clock readings and the outcome (normal
+completion or deadlock) be identical.  This is the
 stale-free heap's bookkeeping under adversarial interleavings: re-keys
 after PE clock advances, deadline wakeups, wakes that beat deadlines,
 kills of blocked and ready processes.
@@ -20,6 +21,7 @@ from repro.errors import DeadlockError
 from repro.flex.presets import small_flex
 from repro.mmos.process import co_block, co_charge, co_preempt
 from repro.mmos.scheduler import Engine
+from repro.obs.profile import CausalProfiler
 
 
 class ScanEngine(Engine):
@@ -65,7 +67,7 @@ schedule = st.lists(
 
 def run_schedule(engine_cls, procs, coroutine=False):
     eng = engine_cls(small_flex(8))
-    eng.record_slices = True
+    prof = eng.prof_hook = CausalProfiler()
     handles = []
 
     def make_body(ops):
@@ -120,7 +122,7 @@ def run_schedule(engine_cls, procs, coroutine=False):
         eng.run()
     except DeadlockError:
         outcome = "deadlock"
-    trace = list(eng.slices)
+    trace = [(s.pe, s.start, s.end, s.name) for s in prof.slices()]
     clocks = eng.machine.clocks.snapshot()
     dispatches = eng.dispatch_count
     eng.shutdown()
