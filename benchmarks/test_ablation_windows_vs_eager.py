@@ -28,7 +28,8 @@ variant, and writes ``BENCH_windows_dataplane.json`` at the repo root:
   (must be at least 30% faster on the Jacobi tree);
 * determinism: both paths must agree bit-identically in virtual time
   (elapsed ticks and the full trace-event stream) -- the reference
-  path is the oracle.
+  path is the oracle, selected through the ``PiscesVM.window_path``
+  test seam.
 
 ``WINDOWS_BENCH_SMOKE=1`` shrinks the workloads and relaxes the
 wall-clock assertion (CI smoke boxes have noisy clocks).
@@ -38,6 +39,7 @@ import json
 import os
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -189,9 +191,9 @@ def test_windows_vs_eager(benchmark, report):
 
 # ------------------------------------------------------- data plane --
 
-def _tree_config(name, path, traced=False):
+def _tree_config(name, traced=False):
     return Configuration(
-        clusters=(ClusterSpec(1, 3, 8),), name=name, window_path=path,
+        clusters=(ClusterSpec(1, 3, 8),), name=name,
         trace_events=TRACE if traced else ())
 
 
@@ -374,11 +376,12 @@ def build_matmul_tree(n, leaves, rounds):
 
 
 def _run_tree(build, args, path, root="OWNER", traced=False):
-    vm = PiscesVM(_tree_config(f"tree-{path}", path, traced=traced),
-                  registry=build(*args), machine=nasa_langley_flex32())
-    t0 = time.perf_counter()
-    r = vm.run(root)
-    wall = time.perf_counter() - t0
+    with mock.patch.object(PiscesVM, "window_path", path):
+        vm = PiscesVM(_tree_config(f"tree-{path}", traced=traced),
+                      registry=build(*args), machine=nasa_langley_flex32())
+        t0 = time.perf_counter()
+        r = vm.run(root)
+        wall = time.perf_counter() - t0
     trace = [e.line() for e in vm.tracer.events] if traced else None
     return r, wall, trace
 
@@ -443,7 +446,7 @@ def test_jacobi_tree_dataplane(report):
         traces[path] = trace
 
     through = {"bytes": 0}
-    vm = PiscesVM(_tree_config("tree-eager", "fast"),
+    vm = PiscesVM(_tree_config("tree-eager"),
                   registry=build_jacobi_eager(*args, through),
                   machine=nasa_langley_flex32())
     t0 = time.perf_counter()

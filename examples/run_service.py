@@ -79,7 +79,7 @@ def main() -> None:
         for rec in finals:
             print(f"  {rec['run_id']} -> {rec['state']}  "
                   f"elapsed={rec['exit']['elapsed_ticks']} ticks  "
-                  f"bodies={rec['provenance']['task_bodies']}")
+                  f"build={rec['provenance']['repro_version']}")
             assert rec["state"] == "DONE"
 
         print("  usage[alice]:", alice.usage())

@@ -85,8 +85,6 @@ def make_vm(n_clusters: int = 2, slots: int = 4, *,
             metrics: bool = False,
             time_limit: Optional[int] = None,
             trace_events: Tuple[str, ...] = (),
-            window_path: str = "",
-            task_bodies: str = "",
             fault_plan: Optional[Any] = None,
             detect_races: Optional[Any] = None,
             recorder: Optional[ScheduleRecorder] = None,
@@ -97,8 +95,7 @@ def make_vm(n_clusters: int = 2, slots: int = 4, *,
     A ready-made ``config`` wins over the shape arguments; otherwise a
     :func:`simple_configuration` of ``n_clusters`` x ``slots`` (plus
     ``force_pes_per_cluster`` secondary PEs each) is built and the
-    keyword toggles (metrics, time limit, tracing, window data-plane
-    path, task-body vehicle) applied to it.
+    keyword toggles (metrics, time limit, tracing) applied to it.
     ``detect_races`` / ``recorder`` / ``replay`` reach the correctness
     subsystem (:mod:`repro.correctness`).
     """
@@ -108,8 +105,7 @@ def make_vm(n_clusters: int = 2, slots: int = 4, *,
                                  force_pes_per_cluster=force_pes_per_cluster,
                                  name=name),
             metrics_enabled=metrics, time_limit=time_limit,
-            trace_events=tuple(trace_events), window_path=window_path,
-            task_bodies=task_bodies)
+            trace_events=tuple(trace_events))
     return PiscesVM(config, registry=registry, machine=machine,
                     fault_plan=fault_plan, detect_races=detect_races,
                     recorder=recorder, replay=replay)

@@ -9,9 +9,8 @@ digest to validate against:
 
 * line 1 -- the magic ``#pckpt 1``;
 * one ``meta`` line -- compact JSON: the manifest (virtual clock,
-  dispatch/schedule position, app request, configuration, resolved
-  window path, fault-plan text and cursor,
-  run seed, tracing/detector/profiler switches);
+  dispatch/schedule position, app request, configuration, fault-plan
+  text and cursor, run seed, tracing/detector/profiler switches);
 * one ``state`` line -- compact JSON: the run-stable state snapshot
   (per-PE clocks, process scheduling state, in-queues, SHARED COMMON
   and window digests, lock/barrier/force state, RNG digests) used to

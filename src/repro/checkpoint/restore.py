@@ -22,9 +22,9 @@ be rebuilt by the caller and passed to :func:`restore_vm`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass as _dataclass, fields as _fields, replace as _replace
+from dataclasses import dataclass as _dataclass, fields as _fields
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..config.configuration import (ClusterSpec, Configuration,
                                     map_legacy_axes)
@@ -177,6 +177,13 @@ def _placement_from_json(placement: Any) -> Any:
     return placement
 
 
+def _app_request(manifest: Dict[str, Any]) -> Tuple[str, list, Any]:
+    """The top-level run request ``(tasktype, args, placement)``."""
+    app = manifest["app"]
+    return (app["tasktype"], list(app["args"]),
+            _placement_from_json(app["placement"]))
+
+
 def _psched_text(streams: Dict[str, list]) -> str:
     rec = ScheduleRecorder()
     rec.spawns = list(streams["P"])
@@ -199,13 +206,7 @@ def build_manifest(vm) -> Dict[str, Any]:
         "dispatch_seq": int(eng._dispatch_seq),
         "app": {"tasktype": name, "args": list(run_args),
                 "placement": _placement_to_json(placement)},
-        # The config is serialized with its window path already
-        # resolved, so a bundle written by a restored run (whose config
-        # was forced to the resolved value) is byte-identical to the
-        # original run's bundle at the same mark.
-        "config": config_to_dict(_replace(vm.config,
-                                          window_path=vm.window_path)),
-        "window_path": vm.window_path,
+        "config": config_to_dict(vm.config),
         "run_seed": vm.config.run_seed,
         "schedule_position": eng.sched_hook.position(),
         "trace_events": sorted(t.value for t in vm.tracer.enabled_types),
@@ -287,10 +288,8 @@ class RestoredRun(RunRecord):
     def resume(self, shutdown: bool = True):
         """Run to completion; returns the :class:`RunResult` an
         uninterrupted run would have produced."""
-        app = self.manifest["app"]
-        return self.vm.run(app["tasktype"], *app["args"],
-                           on=_placement_from_json(app["placement"]),
-                           shutdown=shutdown)
+        name, args, on = _app_request(self.manifest)
+        return self.vm.run(name, *args, on=on, shutdown=shutdown)
 
 
 def restore_vm(path: Union[str, Path], registry=None) -> RestoredRun:
@@ -311,12 +310,12 @@ def restore_vm(path: Union[str, Path], registry=None) -> RestoredRun:
     try:
         manifest = map_legacy_axes(manifest)
         config = config_from_dict(map_legacy_axes(manifest["config"]))
-    except ConfigurationError as e:
-        raise CheckpointFormatError(f"{path}: {e}") from None
-    # The resolved window path is part of the checkpoint identity:
-    # force it so the recovering environment's PISCES_WINDOW_PATH
-    # cannot change the replay.
-    config = _replace(config, window_path=manifest["window_path"])
+        _app_request(manifest)
+        trace_types = [TraceEventType(n)
+                       for n in manifest.get("trace_events") or ()]
+    except (ConfigurationError, KeyError, TypeError, ValueError) as e:
+        raise CheckpointFormatError(
+            f"{path}: malformed manifest: {type(e).__name__}: {e}") from None
     sched = PrefixSchedule(Schedule.parse(psched_text))
     plan = None
     if manifest.get("fault_plan"):
@@ -327,9 +326,8 @@ def restore_vm(path: Union[str, Path], registry=None) -> RestoredRun:
                   autoboot=False)
     if vm.faults is not None:
         vm.faults.arm_host_kills = False
-    names = manifest.get("trace_events") or ()
-    if names:
-        vm.tracer.enable(*[TraceEventType(n) for n in names])
+    if trace_types:
+        vm.tracer.enable(*trace_types)
     vm.tracer.strict_overflow = bool(manifest.get("strict_overflow"))
     if manifest.get("profile") and vm.profiler is None:
         vm.enable_profiling()

@@ -52,8 +52,8 @@ def _rng_digest(rng) -> int:
 #: checkpoint accounting (the original run and a restored continuation
 #: legitimately differ in how many bundles each process wrote) and the
 #: window data plane's transfer and cache counters (they depend on the
-#: window path, a host-level choice -- a legacy bundle's ``batched``
-#: path restores onto ``fast``).
+#: window path, a host-level choice -- a bundle written on the legacy
+#: ``batched`` path or the ``reference`` oracle restores onto ``fast``).
 _HOST_STATS = frozenset({
     "checkpoints_written", "checkpoint_bytes", "window_bytes_moved",
     "window_txns", "window_cache_hits", "window_cache_misses"})

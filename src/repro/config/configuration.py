@@ -33,8 +33,6 @@ DEFAULT_ACCEPT_DELAY = 1_000_000
 #: names missing from it (so a new reader cannot slip in undocumented),
 #: and the test suite asserts each entry appears in the manual's table.
 ENV_VARS: Dict[str, str] = {
-    "PISCES_TASK_BODIES": "task-body vehicle: auto or callable",
-    "PISCES_WINDOW_PATH": "window data plane: fast or reference",
     "PISCES_ACCEPT_TIMEOUT": "system ACCEPT timeout in ticks",
     "PISCES_CHECKPOINT": "periodic checkpoint interval in ticks (0 = off)",
     "PISCES_CHECKPOINT_DIR": "directory receiving periodic .pckpt bundles",
@@ -46,37 +44,31 @@ ENV_VARS: Dict[str, str] = {
 
 
 #: Execution-axis values that artifacts written by older builds carry
-#: (checkpoint manifests, run specs, run records), mapped onto what
-#: exists today; None drops the key.  Every retired choice -- the
-#: thread-per-process core, the O(n) ``scan`` dispatcher, the uncached
-#: ``batched`` window path -- had a virtual history identical to its
-#: replacement, so the mapping is exact.
-LEGACY_AXES: Dict[str, Dict[str, Optional[str]]] = {
-    "exec_core": {"": None, "threaded": None, "coop": None},
-    "dispatcher": {"": None, "indexed": None, "scan": None},
-    "window_path": {"": "", "fast": "fast", "batched": "fast",
-                    "reference": "reference"},
-    "task_bodies": {"": "", "auto": "auto", "callable": "callable"},
+#: (checkpoint manifests, run specs, run records).  Each is checked and
+#: dropped: every choice -- the thread-per-process core, the O(n)
+#: ``scan`` dispatcher, the ``batched``/``reference`` window paths, the
+#: ``callable`` task-body vehicle -- had a virtual history identical to
+#: today's single path.
+LEGACY_AXES: Dict[str, Tuple[str, ...]] = {
+    "exec_core": ("", "threaded", "coop"),
+    "dispatcher": ("", "indexed", "scan"),
+    "window_path": ("", "fast", "batched", "reference"),
+    "task_bodies": ("", "auto", "callable"),
 }
 
 
 def map_legacy_axes(d: Dict[str, Any]) -> Dict[str, Any]:
-    """A copy of ``d`` with every execution-axis key mapped through
-    :data:`LEGACY_AXES` -- the one place old axis names are read.
-    Raises :class:`ConfigurationError` for a value no build ever wrote."""
+    """A copy of ``d`` without its execution-axis keys -- the one place
+    old axis names are read.  Raises :class:`ConfigurationError` for a
+    value no build ever wrote."""
     out = dict(d)
-    for key, table in LEGACY_AXES.items():
+    for key, written in LEGACY_AXES.items():
         if key not in out:
             continue
-        v = out[key]
-        if not isinstance(v, str) or v not in table:
+        v = out.pop(key)
+        if not isinstance(v, str) or v not in written:
             raise ConfigurationError(
-                f"{key}={v!r} is not one of "
-                f"{'/'.join(k for k in table if k)}")
-        if table[v] is None:
-            del out[key]
-        else:
-            out[key] = table[v]
+                f"{key}={v!r} is not one of {'/'.join(filter(None, written))}")
     return out
 
 
@@ -209,21 +201,6 @@ class Configuration:
     #: each successive wait (see ``docs/architecture.md``).
     accept_retries: int = 0
     accept_backoff: float = 2.0
-    #: Window data-plane selection: "fast" (batched transfers + reader
-    #: cache) or "reference" (the unbatched per-row oracle).  "" defers
-    #: to the ``PISCES_WINDOW_PATH`` environment variable, then to
-    #: "fast".  Both paths are bit-identical in virtual time (see
-    #: docs/architecture.md).
-    window_path: str = ""
-    #: Task-body vehicle: "auto" lets coroutine-style bodies (generator
-    #: functions) suspend as coroutines at the KernelOp seam, with no
-    #: worker thread at all, while "callable" forces every body onto
-    #: the classic blocking-call driver on a worker thread.  "" defers
-    #: to the ``PISCES_TASK_BODIES`` environment variable, then to
-    #: "auto".
-    #: Both vehicles are bit-identical in virtual time (the body-form
-    #: equivalence suite asserts this across the app zoo).
-    task_bodies: str = ""
     #: Enable the happens-before race detector at boot (see
     #: :mod:`repro.correctness`); detection charges no virtual time.
     detect_races: bool = False
@@ -326,14 +303,6 @@ class Configuration:
             raise ConfigurationError("accept_retries must be >= 0")
         if self.accept_backoff < 1.0:
             raise ConfigurationError("accept_backoff must be >= 1")
-        if self.window_path not in ("", "fast", "reference"):
-            raise ConfigurationError(
-                f"window_path must be fast/reference, "
-                f"got {self.window_path!r}")
-        if self.task_bodies not in ("", "auto", "callable"):
-            raise ConfigurationError(
-                f"task_bodies must be auto/callable, "
-                f"got {self.task_bodies!r}")
         if self.checkpoint_every < 0:
             raise ConfigurationError("checkpoint_every must be >= 0")
         if self.checkpoint_keep < 1:
@@ -368,10 +337,6 @@ class Configuration:
             lines.append(f"  trace: {', '.join(self.trace_events)}")
         if self.metrics_enabled:
             lines.append("  metrics: enabled")
-        if self.window_path:
-            lines.append(f"  window data plane: {self.window_path}")
-        if self.task_bodies:
-            lines.append(f"  task bodies: {self.task_bodies}")
         if self.profile:
             lines.append("  profiling: enabled")
         if self.checkpoint_every:

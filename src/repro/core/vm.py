@@ -23,7 +23,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import (
-    ConfigurationError,
     MessageError,
     NoSuchCluster,
     RuntimeLibraryError,
@@ -111,35 +110,6 @@ from .windows import (
     WindowTxnReply,
 )
 
-#: Valid window data-plane selections (see Configuration.window_path).
-WINDOW_PATHS = ("fast", "reference")
-
-
-def resolve_window_path(config: Configuration) -> str:
-    """Data-plane selection: configuration wins, then the
-    ``PISCES_WINDOW_PATH`` environment variable, then "fast"."""
-    path = config.window_path or env_value("PISCES_WINDOW_PATH") or "fast"
-    if path not in WINDOW_PATHS:
-        raise ConfigurationError(
-            f"PISCES_WINDOW_PATH={path!r}: must be one of {WINDOW_PATHS}")
-    return path
-
-
-#: Valid task-body vehicles (see Configuration.task_bodies).
-TASK_BODY_MODES = ("auto", "callable")
-
-
-def resolve_task_bodies(config: Configuration) -> str:
-    """Task-body vehicle selection: configuration wins, then the
-    ``PISCES_TASK_BODIES`` environment variable, then "auto" (coroutine
-    bodies suspend as coroutines; "callable" forces the classic
-    blocking-call driver on worker threads)."""
-    mode = config.task_bodies or env_value("PISCES_TASK_BODIES") or "auto"
-    if mode not in TASK_BODY_MODES:
-        raise ConfigurationError(
-            f"PISCES_TASK_BODIES={mode!r}: must be one of {TASK_BODY_MODES}")
-    return mode
-
 
 def resolve_checkpoint(config: Configuration) -> Tuple[int, str, int]:
     """Periodic-checkpoint selection ``(every, directory, keep)``:
@@ -223,6 +193,17 @@ class RunResult(RunRecord):
 class PiscesVM:
     """One booted PISCES 2 virtual machine."""
 
+    #: Test seams, never set by a product caller.  ``window_path``:
+    #: "fast" (batched window transfers plus the reader cache) or
+    #: "reference" (one message per row, uncached).  ``task_bodies``:
+    #: "auto" (generator bodies suspend as coroutines at the KernelOp
+    #: seam) or "callable" (the same op stream driven through blocking
+    #: calls on a worker thread).  Each non-default value is an oracle
+    #: with the identical virtual history; ``tests/oracles.py`` holds
+    #: them.
+    window_path = "fast"
+    task_bodies = "auto"
+
     def __init__(self, config: Configuration,
                  registry: Optional[TaskRegistry] = None,
                  machine: Optional[FlexMachine] = None,
@@ -274,13 +255,6 @@ class PiscesVM:
             self.enable_race_detection(
                 mode=detect_races if isinstance(detect_races, str)
                 else "record")
-        #: Window data-plane selection, fixed for the life of the VM.
-        self.window_path = resolve_window_path(config)
-        #: Task-body vehicle (see :func:`resolve_task_bodies`): "auto"
-        #: lets generator-function bodies suspend as coroutines at the
-        #: KernelOp seam; "callable" forces the classic blocking-call
-        #: driver (worker threads) for the identical op stream.
-        self.task_bodies = resolve_task_bodies(config)
         #: Causal profiler (see :mod:`repro.obs.profile`), or None
         #: (off).  Resolution: the configuration flag, then the
         #: PISCES_PROFILE environment variable; ``enable_profiling()``

@@ -156,8 +156,6 @@ def run_manifest(vm, files: Optional[Dict[str, Path]] = None,
     manifest: Dict[str, Any] = {
         "repro_version": repro_version,
         "dispatcher": vm.engine.dispatcher,
-        "task_bodies": vm.task_bodies,
-        "window_path": vm.window_path,
         "seed": seed,
         "fault_plan_hash": plan_hash,
         "detect_races": det.mode if det is not None else None,
@@ -208,8 +206,8 @@ def export_run(vm, directory: Union[str, Path],
 
     Writes ``<prefix>.events.jsonl``, ``<prefix>.chrome.json``,
     ``<prefix>.metrics.json``, ``<prefix>.metrics.txt`` and a
-    ``manifest.json`` describing the run (dispatcher, window path,
-    fault seed/hash, config summary, repro version); returns the
+    ``manifest.json`` describing the run (dispatcher, fault seed/hash,
+    config summary, repro version); returns the
     written paths keyed by kind.  Requires tracing to have kept events
     in memory for the event-derived files (they are skipped, not
     invented, otherwise).  A VM with profiling enabled also gets the

@@ -66,8 +66,8 @@ class ExecutionHandle:
 #: still leaves a previous complete one to resume from.
 CHECKPOINT_KEEP = 3
 
-_PROVENANCE_KEYS = ("dispatcher", "task_bodies", "window_path",
-                    "repro_version", "seed", "fault_plan_hash")
+_PROVENANCE_KEYS = ("dispatcher", "repro_version", "seed",
+                    "fault_plan_hash")
 
 
 def build_vm(rec: RunRecord, store: RunStore,

@@ -97,8 +97,7 @@ class RunSpec:
         except ConfigurationError as e:
             raise InvalidRunSpec(str(e)) from None
         try:
-            return cls(**{k: v for k, v in d.items()
-                          if k not in LEGACY_FIELDS})
+            return cls(**d)
         except TypeError as e:
             raise InvalidRunSpec(str(e)) from None
 

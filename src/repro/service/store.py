@@ -100,8 +100,8 @@ class RunRecord:
     #: Archived artifact filenames (relative to ``artifacts/``).
     artifacts: List[str] = field(default_factory=list)
     #: Execution provenance mirrored from the run manifest so the
-    #: record alone identifies how the run executed (dispatcher, window
-    #: path, task bodies, fault plan -- see obs/export.py).
+    #: record alone identifies how the run executed (dispatcher, build
+    #: version, fault plan -- see obs/export.py).
     provenance: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:

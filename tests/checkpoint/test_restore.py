@@ -8,9 +8,10 @@ import pytest
 from repro import PARENT, TaskRegistry, simple_configuration
 from repro.api import make_vm, restore_vm
 from repro.checkpoint import checkpoint_vm, find_latest_checkpoint, load_bundle
+from repro.checkpoint.format import dumps_bundle
 from repro.core.tracing import TraceEventType
-from repro.errors import CheckpointError
-from tests.bodies import BOTH_VEHICLES
+from repro.errors import CheckpointError, CheckpointFormatError
+from tests.oracles import BOTH_VEHICLES, callable_bodies, reference_windows
 
 ALL_TRACE = tuple(t.value for t in TraceEventType)
 
@@ -39,18 +40,18 @@ def build_registry():
     return reg
 
 
-def config(bodies, ckpt_dir=None, every=500, keep=3):
+def config(ckpt_dir=None, every=500, keep=3):
     return replace(
         simple_configuration(n_clusters=2, slots=4, name="ckpt-test"),
-        task_bodies=bodies, trace_events=ALL_TRACE,
+        trace_events=ALL_TRACE,
         checkpoint_every=(every if ckpt_dir else 0),
         checkpoint_dir=str(ckpt_dir) if ckpt_dir else "",
         checkpoint_keep=keep)
 
 
-def run(bodies, ckpt_dir=None, **cfg_kwargs):
+def run(ckpt_dir=None, **cfg_kwargs):
     reg = build_registry()
-    vm = make_vm(config=config(bodies, ckpt_dir, **cfg_kwargs),
+    vm = make_vm(config=config(ckpt_dir, **cfg_kwargs),
                  registry=reg)
     r = vm.run("MAIN")
     return r, [e.line() for e in vm.tracer.events]
@@ -59,8 +60,8 @@ def run(bodies, ckpt_dir=None, **cfg_kwargs):
 @BOTH_VEHICLES
 class TestRestoreIdentity:
     def test_restore_resumes_bit_identically(self, bodies, tmp_path):
-        base, base_trace = run(bodies)
-        _, _ = run(bodies, ckpt_dir=tmp_path)
+        base, base_trace = run()
+        _, _ = run(ckpt_dir=tmp_path)
         latest = find_latest_checkpoint(tmp_path)
         assert latest is not None
         rr = restore_vm(latest, registry=build_registry())
@@ -72,8 +73,8 @@ class TestRestoreIdentity:
     def test_checkpointing_is_a_pure_observer(self, bodies, tmp_path):
         """Virtual time and the trace stream are bit-identical with
         checkpointing on and off."""
-        base, base_trace = run(bodies)
-        ck, ck_trace = run(bodies, ckpt_dir=tmp_path)
+        base, base_trace = run()
+        ck, ck_trace = run(ckpt_dir=tmp_path)
         assert ck.value == base.value
         assert ck.elapsed == base.elapsed
         assert ck_trace == base_trace
@@ -84,7 +85,7 @@ class TestRestoreIdentity:
         """A restored run re-crosses the same checkpoint marks during
         replay and writes byte-identical bundles -- recovery composes
         across repeated crashes."""
-        run(bodies, ckpt_dir=tmp_path)
+        run(ckpt_dir=tmp_path)
         bundles = {p.name: p.read_bytes()
                    for p in tmp_path.glob("*.pckpt")}
         latest = find_latest_checkpoint(tmp_path)
@@ -100,7 +101,7 @@ class TestRestoreIdentity:
         original run fails replay verification (ReplayDivergence is a
         PiscesError) instead of silently computing garbage."""
         from repro.errors import PiscesError
-        run(bodies, ckpt_dir=tmp_path)
+        run(ckpt_dir=tmp_path)
         wrong = TaskRegistry()
 
         @wrong.tasktype("WORKER")
@@ -125,7 +126,7 @@ class TestRestoreIdentity:
 
 class TestCaptureGuards:
     def test_checkpoint_before_run_raises(self, tmp_path):
-        vm = make_vm(config=config("auto"), registry=build_registry())
+        vm = make_vm(config=config(), registry=build_registry())
         with pytest.raises(CheckpointError, match="vm.run"):
             checkpoint_vm(vm, tmp_path / "x.pckpt")
         vm.shutdown()
@@ -141,13 +142,13 @@ class TestCaptureGuards:
             except CheckpointError as e:
                 seen["err"] = str(e)
 
-        vm = make_vm(config=config("callable"), registry=reg)
+        vm = make_vm(config=config(), registry=reg)
         vm.run("MAIN")
         assert "between dispatches" in seen["err"]
 
     def test_checkpoint_without_recorder_raises(self, tmp_path):
         reg = build_registry()
-        vm = make_vm(config=config("auto"), registry=reg)
+        vm = make_vm(config=config(), registry=reg)
         vm._run_request = ("MAIN", (), 1)
         if vm.engine.sched_hook is None:
             with pytest.raises(CheckpointError, match="decision stream"):
@@ -157,7 +158,7 @@ class TestCaptureGuards:
 
 class TestPeriodicPolicy:
     def test_keep_prunes_old_bundles(self, tmp_path):
-        r, _ = run("auto", ckpt_dir=tmp_path, every=300, keep=2)
+        r, _ = run(ckpt_dir=tmp_path, every=300, keep=2)
         assert r.stats.checkpoints_written > 2
         assert len(list(tmp_path.glob("*.pckpt"))) == 2
 
@@ -174,7 +175,7 @@ class TestPeriodicPolicy:
         """Each bundle lands in a distinct interval bucket of the
         virtual clock (the mark sequence is a pure function of the
         clock, never of pump count)."""
-        run("auto", ckpt_dir=tmp_path, every=400, keep=50)
+        run(ckpt_dir=tmp_path, every=400, keep=50)
         ticks = sorted(int(p.name.split("-")[1])
                        for p in tmp_path.glob("*.pckpt"))
         assert len(ticks) >= 2
@@ -184,13 +185,14 @@ class TestPeriodicPolicy:
 
 class TestBundleContents:
     def test_manifest_and_state(self, tmp_path):
-        run("auto", ckpt_dir=tmp_path)
+        run(ckpt_dir=tmp_path)
         manifest, state, psched = load_bundle(
             find_latest_checkpoint(tmp_path))
         assert manifest["format"] == 1
         assert manifest["app"]["tasktype"] == "MAIN"
-        assert manifest["window_path"] == "fast"
-        assert "exec_core" not in manifest["config"]
+        for axis in ("exec_core", "window_path", "task_bodies"):
+            assert axis not in manifest
+            assert axis not in manifest["config"]
         assert manifest["schedule_position"]["D"] > 0
         assert psched.startswith("#psched 1")
         assert state["now"] == manifest["now"]
@@ -209,7 +211,7 @@ class TestBundleContents:
         reg = build_registry()
         plan = FaultPlan(seed=5, name="cursor",
                          messages=MessagePolicy(delay=0.2, delay_ticks=300))
-        vm = make_vm(config=config("auto", tmp_path), registry=reg,
+        vm = make_vm(config=config(tmp_path), registry=reg,
                      fault_plan=plan)
         vm.run("MAIN")
         m = run_manifest(vm)
@@ -219,3 +221,76 @@ class TestBundleContents:
                                                "timed_pending",
                                                "rng_digest"}
         assert m["schedule_position"]["D"] > 0
+
+
+def _jacobi_registry():
+    from repro.apps.jacobi import build_windows_registry
+    return build_windows_registry(12, 2, 3)
+
+
+class TestCrossOracleRestore:
+    """Restore needs no record of the oracle leg a bundle was written
+    on: every bundle written under an oracle resumes on the production
+    path to the oracle run's exact elapsed time and trace stream."""
+
+    @pytest.mark.parametrize("leg,make_registry,tasktype", [
+        pytest.param(reference_windows, _jacobi_registry, "JMASTER",
+                     id="reference-windows"),
+        pytest.param(callable_bodies, build_registry, "MAIN",
+                     id="callable-bodies"),
+    ])
+    def test_oracle_bundles_restore_on_the_production_path(
+            self, leg, make_registry, tasktype, tmp_path):
+        with leg():
+            vm = make_vm(config=config(tmp_path, keep=50),
+                         registry=make_registry())
+            assert (vm.window_path, vm.task_bodies) != ("fast", "auto")
+            base = vm.run(tasktype)
+            base_trace = [e.line() for e in vm.tracer.events]
+        bundles = sorted(tmp_path.glob("*.pckpt"))
+        assert len(bundles) >= 2
+        for bundle in bundles:
+            rr = restore_vm(bundle, registry=make_registry())
+            assert (rr.vm.window_path, rr.vm.task_bodies) == ("fast", "auto")
+            res = rr.resume()
+            assert res.elapsed == base.elapsed, bundle.name
+            assert [e.line() for e in rr.vm.tracer.events] == base_trace, \
+                bundle.name
+
+
+def _drop(key):
+    def mutate(manifest):
+        del manifest[key]
+    return mutate
+
+
+def _set(value, *path):
+    def mutate(manifest):
+        target = manifest
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return mutate
+
+
+class TestMalformedManifest:
+    """A bundle whose checksum is valid but whose manifest cannot
+    describe a run is refused with a typed error naming the file."""
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(_drop("config"), id="no-config"),
+        pytest.param(_drop("app"), id="no-app"),
+        pytest.param(_set("jacobi", "config"), id="config-is-a-string"),
+        pytest.param(_set(7, "config", "clusters"), id="clusters-not-a-list"),
+        pytest.param(_set(["NOT_AN_EVENT"], "trace_events"),
+                     id="unknown-trace-event"),
+        pytest.param(_set(None, "app", "args"), id="args-not-a-list"),
+    ])
+    def test_refused_with_checkpoint_format_error(self, mutate, tmp_path):
+        run(ckpt_dir=tmp_path)
+        manifest, state, psched = load_bundle(find_latest_checkpoint(tmp_path))
+        mutate(manifest)
+        bad = tmp_path / "bad.pckpt"
+        bad.write_text(dumps_bundle(manifest, state, psched))
+        with pytest.raises(CheckpointFormatError, match="bad.pckpt"):
+            restore_vm(bad, registry=build_registry())

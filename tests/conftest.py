@@ -7,6 +7,7 @@ import pytest
 from repro import PiscesVM, TaskRegistry
 from repro.config.configuration import ClusterSpec, Configuration
 from repro.flex.presets import small_flex
+from tests.oracles import bodies  # noqa: F401  (the BOTH_VEHICLES fixture)
 
 
 @pytest.fixture

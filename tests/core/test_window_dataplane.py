@@ -14,13 +14,9 @@ import pytest
 from repro.config.configuration import ClusterSpec, Configuration
 from repro.core.taskid import PARENT, SAME
 from repro.errors import PiscesError, WindowConflict, WindowError
+from tests.oracles import oracle_leg
 
 ONE_CLUSTER = Configuration(clusters=(ClusterSpec(1, 3, 6),), name="dp")
-
-
-def fast_config(name="dp-fast"):
-    return Configuration(clusters=(ClusterSpec(1, 3, 6),), name=name,
-                         window_path="fast")
 
 
 # ----------------------------------------------------------- caching --
@@ -42,7 +38,7 @@ def test_repeated_read_hits_cache(make_vm, registry):
         ctx.broadcast("WIN", ctx.window("A"), cluster=1)
         return ctx.accept("DONE").args[0]
 
-    vm = make_vm(config=fast_config(), registry=registry)
+    vm = make_vm(config=ONE_CLUSTER, registry=registry)
     r = vm.run("OWNER")
     assert r.value == float(np.arange(64.0).sum())
     assert r.stats.window_cache_hits == 1
@@ -76,7 +72,7 @@ def test_overlapping_write_invalidates_remote_cache(make_vm, registry):
         second = ctx.accept("SAW2").args[0]
         return first, second
 
-    vm = make_vm(config=fast_config(), registry=registry)
+    vm = make_vm(config=ONE_CLUSTER, registry=registry)
     r = vm.run("OWNER")
     assert r.value == (0.0, 7.0)
     assert r.stats.window_cache_hits == 0      # invalidated, not hit
@@ -106,7 +102,7 @@ def test_disjoint_write_keeps_cache_valid(make_vm, registry):
         ctx.accept("DONE")
         return True
 
-    vm = make_vm(config=fast_config(), registry=registry)
+    vm = make_vm(config=ONE_CLUSTER, registry=registry)
     r = vm.run("OWNER")
     assert r.value is True
     assert r.stats.window_cache_hits == 1
@@ -129,7 +125,7 @@ def test_uncacheable_export_never_caches(make_vm, registry):
         ctx.accept("DONE")
         return True
 
-    vm = make_vm(config=fast_config(), registry=registry)
+    vm = make_vm(config=ONE_CLUSTER, registry=registry)
     r = vm.run("OWNER")
     assert r.stats.window_cache_hits == 0
     assert r.stats.window_bytes_moved == 2 * 16 * 8
@@ -158,7 +154,7 @@ def test_touch_array_invalidates_after_direct_mutation(make_vm, registry):
         ctx.send(res.sender, "GO")
         return ctx.accept("SAW2").args[0]
 
-    vm = make_vm(config=fast_config(), registry=registry)
+    vm = make_vm(config=ONE_CLUSTER, registry=registry)
     r = vm.run("OWNER")
     assert r.value == 5.0
     assert r.stats.window_cache_hits == 0
@@ -184,7 +180,7 @@ def test_if_unchanged_write_succeeds_without_interference(make_vm,
         ctx.accept("DONE")
         return float(ctx.task.arrays.get("A").sum())
 
-    vm = make_vm(config=fast_config(), registry=registry)
+    vm = make_vm(config=ONE_CLUSTER, registry=registry)
     r = vm.run("OWNER")
     assert r.value == 16.0
     assert r.stats.window_conflicts == 0
@@ -214,7 +210,7 @@ def test_if_unchanged_write_raises_window_conflict(make_vm, registry):
         ctx.accept("DONE")
         return float(ctx.task.arrays.get("A")[0, 0])
 
-    vm = make_vm(config=fast_config(), registry=registry)
+    vm = make_vm(config=ONE_CLUSTER, registry=registry)
     r = vm.run("OWNER")
     assert r.value == 9.0               # refused write did NOT land
     assert r.stats.window_conflicts == 1
@@ -237,7 +233,7 @@ def test_if_unchanged_needs_cached_observation(make_vm, registry):
         ctx.accept("DONE")
         return True
 
-    vm = make_vm(config=fast_config(), registry=registry)
+    vm = make_vm(config=ONE_CLUSTER, registry=registry)
     assert vm.run("OWNER").value is True
 
 
@@ -248,10 +244,8 @@ def test_window_conflict_is_a_pisces_error():
 
 # ------------------------------------------------------ path identity --
 
-def _paths_config(path):
-    return Configuration(clusters=(ClusterSpec(1, 3, 6),),
-                         name=f"id-{path}", window_path=path,
-                         trace_events=("MSG_SEND", "MSG_ACCEPT"))
+PATHS_CONFIG = Configuration(clusters=(ClusterSpec(1, 3, 6),), name="id",
+                             trace_events=("MSG_SEND", "MSG_ACCEPT"))
 
 
 def test_three_paths_bit_identical_virtual_time(make_vm, monkeypatch):
@@ -261,8 +255,9 @@ def test_three_paths_bit_identical_virtual_time(make_vm, monkeypatch):
     from repro.core.vm import PiscesVM
 
     def run(path):
-        r = run_jacobi_windows(n=16, sweeps=3, n_workers=2,
-                               config=_paths_config(path))
+        with oracle_leg(window_path=path):
+            r = run_jacobi_windows(n=16, sweeps=3, n_workers=2,
+                                   config=PATHS_CONFIG)
         r.vm.shutdown()
         return r
 
@@ -283,19 +278,6 @@ def test_three_paths_bit_identical_virtual_time(make_vm, monkeypatch):
     # ... and the cache never moves more bytes than the bare plane
     assert (runs["fast"].vm.stats.window_bytes_moved
             <= runs["uncached"].vm.stats.window_bytes_moved)
-
-
-def test_window_path_env_override(make_vm, registry, monkeypatch):
-    from repro.core.vm import resolve_window_path
-
-    monkeypatch.setenv("PISCES_WINDOW_PATH", "reference")
-    assert resolve_window_path(ONE_CLUSTER) == "reference"
-    # explicit configuration wins over the environment
-    assert resolve_window_path(fast_config()) == "fast"
-    monkeypatch.setenv("PISCES_WINDOW_PATH", "bogus")
-    from repro.errors import ConfigurationError
-    with pytest.raises(ConfigurationError):
-        resolve_window_path(ONE_CLUSTER)
 
 
 # ------------------------------------------- keyword-only selectors --

@@ -11,7 +11,8 @@ The committed file was generated while the engine still had a
 thread-per-process core, a ``scan`` dispatcher and a ``batched``
 window path; its ``legs`` list records the 24 live legs (each also
 recorded and replayed) that all agreed on it.  Today's legs are the
-window path x task-body vehicle.
+window data plane x task-body vehicle, each non-production choice an
+oracle held through :func:`tests.oracles.oracle_leg`.
 
 Regenerate (every leg must agree, or nothing is written)::
 
@@ -33,6 +34,7 @@ from repro.faults import FaultPlan, TaskKill, dumps as dump_plan
 from repro.obs.export import event_to_dict
 from repro.service.executor import standalone_run
 from repro.service.spec import RunSpec
+from tests.oracles import LEGS, oracle_leg
 
 DIGEST_FILE = Path(__file__).with_name("axis_digests.json")
 
@@ -69,13 +71,6 @@ SPECS: Dict[str, dict] = {
         "fault_plan": CHAOS_PLAN},
 }
 
-#: Live execution legs, as environment settings.
-LEGS: List[Dict[str, str]] = [
-    {"PISCES_WINDOW_PATH": w, "PISCES_TASK_BODIES": b}
-    for w in ("fast", "reference") for b in ("auto", "callable")
-]
-
-
 @contextlib.contextmanager
 def leg_env(env: Dict[str, str]) -> Iterator[None]:
     saved = {k: os.environ.get(k) for k in env}
@@ -106,14 +101,14 @@ def digest(spec: dict) -> Dict[str, object]:
     return run_digest(standalone_run(RunSpec.from_dict(spec)))
 
 
-def leg_digests(spec: dict, env: Dict[str, str]
+def leg_digests(spec: dict, leg: Tuple[str, str]
                 ) -> List[Tuple[str, Dict[str, object]]]:
-    """(leg label, digest) for the live leg ``env``, its recording and
-    the replay of that recording."""
-    label = ",".join(env[k] for k in sorted(env))
+    """(leg label, digest) for the live ``(window_path, task_bodies)``
+    leg, its recording and the replay of that recording."""
+    label = ",".join(leg)
     with tempfile.TemporaryDirectory() as tmp:
         psched = str(Path(tmp) / "leg.psched")
-        with leg_env(env):
+        with oracle_leg(*leg):
             live = digest(spec)
             with leg_env({"PISCES_RECORD_SCHEDULE": psched}):
                 recorded = digest(spec)
@@ -127,15 +122,15 @@ def generate() -> dict:
     out = {}
     for name, spec in SPECS.items():
         seen = {}
-        for env in LEGS:
-            seen.update(leg_digests(spec, env))
+        for leg in LEGS:
+            seen.update(leg_digests(spec, leg))
         distinct = {json.dumps(d, sort_keys=True) for d in seen.values()}
         if len(distinct) != 1:
             raise AssertionError(f"{name}: legs disagree: {seen}")
         out[name] = {"spec": spec, **next(iter(seen.values()))}
         print(f"{name}: {len(seen)} legs agree on {out[name]['elapsed']}",
               file=sys.stderr)
-    return {"legs": [",".join(e[k] for k in sorted(e)) for e in LEGS],
+    return {"legs": [",".join(leg) for leg in LEGS],
             "replay": "each leg recorded and replayed", "digests": out}
 
 

@@ -2,8 +2,8 @@
 
 ``axis_digests.json`` was generated while the full execution-axis
 matrix still existed and every leg agreed on it; the legs that remain
-are the window data plane and the task-body vehicle (each an oracle for
-the other choice), plus record -> replay of each.
+are the production path and the window data-plane and task-body oracles
+of ``tests/oracles.py``, plus record -> replay of each.
 """
 
 import json
@@ -19,6 +19,6 @@ GOLDEN = json.loads(DIGEST_FILE.read_text(encoding="utf-8"))["digests"]
 def test_every_leg_reproduces_the_golden_digest(name):
     golden = GOLDEN[name]
     want = {k: golden[k] for k in ("elapsed", "trace_events", "trace_sha256")}
-    for env in LEGS:
-        for label, got in leg_digests(golden["spec"], env):
+    for leg in LEGS:
+        for label, got in leg_digests(golden["spec"], leg):
             assert got == want, f"{name}: leg {label} diverged"

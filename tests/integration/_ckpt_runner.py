@@ -4,13 +4,16 @@ Three modes, one fixed chaos-jacobi scenario per (scenario, bodies):
 
 * ``reference <out.json> <bodies> <scenario>`` -- run uninterrupted with
   checkpointing OFF and no host kill; dump the final artifacts.
+  ``<bodies>`` is the task-body vehicle, ``auto`` or the ``callable``
+  oracle (held through :func:`tests.oracles.oracle_leg`).
 * ``victim <dir> <bodies> <scenario>`` -- run with periodic checkpoints
   into ``<dir>`` and a :class:`~repro.faults.HostKill` in the plan: the
   process dies by ``kill -9`` mid-run (exit code -9 as seen by the
   parent).  Exits 3 if the run somehow completes.
 * ``restore <dir> <out.json>`` -- in a fresh process: find the latest
   valid bundle in ``<dir>``, rebuild the (closure-based) chaos registry,
-  restore, resume to completion, dump the same artifact shape.
+  restore, resume to completion on the production vehicle, dump the
+  same artifact shape.
 
 The soak asserts the reference and restore dumps are byte-identical:
 same virtual elapsed, same grid, same trace stream, same fault events.
@@ -19,7 +22,6 @@ same virtual elapsed, same grid, same trace stream, same fault events.
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from repro.apps.chaos_jacobi import build_chaos_registry, run_chaos_jacobi
 from repro.checkpoint import find_latest_checkpoint, restore_vm
 from repro.config.configuration import ClusterSpec, Configuration
 from repro.faults import RESTART, FaultPlan, HostKill, MessagePolicy, PECrash
+from tests.oracles import oracle_leg
 
 # One fixed problem; small enough to soak in CI, long enough in virtual
 # time to cross several checkpoint marks before the kill fires.
@@ -51,10 +54,10 @@ def plan(scenario: str, host_kill: bool) -> FaultPlan:
     return FaultPlan(seed=3, host_kills=kills, name="soak-plain")
 
 
-def config(bodies: str, ckpt_dir: str = "") -> Configuration:
+def config(ckpt_dir: str = "") -> Configuration:
     return Configuration(
         clusters=(ClusterSpec(1, 3, 4), ClusterSpec(2, 4, 4)),
-        name="ckpt-soak", trace_events=TRACE, task_bodies=bodies,
+        name="ckpt-soak", trace_events=TRACE,
         checkpoint_every=CHECKPOINT_EVERY if ckpt_dir else 0,
         checkpoint_dir=ckpt_dir, checkpoint_keep=3, run_seed=11)
 
@@ -82,23 +85,25 @@ def main(argv) -> int:
     mode = argv[0]
     if mode == "reference":
         out, bodies, scenario = argv[1], argv[2], argv[3]
-        r = run_chaos_jacobi(n=N, sweeps=SWEEPS, n_workers=N_WORKERS,
-                             supervision=SUPERVISION, on_death=ON_DEATH,
-                             resend_delay=RESEND_DELAY,
-                             idle_timeout=IDLE_TIMEOUT, max_rounds=MAX_ROUNDS,
-                             config=config(bodies),
-                             fault_plan=plan(scenario, host_kill=False))
+        with oracle_leg(task_bodies=bodies):
+            r = run_chaos_jacobi(
+                n=N, sweeps=SWEEPS, n_workers=N_WORKERS,
+                supervision=SUPERVISION, on_death=ON_DEATH,
+                resend_delay=RESEND_DELAY, idle_timeout=IDLE_TIMEOUT,
+                max_rounds=MAX_ROUNDS, config=config(),
+                fault_plan=plan(scenario, host_kill=False))
         r.vm.shutdown()
         dump(out, r.vm, (r.grid, r.reason, r.rounds), r.elapsed)
         return 0
     if mode == "victim":
         ckpt_dir, bodies, scenario = argv[1], argv[2], argv[3]
-        run_chaos_jacobi(n=N, sweeps=SWEEPS, n_workers=N_WORKERS,
-                         supervision=SUPERVISION, on_death=ON_DEATH,
-                         resend_delay=RESEND_DELAY,
-                         idle_timeout=IDLE_TIMEOUT, max_rounds=MAX_ROUNDS,
-                         config=config(bodies, ckpt_dir=ckpt_dir),
-                         fault_plan=plan(scenario, host_kill=True))
+        with oracle_leg(task_bodies=bodies):
+            run_chaos_jacobi(
+                n=N, sweeps=SWEEPS, n_workers=N_WORKERS,
+                supervision=SUPERVISION, on_death=ON_DEATH,
+                resend_delay=RESEND_DELAY, idle_timeout=IDLE_TIMEOUT,
+                max_rounds=MAX_ROUNDS, config=config(ckpt_dir=ckpt_dir),
+                fault_plan=plan(scenario, host_kill=True))
         # The HostKill should have SIGKILLed us mid-run.
         return 3
     if mode == "restore":

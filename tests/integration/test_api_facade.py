@@ -51,11 +51,10 @@ def test_run_app_rejects_vm_plus_construction_kwargs():
 
 def test_make_vm_applies_toggles():
     vm = api.make_vm(n_clusters=2, slots=3, metrics=True,
-                     window_path="reference", time_limit=10**8,
-                     trace_events=("MSG_SEND",))
+                     time_limit=10**8, trace_events=("MSG_SEND",))
     try:
         assert vm.metrics.enabled
-        assert vm.window_path == "reference"
+        assert vm.config.trace_events == ("MSG_SEND",)
         assert vm.config.time_limit == 10**8
         assert len(vm.clusters) == 2
     finally:

@@ -28,7 +28,7 @@ from repro.apps.pipeline import run_pipeline
 from repro.config.configuration import ClusterSpec, Configuration
 from repro.faults import RESTART, FaultPlan, MessagePolicy, PECrash, plan_scope
 from repro.flex.presets import small_flex
-from tests.bodies import BOTH_VEHICLES
+from tests.oracles import BOTH_VEHICLES
 
 SMOKE = bool(os.environ.get("CHAOS_SMOKE"))
 SEEDS = (1, 7, 42)
@@ -114,11 +114,10 @@ class TestFiveAppSoak:
         assert r.value == pytest.approx(r.exact, rel=0.02)
 
 
-def chaos_config(trace=(), bodies=""):
+def chaos_config(trace=()):
     return Configuration(clusters=(ClusterSpec(1, 3, 4),
                                    ClusterSpec(2, 4, 4)),
-                         name="chaos-jacobi", trace_events=tuple(trace),
-                         task_bodies=bodies)
+                         name="chaos-jacobi", trace_events=tuple(trace))
 
 
 CRASH_PLAN = FaultPlan(seed=1, crashes=(PECrash(at=4_000, pe=4),),
@@ -139,7 +138,7 @@ class TestRecovery:
                              supervision=RESTART(3, backoff_ticks=500),
                              on_death="reassign",
                              fault_plan=CRASH_PLAN,
-                             config=chaos_config(bodies=bodies))
+                             config=chaos_config())
         r.vm.shutdown()
         assert r.completed
         assert np.array_equal(r.grid, reference_solution(N_JACOBI, 2))
@@ -153,7 +152,7 @@ class TestRecovery:
         r = run_chaos_jacobi(n=N_JACOBI, sweeps=2, n_workers=3,
                              supervision=None, on_death="abort",
                              fault_plan=CRASH_PLAN,
-                             config=chaos_config(bodies=bodies))
+                             config=chaos_config())
         r.vm.shutdown()
         # The parent observed TASK_DIED, terminated cleanly, and left
         # no threads behind.
@@ -167,7 +166,7 @@ class TestRecovery:
         r = run_chaos_jacobi(n=N_JACOBI, sweeps=2, n_workers=3,
                              supervision=None, on_death="reassign",
                              fault_plan=CRASH_PLAN,
-                             config=chaos_config(bodies=bodies))
+                             config=chaos_config())
         r.vm.shutdown()
         assert r.completed
         assert np.array_equal(r.grid, reference_solution(N_JACOBI, 2))
@@ -176,7 +175,7 @@ class TestRecovery:
         plan = FaultPlan(seed=7, messages=LOSSY, name="lossy")
         r = run_chaos_jacobi(n=N_JACOBI, sweeps=2, n_workers=3,
                              fault_plan=plan,
-                             config=chaos_config(bodies=bodies))
+                             config=chaos_config())
         r.vm.shutdown()
         assert r.completed
         assert np.array_equal(r.grid, reference_solution(N_JACOBI, 2))
@@ -193,7 +192,7 @@ class TestRecovery:
         from dataclasses import replace as _rep
 
         def once():
-            cfg = _rep(chaos_config(bodies=bodies), run_seed=11)
+            cfg = _rep(chaos_config(), run_seed=11)
             r = run_chaos_jacobi(
                 n=N_JACOBI, sweeps=2, n_workers=3,
                 supervision=RESTART(3, backoff_ticks=500, jitter=0.5),
@@ -216,7 +215,7 @@ class TestDeterminism:
     """Same seed + same plan => bit-identical fault and trace streams,
     under both task-body vehicles."""
 
-    def run_once(self, bodies):
+    def run_once(self):
         plan = FaultPlan(seed=3, crashes=(PECrash(at=4_000, pe=4),),
                          messages=MessagePolicy(drop=0.05, delay=0.1,
                                                 delay_ticks=700),
@@ -225,8 +224,7 @@ class TestDeterminism:
             n=N_JACOBI, sweeps=2, n_workers=3,
             supervision=RESTART(3, backoff_ticks=500),
             on_death="reassign", fault_plan=plan,
-            config=chaos_config(trace=("FAULT", "MSG_SEND", "MSG_ACCEPT"),
-                                bodies=bodies))
+            config=chaos_config(trace=("FAULT", "MSG_SEND", "MSG_ACCEPT")))
         faults = r.vm.faults.export_jsonl()
         traces = [e.line() for e in r.vm.tracer.events]
         grid, elapsed = r.grid, r.elapsed
@@ -234,8 +232,8 @@ class TestDeterminism:
         return faults, traces, grid, elapsed
 
     def test_two_runs_bit_identical(self, bodies):
-        f1, t1, g1, e1 = self.run_once(bodies)
-        f2, t2, g2, e2 = self.run_once(bodies)
+        f1, t1, g1, e1 = self.run_once()
+        f2, t2, g2, e2 = self.run_once()
         assert f1 == f2
         assert t1 == t2
         assert e1 == e2

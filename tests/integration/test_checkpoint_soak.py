@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from tests.bodies import BOTH_VEHICLES
+from tests.oracles import BOTH_VEHICLES
 
 ROOT = Path(__file__).resolve().parents[2]
 RUNNER = ROOT / "tests" / "integration" / "_ckpt_runner.py"
@@ -27,10 +27,11 @@ RUNNER = ROOT / "tests" / "integration" / "_ckpt_runner.py"
 
 def run_mode(*args, expect: int = 0):
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src")
+    # The runner imports the task-body seam from tests/oracles.py.
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
     # The runner's behaviour must come from its argv alone.
     for var in ("PISCES_CHECKPOINT", "PISCES_CHECKPOINT_DIR",
-                "PISCES_TASK_BODIES", "PISCES_REPLAY_SCHEDULE"):
+                "PISCES_REPLAY_SCHEDULE"):
         env.pop(var, None)
     proc = subprocess.run([sys.executable, str(RUNNER), *args],
                           env=env, cwd=ROOT, capture_output=True,

@@ -19,9 +19,7 @@ from repro.apps.jacobi import build_windows_registry, run_jacobi_windows
 from repro.apps.matmul import run_matmul_tasks
 from repro.apps.pipeline import run_pipeline
 from repro.faults import RESTART, FaultPlan, PECrash
-
-#: Task-body vehicle x window data plane.
-LEGS = [(b, w) for b in ("auto", "callable") for w in ("fast", "reference")]
+from tests.oracles import LEGS, callable_bodies, oracle_leg
 
 
 def _fingerprint(r):
@@ -40,10 +38,9 @@ def _fingerprint(r):
     return fp
 
 
-def _run_leg(fn, monkeypatch, bodies, window_path):
-    monkeypatch.setenv("PISCES_TASK_BODIES", bodies)
-    monkeypatch.setenv("PISCES_WINDOW_PATH", window_path)
-    return _fingerprint(fn())
+def _run_leg(fn, window_path, task_bodies):
+    with oracle_leg(window_path, task_bodies):
+        return _fingerprint(fn())
 
 
 APPS = [
@@ -56,8 +53,8 @@ APPS = [
 
 
 @pytest.mark.parametrize("name,fn", APPS, ids=[a[0] for a in APPS])
-def test_app_virtual_history_is_leg_independent(name, fn, monkeypatch):
-    got = {leg: _run_leg(fn, monkeypatch, *leg) for leg in LEGS}
+def test_app_virtual_history_is_leg_independent(name, fn):
+    got = {leg: _run_leg(fn, *leg) for leg in LEGS}
     ref = got[LEGS[0]]
     for leg, fp in got.items():
         assert fp == ref, (
@@ -79,25 +76,27 @@ def test_replay_dispatcher_retraces_recorded_history(name, fn, tmp_path,
     assert psched.exists(), "recorder did not autosave at shutdown"
     monkeypatch.setenv("PISCES_REPLAY_SCHEDULE", str(psched))
     for leg in LEGS:
-        replayed = _run_leg(fn, monkeypatch, *leg)
+        replayed = _run_leg(fn, *leg)
         assert replayed == recorded, (
             f"{name}: replay on {leg[0]}x{leg[1]} diverged from the "
             f"recording")
 
 
-def test_trace_stream_identical_across_cores(monkeypatch):
+def test_trace_stream_identical_across_cores():
     """The full trace stream -- not just the summary fingerprint -- is
     part of the determinism contract between body vehicles."""
     from repro.api import record_run
 
-    runs = {}
-    for bodies in ("auto", "callable"):
-        monkeypatch.setenv("PISCES_TASK_BODIES", bodies)
+    def record():
         rec = record_run("JMASTER", registry=build_windows_registry(12, 2, 3))
         rec.result.vm.shutdown()
-        runs[bodies] = rec
-    assert runs["callable"].elapsed == runs["auto"].elapsed
-    assert runs["callable"].trace_lines == runs["auto"].trace_lines, \
+        return rec
+
+    auto = record()
+    with callable_bodies():
+        callable_ = record()
+    assert callable_.elapsed == auto.elapsed
+    assert callable_.trace_lines == auto.trace_lines, \
         "trace stream diverged between body vehicles"
 
 
@@ -105,17 +104,17 @@ CRASH_PLAN = FaultPlan(seed=11, crashes=(PECrash(at=4_000, pe=4),),
                        name="identity-crash-pe4")
 
 
-def test_chaos_jacobi_fault_plan_identical_across_cores(monkeypatch):
+def test_chaos_jacobi_fault_plan_identical_across_cores():
     """Fault injection points are virtual-time events, so a seeded plan
     must produce the same crash/restart/recovery history under both
     body vehicles."""
     got = {}
     for bodies in ("auto", "callable"):
-        monkeypatch.setenv("PISCES_TASK_BODIES", bodies)
-        r = run_chaos_jacobi(n=12, sweeps=2, n_workers=3,
-                             supervision=RESTART(3, backoff_ticks=500),
-                             on_death="reassign",
-                             fault_plan=CRASH_PLAN)
+        with oracle_leg(task_bodies=bodies):
+            r = run_chaos_jacobi(n=12, sweeps=2, n_workers=3,
+                                 supervision=RESTART(3, backoff_ticks=500),
+                                 on_death="reassign",
+                                 fault_plan=CRASH_PLAN)
         fault_kinds = [e.kind for e in r.vm.faults.events]
         restarted = r.vm.stats.tasks_restarted
         got[bodies] = (_fingerprint(r), r.completed, r.rounds, fault_kinds,

@@ -29,7 +29,7 @@ from repro.mmos.process import (
 )
 from repro.mmos.scheduler import Engine
 from repro.obs.profile import CausalProfiler
-from tests.bodies import BOTH_VEHICLES
+from tests.oracles import BOTH_VEHICLES
 
 
 

@@ -13,7 +13,7 @@ from repro.api import _ALL_TRACE_EVENTS, run_app
 from repro.apps.jacobi import build_windows_registry
 from repro.apps.matmul import build_tasks_registry
 from repro.service.catalog import build_spin_registry
-from tests.bodies import BOTH_VEHICLES
+from tests.oracles import BOTH_VEHICLES
 
 #: (label, registry builder, tasktype, args) -- distinct shapes so the
 #: concurrent mix is heterogeneous, like a real service pool.
@@ -24,20 +24,19 @@ WORKLOADS = [
 ]
 
 
-def run_one(i: int, bodies: str):
+def run_one(i: int):
     label, make_reg, tasktype, args = WORKLOADS[i % len(WORKLOADS)]
     r = run_app(tasktype, *args, registry=make_reg(),
-                task_bodies=bodies, trace_events=_ALL_TRACE_EVENTS)
+                trace_events=_ALL_TRACE_EVENTS)
     return (label, r.elapsed, [e.line() for e in r.vm.tracer.events])
 
 
 @BOTH_VEHICLES
 def test_thread_pool_runs_bit_identical_to_serial(bodies):
     n = 6
-    serial = [run_one(i, bodies) for i in range(n)]
+    serial = [run_one(i) for i in range(n)]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        concurrent = list(pool.map(lambda i: run_one(i, bodies),
-                                   range(n)))
+        concurrent = list(pool.map(run_one, range(n)))
     for i, (ser, conc) in enumerate(zip(serial, concurrent)):
         label, ser_elapsed, ser_trace = ser
         _, conc_elapsed, conc_trace = conc
@@ -55,11 +54,11 @@ def test_concurrent_fault_plans_stay_with_their_run(bodies):
     plan = FaultPlan(seed=3, kills=(TaskKill(at=200, tasktype="SPIN"),))
 
     def clean():
-        return run_one(2, bodies)
+        return run_one(2)
 
     def chaotic():
         with plan_scope(plan):
-            return run_one(2, bodies)
+            return run_one(2)
 
     ref_clean, ref_chaotic = clean(), chaotic()
     assert ref_clean[1] != ref_chaotic[1] or ref_clean[2] != ref_chaotic[2]

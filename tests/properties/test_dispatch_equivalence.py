@@ -3,8 +3,8 @@ brute-force reference picker.
 
 Hypothesis drives randomized spawn/wake/kill/deadline schedules through
 engines that differ only in how the next process is picked (the
-production two-level heap vs :class:`ScanEngine`, a brute-force O(n)
-oracle kept here and nowhere else) and in the body form (callable
+production two-level heap vs :class:`~tests.oracles.ScanEngine`, the
+brute-force O(n) oracle) and in the body form (callable
 bodies on worker threads vs coroutine bodies on the engine thread), and
 demands the complete slice trace the causal profiler records -- (pe,
 start, end, name) for every slice, zero-cost ones included, in dispatch
@@ -22,23 +22,7 @@ from repro.flex.presets import small_flex
 from repro.mmos.process import co_block, co_charge, co_preempt
 from repro.mmos.scheduler import Engine
 from repro.obs.profile import CausalProfiler
-
-
-class ScanEngine(Engine):
-    """The reference picker: every dispatch scans all processes for the
-    least ``(start, last_dispatched, pid)`` key.  No index to keep."""
-
-    def _requeue(self, p):
-        pass
-
-    def _pop_runnable(self):
-        best, best_key = None, None
-        for p in self._procs.values():
-            if self._is_runnable(p):
-                key = self._runnable_key(p)
-                if best_key is None or key < best_key:
-                    best, best_key = p, key
-        return best, best_key
+from tests.oracles import ScanEngine, callable_bodies
 
 
 N_PES = 4
@@ -268,10 +252,9 @@ APP_CASES = {
     "chaos_jacobi": _case_chaos_jacobi,
 }
 
-def _run_app_leg(case, task_bodies):
+def _run_app_leg(case):
     registry, config, tasktype, args = case()
-    config = dataclasses.replace(config, task_bodies=task_bodies,
-                                 trace_events=_ALL_EVENTS)
+    config = dataclasses.replace(config, trace_events=_ALL_EVENTS)
     vm = PiscesVM(config, registry=registry)
     r = vm.run(tasktype, *args)
     return {
@@ -283,9 +266,10 @@ def _run_app_leg(case, task_bodies):
 
 @pytest.mark.parametrize("app", sorted(APP_CASES))
 def test_app_zoo_identical_across_cores_and_vehicles(app):
-    ref = _run_app_leg(APP_CASES[app], "auto")
+    ref = _run_app_leg(APP_CASES[app])
     assert ref["trace"], "tracing must be live for the comparison to bite"
-    got = _run_app_leg(APP_CASES[app], "callable")
+    with callable_bodies():
+        got = _run_app_leg(APP_CASES[app])
     assert got == ref, (
         f"{app}: callable bodies diverged from coroutine bodies "
         f"(elapsed {got['elapsed']} vs {ref['elapsed']})")
@@ -297,7 +281,6 @@ def test_app_zoo_runs_threadless_on_coop(app):
     task bodies and force members all suspend at the KernelOp seam on
     the engine thread."""
     registry, config, tasktype, args = APP_CASES[app]()
-    config = dataclasses.replace(config, task_bodies="auto")
     vm = PiscesVM(config, registry=registry)
     vm.run(tasktype, *args)
     procs = vm.engine._by_ordinal

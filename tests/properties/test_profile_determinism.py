@@ -24,7 +24,7 @@ from repro.apps.jacobi import run_jacobi_windows
 from repro.apps.matmul import run_matmul_tasks
 from repro.apps.pipeline import run_pipeline
 from repro.obs.profile import extract_critical_path
-from tests.properties.test_dispatch_equivalence import ScanEngine
+from tests.oracles import WINDOW_PATHS, ScanEngine, oracle_leg
 
 APPS = [
     ("jacobi", lambda: run_jacobi_windows(n=12, sweeps=2, n_workers=3)),
@@ -33,8 +33,6 @@ APPS = [
     ("pipeline", lambda: run_pipeline(n_stages=3, items=list(range(8)))),
     ("integrate", lambda: run_integrate(pieces=12, points_per_piece=4)),
 ]
-
-WINDOW_PATHS = ("fast", "reference")
 
 
 def _profile_fingerprint(vm, elapsed):
@@ -54,9 +52,12 @@ def _profile_fingerprint(vm, elapsed):
     }
 
 
-def _run(fn, env, engine_cls=None):
+def _run(fn, env, engine_cls=None, **leg):
     if engine_cls is not None:
         with mock.patch("repro.mmos.kernel.Engine", engine_cls):
+            return _run(fn, env, **leg)
+    if leg:
+        with oracle_leg(**leg):
             return _run(fn, env)
     saved = {}
     for k, v in env.items():
@@ -82,25 +83,26 @@ def _run(fn, env, engine_cls=None):
 def test_profile_is_dispatcher_and_window_path_independent(
         app, window_path, tmp_path_factory):
     name, fn = APPS[app]
-    base = {"PISCES_PROFILE": "1", "PISCES_WINDOW_PATH": window_path}
+    base = {"PISCES_PROFILE": "1"}
+    leg = {"window_path": window_path}
 
-    indexed = _run(fn, base)
-    scan = _run(fn, base, engine_cls=ScanEngine)
+    indexed = _run(fn, base, **leg)
+    scan = _run(fn, base, engine_cls=ScanEngine, **leg)
     assert indexed == scan, (
         f"{name}/{window_path}: profile diverged between dispatchers")
 
     # The profiler's prof_hook is body-vehicle-agnostic: callable bodies
     # on worker threads must reproduce the coroutine profile bit for bit.
-    callable_ = _run(fn, {**base, "PISCES_TASK_BODIES": "callable"})
+    callable_ = _run(fn, base, task_bodies="callable", **leg)
     assert callable_ == indexed, (
         f"{name}/{window_path}: profile diverged between body vehicles")
 
     # Record WITHOUT the profiler, replay WITH it: the profile of the
     # replay must reproduce the profiled originals bit for bit.
     psched = tmp_path_factory.mktemp("psched") / f"{name}.psched"
-    _run(fn, {"PISCES_WINDOW_PATH": window_path,
-              "PISCES_RECORD_SCHEDULE": str(psched)})
+    _run(fn, {"PISCES_RECORD_SCHEDULE": str(psched)}, **leg)
     assert psched.exists(), "recorder did not autosave at shutdown"
-    replayed = _run(fn, {**base, "PISCES_REPLAY_SCHEDULE": str(psched)})
+    replayed = _run(fn, {**base, "PISCES_REPLAY_SCHEDULE": str(psched)},
+                    **leg)
     assert replayed == indexed, (
         f"{name}/{window_path}: replayed profile diverged from original")

@@ -49,7 +49,8 @@ class TestEndpoints:
         path = client.fetch_artifact(rec["run_id"], "manifest.json",
                                      tmp_path / "m.json")
         manifest = json.loads(path.read_text())
-        assert "task_bodies" in manifest
+        assert manifest["dispatcher"] == "indexed"
+        assert "task_bodies" not in manifest
 
     def test_list_runs_filters(self, client):
         rec = client.submit(QUICK)
@@ -97,6 +98,10 @@ class TestErrorMapping:
             client.submit({"app": "no_such_app"})
         with pytest.raises(InvalidRunSpec):
             client.submit({"app": "jacobi", "bogus_field": 1})
+        for axis, value in (("window_path", "slow"),
+                            ("task_bodies", "threads")):
+            with pytest.raises(InvalidRunSpec, match=axis):
+                client.submit({"app": "spin", axis: value})
 
     def test_400_unknown_state_filter(self, client):
         with pytest.raises(InvalidRunSpec, match="unknown run state"):

@@ -45,15 +45,15 @@ class TestSubmitAndRun:
         assert "run.events.jsonl" in final.artifacts
         assert "manifest.json" in final.artifacts
 
-    def test_record_carries_task_bodies_provenance(self, svc):
-        """The service run record surfaces how the run executed
-        (including the task_bodies axis the manifest records)."""
+    def test_record_carries_execution_provenance(self, svc):
+        """The service run record surfaces how the run executed, and
+        names no retired execution axis."""
         rec = svc.submit("alice", QUICK)
         final = wait_state(svc, rec.run_id, DONE)
-        assert final.provenance["task_bodies"] in ("auto", "callable")
-        assert "exec_core" not in final.provenance
         assert final.provenance["dispatcher"] == "indexed"
-        assert final.provenance["window_path"] == "fast"
+        assert final.provenance["repro_version"]
+        for axis in ("exec_core", "window_path", "task_bodies"):
+            assert axis not in final.provenance
 
     def test_bad_tenant_refused(self, svc):
         with pytest.raises(InvalidRunSpec, match="tenant"):

@@ -25,6 +25,13 @@ class TestRoundTrip:
                                "window_path": "batched",
                                "task_bodies": "callable"})
         assert s == RunSpec(app="jacobi")
+        for window_path in ("", "fast", "batched", "reference"):
+            for task_bodies in ("", "auto", "callable"):
+                s = RunSpec.from_dict({"app": "spin",
+                                       "window_path": window_path,
+                                       "task_bodies": task_bodies})
+                assert s == RunSpec(app="spin")
+                assert "window_path" not in s.to_dict()
 
     def test_dict_is_json_stable(self):
         import json
