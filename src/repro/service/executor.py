@@ -164,7 +164,9 @@ def standalone_run(spec):
 def execute_run(rec: RunRecord, store: RunStore,
                 handle: ExecutionHandle) -> RunRecord:
     """Run one ADMITTED record to a terminal state.  Called on a worker
-    thread; never raises (failures become the FAILED state)."""
+    thread.  A failure of the run becomes the FAILED state; only a store
+    that cannot persist even that raises, leaving the record at its last
+    persisted state for the next boot to re-queue."""
     if handle.kill_event.is_set():        # killed while waiting to start
         return store.transition(rec.run_id, KILLED,
                                 finished_at=time.time(),

@@ -22,8 +22,10 @@ metrics / trace queries can reach the running VM.
 from __future__ import annotations
 
 import re
+import sys
 import threading
 import time
+import traceback
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -101,6 +103,12 @@ class RunService:
                 self._handles[rec.run_id] = handle
             try:
                 execute_run(rec, self.store, handle)
+            except Exception:
+                # The store could not record the outcome (a full disk,
+                # say).  The worker lives on to serve later runs.
+                print(f"pisces service: run {rec.run_id}: outcome not "
+                      f"recorded", file=sys.stderr)
+                traceback.print_exc()
             finally:
                 with self._cv:
                     self._handles.pop(rec.run_id, None)

@@ -26,10 +26,9 @@ keep their ``checkpoints/`` directory, so the executor can resume from
 ``find_latest_checkpoint`` instead of starting over.
 
 **Residency** follows the live queue, not the history (the paper's
-system tables are fixed-size slot records, section 11).  Boot still
-parses and validates every ``record.json``, but keeps a full
-:class:`RunRecord` in memory only for live runs (QUEUED/ADMITTED/
-RUNNING).  Every run also has a compact seq-ordered summary
+system tables are fixed-size slot records, section 11).  A full
+:class:`RunRecord` stays in memory only for live runs (QUEUED/
+ADMITTED/RUNNING).  Every run also has a compact seq-ordered summary
 ``run_id -> (seq, tenant, state)``.  Queries for a live state walk
 only the live records; :meth:`get` and terminal or unfiltered
 :meth:`list` read terminal records back from disk, which stays the
@@ -37,6 +36,21 @@ only source of truth.  Run ids come from the highest seq among both
 the valid records and the ``r<seq>`` directory names, so a torn
 record never lends its id -- or its ``artifacts/`` and
 ``checkpoints/`` -- to a new run.
+
+**Boot** re-parses only what may have changed.  A finished record never
+changes (no transition leaves a terminal state), so boot keeps a
+plain-text cache of the finished runs it has validated, ``runs.index``
+at the store root.  It holds one ``run_id seq tenant state size
+mtime_ns crc`` line per run, ``crc`` being the CRC-32 of the rest of
+the line.  Boot stats every ``record.json``: when its size and mtime
+equal the line's, the summary comes from the line; otherwise, and
+always for live runs, the record is parsed and validated.  A line is
+trusted only if its mtime is older than the index file's own, so a
+record rewritten within one file-clock tick of the index write is
+parsed again (git's "racy" rule).  The index is disposable: a missing,
+torn or garbled index costs only a full parse of the runs it does not
+vouch for, and boot rewrites it (atomically, ignoring write errors)
+whenever its content would change.
 """
 
 from __future__ import annotations
@@ -47,6 +61,7 @@ import re
 import sys
 import threading
 import time
+import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -120,14 +135,26 @@ class RunRecord:
         return self.state in LIVE_STATES
 
 
-def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
+def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        # A full disk must not leave a stray ``.tmp`` beside the file.
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
+
+
+def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
+    _atomic_write(path, (json.dumps(payload, indent=1, sort_keys=True)
+                         + "\n").encode())
 
 
 #: What a ``record.json`` that is not a valid record raises on read.
@@ -138,6 +165,13 @@ _RUN_DIR = re.compile(r"r([0-9]{1,18})")
 
 #: Per-run summary: (seq, tenant, state).
 _Summary = Tuple[int, str, str]
+
+#: The boot index's file name, at the store root (not under ``runs/``,
+#: whose every entry is taken for a run directory).
+INDEX_NAME = "runs.index"
+
+#: A ``record.json``'s (size, mtime_ns): what an index line vouches for.
+_Stamp = Tuple[int, int]
 
 
 def _read_record(path: str) -> RunRecord:
@@ -153,6 +187,61 @@ def _intern(v: Any) -> Any:
 
 def _summary(rec: RunRecord) -> _Summary:
     return rec.seq, _intern(rec.tenant), _intern(rec.state)
+
+
+def _parse_index_line(line: bytes) -> Tuple[str, _Summary, _Stamp]:
+    """One index line back to its fields; ValueError if it is not one."""
+    body, _, crc = line.rpartition(b" ")
+    if zlib.crc32(body) != int(crc, 16):
+        raise ValueError("index line fails its checksum")
+    run_id, seq, tenant, state, size, mtime_ns = body.decode().split()
+    if state not in TERMINAL_STATES:
+        raise ValueError(f"not a finished state: {state!r}")
+    return (run_id, (int(seq), _intern(tenant), _intern(state)),
+            (int(size), int(mtime_ns)))
+
+
+def _index_line(run_id: str, summary: _Summary,
+                stamp: _Stamp) -> Optional[bytes]:
+    """A finished run's index line, or None when the line would not read
+    back as these fields (a tenant with whitespace, say): boot then
+    always parses that run."""
+    seq, tenant, state = summary
+    try:
+        body = f"{run_id} {seq} {tenant} {state} {stamp[0]} {stamp[1]}" \
+            .encode()
+        line = b"%s %08x" % (body, zlib.crc32(body))
+        if _parse_index_line(line) == (run_id, summary, stamp):
+            return line
+    except ValueError:
+        pass
+    return None
+
+
+def _read_index(path: str) -> Tuple[int, List[bytes]]:
+    """The index file's mtime and its bytes split at newlines; a missing
+    index reads as an empty one."""
+    try:
+        with open(path, "rb") as f:
+            return os.fstat(f.fileno()).st_mtime_ns, f.read().split(b"\n")
+    except OSError:
+        return 0, [b""]
+
+
+def _vouched(line: bytes, name: str, stamp: _Stamp,
+             written_ns: int) -> Optional[_Summary]:
+    """The summary an index ``line`` holds for run directory ``name``,
+    if the line is intact, names that run and carries the stamp of its
+    ``record.json`` now.  The line must also be older than the index
+    file (written at ``written_ns``): a record rewritten in the clock
+    tick the index was written in could keep its stamp."""
+    try:
+        run_id, summary, was = _parse_index_line(line)
+    except ValueError:
+        return None
+    if run_id == name and was == stamp and stamp[1] < written_ns:
+        return summary
+    return None
 
 
 class RunStore:
@@ -195,20 +284,52 @@ class RunStore:
     def _load_all(self) -> None:
         with os.scandir(self._runs_path) as entries:
             names = sorted(e.name for e in entries)
+        index_path = self.root / INDEX_NAME
+        written_ns, old = _read_index(os.fspath(index_path))
+        by_name = {line.partition(b" ")[0].decode(errors="replace"): line
+                   for line in old}
         index: Dict[str, _Summary] = {}
         live: Dict[str, RunRecord] = {}
+        lines = []                    # the index the next boot reads
+        # Whether a line of ``old`` went unused.  A line too new to trust
+        # comes out the same, but rewriting it moves the index's mtime on.
+        stale = False
         for name in names:
             m = _RUN_DIR.fullmatch(name)
             if m:
                 self._next_seq = max(self._next_seq, int(m.group(1)) + 1)
+            path = self._record_file(name)
             try:
-                rec = _read_record(self._record_file(name))
-            except _UNREADABLE:
-                continue      # torn tmp leftovers etc.: not a record
-            index[rec.run_id] = _summary(rec)
-            if rec.is_live:
-                live[rec.run_id] = rec
-            self._next_seq = max(self._next_seq, rec.seq + 1)
+                st = os.stat(path)
+            except OSError:
+                continue      # no record here: not a run directory
+            stamp = (st.st_size, st.st_mtime_ns)
+            line = by_name.get(name)
+            summary = (None if line is None
+                       else _vouched(line, name, stamp, written_ns))
+            if summary is not None:
+                run_id = name
+            else:
+                stale = stale or line is not None
+                try:
+                    rec = _read_record(path)
+                except _UNREADABLE:
+                    continue  # a torn record: not a run
+                run_id, summary, line = rec.run_id, _summary(rec), None
+                if rec.is_live:
+                    live[run_id] = rec
+                elif run_id == name:
+                    line = _index_line(name, summary, stamp)
+            if line is not None:
+                lines.append(line)
+            index[run_id] = summary
+            self._next_seq = max(self._next_seq, summary[0] + 1)
+        lines.append(b"")             # the final newline, as split() reads
+        if stale or lines != old:
+            try:
+                _atomic_write(index_path, b"\n".join(lines))
+            except OSError:
+                pass          # costs the next boot some parsing, no more
         # Sorted by seq once here; later writes keep the order, since a
         # new run always takes the highest seq.
         for run_id in sorted(index, key=lambda r: index[r][0]):

@@ -2,17 +2,21 @@
 
 import gc
 import json
+import os
+import shutil
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import InvalidRunSpec, ServiceError, UnknownRun
+from repro.service import store as store_mod
 from repro.service.spec import RunSpec
-from repro.service.store import (_TRANSITIONS, ADMITTED, DONE, KILLED,
-                                 LIVE_STATES, QUEUED, RUNNING, STATES,
-                                 RunRecord, RunStore)
+from repro.service.store import (_TRANSITIONS, ADMITTED, DONE, INDEX_NAME,
+                                 KILLED, LIVE_STATES, QUEUED, RUNNING, STATES,
+                                 TERMINAL_STATES, RunRecord, RunStore)
 
 SPEC = RunSpec(app="spin", params={"rounds": 3})
 
@@ -223,9 +227,187 @@ class TestResidency:
             store.get(rec.run_id)
 
 
+def _age(*paths):
+    """Date records an hour back, each call to a new instant.  Boot
+    trusts an index line only for a record older than the index file
+    (one rewritten in the clock tick of the index write could keep its
+    stamp), so exact parse counts need records from before that tick."""
+    ns = time.time_ns() - 3600 * 10**9
+    for path in paths:
+        os.utime(path, ns=(ns, ns))
+
+
+def _boot(root, monkeypatch):
+    """A fresh RunStore over ``root`` and how many records it parsed."""
+    parsed = []
+    real = store_mod._read_record
+    monkeypatch.setattr(store_mod, "_read_record",
+                        lambda path: parsed.append(path) or real(path))
+    store = RunStore(root)
+    monkeypatch.setattr(store_mod, "_read_record", real)
+    return store, len(parsed)
+
+
+def _write_record(root, rec):
+    path = root / "runs" / rec.run_id / "record.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(rec.to_dict()))
+    return path
+
+
+class TestBootIndex:
+
+    def test_index_is_a_work_count_gate(self, tmp_path, monkeypatch):
+        n, k = 12, 3
+        root = tmp_path / "store"
+        store = RunStore(root)
+        for _ in range(n):
+            _finish(store, store.create("t", SPEC).run_id)
+        _age(*root.glob("runs/*/record.json"))
+        assert _boot(root, monkeypatch)[1] == n           # no index yet
+        assert _boot(root, monkeypatch)[1] == 0
+
+        edited = store.record_path("r000004")
+        on_disk = json.loads(edited.read_text())
+        on_disk["exit"]["note"] = "edited on disk"
+        edited.write_text(json.dumps(on_disk))
+        _age(edited)
+        store, parsed = _boot(root, monkeypatch)
+        assert parsed == 1
+        assert store.get("r000004").exit["note"] == "edited on disk"
+
+        new = [_finish(store, store.create("t", SPEC).run_id).run_id
+               for _ in range(k)]
+        _age(*(store.record_path(r) for r in new))
+        assert _boot(root, monkeypatch)[1] == k
+        assert _boot(root, monkeypatch)[1] == 0
+
+        (root / INDEX_NAME).unlink()
+        store, parsed = _boot(root, monkeypatch)
+        assert parsed == n + k
+        assert len(store.list(state=DONE)) == n + k
+
+    def test_live_records_are_always_parsed(self, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        store = RunStore(root)
+        _finish(store, store.create("t", SPEC).run_id)
+        store.create("t", SPEC)
+        _age(*root.glob("runs/*/record.json"))
+        assert _boot(root, monkeypatch)[1] == 2
+        assert _boot(root, monkeypatch)[1] == 1
+        assert [line.split()[0] for line in
+                (root / INDEX_NAME).read_text().splitlines()] == ["r000001"]
+
+    def test_record_as_new_as_the_index_is_parsed(self, tmp_path,
+                                                  monkeypatch):
+        """A record rewritten in the clock tick the index was written in
+        could keep its stamp, so its line is not trusted -- and boot
+        rewrites the index, moving its mtime past the record's."""
+        root = tmp_path / "store"
+        store = RunStore(root)
+        record = store.record_path(
+            _finish(store, store.create("t", SPEC).run_id).run_id)
+        _age(record)
+        RunStore(root)
+        tick = record.stat().st_mtime_ns
+        os.utime(root / INDEX_NAME, ns=(tick, tick))
+        assert _boot(root, monkeypatch)[1] == 1
+        assert (root / INDEX_NAME).stat().st_mtime_ns > tick
+        assert _boot(root, monkeypatch)[1] == 0
+
+    def test_index_lives_outside_the_run_directories(self, tmp_path):
+        root = tmp_path / "store"
+        store = RunStore(root)
+        _finish(store, store.create("t", SPEC).run_id)
+        RunStore(root)
+        assert (root / INDEX_NAME).is_file()
+        assert [p.name for p in (root / "runs").iterdir()] == ["r000001"]
+
+    def test_line_for_a_deleted_run_directory(self, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        store = RunStore(root)
+        gone, kept = (_finish(store, store.create("t", SPEC).run_id)
+                      for _ in range(2))
+        _age(*root.glob("runs/*/record.json"))
+        RunStore(root)
+        assert gone.run_id in (root / INDEX_NAME).read_text()
+        shutil.rmtree(store.run_dir(gone.run_id))
+        store, parsed = _boot(root, monkeypatch)
+        assert parsed == 0
+        assert [r.run_id for r in store.list()] == [kept.run_id]
+        assert gone.run_id not in (root / INDEX_NAME).read_text()
+        _assert_boots_agree(store)
+
+    def test_torn_record_the_index_lists(self, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        store = RunStore(root)
+        torn, kept = (_finish(store, store.create("t", SPEC).run_id)
+                      for _ in range(2))
+        _age(*root.glob("runs/*/record.json"))
+        RunStore(root)
+        store.record_path(torn.run_id).write_text("{ torn json")
+        store, parsed = _boot(root, monkeypatch)
+        assert parsed == 1
+        assert [r.run_id for r in store.list()] == [kept.run_id]
+        _assert_boots_agree(store)
+
+    def test_tenant_with_a_space_is_always_parsed(self, tmp_path,
+                                                  monkeypatch):
+        root = tmp_path / "store"
+        path = _write_record(root, RunRecord(
+            run_id="r000001", tenant="two words", spec=SPEC, state=DONE,
+            seq=1))
+        _age(path)
+        for _ in range(2):
+            store, parsed = _boot(root, monkeypatch)
+            assert parsed == 1
+            assert store.tenants() == ["two words"]
+            assert [r.tenant for r in store.list(tenant="two words")] \
+                == ["two words"]
+        assert not (root / INDEX_NAME).exists()
+        _assert_boots_agree(store)
+
+    def test_record_naming_another_run_is_not_cached(self, tmp_path,
+                                                     monkeypatch):
+        root = tmp_path / "store"
+        path = _write_record(root, RunRecord(
+            run_id="r000001", tenant="t", spec=SPEC, state=DONE, seq=1))
+        path.parent.rename(root / "runs" / "copy")
+        _age(root / "runs" / "copy" / "record.json")
+        for _ in range(2):
+            store, parsed = _boot(root, monkeypatch)
+            assert parsed == 1
+            assert list(store._index) == ["r000001"]
+        _assert_boots_agree(store)
+
+    def test_garbled_lines_cost_only_their_runs(self, tmp_path,
+                                                monkeypatch):
+        root = tmp_path / "store"
+        store = RunStore(root)
+        for _ in range(3):
+            _finish(store, store.create("t", SPEC).run_id)
+        _age(*root.glob("runs/*/record.json"))
+        RunStore(root)
+        index = root / INDEX_NAME
+        lines = index.read_text().splitlines()
+        # A flipped tenant fails the line's checksum; a torn last line
+        # fails to parse; junk is ignored.
+        lines[0] = lines[0].replace(" t ", " x ")
+        lines[2] = lines[2][:-3]
+        index.write_text("\n".join(lines + ["junk", "r9 1 t DONE 1 2 0"]))
+        store, parsed = _boot(root, monkeypatch)
+        assert parsed == 2
+        assert set(store.tenants()) == {"t"}
+        _assert_boots_agree(store)
+
+
 # ------------------------------------------------- residency property --
 
 TENANTS = ("alice", "bob", "carol")
+
+#: Lines a garbled index may end with.
+_JUNK = (b"", b"junk", b"r000001", b"r000001 1 alice DONE 1 2 00000000",
+         b"r000099 99 alice DONE 10 20 0bad0bad", b"\x00\xff\xfe")
 
 _OPS = st.one_of(
     st.tuples(st.just("create"), st.sampled_from(TENANTS)),
@@ -233,7 +415,53 @@ _OPS = st.one_of(
               st.integers(0, 2)),
     st.tuples(st.just("amend"), st.integers(0, 63), st.integers(0, 9)),
     st.tuples(st.just("reopen")),
+    st.tuples(st.just("drop_index")),
+    st.tuples(st.just("garble_index"), st.integers(0, 4095),
+              st.lists(st.sampled_from(_JUNK), max_size=3)),
+    st.tuples(st.just("rewrite"), st.integers(0, 63), st.integers(0, 2),
+              st.booleans()),
 )
+
+
+def _rewrite(path: Path, how: int, dated_back: bool) -> None:
+    """Rewrite a finished record's bytes on disk: the same record in
+    other bytes, or another tenant or finished state (some the same
+    size as before, so only the mtime tells them apart) -- optionally
+    dated back, as a restore from a backup would, to before the
+    index."""
+    d = json.loads(path.read_text())
+    if how == 1:
+        d["tenant"] = TENANTS[(TENANTS.index(d["tenant"]) + 1) % 3]
+    elif how == 2:
+        d["state"] = TERMINAL_STATES[
+            (TERMINAL_STATES.index(d["state"]) + 1) % 3]
+    path.write_text(json.dumps(d, indent=how or None))
+    if dated_back:
+        _age(path)
+
+
+def _assert_boots_agree(store):
+    """``store`` (booted with whatever index was on disk) holds exactly
+    what a boot without the index finds."""
+    index = store.root / INDEX_NAME
+    aside = index.with_name("aside")
+    if index.exists():
+        os.replace(index, aside)
+    try:
+        plain = RunStore(store.root)
+    finally:
+        if aside.exists():
+            os.replace(aside, index)    # keeps the index's own mtime
+        else:
+            index.unlink(missing_ok=True)
+    assert list(store._index.items()) == list(plain._index.items())
+    assert list(store._live.items()) == list(plain._live.items())
+    assert store._next_seq == plain._next_seq
+    assert store.tenants() == plain.tenants()
+    for tenant in (None, *store.tenants()):
+        for state in (None, *STATES):
+            assert store.list(tenant=tenant, state=state) \
+                == plain.list(tenant=tenant, state=state)
 
 
 def _oracle(root: Path):
@@ -259,18 +487,32 @@ def _assert_matches_disk(store):
     assert store.tenants() == sorted({r.tenant for r in disk})
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(ops=st.lists(_OPS, min_size=1, max_size=20))
 def test_store_answers_like_the_records_on_disk(ops):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "store"
+        index = root / INDEX_NAME
         store = RunStore(root)
         for op in ops:
             ids = [r.run_id for r in store.list()]
+            finished = [r.run_id for r in store.list()
+                        if r.state in TERMINAL_STATES]
             if op[0] == "create":
                 store.create(op[1], SPEC)
-            elif op[0] == "reopen":
+            elif op[0] in ("reopen", "drop_index", "garble_index",
+                           "rewrite"):
+                if op[0] == "drop_index":
+                    index.unlink(missing_ok=True)
+                elif op[0] == "garble_index" and index.exists():
+                    data = index.read_bytes()
+                    index.write_bytes(
+                        data[:op[1] % (len(data) + 1)] + b"\n".join(op[2]))
+                elif op[0] == "rewrite" and finished:
+                    _rewrite(store.record_path(
+                        finished[op[1] % len(finished)]), op[2], op[3])
                 store = RunStore(root)
+                _assert_boots_agree(store)
                 store.recover()
             elif not ids:
                 continue
