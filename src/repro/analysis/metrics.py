@@ -9,33 +9,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.vm import PiscesVM, RunResult
+from ..core.vm import PiscesVM, RunResult, RunStats
 from ..util.tables import format_table
 
 
 @dataclass
 class RunMetrics:
-    """Summary measurements of one completed run."""
+    """Summary measurements of one completed run; the event counts are
+    read from the run's :class:`~repro.core.vm.RunStats`."""
 
     elapsed: int
     pe_busy: Dict[int, int]
     pe_utilization: Dict[int, float]
-    messages_sent: int
-    message_bytes: int
-    accepts: int
-    accept_timeouts: int
-    tasks_started: int
-    forcesplits: int
-    window_bytes: int
+    stats: RunStats
     heap_high_water: int
-    #: Window data plane: bytes that actually crossed it (cache hits
-    #: move none) and the cache outcome counts.
-    window_bytes_moved: int = 0
-    window_cache_hits: int = 0
-    window_cache_misses: int = 0
-    #: Registry-derived figures (None when the observability registry
-    #: was disabled for the run).
-    messages_accepted: Optional[int] = None
+    #: From the send->accept latency histogram (None when metrics were
+    #: off for the run).
     mean_send_accept_latency: Optional[float] = None
 
     @property
@@ -45,23 +34,24 @@ class RunMetrics:
         return sum(self.pe_utilization.values()) / len(self.pe_utilization)
 
     def table(self) -> str:
+        st = self.stats
         rows = [
             ["elapsed (ticks)", self.elapsed],
             ["PEs used", len(self.pe_busy)],
             ["mean PE utilization", f"{100 * self.mean_utilization:.1f}%"],
-            ["messages sent", self.messages_sent],
-            ["message bytes", self.message_bytes],
-            ["accepts / timeouts", f"{self.accepts} / {self.accept_timeouts}"],
-            ["tasks started", self.tasks_started],
-            ["force splits", self.forcesplits],
-            ["window bytes requested", self.window_bytes],
-            ["window bytes moved (data plane)", self.window_bytes_moved],
+            ["messages sent", st.messages_sent],
+            ["message bytes", st.message_bytes_sent],
+            ["accepts / timeouts", f"{st.accepts} / {st.accept_timeouts}"],
+            ["tasks started", st.tasks_started],
+            ["force splits", st.forcesplits],
+            ["window bytes requested",
+             st.window_bytes_read + st.window_bytes_written],
+            ["window bytes moved (data plane)", st.window_bytes_moved],
             ["window cache hits / misses",
-             f"{self.window_cache_hits} / {self.window_cache_misses}"],
+             f"{st.window_cache_hits} / {st.window_cache_misses}"],
             ["heap high-water (bytes)", self.heap_high_water],
+            ["messages accepted", st.messages_accepted],
         ]
-        if self.messages_accepted is not None:
-            rows.append(["messages accepted", self.messages_accepted])
         if self.mean_send_accept_latency is not None:
             rows.append(["mean send->accept latency",
                          f"{self.mean_send_accept_latency:.1f} ticks"])
@@ -73,31 +63,16 @@ def collect_metrics(vm: PiscesVM) -> RunMetrics:
     elapsed = max(1, vm.machine.elapsed())
     used = vm.config.used_pes()
     busy = {pe: vm.machine.clocks[pe].busy_ticks for pe in used}
-    st = vm.stats
-    accepted: Optional[int] = None
     latency: Optional[float] = None
-    reg = vm.metrics
-    if reg.families():
-        accepted = reg.counter_total("messages_accepted")
-        lat = reg.histogram_merged("send_accept_latency_ticks")
-        if lat is not None and lat.count:
-            latency = lat.mean
+    lat = vm.metrics.histogram_merged("send_accept_latency_ticks")
+    if lat is not None and lat.count:
+        latency = lat.mean
     return RunMetrics(
         elapsed=vm.machine.elapsed(),
         pe_busy=busy,
         pe_utilization={pe: b / elapsed for pe, b in busy.items()},
-        messages_sent=st.messages_sent,
-        message_bytes=st.message_bytes_sent,
-        accepts=st.accepts,
-        accept_timeouts=st.accept_timeouts,
-        tasks_started=st.tasks_started,
-        forcesplits=st.forcesplits,
-        window_bytes=st.window_bytes_read + st.window_bytes_written,
-        window_bytes_moved=st.window_bytes_moved,
-        window_cache_hits=st.window_cache_hits,
-        window_cache_misses=st.window_cache_misses,
+        stats=vm.stats,
         heap_high_water=vm.machine.shared.stats.high_water,
-        messages_accepted=accepted,
         mean_send_accept_latency=latency,
     )
 

@@ -44,7 +44,6 @@ class PeriodicCheckpointer:
         #: derived from the clock at the first pump so fresh runs and
         #: restored runs (which start mid-clock) mark identically.
         self.next_mark: Optional[int] = None
-        self.written = 0
         self._warned = False
 
     def pump(self, engine) -> None:
@@ -71,13 +70,8 @@ class PeriodicCheckpointer:
                 print(f"pisces: checkpoint failed, continuing without: {e}",
                       file=sys.stderr)
             return
-        self.written += 1
-        stats = self.vm.stats
-        stats.checkpoints_written += 1
-        stats.checkpoint_bytes += path.stat().st_size
-        metrics = self.vm.metrics
-        if metrics.enabled:
-            metrics.counter("checkpoints_written").inc()
+        self.vm.counts.checkpoints_written[()].value += 1
+        self.vm.stats.checkpoint_bytes += path.stat().st_size
         self._prune()
 
     def _prune(self) -> None:

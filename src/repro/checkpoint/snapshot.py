@@ -24,7 +24,6 @@ Two stability rules govern what may appear here:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import numbers as _numbers
 import zlib
@@ -99,7 +98,7 @@ def snapshot_state(vm) -> Dict[str, Any]:
         "stats": {k: (int(v) if isinstance(v, _numbers.Integral)
                       and not isinstance(v, bool) else v)
                   for k, v in _run_stats(
-                      dataclasses.asdict(vm.stats)).items()},
+                      vm.stats.as_dict()).items()},
     }
     if vm.file_controller is not None:
         state["file_store"] = vm.file_controller.arrays.snapshot()

@@ -183,10 +183,6 @@ class AcceptState:
         self.spec = spec
         self.taken: Dict[str, int] = {t: 0 for t in spec.per_type}
         self.result = AcceptResult()
-        #: Virtual time each message was taken (parallel to
-        #: ``result.messages``); the observability layer derives the
-        #: send->accept latency from it.
-        self.take_times: List[int] = []
         #: Cache for :meth:`wanted_now`, invalidated by :meth:`take` --
         #: the accept wait loop probes the in-queue many times between
         #: takes and must not rebuild the type collection per probe.
@@ -217,10 +213,9 @@ class AcceptState:
             return True
         return self.taken[mtype] < want
 
-    def take(self, msg: Message, now: Optional[int] = None) -> None:
+    def take(self, msg: Message) -> None:
         self.taken[msg.mtype] += 1
         self.result.messages.append(msg)
-        self.take_times.append(msg.arrival_time if now is None else now)
         self._wanted_cache = None
 
     def satisfied(self) -> bool:
@@ -238,19 +233,3 @@ class AcceptState:
             return list(self.spec.per_type)
         return [t for t, c in self.spec.per_type.items()
                 if c is not None and self.taken[t] < c]
-
-
-def record_accept_metrics(registry, state: AcceptState,
-                          tasktype: str) -> None:
-    """Observe per-message send->accept latency and accepted counts.
-
-    Called by the run-time library when an ACCEPT completes and the
-    registry is enabled; the latency is take time minus send time, i.e.
-    queueing delay plus transit, the quantity a user tunes message
-    patterns against.
-    """
-    for msg, taken_at in zip(state.result.messages, state.take_times):
-        registry.counter("messages_accepted", tasktype=tasktype,
-                         mtype=msg.mtype).inc()
-        registry.histogram("send_accept_latency_ticks", tasktype=tasktype
-                           ).observe(max(0, taken_at - msg.send_time))

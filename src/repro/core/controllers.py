@@ -146,7 +146,7 @@ class TaskController(Controller):
                 tasktype=tasktype_name, args=args, parent=parent,
                 requested_at=self.vm.engine.now(),
                 supervision=supervision, restarts=restarts))
-            self.vm.note_initiate_held(req_id)
+            self.vm.counts.initiates_held[()].value += 1
             return
         self.vm.engine.charge(COST_CONTROLLER_INITIATE)
         self.vm.start_task_in_slot(self.cluster, slot, tasktype_name, args,

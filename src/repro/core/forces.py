@@ -217,10 +217,9 @@ def do_forcesplit(ctx: TaskContext, region: Callable[..., Any],
     size = cluster.force_size
     eng.charge(COST_FORCESPLIT_BASE + size * COST_FORCESPLIT_PER_MEMBER)
     task.trace(TraceEventType.FORCE_SPLIT, info=f"size={size}")
-    vm.stats.forcesplits += 1
+    vm.counts.forcesplits[cluster.number].value += 1
     metrics = vm.metrics
     if metrics.enabled:
-        metrics.counter("forcesplits", cluster=cluster.number).inc()
         metrics.histogram("force_size", cluster=cluster.number).observe(size)
 
     creg = inspect.isgeneratorfunction(region)

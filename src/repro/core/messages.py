@@ -144,13 +144,14 @@ class InQueue:
         self._by_type: Dict[str, Deque[Message]] = {}
         self._live_bytes = 0
         self.total_received = 0
-        #: Deepest the queue has ever been (cheap, always on).
-        self.max_depth = 0
         #: Observability hook: a :class:`~repro.obs.metrics.MetricsRegistry`
         #: plus the label set identifying this queue (wired by the owner:
         #: Task / Controller construction).  None means unmetered.
         self.metrics = None
         self.metric_labels: dict = {}
+        #: (depth family, bytes family, label key), bound on the first
+        #: metered enqueue.
+        self._meters: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self._q)
@@ -179,13 +180,17 @@ class InQueue:
             d.insert(j, msg)
         self._live_bytes += msg.nbytes
         self.total_received += 1
-        depth = len(q)
-        if depth > self.max_depth:
-            self.max_depth = depth
         m = self.metrics
         if m is not None and m.enabled:
-            m.histogram("inqueue_depth", **self.metric_labels).observe(depth)
-            m.counter("inqueue_bytes", **self.metric_labels).inc(msg.nbytes)
+            meters = self._meters
+            if meters is None:
+                meters = self._meters = (
+                    m.histogram_family("inqueue_depth"),
+                    m.counter_family("inqueue_bytes"),
+                    tuple(sorted(self.metric_labels.items())))
+            depths, nbytes, key = meters
+            depths[key].observe(len(q))
+            nbytes[key].value += msg.nbytes
 
     def peek(self) -> Optional[Message]:
         """Earliest queued message of any type (None when empty)."""

@@ -45,7 +45,6 @@ from .accept import (
     AcceptState,
     RetryPolicy,
     normalize_specs,
-    record_accept_metrics,
 )
 from .cluster import ClusterRuntime
 from .messages import InQueue, Message, release_message
@@ -395,9 +394,6 @@ class TaskContext:
                             self._discard_corrupt(m)
                             continue
                         yield from self._process_message(m, state)
-                if vm.metrics.enabled:
-                    record_accept_metrics(vm.metrics, state,
-                                          self.task.ttype.name)
                 yield co_preempt(0)
                 return state.result
             # Unsatisfied: wait for in-flight matches or new sends.
@@ -409,11 +405,7 @@ class TaskContext:
                     attempt += 1
                     deadline = now + policy.wait_ticks(base_delay, attempt,
                                                        rng=vm.run_rng)
-                    vm.stats.accept_retries += 1
-                    if vm.metrics.enabled:
-                        vm.metrics.counter(
-                            "accept_retries",
-                            tasktype=self.task.ttype.name).inc()
+                    vm.counts.accept_retries[self.task.ttype.name].value += 1
                     continue
                 return self._timeout(state, on_timeout, timeout_ok)
             open_types = state.wanted_types_open()
@@ -435,16 +427,12 @@ class TaskContext:
         if det is not None:
             det.forget_message(m)
         release_message(vm.machine.shared, m)
-        vm.stats.corruptions_detected += 1
+        vm.counts.messages_corrupt_detected[self.task.ttype.name].value += 1
         if vm.faults is not None:
             vm.faults.record("corrupt_detected",
                              f"type={m.mtype} from={m.sender}",
                              task=self.task.tid,
-                             pe=self.task.cluster.primary_pe,
-                             injected=False)
-        if vm.metrics.enabled:
-            vm.metrics.counter("messages_corrupt_detected",
-                               tasktype=self.task.ttype.name).inc()
+                             pe=self.task.cluster.primary_pe)
 
     def _process_message(self, m: Message, state: AcceptState):
         # A KernelOp generator (driven via ``yield from`` inside
@@ -460,9 +448,15 @@ class TaskContext:
         if sh is not None:
             sh.on_accept_match(str(self.task.tid), str(m.sender), m.mtype)
         release_message(vm.machine.shared, m)
-        vm.stats.messages_accepted += 1
+        ttype = self.task.ttype.name
+        vm.counts.messages_accepted[ttype, m.mtype].value += 1
+        if vm.metrics.enabled:
+            # Send->accept latency: queueing delay plus transit, the
+            # quantity a user tunes message patterns against.
+            vm.accept_latency[ttype].observe(
+                max(0, vm.engine.now() - m.send_time))
         self.sender = m.sender
-        state.take(m, now=vm.engine.now())
+        state.take(m)
         self.task.trace(TraceEventType.MSG_ACCEPT,
                         info=f"type={m.mtype} bytes={m.nbytes}",
                         other=m.sender)
@@ -475,11 +469,7 @@ class TaskContext:
                 h(self, *m.args)
 
     def _timeout(self, state: AcceptState, on_timeout, timeout_ok) -> AcceptResult:
-        self.vm.stats.accept_timeouts += 1
-        m = self.vm.metrics
-        if m.enabled:
-            m.counter("accept_timeouts", tasktype=self.task.ttype.name).inc()
-            record_accept_metrics(m, state, self.task.ttype.name)
+        self.vm.counts.accept_timeouts[self.task.ttype.name].value += 1
         state.result.timed_out = True
         if on_timeout is not None:
             on_timeout()

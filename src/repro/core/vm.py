@@ -17,7 +17,8 @@ import inspect
 import itertools
 import os
 import random
-from dataclasses import dataclass, field
+from types import SimpleNamespace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -31,11 +32,11 @@ from ..errors import (
     WindowConflict,
     WindowError,
 )
-from ..faults.injector import corrupt_args
+from ..faults.injector import FAILURE_KINDS, corrupt_args
 from ..flex.machine import FlexMachine
 from ..flex.presets import nasa_langley_flex32
 from ..mmos.kernel import MMOSKernel
-from ..mmos.process import co_block, co_preempt, drive_kernel_ops
+from ..mmos.process import ProcState, co_block, co_preempt, drive_kernel_ops
 from ..obs.metrics import MetricsRegistry
 from ..results import RunRecord
 from ..mmos.loader import (
@@ -129,53 +130,97 @@ def resolve_checkpoint(config: Configuration) -> Tuple[int, str, int]:
 N_CONTROLLER_SLOTS = 3
 
 
-@dataclass
-class RunStats:
-    """Counters accumulated over a run (read by displays and benches)."""
+#: The run-count families and their label names: each event RunStats
+#: and the metrics registry both describe is counted once, metrics on or
+#: off, as ``vm.counts.<family>[key].value += 1`` (keys: see ``Family``).
+RUN_FAMILIES: Dict[str, Tuple[str, ...]] = {
+    "messages_sent": ("cluster", "route"),
+    "message_bytes_sent": ("cluster",),
+    "messages_accepted": ("tasktype", "mtype"),
+    "accept_timeouts": ("tasktype",),
+    "accept_retries": ("tasktype",),
+    "messages_corrupt_detected": ("tasktype",),
+    "initiate_requests": ("cluster",),
+    "initiates_held": (),
+    "tasks_started": ("cluster", "tasktype"),
+    "tasks_finished": ("cluster", "tasktype"),
+    "tasks_died": ("tasktype",),
+    "tasks_restarted": ("tasktype",),
+    "forcesplits": ("cluster",),
+    "window_ops": ("op",),
+    "window_bytes_moved": ("op",),
+    "window_cache_hits": (),
+    "window_cache_misses": (),
+    "window_overlap_waits": (),
+    "window_conflicts": (),
+    "faults_injected": ("kind",),
+    "races_detected": ("kind", "severity"),
+    "checkpoints_written": (),
+}
 
-    messages_sent: int = 0
-    broadcast_deliveries: int = 0
-    messages_accepted: int = 0
-    accepts: int = 0
-    accept_timeouts: int = 0
-    messages_to_dead: int = 0
-    messages_deleted: int = 0
-    initiates_requested: int = 0
-    initiates_held: int = 0
-    tasks_started: int = 0
-    tasks_finished: int = 0
-    tasks_killed: int = 0
-    forcesplits: int = 0
-    window_reads: int = 0
-    window_writes: int = 0
-    window_bytes_read: int = 0
-    window_bytes_written: int = 0
-    # Window data plane (see docs/architecture.md): bytes that actually
-    # crossed the plane (cache hits move none), transaction count, cache
-    # outcomes, and §8 overlapping-access serialization events.
-    window_bytes_moved: int = 0
-    window_txns: int = 0
-    window_cache_hits: int = 0
-    window_cache_misses: int = 0
-    window_overlap_waits: int = 0
-    window_conflicts: int = 0
-    message_bytes_sent: int = 0
-    # Fault injection / failure semantics (see :mod:`repro.faults`).
-    faults_injected: int = 0
-    messages_dropped: int = 0
-    messages_duplicated: int = 0
-    messages_delayed: int = 0
-    messages_corrupted: int = 0
-    corruptions_detected: int = 0
-    tasks_restarted: int = 0
-    tasks_died: int = 0
-    send_failures: int = 0
-    accept_retries: int = 0
-    # Concurrency-correctness subsystem (see :mod:`repro.correctness`).
-    races_detected: int = 0
-    # Checkpoint/restore subsystem (see :mod:`repro.checkpoint`).
-    checkpoints_written: int = 0
-    checkpoint_bytes: int = 0
+
+#: RunStats fields named unlike their family or reading only some of its
+#: keys: field -> (family, key predicate or None for all keys).  Every
+#: other family is read whole by the field of its own name.
+_VIEWS: Dict[str, Tuple[str, Optional[Callable[[Any], bool]]]] = {
+    "corruptions_detected": ("messages_corrupt_detected", None),
+    "initiates_requested": ("initiate_requests", None),
+    "window_reads": ("window_ops", lambda op: op == "read"),
+    "window_writes": ("window_ops", lambda op: op == "write"),
+    # Injected faults exclude the failure-semantics actions.
+    "faults_injected": ("faults_injected",
+                        lambda kind: kind not in FAILURE_KINDS),
+    "messages_dropped": ("faults_injected", lambda k: k == "drop"),
+    "messages_duplicated": ("faults_injected", lambda k: k == "duplicate"),
+    "messages_delayed": ("faults_injected", lambda k: k == "delay"),
+    "messages_corrupted": ("faults_injected", lambda k: k == "corrupt"),
+    "races_detected": ("races_detected", lambda key: key[1] != "warning"),
+}
+_FAMILY_FIELDS = {
+    **{name: (name, None) for name in RUN_FAMILIES
+       if name not in {family for family, _ in _VIEWS.values()}},
+    **_VIEWS}
+
+
+class RunStats:
+    """Counters accumulated over a run (read by displays and benches).
+
+    A read-only view: a field with a run-count family sums that family's
+    labels (or some, see :data:`_VIEWS`); the fields with no family are
+    plain ints, counted where their event happens.
+    """
+
+    __slots__ = ("counts", "broadcast_deliveries", "accepts",
+                 "messages_to_dead", "messages_deleted", "tasks_killed",
+                 "window_bytes_read", "window_bytes_written", "window_txns",
+                 "send_failures", "checkpoint_bytes")
+
+    def __init__(self, counts: Any):
+        self.counts = counts
+        for name in self.__slots__[1:]:
+            setattr(self, name, 0)
+
+    def __getattr__(self, name: str) -> int:
+        try:
+            family, pick = _FAMILY_FIELDS[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        return sum(c.value for key, c in getattr(self.counts, family).items()
+                   if pick is None or pick(key))
+
+    def as_dict(self) -> Dict[str, int]:
+        """Every field, sorted by name."""
+        return {name: getattr(self, name) for name in
+                sorted((*_FAMILY_FIELDS, *self.__slots__[1:]))}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunStats):
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __repr__(self) -> str:
+        return "RunStats(" + ", ".join(
+            f"{k}={v}" for k, v in self.as_dict().items()) + ")"
 
 
 @dataclass
@@ -237,7 +282,6 @@ class PiscesVM:
         self.tracer = Tracer()
         for name in config.trace_events:
             self.tracer.enable(TraceEventType(name))
-        self.stats = RunStats()
         #: Happens-before race detector, or None (off).  Resolution
         #: order: explicit argument, then the configuration flag, then
         #: the PISCES_DETECT_RACES environment variable.  A True value
@@ -263,9 +307,17 @@ class PiscesVM:
         if config.profile or env_flag("PISCES_PROFILE"):
             self.enable_profiling()
         #: Observability registry (see :mod:`repro.obs`).  Disabled by
-        #: default; every instrumentation site guards on ``.enabled`` so
-        #: an unmetered run pays one attribute test per site at most.
+        #: default: the metrics-only sites guard on ``.enabled``, while
+        #: the run-count families behind ``stats`` always count.
         self.metrics = MetricsRegistry(enabled=config.metrics_enabled)
+        self.counts = SimpleNamespace(**{
+            name: self.metrics.counter_family(name, *labels, run=True)
+            for name, labels in RUN_FAMILIES.items()})
+        self.stats = RunStats(self.counts)
+        self._msg_traffic = self.metrics.counter_family(
+            "msg_traffic", "src", "dst", "mtype")
+        self.accept_latency = self.metrics.histogram_family(
+            "send_accept_latency_ticks", "tasktype")
         self.engine.metrics = self.metrics
         self.tracer.metrics = self.metrics
         self.default_accept_delay = config.default_accept_delay
@@ -446,10 +498,7 @@ class PiscesVM:
         self.registry.get(tasktype_name)  # fail fast on unknown types
         target = self._resolve_placement(placement, current_cluster)
         req_id = next(self._req_counter)
-        self.stats.initiates_requested += 1
-        m = self.metrics
-        if m.enabled:
-            m.counter("initiate_requests", cluster=target).inc()
+        self.counts.initiate_requests[target].value += 1
         if self.engine.in_process():
             self.engine.charge(COST_INITIATE_REQUEST)
         tc = self.task_controllers[target]
@@ -520,12 +569,10 @@ class PiscesVM:
         slot.task = task
         self.tasks[tid] = task
         cluster.tasks_initiated += 1
-        self.stats.tasks_started += 1
+        self.counts.tasks_started[cluster.number, ttype.name].value += 1
         task.initiated_at = self.engine.now()
         m = self.metrics
         if m.enabled:
-            m.counter("tasks_started", cluster=cluster.number,
-                      tasktype=ttype.name).inc()
             m.gauge("slot_occupancy", cluster=cluster.number).set(
                 cluster.n_slots - cluster.free_slot_count())
         # Declared SHARED COMMON blocks and LOCK variables are allocated
@@ -593,11 +640,10 @@ class PiscesVM:
             return
         task.alive = False
         task.terminated_at = self.engine.now()
-        self.stats.tasks_finished += 1
+        self.counts.tasks_finished[task.cluster.number,
+                                   task.ttype.name].value += 1
         m = self.metrics
         if m.enabled:
-            m.counter("tasks_finished", cluster=task.cluster.number,
-                      tasktype=task.ttype.name).inc()
             m.histogram("task_lifetime_ticks", tasktype=task.ttype.name
                         ).observe(task.terminated_at - task.initiated_at)
         heap = self.machine.shared
@@ -619,10 +665,7 @@ class PiscesVM:
         task.trace(TraceEventType.TASK_TERM, info=term_info)
         self.engine.charge(COST_TASK_TERMINATE) if self.engine.in_process() else None
         if died:
-            self.stats.tasks_died += 1
-            if self.metrics.enabled:
-                self.metrics.counter("tasks_died",
-                                     tasktype=task.ttype.name).inc()
+            self.counts.tasks_died[task.ttype.name].value += 1
         tc = self.task_controllers[task.cluster.number]
         if tc.cluster.failed:
             # The home controller died with its PE; a surviving
@@ -716,8 +759,7 @@ class PiscesVM:
             if self.faults is not None:
                 self.faults.record(
                     "initiate_rerouted",
-                    f"type={req.tasktype} to=cluster{target}",
-                    injected=False)
+                    f"type={req.tasktype} to=cluster{target}")
 
     def handle_task_death(self, tid: TaskId, reason: str,
                           origin: Union[Controller, None] = None) -> None:
@@ -755,20 +797,17 @@ class PiscesVM:
             except NoSuchCluster:
                 pass  # nowhere left to restart; fall through to notify
             else:
-                self.stats.tasks_restarted += 1
-                if self.metrics.enabled:
-                    self.metrics.counter("tasks_restarted",
-                                         tasktype=task.ttype.name).inc()
+                self.counts.tasks_restarted[task.ttype.name].value += 1
                 if self.faults is not None:
                     self.faults.record(
                         "restart",
                         f"type={task.ttype.name} of={tid} "
                         f"incarnation={incarnation}",
-                        task=tid, injected=False)
+                        task=tid)
                 return
         if self.faults is not None:
             self.faults.record("task_died", f"task={tid} reason={reason}",
-                               task=tid, injected=False)
+                               task=tid)
         notify = []
         parent_task = self.tasks.get(task.parent)
         if task.parent != USER_TERMINAL_ID and parent_task is not None \
@@ -888,7 +927,7 @@ class PiscesVM:
                     self.stats.send_failures += 1
                     if self.faults is not None:
                         self.faults.record("send_failed", f"dest={dest}",
-                                           task=dest, injected=False)
+                                           task=dest)
                     raise SendFailed(dest)
                 return []
             return [(task.inq, task.cluster.number, task.process, task.tid)]
@@ -919,10 +958,8 @@ class PiscesVM:
                 to = receiver or inq.owner
                 faults.record(action, f"type={mtype} from={sender} to={to}")
                 if action == "drop":
-                    self.stats.messages_dropped += 1
                     return None
                 if action == "delay":
-                    self.stats.messages_delayed += 1
                     latency += faults.delay_ticks
         msg = allocate_message(self.machine.shared, mtype, tuple(args),
                                sender=sender,
@@ -935,25 +972,22 @@ class PiscesVM:
                 # Mutate the payload *after* allocation: the heap bytes
                 # are unchanged (a bit flip, not a resize) and the stale
                 # checksum makes the damage detectable at accept.
-                self.stats.messages_corrupted += 1
                 msg.args = corrupt_args(msg.args)
         inq.enqueue(msg)
         det = self.race_detector
         if det is not None:
             det.on_send(msg)
-        self.stats.messages_sent += 1
-        self.stats.message_bytes_sent += msg.nbytes
-        m = self.metrics
-        if m.enabled:
-            route = ("intra" if sender_cluster == receiver_cluster
-                     else "inter")
-            m.counter("messages_sent", cluster=receiver_cluster,
-                      route=route).inc()
-            m.counter("message_bytes_sent", cluster=receiver_cluster
-                      ).inc(msg.nbytes)
-            m.counter("msg_traffic", src=self._metric_name_of(sender),
-                      dst=self._metric_name_of(msg.receiver),
-                      mtype=mtype).inc()
+        counts = self.counts
+        sent = counts.messages_sent[
+            receiver_cluster,
+            "intra" if sender_cluster == receiver_cluster else "inter"]
+        sent.value += 1
+        sent_bytes = counts.message_bytes_sent[receiver_cluster]
+        sent_bytes.value += msg.nbytes
+        if self.metrics.enabled:
+            self._msg_traffic[self._metric_name_of(sender),
+                              self._metric_name_of(msg.receiver),
+                              mtype].value += 1
         sender_task = self.tasks.get(sender)
         if sender_task is not None:
             sender_task.trace(TraceEventType.MSG_SEND,
@@ -963,7 +997,6 @@ class PiscesVM:
         if action == "duplicate":
             # At-least-once transport: a second identical copy arrives
             # right behind the first (same latency, later queue seq).
-            self.stats.messages_duplicated += 1
             dup = allocate_message(self.machine.shared, mtype, msg.args,
                                    sender=sender, receiver=msg.receiver,
                                    send_time=now,
@@ -972,8 +1005,8 @@ class PiscesVM:
             inq.enqueue(dup)
             if det is not None:
                 det.on_send(dup)
-            self.stats.messages_sent += 1
-            self.stats.message_bytes_sent += dup.nbytes
+            sent.value += 1
+            sent_bytes.value += dup.nbytes
             self._wake_receiver(receiver_proc, dup.arrival_time)
         return msg
 
@@ -987,7 +1020,6 @@ class PiscesVM:
         """
         if proc is None:
             return
-        from ..mmos.process import ProcState
         if proc.state is not ProcState.BLOCKED:
             return
         if not (proc.blocked_on.startswith("accept(")
@@ -1039,9 +1071,7 @@ class PiscesVM:
             until = fc.conflicting_transfer(w, write, now)
             if until is None:
                 break
-            self.stats.window_overlap_waits += 1
-            if self.metrics.enabled:
-                self.metrics.counter("window_overlap_waits").inc()
+            self.counts.window_overlap_waits[()].value += 1
             yield co_block("window-overlap-wait", deadline=until, cost=0)
         base = fc.arrays.get(w.array)
         itemsize = base.dtype.itemsize
@@ -1177,31 +1207,22 @@ class PiscesVM:
             if reply.status == "valid":
                 data = np.array(entry[1], copy=True)
                 moved, hit = 0, True
-                cache.hits += 1
             else:
                 data = reply.data
                 moved = nbytes
-                if cache is not None:
-                    cache.misses += 1
-                    if reply.cacheable:
-                        cache.store(w, reply.generation,
-                                    np.array(data, copy=True))
-        st = self.stats
-        st.window_reads += 1
-        st.window_bytes_read += nbytes
-        st.window_bytes_moved += moved
-        if hit:
-            st.window_cache_hits += 1
-        elif cache is not None:
-            st.window_cache_misses += 1
+                if cache is not None and reply.cacheable:
+                    cache.store(w, reply.generation,
+                                np.array(data, copy=True))
+        self.stats.window_bytes_read += nbytes
+        counts = self.counts
+        counts.window_ops["read"].value += 1
+        counts.window_bytes_moved["read"].value += int(moved)
+        if cache is not None:
+            (counts.window_cache_hits if hit
+             else counts.window_cache_misses)[()].value += 1
         m = self.metrics
         if m.enabled:
-            m.counter("window_ops", op="read").inc()
             m.histogram("window_transfer_bytes", op="read").observe(nbytes)
-            m.counter("window_bytes_moved", op="read").inc(moved)
-            if cache is not None:
-                m.counter("window_cache_hits" if hit
-                          else "window_cache_misses").inc()
         yield co_preempt(0)
         return data
 
@@ -1258,22 +1279,18 @@ class PiscesVM:
             reply = self._window_txn(store, txn,
                                      self._requester_id(ctx, store))
             if reply.status == "conflict":
-                self.stats.window_conflicts += 1
-                if self.metrics.enabled:
-                    self.metrics.counter("window_conflicts").inc()
+                self.counts.window_conflicts[()].value += 1
                 yield co_preempt(0)
                 raise WindowConflict(w, reply.detail)
         if cache is not None:
             cache.invalidate_overlapping(w)
-        st = self.stats
-        st.window_writes += 1
-        st.window_bytes_written += nbytes
-        st.window_bytes_moved += nbytes
+        self.stats.window_bytes_written += nbytes
+        counts = self.counts
+        counts.window_ops["write"].value += 1
+        counts.window_bytes_moved["write"].value += int(nbytes)
         m = self.metrics
         if m.enabled:
-            m.counter("window_ops", op="write").inc()
             m.histogram("window_transfer_bytes", op="write").observe(nbytes)
-            m.counter("window_bytes_moved", op="write").inc(nbytes)
         yield co_preempt(0)
 
     def configure_file_disks(self, n_disks: int,
@@ -1350,11 +1367,6 @@ class PiscesVM:
         """Run until every non-daemon task has finished (monitor use)."""
         self.boot()
         self.engine.run()
-
-    def note_initiate_held(self, req_id: int) -> None:
-        self.stats.initiates_held += 1
-        if self.metrics.enabled:
-            self.metrics.counter("initiates_held").inc()
 
     # ------------------------------------------------------------- cleanup --
 

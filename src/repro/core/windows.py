@@ -287,8 +287,6 @@ class WindowCache:
         self.max_entries = max_entries
         self._entries: "OrderedDict[tuple, Tuple[int, np.ndarray]]" = \
             OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     @staticmethod
     def _key(w: Window) -> tuple:

@@ -463,10 +463,7 @@ class RaceDetector:
             self.warnings.append(report)
         else:
             self.reports.append(report)
-            self.vm.stats.races_detected += 1
-        m = self.vm.metrics
-        if m is not None and m.enabled:
-            m.counter("races_detected", kind=kind, severity=severity).inc()
+        self.vm.counts.races_detected[kind, severity].value += 1
         if severity == "race":
             if self.mode == "raise":
                 raise RaceError(report)

@@ -16,7 +16,9 @@ true:
 
 Every injected fault (and every failure-semantics action taken in
 response) is recorded as a :class:`FaultEvent`, emitted as a ``FAULT``
-trace event, and counted in ``RunStats`` / the obs metrics registry.
+trace event, and counted once, in the ``faults_injected{kind}``
+run-count family; ``RunStats.faults_injected`` is that family less the
+:data:`FAILURE_KINDS`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,12 @@ CORRUPT = "corrupt"
 
 #: Marker value substituted into a corrupted payload.
 CORRUPTION_MARKER = "<CORRUPTED>"
+
+#: Failure-*semantics* kinds: actions taken in response to a fault (a
+#: detection, a restart, a reroute) that belong in the event stream but
+#: are not themselves injected faults.
+FAILURE_KINDS = frozenset({"corrupt_detected", "initiate_rerouted",
+                           "restart", "task_died", "send_failed"})
 
 
 @dataclass(frozen=True)
@@ -81,7 +89,6 @@ class FaultInjector:
         self.plan = plan
         self.rng = random.Random(plan.seed)
         self.events: List[FaultEvent] = []
-        self._seq = 0
         #: Fire :class:`HostKill` events?  ``restore_vm`` disarms them
         #: so a recovered run does not re-die at the same tick.  A
         #: disarmed host kill is a *total* no-op -- no variates, no
@@ -107,28 +114,18 @@ class FaultInjector:
     # -------------------------------------------------------- recording --
 
     def record(self, kind: str, detail: str, *,
-               task: Optional[TaskId] = None, pe: int = 0,
-               injected: bool = True) -> FaultEvent:
-        """Log one fault event (+ trace + stats + metrics).
-
-        ``injected=False`` marks failure-*semantics* actions (a
-        detection, a restart) that belong in the event stream but are
-        not themselves injected faults.
-        """
+               task: Optional[TaskId] = None, pe: int = 0) -> FaultEvent:
+        """Log one fault event (+ trace + count)."""
         vm = self.vm
         now = vm.engine.now()
-        ev = FaultEvent(at=now, seq=self._seq, kind=kind, detail=detail)
-        self._seq += 1
+        ev = FaultEvent(at=now, seq=len(self.events), kind=kind,
+                        detail=detail)
         self.events.append(ev)
-        if injected:
-            vm.stats.faults_injected += 1
+        vm.counts.faults_injected[kind].value += 1
         vm.tracer.emit(TraceEvent(
             etype=TraceEventType.FAULT,
             task=task if task is not None else USER_TERMINAL_ID,
             pe=pe, ticks=now, info=f"{kind}: {detail}"))
-        m = vm.metrics
-        if m.enabled:
-            m.counter("faults_injected", kind=kind).inc()
         return ev
 
     def export_jsonl(self) -> str:

@@ -141,6 +141,11 @@ class Engine:
         #: Optional MetricsRegistry (wired by the VM).  Observations are
         #: pure bookkeeping -- they never influence dispatch order.
         self.metrics = None
+        #: The per-slice metric families (``slice_ticks`` by PE,
+        #: ``blocks`` by reason prefix), bound once per dispatch batch;
+        #: None while metrics are off.
+        self._slice_ticks = None
+        self._blocks = None
         #: Happens-before hook (the race detector, or None).  Called on
         #: spawn and in-process wakes; observers only -- they never
         #: charge ticks or change scheduling state.
@@ -265,9 +270,9 @@ class Engine:
         """
         cost = p.pending_cost
         end = p.clock.run(p.slice_start, cost)
-        m = self.metrics
-        if m is not None and m.enabled and cost > 0:
-            m.histogram("slice_ticks", pe=p.pe).observe(cost)
+        slice_ticks = self._slice_ticks
+        if slice_ticks is not None and cost > 0:
+            slice_ticks[p.pe].observe(cost)
         p.pending_cost = 0
         p.ready_time = end
         if p.killed and new_state is ProcState.BLOCKED:
@@ -333,11 +338,11 @@ class Engine:
         p.pending_cost += cost
         p.timed_out = False
         p.wake_info = None
-        m = self.metrics
-        if m is not None and m.enabled:
+        blocks = self._blocks
+        if blocks is not None:
             # Reason strings carry dynamic detail after "("; keep the
             # label cardinality bounded by the static prefix.
-            m.counter("blocks", reason=reason.split("(", 1)[0]).inc()
+            blocks[reason.split("(", 1)[0]].value += 1
         self._yield(p, ProcState.BLOCKED, reason=reason, deadline=deadline)
         return p.wake_info
 
@@ -467,10 +472,9 @@ class Engine:
                     p.pending_cost += op.cost
                     p.timed_out = False
                     p.wake_info = None
-                    m = self.metrics
-                    if m is not None and m.enabled:
-                        m.counter("blocks",
-                                  reason=op.reason.split("(", 1)[0]).inc()
+                    blocks = self._blocks
+                    if blocks is not None:
+                        blocks[op.reason.split("(", 1)[0]].value += 1
                     self._settle_yield(p, ProcState.BLOCKED, op.reason,
                                        op.deadline)
                 return
@@ -685,6 +689,9 @@ class Engine:
         m = self.metrics
         if m is not None and not m.enabled:
             m = None
+        dispatches = m and m.counter_family("dispatches", "pe")
+        self._slice_ticks = m and m.histogram_family("slice_ticks", "pe")
+        self._blocks = m and m.counter_family("blocks", "reason")
         replay = self._replay
         pick = self._peek_replay if replay else self._pop_runnable
         resume = self._resume
@@ -734,8 +741,8 @@ class Engine:
                 self._now = start
             self._dispatch_seq += 1
             p.last_dispatched = self._dispatch_seq
-            if m is not None:
-                m.counter("dispatches", pe=p.pe).inc()
+            if dispatches is not None:
+                dispatches[p.pe].value += 1
             if start > ticks:
                 clock.ticks = start
             if pr is not None:

@@ -9,10 +9,12 @@ exporters.
 
 Design constraints:
 
-* **zero-cost when disabled** -- every instrumentation site in the
-  engine guards on ``registry.enabled`` (a single attribute load and
-  boolean test) before touching any instrument, so an untraced,
-  unmetered run does no metric work at all;
+* **one count per event** -- the events ``RunStats`` reports are
+  counted once, in *run-count* families that count even while the
+  registry is disabled (``RunStats`` is a view over them); ``enabled``
+  gates the metrics-only instruments and what the snapshot shows;
+* **bound once** -- a hot site binds its :class:`Family` once and
+  reaches an instrument with one dict lookup, not a label sort per call;
 * **deterministic snapshots** -- instruments are keyed by
   ``(family, sorted(labels))``; :meth:`MetricsRegistry.snapshot`
   renders them in sorted order, so two identical runs produce
@@ -26,7 +28,7 @@ Design constraints:
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: A canonicalized label set: sorted (key, value) pairs.
 LabelKey = Tuple[Tuple[str, Any], ...]
@@ -125,7 +127,8 @@ class Histogram:
         self.max: Optional[int] = None
 
     def observe(self, v) -> None:
-        v = _scalar(v)
+        if type(v) is not int:
+            v = _scalar(v)
         self.bucket_counts[bisect.bisect_left(self.bounds, v)] += 1
         self.count += 1
         self.total += v
@@ -159,49 +162,96 @@ class Histogram:
                             if c}}
 
 
+class Family(dict):
+    """One family's instruments, bound once per key: ``fam[key]``.
+
+    The first lookup of a key creates its instrument in the registry (so
+    an untouched instrument never shows in a snapshot); every later one
+    is a dict hit, with no label dict built or sorted.  A key is the
+    label value of a one-label family, the tuple of values for several,
+    and a whole :data:`LabelKey` (``()`` for none) for a family bound
+    without label names.
+    """
+
+    __slots__ = ("name", "store", "cls", "labelnames", "run")
+
+    def __init__(self, name: str, store: Dict[Tuple[str, LabelKey], Any],
+                 cls: type, labelnames: Tuple[str, ...], run: bool):
+        super().__init__()
+        self.name, self.store, self.cls = name, store, cls
+        self.labelnames = labelnames
+        #: A run-count family: counted whether or not metrics are on,
+        #: and kept by :meth:`MetricsRegistry.reset`.
+        self.run = run
+
+    def __missing__(self, key):
+        names = self.labelnames
+        lkey = (key if not names else ((names[0], key),) if len(names) == 1
+                else _label_key(dict(zip(names, key))))
+        inst = self[key] = _instrument(self.store, self.cls, self.name, lkey)
+        return inst
+
+
+def _instrument(store, cls, name: str, lkey: LabelKey):
+    """The instrument at ``(name, lkey)``, created on first use."""
+    key = (name, lkey)
+    if key in store:
+        return store[key]
+    inst = store[key] = cls(name, lkey)
+    return inst
+
+
 class MetricsRegistry:
     """All instruments of one VM, keyed by (family name, label set).
 
     Instruments are created on first use and live for the registry's
-    lifetime; the same (name, labels) always returns the same object,
-    so hot paths may cache the instrument reference.
+    lifetime; the same (name, labels) always returns the same object.
     """
 
     def __init__(self, enabled: bool = True):
-        #: Instrumentation sites test this before doing any metric work.
+        #: Gates the metrics-only instruments and what the snapshot
+        #: shows; run-count families count either way.
         self.enabled = enabled
         self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelKey], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelKey], Histogram] = {}
+        self._families: Dict[str, Family] = {}
 
     # ----------------------------------------------------------- factory --
 
     def counter(self, name: str, **labels) -> Counter:
-        key = (name, _label_key(labels))
-        c = self._counters.get(key)
-        if c is None:
-            c = self._counters[key] = Counter(name, key[1])
-        return c
+        return _instrument(self._counters, Counter, name, _label_key(labels))
 
     def gauge(self, name: str, **labels) -> Gauge:
-        key = (name, _label_key(labels))
-        g = self._gauges.get(key)
-        if g is None:
-            g = self._gauges[key] = Gauge(name, key[1])
-        return g
+        return _instrument(self._gauges, Gauge, name, _label_key(labels))
 
-    def histogram(self, name: str,
-                  buckets: Tuple[int, ...] = DEFAULT_BUCKETS,
-                  **labels) -> Histogram:
-        key = (name, _label_key(labels))
-        h = self._histograms.get(key)
-        if h is None:
-            h = self._histograms[key] = Histogram(name, key[1], buckets)
-        return h
+    def histogram(self, name: str, **labels) -> Histogram:
+        """A :data:`DEFAULT_BUCKETS` histogram."""
+        return _instrument(self._histograms, Histogram, name,
+                           _label_key(labels))
+
+    def counter_family(self, name: str, *labelnames: str,
+                       run: bool = False) -> Family:
+        """The counter family ``name`` bound by key (see :class:`Family`);
+        one object per name.  ``run=True`` marks a run-count family."""
+        return self._family(name, self._counters, Counter, labelnames, run)
+
+    def histogram_family(self, name: str, *labelnames: str) -> Family:
+        return self._family(name, self._histograms, Histogram, labelnames,
+                            False)
+
+    def _family(self, name, store, cls, labelnames, run) -> Family:
+        fam = self._families.get(name)
+        if fam is None:
+            fam = self._families[name] = Family(name, store, cls,
+                                                labelnames, run)
+        return fam
 
     # ------------------------------------------------------------- query --
 
     def families(self) -> List[str]:
+        if not self.enabled:
+            return []
         names = {k[0] for k in self._counters}
         names.update(k[0] for k in self._gauges)
         names.update(k[0] for k in self._histograms)
@@ -240,8 +290,11 @@ class MetricsRegistry:
     # ---------------------------------------------------------- snapshot --
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """Deterministic nested dict: family -> label-string -> data."""
+        """Deterministic nested dict: family -> label-string -> data
+        (empty while the registry is disabled)."""
         out: Dict[str, Dict[str, Any]] = {}
+        if not self.enabled:
+            return out
         for store in (self._counters, self._gauges, self._histograms):
             for (name, lkey) in sorted(store, key=lambda k: (k[0], str(k[1]))):
                 inst = store[(name, lkey)]
@@ -268,17 +321,24 @@ class MetricsRegistry:
         return format_table(["metric", "kind", "value"], rows, title=title)
 
     def describe(self) -> str:
+        if not self.enabled:
+            return "metrics: disabled"
         n = (len(self._counters) + len(self._gauges) + len(self._histograms))
-        state = "enabled" if self.enabled else "disabled"
-        return f"metrics: {state}, {n} instruments in {len(self.families())} families"
+        return f"metrics: enabled, {n} instruments in {len(self.families())} families"
 
     def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
+        """Drop every metrics-only instrument.  The run-count families
+        are the run's record (``RunStats`` reads them) and stay."""
+        run = {f.name for f in self._families.values() if f.run}
+        for store in (self._counters, self._gauges, self._histograms):
+            for key in [k for k in store if k[0] not in run]:
+                del store[key]
+        for fam in self._families.values():
+            if not fam.run:
+                fam.clear()
 
 
 #: A registry that is permanently disabled -- handed to components whose
 #: owner has no registry wired, so instrumentation sites can guard on
-#: ``metrics.enabled`` without a None check.
+#: ``metrics.enabled`` without a None check.  Nothing may count into it.
 NULL_REGISTRY = MetricsRegistry(enabled=False)

@@ -24,9 +24,9 @@ class TestCollectMetrics:
         vm.run("MAIN")
         m = collect_metrics(vm)
         assert m.elapsed >= 500
-        assert m.messages_sent >= 1
-        assert m.accepts == 1
-        assert m.tasks_started == 1
+        assert m.stats.messages_sent >= 1
+        assert m.stats.accepts == 1
+        assert m.stats.tasks_started == 1
         assert 0.0 < m.mean_utilization <= 1.0
         assert "RUN METRICS" in m.table()
 

@@ -110,7 +110,7 @@ class TestRecordingAgainstAVM:
         inj = vm.faults
         assert inj is not None
         inj.record("drop", "type=X from=1.1.1 to=2.1.1")
-        inj.record("restart", "task=2.1.1", injected=False)
+        inj.record("restart", "task=2.1.1")
         assert vm.stats.faults_injected == 1     # semantics events excluded
         kinds = [e.info.split(":")[0] for e in vm.tracer.events]
         assert kinds == ["drop", "restart"]

@@ -11,7 +11,6 @@ Regenerate (only when a counting change is intended)::
     PYTHONPATH=src python -m tests.golden.test_counter_snapshots --write
 """
 
-import dataclasses
 import json
 import numbers
 import sys
@@ -29,7 +28,7 @@ SNAPSHOT_FILE = Path(__file__).with_name("counter_snapshots.json")
 def stats_dict(stats) -> dict:
     """``RunStats`` as a plain dict, numpy scalars made Python ints."""
     return {k: int(v) if isinstance(v, numbers.Integral) else v
-            for k, v in dataclasses.asdict(stats).items()}
+            for k, v in stats.as_dict().items()}
 
 
 def counts(spec: dict) -> dict:
