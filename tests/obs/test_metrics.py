@@ -1,14 +1,23 @@
 """Unit + integration tests: the observability metrics registry."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro import PiscesVM
+from repro.faults import FaultPlan, MessagePolicy, dumps as dump_plan
+from repro.faults import loads as load_plan
+from repro.faults.injector import FAILURE_KINDS
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
     NULL_REGISTRY,
 )
+from repro.service import catalog
+from repro.service.executor import standalone_run
+from repro.service.spec import RunSpec
+from tests.golden.digests import SPECS
 
 
 class TestCounter:
@@ -209,3 +218,77 @@ class TestVMIntegration:
         gauges = [g for key, g in vm.metrics._gauges.items()
                   if key[0] == "slot_occupancy"]
         assert gauges and max(g.high_water for g in gauges) >= 2
+
+
+#: chaos_jacobi under seeded duplicate and corrupt faults: 2 of its 22
+#: deliveries are duplicate copies, and 3 of its 8 fault events are
+#: corruption detections (failure semantics, not injected faults).
+DUP_CORRUPT_SPEC = {
+    "app": "chaos_jacobi",
+    "params": {"n": 10, "sweeps": 2, "n_workers": 2},
+    "fault_plan": dump_plan(FaultPlan(
+        seed=3, messages=MessagePolicy(duplicate=0.2, corrupt=0.1)))}
+
+
+def run_spec(spec: dict, metrics: bool):
+    """``standalone_run`` with the metrics switch exposed."""
+    rs = RunSpec.from_dict(spec)
+    plan = catalog.build(rs)
+    config = replace(plan.config, metrics_enabled=metrics,
+                     run_seed=rs.run_seed)
+    vm = PiscesVM(config, registry=plan.registry,
+                  fault_plan=load_plan(rs.fault_plan) if rs.fault_plan
+                  else None)
+    return vm.run(plan.tasktype, *plan.args, shutdown=True)
+
+
+class TestOneCountPerEvent:
+    @pytest.fixture(scope="class")
+    def dup_corrupt(self):
+        return standalone_run(RunSpec.from_dict(DUP_CORRUPT_SPEC))
+
+    def test_duplicate_copies_are_sent_messages_in_the_registry(
+            self, dup_corrupt):
+        reg, st = dup_corrupt.vm.metrics, dup_corrupt.stats
+        assert st.messages_duplicated == 2
+        assert reg.counter_total("messages_sent") == st.messages_sent == 22
+        assert (reg.counter_total("message_bytes_sent")
+                == st.message_bytes_sent == 8112)
+
+    def test_faults_injected_excludes_failure_semantics(self, dup_corrupt):
+        reg, st = dup_corrupt.vm.metrics, dup_corrupt.stats
+        by_kind = {dict(k)["kind"]: c.value
+                   for k, c in reg.counters("faults_injected").items()}
+        assert reg.counter_total("faults_injected") == 8
+        assert st.faults_injected == 5 == sum(
+            n for kind, n in by_kind.items() if kind not in FAILURE_KINDS)
+        assert st.corruptions_detected == by_kind["corrupt_detected"] == 3
+
+    def test_stats_fields_with_a_family_are_read_only(self, dup_corrupt):
+        with pytest.raises(AttributeError):
+            dup_corrupt.stats.messages_sent += 1
+
+    def test_run_counts_count_while_metrics_are_off(self):
+        off = run_spec(SPECS["jacobi"], metrics=False)
+        on = run_spec(SPECS["jacobi"], metrics=True)
+        assert off.vm.metrics.snapshot() == {}
+        assert off.vm.metrics.families() == []
+        assert off.stats == on.stats and off.stats.messages_sent > 0
+        off.vm.enable_metrics()
+        assert (off.vm.metrics.snapshot()["messages_sent"]
+                == on.vm.metrics.snapshot()["messages_sent"])
+
+    def test_reset_drops_metrics_only_instruments_and_keeps_run_counts(self):
+        r = run_spec(SPECS["jacobi"], metrics=True)
+        before = r.stats.as_dict()
+        r.vm.metrics.reset()
+        families = r.vm.metrics.families()
+        assert "tasks_started" in families and "dispatches" not in families
+        assert r.stats.as_dict() == before
+
+    def test_null_registry_stays_empty(self):
+        for spec in SPECS.values():
+            for metrics in (False, True):
+                run_spec(spec, metrics)
+        assert not (NULL_REGISTRY._counters or NULL_REGISTRY._gauges
+                    or NULL_REGISTRY._histograms or NULL_REGISTRY._families)
