@@ -123,13 +123,10 @@ def traffic_matrix(vm: PiscesVM) -> Dict[Tuple[str, str], int]:
     """
     from ..core.tracing import TraceEventType
 
-    by_label = vm.metrics.counters("msg_traffic")
-    if by_label:
+    if vm.msg_traffic:
         out: Dict[Tuple[str, str], int] = {}
-        for lkey, c in by_label.items():
-            d = dict(lkey)
-            key = (d["src"], d["dst"])
-            out[key] = out.get(key, 0) + c.value
+        for (src, dst, _), c in vm.msg_traffic.items():
+            out[src, dst] = out.get((src, dst), 0) + c.value
         return out
 
     def name_of(tid) -> str:

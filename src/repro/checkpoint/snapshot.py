@@ -25,7 +25,6 @@ Two stability rules govern what may appear here:
 from __future__ import annotations
 
 import json
-import numbers as _numbers
 import zlib
 from typing import Any, Dict, List, Optional
 
@@ -93,12 +92,7 @@ def snapshot_state(vm) -> Dict[str, Any]:
         "tasks": tasks,
         "controllers": controllers,
         "rng": {"run": _rng_digest(vm.run_rng)},
-        # Counters fed by numpy (e.g. the window byte totals) arrive as
-        # numpy scalars; coerce so the digest is JSON-stable.
-        "stats": {k: (int(v) if isinstance(v, _numbers.Integral)
-                      and not isinstance(v, bool) else v)
-                  for k, v in _run_stats(
-                      vm.stats.as_dict()).items()},
+        "stats": _run_stats(vm.stats.as_dict()),
     }
     if vm.file_controller is not None:
         state["file_store"] = vm.file_controller.arrays.snapshot()

@@ -77,8 +77,8 @@ class ClusterRuntime:
         self.pending: Deque[PendingInitiate] = deque()
         #: Shared-memory extent of this cluster's system-table section.
         self.table_alloc: Optional[Allocation] = None
-        #: Counters for DISPLAY PE LOADING and the benchmarks.
-        self.tasks_initiated = 0
+        #: @TERMINATED messages this cluster's controller processed
+        #: (tasks it started are ``vm.counts.tasks_started``).
         self.tasks_terminated = 0
         #: Initiate requests sent to this cluster's controller but not
         #: yet processed; the ANY/OTHER placement policy counts these so

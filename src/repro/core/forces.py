@@ -95,12 +95,6 @@ class Force:
                 f"count ({counter.total} vs {total})")
         return counter
 
-    def last_selfsched_stats(self) -> Dict[int, int]:
-        """Per-member iteration counts of the most recent SELFSCHED loop."""
-        if not self._ss_counters:
-            return {}
-        return dict(self._ss_counters[-1].executed)
-
     def snapshot(self) -> dict:
         """Digestable force state for checkpoints: sizes, barrier
         generation, the in-flight :class:`BarrierGeneration`, and the

@@ -44,9 +44,6 @@ class BarrierGeneration:
         self.primary_proc: Optional[KernelProcess] = None
         self.complete = False
 
-    def wait_stats(self) -> int:
-        return len(self.waiting)
-
     def snapshot(self) -> list:
         """Digestable state for checkpoints: counters only -- waiter
         identities are pinned by the process snapshots."""

@@ -314,7 +314,8 @@ class PiscesVM:
             name: self.metrics.counter_family(name, *labels, run=True)
             for name, labels in RUN_FAMILIES.items()})
         self.stats = RunStats(self.counts)
-        self._msg_traffic = self.metrics.counter_family(
+        #: Per-message metrics-only families, bound once.
+        self.msg_traffic = self.metrics.counter_family(
             "msg_traffic", "src", "dst", "mtype")
         self.accept_latency = self.metrics.histogram_family(
             "send_accept_latency_ticks", "tasktype")
@@ -568,7 +569,6 @@ class PiscesVM:
                     supervision=supervision, restarts=restarts)
         slot.task = task
         self.tasks[tid] = task
-        cluster.tasks_initiated += 1
         self.counts.tasks_started[cluster.number, ttype.name].value += 1
         task.initiated_at = self.engine.now()
         m = self.metrics
@@ -985,7 +985,7 @@ class PiscesVM:
         sent_bytes = counts.message_bytes_sent[receiver_cluster]
         sent_bytes.value += msg.nbytes
         if self.metrics.enabled:
-            self._msg_traffic[self._metric_name_of(sender),
+            self.msg_traffic[self._metric_name_of(sender),
                               self._metric_name_of(msg.receiver),
                               mtype].value += 1
         sender_task = self.tasks.get(sender)
@@ -1187,7 +1187,7 @@ class PiscesVM:
         det = self.race_detector
         if det is not None:
             det.on_window_access(w, False)
-        nbytes = w.nbytes
+        nbytes = int(w.nbytes)
         self.engine.charge(window_transfer_cost(nbytes))
         yield from self._file_io_wait(w, write=False)
         hit = False
@@ -1216,7 +1216,7 @@ class PiscesVM:
         self.stats.window_bytes_read += nbytes
         counts = self.counts
         counts.window_ops["read"].value += 1
-        counts.window_bytes_moved["read"].value += int(moved)
+        counts.window_bytes_moved["read"].value += moved
         if cache is not None:
             (counts.window_cache_hits if hit
              else counts.window_cache_misses)[()].value += 1
@@ -1253,7 +1253,7 @@ class PiscesVM:
         det = self.race_detector
         if det is not None:
             det.on_window_access(w, True)
-        nbytes = w.nbytes
+        nbytes = int(w.nbytes)
         self.engine.charge(window_transfer_cost(nbytes))
         yield from self._file_io_wait(w, write=True)
         path = self.window_path
@@ -1287,7 +1287,7 @@ class PiscesVM:
         self.stats.window_bytes_written += nbytes
         counts = self.counts
         counts.window_ops["write"].value += 1
-        counts.window_bytes_moved["write"].value += int(nbytes)
+        counts.window_bytes_moved["write"].value += nbytes
         m = self.metrics
         if m.enabled:
             m.histogram("window_transfer_bytes", op="write").observe(nbytes)

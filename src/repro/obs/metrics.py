@@ -257,9 +257,6 @@ class MetricsRegistry:
         names.update(k[0] for k in self._histograms)
         return sorted(names)
 
-    def counters(self, name: str) -> Dict[LabelKey, Counter]:
-        return {k[1]: v for k, v in self._counters.items() if k[0] == name}
-
     def counter_total(self, name: str) -> int:
         """Sum of one counter family across every label set."""
         return sum(c.value for (n, _), c in self._counters.items()

@@ -63,9 +63,10 @@ class TestSlotManagement:
 
         vm = make_vm(registry=registry)
         vm.run("MAIN")
-        cr = vm.clusters[1]
-        assert cr.tasks_initiated == 4      # MAIN + 3 workers
-        assert cr.tasks_terminated >= 3
+        started = {key: c.value for key, c
+                   in vm.counts.tasks_started.items()}
+        assert started == {(1, "MAIN"): 1, (1, "W"): 3}
+        assert vm.clusters[1].tasks_terminated >= 3
 
 
 class TestKill:

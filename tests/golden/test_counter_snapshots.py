@@ -12,7 +12,6 @@ Regenerate (only when a counting change is intended)::
 """
 
 import json
-import numbers
 import sys
 from pathlib import Path
 
@@ -25,17 +24,11 @@ from tests.golden.digests import SPECS
 SNAPSHOT_FILE = Path(__file__).with_name("counter_snapshots.json")
 
 
-def stats_dict(stats) -> dict:
-    """``RunStats`` as a plain dict, numpy scalars made Python ints."""
-    return {k: int(v) if isinstance(v, numbers.Integral) else v
-            for k, v in stats.as_dict().items()}
-
-
 def counts(spec: dict) -> dict:
     """The metrics snapshot and the RunStats dict of one spec's run."""
     result = standalone_run(RunSpec.from_dict(spec))
     return {"metrics": result.vm.metrics.snapshot(),
-            "stats": stats_dict(result.stats)}
+            "stats": result.stats.as_dict()}
 
 
 def render(data: dict) -> str:

@@ -257,8 +257,8 @@ class TestOneCountPerEvent:
 
     def test_faults_injected_excludes_failure_semantics(self, dup_corrupt):
         reg, st = dup_corrupt.vm.metrics, dup_corrupt.stats
-        by_kind = {dict(k)["kind"]: c.value
-                   for k, c in reg.counters("faults_injected").items()}
+        by_kind = {kind: c.value for kind, c
+                   in dup_corrupt.vm.counts.faults_injected.items()}
         assert reg.counter_total("faults_injected") == 8
         assert st.faults_injected == 5 == sum(
             n for kind, n in by_kind.items() if kind not in FAILURE_KINDS)
