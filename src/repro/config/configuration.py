@@ -185,8 +185,9 @@ class Configuration:
     time_limit: Optional[int] = None
     #: Trace event type names enabled at start (section 11/12).
     trace_events: Tuple[str, ...] = ()
-    #: Collect run metrics (the :mod:`repro.obs` registry).  Off by
-    #: default: instrumentation is zero-cost when disabled.
+    #: Collect the metrics-only instruments of the :mod:`repro.obs`
+    #: registry and show it in snapshots.  Off by default; the run
+    #: counts ``RunStats`` reads are kept either way.
     metrics_enabled: bool = False
     #: Cluster whose user controller owns the terminal (default: lowest).
     user_cluster: Optional[int] = None

@@ -85,7 +85,7 @@ def render_metrics(vm: PiscesVM) -> str:
     derived figures (queue depths, latency, lock holds) when present."""
     reg = vm.metrics
     parts: List[str] = [reg.describe()]
-    if not reg.enabled and not reg.families():
+    if not reg.enabled:
         parts.append("(enable with monitor.change_metric_options"
                      "(enable=True) or config metrics_enabled)")
         return "\n".join(parts)

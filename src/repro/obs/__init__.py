@@ -3,7 +3,8 @@
 The quantitative layer over section 12's event tracing and section 11's
 execution-environment monitor: a :class:`MetricsRegistry` collects
 counters / gauges / tick-bucketed histograms while the machine runs
-(zero cost when disabled); :mod:`repro.obs.spans` derives task /
+(its run counts always, the rest only when enabled);
+:mod:`repro.obs.spans` derives task /
 message / critical-section intervals from trace events; and
 :mod:`repro.obs.export` writes JSONL event logs, Chrome trace files and
 monitor text snapshots.  :mod:`repro.obs.profile` layers the causal
