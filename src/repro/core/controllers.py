@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-import numpy as np
-
 from ..errors import UnknownTask, WindowError
 from ..mmos.process import KernelProcess, co_block, co_preempt
 from .cluster import ClusterRuntime, PendingInitiate
@@ -37,6 +35,8 @@ from .tracing import TraceEvent, TraceEventType
 from .windows import ArrayStore, Window, make_window
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .vm import PiscesVM
 
 #: System message types (the leading @ keeps them out of user namespaces).

@@ -18,9 +18,8 @@ shape of the benchmark results (process creation >> send >> lock).
 
 from __future__ import annotations
 
+import sys
 from typing import Any
-
-import numpy as np
 
 # ------------------------------------------------------------- sizes ------
 
@@ -110,7 +109,7 @@ def packed_size(value: Any) -> int:
         return 16 + (int(value.data.nbytes) if value.data is not None else 0)
     if isinstance(value, bool):
         return 4
-    if isinstance(value, (int, float, np.integer, np.floating)):
+    if isinstance(value, (int, float)):
         return 8
     if isinstance(value, complex):
         return 16
@@ -122,14 +121,19 @@ def packed_size(value: Any) -> int:
         return TASKID_BYTES
     if isinstance(value, Window):
         return WINDOW_BYTES
-    if isinstance(value, np.ndarray):
-        return int(value.nbytes)
     if isinstance(value, (list, tuple)):
         return sum(packed_size(v) for v in value)
     if isinstance(value, dict):
         return sum(packed_size(k) + packed_size(v) for k, v in value.items())
     if value is None:
         return 4
+    # A value cannot be a numpy array or scalar unless numpy is loaded.
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(value, np.ndarray):
+            return int(value.nbytes)
+        if isinstance(value, (np.integer, np.floating)):
+            return 8
     # Anything else: approximate by its repr length (keeps accounting total).
     return max(4, (len(repr(value)) + 3) & ~3)
 

@@ -24,8 +24,6 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING, Union
 
-import numpy as np
-
 from ..errors import (
     AcceptTimeout,
     MessageError,
@@ -60,6 +58,8 @@ from .tracing import TraceEvent, TraceEventType
 from .windows import ArrayStore, Window, WindowCache, make_window
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .forces import Force, ForceContext
     from .vm import PiscesVM
 

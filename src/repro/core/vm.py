@@ -19,9 +19,8 @@ import os
 import random
 from types import SimpleNamespace
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Tuple, Union)
 
 from ..errors import (
     MessageError,
@@ -110,6 +109,9 @@ from .windows import (
     WindowTxn,
     WindowTxnReply,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def resolve_checkpoint(config: Configuration) -> Tuple[int, str, int]:
@@ -1134,6 +1136,8 @@ class PiscesVM:
                                requester: TaskId) -> np.ndarray:
         """The unbatched oracle: one transient message per leading-axis
         row, each allocated and freed on the shared heap."""
+        import numpy as np
+
         heap = self.machine.shared
         now = self.engine.now()
         out = np.empty(w.shape, dtype=np.dtype(w.dtype))
@@ -1204,6 +1208,8 @@ class PiscesVM:
                             else entry[0])
             reply = self._window_txn(store, txn,
                                      self._requester_id(ctx, store))
+            import numpy as np
+
             if reply.status == "valid":
                 data = np.array(entry[1], copy=True)
                 moved, hit = 0, True
@@ -1273,6 +1279,8 @@ class PiscesVM:
             self._window_write_reference(
                 store, w, data, self._requester_id(ctx, store))
         else:
+            import numpy as np
+
             payload = np.asarray(data, dtype=np.dtype(w.dtype))
             txn = WindowTxn(op="write", window=w, data=payload,
                             require_unchanged_since=require)

@@ -34,12 +34,14 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, Optional, Tuple, Union
-
-import numpy as np
+from typing import (TYPE_CHECKING, Deque, Dict, Iterator, Optional, Tuple,
+                    Union)
 
 from ..errors import WindowError
 from .taskid import TaskId
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: A bound per dimension: (start, stop), 0-based, stop exclusive,
 #: absolute coordinates in the owner's base array.
@@ -162,6 +164,8 @@ class Window:
 
     @property
     def nbytes(self) -> int:
+        import numpy as np
+
         return self.size * np.dtype(self.dtype).itemsize
 
     def slices(self) -> Tuple[slice, ...]:
@@ -421,10 +425,15 @@ class ArrayStore:
         history (generation, bounds) that reader caches validate
         against.  All of it is bit-reproducible at a given schedule
         position."""
-        import zlib
-        # adler32 reads the array buffer directly; no tobytes() copy.
-        arrays = {name: zlib.adler32(np.ascontiguousarray(a).data)
-                  for name, a in sorted(self._arrays.items())}
+        arrays = {}
+        if self._arrays:              # only a task with arrays loads numpy
+            import zlib
+
+            import numpy as np
+
+            # adler32 reads the array buffer directly; no tobytes() copy.
+            arrays = {name: zlib.adler32(np.ascontiguousarray(a).data)
+                      for name, a in sorted(self._arrays.items())}
         writes = {name: [[int(g), [[int(x) for x in b] for b in bounds]]
                          for g, bounds in dq]
                   for name, dq in sorted(self._writes.items())}
@@ -457,12 +466,16 @@ class ArrayStore:
             m.histogram("array_store_bytes", op=op).observe(w.nbytes)
 
     def read(self, w: Window, ticks: int) -> np.ndarray:
+        import numpy as np
+
         base = self.get(w.array)
         self.access_log.append(("read", w.array, w.bounds, ticks))
         self._observe("read", w)
         return np.array(base[w.slices()], copy=True)
 
     def write(self, w: Window, data: np.ndarray, ticks: int) -> None:
+        import numpy as np
+
         base = self.get(w.array)
         view = base[w.slices()]
         data = np.asarray(data, dtype=base.dtype)
@@ -480,6 +493,8 @@ class ArrayStore:
         """Reference data path: one leading-axis row copy at a time (the
         pre-batching one-message-per-row semantics).  Logs the access
         once; the caller accounts per-row transit."""
+        import numpy as np
+
         base = self.get(w.array)
         self.access_log.append(("read", w.array, w.bounds, ticks))
         self._observe("read", w)
@@ -493,6 +508,8 @@ class ArrayStore:
         """Reference data path: apply a window write one leading-axis
         row at a time; ``per_row(row)`` lets the caller charge transit
         per row.  One logical write: logged and generation-bumped once."""
+        import numpy as np
+
         base = self.get(w.array)
         view = base[w.slices()]
         data = np.asarray(data, dtype=base.dtype)

@@ -21,11 +21,15 @@ many tenants, with nothing beyond the standard library:
   HTTP control plane and its stdlib client;
 * ``python -m repro.service`` -- the server entry point.
 
-Importing the package loads only the pure-Python layers.  The five
-HTTP-facing names (``RunTimeout``, ``ServiceClient``,
-``ServiceClientError``, ``ServiceHTTPServer``, ``serve``) resolve on
-first access (PEP 562), so a library process that only builds catalog
-plans never loads ``http.server``, ``urllib.request`` or ``ssl``.
+Importing the package loads only the control plane: the store, the
+spec, admission, the catalog's name table and the worker pool.  The
+executor names (``ExecutionHandle``, ``KilledByService``,
+``execute_run``) and the five HTTP-facing names (``RunTimeout``,
+``ServiceClient``, ``ServiceClientError``, ``ServiceHTTPServer``,
+``serve``) resolve on first access (PEP 562).  So a server boot loads
+no engine and no numpy -- the first run does -- and a library process
+that only builds catalog plans never loads ``http.server``,
+``urllib.request`` or ``ssl``.
 
 The load-bearing guarantee: a run executed by the service has the
 same virtual time and trace stream as the same spec run standalone.
@@ -38,7 +42,6 @@ from importlib import import_module
 
 from .admission import DEFAULT_QUOTA, AdmissionScheduler, TenantQuota
 from .catalog import APPS, AppPlan, app_names, build, pe_cost
-from .executor import ExecutionHandle, KilledByService, execute_run
 from .service import RunService
 from .spec import RunSpec
 from .store import (ADMITTED, DONE, FAILED, KILLED, LIVE_STATES, QUEUED,
@@ -53,10 +56,12 @@ __all__ = [
     "TenantQuota", "app_names", "build", "execute_run", "pe_cost", "serve",
 ]
 
-#: HTTP-facing re-exports, imported from their submodule on first access.
-_LAZY = {"RunTimeout": "client", "ServiceClient": "client",
-         "ServiceClientError": "client", "ServiceHTTPServer": "rest",
-         "serve": "rest"}
+#: Executor and HTTP-facing re-exports, imported from their submodule on
+#: first access.
+_LAZY = {"ExecutionHandle": "executor", "KilledByService": "executor",
+         "execute_run": "executor", "RunTimeout": "client",
+         "ServiceClient": "client", "ServiceClientError": "client",
+         "ServiceHTTPServer": "rest", "serve": "rest"}
 
 
 def __getattr__(name):

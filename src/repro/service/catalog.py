@@ -13,25 +13,23 @@ service crash is resumed from its latest ``.pckpt`` checkpoint, and
 restored tasks to.  Because every entry here is deterministic in its
 parameters, replaying ``catalog.build(spec)`` in a fresh process
 yields that registry.
+
+Importing the catalog is cheap: each builder imports its app module
+(and through it the engine and, for the array apps, numpy) when it
+first builds, so a service that has only booted holds none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
 
-from ..apps import chaos_jacobi as _chaos
-from ..apps import fem as _fem
-from ..apps import integrate as _integrate
-from ..apps import jacobi as _jacobi
-from ..apps import matmul as _matmul
-from ..apps import pipeline as _pipeline
-from ..apps import truss as _truss
 from ..config.configuration import ClusterSpec, Configuration
-from ..core.supervision import Supervision
-from ..core.task import TaskRegistry
 from ..errors import InvalidRunSpec
 from .spec import RunSpec
+
+if TYPE_CHECKING:
+    from ..core.task import TaskRegistry
 
 
 @dataclass(frozen=True)
@@ -44,13 +42,35 @@ class AppPlan:
     args: Tuple[Any, ...] = ()
 
 
+def _same_type(value: Any, default: Any) -> bool:
+    """Whether ``value`` may stand in for ``default``: an int default
+    takes an int only, a float default an int or a float, a list default
+    a list or a tuple; a bool is never a number, nor a number a bool."""
+    if isinstance(value, bool) is not isinstance(default, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return isinstance(value, (list, tuple))
+    return isinstance(value, type(default))
+
+
 def _params(spec: RunSpec, allowed: Dict[str, Any]) -> Dict[str, Any]:
-    """Merge spec params over defaults, refusing unknown keys."""
+    """Merge spec params over defaults, refusing unknown keys and values
+    of another type than the default's."""
     unknown = sorted(set(spec.params) - set(allowed))
     if unknown:
         raise InvalidRunSpec(
             f"app {spec.app!r} does not take parameter(s) "
             f"{', '.join(unknown)} (takes: {', '.join(sorted(allowed))})")
+    for name, value in sorted(spec.params.items()):
+        default = allowed[name]
+        if not _same_type(value, default):
+            want = ("a number" if isinstance(default, float)
+                    else type(default).__name__)
+            raise InvalidRunSpec(
+                f"app {spec.app!r} parameter {name!r} must be {want}, "
+                f"got {value!r}")
     merged = dict(allowed)
     merged.update(spec.params)
     return merged
@@ -76,38 +96,46 @@ def _force_cluster(force_pes: int, name: str) -> Configuration:
 
 
 def _build_jacobi(spec: RunSpec) -> AppPlan:
+    from ..apps import jacobi
+
     p = _params(spec, dict(n=20, sweeps=3, n_workers=3))
     return AppPlan(
-        registry=_jacobi.build_windows_registry(p["n"], p["sweeps"],
-                                                p["n_workers"]),
+        registry=jacobi.build_windows_registry(p["n"], p["sweeps"],
+                                               p["n_workers"]),
         config=_task_clusters(2, max(2, p["n_workers"]), "jacobi-windows"),
         tasktype="JMASTER")
 
 
 def _build_jacobi_force(spec: RunSpec) -> AppPlan:
+    from ..apps import jacobi
+
     p = _params(spec, dict(n=20, sweeps=3, force_pes=3))
     return AppPlan(
-        registry=_jacobi.build_force_registry(p["n"], p["sweeps"]),
+        registry=jacobi.build_force_registry(p["n"], p["sweeps"]),
         config=_force_cluster(p["force_pes"],
                               f"jacobi-force-{p['force_pes'] + 1}"),
         tasktype="JFORCE", args=(p["n"], p["sweeps"]))
 
 
 def _build_matmul(spec: RunSpec) -> AppPlan:
+    from ..apps import matmul
+
     p = _params(spec, dict(n=16, n_workers=3, n_clusters=2))
     return AppPlan(
-        registry=_matmul.build_tasks_registry(p["n"], p["n_workers"]),
+        registry=matmul.build_tasks_registry(p["n"], p["n_workers"]),
         config=_task_clusters(p["n_clusters"], max(2, p["n_workers"]),
                               "matmul-tasks"),
         tasktype="MMASTER")
 
 
 def _build_integrate(spec: RunSpec) -> AppPlan:
+    from ..apps import integrate
+
     p = _params(spec, dict(pieces=12, points_per_piece=6, n_workers=3,
                            n_clusters=2, a=0.0, b=3.0))
     return AppPlan(
-        registry=_integrate.build_integrate_registry(
-            _integrate.default_integrand, float(p["a"]), float(p["b"]),
+        registry=integrate.build_integrate_registry(
+            integrate.default_integrand, float(p["a"]), float(p["b"]),
             p["pieces"], p["points_per_piece"], p["n_workers"]),
         config=_task_clusters(p["n_clusters"], max(2, p["n_workers"]),
                               "integrate"),
@@ -115,35 +143,44 @@ def _build_integrate(spec: RunSpec) -> AppPlan:
 
 
 def _build_pipeline(spec: RunSpec) -> AppPlan:
+    from ..apps import pipeline
+
     p = _params(spec, dict(n_stages=3, n_items=10, n_clusters=2, slots=4))
     return AppPlan(
-        registry=_pipeline.build_pipeline_registry(
+        registry=pipeline.build_pipeline_registry(
             p["n_stages"], list(range(p["n_items"]))),
         config=_task_clusters(p["n_clusters"], p["slots"], "pipeline"),
         tasktype="COORD")
 
 
 def _build_fem(spec: RunSpec) -> AppPlan:
+    from ..apps import fem
+
     p = _params(spec, dict(n_elements=12, force_pes=3))
-    prob = _fem.FEMProblem(n_elements=p["n_elements"])
+    prob = fem.FEMProblem(n_elements=p["n_elements"])
     return AppPlan(
-        registry=_fem.build_fem_registry(prob),
+        registry=fem.build_fem_registry(prob),
         config=_force_cluster(p["force_pes"],
                               f"fem-force-{p['force_pes'] + 1}"),
         tasktype="FEM")
 
 
 def _build_truss(spec: RunSpec) -> AppPlan:
+    from ..apps import truss
+
     p = _params(spec, dict(n_panels=4, force_pes=3))
-    prob = _truss.pratt_truss(n_panels=p["n_panels"])
+    prob = truss.pratt_truss(n_panels=p["n_panels"])
     return AppPlan(
-        registry=_truss.build_truss_registry(prob),
+        registry=truss.build_truss_registry(prob),
         config=_force_cluster(p["force_pes"],
                               f"truss-force-{p['force_pes'] + 1}"),
         tasktype="TRUSS")
 
 
 def _build_chaos_jacobi(spec: RunSpec) -> AppPlan:
+    from ..apps import chaos_jacobi
+    from ..core.supervision import Supervision
+
     p = _params(spec, dict(n=20, sweeps=3, n_workers=3, supervision="none",
                            max_restarts=3, backoff_ticks=1_000,
                            on_death="abort", resend_delay=8_000,
@@ -161,7 +198,7 @@ def _build_chaos_jacobi(spec: RunSpec) -> AppPlan:
                                  slots=max(2, p["n_workers"]) + 1)
                      for i in range(1, 3))
     return AppPlan(
-        registry=_chaos.build_chaos_registry(
+        registry=chaos_jacobi.build_chaos_registry(
             p["n"], p["sweeps"], p["n_workers"], sup, p["on_death"],
             p["resend_delay"], p["idle_timeout"], p["max_rounds"]),
         config=Configuration(clusters=clusters, name="chaos-jacobi"),
@@ -176,6 +213,8 @@ def build_spin_registry(rounds: int, ticks_per_round: int) -> TaskRegistry:
     ticks), so tests can hold a worker busy long enough to exercise the
     kill endpoint, quota limits and fair-share ordering.
     """
+    from ..core.task import TaskRegistry
+
     reg = TaskRegistry()
 
     @reg.tasktype("SPIN")
@@ -235,8 +274,11 @@ APPS: Dict[str, Callable[[RunSpec], AppPlan]] = {
 }
 
 
+_NAMES = tuple(sorted(APPS))
+
+
 def app_names() -> Tuple[str, ...]:
-    return tuple(sorted(APPS))
+    return _NAMES
 
 
 def build(spec: RunSpec) -> AppPlan:

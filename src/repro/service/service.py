@@ -27,18 +27,26 @@ import threading
 import time
 import traceback
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from ..errors import InvalidRunSpec, ServiceError, UnknownRun
-from ..obs.export import event_to_dict
-from ..obs.spans import derive_spans
 from . import catalog
 from .admission import DEFAULT_QUOTA, AdmissionScheduler, TenantQuota
-from .executor import ExecutionHandle, execute_run
 from .spec import RunSpec
 from .store import KILLED, QUEUED, RunRecord, RunStore, TERMINAL_STATES
 
+if TYPE_CHECKING:
+    from .executor import ExecutionHandle
+
 _TENANT_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}\Z")
+
+
+def execute_run(rec: RunRecord, store: RunStore,
+                handle: "ExecutionHandle") -> RunRecord:
+    """:func:`repro.service.executor.execute_run`, imported at the first
+    run: the executor brings the engine, so a boot does not load it."""
+    from .executor import execute_run as execute
+    return execute(rec, store, handle)
 
 
 class RunService:
@@ -99,6 +107,7 @@ class RunService:
                     # (bounded, so stop() is never waited out).
                     self._cv.wait(timeout=0.2)
                     continue
+                from .executor import ExecutionHandle
                 handle = ExecutionHandle(rec.run_id, threading.Event())
                 self._handles[rec.run_id] = handle
             try:
@@ -126,6 +135,13 @@ class RunService:
         if not isinstance(spec, RunSpec):
             spec = RunSpec.from_dict(spec)
         plan = catalog.build(spec)        # reject unbuildable specs now
+        if spec.fault_plan:
+            from ..faults import loads
+            try:
+                loads(spec.fault_plan)
+            except Exception as e:        # any parse failure is a 400
+                raise InvalidRunSpec(
+                    f"fault_plan did not parse: {e}") from e
         self.admission.check_submit(tenant)           # QuotaExceeded -> 429
         rec = self.store.create(tenant, spec)
         self.admission.seed_cost(rec.run_id, len(plan.config.used_pes()))
@@ -243,12 +259,14 @@ class RunService:
             with path.open() as f:
                 raw = [json.loads(line) for line in f if line.strip()]
             return raw[-limit:] if limit else raw
+        from ..obs.export import event_to_dict
         dicts = [event_to_dict(e) for e in events]
         return dicts[-limit:] if limit else dicts
 
     def trace_spans(self, run_id: str) -> List[Dict[str, Any]]:
         """Closed spans derived from the trace stream (task lifetimes,
         messages in flight, critical sections)."""
+        from ..obs.spans import derive_spans
         vm = self._live_vm(run_id)
         if vm is not None:
             events = self._stable_read(lambda: list(vm.tracer.events))

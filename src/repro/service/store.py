@@ -13,6 +13,7 @@ The **record** is the run's state machine:
 
     QUEUED -> ADMITTED -> RUNNING -> DONE | FAILED | KILLED
 
+A run whose VM fails to build goes straight from ADMITTED to FAILED.
 Only the service process writes records; everything is written
 atomically (tmp file + ``os.replace``) so a ``kill -9`` can never leave
 a half-written record -- the worst case is a record one transition
@@ -83,7 +84,7 @@ STATES = LIVE_STATES + TERMINAL_STATES
 
 _TRANSITIONS = {
     QUEUED: (ADMITTED, KILLED),
-    ADMITTED: (RUNNING, QUEUED, KILLED),
+    ADMITTED: (RUNNING, QUEUED, KILLED, FAILED),
     RUNNING: (DONE, FAILED, KILLED),
     DONE: (), FAILED: (), KILLED: (),
 }

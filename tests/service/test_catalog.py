@@ -34,6 +34,30 @@ class TestBuild:
         with pytest.raises(InvalidRunSpec, match="does not take"):
             catalog.build(RunSpec(app="jacobi", params={"grid_size": 9}))
 
+    @pytest.mark.parametrize("params", [
+        {"rounds": "x"}, {"rounds": 1.5}, {"rounds": True},
+        {"ticks_per_round": None}, {"rounds": [3]}])
+    def test_ill_typed_int_param_refused(self, params):
+        with pytest.raises(InvalidRunSpec, match="must be int"):
+            catalog.build(RunSpec(app="spin", params=params))
+
+    def test_float_param_takes_int_or_float_but_not_bool(self):
+        for a in (1, 1.5):
+            catalog.build(RunSpec(app="integrate", params={"a": a}))
+        for a in (True, "1.0"):
+            with pytest.raises(InvalidRunSpec, match="must be a number"):
+                catalog.build(RunSpec(app="integrate", params={"a": a}))
+
+    def test_str_and_list_params_are_type_checked(self):
+        with pytest.raises(InvalidRunSpec, match="must be str"):
+            catalog.build(RunSpec(app="chaos_jacobi",
+                                  params={"supervision": 1}))
+        with pytest.raises(InvalidRunSpec, match="must be list"):
+            catalog.build(RunSpec(app="fortran", params={
+                "source": FORTRAN_SOURCE, "args": "12"}))
+        catalog.build(RunSpec(app="fortran", params={
+            "source": FORTRAN_SOURCE, "args": (), "tasktype": "HELLO"}))
+
     def test_build_is_pure_in_params(self):
         spec = RunSpec(app="matmul", params={"n": 8, "n_workers": 2})
         a, b = catalog.build(spec), catalog.build(spec)

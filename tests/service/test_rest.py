@@ -103,6 +103,15 @@ class TestErrorMapping:
             with pytest.raises(InvalidRunSpec, match=axis):
                 client.submit({"app": "spin", axis: value})
 
+    def test_400_garbage_fault_plan(self, client):
+        with pytest.raises(InvalidRunSpec, match="fault_plan"):
+            client.submit(dict(QUICK, fault_plan="garbage here"))
+
+    def test_400_ill_typed_param(self, client):
+        for rounds in ("x", 1.5):
+            with pytest.raises(InvalidRunSpec, match="rounds"):
+                client.submit({"app": "spin", "params": {"rounds": rounds}})
+
     def test_400_unknown_state_filter(self, client):
         with pytest.raises(InvalidRunSpec, match="unknown run state"):
             client.list_runs(state="BOGUS")

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from repro.errors import InvalidRunSpec, QuotaExceeded, UnknownRun
+from repro.errors import (ConfigurationError, InvalidRunSpec,
+                          QuotaExceeded, UnknownRun)
 from repro.service import (DONE, KILLED, QUEUED, RUNNING, RunService,
                            TenantQuota, catalog, executor)
 from repro.service.spec import RunSpec
@@ -91,6 +92,35 @@ class TestSubmitAndRun:
         final = wait_state(svc, rec.run_id, DONE, "FAILED")
         assert final.state == "FAILED"
         assert "error" in final.exit
+
+
+    def test_unparsable_fault_plan_refused_at_submit(self, svc):
+        with pytest.raises(InvalidRunSpec, match="fault_plan"):
+            svc.submit("alice", dict(QUICK, fault_plan="garbage here"))
+        assert svc.list_runs(tenant="alice") == []
+
+    def test_failed_vm_build_fails_the_run_and_frees_its_slot(
+            self, tmp_path, monkeypatch):
+        """A run that fails before RUNNING ends FAILED (not stuck in
+        ADMITTED holding one of its tenant's running slots)."""
+        real = executor.build_vm
+
+        def build_vm(rec, store, plan):
+            if rec.spec.run_seed == 1:
+                raise ConfigurationError("no VM for this one")
+            return real(rec, store, plan)
+
+        monkeypatch.setattr(executor, "build_vm", build_vm)
+        svc = RunService(tmp_path / "b", n_workers=1,
+                         default_quota=TenantQuota(max_running=1)).start()
+        try:
+            bad = svc.submit("a", dict(QUICK, run_seed=1))
+            final = wait_state(svc, bad.run_id, "FAILED", timeout=30.0)
+            assert "no VM for this one" in final.exit["error"]
+            good = svc.submit("a", QUICK)
+            assert wait_state(svc, good.run_id, DONE).state == DONE
+        finally:
+            svc.stop(kill_live=True)
 
 
 class TestKill:
