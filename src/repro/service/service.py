@@ -42,7 +42,7 @@ _TENANT_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}\Z")
 
 
 def execute_run(rec: RunRecord, store: RunStore,
-                handle: "ExecutionHandle") -> RunRecord:
+                handle: ExecutionHandle) -> RunRecord:
     """:func:`repro.service.executor.execute_run`, imported at the first
     run: the executor brings the engine, so a boot does not load it."""
     from .executor import execute_run as execute
