@@ -22,8 +22,8 @@ import pytest
 
 import repro
 import repro.service
-from repro.service import (ADMITTED, DONE, QUEUED, RUNNING, RunService,
-                           RunSpec, catalog)
+from repro.service import (ADMITTED, DONE, QUEUED, RUNNING, TERMINAL_STATES,
+                           RunService, RunSpec, catalog)
 from repro.service.client import ServiceClient
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -42,6 +42,8 @@ ENGINE = ("repro.core", "repro.mmos", "repro.apps", "repro.checkpoint",
 #: work key for the benchmark's ``setup_s``.
 BOOT_MODULE_BUDGET = 20
 QUICK = {"app": "spin", "params": {"rounds": 5, "ticks_per_round": 10}}
+#: Catalog apps that hold no arrays, so their runs never load numpy.
+ARRAY_FREE_APPS = ("spin", "pipeline", "integrate")
 #: A matmul run draws its inputs from the stdlib generator; numpy's
 #: would load ``numpy.random`` and, through it, the hashing modules.
 MATMUL_MUST_NOT_LOAD = ("numpy.random", "secrets", "hashlib")
@@ -209,14 +211,31 @@ def test_import_repro_loads_no_numpy():
     assert loaded_after("import repro.api", ("numpy",)) == []
 
 
-@pytest.mark.parametrize("app", ["spin", "pipeline", "integrate"])
+@pytest.mark.parametrize("app", ARRAY_FREE_APPS)
 def test_array_free_runs_load_no_numpy(app):
     code = ("import repro.api\n"
             "from repro.service import catalog, spec\n"
-            f"plan = catalog.build(spec.RunSpec.from_dict({{'app': {app!r}}}))\n"
+            f"plan = catalog.build(spec.RunSpec(app={app!r}))\n"
             "vm = repro.api.make_vm(config=plan.config, "
             "registry=plan.registry)\n"
             "assert vm.run(plan.tasktype, *plan.args).elapsed > 0")
+    assert loaded_after(code, ("numpy",)) == []
+
+
+def test_array_free_service_runs_load_no_numpy(tmp_path):
+    """Served with tracing, checkpoints and the archived bundle."""
+    code = textwrap.dedent(f"""
+        import time
+        from repro.service import RunService
+        svc = RunService({str(tmp_path / "store")!r}, n_workers=1).start()
+        for app in {ARRAY_FREE_APPS!r}:
+            run_id = svc.submit("alice", {{"app": app,
+                                           "checkpoint_every": 500}}).run_id
+            while svc.get_run(run_id).state not in {TERMINAL_STATES!r}:
+                time.sleep(0.01)
+            assert svc.get_run(run_id).state == {DONE!r}, app
+        svc.stop()
+    """)
     assert loaded_after(code, ("numpy",)) == []
 
 
