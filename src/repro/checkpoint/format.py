@@ -21,14 +21,14 @@ digest to validate against:
 The checksum is what makes a bundle safe to trust after a host crash:
 a file torn mid-write fails to parse (:class:`CheckpointFormatError`)
 and :func:`find_latest_checkpoint` falls back to the previous bundle.
-Writes are atomic (temp file + ``os.replace``) so a crash *during* a
-checkpoint never destroys the prior one.
+Bundles are written through :mod:`repro.util.durable`, so a crash
+*during* a checkpoint never destroys the prior one, and a failed write
+leaves no temp file behind.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import zlib
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
@@ -106,18 +106,6 @@ def load_bundle(path: Union[str, Path],
                 ) -> Tuple[Dict[str, Any], Dict[str, Any], str]:
     """Read and parse one ``.pckpt`` file."""
     return parse_bundle(Path(path).read_text(encoding="utf-8"))
-
-
-def write_bundle_atomic(path: Union[str, Path], text: str) -> Path:
-    """Write a bundle atomically: temp file in the same directory, then
-    ``os.replace``.  A host crash mid-write leaves either the old
-    bundle or a stray temp file -- never a torn ``.pckpt``."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(f".{target.name}.tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, target)
-    return target
 
 
 def checkpoint_filename(tick: int, dispatch_seq: int) -> str:

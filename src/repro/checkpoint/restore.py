@@ -34,7 +34,8 @@ from ..core.tracing import TraceEventType
 from ..errors import (CheckpointError, CheckpointFormatError,
                       ConfigurationError)
 from ..results import RunRecord
-from .format import dumps_bundle, load_bundle, write_bundle_atomic
+from ..util.durable import durable_write
+from .format import dumps_bundle, load_bundle
 from .snapshot import snapshot_state, verify_snapshot
 
 FORMAT_VERSION = 1
@@ -233,8 +234,9 @@ def checkpoint_vm(vm, path: Union[str, Path]) -> Path:
     Must be called *between dispatches* (the periodic checkpointer's
     engine hook does; task code cannot checkpoint the VM it runs in)
     and only after :meth:`PiscesVM.run` has started the top-level task.
-    Raises :class:`~repro.errors.CheckpointError` otherwise, or when no
-    schedule decision stream is being recorded.
+    Raises :class:`~repro.errors.CheckpointError` otherwise, when no
+    schedule decision stream is being recorded, or when the bundle
+    cannot be written (a full disk, say).
     """
     eng = vm.engine
     if vm._run_request is None:
@@ -258,7 +260,13 @@ def checkpoint_vm(vm, path: Union[str, Path]) -> Path:
     except TypeError as e:
         raise CheckpointError(
             f"run request is not JSON-serializable: {e}") from None
-    return write_bundle_atomic(path, text)
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        durable_write(path, text)
+    except OSError as e:
+        raise CheckpointError(f"cannot write {path.name}: {e}") from e
+    return path
 
 
 # ------------------------------------------------------------- restore --

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import List, Optional, TextIO, Union
 
 from ..errors import ConfigurationError
+from ..util.durable import durable_write
 from .configuration import ClusterSpec, Configuration, default_accept_delay
 
 FORMAT_HEADER = "# pisces configuration"
@@ -104,9 +105,8 @@ def _parse_cluster(toks: List[str]) -> ClusterSpec:
 
 def save(cfg: Configuration, path: Union[str, Path]) -> Path:
     """Write a configuration file (conventionally ``*.pcfg``)."""
-    p = Path(path)
-    p.write_text(dumps(cfg))
-    return p
+    durable_write(path, dumps(cfg))
+    return Path(path)
 
 
 def load(path: Union[str, Path]) -> Configuration:

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import RaceError, RaceWarning
+from ..util.durable import durable_open
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.vm import PiscesVM
@@ -490,7 +491,7 @@ class RaceDetector:
         """Write every report (races then warnings) as JSON lines;
         returns the record count."""
         records = self.reports + self.warnings
-        with open(path, "w", encoding="utf-8") as f:
+        with durable_open(path) as f:
             for r in records:
                 f.write(json.dumps(r.as_dict(), default=str) + "\n")
         return len(records)

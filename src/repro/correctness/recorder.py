@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import ReplayDivergence, ScheduleFormatError
+from ..util.durable import durable_write
 
 MAGIC = "#psched 1"
 _TOKENS_PER_LINE = 16
@@ -97,7 +98,7 @@ class ScheduleRecorder:
         if target is None:
             raise ValueError("ScheduleRecorder.save: no path given and no "
                              "autosave path configured")
-        target.write_text(self.dumps(), encoding="utf-8")
+        durable_write(target, self.dumps())
         self._saved = True
         return target
 

@@ -32,6 +32,7 @@ from typing import List, Optional, Tuple, TYPE_CHECKING, Union
 
 from ..core.taskid import TaskId, USER_TERMINAL_ID
 from ..core.tracing import TraceEvent, TraceEventType
+from ..util.durable import durable_write
 from .plan import (ALWAYS_PROTECTED, FaultPlan, HostKill, MessagePolicy,
                    PECrash, TaskKill)
 
@@ -133,10 +134,9 @@ class FaultInjector:
         return "\n".join(ev.line() for ev in self.events)
 
     def write_jsonl(self, path) -> Path:
-        p = Path(path)
         text = self.export_jsonl()
-        p.write_text(text + "\n" if text else "")
-        return p
+        durable_write(path, text + "\n" if text else "")
+        return Path(path)
 
     # ------------------------------------------------------ timed faults --
 

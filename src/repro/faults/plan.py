@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
+from ..util.durable import durable_write
 
 PLAN_HEADER = "# pisces fault plan"
 
@@ -228,9 +229,8 @@ def loads(text: str) -> FaultPlan:
 
 def save(plan: FaultPlan, path: Union[str, Path]) -> Path:
     """Write a fault-plan file (conventionally ``*.pfault``)."""
-    p = Path(path)
-    p.write_text(dumps(plan))
-    return p
+    durable_write(path, dumps(plan))
+    return Path(path)
 
 
 def load(path: Union[str, Path]) -> FaultPlan:

@@ -136,7 +136,7 @@ class Engine:
         #: virtual time).
         self._ckpt_pump: Optional[Callable[["Engine"], None]] = None
         #: Hook invoked (from the engine thread, between slices) after
-        #: every dispatch; the execution-environment monitor uses it.
+        #: every dispatch; the run service's kill check uses it.
         self.on_idle_check: Optional[Callable[[], None]] = None
         #: Optional MetricsRegistry (wired by the VM).  Observations are
         #: pure bookkeeping -- they never influence dispatch order.

@@ -12,7 +12,8 @@ Three machine-readable views of a traced run:
   ticks;
 * **text snapshot** -- the metrics registry rendered for the monitor.
 
-``export_run(vm, directory)`` writes all three for one VM.
+``export_run(vm, directory)`` writes all three for one VM, each file
+whole or not at all (:mod:`repro.util.durable`).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Any, Dict, IO, Iterable, List, Optional, Union
 
 from ..core.taskid import TaskId
 from ..core.tracing import TraceEvent, TraceEventType
+from ..util.durable import durable_open
 from .metrics import MetricsRegistry
 from .spans import CAT_TASK, Span, derive_spans
 
@@ -191,7 +193,7 @@ def write_run_manifest(vm, directory: Union[str, Path],
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / "manifest.json"
-    with path.open("w") as f:
+    with durable_open(path) as f:
         json.dump(run_manifest(vm, files), f, indent=1, sort_keys=True)
         f.write("\n")
     return path
@@ -218,25 +220,17 @@ def export_run(vm, directory: Union[str, Path],
     events = list(vm.tracer.events)
     out: Dict[str, Path] = {}
 
-    p = directory / f"{prefix}.events.jsonl"
-    with p.open("w") as f:
-        write_jsonl(events, f)
-    out["jsonl"] = p
-
-    p = directory / f"{prefix}.chrome.json"
-    with p.open("w") as f:
-        write_chrome_trace(events, f)
-    out["chrome"] = p
-
-    p = directory / f"{prefix}.metrics.json"
-    with p.open("w") as f:
-        write_metrics_snapshot(vm.metrics, f, as_json=True)
-    out["metrics_json"] = p
-
-    p = directory / f"{prefix}.metrics.txt"
-    with p.open("w") as f:
-        write_metrics_snapshot(vm.metrics, f)
-    out["metrics_txt"] = p
+    for kind, suffix, write in (
+            ("jsonl", "events.jsonl", lambda f: write_jsonl(events, f)),
+            ("chrome", "chrome.json",
+             lambda f: write_chrome_trace(events, f)),
+            ("metrics_json", "metrics.json",
+             lambda f: write_metrics_snapshot(vm.metrics, f, as_json=True)),
+            ("metrics_txt", "metrics.txt",
+             lambda f: write_metrics_snapshot(vm.metrics, f))):
+        out[kind] = p = directory / f"{prefix}.{suffix}"
+        with durable_open(p) as f:
+            write(f)
 
     det = getattr(vm, "race_detector", None)
     if det is not None:

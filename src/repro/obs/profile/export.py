@@ -22,6 +22,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from ...util.durable import durable_write
 from .critical_path import CriticalPath, extract_critical_path
 from .profiler import CausalProfiler, profile_report
 
@@ -120,15 +121,15 @@ def write_profile(prof: CausalProfiler,
         "critical_path": directory / f"{prefix}.critical_path.json",
         "report": directory / f"{prefix}.txt",
     }
-    paths["folded"].write_text(
-        "\n".join(folded_stacks(prof, "virtual")) + "\n")
-    paths["wall_folded"].write_text(
-        "\n".join(folded_stacks(prof, "wall")) + "\n")
-    paths["chrome"].write_text(json.dumps(
+    durable_write(paths["folded"],
+                  "\n".join(folded_stacks(prof, "virtual")) + "\n")
+    durable_write(paths["wall_folded"],
+                  "\n".join(folded_stacks(prof, "wall")) + "\n")
+    durable_write(paths["chrome"], json.dumps(
         {"traceEvents": chrome_profile_trace(prof),
          "displayTimeUnit": "ns"}, indent=1))
-    paths["critical_path"].write_text(
-        json.dumps(critical_path.as_dict(), indent=1))
-    paths["report"].write_text(
-        profile_report(prof, elapsed=elapsed) + "\n")
+    durable_write(paths["critical_path"],
+                  json.dumps(critical_path.as_dict(), indent=1))
+    durable_write(paths["report"],
+                  profile_report(prof, elapsed=elapsed) + "\n")
     return paths

@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..errors import (InvalidRunSpec, QuotaExceeded, ServiceError,
                       UnknownRun)
+from ..util.durable import durable_write
 from .store import TERMINAL_STATES
 
 
@@ -163,7 +164,7 @@ class ServiceClient:
             return data
         dest = Path(dest)
         dest.parent.mkdir(parents=True, exist_ok=True)
-        dest.write_bytes(data)
+        durable_write(dest, data)
         return dest
 
     def usage(self, tenant: str = "") -> Dict[str, Any]:

@@ -31,6 +31,7 @@ from ..api import _ALL_TRACE_EVENTS, find_latest_checkpoint, restore_vm
 from ..core.vm import PiscesVM
 from ..faults import loads as load_fault_plan
 from ..obs.export import export_run, run_manifest
+from ..util.durable import durable_write
 from . import catalog
 from .store import (DONE, FAILED, KILLED, RUNNING, RunRecord, RunStore)
 
@@ -106,36 +107,48 @@ def _install_kill_hook(vm: PiscesVM, handle: ExecutionHandle) -> None:
     vm.engine.on_idle_check = check
 
 
-def _archive(vm: PiscesVM, rec: RunRecord, store: RunStore) -> Dict[str, Any]:
+def _archive(vm: PiscesVM, rec: RunRecord, store: RunStore,
+             exit: Dict[str, Any]) -> Dict[str, Any]:
     """Write the run's artifact bundle; returns provenance metadata.
 
-    Best-effort by design: archiving a killed or crashed run keeps
-    whatever evidence exists (partial trace, fault events so far).
+    Archiving a killed or crashed run keeps whatever evidence exists
+    (partial trace, fault events so far).  A step that fails does not
+    stop the others; its error is recorded as ``exit["archive_error"]``.
+    Every file goes through the durable-write path, so the artifacts
+    listed are exactly the whole files in ``artifacts/``.
     """
     art = store.artifacts_dir(rec.run_id)
     art.mkdir(parents=True, exist_ok=True)
     provenance: Dict[str, Any] = {}
-    try:
-        manifest = run_manifest(vm)
-        provenance = {k: manifest.get(k) for k in _PROVENANCE_KEYS}
-    except Exception:
-        pass
-    try:
-        export_run(vm, art, prefix="run")
-    except Exception:
-        pass
-    try:
-        if vm.faults is not None:
-            vm.faults.write_jsonl(art / "run.faults.jsonl")
-    except Exception:
-        pass
-    try:
-        hook = vm.sched_hook
-        if hook is not None and hasattr(hook, "dumps"):
-            (art / "run.psched").write_text(hook.dumps(), encoding="utf-8")
-    except Exception:
-        pass
+    hook = vm.sched_hook
+
+    def manifest() -> None:
+        m = run_manifest(vm)
+        provenance.update((k, m.get(k)) for k in _PROVENANCE_KEYS)
+
+    steps = [manifest, lambda: export_run(vm, art, prefix="run")]
+    if vm.faults is not None:
+        steps.append(lambda: vm.faults.write_jsonl(art / "run.faults.jsonl"))
+    if hook is not None and hasattr(hook, "dumps"):
+        steps.append(lambda: durable_write(art / "run.psched", hook.dumps()))
+    errors = []
+    for step in steps:
+        try:
+            step()
+        except Exception as e:
+            errors.append(f"{type(e).__name__}: {e}")
+    if errors:
+        exit["archive_error"] = "; ".join(errors)
     return provenance
+
+
+def _finish(vm: Optional[PiscesVM], rec: RunRecord, store: RunStore,
+            state: str, exit: Dict[str, Any]) -> RunRecord:
+    """Archive the run (if it booted) and record its terminal state."""
+    provenance = _archive(vm, rec, store, exit) if vm is not None else {}
+    return store.transition(rec.run_id, state, finished_at=time.time(),
+                            provenance=provenance, exit=exit,
+                            artifacts=store.list_artifacts(rec.run_id))
 
 
 def standalone_run(spec):
@@ -201,35 +214,21 @@ def execute_run(rec: RunRecord, store: RunStore,
         else:
             result = vm.run(plan.tasktype, *plan.args, shutdown=True)
 
-        provenance = _archive(vm, rec, store)
         value_repr = repr(result.value)
         if len(value_repr) > 200:
             value_repr = value_repr[:200] + "..."
-        return store.transition(
-            rec.run_id, DONE, finished_at=time.time(),
-            provenance=provenance,
-            artifacts=store.list_artifacts(rec.run_id),
-            exit={"outcome": "done", "elapsed_ticks": int(result.elapsed),
-                  "value": value_repr,
-                  "resumed_from": rec.resumed_from})
+        return _finish(vm, rec, store, DONE, {
+            "outcome": "done", "elapsed_ticks": int(result.elapsed),
+            "value": value_repr, "resumed_from": rec.resumed_from})
     except KilledByService:
-        provenance = _archive(vm, rec, store) if vm is not None else {}
-        return store.transition(
-            rec.run_id, KILLED, finished_at=time.time(),
-            provenance=provenance,
-            artifacts=store.list_artifacts(rec.run_id),
-            exit={"outcome": "killed",
-                  "elapsed_ticks": (int(vm.machine.elapsed())
-                                    if vm is not None else None)})
+        return _finish(vm, rec, store, KILLED, {
+            "outcome": "killed",
+            "elapsed_ticks": (int(vm.machine.elapsed())
+                              if vm is not None else None)})
     except Exception as e:
-        provenance = _archive(vm, rec, store) if vm is not None else {}
-        return store.transition(
-            rec.run_id, FAILED, finished_at=time.time(),
-            provenance=provenance,
-            artifacts=store.list_artifacts(rec.run_id),
-            exit={"outcome": "failed",
-                  "error": f"{type(e).__name__}: {e}",
-                  "traceback": traceback.format_exc(limit=8)})
+        return _finish(vm, rec, store, FAILED, {
+            "outcome": "failed", "error": f"{type(e).__name__}: {e}",
+            "traceback": traceback.format_exc(limit=8)})
     finally:
         handle.vm = None
         if vm is not None:

@@ -14,17 +14,21 @@ The **record** is the run's state machine:
     QUEUED -> ADMITTED -> RUNNING -> DONE | FAILED | KILLED
 
 A run whose VM fails to build goes straight from ADMITTED to FAILED.
-Only the service process writes records; everything is written
-atomically (tmp file + ``os.replace``) so a ``kill -9`` can never leave
-a half-written record -- the worst case is a record one transition
-stale, which the boot rescan repairs.
+Only the service process writes records.  Every file under the root
+goes through :mod:`repro.util.durable` (tmp file, fsync,
+``os.replace``, directory fsync: two fsyncs per file), so a ``kill -9``
+never leaves a half-written file -- the worst case is a record one
+transition stale, which the boot rescan repairs.
 
 **Crash safety** is the store's defining feature: :meth:`recover`
 walks every run directory at boot; any run found QUEUED/ADMITTED/
 RUNNING belongs to a previous life of the service and is re-queued
 with ``recovered`` incremented.  Runs that were checkpointing also
 keep their ``checkpoints/`` directory, so the executor can resume from
-``find_latest_checkpoint`` instead of starting over.
+``find_latest_checkpoint`` instead of starting over.  It deletes the
+``.tmp`` files a crash left under those runs, in run directories
+without a record and beside the index, but never visits a finished
+run: no write follows the terminal one.
 
 **Residency** follows the live queue, not the history (the paper's
 system tables are fixed-size slot records, section 11).  A full
@@ -68,6 +72,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import InvalidRunSpec, ServiceError, UnknownRun
+from ..util.durable import durable_write
 from .spec import RunSpec
 
 QUEUED = "QUEUED"
@@ -136,25 +141,8 @@ class RunRecord:
         return self.state in LIVE_STATES
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        # A full disk must not leave a stray ``.tmp`` beside the file.
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
-
-
 def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
-    _atomic_write(path, (json.dumps(payload, indent=1, sort_keys=True)
+    durable_write(path, (json.dumps(payload, indent=1, sort_keys=True)
                          + "\n").encode())
 
 
@@ -260,6 +248,8 @@ class RunStore:
         #: Full records of the live runs only, in seq order.
         self._live: Dict[str, RunRecord] = {}
         self._next_seq = 1
+        #: Run directories without a record (a crash inside a submit).
+        self._unrecorded: List[str] = []
         self._load_all()
 
     # ------------------------------------------------------------ paths --
@@ -303,6 +293,7 @@ class RunStore:
             try:
                 st = os.stat(path)
             except OSError:
+                self._unrecorded.append(name)
                 continue      # no record here: not a run directory
             stamp = (st.st_size, st.st_mtime_ns)
             line = by_name.get(name)
@@ -328,7 +319,7 @@ class RunStore:
         lines.append(b"")             # the final newline, as split() reads
         if stale or lines != old:
             try:
-                _atomic_write(index_path, b"\n".join(lines))
+                durable_write(index_path, b"\n".join(lines))
             except OSError:
                 pass          # costs the next boot some parsing, no more
         # Sorted by seq once here; later writes keep the order, since a
@@ -343,10 +334,15 @@ class RunStore:
 
         Returns the recovered records (now QUEUED, ``recovered`` bumped).
         Their ``checkpoints/`` directories are left intact -- the
-        executor prefers checkpoint-resume over a fresh start.
+        executor prefers checkpoint-resume over a fresh start.  The
+        ``.tmp`` files a crash left are deleted (see the module doc).
         """
         recovered = []
         with self._lock:
+            for name in self._unrecorded + list(self._live):
+                for tmp in self.run_dir(name).rglob("*.tmp"):
+                    tmp.unlink(missing_ok=True)
+            (self.root / f"{INDEX_NAME}.tmp").unlink(missing_ok=True)
             for rec in list(self._live.values()):
                 if rec.state != QUEUED:
                     rec = replace(rec, state=QUEUED,

@@ -1,5 +1,2 @@
-"""Small shared utilities."""
-
-from .tables import format_table
-
-__all__ = ["format_table"]
+"""Small shared utilities: :mod:`.tables` (text tables) and
+:mod:`.durable` (the one durable-write path)."""

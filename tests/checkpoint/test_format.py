@@ -11,9 +11,9 @@ from repro.checkpoint.format import (
     find_latest_checkpoint,
     load_bundle,
     parse_bundle,
-    write_bundle_atomic,
 )
 from repro.errors import CheckpointError, CheckpointFormatError, PiscesError
+from repro.util.durable import durable_write
 
 MANIFEST = {"format": 1, "now": 1234, "app": {"tasktype": "MAIN",
                                              "args": [3, "x"]}}
@@ -32,7 +32,7 @@ class TestRoundTrip:
 
     def test_file_round_trip(self, tmp_path):
         target = tmp_path / "a.pckpt"
-        write_bundle_atomic(target, dumps_bundle(MANIFEST, STATE, PSCHED))
+        durable_write(target, dumps_bundle(MANIFEST, STATE, PSCHED))
         m, s, p = load_bundle(target)
         assert m["app"]["tasktype"] == "MAIN"
         assert p == PSCHED

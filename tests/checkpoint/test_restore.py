@@ -1,6 +1,8 @@
 """Checkpoint capture, periodic policy, and bit-identical restore."""
 
+import errno
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -11,6 +13,9 @@ from repro.checkpoint import checkpoint_vm, find_latest_checkpoint, load_bundle
 from repro.checkpoint.format import dumps_bundle
 from repro.core.tracing import TraceEventType
 from repro.errors import CheckpointError, CheckpointFormatError
+from repro.service import catalog
+from repro.service.spec import RunSpec
+from repro.util import durable
 from tests.oracles import BOTH_VEHICLES, callable_bodies, reference_windows
 
 ALL_TRACE = tuple(t.value for t in TraceEventType)
@@ -161,6 +166,30 @@ class TestPeriodicPolicy:
         r, _ = run(ckpt_dir=tmp_path, every=300, keep=2)
         assert r.stats.checkpoints_written > 2
         assert len(list(tmp_path.glob("*.pckpt"))) == 2
+
+    def test_full_disk_warns_once_and_the_run_goes_on(
+            self, tmp_path, monkeypatch, capsys):
+        class FullDisk:
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            def fsync(self, fd):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def spin(every):
+            plan = catalog.build(RunSpec(app="spin", params={
+                "rounds": 2000, "ticks_per_round": 10}))
+            cfg = replace(plan.config, checkpoint_every=every,
+                          checkpoint_dir=str(tmp_path / "ckpt"))
+            r = make_vm(config=cfg, registry=plan.registry).run(
+                plan.tasktype, *plan.args)
+            return r.elapsed, r.value
+
+        want = spin(0)
+        monkeypatch.setattr(durable, "os", FullDisk())
+        assert spin(500) == want
+        assert capsys.readouterr().err.count("checkpoint failed") == 1
+        assert list((tmp_path / "ckpt").rglob("*")) == []
 
     def test_env_var_enables_checkpointing(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PISCES_CHECKPOINT", "500")

@@ -37,8 +37,8 @@ SERVER_MUST_NOT_LOAD = ("urllib.request", "repro.service.client")
 ENGINE = ("repro.core", "repro.mmos", "repro.apps", "repro.checkpoint",
           "repro.correctness", "repro.obs.profile", "numpy")
 #: ``repro`` modules a server boot may load: store, spec, admission,
-#: catalog, rest, service, errors, config and their packages (17 when
-#: this was set).  Like the store's boot-parse count, a deterministic
+#: catalog, rest, service, errors, config, util.durable and their
+#: packages (17 when this was set, 19 with the durable-write module).  Like the store's boot-parse count, a deterministic
 #: work key for the benchmark's ``setup_s``.
 BOOT_MODULE_BUDGET = 20
 QUICK = {"app": "spin", "params": {"rounds": 5, "ticks_per_round": 10}}
@@ -167,6 +167,8 @@ def test_server_boot_loads_only_the_control_plane(tmp_path):
     modules = serve_and_list_modules(tmp_path / "store",
                                      lambda c: c.health())
     assert engine_loaded(modules) == []
+    assert "repro.util.durable" in modules
+    assert "repro.util.tables" not in modules
     own = [m for m in modules if m == "repro" or m.startswith("repro.")]
     assert len(own) <= BOOT_MODULE_BUDGET, own
 

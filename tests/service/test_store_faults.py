@@ -1,9 +1,10 @@
 """A store that cannot write: full disk, read-only root.
 
-The faults are injected into the store module's own ``os`` and
-``open``, so a write fails the way a real one does -- after the
-``.tmp`` file exists (``fsync`` on a full disk) or before it can be
-created (a read-only root).
+The faults are injected into the ``os`` and ``open`` of
+:mod:`repro.util.durable`, the one module that writes files, so a write
+fails the way a real one does -- after the ``.tmp`` file exists
+(``fsync`` on a full disk) or before it can be created (a read-only
+root).
 """
 
 import errno
@@ -13,19 +14,22 @@ import time
 
 import pytest
 
+from repro.obs import export as obs_export
 from repro.service import RunService
 from repro.service import store as store_mod
 from repro.service.spec import RunSpec
 from repro.service.store import (ADMITTED, DONE, FAILED, INDEX_NAME,
                                  RUNNING, RunRecord, RunStore)
+from repro.util import durable
 
 QUICK = {"app": "spin", "params": {"rounds": 5, "ticks_per_round": 10}}
 SPEC = RunSpec(app="spin", params={"rounds": 3})
 
 
 class _FullDisk:
-    """Stands in for the store module's ``os``: ``fsync`` raises ENOSPC
-    while ``failures`` is non-zero (a count, or -1 for every call)."""
+    """Stands in for the durable-write module's ``os``: ``fsync`` raises
+    ENOSPC while ``failures`` is non-zero (a count, or -1 for every
+    call)."""
 
     def __init__(self):
         self.failures = 0
@@ -46,7 +50,7 @@ class _FullDisk:
 @pytest.fixture
 def disk(monkeypatch):
     disk = _FullDisk()
-    monkeypatch.setattr(store_mod, "os", disk)
+    monkeypatch.setattr(durable, "os", disk)
     return disk
 
 
@@ -120,6 +124,27 @@ def test_worker_survives_a_store_that_cannot_write(tmp_path, monkeypatch,
     assert rebooted.get_run(stuck.run_id).recovered == 1
 
 
+def test_torn_trace_artifact_is_not_listed(tmp_path, monkeypatch):
+    """A full disk inside the trace write: the DONE record lists no
+    partial ``run.events.jsonl``, names the error and leaves no
+    ``.tmp``."""
+    def torn(events, f):
+        f.write('{"partial": ')
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(obs_export, "write_jsonl", torn)
+    svc = RunService(tmp_path / "store", n_workers=1).start()
+    try:
+        rec = svc.submit("alice", dict(QUICK, trace=True))
+        wait_for(lambda: svc.get_run(rec.run_id).state == DONE)
+    finally:
+        svc.stop(timeout=10.0, kill_live=True)
+    final = svc.get_run(rec.run_id)
+    assert "run.events.jsonl" not in final.artifacts
+    assert os.strerror(errno.ENOSPC) in final.exit["archive_error"]
+    assert tmp_leftovers(svc.store.run_dir(rec.run_id)) == []
+
+
 # ----------------------------------------------------- the boot index --
 
 def _finished_store(root, n=3):
@@ -154,7 +179,7 @@ def test_boot_survives_a_read_only_root(tmp_path, monkeypatch):
             raise OSError(errno.EROFS, os.strerror(errno.EROFS), str(file))
         return open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(store_mod, "open", read_only, raising=False)
+    monkeypatch.setattr(durable, "open", read_only, raising=False)
     assert [r.run_id for r in RunStore(root).list()] == ids
     assert not (root / INDEX_NAME).exists()
     assert tmp_leftovers(root) == []
