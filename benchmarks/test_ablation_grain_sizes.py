@@ -50,7 +50,7 @@ def test_grain_sizes(benchmark, report):
     (ct, et, msgs, wbytes), (cf, ef), (ch, eh) = benchmark.pedantic(
         run_all, rounds=1, iterations=1)
     A, B = make_inputs(N)
-    expect = A @ B
+    expect = np.asarray(A) @ np.asarray(B)
     for c in (ct, cf, ch):
         assert np.allclose(c, expect)
 

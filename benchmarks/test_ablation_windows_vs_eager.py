@@ -83,7 +83,7 @@ def run_windows():
         ctx.send(PARENT, "HELLO", k)
         w = ctx.accept("WIN").args[0]
         block = ctx.window_read(w)
-        ctx.send(PARENT, "SUM", float(block.sum()))
+        ctx.send(PARENT, "SUM", float(np.asarray(block).sum()))
 
     @reg.tasktype("PARTITIONER")
     def partitioner(ctx):
@@ -208,8 +208,8 @@ def build_jacobi_tree(n, leaves, sweeps):
         m = ctx.accept("WIN")
         wg, wk = m.args
         for _ in range(sweeps):
-            g = ctx.window_read(wg)
-            c = ctx.window_read(wk)
+            g = np.asarray(ctx.window_read(wg))
+            c = np.asarray(ctx.window_read(wk))
             rows = g.shape[0]
             new = g.copy()
             new[1:-1, 1:-1] = 0.25 * (g[:-2, 1:-1] + g[2:, 1:-1]
@@ -332,8 +332,8 @@ def build_matmul_tree(n, leaves, rounds):
         wa, wb = m.args
         acc = None
         for _ in range(rounds):
-            a = ctx.window_read(wa)
-            b = ctx.window_read(wb)
+            a = np.asarray(ctx.window_read(wa))
+            b = np.asarray(ctx.window_read(wb))
             c = a @ b
             ctx.compute(a.shape[0] * n * n)
             acc = c if acc is None else acc + c

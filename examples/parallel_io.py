@@ -28,7 +28,7 @@ def ioreader(ctx, k, parts):
     mine = w.split(parts, axis=0)[k]
     t0 = ctx.now()
     data = ctx.window_read(mine)
-    ctx.send(PARENT, "DONE", k, float(data.sum()), ctx.now() - t0)
+    ctx.send(PARENT, "DONE", k, float(np.asarray(data).sum()), ctx.now() - t0)
 
 
 @reg.tasktype("IOMAIN")
@@ -76,7 +76,7 @@ def main():
     def bump(ctx, k):
         w = ctx.file_window("V").shrink(rows=(k * 2, k * 2 + 4))
         vals = ctx.window_read(w)
-        ctx.window_write(w, vals + 1.0)
+        ctx.window_write(w, np.asarray(vals) + 1.0)
         ctx.send(PARENT, "OK")
 
     @reg2.tasktype("RMW")
@@ -105,7 +105,7 @@ def main():
     def bump3(ctx, k):
         w = ctx.file_window("V").split(3, axis=0)[k]
         vals = ctx.window_read(w)
-        ctx.window_write(w, vals + 1.0)
+        ctx.window_write(w, np.asarray(vals) + 1.0)
         ctx.send(PARENT, "OK")
 
     @reg3.tasktype("RMW")
@@ -119,7 +119,7 @@ def main():
     api.run_app("RMW", vm=vm, shutdown=False)
     final = vm.file_controller.arrays.get("V")
     print(f"disjoint split(3) partitions instead: {final.tolist()}")
-    assert final.sum() == 9.0
+    assert sum(final.tolist()) == 9.0
     vm.shutdown()
 
 

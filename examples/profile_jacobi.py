@@ -28,7 +28,8 @@ import os
 import numpy as np
 
 from repro import profile_run
-from repro.apps.jacobi import TICKS_PER_CELL, make_problem, reference_solution
+from repro.apps.jacobi import (TICKS_PER_CELL, make_problem,
+                               reference_solution, sweep_rows)
 from repro.core.task import TaskRegistry
 from repro.obs.profile import WAIT_LOCK
 
@@ -49,14 +50,10 @@ def build_registry(serialized: bool) -> TaskRegistry:
                     # BUG (performance, not correctness): PRESCHED rows
                     # are disjoint, but the lock serializes them anyway.
                     with m.critical("GRID_LOCK"):
-                        new[i, 1:-1] = 0.25 * (
-                            g[i - 1, 1:-1] + g[i + 1, 1:-1]
-                            + g[i, :-2] + g[i, 2:])
+                        sweep_rows(g, new, (i,))
                         m.compute((N - 2) * TICKS_PER_CELL)
                 else:
-                    new[i, 1:-1] = 0.25 * (
-                        g[i - 1, 1:-1] + g[i + 1, 1:-1]
-                        + g[i, :-2] + g[i, 2:])
+                    sweep_rows(g, new, (i,))
                     m.compute((N - 2) * TICKS_PER_CELL)
 
             def copy_back():
@@ -71,7 +68,7 @@ def build_registry(serialized: bool) -> TaskRegistry:
         blk.g[...] = make_problem(N)
         blk.new[...] = blk.g
         ctx.forcesplit(region)
-        return np.array(blk.g, copy=True)
+        return blk.g.copy()
 
     return reg
 

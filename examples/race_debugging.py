@@ -21,7 +21,7 @@ Run:  python examples/race_debugging.py
 import numpy as np
 
 from repro import check_races
-from repro.apps.jacobi import make_problem, reference_solution
+from repro.apps.jacobi import make_problem, reference_solution, sweep_rows
 from repro.core.task import TaskRegistry
 
 N = 12
@@ -37,8 +37,7 @@ def build_registry(guarded: bool) -> TaskRegistry:
         g, new = blk.g, blk.new
         for _ in range(SWEEPS):
             for i in m.presched(range(1, N - 1)):
-                new[i, 1:-1] = 0.25 * (g[i - 1, 1:-1] + g[i + 1, 1:-1]
-                                       + g[i, :-2] + g[i, 2:])
+                sweep_rows(g, new, (i,))
             if guarded:
                 def copy_back():
                     g[1:-1, 1:-1] = new[1:-1, 1:-1]
@@ -57,7 +56,7 @@ def build_registry(guarded: bool) -> TaskRegistry:
         blk.g[...] = make_problem(N)
         blk.new[...] = blk.g
         ctx.forcesplit(region)
-        return np.array(blk.g, copy=True)
+        return blk.g.copy()
 
     return reg
 

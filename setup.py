@@ -6,5 +6,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    install_requires=[],
+    extras_require={"numpy": ["numpy"],
+                    "test": ["pytest", "pytest-benchmark", "hypothesis",
+                             "numpy"]},
 )

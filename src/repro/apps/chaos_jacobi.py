@@ -29,16 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..config.configuration import ClusterSpec, Configuration
 from ..core.accept import ALL_RECEIVED
+from ..core.grid import Grid
 from ..core.supervision import Supervision
 from ..core.task import TaskRegistry
 from ..core.taskid import ANY, PARENT
 from ..core.vm import PiscesVM
 from ..flex.machine import FlexMachine
-from .jacobi import TICKS_PER_CELL, make_problem, sweep_rows
+from .jacobi import TICKS_PER_CELL, make_problem, split_rows, sweep_rows
 
 #: A worker exits after this many consecutive idle timeouts (the escape
 #: hatch that keeps restarted workers from outliving a finished master).
@@ -47,7 +46,7 @@ MAX_IDLE_TIMEOUTS = 2
 
 @dataclass
 class ChaosJacobiResult:
-    grid: Optional[np.ndarray]
+    grid: Optional[Grid]
     completed: bool
     reason: str
     sweeps: int
@@ -90,7 +89,7 @@ def build_chaos_registry(n: int, sweeps: int, n_workers: int,
     @reg.tasktype("CMASTER")
     def cmaster(ctx):
         g = make_problem(n)
-        chunks = np.array_split(np.arange(1, n - 1), n_workers)
+        chunks = split_rows(1, n - 1, n_workers)
         for k in range(n_workers):
             ctx.initiate("CWORKER", k, on=ANY, supervision=supervision)
         workers: dict = {}     # announced index -> current taskid
@@ -126,7 +125,7 @@ def build_chaos_registry(n: int, sweeps: int, n_workers: int,
                         continue     # nobody announced yet; wait below
                     rows = chunks[c]
                     lo, hi = rows[0] - 1, rows[-1] + 2
-                    ctx.send(tgt, "ROWS", s, c, g[lo:hi, :].copy())
+                    ctx.send(tgt, "ROWS", s, c, g[lo:hi, :])
                 need_send.clear()
                 res = yield from ctx.accept(
                     ("SWEPT", 1), ("READY", ALL_RECEIVED),

@@ -15,12 +15,12 @@ constructs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from ..config.configuration import ClusterSpec, Configuration
+from ..core.grid import Grid
 from ..core.task import TaskRegistry
 from ..core.vm import PiscesVM
 from ..flex.machine import FlexMachine
@@ -44,11 +44,11 @@ class FEMProblem:
         """Free DOF count (node 0 is clamped)."""
         return self.n_elements
 
-    def stiffness(self) -> np.ndarray:
+    def stiffness(self) -> Grid:
         """Assembled global stiffness on the free DOFs (tridiagonal)."""
         k = self.youngs_modulus * self.area * self.n_elements / self.length
         n = self.n_free
-        K = np.zeros((n, n))
+        K = Grid.zeros((n, n))
         for e in range(self.n_elements):
             # element e couples nodes e and e+1; free DOF i = node i+1.
             i, j = e - 1, e
@@ -59,8 +59,8 @@ class FEMProblem:
             K[j, j] += k
         return K
 
-    def load_vector(self) -> np.ndarray:
-        f = np.zeros(self.n_free)
+    def load_vector(self) -> Grid:
+        f = Grid.zeros(self.n_free)
         f[-1] = self.load
         return f
 
@@ -69,9 +69,17 @@ class FEMProblem:
         return self.load * self.length / (self.youngs_modulus * self.area)
 
 
+def dot(a, b, idx) -> float:
+    """``sum(a[i] * b[i] for i in idx)`` over flat sequences, in order."""
+    s = 0.0
+    for i in idx:
+        s += a[i] * b[i]
+    return s
+
+
 @dataclass
 class FEMResult:
-    displacements: np.ndarray
+    displacements: Grid
     tip_displacement: float
     iterations: int
     elapsed: int
@@ -90,13 +98,17 @@ def build_fem_registry(problem: FEMProblem, tol: float = 1e-10,
         u, r, p, Ap = blk.u, blk.r, blk.p, blk.Ap
         rows = list(m.presched(range(n)))
 
+        kf = K.flat
+        every = range(n)
+
         def matvec():
+            pf = p.flat
             for i in rows:
-                Ap[i] = K[i] @ p
+                Ap[i] = dot(kf[i * n:(i + 1) * n], pf, every)
             yield from m.compute(len(rows) * TICKS_PER_ROW)
 
         def partial_dot(a, b):
-            local = float(a[rows] @ b[rows]) if rows else 0.0
+            local = dot(a.flat, b.flat, rows)
             with (yield from m.critical("RED")):
                 blk.acc[()] += local
 
@@ -105,7 +117,7 @@ def build_fem_registry(problem: FEMProblem, tol: float = 1e-10,
             u[...] = 0.0
             r[...] = f
             p[...] = r
-            blk.rr[()] = float(r @ r)
+            blk.rr[()] = dot(r.flat, r.flat, every)
             blk.done[()] = 0
             blk.iters[()] = 0
 
@@ -167,8 +179,11 @@ def build_fem_registry(problem: FEMProblem, tol: float = 1e-10,
         f = problem.load_vector()
         yield from ctx.forcesplit(cg_region, K, f)
         blk = ctx.common("CG")
-        u = np.array(blk.u, copy=True)
-        resid = float(np.linalg.norm(K @ u - f))
+        u = blk.u.copy()
+        kf, uf = K.flat, u.flat
+        resid = math.sqrt(sum(
+            (dot(kf[i * n:(i + 1) * n], uf, range(n)) - f[i]) ** 2
+            for i in range(n)))
         return u, int(blk.iters[()]), resid
 
     return reg

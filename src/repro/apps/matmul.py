@@ -15,18 +15,21 @@ same C = A x B three ways:
   which FORCESPLITs over its cluster's secondary PEs.
 
 All three charge the same per-cell work, so their elapsed virtual times
-expose the overhead of each organization (benchmark A8).
+expose the overhead of each organization (benchmark A8).  Matrices are
+:class:`~repro.core.grid.Grid` arrays multiplied by Fortran-77 loops;
+the operands are small integers, so every sum is exact and the product
+equals numpy's bit for bit.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..config.configuration import ClusterSpec, Configuration
+from ..core.grid import Grid
 from ..core.task import TaskRegistry
 from ..core.taskid import Cluster, PARENT
 from ..core.vm import PiscesVM
@@ -39,7 +42,7 @@ def cell_cost(n: int) -> int:
 
 @dataclass
 class MatmulResult:
-    C: np.ndarray
+    C: Grid
     elapsed: int
     vm: PiscesVM
 
@@ -52,10 +55,33 @@ def make_inputs(n: int, seed: int = 7):
     Virtual time depends only on the shapes, never on the values."""
     rng = random.Random(seed)
 
-    def matrix() -> np.ndarray:
+    def matrix() -> Grid:
         cells = rng.choices(range(-3, 4), k=n * n)
-        return np.array(cells, dtype=float).reshape(n, n)
+        return Grid((n, n), "float64", array("d", cells))
     return matrix(), matrix()
+
+
+def row_times(a, b: Grid) -> array:
+    """The row vector ``a`` (a flat sequence) times the matrix ``b``."""
+    k_dim, n = b.shape
+    bf = b.flat
+    out = array("d", bytes(8 * n))
+    for j in range(n):
+        s = 0.0
+        for k in range(k_dim):
+            s += a[k] * bf[k * n + j]
+        out[j] = s
+    return out
+
+
+def matmul(a: Grid, b: Grid) -> Grid:
+    """``a @ b`` for 2-D Grids."""
+    rows, k_dim = a.shape
+    af = a.flat
+    out = array("d")
+    for i in range(rows):
+        out += row_times(af[i * k_dim:(i + 1) * k_dim], b)
+    return Grid((rows, b.shape[1]), "float64", out)
 
 
 # ------------------------------------------------------------- task grain --
@@ -71,12 +97,12 @@ def build_tasks_registry(n: int, n_workers: int) -> TaskRegistry:
         a = yield from ctx.window_read(wa)
         b = yield from ctx.window_read(wb)
         yield from ctx.compute(a.shape[0] * n * cell_cost(n))
-        ctx.send(PARENT, "ROWS", k, a @ b)
+        ctx.send(PARENT, "ROWS", k, matmul(a, b))
 
     @reg.tasktype("MMASTER")
     def mmaster(ctx):
         A, B = make_inputs(n)
-        C = np.zeros((n, n))
+        C = Grid.zeros((n, n))
         wa_full = ctx.export_array("A", A)
         wb_full = ctx.export_array("B", B)
         n_clusters = len(ctx.vm.clusters)
@@ -121,7 +147,7 @@ def build_force_registry(n: int) -> TaskRegistry:
         blk = m.common("MM")
         A, B, C = blk.A, blk.B, blk.C
         for i in m.presched(range(n)):
-            C[i, :] = A[i, :] @ B
+            C[i, :] = row_times(A[i].flat, B)
             yield from m.compute(n * cell_cost(n))
 
     spec = {"A": ("f8", (n, n)), "B": ("f8", (n, n)), "C": ("f8", (n, n))}
@@ -133,7 +159,7 @@ def build_force_registry(n: int) -> TaskRegistry:
         blk.A[...] = A
         blk.B[...] = B
         yield from ctx.forcesplit(region)
-        return np.array(blk.C, copy=True)
+        return blk.C.copy()
 
     return reg
 
@@ -157,7 +183,7 @@ def build_hybrid_registry(n: int, n_clusters: int) -> TaskRegistry:
     def region(m, a, b, out):
         rows = a.shape[0]
         for i in m.presched(range(rows)):
-            out[i, :] = a[i, :] @ b
+            out[i, :] = row_times(a[i].flat, b)
             yield from m.compute(n * cell_cost(n))
 
     @reg.tasktype("HWORKER")
@@ -167,14 +193,14 @@ def build_hybrid_registry(n: int, n_clusters: int) -> TaskRegistry:
         wa, wb = res.args
         a = yield from ctx.window_read(wa)
         b = yield from ctx.window_read(wb)
-        out = np.zeros((a.shape[0], n))
+        out = Grid.zeros((a.shape[0], n))
         yield from ctx.forcesplit(region, a, b, out)
         ctx.send(PARENT, "ROWS", k, out)
 
     @reg.tasktype("HMASTER")
     def hmaster(ctx):
         A, B = make_inputs(n)
-        C = np.zeros((n, n))
+        C = Grid.zeros((n, n))
         wa_full = ctx.export_array("A", A)
         wb_full = ctx.export_array("B", B)
         for k in range(n_clusters):

@@ -8,21 +8,24 @@ cosines, support conditions, and a force-parallel conjugate-gradient
 solve -- rows PRESCHED-partitioned, reductions through a CRITICAL
 region into SHARED COMMON, BARRIERs between CG phases.
 
-Validation: the displacement field matches ``numpy.linalg.solve`` and
-the mid-span deflection is negative (downward) under gravity loads.
+Validation: the displacement field matches a direct (Gaussian
+elimination) solve and the mid-span deflection is negative (downward)
+under gravity loads.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..config.configuration import ClusterSpec, Configuration
+from ..core.grid import Grid
 from ..core.task import TaskRegistry
 from ..core.vm import PiscesVM
 from ..flex.machine import FlexMachine
+from .fem import dot
 
 #: Ticks charged per stiffness row in a matvec.
 TICKS_PER_ROW = 2
@@ -52,19 +55,20 @@ class TrussProblem:
 
     # ------------------------------------------------------------ assembly --
 
-    def stiffness(self) -> np.ndarray:
+    def stiffness(self) -> Grid:
         """Global stiffness matrix over all dofs."""
-        K = np.zeros((self.n_dof, self.n_dof))
+        K = Grid.zeros((self.n_dof, self.n_dof))
         for i, j, ea in self.elements:
             xi, yi = self.nodes[i]
             xj, yj = self.nodes[j]
             dx, dy = xj - xi, yj - yi
-            L = float(np.hypot(dx, dy))
+            L = math.hypot(dx, dy)
             if L == 0:
                 raise ValueError(f"zero-length element {i}-{j}")
             c, s = dx / L, dy / L
             k = ea / L
-            ke = k * np.array([[c * c, c * s], [c * s, s * s]])
+            ke = Grid((2, 2), "float64", array("d", [
+                k * (c * c), k * (c * s), k * (c * s), k * (s * s)]))
             dofs_i = (2 * i, 2 * i + 1)
             dofs_j = (2 * j, 2 * j + 1)
             for a in range(2):
@@ -75,22 +79,39 @@ class TrussProblem:
                     K[dofs_j[a], dofs_i[b]] -= ke[a, b]
         return K
 
-    def reduced_system(self) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    def reduced_system(self) -> Tuple[Grid, Grid, List[int]]:
         """(K_ff, f_f, free dof list) after applying supports."""
         free = self.free_dofs()
         K = self.stiffness()
-        f = np.zeros(self.n_dof)
+        f = [0.0] * self.n_dof
         for n, (fx, fy) in self.loads.items():
             f[2 * n] += fx
             f[2 * n + 1] += fy
-        idx = np.ix_(free, free)
-        return K[idx], f[free], free
+        m = len(free)
+        Kff = Grid((m, m), "float64",
+                   array("d", [K[a, b] for a in free for b in free]))
+        return Kff, Grid((m,), "float64", array("d", [f[d] for d in free])), \
+            free
 
-    def direct_solution(self) -> np.ndarray:
-        """Full-dof displacement vector via numpy (the reference)."""
+    def direct_solution(self) -> Grid:
+        """Full-dof displacement vector by Gaussian elimination with
+        partial pivoting (the reference)."""
         Kff, ff, free = self.reduced_system()
-        u = np.zeros(self.n_dof)
-        u[free] = np.linalg.solve(Kff, ff)
+        m = len(free)
+        a = [Kff.tolist()[i] + [ff[i]] for i in range(m)]
+        for col in range(m):
+            piv = max(range(col, m), key=lambda r: abs(a[r][col]))
+            a[col], a[piv] = a[piv], a[col]
+            for r in range(col + 1, m):
+                f = a[r][col] / a[col][col]
+                for c in range(col, m + 1):
+                    a[r][c] -= f * a[col][c]
+        x = [0.0] * m
+        for r in reversed(range(m)):
+            x[r] = (a[r][m] - dot(a[r], x, range(r + 1, m))) / a[r][r]
+        u = Grid.zeros(self.n_dof)
+        for d, v in zip(free, x):
+            u[d] = v
         return u
 
 
@@ -123,7 +144,7 @@ def pratt_truss(n_panels: int = 4, panel: float = 2.0, height: float = 2.0,
 
 @dataclass
 class TrussResult:
-    displacements: np.ndarray      # full dof vector
+    displacements: Grid            # full dof vector
     midspan_deflection: float
     iterations: int
     elapsed: int
@@ -142,26 +163,29 @@ def build_truss_registry(problem: TrussProblem, tol: float = 1e-9,
         blk = m.common("CG")
         u, r, p, Ap = blk.u, blk.r, blk.p, blk.Ap
         rows = list(m.presched(range(n)))
+        kf = Kff.flat
+        every = range(n)
 
         def init_block():
             u[...] = 0.0
             r[...] = ff
             p[...] = r
-            blk.rr[()] = float(r @ r)
+            blk.rr[()] = dot(r.flat, r.flat, every)
             blk.done[()] = 0
             blk.iters[()] = 0
 
         yield from m.barrier(init_block)
         while not blk.done[()]:
+            pf = p.flat
             for i in rows:
-                Ap[i] = Kff[i] @ p
+                Ap[i] = dot(kf[i * n:(i + 1) * n], pf, every)
             yield from m.compute(len(rows) * TICKS_PER_ROW)
 
             def zero_acc():
                 blk.acc[()] = 0.0
 
             yield from m.barrier(zero_acc)
-            local = float(p[rows] @ Ap[rows]) if rows else 0.0
+            local = dot(p.flat, Ap.flat, rows)
             with (yield from m.critical("RED")):
                 blk.acc[()] += local
 
@@ -177,7 +201,7 @@ def build_truss_registry(problem: TrussProblem, tol: float = 1e-9,
                 r[i] -= alpha * Ap[i]
             yield from m.compute(len(rows))
             yield from m.barrier()
-            local = float(r[rows] @ r[rows]) if rows else 0.0
+            local = dot(r.flat, r.flat, rows)
             with (yield from m.critical("RED")):
                 blk.acc[()] += local
 
@@ -208,8 +232,11 @@ def build_truss_registry(problem: TrussProblem, tol: float = 1e-9,
     def truss(ctx):
         yield from ctx.forcesplit(cg_region)
         blk = ctx.common("CG")
-        uf = np.array(blk.u, copy=True)
-        resid = float(np.linalg.norm(Kff @ uf - ff))
+        uf = blk.u.copy()
+        kf, u = Kff.flat, uf.flat
+        resid = math.sqrt(sum(
+            (dot(kf[i * n:(i + 1) * n], u, range(n)) - ff[i]) ** 2
+            for i in range(n)))
         return uf, int(blk.iters[()]), resid
 
     return reg
@@ -229,8 +256,9 @@ def run_truss(n_panels: int = 4, force_pes: int = 3,
     r = vm.run("TRUSS")
     uf, iters, resid = r.value
     _, _, free = prob.reduced_system()
-    u = np.zeros(prob.n_dof)
-    u[free] = uf
+    u = Grid.zeros(prob.n_dof)
+    for d, v in zip(free, uf):
+        u[d] = v
     mid_node = (len([nd for nd in prob.nodes if nd[1] == 0.0]) - 1) // 2
     return TrussResult(displacements=u,
                        midspan_deflection=float(u[2 * mid_node + 1]),

@@ -35,8 +35,6 @@ from .tracing import TraceEvent, TraceEventType
 from .windows import ArrayStore, Window, make_window
 
 if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
     from .vm import PiscesVM
 
 #: System message types (the leading @ keeps them out of user namespaces).
@@ -231,7 +229,7 @@ class FileController(Controller):
         #: requests (section 8); pruned as they land.
         self._inflight: List[Tuple[Window, bool, int]] = []
 
-    def export_file(self, name: str, array: np.ndarray,
+    def export_file(self, name: str, array,
                     cacheable: bool = True) -> None:
         self.arrays.export(name, array, cacheable=cacheable)
 

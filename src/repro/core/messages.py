@@ -70,10 +70,9 @@ def _checksum_bytes(value: Any) -> bytes:
     """Stable byte rendering of one message argument for checksumming."""
     if isinstance(value, (bytes, bytearray)):
         return bytes(value)
-    if hasattr(value, "tobytes"):    # numpy arrays and scalars
+    if hasattr(value, "tobytes"):    # Grids, and numpy values a task sends
         try:
-            import numpy as np
-            return np.ascontiguousarray(value).tobytes()
+            return value.tobytes()
         except Exception:
             pass
     return repr(value).encode("utf-8", "backslashreplace")

@@ -10,51 +10,45 @@ values controlling CRITICAL regions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..flex.memory import Allocation, HeapAllocator
 from ..errors import RuntimeLibraryError
+from .grid import Grid
 from .sizes import LOCK_BYTES
 
-if TYPE_CHECKING:
-    import numpy as np
-
 #: Declaration form: name -> (dtype, shape).  A shape of () declares a
-#: scalar (a 0-d array, assigned via ``block.x[()] = v``).
+#: scalar (a 0-d Grid, assigned via ``block.x[()] = v``); dtype is
+#: ``f8``, ``i8`` or ``O`` (Fortran CHARACTER/TASKID/WINDOW).
 CommonSpec = Dict[str, Tuple[str, Union[Tuple[int, ...], int]]]
 
 
 class SharedCommonBlock:
     """A named COMMON block resident in (simulated) shared memory.
 
-    Variables are numpy arrays; force members all hold references to the
-    same object, so plain element assignment is the shared-variable
-    communication of the paper.  Attribute access returns the array:
+    Variables are :class:`~repro.core.grid.Grid` arrays; force members
+    all hold references to the same object, so plain element assignment
+    is the shared-variable communication of the paper.  Attribute access
+    returns the array (``np.asarray(blk.u)`` views it, no copy):
 
-    ``blk.u[i] = 4.0``; scalars are 0-d arrays: ``blk.n[()] = 10``.
+    ``blk.u[i] = 4.0``; scalars are 0-d Grids: ``blk.n[()] = 10``.
     """
 
     def __init__(self, name: str, spec: CommonSpec, heap: HeapAllocator,
                  monitor=None):
-        import numpy as np
-
         self._name = name
-        self._vars: Dict[str, np.ndarray] = {}
+        self._vars: Dict[str, Grid] = {}
         nbytes = 0
         for var, (dtype, shape) in spec.items():
-            if isinstance(shape, int):
-                shape = (shape,)
-            arr = np.zeros(shape, dtype=dtype)
-            if monitor is not None:
-                # Race detection on: wrap in a TrackedArray reporting
-                # (label, extents, is_write) for every indexed access.
+            if monitor is None:
+                arr = Grid.zeros(shape, dtype)
+            else:
+                # Race detection on: a TrackedArray reports (label,
+                # extents, is_write) for every indexed access.
                 from .tracked import TrackedArray
-                arr = arr.view(TrackedArray)
-                arr._pisces_monitor = monitor
-                arr._pisces_label = (name, var)
-                arr._pisces_region = tuple((0, n) for n in shape)
-                arr._pisces_dims = tuple(range(len(shape)))
-                arr._pisces_exact = (True,) * len(shape)
+                arr = TrackedArray.zeros(shape, dtype)
+                arr.monitor = monitor
+                arr.label = (name, var)
             self._vars[var] = arr
             nbytes += int(arr.nbytes)
         self._nbytes = nbytes
@@ -72,7 +66,7 @@ class SharedCommonBlock:
     def variables(self) -> List[str]:
         return list(self._vars)
 
-    def __getattr__(self, item: str) -> np.ndarray:
+    def __getattr__(self, item: str) -> Grid:
         try:
             return self.__dict__["_vars"][item]
         except KeyError:
@@ -80,7 +74,7 @@ class SharedCommonBlock:
                 f"SHARED COMMON /{self.__dict__.get('_name', '?')}/ has no "
                 f"variable {item!r}") from None
 
-    def __getitem__(self, item: str) -> np.ndarray:
+    def __getitem__(self, item: str) -> Grid:
         return self._vars[item]
 
     def release(self) -> None:
@@ -90,7 +84,7 @@ class SharedCommonBlock:
 
     #: Alias for the explicit-deallocation API (FREE COMMON): releasing
     #: the simulated shared-memory storage is the whole operation -- the
-    #: numpy arrays stay readable for post-mortem analysis.
+    #: Grids stay readable for post-mortem analysis.
     free = release
 
     @property
@@ -101,13 +95,7 @@ class SharedCommonBlock:
         """Per-variable adler32 content digests (checkpoint validation:
         two VMs at the same schedule position must agree bit-for-bit on
         every SHARED COMMON byte)."""
-        import zlib
-
-        import numpy as np
-
-        # adler32 reads the array buffer directly; no tobytes() copy.
-        return {var: zlib.adler32(np.ascontiguousarray(arr).data)
-                for var, arr in sorted(self._vars.items())}
+        return {var: arr.digest() for var, arr in sorted(self._vars.items())}
 
 
 @dataclass
@@ -142,7 +130,7 @@ class SharedState:
     def __init__(self, heap: HeapAllocator, monitor=None):
         self._heap = heap
         #: Access monitor threaded into every declared block when race
-        #: detection is on (None otherwise -- plain ndarrays, no cost).
+        #: detection is on (None otherwise -- plain Grids, no cost).
         self.monitor = monitor
         self.commons: Dict[str, SharedCommonBlock] = {}
         self.locks: Dict[str, LockState] = {}

@@ -21,6 +21,8 @@ from __future__ import annotations
 import sys
 from typing import Any
 
+from .grid import Grid
+
 # ------------------------------------------------------------- sizes ------
 
 #: A taskid is <cluster number, slot number, unique number> (section 6).
@@ -127,7 +129,10 @@ def packed_size(value: Any) -> int:
         return sum(packed_size(k) + packed_size(v) for k, v in value.items())
     if value is None:
         return 4
-    # A value cannot be a numpy array or scalar unless numpy is loaded.
+    if isinstance(value, Grid):
+        return value.nbytes
+    # A value cannot be a numpy array or scalar unless numpy is loaded
+    # (a task may still send its own numpy values).
     np = sys.modules.get("numpy")
     if np is not None:
         if isinstance(value, np.ndarray):

@@ -58,8 +58,6 @@ from .tracing import TraceEvent, TraceEventType
 from .windows import ArrayStore, Window, WindowCache, make_window
 
 if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
     from .forces import Force, ForceContext
     from .vm import PiscesVM
 
@@ -524,16 +522,18 @@ class TaskContext:
 
     # ------------------------------------------------------------ windows --
 
-    def export_array(self, name: str, array: np.ndarray,
+    def export_array(self, name: str, array,
                      cacheable: bool = True) -> Window:
         """Make a local array window-addressable; returns the full window.
 
-        ``cacheable=False`` opts the array out of reader-side caching;
-        pass it when this task will mutate the array directly instead of
-        through window writes (or call :meth:`touch_array` after each
-        direct mutation)."""
-        self.task.arrays.export(name, array, cacheable=cacheable)
-        return make_window(self.self_id, name, array)
+        ``array`` is a Grid or any f8/i8 array-like; a numpy array is
+        served in place (see :func:`repro.core.grid.as_grid`), so the
+        task may keep mutating it.  ``cacheable=False`` opts the array
+        out of reader-side caching; pass it when this task will mutate
+        the array directly instead of through window writes (or call
+        :meth:`touch_array` after each direct mutation)."""
+        grid = self.task.arrays.export(name, array, cacheable=cacheable)
+        return make_window(self.self_id, name, grid)
 
     def window(self, name: str, *, region=None,
                rows=None, cols=None) -> Window:
@@ -553,7 +553,7 @@ class TaskContext:
         return self._run(self.vm.window_read_gen(self, w, rows=rows,
                                                  cols=cols))
 
-    def window_write(self, w: Window, data: np.ndarray, *,
+    def window_write(self, w: Window, data, *,
                      rows=None, cols=None, if_unchanged: bool = False):
         """Write data through a window into the owner's array;
         ``rows=``/``cols=`` shrink the window for this one access.

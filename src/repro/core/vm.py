@@ -19,7 +19,7 @@ import os
 import random
 from types import SimpleNamespace
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+from typing import (Any, Callable, Dict, List, Optional,
                     Tuple, Union)
 
 from ..errors import (
@@ -53,6 +53,7 @@ from ..config.configuration import (
     env_value,
 )
 from .accept import RetryPolicy
+from .grid import ITEMSIZE, Grid, as_grid
 from .cluster import ClusterRuntime, PendingInitiate, Slot
 from .controllers import (
     Controller,
@@ -109,9 +110,6 @@ from .windows import (
     WindowTxn,
     WindowTxnReply,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def resolve_checkpoint(config: Configuration) -> Tuple[int, str, int]:
@@ -1076,10 +1074,9 @@ class PiscesVM:
             self.counts.window_overlap_waits[()].value += 1
             yield co_block("window-overlap-wait", deadline=until, cost=0)
         base = fc.arrays.get(w.array)
-        itemsize = base.dtype.itemsize
         # File offset of the window's first element in the byte stream.
         offset = 0
-        stride = int(base.size) * itemsize
+        stride = base.size * ITEMSIZE
         for (lo, _), dim in zip(w.bounds, base.shape):
             stride //= dim
             offset += lo * stride
@@ -1133,30 +1130,29 @@ class PiscesVM:
         return reply
 
     def _window_read_reference(self, store: ArrayStore, w: Window,
-                               requester: TaskId) -> np.ndarray:
+                               requester: TaskId) -> Grid:
         """The unbatched oracle: one transient message per leading-axis
         row, each allocated and freed on the shared heap."""
-        import numpy as np
-
         heap = self.machine.shared
         now = self.engine.now()
-        out = np.empty(w.shape, dtype=np.dtype(w.dtype))
+        out = Grid.zeros(w.shape, w.dtype)
+        rest = tuple((0, n) for n in w.shape[1:])
         i = 0
         for row in store.read_rows(w, now):
             msg = allocate_message(heap, MSG_WINDOW_ROW, (w, row),
                                    sender=store.owner, receiver=requester,
                                    send_time=now, arrival_time=now)
-            out[i:i + 1] = row
+            out.write(((i, i + 1),) + rest, row)
             release_message(heap, msg)
             i += 1
         return out
 
     def _window_write_reference(self, store: ArrayStore, w: Window,
-                                data: np.ndarray, requester: TaskId) -> None:
+                                data, requester: TaskId) -> None:
         heap = self.machine.shared
         now = self.engine.now()
 
-        def per_row(row: np.ndarray) -> None:
+        def per_row(row: Grid) -> None:
             msg = allocate_message(heap, MSG_WINDOW_ROW, (w, row),
                                    sender=requester, receiver=store.owner,
                                    send_time=now, arrival_time=now)
@@ -1165,7 +1161,7 @@ class PiscesVM:
         store.write_rows(w, data, now, per_row=per_row)
 
     def window_read(self, ctx: TaskContext, w: Window, *,
-                    rows=None, cols=None) -> np.ndarray:
+                    rows=None, cols=None) -> Grid:
         """Synchronous form of :meth:`window_read_gen` (drives the op
         stream through the engine's blocking calls in place)."""
         return drive_kernel_ops(
@@ -1208,17 +1204,14 @@ class PiscesVM:
                             else entry[0])
             reply = self._window_txn(store, txn,
                                      self._requester_id(ctx, store))
-            import numpy as np
-
             if reply.status == "valid":
-                data = np.array(entry[1], copy=True)
+                data = entry[1].copy()
                 moved, hit = 0, True
             else:
                 data = reply.data
                 moved = nbytes
                 if cache is not None and reply.cacheable:
-                    cache.store(w, reply.generation,
-                                np.array(data, copy=True))
+                    cache.store(w, reply.generation, data.copy())
         self.stats.window_bytes_read += nbytes
         counts = self.counts
         counts.window_ops["read"].value += 1
@@ -1233,7 +1226,7 @@ class PiscesVM:
         return data
 
     def window_write(self, ctx: TaskContext, w: Window,
-                     data: np.ndarray, *, rows=None, cols=None,
+                     data, *, rows=None, cols=None,
                      if_unchanged: bool = False) -> None:
         """Synchronous form of :meth:`window_write_gen`."""
         drive_kernel_ops(
@@ -1242,7 +1235,7 @@ class PiscesVM:
                                                if_unchanged=if_unchanged))
 
     def window_write_gen(self, ctx: TaskContext, w: Window,
-                         data: np.ndarray, *, rows=None, cols=None,
+                         data, *, rows=None, cols=None,
                          if_unchanged: bool = False):
         """Remote write through a window into the owner's array (a
         KernelOp generator).
@@ -1279,9 +1272,7 @@ class PiscesVM:
             self._window_write_reference(
                 store, w, data, self._requester_id(ctx, store))
         else:
-            import numpy as np
-
-            payload = np.asarray(data, dtype=np.dtype(w.dtype))
+            payload = as_grid(data, w.dtype)
             txn = WindowTxn(op="write", window=w, data=payload,
                             require_unchanged_since=require)
             reply = self._window_txn(store, txn,
@@ -1330,9 +1321,11 @@ class PiscesVM:
         yield co_preempt(0)
         return fc.window_for(name, region=region, rows=rows, cols=cols)
 
-    def export_file(self, name: str, array: np.ndarray,
+    def export_file(self, name: str, array,
                     cacheable: bool = True) -> None:
-        """Put an array into the simulated file system (pre-run setup)."""
+        """Put an array into the simulated file system (pre-run setup):
+        a Grid, or any f8/i8 array-like (a numpy array is served in
+        place, see :func:`repro.core.grid.as_grid`)."""
         if self.file_controller is None:
             raise WindowError("no file controller in this configuration")
         self.file_controller.export_file(name, array, cacheable=cacheable)

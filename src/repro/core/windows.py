@@ -34,14 +34,11 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Deque, Dict, Iterator, Optional, Tuple,
-                    Union)
+from typing import Deque, Dict, Iterator, Optional, Tuple, Union
 
 from ..errors import WindowError
+from .grid import ITEMSIZE, Grid, as_grid
 from .taskid import TaskId
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: A bound per dimension: (start, stop), 0-based, stop exclusive,
 #: absolute coordinates in the owner's base array.
@@ -164,12 +161,11 @@ class Window:
 
     @property
     def nbytes(self) -> int:
-        import numpy as np
-
-        return self.size * np.dtype(self.dtype).itemsize
+        return self.size * ITEMSIZE
 
     def slices(self) -> Tuple[slice, ...]:
-        """The numpy slices selecting this window in the base array."""
+        """The slices selecting this window in the base array (a Grid
+        or a numpy array)."""
         return tuple(slice(a, b) for a, b in self.bounds)
 
     # ----------------------------------------------------------- shrink --
@@ -230,7 +226,7 @@ class Window:
         return f"WINDOW {self.array}{b} owner={self.owner} {self.dtype}"
 
 
-def make_window(owner: TaskId, array_name: str, base: np.ndarray,
+def make_window(owner: TaskId, array_name: str, base: Grid,
                 region=None, *, rows: Optional[Selector] = None,
                 cols: Optional[Selector] = None) -> Window:
     """Create a window on (a region of) an owned array."""
@@ -259,7 +255,7 @@ class WindowTxn:
 
     op: str
     window: Window
-    data: Optional[np.ndarray] = None
+    data: Optional[Grid] = None
     cached_generation: Optional[int] = None
     require_unchanged_since: Optional[int] = None
 
@@ -271,7 +267,7 @@ class WindowTxnReply:
     applied) or ``"conflict"`` (conditional write refused)."""
 
     status: str
-    data: Optional[np.ndarray] = None
+    data: Optional[Grid] = None
     generation: int = 0
     cacheable: bool = True
     detail: str = ""
@@ -289,7 +285,7 @@ class WindowCache:
 
     def __init__(self, max_entries: int = CACHE_ENTRIES):
         self.max_entries = max_entries
-        self._entries: "OrderedDict[tuple, Tuple[int, np.ndarray]]" = \
+        self._entries: "OrderedDict[tuple, Tuple[int, Grid]]" = \
             OrderedDict()
 
     @staticmethod
@@ -299,7 +295,7 @@ class WindowCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, w: Window) -> Optional[Tuple[int, np.ndarray]]:
+    def lookup(self, w: Window) -> Optional[Tuple[int, Grid]]:
         """(generation, block) cached for exactly this window, or None."""
         e = self._entries.get(self._key(w))
         if e is not None:
@@ -320,7 +316,7 @@ class WindowCache:
                 return gen
         return None
 
-    def store(self, w: Window, generation: int, data: np.ndarray) -> None:
+    def store(self, w: Window, generation: int, data: Grid) -> None:
         k = self._key(w)
         self._entries[k] = (generation, data)
         self._entries.move_to_end(k)
@@ -353,7 +349,7 @@ class ArrayStore:
 
     def __init__(self, owner: TaskId):
         self.owner = owner
-        self._arrays: dict[str, np.ndarray] = {}
+        self._arrays: dict[str, Grid] = {}
         self._cacheable: dict[str, bool] = {}
         #: (op, array, bounds, ticks) access log, for the overlap tests.
         self.access_log: list[tuple[str, str, Tuple[Bounds, ...], int]] = []
@@ -371,18 +367,20 @@ class ArrayStore:
         from .messages import InQueue
         self.txns = InQueue(owner)
 
-    def export(self, name: str, array: np.ndarray,
-               cacheable: bool = True) -> None:
-        """Make ``array`` window-addressable.  ``cacheable=False`` opts
-        the array out of reader-side caching -- required when the owner
-        will mutate it directly instead of through window writes (see
-        also :meth:`touch`)."""
+    def export(self, name: str, array, cacheable: bool = True) -> Grid:
+        """Make ``array`` window-addressable and return the Grid that
+        serves it: a Grid as is, a C-contiguous f8/i8 buffer (a numpy
+        array) wrapped in place, anything else copied.  ``cacheable=False``
+        opts the array out of reader-side caching -- required when the
+        owner will mutate it directly instead of through window writes
+        (see also :meth:`touch`)."""
         if name in self._arrays:
             raise WindowError(f"array {name!r} already exported by {self.owner}")
-        self._arrays[name] = array
+        grid = self._arrays[name] = as_grid(array)
         self._cacheable[name] = cacheable
+        return grid
 
-    def get(self, name: str) -> np.ndarray:
+    def get(self, name: str) -> Grid:
         try:
             return self._arrays[name]
         except KeyError:
@@ -425,15 +423,8 @@ class ArrayStore:
         history (generation, bounds) that reader caches validate
         against.  All of it is bit-reproducible at a given schedule
         position."""
-        arrays = {}
-        if self._arrays:              # only a task with arrays loads numpy
-            import zlib
-
-            import numpy as np
-
-            # adler32 reads the array buffer directly; no tobytes() copy.
-            arrays = {name: zlib.adler32(np.ascontiguousarray(a).data)
-                      for name, a in sorted(self._arrays.items())}
+        arrays = {name: a.digest()
+                  for name, a in sorted(self._arrays.items())}
         writes = {name: [[int(g), [[int(x) for x in b] for b in bounds]]
                          for g, bounds in dq]
                   for name, dq in sorted(self._writes.items())}
@@ -465,64 +456,58 @@ class ArrayStore:
             m.counter("array_store_ops", op=op, array=w.array).inc()
             m.histogram("array_store_bytes", op=op).observe(w.nbytes)
 
-    def read(self, w: Window, ticks: int) -> np.ndarray:
-        import numpy as np
-
+    def read(self, w: Window, ticks: int) -> Grid:
         base = self.get(w.array)
         self.access_log.append(("read", w.array, w.bounds, ticks))
         self._observe("read", w)
-        return np.array(base[w.slices()], copy=True)
+        return base.read(w.bounds)
 
-    def write(self, w: Window, data: np.ndarray, ticks: int) -> None:
-        import numpy as np
-
+    def _payload(self, w: Window, data) -> Tuple[Grid, Grid]:
+        """(base array, write payload as a Grid of the base's dtype)."""
         base = self.get(w.array)
-        view = base[w.slices()]
-        data = np.asarray(data, dtype=base.dtype)
-        if data.shape != view.shape:
+        data = as_grid(data, base.dtype)
+        if data.shape != w.shape:
             raise WindowError(
-                f"write shape {data.shape} != window shape {view.shape}")
+                f"write shape {data.shape} != window shape {w.shape}")
+        return base, data
+
+    def write(self, w: Window, data, ticks: int) -> None:
+        base, data = self._payload(w, data)
         self.access_log.append(("write", w.array, w.bounds, ticks))
         self._observe("write", w)
-        view[...] = data
+        base.write(w.bounds, data)
         self._note_write(w.array, w.bounds)
 
     # ------------------------------------------- reference (unbatched) --
 
-    def read_rows(self, w: Window, ticks: int) -> Iterator[np.ndarray]:
+    def read_rows(self, w: Window, ticks: int) -> Iterator[Grid]:
         """Reference data path: one leading-axis row copy at a time (the
         pre-batching one-message-per-row semantics).  Logs the access
         once; the caller accounts per-row transit."""
-        import numpy as np
-
         base = self.get(w.array)
         self.access_log.append(("read", w.array, w.bounds, ticks))
         self._observe("read", w)
         lo, hi = w.bounds[0]
-        rest = w.slices()[1:]
+        rest = w.bounds[1:]
         for r in range(lo, hi):
-            yield np.array(base[(slice(r, r + 1),) + rest], copy=True)
+            yield base.read(((r, r + 1),) + rest)
 
-    def write_rows(self, w: Window, data: np.ndarray, ticks: int,
+    def write_rows(self, w: Window, data, ticks: int,
                    per_row=None) -> None:
         """Reference data path: apply a window write one leading-axis
         row at a time; ``per_row(row)`` lets the caller charge transit
         per row.  One logical write: logged and generation-bumped once."""
-        import numpy as np
-
-        base = self.get(w.array)
-        view = base[w.slices()]
-        data = np.asarray(data, dtype=base.dtype)
-        if data.shape != view.shape:
-            raise WindowError(
-                f"write shape {data.shape} != window shape {view.shape}")
+        base, data = self._payload(w, data)
         self.access_log.append(("write", w.array, w.bounds, ticks))
         self._observe("write", w)
-        for i in range(view.shape[0]):
-            row = np.array(data[i:i + 1], copy=True)
+        lo, hi = w.bounds[0]
+        rest = w.bounds[1:]
+        for i in range(hi - lo):
+            row = data.read(((i, i + 1),) + tuple((0, b - a)
+                                                  for a, b in rest))
             if per_row is not None:
                 per_row(row)
-            view[i:i + 1] = row
+            base.write(((lo + i, lo + i + 1),) + rest, row)
         self._note_write(w.array, w.bounds)
 
     # -------------------------------------------------------- transactions --

@@ -96,6 +96,10 @@ def _const_dims(dims, line) -> Tuple[int, ...]:
             raise TranslationError(
                 f"line {line}: array dimensions must be integer constants")
         out.append(int(d.text))
+    if len(out) > 2:
+        raise TranslationError(
+            f"line {line}: arrays have at most 2 dimensions (a window is "
+            f"a rectangle of a row-major array)")
     return tuple(out)
 
 

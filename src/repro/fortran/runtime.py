@@ -11,11 +11,10 @@ destination/placement constants.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import Any, Dict
 
 from ..core.accept import ALL_RECEIVED
+from ..core.grid import Grid, as_grid
 from ..core.taskid import (
     ANY, Broadcast, Cluster, OTHER, PARENT, SAME, SELF, SENDER, TContr,
     USER, TaskId,
@@ -49,7 +48,9 @@ def zero_for(ftype: str) -> Any:
 
 
 class FArray:
-    """A Fortran array: 1-based indexing over a numpy store.
+    """A Fortran array: 1-based indexing over a row-major
+    :class:`~repro.core.grid.Grid` (a list of objects for CHARACTER,
+    TASKID and WINDOW arrays, each element starting as None).
 
     ``shared`` arrays wrap storage owned by a SHARED COMMON block and
     are kept by reference when a namespace is copied at FORCESPLIT;
@@ -59,38 +60,30 @@ class FArray:
 
     __slots__ = ("data", "shared")
 
-    def __init__(self, ftype_or_dtype: str, dims: Tuple[int, ...],
-                 shared: bool = False):
+    def __init__(self, ftype_or_dtype: str, dims, shared: bool = False):
         dtype = _DTYPES.get(ftype_or_dtype, ftype_or_dtype)
+        self.data = Grid.zeros(dims, dtype)
         if dtype == "O":
-            self.data = np.empty(dims, dtype=object)
-        else:
-            self.data = np.zeros(dims, dtype=dtype)
+            self.data.flat[:] = [None] * self.data.size
         self.shared = shared
 
     @classmethod
-    def wrap(cls, array: np.ndarray) -> "FArray":
+    def wrap(cls, array) -> "FArray":
         fa = cls.__new__(cls)
-        fa.data = array
+        fa.data = as_grid(array)
         fa.shared = True
         return fa
 
-    def _index(self, idx) -> Tuple[int, ...]:
-        if not isinstance(idx, tuple):
-            idx = (idx,)
-        out = []
-        for i in idx:
-            out.append(int(i) - 1)
-        return tuple(out)
-
     def __getitem__(self, idx):
-        v = self.data[self._index(idx)]
-        if isinstance(v, np.generic):
-            return v.item()
-        return v
+        if type(idx) is tuple:
+            return self.data[tuple(int(i) - 1 for i in idx)]
+        return self.data[int(idx) - 1]
 
     def __setitem__(self, idx, value) -> None:
-        self.data[self._index(idx)] = value
+        if type(idx) is tuple:
+            self.data[tuple(int(i) - 1 for i in idx)] = value
+        else:
+            self.data[int(idx) - 1] = value
 
     def copy(self) -> "FArray":
         if self.shared:
@@ -108,15 +101,11 @@ class Namespace:
     """The local-variable bag of one Fortran program unit execution."""
 
     def copy(self) -> "Namespace":
-        """Per-force-member copy: locals duplicated, shared kept."""
+        """Per-force-member copy: local arrays duplicated; shared arrays
+        and SHARED COMMON scalars (0-d Grids) kept by reference."""
         ns = Namespace()
         for k, v in self.__dict__.items():
-            if isinstance(v, FArray):
-                ns.__dict__[k] = v.copy()
-            elif isinstance(v, np.ndarray):
-                ns.__dict__[k] = v          # shared scalar (0-d view)
-            else:
-                ns.__dict__[k] = v
+            ns.__dict__[k] = v.copy() if isinstance(v, FArray) else v
         return ns
 
 
@@ -166,7 +155,7 @@ def wread(ctx, farray: FArray, w) -> None:
         raise ValueError(
             f"WREAD: window has {data.size} elements, array has "
             f"{farray.data.size}")
-    farray.data[...] = data.reshape(farray.data.shape)
+    farray.data[...] = Grid(farray.data.shape, data.dtype, data.flat)
 
 
 # ------------------------------------------------------------- intrinsics --

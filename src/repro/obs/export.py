@@ -209,21 +209,23 @@ def export_run(vm, directory: Union[str, Path],
     Writes ``<prefix>.events.jsonl``, ``<prefix>.chrome.json``,
     ``<prefix>.metrics.json``, ``<prefix>.metrics.txt`` and a
     ``manifest.json`` describing the run (dispatcher, fault seed/hash,
-    config summary, repro version); returns the
-    written paths keyed by kind.  Requires tracing to have kept events
-    in memory for the event-derived files (they are skipped, not
-    invented, otherwise).  A VM with profiling enabled also gets the
-    profile bundle (see :func:`repro.obs.profile.write_profile`).
+    config summary, repro version); returns the written paths keyed by
+    kind.  The event stream is written even when tracing kept no events
+    (readers of a run's archive expect the file, empty or not); the
+    Chrome trace only renders events, so a run with none gets no
+    ``chrome.json``.  A VM with profiling enabled also gets the profile
+    bundle (see :func:`repro.obs.profile.write_profile`).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     events = list(vm.tracer.events)
     out: Dict[str, Path] = {}
+    chrome = (("chrome", "chrome.json",
+               lambda f: write_chrome_trace(events, f)),) if events else ()
 
     for kind, suffix, write in (
             ("jsonl", "events.jsonl", lambda f: write_jsonl(events, f)),
-            ("chrome", "chrome.json",
-             lambda f: write_chrome_trace(events, f)),
+            *chrome,
             ("metrics_json", "metrics.json",
              lambda f: write_metrics_snapshot(vm.metrics, f, as_json=True)),
             ("metrics_txt", "metrics.txt",

@@ -185,7 +185,7 @@ def extract_critical_path(prof: CausalProfiler,
     n_pes = len({s.pe for s in all_slices}) or 1
     total_work = prof.total_work()
     # Callers pass RunResult.elapsed, which can be a numpy integer when
-    # charges came from array sizes; the path must hold plain ints.
+    # a task charged array sizes of its own; the path holds plain ints.
     elapsed = prof.elapsed() if elapsed is None else int(elapsed)
     if not all_slices or elapsed <= 0:
         return CriticalPath(segments=[], elapsed=elapsed or 0,

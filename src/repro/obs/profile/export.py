@@ -6,7 +6,7 @@ Two external formats plus the bundle writer:
   flamegraph renderer.  The *virtual* variant counts ticks and includes
   the attributed wait states as child frames, so the flame shows where
   blocked time went; the *wall* variant counts microseconds of real
-  slice execution (the numpy work inside compute charges), work only.
+  slice execution (the host work inside compute charges), work only.
 * **Chrome trace** (``chrome://tracing`` / Perfetto JSON): one complete
   ``X`` event per slice on its PE row, and one colored ``X`` event per
   attributed wait interval -- wait categories map to stable ``cname``

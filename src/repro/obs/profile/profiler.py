@@ -205,8 +205,8 @@ class CausalProfiler:
     def on_slice(self, p: KernelProcess, start: int, end: int,
                  new_state: ProcState, reason: str,
                  deadline: Optional[int], wall: float) -> None:
-        # Charges can arrive as numpy integers (window byte counts feed
-        # compute costs); coerce once here so every downstream record --
+        # Charges can arrive as numpy integers (a task may size its
+        # compute from its own numpy arrays); coerce once here so every downstream record --
         # and the JSON exporters -- hold plain ints.
         start, end = int(start), int(end)
         if deadline is not None:

@@ -21,6 +21,7 @@ first builds, so a service that has only booted holds none of them.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
 
@@ -276,6 +277,13 @@ APPS: Dict[str, Callable[[RunSpec], AppPlan]] = {
 
 _NAMES = tuple(sorted(APPS))
 
+#: Held while a plan is built and wherever the service imports engine
+#: modules lazily.  The first build imports the engine, and two threads
+#: entering its mutually importing modules at once can find one half
+#: initialized ("cannot import name 'Task' from partially initialized
+#: module 'repro.core.task'"), which failed a submit with HTTP 500.
+IMPORT_LOCK = threading.RLock()
+
 
 def app_names() -> Tuple[str, ...]:
     return _NAMES
@@ -289,7 +297,8 @@ def build(spec: RunSpec) -> AppPlan:
         raise InvalidRunSpec(
             f"unknown app {spec.app!r} "
             f"(catalog: {', '.join(app_names())})") from None
-    return builder(spec)
+    with IMPORT_LOCK:
+        return builder(spec)
 
 
 def pe_cost(spec: RunSpec) -> int:

@@ -45,7 +45,8 @@ def execute_run(rec: RunRecord, store: RunStore,
                 handle: ExecutionHandle) -> RunRecord:
     """:func:`repro.service.executor.execute_run`, imported at the first
     run: the executor brings the engine, so a boot does not load it."""
-    from .executor import execute_run as execute
+    with catalog.IMPORT_LOCK:
+        from .executor import execute_run as execute
     return execute(rec, store, handle)
 
 
@@ -107,7 +108,8 @@ class RunService:
                     # (bounded, so stop() is never waited out).
                     self._cv.wait(timeout=0.2)
                     continue
-                from .executor import ExecutionHandle
+                with catalog.IMPORT_LOCK:
+                    from .executor import ExecutionHandle
                 handle = ExecutionHandle(rec.run_id, threading.Event())
                 self._handles[rec.run_id] = handle
             try:
@@ -136,7 +138,8 @@ class RunService:
             spec = RunSpec.from_dict(spec)
         plan = catalog.build(spec)        # reject unbuildable specs now
         if spec.fault_plan:
-            from ..faults import loads
+            with catalog.IMPORT_LOCK:
+                from ..faults import loads
             try:
                 loads(spec.fault_plan)
             except Exception as e:        # any parse failure is a 400

@@ -135,7 +135,7 @@ class TestBarrier:
             blk.counts[(m.member,)] = 1
             m.barrier()
             # after the barrier every member sees everyone's mark
-            return int(blk.counts.sum())
+            return sum(blk.counts.tolist())
 
         @registry.tasktype("T", shared={"S": {"counts": ("i8", (4,))}})
         def t(ctx):

@@ -28,7 +28,7 @@ def test_repeated_read_hits_cache(make_vm, registry):
         a = ctx.window_read(w)
         b = ctx.window_read(w)          # unchanged -> served from cache
         assert np.array_equal(a, b)
-        ctx.send(PARENT, "DONE", float(b.sum()))
+        ctx.send(PARENT, "DONE", float(np.asarray(b).sum()))
 
     @registry.tasktype("OWNER")
     def owner(ctx):
@@ -168,7 +168,7 @@ def test_if_unchanged_write_succeeds_without_interference(make_vm,
     def workertask(ctx):
         w = ctx.accept("WIN").args[0]
         vals = ctx.window_read(w)
-        ctx.window_write(w, vals + 1.0, if_unchanged=True)
+        ctx.window_write(w, np.asarray(vals) + 1.0, if_unchanged=True)
         ctx.send(PARENT, "DONE")
 
     @registry.tasktype("OWNER")
@@ -178,7 +178,7 @@ def test_if_unchanged_write_succeeds_without_interference(make_vm,
         ctx.accept("X", delay=2000, timeout_ok=True)
         ctx.broadcast("WIN", ctx.window("A"), cluster=1)
         ctx.accept("DONE")
-        return float(ctx.task.arrays.get("A").sum())
+        return float(np.asarray(ctx.task.arrays.get("A")).sum())
 
     vm = make_vm(config=ONE_CLUSTER, registry=registry)
     r = vm.run("OWNER")
@@ -194,7 +194,7 @@ def test_if_unchanged_write_raises_window_conflict(make_vm, registry):
         ctx.send(PARENT, "READY")
         ctx.accept("GO")                # owner overwrites meanwhile
         with pytest.raises(WindowConflict):
-            ctx.window_write(w, vals + 1.0, if_unchanged=True)
+            ctx.window_write(w, np.asarray(vals) + 1.0, if_unchanged=True)
         ctx.send(PARENT, "DONE")
 
     @registry.tasktype("OWNER")
@@ -345,7 +345,7 @@ def test_overlapping_file_rw_serializes(make_vm, registry):
     @registry.tasktype("FREADER")
     def freader(ctx):
         w = ctx.file_window("F", rows=(2, 8))
-        vals = ctx.window_read(w)
+        vals = np.asarray(ctx.window_read(w))
         ctx.send(PARENT, "DONE", "r", float(vals.min()),
                  float(vals.max()))
 
@@ -374,7 +374,7 @@ def test_disjoint_file_rw_proceeds_in_parallel(make_vm, registry):
     def fworker(ctx, k):
         w = ctx.file_window("F", rows=(k * 4, k * 4 + 4))
         vals = ctx.window_read(w)
-        ctx.window_write(w, vals + 1.0)
+        ctx.window_write(w, np.asarray(vals) + 1.0)
         ctx.send(PARENT, "DONE")
 
     @registry.tasktype("MAIN")
@@ -390,4 +390,4 @@ def test_disjoint_file_rw_proceeds_in_parallel(make_vm, registry):
     r = vm.run("MAIN")
     assert r.value is True
     assert r.stats.window_overlap_waits == 0
-    assert vm.file_controller.arrays.get("F").sum() == 64.0
+    assert np.asarray(vm.file_controller.arrays.get("F")).sum() == 64.0

@@ -96,7 +96,8 @@ class TestArrayStore:
         st = ArrayStore(OWNER)
         a = np.arange(6.0)
         st.export("A", a)
-        assert st.get("A") is a
+        # served in place: the Grid is a view of the exported buffer
+        assert np.shares_memory(np.asarray(st.get("A")), a)
         with pytest.raises(WindowError):
             st.export("A", a)
         with pytest.raises(WindowError):

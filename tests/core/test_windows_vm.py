@@ -14,7 +14,7 @@ class TestTaskWindows:
             ctx.send(PARENT, "GIMME")
             w = ctx.accept("WIN").args[0]
             data = ctx.window_read(w)
-            ctx.send(PARENT, "SUM", float(data.sum()))
+            ctx.send(PARENT, "SUM", float(np.asarray(data).sum()))
 
         @registry.tasktype("OWNER")
         def owner(ctx):
@@ -61,7 +61,7 @@ class TestTaskWindows:
             ctx.send(PARENT, "HELLO", k)
             w = ctx.accept("WIN").args[0]
             data = ctx.window_read(w)
-            ctx.send(PARENT, "SUM", float(data.sum()))
+            ctx.send(PARENT, "SUM", float(np.asarray(data).sum()))
 
         @registry.tasktype("PARTITIONER")
         def partitioner(ctx):
@@ -159,7 +159,7 @@ class TestFileController:
             data = ctx.window_read(w)
             half = w.shrink((slice(0, 4),))
             ctx.window_write(half, np.full(4, -1.0))
-            return float(data.sum())
+            return float(np.asarray(data).sum())
 
         vm = make_vm(registry=registry)
         vm.export_file("INPUT", np.arange(8.0))
@@ -208,7 +208,7 @@ class TestFileController:
             fc = ctx.vm.file_controller
             ctx.send(fc.tid, MSG_FILE_WINDOW, "INPUT")
             w = ctx.accept(MSG_FILE_WINDOW_REPLY).args[0]
-            return float(ctx.window_read(w).sum())
+            return float(np.asarray(ctx.window_read(w)).sum())
 
         vm = make_vm(registry=registry)
         vm.export_file("INPUT", np.ones(5))

@@ -95,8 +95,13 @@ class TestRuntimeShims:
 
     def test_farray_object_dtype_for_taskid(self):
         a = FArray("TASKID", (2,))
+        assert a[2] is None
         a[1] = "anything"
         assert a[1] == "anything"
+
+    def test_arrays_have_at_most_two_dimensions(self):
+        with pytest.raises(TranslationError, match="at most 2"):
+            preprocess("TASK T\nREAL A(2, 2, 2)\nEND TASK")
 
     def test_namespace_copy_duplicates_locals_keeps_shared(self):
         import numpy as np

@@ -262,6 +262,22 @@ class TestForcePrograms:
         r, _ = run_fortran(src, "T", config=self.FORCE_CFG)
         assert "M1 4 M4 4" in r.console
 
+    def test_shared_integer_divides_like_fortran(self, run_fortran):
+        """A SHARED COMMON INTEGER reads as a Python int, so ``N / 2``
+        truncates (numpy's int64 once made it true division, 3.5)."""
+        src = """
+        TASK T
+        SHARED COMMON /S/ N
+        INTEGER N
+        INTEGER K
+        N = 7
+        K = N / 2
+        PRINT *, 'K', K
+        END TASK
+        """
+        r, _ = run_fortran(src, "T")
+        assert "K 3" in r.console and "K 3.5" not in r.console
+
     def test_locals_are_per_member_after_split(self, run_fortran):
         src = """
         TASK T

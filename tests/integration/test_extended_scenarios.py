@@ -175,7 +175,7 @@ class TestFortranIntegration:
             ctx.accept("X", delay=1000, timeout_ok=True)
             ctx.broadcast("WIN", ctx.window("A"), cluster=1)
             w = ctx.accept("FWD").args[0]
-            return float(ctx.window_read(w).sum())
+            return float(np.asarray(ctx.window_read(w)).sum())
 
         vm = make_vm(registry=reg)
         assert vm.run("OWNER").value == 45.0

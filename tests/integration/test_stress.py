@@ -99,7 +99,7 @@ class TestWindowsInsideForces:
             def region(m, w):
                 mine = w.split(m.force_size, axis=0)[m.member]
                 data = m.window_read(mine)
-                return float(data.sum())
+                return float(np.asarray(data).sum())
 
             parts = ctx.forcesplit(region, full)
             return sum(parts)

@@ -3,10 +3,12 @@
 A library process that builds catalog plans must not pay for the
 service's HTTP stack (``http.server`` pulls in ``http.client`` and
 ``ssl``) or the Fortran front end; the server must not load the HTTP
-client.  A server boots on its control plane: the engine stack and
-numpy load with the first run, not at start-up, and runs that hold no
-arrays never load numpy.  Every check runs in a fresh interpreter,
-since this test process has long since imported everything.
+client.  A server boots on its control plane: the engine stack loads
+with the first run, not at start-up.  No run loads numpy: SHARED
+COMMON, exported arrays and window blocks are stdlib Grids, so the
+array apps and Fortran programs run without it.  Every check runs in a
+fresh interpreter, since this test process has long since imported
+everything.
 """
 
 import json
@@ -15,6 +17,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -24,9 +27,12 @@ import repro
 import repro.service
 from repro.service import (ADMITTED, DONE, QUEUED, RUNNING, TERMINAL_STATES,
                            RunService, RunSpec, catalog)
+from repro.apps.fortran_programs import WINDOW_SUM
 from repro.service.client import ServiceClient
+from tests.golden.digests import ADDUP_SOURCE
 
-SRC = str(Path(__file__).resolve().parents[2] / "src")
+ROOT = Path(__file__).resolve().parents[2]
+SRC = str(ROOT / "src")
 
 LIBRARY_MUST_NOT_LOAD = (
     "ssl", "http.server", "http.client", "urllib.request", "repro.fortran",
@@ -42,8 +48,27 @@ ENGINE = ("repro.core", "repro.mmos", "repro.apps", "repro.checkpoint",
 #: work key for the benchmark's ``setup_s``.
 BOOT_MODULE_BUDGET = 20
 QUICK = {"app": "spin", "params": {"rounds": 5, "ticks_per_round": 10}}
-#: Catalog apps that hold no arrays, so their runs never load numpy.
+#: Catalog apps that hold no arrays.
 ARRAY_FREE_APPS = ("spin", "pipeline", "integrate")
+#: A run of every catalog app, Fortran with and without arrays: none
+#: loads numpy.
+NUMPY_FREE_SPECS = {
+    **{app: {"app": app} for app in ("jacobi", "jacobi_force", "matmul",
+                                     "fem", "truss", "chaos_jacobi")
+       + ARRAY_FREE_APPS},
+    "fortran_addup": {"app": "fortran", "params": {"source": ADDUP_SOURCE}},
+    "fortran_window_sum": {"app": "fortran",
+                           "params": {"source": WINDOW_SUM}},
+}
+#: svc_tiny_open's five specs (benchmarks/e2e/workloads.py).
+TINY_OPEN_SPECS = {
+    "spin10": {"app": "spin", "params": {"rounds": 10}},
+    "integrate": {"app": "integrate"},
+    "matmul": {"app": "matmul"},
+    "jacobi12": {"app": "jacobi",
+                 "params": {"n": 12, "sweeps": 2, "n_workers": 2}},
+    "addup": {"app": "fortran", "params": {"source": ADDUP_SOURCE}},
+}
 #: A matmul run draws its inputs from the stdlib generator; numpy's
 #: would load ``numpy.random`` and, through it, the hashing modules.
 MATMUL_MUST_NOT_LOAD = ("numpy.random", "secrets", "hashlib")
@@ -224,19 +249,78 @@ def test_array_free_runs_load_no_numpy(app):
     assert loaded_after(code, ("numpy",)) == []
 
 
-def test_array_free_service_runs_load_no_numpy(tmp_path):
-    """Served with tracing, checkpoints and the archived bundle."""
+def test_no_catalog_run_loads_numpy():
+    """Every app on the library path; the probe names the first run
+    after which numpy was loaded, if any."""
+    code = textwrap.dedent(f"""
+        import sys
+        import repro.api
+        from repro.service import catalog, spec
+        loaded = []
+        for name, s in {NUMPY_FREE_SPECS!r}.items():
+            plan = catalog.build(spec.RunSpec.from_dict(s))
+            vm = repro.api.make_vm(config=plan.config,
+                                   registry=plan.registry)
+            assert vm.run(plan.tasktype, *plan.args).elapsed > 0, name
+            if "numpy" in sys.modules and not loaded:
+                loaded.append(name)
+        print(loaded)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], env=_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_served_runs_load_no_numpy(tmp_path):
+    """Every app served twice -- traced, then untraced and checkpointing
+    -- with the archived bundle written each time."""
     code = textwrap.dedent(f"""
         import time
         from repro.service import RunService
         svc = RunService({str(tmp_path / "store")!r}, n_workers=1).start()
-        for app in {ARRAY_FREE_APPS!r}:
-            run_id = svc.submit("alice", {{"app": app,
-                                           "checkpoint_every": 500}}).run_id
-            while svc.get_run(run_id).state not in {TERMINAL_STATES!r}:
-                time.sleep(0.01)
-            assert svc.get_run(run_id).state == {DONE!r}, app
+        for name, s in {NUMPY_FREE_SPECS!r}.items():
+            for extra in ({{}}, {{"trace": False, "checkpoint_every": 500}}):
+                run_id = svc.submit("alice", dict(s, **extra)).run_id
+                while svc.get_run(run_id).state not in {TERMINAL_STATES!r}:
+                    time.sleep(0.01)
+                assert svc.get_run(run_id).state == {DONE!r}, name
         svc.stop()
+    """)
+    assert loaded_after(code, ("numpy",)) == []
+
+
+def test_tiny_open_specs_served_over_http_load_no_numpy(tmp_path):
+    def requests(client):
+        runs = [client.submit(s)["run_id"] for s in TINY_OPEN_SPECS.values()]
+        for run_id in runs:
+            assert client.wait(run_id, timeout=120)["state"] == DONE
+
+    modules = serve_and_list_modules(tmp_path / "store", requests)
+    assert "repro.core.grid" in modules
+    assert "numpy" not in modules
+
+
+def test_legacy_bundle_restores_without_numpy(tmp_path):
+    """The legacy jacobi bundle's array digests were taken over numpy
+    bytes; the Grid's bytes are the same, so it restores and resumes to
+    the identical history with numpy never loaded."""
+    legacy = ROOT / "tests" / "golden" / "legacy"
+    exp = json.loads((legacy / "expected.json").read_text())["bundle"]
+    code = textwrap.dedent(f"""
+        import hashlib, json, os
+        from repro.api import restore_vm
+        from repro.obs.export import event_to_dict
+        from repro.service import catalog
+        from repro.service.spec import RunSpec
+        os.chdir({str(tmp_path)!r})
+        registry = catalog.build(RunSpec(app={exp["app"]!r})).registry
+        r = restore_vm({str(legacy / exp["file"])!r},
+                       registry=registry).resume()
+        lines = [json.dumps(event_to_dict(e), sort_keys=True)
+                 for e in r.vm.tracer.events]
+        assert r.elapsed == {exp["elapsed"]!r}
+        digest = hashlib.sha256(chr(10).join(lines).encode()).hexdigest()
+        assert digest == {exp["trace_sha256"]!r}
     """)
     assert loaded_after(code, ("numpy",)) == []
 
@@ -249,6 +333,28 @@ def test_every_repro_name_resolves():
             f"assert repro.api is api\n"
             f"assert not hasattr(repro, 'no_such_name')")
     assert loaded_after(code, ()) == []
+
+
+def test_builds_hold_the_import_lock(monkeypatch):
+    """The first build imports the engine.  Two threads entering its
+    mutually importing modules at once could find one half initialized
+    and fail a submit with HTTP 500, so builds hold one lock (as do the
+    service's other lazy engine imports)."""
+    seen = []
+
+    def probe(spec):
+        def other_thread():
+            free = catalog.IMPORT_LOCK.acquire(blocking=False)
+            if free:
+                catalog.IMPORT_LOCK.release()
+            seen.append(free)
+        t = threading.Thread(target=other_thread)
+        t.start()
+        t.join()
+
+    monkeypatch.setitem(catalog.APPS, "spin", probe)
+    catalog.build(RunSpec(app="spin"))
+    assert seen == [False]
 
 
 def test_app_names_are_the_builder_table():

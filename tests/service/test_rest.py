@@ -52,6 +52,18 @@ class TestEndpoints:
         assert manifest["dispatcher"] == "indexed"
         assert "task_bodies" not in manifest
 
+    def test_untraced_run_archives_no_empty_chrome_trace(self, client):
+        rec = client.submit(dict(QUICK, trace=False))
+        assert client.wait(rec["run_id"])["state"] == "DONE"
+        names = client.artifacts(rec["run_id"])
+        assert "run.chrome.json" not in names
+        assert "run.events.jsonl" in names        # empty, but archived
+        assert client.fetch_artifact(rec["run_id"], "run.events.jsonl") \
+            == b""
+        assert client.trace(rec["run_id"]) == []
+        assert "run.chrome.json" in client.artifacts(
+            client.wait(client.submit(QUICK)["run_id"])["run_id"])
+
     def test_list_runs_filters(self, client):
         rec = client.submit(QUICK)
         client.wait(rec["run_id"])
