@@ -1,8 +1,8 @@
 """Causal-profiler overhead: zero virtual time, bounded wall time.
 
-The profiler (``engine.prof_hook``, see :mod:`repro.obs.profile`) is a
-pure observer; this benchmark proves the contract the subsystem is
-built on, per workload:
+The profiler (see :mod:`repro.obs.profile`) is a pure observer on the
+engine's observer list (``engine.observe``); this benchmark proves the
+contract the subsystem is built on, per workload:
 
 * **virtual identity** -- elapsed ticks, dispatch count *and the full
   trace-event stream* are bit-identical with profiling on and off, on

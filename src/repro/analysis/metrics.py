@@ -129,17 +129,7 @@ def traffic_matrix(vm: PiscesVM) -> Dict[Tuple[str, str], int]:
             out[src, dst] = out.get((src, dst), 0) + c.value
         return out
 
-    def name_of(tid) -> str:
-        task = vm.tasks.get(tid)
-        if task is not None:
-            return task.ttype.name
-        ctrl = vm.controllers.get(tid)
-        if ctrl is not None:
-            return f"<{ctrl.kind}>"
-        if tid.cluster == 0:
-            return "<user>"
-        return "<unknown>"
-
+    name_of = vm._metric_name_of
     out: Dict[Tuple[str, str], int] = {}
     for e in vm.tracer.of_type(TraceEventType.MSG_SEND):
         if e.other is None:

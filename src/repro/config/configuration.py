@@ -89,16 +89,6 @@ def env_value(name: str, default: str = "") -> str:
     return v if v else default
 
 
-def env_choice(name: str, choices: Tuple[str, ...],
-               default: str = "") -> str:
-    """:func:`env_value` restricted to an allowed set."""
-    v = env_value(name, default)
-    if v not in choices:
-        raise ConfigurationError(
-            f"{name}={v!r} is not one of {'/'.join(choices)}")
-    return v
-
-
 def env_int(name: str, default: int, minimum: int = 0) -> int:
     """:func:`env_value` parsed as a tick count with a floor."""
     v = env_value(name)

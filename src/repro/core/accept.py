@@ -100,12 +100,6 @@ class AcceptSpec:
     def mtypes(self) -> List[str]:
         return list(self.per_type)
 
-    def blocking_types(self) -> List[str]:
-        """Types that can still demand future messages (non-ALL)."""
-        if self.total is not None:
-            return list(self.per_type)
-        return [t for t, c in self.per_type.items() if c is not None]
-
 
 def normalize_specs(specs: Sequence[Union[str, Tuple[str, Any]]],
                     count: Optional[int]) -> AcceptSpec:

@@ -36,7 +36,7 @@ from ..flex.machine import FlexMachine
 from ..flex.presets import nasa_langley_flex32
 from ..mmos.kernel import MMOSKernel
 from ..mmos.process import ProcState, co_block, co_preempt, drive_kernel_ops
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, SliceMeter
 from ..results import RunRecord
 from ..mmos.loader import (
     CAT_MMOS_KERNEL,
@@ -319,7 +319,10 @@ class PiscesVM:
             "msg_traffic", "src", "dst", "mtype")
         self.accept_latency = self.metrics.histogram_family(
             "send_accept_latency_ticks", "tasktype")
-        self.engine.metrics = self.metrics
+        #: The engine's slice metrics, observing while metrics are on.
+        self._slice_meter = SliceMeter(self.metrics)
+        if self.metrics.enabled:
+            self.engine.observe(self._slice_meter)
         self.tracer.metrics = self.metrics
         self.default_accept_delay = config.default_accept_delay
         #: System-wide ACCEPT timeout escalation (satellite 2); None
@@ -385,11 +388,15 @@ class PiscesVM:
 
     def enable_metrics(self) -> None:
         """Turn on the observability registry (live, e.g. from the
-        monitor); already-running components see it immediately."""
-        self.metrics.enabled = True
+        monitor); already-running components see it immediately, the
+        engine's slice metrics from its next dispatch batch."""
+        if not self.metrics.enabled:
+            self.metrics.enabled = True
+            self.engine.observe(self._slice_meter)
 
     def disable_metrics(self) -> None:
         self.metrics.enabled = False
+        self.engine.unobserve(self._slice_meter)
 
     # ------------------------------------------------------------- races --
 
@@ -410,7 +417,7 @@ class PiscesVM:
         from ..correctness.detector import RaceDetector
         det = RaceDetector(self, mode=mode or "record")
         self.race_detector = det
-        self.engine.hb_hook = det
+        self.engine.observe(det)
         return det
 
     # ---------------------------------------------------------- profiling --
@@ -427,7 +434,7 @@ class PiscesVM:
         if self.profiler is None:
             from ..obs.profile import CausalProfiler
             self.profiler = CausalProfiler()
-            self.engine.prof_hook = self.profiler
+            self.engine.observe(self.profiler)
         return self.profiler
 
     def _metric_name_of(self, tid: TaskId) -> str:

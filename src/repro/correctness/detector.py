@@ -153,11 +153,11 @@ class _Access:
 class RaceDetector:
     """Vector clocks + locksets over one VM's run.
 
-    Installed as the engine's ``hb_hook`` and threaded through the
-    run-time library's instrumentation sites; ``None`` everywhere when
-    detection is off.  ``mode`` selects the reporting channel:
-    ``"record"`` collects (default), ``"warn"`` also emits a
-    :class:`~repro.errors.RaceWarning`, ``"raise"`` raises
+    Registered as an engine observer (spawn and wake edges) and
+    threaded through the run-time library's instrumentation sites;
+    ``None`` everywhere when detection is off.  ``mode`` selects the
+    reporting channel: ``"record"`` collects (default), ``"warn"`` also
+    emits a :class:`~repro.errors.RaceWarning`, ``"raise"`` raises
     :class:`~repro.errors.RaceError` at the detecting access.
     """
 
@@ -232,7 +232,9 @@ class RaceDetector:
 
     def on_spawn(self, parent, child) -> None:
         """Everything the parent did before spawning happens-before the
-        child's first slice."""
+        child's first slice (an external spawn carries no edge)."""
+        if parent is None:
+            return
         snap = self._snapshot_and_tick(parent.pid)
         self._join(self._clock(child.pid), snap)
         log = self.edge_log
@@ -240,9 +242,12 @@ class RaceDetector:
             log.append("spawn", parent.pid, child.pid,
                        self.vm.engine.now(), child.name)
 
-    def on_wake(self, waker, wakee) -> None:
+    def on_wake(self, waker, wakee, at) -> None:
         """A wake is a causal edge: the wakee resumes after the waker's
-        action (force join, barrier release, lock grant, message)."""
+        action (force join, barrier release, lock grant, message).
+        External wakes (the monitor) carry none."""
+        if waker is None:
+            return
         snap = self._snapshot_and_tick(waker.pid)
         self._join(self._clock(wakee.pid), snap)
         log = self.edge_log

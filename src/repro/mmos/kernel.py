@@ -26,10 +26,6 @@ COST_CPU_SWAP = DEFAULT_KERNEL_COST
 _COMPUTE_OPS = {t: (co_preempt(t),) for t in range(33)}
 
 
-class ConsoleLine(Tuple[int, int, str]):
-    """(virtual time, pid, text) -- one line written to the terminal."""
-
-
 class MMOSKernel:
     """Kernel services for one machine."""
 

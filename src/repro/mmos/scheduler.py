@@ -61,12 +61,8 @@ from ..errors import (
 from ..flex.machine import FlexMachine
 from .process import DEFAULT_KERNEL_COST, KernelOp, KernelProcess, ProcState
 
-#: Recognized dispatchers: the live two-level heap, and ``replay`` of a
-#: recorded decision stream (see :mod:`repro.correctness.recorder`).
-DISPATCHERS = ("indexed", "replay")
-
-#: Slices :meth:`Engine.run` dispatches per batch with the hooks read
-#: into locals once.
+#: Slices :meth:`Engine.run` dispatches per batch with the actors and
+#: the slice observers read into locals once.
 BATCH = 1024
 
 
@@ -135,27 +131,10 @@ class Engine:
         #: reconstructs.  A checkpointer is a pure observer (zero
         #: virtual time).
         self._ckpt_pump: Optional[Callable[["Engine"], None]] = None
-        #: Hook invoked (from the engine thread, between slices) after
-        #: every dispatch; the run service's kill check uses it.
-        self.on_idle_check: Optional[Callable[[], None]] = None
-        #: Optional MetricsRegistry (wired by the VM).  Observations are
-        #: pure bookkeeping -- they never influence dispatch order.
-        self.metrics = None
-        #: The per-slice metric families (``slice_ticks`` by PE,
-        #: ``blocks`` by reason prefix), bound once per dispatch batch;
-        #: None while metrics are off.
-        self._slice_ticks = None
-        self._blocks = None
-        #: Happens-before hook (the race detector, or None).  Called on
-        #: spawn and in-process wakes; observers only -- they never
-        #: charge ticks or change scheduling state.
-        self.hb_hook: Optional[Any] = None
-        #: Causal-profiler hook (see :mod:`repro.obs.profile`), or None.
-        #: Called on spawn, wake, kill and once per completed slice (its
-        #: slice stream also feeds the per-PE occupancy views);
-        #: like the other hooks it is a pure observer -- it never
-        #: charges ticks and never changes scheduling state.
-        self.prof_hook: Optional[Any] = None
+        #: Pure observers in registration order (see :meth:`observe`),
+        #: and per event the tuple of their bound methods.
+        self._observers: List[Any] = []
+        self._bind_observers()
         #: Per-run spawn ordinals: kernel pids come from a process-global
         #: counter and are not stable across runs, so the schedule
         #: artifact identifies processes by spawn order instead.
@@ -209,12 +188,10 @@ class Engine:
         sh = self.sched_hook
         if sh is not None:
             sh.on_spawn(p.spawn_ordinal, p.name)
-        hb = self.hb_hook
-        if hb is not None and self.in_process():
-            hb.on_spawn(self._current, p)
-        pr = self.prof_hook
-        if pr is not None:
-            pr.on_spawn(self._current if self.in_process() else None, p)
+        if self._on_spawn:
+            parent = self._current if self.in_process() else None
+            for f in self._on_spawn:
+                f(parent, p)
         self._procs[p.pid] = p
         self._requeue(p)
         if inspect.isgeneratorfunction(target):
@@ -270,9 +247,6 @@ class Engine:
         """
         cost = p.pending_cost
         end = p.clock.run(p.slice_start, cost)
-        slice_ticks = self._slice_ticks
-        if slice_ticks is not None and cost > 0:
-            slice_ticks[p.pe].observe(cost)
         p.pending_cost = 0
         p.ready_time = end
         if p.killed and new_state is ProcState.BLOCKED:
@@ -338,11 +312,6 @@ class Engine:
         p.pending_cost += cost
         p.timed_out = False
         p.wake_info = None
-        blocks = self._blocks
-        if blocks is not None:
-            # Reason strings carry dynamic detail after "("; keep the
-            # label cardinality bounded by the static prefix.
-            blocks[reason.split("(", 1)[0]].value += 1
         self._yield(p, ProcState.BLOCKED, reason=reason, deadline=deadline)
         return p.wake_info
 
@@ -356,15 +325,11 @@ class Engine:
         """
         if p.state is not ProcState.BLOCKED:
             return False
-        hb = self.hb_hook
-        if hb is not None and self.in_process():
-            # A wake is a causal edge (the wakee resumes after the
-            # waker's action); external wakes (the monitor) carry none.
-            hb.on_wake(self._current, p)
         t = self.now() if at_time is None else at_time
-        pr = self.prof_hook
-        if pr is not None:
-            pr.on_wake(self._current if self.in_process() else None, p, t)
+        if self._on_wake:
+            waker = self._current if self.in_process() else None
+            for f in self._on_wake:
+                f(waker, p, t)
         p.ready_time = max(p.ready_time, t)
         p.deadline = None
         p.wake_info = info
@@ -383,9 +348,8 @@ class Engine:
             p.deadline = None
             p.blocked_on = "killed"
             p.ready_time = max(p.ready_time, self.now())
-            pr = self.prof_hook
-            if pr is not None:
-                pr.on_kill(p, p.ready_time)
+            for f in self._on_kill:
+                f(p, p.ready_time)
             p.state = ProcState.READY
             self._requeue(p)
 
@@ -472,9 +436,6 @@ class Engine:
                     p.pending_cost += op.cost
                     p.timed_out = False
                     p.wake_info = None
-                    blocks = self._blocks
-                    if blocks is not None:
-                        blocks[op.reason.split("(", 1)[0]].value += 1
                     self._settle_yield(p, ProcState.BLOCKED, op.reason,
                                        op.deadline)
                 return
@@ -673,25 +634,19 @@ class Engine:
     def _dispatch(self, batch: int, horizon: Optional[int] = None) -> bool:
         """Dispatch up to ``batch`` slices; the one dispatch loop.
 
-        Every hook is read into a local once per batch and costs one
-        ``is not None`` test per slice when off.  Hooks are pure
-        observers installed at boot or between runs; the replay -> live
-        switch is the only place one can change mid-run, so it ends the
-        batch.  Returns False when nothing was runnable (or the next
+        The actors and the slice observers are read into locals once per
+        batch, so an observer registered mid-batch fires from the next;
+        each costs one test per slice when off.  The replay -> live
+        switch is the only place selection changes mid-run, so it ends
+        the batch.  Returns False when nothing was runnable (or the next
         slice would start after ``horizon``), True otherwise.
         """
         ck = self._ckpt_pump
         fp = self._fault_pump
         sh = self.sched_hook
-        pr = self.prof_hook
-        idle = self.on_idle_check
         limit = self.time_limit
-        m = self.metrics
-        if m is not None and not m.enabled:
-            m = None
-        dispatches = m and m.counter_family("dispatches", "pe")
-        self._slice_ticks = m and m.histogram_family("slice_ticks", "pe")
-        self._blocks = m and m.counter_family("blocks", "reason")
+        on_slice = self._on_slice
+        wall = self._wants_wall
         replay = self._replay
         pick = self._peek_replay if replay else self._pop_runnable
         resume = self._resume
@@ -741,11 +696,9 @@ class Engine:
                 self._now = start
             self._dispatch_seq += 1
             p.last_dispatched = self._dispatch_seq
-            if dispatches is not None:
-                dispatches[p.pe].value += 1
             if start > ticks:
                 clock.ticks = start
-            if pr is not None:
+            if wall:
                 t_wall = time.perf_counter()
             p.slice_start = start
             p.state = ProcState.RUNNING
@@ -756,12 +709,13 @@ class Engine:
             else:
                 self._step_coroutine(p)
             self._current = None
-            if pr is not None:
+            if on_slice:
                 # The slice just completed: its settle set p.ready_time
                 # to its end tick and left the new state/reason/deadline
                 # on the process.
-                pr.on_slice(p, start, p.ready_time, p.state, p.blocked_on,
-                            p.deadline, time.perf_counter() - t_wall)
+                w = time.perf_counter() - t_wall if wall else None
+                for f in on_slice:
+                    f(p, start, w)
             if p.exc is not None:
                 exc, p.exc = p.exc, None
                 self.shutdown()
@@ -771,9 +725,35 @@ class Engine:
                     # The traceback holds this frame: a live ``exc``
                     # local would make the two a reference cycle.
                     del exc
-            if idle is not None:
-                idle()
         return True
+
+    # -------------------------------------------------------- observers --
+
+    def observe(self, obs: Any) -> None:
+        """Register a pure observer, after those already registered.
+
+        ``obs`` defines any subset of ``on_spawn(parent, p)``,
+        ``on_wake(waker, p, at)``, ``on_kill(p, at)`` and ``on_slice(p,
+        start, wall)`` (see "One dispatch loop" in docs/architecture.md);
+        ``wall`` is None unless an observer sets ``wants_wall``.
+        """
+        self._observers.append(obs)
+        self._bind_observers()
+
+    def unobserve(self, obs: Any) -> None:
+        """Remove a registered observer (no-op if it is not registered)."""
+        if obs in self._observers:
+            self._observers.remove(obs)
+            self._bind_observers()
+
+    def _bind_observers(self) -> None:
+        """One tuple of bound methods per event, so an event nobody
+        observes makes no call."""
+        obs = self._observers
+        (self._on_spawn, self._on_wake, self._on_kill, self._on_slice) = (
+            tuple(getattr(o, ev) for o in obs if hasattr(o, ev))
+            for ev in ("on_spawn", "on_wake", "on_kill", "on_slice"))
+        self._wants_wall = any(getattr(o, "wants_wall", False) for o in obs)
 
     @property
     def dispatch_count(self) -> int:
@@ -855,12 +835,14 @@ class Engine:
         self.leaked_threads = sorted(set(stuck) | set(leaked))
         # A reaped process keeps its scheduling record for post-run
         # reads but drops its body: the target, generator and exit hook
-        # are closures over the VM, and with the pumps and idle hook
+        # are closures over the VM, and with the pumps and observers
         # they are what ties a finished run into reference cycles.
         for p in self._procs.values():
             if not p.live:
                 p.target = p.gen = p.on_exit = None
-        self._fault_pump = self._ckpt_pump = self.on_idle_check = None
+        self._fault_pump = self._ckpt_pump = None
+        self._observers = []
+        self._on_spawn = self._on_wake = self._on_kill = self._on_slice = ()
         if self.leaked_threads:
             warnings.warn(
                 f"engine shutdown leaked {len(self.leaked_threads)} "

@@ -30,6 +30,8 @@ from __future__ import annotations
 import bisect
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..mmos.process import ProcState
+
 #: A canonicalized label set: sorted (key, value) pairs.
 LabelKey = Tuple[Tuple[str, Any], ...]
 
@@ -333,6 +335,43 @@ class MetricsRegistry:
         for fam in self._families.values():
             if not fam.run:
                 fam.clear()
+
+
+class SliceMeter:
+    """The engine's slice metrics, as an engine observer (see
+    :meth:`repro.mmos.scheduler.Engine.observe`): ``dispatches`` and
+    ``slice_ticks`` by PE, and ``blocks`` by reason prefix.  The VM
+    registers it while its registry is enabled."""
+
+    def __init__(self, registry: MetricsRegistry):
+        self.dispatches = registry.counter_family("dispatches", "pe")
+        self.slice_ticks = registry.histogram_family("slice_ticks", "pe")
+        self.blocks = registry.counter_family("blocks", "reason")
+
+    def on_slice(self, p, start: int, wall) -> None:
+        self.dispatches[p.pe].value += 1
+        state = p.state
+        if state is ProcState.DONE:
+            return
+        cost = p.ready_time - start
+        if cost > 0:
+            # Histogram.observe, inlined: calling it would add a Python
+            # call to every metered dispatch, which
+            # tests/obs/test_counter_cost.py pins.
+            if type(cost) is not int:
+                cost = _scalar(cost)
+            h = self.slice_ticks[p.pe]
+            h.bucket_counts[bisect.bisect_left(h.bounds, cost)] += 1
+            h.count += 1
+            h.total += cost
+            if h.min is None or cost < h.min:
+                h.min = cost
+            if h.max is None or cost > h.max:
+                h.max = cost
+        if state is ProcState.BLOCKED:
+            # Reason strings carry dynamic detail after "("; keep the
+            # label cardinality bounded by the static prefix.
+            self.blocks[p.blocked_on.split("(", 1)[0]].value += 1
 
 
 #: A registry that is permanently disabled -- handed to components whose

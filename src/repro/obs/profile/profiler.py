@@ -23,13 +23,13 @@ Wait states
 Zero virtual time
 -----------------
 
-The profiler is an engine hook (``engine.prof_hook``), a pure observer
-on the same channel as the race detector and the schedule recorder: it
-never charges ticks, never wakes or blocks anything, and never touches
-scheduling state.  With profiling off the cost is one attribute test
-per site; with it on, every hook is a few list appends.  The
-``benchmarks/test_profile_overhead.py`` gate asserts bit-identical
-elapsed virtual time and trace streams with profiling on and off.
+The profiler is an engine observer (``engine.observe(profiler)``), on
+the same list as the race detector and the slice metrics: it never
+charges ticks, never wakes or blocks anything, and never touches
+scheduling state.  With profiling off it costs nothing; with it on,
+every hook is a few list appends.  The ``test_profile_overhead.py``
+benchmark gate asserts bit-identical elapsed virtual time and trace
+streams with profiling on and off.
 """
 
 from __future__ import annotations
@@ -162,11 +162,14 @@ class _ProcRecord:
 class CausalProfiler:
     """Engine hook recording slices, wakes and attributed waits.
 
-    Install with ``engine.prof_hook = profiler`` (the VM's
+    Register with ``engine.observe(profiler)`` (the VM's
     ``enable_profiling()`` does this).  All analysis -- accounting,
     rollups, the critical path -- reads the recorded data after the run;
     the hooks themselves only append.
     """
+
+    #: Asks the engine for each slice's host seconds.
+    wants_wall = True
 
     def __init__(self) -> None:
         self._recs: Dict[int, _ProcRecord] = {}
@@ -202,13 +205,12 @@ class CausalProfiler:
         _, reason, t_block, _dl = r.pending
         r.pending = ("killed", reason, t_block, max(int(at), t_block))
 
-    def on_slice(self, p: KernelProcess, start: int, end: int,
-                 new_state: ProcState, reason: str,
-                 deadline: Optional[int], wall: float) -> None:
+    def on_slice(self, p: KernelProcess, start: int, wall: float) -> None:
         # Charges can arrive as numpy integers (a task may size its
         # compute from its own numpy arrays); coerce once here so every downstream record --
         # and the JSON exporters -- hold plain ints.
-        start, end = int(start), int(end)
+        start, end = int(start), int(p.ready_time)
+        new_state, reason, deadline = p.state, p.blocked_on, p.deadline
         if deadline is not None:
             deadline = int(deadline)
         r = self._rec(p)

@@ -5,14 +5,14 @@ The executor is where the service's three core guarantees live:
 
 * **Determinism** -- the VM is built from the catalog's pure plan plus
   the spec's run toggles; the service adds only *pure observers*
-  (full trace stream, metrics, the kill hook on the engine's
-  ``on_idle_check`` seam, periodic checkpointing), so a service run's
-  virtual time and trace stream are bit-identical to the same spec run
-  standalone.
-* **Kill** -- a run is killed by setting its handle's event; the hook
-  raises :class:`KilledByService` between engine slices, the engine's
-  run loop shuts the VM down cleanly (reaping every simulated process)
-  and the exception surfaces here, where the run is marked KILLED.
+  (full trace stream, metrics, the kill check, periodic checkpointing),
+  so a service run's virtual time and trace stream are bit-identical
+  to the same spec run standalone.
+* **Kill** -- a run is killed by setting its handle's event; the
+  handle, an engine observer, raises :class:`KilledByService` between
+  engine slices, the engine's run loop shuts the VM down cleanly
+  (reaping every simulated process) and the exception surfaces here,
+  where the run is marked KILLED.
 * **Recovery** -- a run found interrupted at boot re-executes through
   the same path; if it was checkpointing, :func:`find_latest_checkpoint`
   plus :func:`repro.api.restore_vm` (with the catalog-rebuilt registry)
@@ -62,6 +62,12 @@ class ExecutionHandle:
     def kill(self) -> None:
         self.kill_event.set()
 
+    def on_slice(self, p, start: int, wall) -> None:
+        """The kill check, as an engine observer: it only reads an
+        Event, so virtual time is untouched."""
+        if self.kill_event.is_set():
+            raise KilledByService(self.run_id)
+
 
 #: Checkpoints kept per run; > 1 so a bundle torn by kill -9 mid-write
 #: still leaves a previous complete one to resume from.
@@ -90,21 +96,6 @@ def build_vm(rec: RunRecord, store: RunStore,
     fault_plan = (load_fault_plan(spec.fault_plan)
                   if spec.fault_plan else None)
     return PiscesVM(config, registry=plan.registry, fault_plan=fault_plan)
-
-
-def _install_kill_hook(vm: PiscesVM, handle: ExecutionHandle) -> None:
-    """Arm the per-run kill seam on the engine's idle-check hook.
-
-    The hook runs between dispatches on the engine thread and only
-    reads an Event, so it is a pure observer: virtual time is
-    untouched.
-    """
-
-    def check() -> None:
-        if handle.kill_event.is_set():
-            raise KilledByService(handle.run_id)
-
-    vm.engine.on_idle_check = check
 
 
 def _archive(vm: PiscesVM, rec: RunRecord, store: RunStore,
@@ -155,7 +146,7 @@ def standalone_run(spec):
     """Run a spec outside the service: the bit-identity reference leg.
 
     Builds the same catalog plan with the same run toggles but none
-    of the service's observers (no kill hook, no checkpointing, no
+    of the service's observers (no kill check, no checkpointing, no
     run-id config name) and runs it to completion.  The soak tests
     compare a service run's virtual time and trace stream against this
     -- equality is the proof that the service added nothing but pure
@@ -206,7 +197,7 @@ def execute_run(rec: RunRecord, store: RunStore,
         if vm is None:
             vm = build_vm(rec, store, plan)
         handle.vm = vm
-        _install_kill_hook(vm, handle)
+        vm.engine.observe(handle)
         rec = store.transition(rec.run_id, RUNNING, started_at=time.time())
 
         if restored is not None:

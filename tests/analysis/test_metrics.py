@@ -98,6 +98,28 @@ class TestTrafficMatrix:
         txt = traffic_table(vm)
         assert "CHILD" in txt and "messages" in txt
 
+    def test_trace_fallback_names_controllers_and_the_terminal(
+            self, make_vm, registry):
+        """Metrics off, MSG_SEND traced: the matrix comes from the trace,
+        with controllers named by kind and the terminal as <user>."""
+        from repro.analysis.metrics import traffic_matrix
+        from repro.core.taskid import USER, USER_TERMINAL_ID
+        from repro.core.tracing import TraceEvent, TraceEventType
+
+        @registry.tasktype("MAIN")
+        def main(ctx):
+            ctx.send(USER, "NOTE")
+
+        vm = make_vm(registry=registry)
+        vm.tracer.enable(TraceEventType.MSG_SEND)
+        r = vm.run("MAIN")
+        assert not vm.metrics.enabled and not vm.msg_traffic
+        vm.tracer.emit(TraceEvent(TraceEventType.MSG_SEND, USER_TERMINAL_ID,
+                                  pe=1, ticks=r.elapsed, other=r.task))
+        assert traffic_matrix(vm) == {("MAIN", "<ucontr>"): 1,
+                                      ("MAIN", "<tcontr>"): 1,
+                                      ("<user>", "MAIN"): 1}
+
     def test_without_tracing_reports_empty(self, make_vm, registry):
         from repro.analysis.metrics import traffic_table
 

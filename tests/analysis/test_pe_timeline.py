@@ -20,7 +20,8 @@ def profiled(slices):
     """A profiler that watched one process per (pe, start, end, name)
     slice: released at ``start``, charging ``end - start`` ticks."""
     eng = Engine(small_flex(8))
-    prof = eng.prof_hook = CausalProfiler()
+    prof = CausalProfiler()
+    eng.observe(prof)
 
     def body(ticks):
         def run():

@@ -112,22 +112,32 @@ def test_service_execution_leaves_no_cycles(name, tmp_path):
         assert cyclic_repro_garbage() == {}
 
 
-def test_vm_is_inspectable_after_shutdown_and_freed_on_release(tmp_path):
+@pytest.mark.parametrize("observer", ["profiling", "races"])
+def test_vm_is_inspectable_after_shutdown_and_freed_on_release(
+        observer, tmp_path):
+    """Metrics plus one more engine observer: the profiler, or the race
+    detector (which holds the VM until shutdown)."""
     plan = catalog.build(RunSpec.from_dict({"app": "matmul"}))
     config = replace(plan.config, trace_events=_ALL_TRACE_EVENTS,
                      metrics_enabled=True)
     with gc_off():
-        vm = PiscesVM(config, registry=plan.registry)
-        prof = vm.enable_profiling()
+        vm = PiscesVM(config, registry=plan.registry,
+                      detect_races=observer == "races" or None)
+        prof = vm.enable_profiling() if observer == "profiling" else None
         result = vm.run(plan.tasktype, *plan.args)
         assert vm.engine.shutting_down
+        if observer == "races":
+            det = vm.race_detector
+            assert det.vm is None and det.accesses_checked > 0
+            assert "race detection" in det.report_text()
 
         files = export_run(vm, tmp_path, prefix="run")
         assert files and all(p.exists() for p in files.values())
         assert run_manifest(vm)["config"]
         report = vm.storage_report()
         assert report["shared_common_bytes"] == 0
-        assert "PE" in pe_gantt(prof)
+        if observer == "profiling":
+            assert "PE" in pe_gantt(prof)
         assert result.elapsed == vm.machine.elapsed() > 0
 
         ref = weakref.ref(vm)

@@ -37,13 +37,20 @@ class TestEngineStress:
         total_busy = sum(m.clocks[pe].busy_ticks for pe in range(1, 21))
         assert total_busy == N * 30
 
-    def test_on_idle_check_hook_fires(self):
+    def test_slice_observer_fires_per_slice(self):
         eng = Engine(small_flex(6))
-        count = {"n": 0}
-        eng.on_idle_check = lambda: count.__setitem__("n", count["n"] + 1)
+
+        class Count:
+            n = 0
+
+            def on_slice(self, p, start, wall):
+                self.n += 1
+
+        count = Count()
+        eng.observe(count)
         eng.spawn("t", 3, lambda: eng.preempt(0))
         eng.run()
-        assert count["n"] >= 2      # one per dispatched slice
+        assert count.n == eng.dispatch_count == 2   # one per slice
 
 
 class TestChurn:

@@ -239,7 +239,8 @@ class TestKillSemantics:
 class TestDeterminismParity:
     def _mixed_run(self, bodies):
         eng = make_engine(bodies)
-        prof = eng.prof_hook = CausalProfiler()
+        prof = CausalProfiler()
+        eng.observe(prof)
         order = []
 
         def gen_body(tag, rounds):

@@ -79,7 +79,8 @@ def work_slices(prof):
 class TestSliceRecording:
     def test_slices_cover_charged_work_exactly(self):
         eng = make_engine()
-        prof = eng.prof_hook = CausalProfiler()
+        prof = CausalProfiler()
+        eng.observe(prof)
 
         def body():
             eng.charge(100)
@@ -94,7 +95,8 @@ class TestSliceRecording:
 
     def test_slices_do_not_overlap_per_pe(self):
         eng = make_engine()
-        prof = eng.prof_hook = CausalProfiler()
+        prof = CausalProfiler()
+        eng.observe(prof)
 
         def body():
             for _ in range(5):
@@ -110,7 +112,8 @@ class TestSliceRecording:
 
     def test_no_ghost_slices_after_shutdown(self):
         eng = make_engine()
-        prof = eng.prof_hook = CausalProfiler()
+        prof = CausalProfiler()
+        eng.observe(prof)
         eng.spawn("stuck", 3, lambda: eng.block("zzz"), daemon=True)
         eng.spawn("t", 4, lambda: eng.charge(30))
         eng.run()

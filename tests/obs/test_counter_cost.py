@@ -3,12 +3,13 @@ message, counted with ``sys.setprofile`` / ``threading.setprofile``
 (``call`` and ``c_call`` events) over ``vm.run``.
 
 Call counts are deterministic for a given interpreter, unlike wall
-time, so they can gate the cost of metering on any host.  The ratio
-bounds hold on every CPython; the absolute bounds are the counts before
-the registry's hot sites were pre-bound, measured on CPython 3.11, and
-only apply there.
+time, so they can gate the cost of metering and of every engine
+observer on any host.  The ratio bounds hold on every CPython; the
+absolute bounds are counts measured on CPython 3.11 at earlier
+commits, and only apply there.
 """
 
+import gc
 import importlib.util
 import sys
 import threading
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro import ClusterSpec, Configuration, PiscesVM
+from repro.service.executor import ExecutionHandle
 
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
@@ -28,6 +30,14 @@ BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 TASK_RUNTIME_OFF, TASK_RUNTIME_ON = 224_050, 395_488
 BACKLOG_OFF, BACKLOG_ON = 3_322_093, 3_640_488
 BACKLOG_MESSAGES = 4_978
+
+#: task_runtime 24x400 calls with each other observer configuration,
+#: measured with :func:`count_calls` (CPython 3.11) before the engine's
+#: observers moved onto one list: the causal profiler, the race
+#: detector, and the run service's metrics plus kill check.  A new
+#: per-slice call adds 9,713.
+TASK_RUNTIME_OBSERVED = {"profiler": 360_127, "races": 226_896,
+                         "service": 265_577}
 
 on_cpython_311 = pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
@@ -49,7 +59,12 @@ def _engine_bench():
 
 def count_calls(vm: PiscesVM, tasktype: str) -> int:
     """Python and C calls made by ``vm.run(tasktype)`` (which shuts the
-    VM down), on every thread."""
+    VM down), on every thread.
+
+    The cycle collector is off while counting, after one collection: a
+    collection during the run would count the finalizers of whatever
+    garbage earlier code left, which varies with what ran before.
+    """
     calls = 0
 
     def profile(frame, event, arg):
@@ -57,6 +72,9 @@ def count_calls(vm: PiscesVM, tasktype: str) -> int:
         if event == "call" or event == "c_call":
             calls += 1
 
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
     threading.setprofile(profile)
     sys.setprofile(profile)
     try:
@@ -64,25 +82,37 @@ def count_calls(vm: PiscesVM, tasktype: str) -> int:
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
+        if was_enabled:
+            gc.enable()
     return calls
 
 
-def _measure(registry, clusters, tasktype, metrics):
+def _measure(registry, clusters, tasktype, metrics, observers=""):
+    """(calls, dispatches, messages sent); ``observers`` names the
+    observer configuration: "", "profiler", "races" or "service"."""
     config = Configuration(clusters=clusters, name="counter-cost",
                            metrics_enabled=metrics)
-    vm = PiscesVM(config, registry=registry)
+    vm = PiscesVM(config, registry=registry,
+                  detect_races=observers == "races" or None)
+    if observers == "profiler":
+        vm.enable_profiling()
+    elif observers == "service":
+        vm.engine.observe(ExecutionHandle("r", threading.Event()))
     calls = count_calls(vm, tasktype)
     return calls, vm.engine.dispatch_count, vm.stats.messages_sent
+
+
+def _task_runtime(metrics, observers=""):
+    bench = _engine_bench()
+    clusters = (ClusterSpec(1, 3, 16), ClusterSpec(2, 4, 16))
+    return _measure(bench.build_task_runtime_registry(24, 400), clusters,
+                    "TRMASTER", metrics, observers)[:2]
 
 
 @pytest.fixture(scope="module")
 def task_runtime():
     """metrics flag -> (calls, dispatches) of task_runtime 24x400."""
-    bench = _engine_bench()
-    clusters = (ClusterSpec(1, 3, 16), ClusterSpec(2, 4, 16))
-    return {m: _measure(bench.build_task_runtime_registry(24, 400),
-                        clusters, "TRMASTER", m)[:2]
-            for m in (False, True)}
+    return {m: _task_runtime(m) for m in (False, True)}
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +167,11 @@ def test_metered_calls_per_dispatch_fall(task_runtime):
     calls, dispatches = task_runtime[True]
     assert dispatches == 9_713
     assert calls < TASK_RUNTIME_ON
+
+
+@on_cpython_311
+@pytest.mark.parametrize("observers", sorted(TASK_RUNTIME_OBSERVED))
+def test_observed_calls_per_dispatch_do_not_rise(observers):
+    calls, dispatches = _task_runtime(observers == "service", observers)
+    assert dispatches == 9_713
+    assert calls <= TASK_RUNTIME_OBSERVED[observers]

@@ -41,7 +41,7 @@ PES = list(range(3, 11))    # small_flex(8) MMOS PEs
 def make_engine():
     eng = Engine(small_flex(8))
     prof = CausalProfiler()
-    eng.prof_hook = prof
+    eng.observe(prof)
     return eng, prof
 
 

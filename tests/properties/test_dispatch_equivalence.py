@@ -51,7 +51,8 @@ schedule = st.lists(
 
 def run_schedule(engine_cls, procs, coroutine=False):
     eng = engine_cls(small_flex(8))
-    prof = eng.prof_hook = CausalProfiler()
+    prof = CausalProfiler()
+    eng.observe(prof)
     handles = []
 
     def make_body(ops):

@@ -91,7 +91,7 @@ def test_profile_is_dispatcher_and_window_path_independent(
     assert indexed == scan, (
         f"{name}/{window_path}: profile diverged between dispatchers")
 
-    # The profiler's prof_hook is body-vehicle-agnostic: callable bodies
+    # The profiler observer is body-vehicle-agnostic: callable bodies
     # on worker threads must reproduce the coroutine profile bit for bit.
     callable_ = _run(fn, base, task_bodies="callable", **leg)
     assert callable_ == indexed, (

@@ -1,7 +1,7 @@
 """Acceptance soak: 3 tenants x 12 mixed-zoo runs on a 4-worker pool.
 
 The load-bearing assertion is **bit-identity**: every run executed by
-the service (concurrently, with tracing, metrics, the kill hook and --
+the service (concurrently, with tracing, metrics, the kill check and --
 for one run -- a fault plan and periodic checkpoints all active) has
 exactly the virtual time and trace stream of the same spec executed
 standalone and serially.  Multi-tenancy costs no determinism.
