@@ -36,7 +36,7 @@ from .core.tracing import TraceEventType
 from .core.vm import PiscesVM, RunResult
 from .core.windows import Window
 from .correctness.detector import RaceDetector, RaceReport
-from .correctness.recorder import Schedule, ScheduleRecorder
+from .correctness.recorder import Schedule
 from .errors import ConfigurationError, WindowError
 from .faults import plan_scope
 from .flex.machine import FlexMachine
@@ -87,8 +87,7 @@ def make_vm(n_clusters: int = 2, slots: int = 4, *,
             trace_events: Tuple[str, ...] = (),
             fault_plan: Optional[Any] = None,
             detect_races: Optional[Any] = None,
-            recorder: Optional[ScheduleRecorder] = None,
-            replay: Union[Schedule, str, Path, None] = None,
+            schedule: Union[Schedule, str, Path, None] = None,
             name: str = "api") -> PiscesVM:
     """Build a booted VM without touching the configuration layer.
 
@@ -96,8 +95,10 @@ def make_vm(n_clusters: int = 2, slots: int = 4, *,
     :func:`simple_configuration` of ``n_clusters`` x ``slots`` (plus
     ``force_pes_per_cluster`` secondary PEs each) is built and the
     keyword toggles (metrics, time limit, tracing) applied to it.
-    ``detect_races`` / ``recorder`` / ``replay`` reach the correctness
-    subsystem (:mod:`repro.correctness`).
+    ``detect_races`` / ``schedule`` reach the correctness subsystem
+    (:mod:`repro.correctness`); ``schedule`` is the run's decision
+    stream: an empty :class:`Schedule` records, a parsed one (or a
+    ``.psched`` path) replays.
     """
     if config is None:
         config = replace(
@@ -108,7 +109,7 @@ def make_vm(n_clusters: int = 2, slots: int = 4, *,
             trace_events=tuple(trace_events))
     return PiscesVM(config, registry=registry, machine=machine,
                     fault_plan=fault_plan, detect_races=detect_races,
-                    recorder=recorder, replay=replay)
+                    schedule=schedule)
 
 
 def run_app(tasktype: str, *args: Any,
@@ -179,14 +180,16 @@ def record_run(tasktype: str, *args: Any,
     strict-overflow mode -- the stream is replay-comparison evidence, so
     silent truncation must fail loudly.
     """
-    recorder = ScheduleRecorder(path=path, meta={"app": tasktype})
+    schedule = Schedule(path=path, meta={"app": tasktype})
     if trace:
         vm_kwargs.setdefault("trace_events", _ALL_TRACE_EVENTS)
-    vm = make_vm(registry=registry, recorder=recorder, **vm_kwargs)
+    vm = make_vm(registry=registry, schedule=schedule, **vm_kwargs)
     if trace:
         vm.tracer.strict_overflow = True
     result = vm.run(tasktype, *args, on=on)
-    return RecordedRun(result=result, schedule=recorder.as_schedule(),
+    # The recording is complete: from here on it replays strictly.
+    schedule.live_tail = False
+    return RecordedRun(result=result, schedule=schedule,
                        psched_path=None if path is None else Path(path),
                        trace_lines=_trace_lines(vm))
 
@@ -209,15 +212,13 @@ def replay_run(tasktype: str, *args: Any,
     """
     if isinstance(schedule, RecordedRun):
         schedule = schedule.schedule
-    if isinstance(schedule, (str, Path)):
-        schedule = Schedule.load(schedule)
     if trace:
         vm_kwargs.setdefault("trace_events", _ALL_TRACE_EVENTS)
-    vm = make_vm(registry=registry, replay=schedule, **vm_kwargs)
+    vm = make_vm(registry=registry, schedule=schedule, **vm_kwargs)
     if trace:
         vm.tracer.strict_overflow = True
     result = vm.run(tasktype, *args, on=on)
-    schedule.check_complete()
+    vm.sched_hook.check_complete()
     return result
 
 

@@ -2,19 +2,21 @@
 
 Snapshot a live VM between dispatches, restore it in a fresh process,
 and resume to a final trace, profile and race report bit-identical to
-an uninterrupted run -- including after a ``kill -9``.  See
+an uninterrupted run -- including after a ``kill -9``.  A bundle
+embeds the run's decision-stream prefix; restore installs it as a
+live-tail :class:`~repro.correctness.recorder.Schedule`, which replays
+to the snapshot point and then records the rest of the run.  See
 ``docs/architecture.md`` ("Checkpoint / restore") for the design and
 ``docs/users_manual.md`` section 14 for usage.
 """
 
 from .format import find_latest_checkpoint, load_bundle
 from .policy import PeriodicCheckpointer
-from .restore import PrefixSchedule, RestoredRun, checkpoint_vm, restore_vm
+from .restore import RestoredRun, checkpoint_vm, restore_vm
 from .snapshot import snapshot_state, verify_snapshot
 
 __all__ = [
     "PeriodicCheckpointer",
-    "PrefixSchedule",
     "RestoredRun",
     "checkpoint_vm",
     "find_latest_checkpoint",

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass as _dataclass, fields as _fields
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 from ..config.configuration import (ClusterSpec, Configuration,
                                     map_legacy_axes)
-from ..correctness.recorder import Schedule, ScheduleRecorder
+from ..correctness.recorder import Schedule
 from ..core.taskid import Designator
 from ..core.tracing import TraceEventType
 from ..errors import (CheckpointError, CheckpointFormatError,
@@ -39,99 +39,6 @@ from .format import dumps_bundle, load_bundle
 from .snapshot import snapshot_state, verify_snapshot
 
 FORMAT_VERSION = 1
-
-
-class PrefixSchedule:
-    """A schedule that is a *prefix*, not a complete run.
-
-    Installed as the restored engine's replay schedule / ``sched_hook``.
-    While a stream still has prefix records, hook calls consume-verify
-    against the prefix (exactly like a full :class:`Schedule` replay);
-    once a stream's prefix is spent, its decisions are *recorded* into
-    the live tail instead.  When the dispatch stream runs dry the
-    engine switches to live selection (``Engine._switch_to_live``)
-    and fires :attr:`on_prefix_complete` -- restore hangs the snapshot
-    validation there.
-
-    ``consumed_streams()`` composes prefix + tail, so a checkpoint
-    taken *by a restored run* carries the full decision stream since
-    the original run's start -- re-checkpointing survives arbitrarily
-    many crash/restore cycles.
-    """
-
-    #: Engine contract: do not raise when the dispatch stream runs dry;
-    #: switch to live selection and keep going.
-    live_after_prefix = True
-
-    def __init__(self, prefix: Schedule):
-        self.prefix = prefix
-        #: Live decisions made after each stream's prefix was spent.
-        self.tail = ScheduleRecorder()
-        #: Called once with the engine at the replay-to-live switch.
-        self.on_prefix_complete = None
-
-    def _verifying(self, stream: str) -> bool:
-        return self.prefix.remaining(stream) > 0
-
-    # The sched_hook interface: verify against the prefix, then record.
-
-    def on_spawn(self, ordinal: int, name: str) -> None:
-        if self._verifying("P"):
-            self.prefix.on_spawn(ordinal, name)
-        else:
-            self.tail.on_spawn(ordinal, name)
-
-    def on_dispatch(self, ordinal: int, start: int, name: str) -> None:
-        if self._verifying("D"):
-            self.prefix.on_dispatch(ordinal, start, name)
-        else:
-            self.tail.on_dispatch(ordinal, start, name)
-
-    def on_selfsched(self, member: int, index: int) -> None:
-        if self._verifying("S"):
-            self.prefix.on_selfsched(member, index)
-        else:
-            self.tail.on_selfsched(member, index)
-
-    def on_lock_grant(self, member: int, lock: str) -> None:
-        if self._verifying("L"):
-            self.prefix.on_lock_grant(member, lock)
-        else:
-            self.tail.on_lock_grant(member, lock)
-
-    def on_accept_match(self, receiver: str, sender: str, mtype: str) -> None:
-        if self._verifying("A"):
-            self.prefix.on_accept_match(receiver, sender, mtype)
-        else:
-            self.tail.on_accept_match(receiver, sender, mtype)
-
-    # The replay-dispatcher interface, delegated to the prefix.
-
-    def reset(self) -> None:
-        self.prefix.reset()
-
-    def peek_dispatch(self):
-        return self.prefix.peek_dispatch()
-
-    def name_of(self, ordinal: int) -> str:
-        return self.prefix.name_of(ordinal)
-
-    @property
-    def exhausted(self) -> bool:
-        return self.prefix.exhausted
-
-    def progress(self) -> str:
-        return self.prefix.progress()
-
-    # The uniform prefix interface (checkpoints taken mid- or post-replay).
-
-    def position(self) -> Dict[str, int]:
-        pre, tail = self.prefix.position(), self.tail.position()
-        return {k: pre[k] + tail[k] for k in pre}
-
-    def consumed_streams(self) -> Dict[str, list]:
-        pre, tail = self.prefix.consumed_streams(), self.tail.consumed_streams()
-        return {k: pre[k] + tail[k] for k in pre}
 
 
 # ------------------------------------------------------- serialization --
@@ -183,16 +90,6 @@ def _app_request(manifest: Dict[str, Any]) -> Tuple[str, list, Any]:
     app = manifest["app"]
     return (app["tasktype"], list(app["args"]),
             _placement_from_json(app["placement"]))
-
-
-def _psched_text(streams: Dict[str, list]) -> str:
-    rec = ScheduleRecorder()
-    rec.spawns = list(streams["P"])
-    rec.dispatches = list(streams["D"])
-    rec.selfsched = list(streams["S"])
-    rec.lock_grants = list(streams["L"])
-    rec.accepts = list(streams["A"])
-    return rec.dumps()
 
 
 def build_manifest(vm) -> Dict[str, Any]:
@@ -250,13 +147,13 @@ def checkpoint_vm(vm, path: Union[str, Path]) -> Path:
     if eng.sched_hook is None:
         raise CheckpointError(
             "checkpointing needs the schedule decision stream: run with "
-            "a ScheduleRecorder (checkpoint_every and record_run install "
-            "one automatically)")
+            "a schedule (checkpoint_every and record_run install one "
+            "automatically)")
     manifest = build_manifest(vm)
     state = snapshot_state(vm)
     try:
         text = dumps_bundle(
-            manifest, state, _psched_text(eng.sched_hook.consumed_streams()))
+            manifest, state, eng.sched_hook.dumps(prefix=True))
     except TypeError as e:
         raise CheckpointError(
             f"run request is not JSON-serializable: {e}") from None
@@ -324,13 +221,14 @@ def restore_vm(path: Union[str, Path], registry=None) -> RestoredRun:
     except (ConfigurationError, KeyError, TypeError, ValueError) as e:
         raise CheckpointFormatError(
             f"{path}: malformed manifest: {type(e).__name__}: {e}") from None
-    sched = PrefixSchedule(Schedule.parse(psched_text))
+    # Replays the prefix to the snapshot point, then records.
+    sched = Schedule.parse(psched_text, live_tail=True)
     plan = None
     if manifest.get("fault_plan"):
         from ..faults.plan import loads as _plan_loads
         plan = _plan_loads(manifest["fault_plan"])
     vm = PiscesVM(config, registry=registry, fault_plan=plan,
-                  replay=sched, detect_races=manifest.get("detect_races"),
+                  schedule=sched, detect_races=manifest.get("detect_races"),
                   autoboot=False)
     if vm.faults is not None:
         vm.faults.arm_host_kills = False

@@ -98,7 +98,7 @@ def selfsched(engine: Engine, member: "ForceContext",
             return
         sh = vm.sched_hook
         if sh is not None:
-            sh.on_selfsched(member.member, i)
+            sh.take("S", (member.member, i))
         yield seq[i]
 
 
@@ -132,7 +132,7 @@ def selfsched_do(engine: Engine, member: "ForceContext",
             return out
         sh = vm.sched_hook
         if sh is not None:
-            sh.on_selfsched(member.member, i)
+            sh.take("S", (member.member, i))
         if body_is_gen:
             out.append((yield from body(seq[i])))
         else:

@@ -213,7 +213,7 @@ def acquire_lock(engine: Engine, force: "Force", member: "ForceContext",
         det.on_lock_acquire(lock, proc, member.member)
     sh = vm.sched_hook
     if sh is not None:
-        sh.on_lock_grant(member.member, lock.name)
+        sh.take("L", (member.member, lock.name))
     lock.acquired_at = engine.now()
     if metrics.enabled:
         metrics.counter("lock_acquisitions", lock=lock.name).inc()

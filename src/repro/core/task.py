@@ -444,7 +444,7 @@ class TaskContext:
             det.on_accept(m)
         sh = vm.sched_hook
         if sh is not None:
-            sh.on_accept_match(str(self.task.tid), str(m.sender), m.mtype)
+            sh.take("A", (str(self.task.tid), str(m.sender), m.mtype))
         release_message(vm.machine.shared, m)
         ttype = self.task.ttype.name
         vm.counts.messages_accepted[ttype, m.mtype].value += 1

@@ -125,6 +125,28 @@ def resolve_checkpoint(config: Configuration) -> Tuple[int, str, int]:
     return every, directory, config.checkpoint_keep
 
 
+def resolve_schedule(schedule: Any, checkpointing: bool) -> Optional[Any]:
+    """The run's one decision stream (see
+    :mod:`repro.correctness.recorder`): the ``schedule`` argument (a
+    ``.psched`` path replays that recording), then the
+    ``PISCES_REPLAY_SCHEDULE`` recording, then a new recording --
+    autosaved to ``PISCES_RECORD_SCHEDULE`` when that is set, and made
+    when checkpointing (a checkpoint carries the decision prefix).
+    None when nothing asks for one."""
+    if schedule is None:
+        schedule = env_value("PISCES_REPLAY_SCHEDULE") or None
+    if isinstance(schedule, (str, os.PathLike)):
+        from ..correctness.recorder import Schedule
+        return Schedule.load(schedule)
+    if schedule is not None:
+        return schedule
+    path = env_value("PISCES_RECORD_SCHEDULE")
+    if path or checkpointing:
+        from ..correctness.recorder import Schedule
+        return Schedule(path=path or None)
+    return None
+
+
 #: Controller slots per cluster counted in the static system table
 #: (task controller, user controller, file controller).
 N_CONTROLLER_SLOTS = 3
@@ -255,29 +277,20 @@ class PiscesVM:
                  autoboot: bool = True,
                  fault_plan: Optional[Any] = None,
                  detect_races: Optional[Any] = None,
-                 recorder: Optional[Any] = None,
-                 replay: Optional[Any] = None):
+                 schedule: Optional[Any] = None):
         self.config = config
         self.registry = registry if registry is not None else GLOBAL_REGISTRY
         self.machine = machine if machine is not None else nasa_langley_flex32()
         config.validate(self.machine.spec)
-        schedule = None
-        if replay is not None:
-            from ..correctness.recorder import Schedule
-            schedule = (Schedule.load(replay)
-                        if isinstance(replay, (str, os.PathLike))
-                        else replay)
-        self.kernel = MMOSKernel(self.machine, time_limit=config.time_limit,
-                                 schedule=schedule)
+        ck_every, ck_dir, ck_keep = resolve_checkpoint(config)
+        self.kernel = MMOSKernel(
+            self.machine, time_limit=config.time_limit,
+            schedule=resolve_schedule(schedule, bool(ck_every)))
         self.engine = self.kernel.engine
-        if recorder is not None:
-            # Explicit recorder wins over the PISCES_RECORD_SCHEDULE env
-            # default the engine may have installed.
-            self.engine.sched_hook = recorder
-        #: Schedule decision hook (ScheduleRecorder / replayed Schedule /
-        #: None), mirrored from the engine so the run-time library's
-        #: hook sites (lock grants, SELFSCHED grabs, accept matches) pay
-        #: one attribute test when off.
+        #: The run's decision stream (a correctness ``Schedule``) or
+        #: None, mirrored from the engine so the run-time library's
+        #: decision sites (lock grants, SELFSCHED grabs, accept matches)
+        #: pay one attribute test when off.
         self.sched_hook = self.engine.sched_hook
         self.tracer = Tracer()
         for name in config.trace_events:
@@ -354,15 +367,10 @@ class PiscesVM:
         #: to rebuild this VM's workload in a fresh process.
         self._run_request: Optional[Tuple[str, Tuple[Any, ...], Any]] = None
         #: Periodic checkpointer (see :mod:`repro.checkpoint.policy`),
-        #: or None (off).  Checkpointing needs the full decision stream,
-        #: so a recorder is auto-installed when none is present.
+        #: or None (off).  It needs the full decision stream, which
+        #: :func:`resolve_schedule` installed.
         self.checkpointer: Optional[Any] = None
-        ck_every, ck_dir, ck_keep = resolve_checkpoint(config)
         if ck_every:
-            if self.engine.sched_hook is None:
-                from ..correctness.recorder import ScheduleRecorder
-                self.engine.sched_hook = ScheduleRecorder()
-                self.sched_hook = self.engine.sched_hook
             from ..checkpoint.policy import PeriodicCheckpointer
             self.checkpointer = PeriodicCheckpointer(
                 self, every=ck_every, directory=ck_dir, keep=ck_keep)
@@ -1167,13 +1175,6 @@ class PiscesVM:
 
         store.write_rows(w, data, now, per_row=per_row)
 
-    def window_read(self, ctx: TaskContext, w: Window, *,
-                    rows=None, cols=None) -> Grid:
-        """Synchronous form of :meth:`window_read_gen` (drives the op
-        stream through the engine's blocking calls in place)."""
-        return drive_kernel_ops(
-            self.engine, self.window_read_gen(ctx, w, rows=rows, cols=cols))
-
     def window_read_gen(self, ctx: TaskContext, w: Window, *,
                         rows=None, cols=None):
         """Remote read of the data visible in a window (a KernelOp
@@ -1231,15 +1232,6 @@ class PiscesVM:
             m.histogram("window_transfer_bytes", op="read").observe(nbytes)
         yield co_preempt(0)
         return data
-
-    def window_write(self, ctx: TaskContext, w: Window,
-                     data, *, rows=None, cols=None,
-                     if_unchanged: bool = False) -> None:
-        """Synchronous form of :meth:`window_write_gen`."""
-        drive_kernel_ops(
-            self.engine, self.window_write_gen(ctx, w, data, rows=rows,
-                                               cols=cols,
-                                               if_unchanged=if_unchanged))
 
     def window_write_gen(self, ctx: TaskContext, w: Window,
                          data, *, rows=None, cols=None,
@@ -1309,13 +1301,6 @@ class PiscesVM:
         self.file_controller.disks = DiskArray(
             n_disks, stripe_unit or DEFAULT_STRIPE_UNIT)
         self.file_controller.disks.metrics = self.metrics
-
-    def file_window(self, ctx: TaskContext, name: str, *,
-                    region=None, rows=None, cols=None) -> Window:
-        """Synchronous form of :meth:`file_window_gen`."""
-        return drive_kernel_ops(
-            self.engine, self.file_window_gen(ctx, name, region=region,
-                                              rows=rows, cols=cols))
 
     def file_window_gen(self, ctx: TaskContext, name: str, *,
                         region=None, rows=None, cols=None):

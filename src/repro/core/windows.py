@@ -27,7 +27,7 @@ The data plane behind the pointers lives here too:
 
 All of this is host-level machinery: the *virtual-time* cost of a
 window operation is identical on every data-plane path (see
-``PiscesVM.window_read`` and ``docs/architecture.md``).
+``PiscesVM.window_read_gen`` and ``docs/architecture.md``).
 """
 
 from __future__ import annotations
@@ -341,10 +341,11 @@ class ArrayStore:
 
     The owner's run-time library serves window reads/writes out of this
     store; the VM charges transfer costs and accounts transient message
-    bytes (see ``PiscesVM.window_read``/``window_write``).  Every write
-    through the data plane bumps the backing array's generation counter
-    and records its bounds in a bounded history, which is what makes
-    reader-side caching safely invalidatable on any overlapping write.
+    bytes (see ``PiscesVM.window_read_gen``/``window_write_gen``).
+    Every write through the data plane bumps the backing array's
+    generation counter and records its bounds in a bounded history,
+    which is what makes reader-side caching safely invalidatable on any
+    overlapping write.
     """
 
     def __init__(self, owner: TaskId):

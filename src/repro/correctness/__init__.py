@@ -14,10 +14,10 @@ package closes the loop with two cooperating halves:
   window regions.  Conflicting unordered accesses become structured
   :class:`RaceReport` records.
 
-* **Record/replay** (:mod:`~repro.correctness.recorder`) -- a
-  :class:`ScheduleRecorder` captures the dispatcher's decision stream
-  into a compact ``.psched`` artifact and a :class:`Schedule` drives
-  the engine's ``replay`` dispatcher, re-executing the run
+* **Record/replay** (:mod:`~repro.correctness.recorder`) -- one
+  :class:`Schedule` holds the dispatcher's decision stream: empty, it
+  records a run into a compact ``.psched`` artifact; parsed from one,
+  it drives the engine's ``replay`` dispatcher, re-executing the run
   bit-identically and raising
   :class:`~repro.errors.ReplayDivergence` on the first mismatch.
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from .detector import RaceDetector, RaceReport
 from .hb import HBEdge, HBEdgeLog, iter_hb_edges
-from .recorder import Schedule, ScheduleRecorder
+from .recorder import Schedule
 
 __all__ = [
     "HBEdge",
@@ -38,6 +38,5 @@ __all__ = [
     "RaceDetector",
     "RaceReport",
     "Schedule",
-    "ScheduleRecorder",
     "iter_hb_edges",
 ]

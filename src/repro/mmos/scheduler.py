@@ -36,9 +36,9 @@ The engine is a single-threaded discrete-event loop (see
   its own ``_resume`` token; the worker does the reverse at every
   kernel point.
 
-Selection is a two-level stale-free heap (``indexed``), or -- when a
-schedule is passed or ``PISCES_REPLAY_SCHEDULE`` names a ``.psched``
-recording -- the recorded decision stream (``replay``).
+Selection is a two-level stale-free heap (``indexed``), or -- while
+the ``schedule`` passed in (see :mod:`repro.correctness.recorder`)
+holds recorded decisions -- the recorded decision stream (``replay``).
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ import time
 import warnings
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..config.configuration import env_value
 from ..errors import (
     DeadlockError,
     EngineShutdown,
@@ -140,29 +139,16 @@ class Engine:
         #: artifact identifies processes by spawn order instead.
         self._spawn_seq = 0
         self._by_ordinal: List[KernelProcess] = []
-        #: Schedule decision hook: a ScheduleRecorder when recording, the
-        #: replayed Schedule (consume == verify) when replaying, None
-        #: otherwise.
-        self.sched_hook: Optional[Any] = None
-        self._schedule: Optional[Any] = None
-        if schedule is None:
-            path = env_value("PISCES_REPLAY_SCHEDULE")
-            if path:
-                from ..correctness.recorder import Schedule
-                schedule = Schedule.load(path)
-        #: "replay" while a recorded stream drives selection, else
-        #: "indexed" (manifest stamping and state dumps).
-        self.dispatcher = "indexed" if schedule is None else "replay"
-        self._replay = schedule is not None
+        #: The run's decision stream (a correctness ``Schedule``), or
+        #: None: every decision is taken from it -- verified while
+        #: recorded decisions remain, appended past them when it records.
+        self.sched_hook: Optional[Any] = schedule
         if schedule is not None:
             schedule.reset()
-            self._schedule = schedule
-            self.sched_hook = schedule
-        else:
-            rec_path = env_value("PISCES_RECORD_SCHEDULE")
-            if rec_path:
-                from ..correctness.recorder import ScheduleRecorder
-                self.sched_hook = ScheduleRecorder(path=rec_path)
+        #: True while the recorded stream drives selection; "replay"
+        #: then, else "indexed" (manifest stamping and state dumps).
+        self._replay = schedule is not None and schedule.replays
+        self.dispatcher = "replay" if self._replay else "indexed"
 
     # ------------------------------------------------------------ spawn --
 
@@ -187,7 +173,7 @@ class Engine:
         self._by_ordinal.append(p)
         sh = self.sched_hook
         if sh is not None:
-            sh.on_spawn(p.spawn_ordinal, p.name)
+            sh.take("P", (p.spawn_ordinal, p.name))
         if self._on_spawn:
             parent = self._current if self.in_process() else None
             for f in self._on_spawn:
@@ -575,48 +561,46 @@ class Engine:
     def _peek_replay(self) -> Tuple[Optional[KernelProcess], Optional[tuple]]:
         """Replay selection: the recorded stream *is* the dispatch order.
 
-        Peeks (does not consume) the next D record; the ``on_dispatch``
-        verification in :meth:`_dispatch` consumes it.  A record naming
-        a process that does not exist or is not runnable means the live
-        run diverged from the recording.
+        Peeks (does not take) the next D record; the ``take("D", ...)``
+        in :meth:`_dispatch` verifies it.  A record naming a process
+        that does not exist or is not runnable means the live run
+        diverged from the recording.
         """
         from ..errors import ReplayDivergence
-        rec = self._schedule.peek_dispatch()
+        sched = self.sched_hook
+        rec = sched.peek_dispatch()
         if rec is None:
             return None, None
         ordinal, start = rec
         if ordinal >= len(self._by_ordinal):
             raise ReplayDivergence(
                 f"schedule names spawn #{ordinal} "
-                f"({self._schedule.name_of(ordinal)!r}) but only "
+                f"({sched.name_of(ordinal)!r}) but only "
                 f"{len(self._by_ordinal)} processes have spawned "
-                f"({self._schedule.progress()})")
+                f"({sched.progress()})")
         p = self._by_ordinal[ordinal]
         if not self._is_runnable(p):
             raise ReplayDivergence(
                 f"schedule dispatches {p.name!r} (spawn #{ordinal}, "
                 f"recorded start {start}) but it is {p.state.value}"
                 + (f" on {p.blocked_on!r}" if p.blocked_on else "")
-                + f" ({self._schedule.progress()})")
+                + f" ({sched.progress()})")
         return p, self._runnable_key(p)
 
     def _switch_to_live(self) -> None:
-        """A *prefix* schedule (a restored checkpoint) ran dry: hand
-        selection back to the heap and keep going.
+        """A live-tail schedule (a restored checkpoint's prefix) ran
+        dry: hand selection back to the heap and keep going.
 
-        Only selection changes -- ``sched_hook`` stays the prefix
-        wrapper, which keeps recording the live tail.  During replay the
-        heaps were never fed (``_requeue`` no-ops), so requeueing every
-        process in pid order rebuilds them exactly as a fresh engine
-        would have.
+        Only selection changes -- ``sched_hook`` stays installed and
+        records the live tail.  During replay the heaps were never fed
+        (``_requeue`` no-ops), so requeueing every process in pid order
+        rebuilds them exactly as a fresh engine would have.
         """
-        sched = self._schedule
         self.dispatcher = "indexed"
         self._replay = False
-        self._schedule = None
         for p in sorted(self._procs.values(), key=lambda q: q.pid):
             self._requeue(p)
-        cb = getattr(sched, "on_prefix_complete", None)
+        cb = self.sched_hook.on_prefix_complete
         if cb is not None:
             # Restore validation: the replayed state must match the
             # snapshot digests before the run continues live.
@@ -659,8 +643,7 @@ class Engine:
             while True:
                 p, key = pick()
                 if p is None:
-                    if replay and getattr(self._schedule,
-                                          "live_after_prefix", False):
+                    if replay and sh.live_tail:
                         self._switch_to_live()
                         return True
                     return False
@@ -689,9 +672,9 @@ class Engine:
             if limit is not None and start > limit:
                 raise TimeLimitExceeded(limit)
             if sh is not None:
-                # Recording appends; replay consumes-and-verifies (the
-                # start tick doubles as a virtual-time checksum).
-                sh.on_dispatch(p.spawn_ordinal, start, p.name)
+                # Recording appends; replay verifies (the start tick
+                # doubles as a virtual-time checksum).
+                sh.take("D", (p.spawn_ordinal, start), p.name)
             if start > self._now:
                 self._now = start
             self._dispatch_seq += 1
@@ -808,9 +791,9 @@ class Engine:
             return
         self._shutdown = True
         sh = self.sched_hook
-        if sh is not None and getattr(sh, "autosave", None) is not None:
-            # Recorder only (a replayed Schedule has no autosave): flush
-            # the .psched artifact even when the run ends in an error.
+        if sh is not None:
+            # Flush a recording's .psched artifact (when it has an
+            # autosave path) even when the run ends in an error.
             sh.autosave()
         # Pending ACCEPT waiters are drained, not abandoned: each one is
         # granted below, observes `killed`, and unwinds with a clear

@@ -170,10 +170,8 @@ def run_manifest(vm, files: Optional[Dict[str, Path]] = None,
         "fault_plan_cursor": (vm.faults.cursor_state()
                               if getattr(vm, "faults", None) is not None
                               else None),
-        "schedule_position": (sh.position()
-                              if (sh := getattr(vm, "sched_hook", None))
-                              is not None and hasattr(sh, "position")
-                              else None),
+        "schedule_position": (vm.sched_hook.position()
+                              if vm.sched_hook is not None else None),
         "config": {
             "name": vm.config.name,
             "summary": vm.config.describe(),

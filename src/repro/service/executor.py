@@ -77,25 +77,36 @@ _PROVENANCE_KEYS = ("dispatcher", "repro_version", "seed",
                     "fault_plan_hash")
 
 
+def _plan_vm(spec, plan: catalog.AppPlan, **config) -> PiscesVM:
+    """The VM for a spec's plan with the spec's run toggles (trace,
+    metrics on, run seed) and fault plan; ``config`` overrides further
+    configuration fields.  The service's VM and the standalone
+    reference leg are both built here, so they cannot drift apart."""
+    config = replace(
+        plan.config,
+        trace_events=_ALL_TRACE_EVENTS if spec.trace else (),
+        metrics_enabled=True,
+        run_seed=spec.run_seed,
+        **config,
+    )
+    fault_plan = (load_fault_plan(spec.fault_plan)
+                  if spec.fault_plan else None)
+    return PiscesVM(config, registry=plan.registry, fault_plan=fault_plan)
+
+
 def build_vm(rec: RunRecord, store: RunStore,
              plan: catalog.AppPlan) -> PiscesVM:
     """Build the (fresh-start) VM for a run record from its plan."""
     spec = rec.spec
-    config = replace(
-        plan.config,
+    if spec.checkpoint_every:
+        store.checkpoint_dir(rec.run_id).mkdir(parents=True, exist_ok=True)
+    return _plan_vm(
+        spec, plan,
         name=f"{rec.run_id}-{plan.config.name}",
-        trace_events=_ALL_TRACE_EVENTS if spec.trace else (),
-        metrics_enabled=True,
-        run_seed=spec.run_seed,
         checkpoint_every=spec.checkpoint_every,
         checkpoint_dir=str(store.checkpoint_dir(rec.run_id)),
         checkpoint_keep=CHECKPOINT_KEEP,
     )
-    if spec.checkpoint_every:
-        store.checkpoint_dir(rec.run_id).mkdir(parents=True, exist_ok=True)
-    fault_plan = (load_fault_plan(spec.fault_plan)
-                  if spec.fault_plan else None)
-    return PiscesVM(config, registry=plan.registry, fault_plan=fault_plan)
 
 
 def _archive(vm: PiscesVM, rec: RunRecord, store: RunStore,
@@ -120,7 +131,7 @@ def _archive(vm: PiscesVM, rec: RunRecord, store: RunStore,
     steps = [manifest, lambda: export_run(vm, art, prefix="run")]
     if vm.faults is not None:
         steps.append(lambda: vm.faults.write_jsonl(art / "run.faults.jsonl"))
-    if hook is not None and hasattr(hook, "dumps"):
+    if hook is not None:
         steps.append(lambda: durable_write(art / "run.psched", hook.dumps()))
     errors = []
     for step in steps:
@@ -153,15 +164,7 @@ def standalone_run(spec):
     observers.
     """
     plan = catalog.build(spec)
-    config = replace(
-        plan.config,
-        trace_events=_ALL_TRACE_EVENTS if spec.trace else (),
-        metrics_enabled=True,
-        run_seed=spec.run_seed,
-    )
-    fault_plan = (load_fault_plan(spec.fault_plan)
-                  if spec.fault_plan else None)
-    vm = PiscesVM(config, registry=plan.registry, fault_plan=fault_plan)
+    vm = _plan_vm(spec, plan)
     return vm.run(plan.tasktype, *plan.args, shutdown=True)
 
 

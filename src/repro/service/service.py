@@ -157,9 +157,10 @@ class RunService:
     def kill(self, run_id: str) -> RunRecord:
         """Kill a run in any live state (idempotent on terminal runs).
 
-        A queued run dies immediately; a running run's kill lands at
-        the next engine idle-check -- poll :meth:`get_run` (or use the
-        client's ``wait``) for the KILLED record.
+        A queued run dies immediately; a running run's kill lands after
+        its current engine slice, where the run's kill-check observer
+        fires -- poll :meth:`get_run` (or use the client's ``wait``)
+        for the KILLED record.
         """
         rec = self.store.get(run_id)
         if rec.state in TERMINAL_STATES:

@@ -7,15 +7,17 @@ and for the fault-tolerant solver under an actively lossy fault plan.
 """
 
 import os
+from dataclasses import replace
 
 import pytest
 
-from repro import record_run, replay_run, run_app
+from repro import PiscesVM, record_run, replay_run, run_app
 from repro.apps.chaos_jacobi import build_chaos_registry
 from repro.apps.jacobi import build_force_registry, build_windows_registry
 from repro.apps.matmul import build_tasks_registry
 from repro.apps.pipeline import build_pipeline_registry
-from repro.correctness import Schedule, ScheduleRecorder
+from repro.config.configuration import simple_configuration
+from repro.correctness import Schedule
 from repro.errors import ReplayDivergence, ScheduleFormatError
 from repro.faults import FaultPlan, MessagePolicy
 
@@ -61,29 +63,50 @@ def test_replay_is_bit_identical(name, ttype, args, build, kw):
 
 
 class TestPschedFormat:
+    DECISIONS = [("P", (0, "root")), ("P", (1, "worker:1")),
+                 ("D", (0, 0)), ("D", (1, 120)), ("S", (2, 7)),
+                 ("L", (0, "RED")), ("A", ("1.1.2", "1.1.1", "WIN:rows"))]
+
     def test_dumps_parse_round_trip(self):
-        rec = ScheduleRecorder(meta={"app": "unit"})
-        rec.on_spawn(0, "root")
-        rec.on_spawn(1, "worker:1")
-        rec.on_dispatch(0, 0, "root")
-        rec.on_dispatch(1, 120, "worker:1")
-        rec.on_selfsched(2, 7)
-        rec.on_lock_grant(0, "RED")
-        rec.on_accept_match("1.1.2", "1.1.1", "WIN:rows")
+        rec = Schedule(meta={"app": "unit"})
+        for tag, record in self.DECISIONS:
+            rec.take(tag, record)
         text = rec.dumps()
         s = Schedule.parse(text)
+        assert s.dumps() == text
         assert s.name_of(1) == "worker:1"
         assert s.peek_dispatch() == (0, 0)
-        # Feeding the same stream back through the verify hooks must
-        # consume the whole schedule without divergence.
-        s.on_spawn(0, "root")
-        s.on_spawn(1, "worker:1")
-        s.on_dispatch(0, 0, "root")
-        s.on_dispatch(1, 120, "worker:1")
-        s.on_selfsched(2, 7)
-        s.on_lock_grant(0, "RED")
-        s.on_accept_match("1.1.2", "1.1.1", "WIN:rows")
+        # Feeding the same stream back must verify the whole schedule
+        # without divergence.
+        for tag, record in self.DECISIONS:
+            s.take(tag, record)
         s.check_complete()
+
+    def test_strict_replay_raises_on_a_mismatch_and_an_extra_decision(self):
+        s = Schedule.parse(Schedule({"D": [(0, 0)]}).dumps())
+        with pytest.raises(ReplayDivergence, match="diverged at dispatch"):
+            s.take("D", (1, 0), "other")
+        s.take("D", (0, 0))
+        with pytest.raises(ReplayDivergence, match="past the recorded"):
+            s.take("D", (0, 5))
+
+    def test_live_tail_verifies_then_records(self):
+        s = Schedule.parse(Schedule({"D": [(0, 0)]}).dumps(), live_tail=True)
+        with pytest.raises(ReplayDivergence):
+            s.take("D", (1, 0))
+        s.take("D", (0, 0))
+        s.take("D", (1, 9))
+        assert s.streams["D"] == [(0, 0), (1, 9)]
+        assert s.position()["D"] == 2
+
+    def test_prefix_dumps_only_what_was_taken_with_count_meta(self):
+        s = Schedule.parse(Schedule(
+            {"P": [(0, "a"), (1, "b")], "D": [(0, 0), (1, 4)]},
+            meta={"app": "x"}).dumps())
+        s.take("P", (0, "a"))
+        s.take("D", (0, 0))
+        assert s.dumps(prefix=True) == (
+            "#psched 1\nmeta dispatches=1 spawns=1\nP 0:a\nD 0:0\n")
 
     def test_artifact_file_round_trips(self, tmp_path):
         p = tmp_path / "jacobi.psched"
@@ -152,3 +175,51 @@ class TestEnvWiring:
                            str(tmp_path / "missing.psched"))
         with pytest.raises(OSError):
             run_app("JMASTER", registry=build_windows_registry(8, 2, 2))
+
+
+class TestOneSchedule:
+    """The VM resolves the run's one decision stream in one place: the
+    ``schedule=`` argument, then PISCES_REPLAY_SCHEDULE, then a
+    recording (autosaved to PISCES_RECORD_SCHEDULE, made when
+    checkpointing).  TestEnvWiring covers the two env vars alone."""
+
+    @staticmethod
+    def run(**kw):
+        return run_app("JMASTER", registry=build_windows_registry(8, 2, 2),
+                       **kw)
+
+    def test_explicit_schedule_beats_both_env_vars(self, tmp_path,
+                                                   monkeypatch):
+        out = tmp_path / "env.psched"
+        monkeypatch.setenv("PISCES_RECORD_SCHEDULE", str(out))
+        monkeypatch.setenv("PISCES_REPLAY_SCHEDULE",
+                           str(tmp_path / "missing.psched"))
+        sched = Schedule()
+        r = self.run(schedule=sched)
+        assert r.vm.sched_hook is sched and sched.position()["D"] > 0
+        assert not out.exists()
+        # A recording replays through the same argument.
+        sched.live_tail = False
+        r2 = self.run(schedule=sched)
+        assert r2.vm.engine.dispatcher == "replay"
+        assert r2.elapsed == r.elapsed
+
+    def test_checkpointing_records_only_without_a_schedule(self, tmp_path):
+        config = replace(simple_configuration(n_clusters=1, slots=2),
+                         checkpoint_every=1_000,
+                         checkpoint_dir=str(tmp_path))
+        made = PiscesVM(config, autoboot=False).sched_hook
+        assert made is not None and made.live_tail and not made.replays
+        given = Schedule.parse(Schedule().dumps())
+        assert PiscesVM(config, schedule=given,
+                        autoboot=False).sched_hook is given
+        config = replace(config, checkpoint_every=0)
+        assert PiscesVM(config, autoboot=False).sched_hook is None
+
+    def test_strict_replay_raises_on_an_extra_decision(self):
+        rec = record_run("JMASTER", registry=build_windows_registry(8, 2, 2),
+                         trace=False)
+        rec.schedule.streams["A"].pop()
+        with pytest.raises(ReplayDivergence, match="extra accept match"):
+            replay_run("JMASTER", schedule=rec, trace=False,
+                       registry=build_windows_registry(8, 2, 2))

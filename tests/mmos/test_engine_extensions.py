@@ -6,7 +6,9 @@ import threading
 
 import pytest
 
-from repro.correctness.recorder import ScheduleRecorder
+from repro.config.configuration import simple_configuration
+from repro.core.vm import PiscesVM
+from repro.correctness.recorder import Schedule
 from repro.errors import ProcessKilled, ScheduleFormatError
 from repro.flex.presets import small_flex
 from repro.mmos.process import ProcState, co_block, co_charge
@@ -18,13 +20,18 @@ def make_engine(**kw):
     return Engine(small_flex(8), **kw)
 
 
+def make_vm(**kw):
+    """An unbooted VM: it resolves the schedule, nothing runs."""
+    return PiscesVM(simple_configuration(n_clusters=1, slots=2),
+                    autoboot=False, **kw)
+
+
 def recorded_schedule_text():
-    eng = make_engine()
-    eng.sched_hook = rec = ScheduleRecorder()
+    eng = make_engine(schedule=Schedule())
     eng.spawn("t", 3, lambda: eng.charge(10))
     eng.run()
     eng.shutdown()
-    return rec.dumps()
+    return eng.sched_hook.dumps()
 
 
 class TestOnExit:
@@ -155,29 +162,36 @@ class TestStepHorizon:
 
 class TestDispatcherSelection:
     """The heap picks live; a schedule -- passed, or named by
-    PISCES_REPLAY_SCHEDULE -- selects replay."""
+    PISCES_REPLAY_SCHEDULE, which the VM reads -- selects replay."""
 
     def test_bad_dispatcher_rejected(self, monkeypatch, tmp_path):
         bad = tmp_path / "bad.psched"
         bad.write_text("not a schedule\n")
         monkeypatch.setenv("PISCES_REPLAY_SCHEDULE", str(bad))
         with pytest.raises(ScheduleFormatError):
-            make_engine()
+            make_vm()
 
     def test_env_var_sets_default(self, monkeypatch, tmp_path):
-        assert make_engine().dispatcher == "indexed"
+        assert make_vm().engine.dispatcher == "indexed"
         path = tmp_path / "run.psched"
         path.write_text(recorded_schedule_text())
         monkeypatch.setenv("PISCES_REPLAY_SCHEDULE", str(path))
-        assert make_engine().dispatcher == "replay"
+        assert make_vm().engine.dispatcher == "replay"
 
     def test_explicit_argument_beats_env(self, monkeypatch, tmp_path):
-        from repro.correctness.recorder import Schedule
         sched = Schedule.parse(recorded_schedule_text())
         monkeypatch.setenv("PISCES_REPLAY_SCHEDULE",
                            str(tmp_path / "missing.psched"))
-        eng = make_engine(schedule=sched)
+        eng = make_vm(schedule=sched).engine
         assert eng.dispatcher == "replay" and eng.sched_hook is sched
+
+    def test_engine_reads_no_environment(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("PISCES_REPLAY_SCHEDULE",
+                           str(tmp_path / "missing.psched"))
+        monkeypatch.setenv("PISCES_RECORD_SCHEDULE",
+                           str(tmp_path / "out.psched"))
+        eng = make_engine()
+        assert eng.dispatcher == "indexed" and eng.sched_hook is None
 
 
 class TestShutdownLeakReporting:

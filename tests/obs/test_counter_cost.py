@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro import ClusterSpec, Configuration, PiscesVM
+from repro.correctness.recorder import Schedule
 from repro.service.executor import ExecutionHandle
 
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
@@ -34,10 +35,13 @@ BACKLOG_MESSAGES = 4_978
 #: task_runtime 24x400 calls with each other observer configuration,
 #: measured with :func:`count_calls` (CPython 3.11) before the engine's
 #: observers moved onto one list: the causal profiler, the race
-#: detector, and the run service's metrics plus kill check.  A new
-#: per-slice call adds 9,713.
+#: detector, and the run service's metrics plus kill check; and before
+#: recording, replay and the checkpoint prefix became one schedule: a
+#: recording run, and the replay of its ``.psched``.  A new per-slice
+#: call adds 9,713.
 TASK_RUNTIME_OBSERVED = {"profiler": 360_127, "races": 226_896,
-                         "service": 265_577}
+                         "service": 265_577, "record": 243_349,
+                         "replay": 267_419}
 
 on_cpython_311 = pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
@@ -89,10 +93,19 @@ def count_calls(vm: PiscesVM, tasktype: str) -> int:
 
 def _measure(registry, clusters, tasktype, metrics, observers=""):
     """(calls, dispatches, messages sent); ``observers`` names the
-    observer configuration: "", "profiler", "races" or "service"."""
+    observer configuration: "", "profiler", "races", "service",
+    "record" (a recording run) or "replay" (the replay of a recording
+    made first, uncounted)."""
     config = Configuration(clusters=clusters, name="counter-cost",
                            metrics_enabled=metrics)
-    vm = PiscesVM(config, registry=registry,
+    schedule = None
+    if observers == "replay":
+        schedule = Schedule()
+        PiscesVM(config, registry=registry, schedule=schedule).run(tasktype)
+        schedule = Schedule.parse(schedule.dumps())
+    elif observers == "record":
+        schedule = Schedule()
+    vm = PiscesVM(config, registry=registry, schedule=schedule,
                   detect_races=observers == "races" or None)
     if observers == "profiler":
         vm.enable_profiling()

@@ -217,27 +217,38 @@ class TestPlanBuilds:
         assert final.state == DONE
         assert calls == [rec.spec]
 
-    def test_checkpoint_resume_builds_once(self, tmp_path, monkeypatch):
-        root = tmp_path / "s"
+    def interrupted_run(self, root):
+        """A checkpointing run that ran and left its checkpoints behind
+        but no terminal state, then the store rebooted over it: returns
+        the recovered record (ADMITTED) and the uninterrupted result."""
         store = RunStore(root)
         rec = store.create("alice", RunSpec.from_dict(self.CKPT))
         store.transition(rec.run_id, ADMITTED)
         rec = store.transition(rec.run_id, RUNNING, started_at=1.0)
-        # The interrupted life: it ran and left its checkpoints behind.
         plan = catalog.build(rec.spec)
         vm = executor.build_vm(rec, store, plan)
-        uninterrupted = vm.run(plan.tasktype, *plan.args,
-                               shutdown=True).elapsed
-
+        result = vm.run(plan.tasktype, *plan.args, shutdown=True)
         store = RunStore(root)
         [rec] = store.recover()
-        rec = store.transition(rec.run_id, ADMITTED)
+        return store, store.transition(rec.run_id, ADMITTED), result
+
+    def test_checkpoint_resume_builds_once(self, tmp_path, monkeypatch):
+        store, rec, uninterrupted = self.interrupted_run(tmp_path / "s")
         calls = self.count_builds(monkeypatch)
         final = self.execute(rec, store)
         assert final.state == DONE and final.exit["resumed_from"]
-        assert final.exit["elapsed_ticks"] == uninterrupted
+        assert final.exit["elapsed_ticks"] == uninterrupted.elapsed
         assert calls == [rec.spec]
 
+    def test_checkpoint_resume_archives_the_whole_schedule(self, tmp_path):
+        """The resumed run's run.psched holds the checkpoint's decision
+        prefix and the live tail after it: the uninterrupted run's."""
+        store, rec, uninterrupted = self.interrupted_run(tmp_path / "s")
+        final = self.execute(rec, store)
+        assert final.state == DONE and final.exit["resumed_from"]
+        assert "run.psched" in final.artifacts
+        archived = store.artifacts_dir(rec.run_id) / "run.psched"
+        assert archived.read_text() == uninterrupted.vm.sched_hook.dumps()
 
     def test_submitted_run_builds_twice(self, tmp_path, monkeypatch):
         calls = self.count_builds(monkeypatch)
