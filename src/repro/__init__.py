@@ -33,6 +33,38 @@ from importlib import import_module
 
 __version__ = "1.0.0"
 
+
+def lazy_exports(namespace, table):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a module whose public
+    names load on first access.
+
+    ``namespace`` is the module's ``globals()``; ``table`` maps each
+    lazy name to the module, relative to the module's package, that
+    defines it.  A name that is the last part of its module path is that
+    module itself.  A resolved name is stored in ``namespace``, so the
+    next lookup is a plain attribute read; ``__dir__`` lists the lazy
+    names before they resolve.
+    """
+    package, module_name = namespace["__package__"], namespace["__name__"]
+
+    def __getattr__(name):
+        try:
+            where = table[name]
+        except KeyError:
+            raise AttributeError(f"module {module_name!r} has no "
+                                 f"attribute {name!r}") from None
+        module = import_module(f".{where}", package)
+        value = (module if where.rpartition(".")[2] == name
+                 else getattr(module, name))
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(table))
+
+    return __getattr__, __dir__
+
+
 __all__ = [
     "ALL_RECEIVED",
     "ANY",
@@ -88,6 +120,7 @@ __all__ = [
 
 #: Public name -> the submodule that defines it, imported on first access.
 _LAZY = {
+    "api": "api",
     **dict.fromkeys(("ClusterSpec", "Configuration", "simple_configuration"),
                     "config"),
     **dict.fromkeys((
@@ -107,10 +140,4 @@ _LAZY = {
         "replay_run", "restore_vm", "run_app"), "api"),
 }
 
-
-def __getattr__(name):
-    if name == "api":
-        return import_module(".api", __name__)
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -21,34 +21,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple, Union
 
-from .checkpoint import (
-    RestoredRun,
-    checkpoint_vm,
-    find_latest_checkpoint,
-    restore_vm,
-)
+from . import lazy_exports
 from .config.configuration import Configuration, simple_configuration
 from .core.task import TaskRegistry
 from .core.taskid import Placement
 from .core.tracing import TraceEventType
 from .core.vm import PiscesVM, RunResult
 from .core.windows import Window
-from .correctness.detector import RaceDetector, RaceReport
-from .correctness.recorder import Schedule
 from .errors import ConfigurationError, WindowError
-from .faults import plan_scope
 from .flex.machine import FlexMachine
-from .obs.export import export_run
-from .obs.profile import (
-    CausalProfiler,
-    CriticalPath,
-    extract_critical_path,
-    profile_report,
-    write_profile,
-)
 from .results import RunRecord
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .correctness.detector import RaceDetector, RaceReport
+    from .correctness.recorder import Schedule
+    from .obs.profile import CausalProfiler, CriticalPath
 
 __all__ = [
     "ProfiledRun",
@@ -70,6 +59,20 @@ __all__ = [
     "restore_vm",
     "run_app",
 ]
+
+#: Re-exports from the checkpoint, export and fault layers, imported on
+#: first access (PEP 562), so ``from repro import api`` loads none of
+#: them.  The race detector, the profiler and the schedule recorder load
+#: in the function that first needs them.
+_LAZY = {
+    **dict.fromkeys(("RestoredRun", "checkpoint_vm", "restore_vm"),
+                    "checkpoint.restore"),
+    "find_latest_checkpoint": "checkpoint.format",
+    "export_run": "obs.export",
+    "plan_scope": "faults",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 #: Trace event type names enabled by record_run/replay_run when
 #: ``trace=True`` (the full stream: its bit-identity is part of the
@@ -180,6 +183,8 @@ def record_run(tasktype: str, *args: Any,
     strict-overflow mode -- the stream is replay-comparison evidence, so
     silent truncation must fail loudly.
     """
+    from .correctness.recorder import Schedule
+
     schedule = Schedule(path=path, meta={"app": tasktype})
     if trace:
         vm_kwargs.setdefault("trace_events", _ALL_TRACE_EVENTS)
@@ -251,6 +256,7 @@ class ProfiledRun(RunRecord):
 
     def report(self) -> str:
         """The full text panel (wait states, utilization, path)."""
+        from .obs.profile.profiler import profile_report
         return profile_report(self.profiler, elapsed=self.elapsed)
 
     def export(self, directory: Union[str, Path],
@@ -258,6 +264,7 @@ class ProfiledRun(RunRecord):
         """Write the run record plus the flamegraph/Chrome/critical-path
         bundle (the bundle re-uses this run's extracted path rather than
         re-deriving it without the elapsed total)."""
+        from .obs.profile.export import write_profile
         paths = super().export(directory, prefix=prefix)
         bundle = write_profile(self.profiler, directory,
                                prefix=f"{prefix}.profile",
@@ -278,6 +285,8 @@ def profile_run(tasktype: str, *args: Any,
     path.  Profiling charges zero virtual time: elapsed ticks and trace
     streams are bit-identical to an unprofiled run.
     """
+    from .obs.profile.critical_path import extract_critical_path
+
     vm_kwargs.setdefault("metrics", True)
     vm = make_vm(registry=registry, **vm_kwargs)
     prof = vm.enable_profiling()

@@ -5,7 +5,7 @@ Each name resolves on first access (PEP 562), so importing one app --
 others, nor numpy through them.
 """
 
-from importlib import import_module
+from .. import lazy_exports
 
 __all__ = [
     "FEMProblem",
@@ -41,6 +41,7 @@ __all__ = [
 
 #: Public name -> the app module that defines it.
 _LAZY = {
+    "fortran_programs": "fortran_programs",
     **dict.fromkeys(("FEMProblem", "FEMResult", "build_fem_registry",
                      "run_fem"), "fem"),
     **dict.fromkeys(("IntegrateResult", "build_integrate_registry",
@@ -57,8 +58,4 @@ _LAZY = {
                      "pratt_truss", "run_truss"), "truss"),
 }
 
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -10,10 +10,7 @@ to the snapshot point and then records the rest of the run.  See
 ``docs/users_manual.md`` section 14 for usage.
 """
 
-from .format import find_latest_checkpoint, load_bundle
-from .policy import PeriodicCheckpointer
-from .restore import RestoredRun, checkpoint_vm, restore_vm
-from .snapshot import snapshot_state, verify_snapshot
+from .. import lazy_exports
 
 __all__ = [
     "PeriodicCheckpointer",
@@ -25,3 +22,15 @@ __all__ = [
     "snapshot_state",
     "verify_snapshot",
 ]
+
+#: Public name -> the submodule that defines it, imported on first
+#: access: finding a bundle loads no engine, writing one no restorer.
+_LAZY = {
+    **dict.fromkeys(("find_latest_checkpoint", "load_bundle"), "format"),
+    "PeriodicCheckpointer": "policy",
+    **dict.fromkeys(("RestoredRun", "checkpoint_vm", "restore_vm"),
+                    "restore"),
+    **dict.fromkeys(("snapshot_state", "verify_snapshot"), "snapshot"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

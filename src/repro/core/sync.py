@@ -60,7 +60,7 @@ def barrier(engine: Engine, force: "Force", member: "ForceContext",
     :func:`~repro.mmos.process.drive_kernel_ops`).  ``body`` may itself
     be a generator function when it needs to suspend.
     """
-    engine.charge(COST_BARRIER)
+    proc = engine.charge(COST_BARRIER)
     force.task.trace(TraceEventType.BARRIER_ENTER,
                      info=f"member={member.member} gen={force.barrier_gen}")
     metrics = force.task.vm.metrics
@@ -73,7 +73,6 @@ def barrier(engine: Engine, force: "Force", member: "ForceContext",
             ).observe(engine.now() - entered_at)
 
     gen = force.current_barrier
-    proc = engine.current()
     det = force.task.vm.race_detector
     if det is not None:
         # Happens-before: every arrival exports its clock into the
@@ -178,8 +177,7 @@ def critical_gen(engine: Engine, force: "Force", member: "ForceContext",
 def acquire_lock(engine: Engine, force: "Force", member: "ForceContext",
                  lock: LockState):
     """Acquire a CRITICAL lock (a KernelOp generator)."""
-    engine.charge(COST_LOCK)
-    proc = engine.current()
+    proc = engine.charge(COST_LOCK)
     metrics = force.task.vm.metrics
     wanted_at = engine.now() if metrics.enabled else 0
     lock.acquisitions += 1
@@ -225,8 +223,7 @@ def acquire_lock(engine: Engine, force: "Force", member: "ForceContext",
 
 def release_lock(engine: Engine, force: "Force", member: "ForceContext",
                  lock: LockState) -> None:
-    engine.charge(COST_UNLOCK)
-    proc = engine.current()
+    proc = engine.charge(COST_UNLOCK)
     if not lock.locked or lock.owner_pid != proc.pid:
         raise RuntimeLibraryError(
             f"unlock of {lock.name} by non-owner (owner pid {lock.owner_pid})")

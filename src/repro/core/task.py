@@ -21,6 +21,7 @@ terminal output.
 from __future__ import annotations
 
 import inspect
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING, Union
 
@@ -82,16 +83,40 @@ class TaskType:
     signals: Tuple[str, ...] = ()
     shared: Dict[str, CommonSpec] = field(default_factory=dict)
     locks: Tuple[str, ...] = ()
-    code_bytes: int = DEFAULT_TASKTYPE_CODE_BYTES
+    #: Loadfile contribution in bytes; None measures ``fn``'s source
+    #: when the first loadfile is built (:meth:`loadfile_bytes`).
+    code_bytes: Optional[int] = DEFAULT_TASKTYPE_CODE_BYTES
+
+    def loadfile_bytes(self) -> int:
+        """This tasktype's share of the loadfile's user code."""
+        if self.code_bytes is None:
+            self.code_bytes = TaskType.estimate_code_bytes(self.fn)
+        return self.code_bytes
 
     @staticmethod
     def estimate_code_bytes(fn: Callable) -> int:
         """Loadfile contribution of a tasktype: its source size (a
-        stand-in for compiled object code size)."""
-        try:
-            return max(DEFAULT_TASKTYPE_CODE_BYTES // 2, len(inspect.getsource(fn)))
-        except (OSError, TypeError):
-            return DEFAULT_TASKTYPE_CODE_BYTES
+        stand-in for compiled object code size).  Measured once per
+        code object: every build of an app registers new closures over
+        the same code."""
+        fn = inspect.unwrap(fn)
+        code = getattr(fn, "__code__", None)
+        size = _CODE_BYTES.get(code) if code is not None else None
+        if size is None:
+            try:
+                size = max(DEFAULT_TASKTYPE_CODE_BYTES // 2,
+                           len(inspect.getsource(fn)))
+            except (OSError, TypeError):
+                size = DEFAULT_TASKTYPE_CODE_BYTES
+            if code is not None:
+                _CODE_BYTES[code] = size
+        return size
+
+
+#: Code object -> :meth:`TaskType.estimate_code_bytes`.  Weak keys: a
+#: service's Fortran submits each compile new code, which must not stay
+#: alive here once its registry is gone.
+_CODE_BYTES = weakref.WeakKeyDictionary()
 
 
 class TaskRegistry:
@@ -108,8 +133,7 @@ class TaskRegistry:
         def deco(fn: Callable) -> Callable:
             tt = TaskType(name=name, fn=fn, handlers=dict(handlers or {}),
                           signals=tuple(signals), shared=dict(shared or {}),
-                          locks=tuple(locks),
-                          code_bytes=TaskType.estimate_code_bytes(fn))
+                          locks=tuple(locks), code_bytes=None)
             self.define(tt)
             return fn
         return deco
@@ -132,7 +156,9 @@ class TaskRegistry:
         return name in self._types
 
     def total_code_bytes(self) -> int:
-        return sum(t.code_bytes for t in self._types.values())
+        """The user-code part of the loadfile (section 11), measured when
+        a VM boots, not when the program is defined."""
+        return sum(t.loadfile_bytes() for t in self._types.values())
 
 
 #: Default registry used by the module-level ``tasktype`` decorator.
@@ -190,13 +216,14 @@ class Task:
 
     def trace(self, etype: TraceEventType, info: str = "",
               other: Optional[TaskId] = None) -> None:
-        eng = self.vm.engine
-        pe = (eng.current().pe if eng.in_process()
-              else self.cluster.primary_pe)
+        p = self.vm.engine.caller()
+        if p is not None:
+            pe, ticks = p.pe, p.slice_start + p.pending_cost
+        else:
+            pe = self.cluster.primary_pe
+            ticks = self.vm.machine.clocks[pe].ticks
         self.vm.tracer.emit(TraceEvent(
-            etype=etype, task=self.tid, pe=pe,
-            ticks=self.vm.machine.clocks[pe].ticks
-            if not eng.in_process() else eng.now(),
+            etype=etype, task=self.tid, pe=pe, ticks=ticks,
             info=info, other=other))
 
     def describe(self) -> str:

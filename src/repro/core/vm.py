@@ -31,7 +31,6 @@ from ..errors import (
     WindowConflict,
     WindowError,
 )
-from ..faults.injector import FAILURE_KINDS, corrupt_args
 from ..flex.machine import FlexMachine
 from ..flex.presets import nasa_langley_flex32
 from ..mmos.kernel import MMOSKernel
@@ -181,6 +180,14 @@ RUN_FAMILIES: Dict[str, Tuple[str, ...]] = {
 }
 
 
+def _injected(kind: str) -> bool:
+    """Whether a ``faults_injected`` key is an injected fault rather than
+    a failure-semantics action.  Only a run with a fault plan counts
+    these keys, so the injector is loaded by then."""
+    from ..faults.injector import FAILURE_KINDS
+    return kind not in FAILURE_KINDS
+
+
 #: RunStats fields named unlike their family or reading only some of its
 #: keys: field -> (family, key predicate or None for all keys).  Every
 #: other family is read whole by the field of its own name.
@@ -190,8 +197,7 @@ _VIEWS: Dict[str, Tuple[str, Optional[Callable[[Any], bool]]]] = {
     "window_reads": ("window_ops", lambda op: op == "read"),
     "window_writes": ("window_ops", lambda op: op == "write"),
     # Injected faults exclude the failure-semantics actions.
-    "faults_injected": ("faults_injected",
-                        lambda kind: kind not in FAILURE_KINDS),
+    "faults_injected": ("faults_injected", _injected),
     "messages_dropped": ("faults_injected", lambda k: k == "drop"),
     "messages_duplicated": ("faults_injected", lambda k: k == "duplicate"),
     "messages_delayed": ("faults_injected", lambda k: k == "delay"),
@@ -987,6 +993,7 @@ class PiscesVM:
                 # Mutate the payload *after* allocation: the heap bytes
                 # are unchanged (a bit flip, not a resize) and the stale
                 # checksum makes the damage detectable at accept.
+                from ..faults.injector import corrupt_args
                 msg.args = corrupt_args(msg.args)
         inq.enqueue(msg)
         det = self.race_detector

@@ -26,11 +26,7 @@ site) and charge no virtual time when on: elapsed ticks are
 bit-identical with detection or recording enabled.
 """
 
-from __future__ import annotations
-
-from .detector import RaceDetector, RaceReport
-from .hb import HBEdge, HBEdgeLog, iter_hb_edges
-from .recorder import Schedule
+from .. import lazy_exports
 
 __all__ = [
     "HBEdge",
@@ -40,3 +36,13 @@ __all__ = [
     "Schedule",
     "iter_hb_edges",
 ]
+
+#: Public name -> the submodule that defines it, imported on first
+#: access: recording a schedule loads no race detector.
+_LAZY = {
+    **dict.fromkeys(("RaceDetector", "RaceReport"), "detector"),
+    **dict.fromkeys(("HBEdge", "HBEdgeLog", "iter_hb_edges"), "hb"),
+    "Schedule": "recorder",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

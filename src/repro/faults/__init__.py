@@ -28,29 +28,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator, Optional
 
-from ..core.supervision import NONE, NOTIFY, RESTART, Supervision
-from .injector import (
-    CORRUPT,
-    CORRUPTION_MARKER,
-    DELAY,
-    DROP,
-    DUPLICATE,
-    FaultEvent,
-    FaultInjector,
-    corrupt_args,
-)
-from .plan import (
-    ALWAYS_PROTECTED,
-    FaultPlan,
-    HostKill,
-    MessagePolicy,
-    PECrash,
-    TaskKill,
-    dumps,
-    load,
-    loads,
-    save,
-)
+from .. import lazy_exports
 
 #: Ambient plan installed by :func:`plan_scope`; consulted by
 #: ``PiscesVM.__init__`` when no explicit ``fault_plan`` is given.
@@ -90,3 +68,19 @@ __all__ = [
     "TaskKill", "ambient_plan", "corrupt_args", "dumps", "load", "loads",
     "plan_scope", "save",
 ]
+
+#: Public name -> the submodule that defines it, imported on first
+#: access: a VM built with no plan loads neither the plan format nor
+#: the injector, and parsing a plan loads no engine.
+_LAZY = {
+    **dict.fromkeys(("NONE", "NOTIFY", "RESTART", "Supervision"),
+                    ".core.supervision"),
+    **dict.fromkeys(("CORRUPT", "CORRUPTION_MARKER", "DELAY", "DROP",
+                     "DUPLICATE", "FaultEvent", "FaultInjector",
+                     "corrupt_args"), "injector"),
+    **dict.fromkeys(("ALWAYS_PROTECTED", "FaultPlan", "HostKill",
+                     "MessagePolicy", "PECrash", "TaskKill", "dumps", "load",
+                     "loads", "save"), "plan"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -246,23 +246,29 @@ class Engine:
 
     # ---------------------------------------------------- process-side ----
 
-    def current(self) -> KernelProcess:
-        """The process whose slice is calling; raises if external."""
+    def caller(self) -> Optional[KernelProcess]:
+        """The process whose slice is calling, or None for a call from
+        outside one (the monitor, another thread, between runs).  This
+        is the engine's thread-identity check; an op that needs the
+        caller's PE and time asks once and reads both off the process."""
         p = self._current
         if p is not None and (
                 self._gen_runner == threading.get_ident()
                 if p.gen is not None
                 else p.thread is threading.current_thread()):
             return p
-        raise NotInProcess("kernel call from outside a simulated process")
+        return None
+
+    def current(self) -> KernelProcess:
+        """The process whose slice is calling; raises if external."""
+        p = self.caller()
+        if p is None:
+            raise NotInProcess(
+                "kernel call from outside a simulated process")
+        return p
 
     def in_process(self) -> bool:
-        p = self._current
-        if p is None:
-            return False
-        if p.gen is not None:
-            return self._gen_runner == threading.get_ident()
-        return p.thread is threading.current_thread()
+        return self.caller() is not None
 
     def now(self) -> int:
         """Current virtual time as seen by the caller.
@@ -270,16 +276,19 @@ class Engine:
         Inside a process: slice start + ticks charged so far.  Outside
         (the monitor, between runs): the global elapsed time.
         """
-        if self.in_process():
-            p = self._current
+        p = self.caller()
+        if p is not None:
             return p.slice_start + p.pending_cost
         return max(self._now, self.machine.clocks.elapsed())
 
-    def charge(self, ticks: int) -> None:
-        """Charge compute ticks to the current slice without yielding."""
+    def charge(self, ticks: int) -> KernelProcess:
+        """Charge compute ticks to the current slice without yielding;
+        returns the charged (calling) process."""
         if ticks < 0:
             raise ValueError("cannot charge negative ticks")
-        self.current().pending_cost += ticks
+        p = self.current()
+        p.pending_cost += ticks
+        return p
 
     def preempt(self, cost: int = DEFAULT_KERNEL_COST) -> None:
         """A kernel point: charge ``cost`` and let the scheduler switch."""

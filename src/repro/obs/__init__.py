@@ -12,45 +12,7 @@ profiler on top: wait-state accounting, critical-path extraction and
 flamegraph/Chrome-trace exporters.
 """
 
-from .metrics import (
-    Counter,
-    DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_REGISTRY,
-)
-from .spans import (
-    CAT_CRITICAL,
-    CAT_FAULT,
-    CAT_MESSAGE,
-    CAT_TASK,
-    Span,
-    derive_spans,
-    span_summary,
-    task_gantt,
-)
-from .export import (
-    chrome_trace_events,
-    event_from_dict,
-    event_to_dict,
-    export_run,
-    load_chrome_trace,
-    read_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-    write_metrics_snapshot,
-    write_run_manifest,
-)
-from .profile import (
-    CausalProfiler,
-    CriticalPath,
-    extract_critical_path,
-    idle_report,
-    pe_gantt,
-    profile_report,
-    write_profile,
-)
+from .. import lazy_exports
 
 __all__ = [
     "CAT_CRITICAL",
@@ -85,3 +47,26 @@ __all__ = [
     "write_profile",
     "write_run_manifest",
 ]
+
+#: Public name -> the submodule that defines it, imported on first
+#: access: a run loads the metrics registry, not the exporters or the
+#: profiler.
+_LAZY = {
+    **dict.fromkeys(("Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram",
+                     "MetricsRegistry", "NULL_REGISTRY"), "metrics"),
+    **dict.fromkeys(("CAT_CRITICAL", "CAT_FAULT", "CAT_MESSAGE", "CAT_TASK",
+                     "Span", "derive_spans", "span_summary", "task_gantt"),
+                    "spans"),
+    **dict.fromkeys(("chrome_trace_events", "event_from_dict",
+                     "event_to_dict", "export_run", "load_chrome_trace",
+                     "read_jsonl", "write_chrome_trace", "write_jsonl",
+                     "write_metrics_snapshot", "write_run_manifest"),
+                    "export"),
+    **dict.fromkeys(("CriticalPath", "extract_critical_path"),
+                    "profile.critical_path"),
+    "write_profile": "profile.export",
+    **dict.fromkeys(("CausalProfiler", "idle_report", "pe_gantt",
+                     "profile_report"), "profile.profiler"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

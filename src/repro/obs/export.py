@@ -145,12 +145,12 @@ def run_manifest(vm, files: Optional[Dict[str, Path]] = None,
     import hashlib
 
     from .. import __version__ as repro_version
-    from ..faults import plan as fault_plan_mod
 
     plan = vm.faults.plan if getattr(vm, "faults", None) is not None else None
     plan_hash = None
     seed = None
     if plan is not None:
+        from ..faults import plan as fault_plan_mod
         seed = plan.seed
         plan_hash = hashlib.sha256(
             fault_plan_mod.dumps(plan).encode("utf-8")).hexdigest()

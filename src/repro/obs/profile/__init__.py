@@ -12,29 +12,7 @@ through :func:`repro.api.profile_run`; the pieces compose directly too:
     write_profile(prof, "out/", critical_path=cp)
 """
 
-from .critical_path import CriticalPath, PathSegment, extract_critical_path
-from .export import (
-    chrome_profile_trace,
-    folded_stacks,
-    write_profile,
-)
-from .profiler import (
-    CausalProfiler,
-    Slice,
-    WaitAccounting,
-    WaitInterval,
-    WAIT_ACCEPT,
-    WAIT_BARRIER,
-    WAIT_CATEGORIES,
-    WAIT_DISPATCH,
-    WAIT_FAULT,
-    WAIT_LOCK,
-    WAIT_WINDOW,
-    idle_report,
-    pe_gantt,
-    profile_report,
-    wait_category,
-)
+from ... import lazy_exports
 
 __all__ = [
     "CausalProfiler",
@@ -59,3 +37,19 @@ __all__ = [
     "wait_category",
     "write_profile",
 ]
+
+#: Public name -> the submodule that defines it, imported on first
+#: access: enabling the profiler loads the profiler, not its exporters.
+_LAZY = {
+    **dict.fromkeys(("CriticalPath", "PathSegment", "extract_critical_path"),
+                    "critical_path"),
+    **dict.fromkeys(("chrome_profile_trace", "folded_stacks",
+                     "write_profile"), "export"),
+    **dict.fromkeys((
+        "CausalProfiler", "Slice", "WaitAccounting", "WaitInterval",
+        "WAIT_ACCEPT", "WAIT_BARRIER", "WAIT_CATEGORIES", "WAIT_DISPATCH",
+        "WAIT_FAULT", "WAIT_LOCK", "WAIT_WINDOW", "idle_report", "pe_gantt",
+        "profile_report", "wait_category"), "profiler"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -21,15 +21,12 @@ many tenants, with nothing beyond the standard library:
   HTTP control plane and its stdlib client;
 * ``python -m repro.service`` -- the server entry point.
 
-Importing the package loads only the control plane: the store, the
-spec, admission, the catalog's name table and the worker pool.  The
-executor names (``ExecutionHandle``, ``KilledByService``,
-``execute_run``) and the five HTTP-facing names (``RunTimeout``,
-``ServiceClient``, ``ServiceClientError``, ``ServiceHTTPServer``,
-``serve``) resolve on first access (PEP 562).  So a server boot loads
-no engine and no numpy -- the first run does -- and a library process
-that only builds catalog plans never loads ``http.server``,
-``urllib.request`` or ``ssl``.
+Importing the package loads none of its modules: every public name
+resolves on first access (PEP 562) from the submodule that defines it.
+So a library process that only builds catalog plans loads the catalog
+and the spec, not the store, admission or the worker pool, and never
+``http.server``, ``urllib.request`` or ``ssl``; a server boot loads
+the control plane but no engine and no numpy -- the first run does.
 
 The load-bearing guarantee: a run executed by the service has the
 same virtual time and trace stream as the same spec run standalone.
@@ -38,14 +35,7 @@ hook, periodic checkpoints) to the VM it builds from the catalog's
 pure plan, so multi-tenancy costs no determinism.
 """
 
-from importlib import import_module
-
-from .admission import DEFAULT_QUOTA, AdmissionScheduler, TenantQuota
-from .catalog import APPS, AppPlan, app_names, build, pe_cost
-from .service import RunService
-from .spec import RunSpec
-from .store import (ADMITTED, DONE, FAILED, KILLED, LIVE_STATES, QUEUED,
-                    RUNNING, TERMINAL_STATES, RunRecord, RunStore)
+from .. import lazy_exports
 
 __all__ = [
     "ADMITTED", "APPS", "AdmissionScheduler", "AppPlan", "DEFAULT_QUOTA",
@@ -56,15 +46,22 @@ __all__ = [
     "TenantQuota", "app_names", "build", "execute_run", "pe_cost", "serve",
 ]
 
-#: Executor and HTTP-facing re-exports, imported from their submodule on
-#: first access.
-_LAZY = {"ExecutionHandle": "executor", "KilledByService": "executor",
-         "execute_run": "executor", "RunTimeout": "client",
-         "ServiceClient": "client", "ServiceClientError": "client",
-         "ServiceHTTPServer": "rest", "serve": "rest"}
+#: Public name -> the submodule that defines it, imported on first access.
+_LAZY = {
+    **dict.fromkeys(("DEFAULT_QUOTA", "AdmissionScheduler", "TenantQuota"),
+                    "admission"),
+    **dict.fromkeys(("APPS", "AppPlan", "app_names", "build", "pe_cost"),
+                    "catalog"),
+    **dict.fromkeys(("ExecutionHandle", "KilledByService", "execute_run"),
+                    "executor"),
+    **dict.fromkeys(("RunTimeout", "ServiceClient", "ServiceClientError"),
+                    "client"),
+    **dict.fromkeys(("ServiceHTTPServer", "serve"), "rest"),
+    "RunService": "service",
+    "RunSpec": "spec",
+    **dict.fromkeys(("ADMITTED", "DONE", "FAILED", "KILLED", "LIVE_STATES",
+                     "QUEUED", "RUNNING", "TERMINAL_STATES", "RunRecord",
+                     "RunStore"), "store"),
+}
 
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

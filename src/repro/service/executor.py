@@ -14,9 +14,15 @@ The executor is where the service's three core guarantees live:
   (reaping every simulated process) and the exception surfaces here,
   where the run is marked KILLED.
 * **Recovery** -- a run found interrupted at boot re-executes through
-  the same path; if it was checkpointing, :func:`find_latest_checkpoint`
-  plus :func:`repro.api.restore_vm` (with the catalog-rebuilt registry)
-  resume it from the last ``.pckpt`` instead of starting over.
+  the same path; if it was checkpointing,
+  :func:`~repro.checkpoint.find_latest_checkpoint` plus
+  :func:`restore_vm` (with the catalog-rebuilt registry) resume it
+  from the last ``.pckpt`` instead of starting over.  Only that path
+  loads the checkpoint restorer.
+
+Whatever a worker thread imports first -- the fault injector and the
+checkpoint writer a VM loads when its run uses them, the restorer --
+it imports under :data:`catalog.IMPORT_LOCK`.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import traceback
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
-from ..api import _ALL_TRACE_EVENTS, find_latest_checkpoint, restore_vm
+from ..api import _ALL_TRACE_EVENTS
 from ..core.vm import PiscesVM
 from ..faults import loads as load_fault_plan
 from ..obs.export import export_run, run_manifest
@@ -91,7 +97,16 @@ def _plan_vm(spec, plan: catalog.AppPlan, **config) -> PiscesVM:
     )
     fault_plan = (load_fault_plan(spec.fault_plan)
                   if spec.fault_plan else None)
-    return PiscesVM(config, registry=plan.registry, fault_plan=fault_plan)
+    with catalog.IMPORT_LOCK:
+        return PiscesVM(config, registry=plan.registry, fault_plan=fault_plan)
+
+
+def restore_vm(path, registry):
+    """:func:`repro.checkpoint.restore_vm`, which loads the restorer and
+    the fault-plan format on a recovered run's first resume."""
+    with catalog.IMPORT_LOCK:
+        from ..checkpoint.restore import restore_vm as restore
+        return restore(path, registry=registry)
 
 
 def build_vm(rec: RunRecord, store: RunStore,
@@ -189,6 +204,8 @@ def execute_run(rec: RunRecord, store: RunStore,
         # Prefer checkpoint-resume for recovered runs that were
         # checkpointing; anything else starts fresh.
         if rec.recovered and rec.spec.checkpoint_every:
+            with catalog.IMPORT_LOCK:
+                from ..checkpoint.format import find_latest_checkpoint
             ckpt = find_latest_checkpoint(store.checkpoint_dir(rec.run_id))
             if ckpt is not None:
                 try:

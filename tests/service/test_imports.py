@@ -11,6 +11,8 @@ fresh interpreter, since this test process has long since imported
 everything.
 """
 
+import gc
+import inspect
 import json
 import os
 import signal
@@ -27,7 +29,10 @@ import repro
 import repro.service
 from repro.service import (ADMITTED, DONE, QUEUED, RUNNING, TERMINAL_STATES,
                            RunService, RunSpec, catalog)
+from repro.api import make_vm
 from repro.apps.fortran_programs import WINDOW_SUM
+from repro.core import task as core_task
+from repro.core.sizes import DEFAULT_TASKTYPE_CODE_BYTES
 from repro.service.client import ServiceClient
 from tests.golden.digests import ADDUP_SOURCE
 
@@ -95,6 +100,76 @@ PUBLIC_NAMES = (
     "ServiceClientError", "ServiceHTTPServer", "TERMINAL_STATES",
     "TenantQuota", "app_names", "build", "execute_run", "pe_cost", "serve",
 )
+
+
+#: Layers a default library run never calls: ``from repro import api``
+#: plus a default build and run of every non-Fortran catalog app loads
+#: none of them (or their submodules).
+NEVER_CALLED = (
+    "repro.checkpoint", "repro.correctness", "repro.obs.profile",
+    "repro.obs.export", "repro.obs.spans", "repro.faults.injector",
+    "repro.faults.plan", "repro.service.service", "repro.service.store",
+    "repro.service.admission", "repro.util.durable",
+)
+#: ``repro`` modules that library run loads (48 when this was set, down
+#: from 70 when ``repro.api`` loaded every layer).
+LIBRARY_MODULE_BUDGET = 48
+#: ``__all__`` of the other modules whose names resolve on first
+#: access, as it stood when the module went lazy.
+LAZY_PUBLIC_NAMES = {
+    "repro.api": (
+        "ProfiledRun", "RaceCheck", "RecordedRun", "RestoredRun",
+        "RunRecord", "RunResult", "check_races", "checkpoint_vm",
+        "export_run", "find_latest_checkpoint", "make_vm", "open_window",
+        "plan_scope", "profile_run", "record_run", "replay_run",
+        "restore_vm", "run_app"),
+    "repro.apps": (
+        "FEMProblem", "FEMResult", "IntegrateResult", "JacobiResult",
+        "MatmulResult", "PipelineResult", "make_inputs", "run_matmul_force",
+        "run_matmul_hybrid", "run_matmul_tasks", "TrussProblem",
+        "TrussResult", "build_truss_registry", "pratt_truss", "run_truss",
+        "fortran_programs", "build_fem_registry", "build_force_registry",
+        "build_integrate_registry", "build_pipeline_registry",
+        "build_windows_registry", "default_integrand", "make_problem",
+        "reference_solution", "run_fem", "run_integrate",
+        "run_jacobi_force", "run_jacobi_windows", "run_pipeline"),
+    "repro.obs": (
+        "CAT_CRITICAL", "CAT_FAULT", "CAT_MESSAGE", "CAT_TASK",
+        "CausalProfiler", "CriticalPath", "Counter", "DEFAULT_BUCKETS",
+        "Gauge", "Histogram", "MetricsRegistry", "NULL_REGISTRY", "Span",
+        "chrome_trace_events", "derive_spans", "event_from_dict",
+        "event_to_dict", "export_run", "extract_critical_path",
+        "idle_report", "load_chrome_trace", "pe_gantt", "profile_report",
+        "read_jsonl", "span_summary", "task_gantt", "write_chrome_trace",
+        "write_jsonl", "write_metrics_snapshot", "write_profile",
+        "write_run_manifest"),
+    "repro.obs.profile": (
+        "CausalProfiler", "CriticalPath", "PathSegment", "Slice",
+        "WaitAccounting", "WaitInterval", "WAIT_ACCEPT", "WAIT_BARRIER",
+        "WAIT_CATEGORIES", "WAIT_DISPATCH", "WAIT_FAULT", "WAIT_LOCK",
+        "WAIT_WINDOW", "chrome_profile_trace", "extract_critical_path",
+        "folded_stacks", "idle_report", "pe_gantt", "profile_report",
+        "wait_category", "write_profile"),
+    "repro.checkpoint": (
+        "PeriodicCheckpointer", "RestoredRun", "checkpoint_vm",
+        "find_latest_checkpoint", "load_bundle", "restore_vm",
+        "snapshot_state", "verify_snapshot"),
+    "repro.correctness": (
+        "HBEdge", "HBEdgeLog", "RaceDetector", "RaceReport", "Schedule",
+        "iter_hb_edges"),
+    "repro.faults": (
+        "ALWAYS_PROTECTED", "CORRUPT", "CORRUPTION_MARKER", "DELAY", "DROP",
+        "DUPLICATE", "FaultEvent", "FaultInjector", "FaultPlan", "HostKill",
+        "MessagePolicy", "NONE", "NOTIFY", "PECrash", "RESTART",
+        "Supervision", "TaskKill", "ambient_plan", "corrupt_args", "dumps",
+        "load", "loads", "plan_scope", "save"),
+}
+#: Every catalog app at its defaults, Fortran with and without arrays.
+ALL_APP_SPECS = {
+    **{app: {"app": app} for app in catalog.app_names() if app != "fortran"},
+    "fortran_addup": NUMPY_FREE_SPECS["fortran_addup"],
+    "fortran_window_sum": NUMPY_FREE_SPECS["fortran_window_sum"],
+}
 
 
 def _env():
@@ -182,8 +257,9 @@ def test_server_entry_point_loads_no_http_client():
 
 def test_every_public_name_still_resolves():
     assert sorted(repro.service.__all__) == sorted(PUBLIC_NAMES)
-    code = (f"from repro.service import {', '.join(PUBLIC_NAMES)}\n"
-            f"import repro.service\n"
+    code = (f"import repro.service\n"
+            f"assert set(repro.service.__all__) <= set(dir(repro.service))\n"
+            f"from repro.service import {', '.join(PUBLIC_NAMES)}\n"
             f"assert not hasattr(repro.service, 'no_such_name')")
     assert loaded_after(code, ()) == []
 
@@ -327,8 +403,10 @@ def test_legacy_bundle_restores_without_numpy(tmp_path):
 
 def test_every_repro_name_resolves():
     assert sorted(repro.__all__) == sorted(REPRO_PUBLIC_NAMES)
-    code = (f"from repro import {', '.join(REPRO_PUBLIC_NAMES)}\n"
-            f"import repro, repro.api\n"
+    code = (f"import repro\n"
+            f"assert set(repro.__all__) <= set(dir(repro))\n"
+            f"from repro import {', '.join(REPRO_PUBLIC_NAMES)}\n"
+            f"import repro.api\n"
             f"assert repro.make_vm is repro.api.make_vm\n"
             f"assert repro.api is api\n"
             f"assert not hasattr(repro, 'no_such_name')")
@@ -359,3 +437,132 @@ def test_builds_hold_the_import_lock(monkeypatch):
 
 def test_app_names_are_the_builder_table():
     assert catalog.app_names() == tuple(sorted(catalog.APPS))
+
+
+def test_library_run_loads_only_what_it_executes():
+    """The library path pays for the engine and the apps it runs, not
+    for the checkpoint, race, profile and fault layers, the exporters or
+    the service's control plane."""
+    code = textwrap.dedent("""
+        import json, sys
+        from repro import api
+        from repro.service import catalog, spec
+        for app in catalog.app_names():
+            if app != "fortran":
+                plan = catalog.build(spec.RunSpec(app=app))
+                vm = api.make_vm(config=plan.config, registry=plan.registry)
+                assert vm.run(plan.tasktype, *plan.args).elapsed > 0, app
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    out = subprocess.run([sys.executable, "-c", code], env=_env(),
+                         capture_output=True, text=True, check=True)
+    modules = json.loads(out.stdout.splitlines()[-1])
+    assert [m for m in modules
+            if any(m == n or m.startswith(n + ".") for n in NEVER_CALLED)
+            ] == []
+    own = [m for m in modules if m == "repro" or m.startswith("repro.")]
+    assert len(own) <= LIBRARY_MODULE_BUDGET, own
+
+
+@pytest.mark.parametrize("package", sorted(LAZY_PUBLIC_NAMES))
+def test_lazy_package_lists_and_resolves_its_names(package):
+    """``__all__`` is pinned, ``dir()`` lists every name before it
+    resolves, and every name resolves in a fresh interpreter (``repro``
+    and ``repro.service``: the two tests above)."""
+    names = LAZY_PUBLIC_NAMES[package]
+    module = sys.modules.get(package) or __import__(package, fromlist=["_"])
+    assert sorted(module.__all__) == sorted(names)
+    code = textwrap.dedent(f"""
+        import importlib
+        m = importlib.import_module({package!r})
+        assert set(m.__all__) <= set(dir(m)), set(m.__all__) - set(dir(m))
+        for name in m.__all__:
+            getattr(m, name)
+        assert set(m.__all__) <= set(dir(m))
+        assert not hasattr(m, "no_such_name")
+    """)
+    assert loaded_after(code, ()) == []
+
+
+def _eager_code_bytes(fn):
+    """The loadfile rule as it ran at every plan build before it moved
+    to VM boot."""
+    try:
+        return max(DEFAULT_TASKTYPE_CODE_BYTES // 2, len(inspect.getsource(fn)))
+    except (OSError, TypeError):
+        return DEFAULT_TASKTYPE_CODE_BYTES
+
+
+@pytest.mark.parametrize("name", sorted(ALL_APP_SPECS))
+def test_code_bytes_equal_the_eager_rule(name):
+    registry = catalog.build(RunSpec.from_dict(ALL_APP_SPECS[name])).registry
+    eager = sum(_eager_code_bytes(registry.get(t).fn)
+                for t in registry.names())
+    assert registry.total_code_bytes() == eager
+
+
+def test_plan_builds_read_no_source(monkeypatch):
+    """A plan build registers tasktypes; their code is measured when a
+    VM boots (the section 11 download), so building reads no source."""
+    def no_source(obj):
+        raise AssertionError(f"catalog.build read the source of {obj!r}")
+
+    monkeypatch.setattr(inspect, "getsource", no_source)
+    for name, s in ALL_APP_SPECS.items():
+        assert catalog.build(RunSpec.from_dict(s)).tasktype, name
+
+
+def test_code_bytes_memo_does_not_grow_with_fortran_builds():
+    """Each Fortran build compiles new code; the per-code-object memo
+    holds it weakly, so a long-lived service does not grow with every
+    submit."""
+    def boot(k):
+        source = ADDUP_SOURCE.replace("1, 50", f"1, {k}")
+        plan = catalog.build(RunSpec.from_dict(
+            {"app": "fortran", "params": {"source": source}}))
+        make_vm(config=plan.config, registry=plan.registry).shutdown()
+
+    boot(0)
+    gc.collect()
+    before = len(core_task._CODE_BYTES)
+    for k in range(1, 51):
+        boot(k)
+    gc.collect()
+    assert len(core_task._CODE_BYTES) <= before
+
+
+def test_first_checkpointing_runs_on_two_workers(tmp_path):
+    """A served run without checkpoints loads no checkpoint code; the
+    first two checkpointing runs then load it on two worker threads at
+    once (under the catalog's import lock) and both finish DONE, in
+    every fresh boot."""
+    code = textwrap.dedent(f"""
+        import sys, time
+        from repro.service import RunService
+        def wait(svc, run_ids):
+            while any(svc.get_run(r).state not in {TERMINAL_STATES!r}
+                      for r in run_ids):
+                time.sleep(0.01)
+            return [svc.get_run(r).state for r in run_ids]
+        svc = RunService(sys.argv[1], n_workers=2).start()
+        try:
+            plain = svc.submit("alice", {QUICK!r}).run_id
+            assert wait(svc, [plain]) == [{DONE!r}]
+            assert "repro.checkpoint" not in sys.modules
+            spec = {{"app": "jacobi", "checkpoint_every": 500}}
+            runs = [svc.submit(t, spec).run_id for t in ("alice", "bob")]
+            assert wait(svc, runs) == [{DONE!r}] * 2
+        finally:
+            svc.stop()
+    """)
+    for boot in range(5):
+        subprocess.run([sys.executable, "-c", code,
+                        str(tmp_path / f"store{boot}")], env=_env(),
+                       check=True, timeout=120)
+
+
+def test_fault_plan_parsing_loads_no_engine():
+    """A submit validates its fault plan before any build; the plan
+    format needs neither the engine nor the injector."""
+    code = "from repro.faults import loads, plan_scope"
+    assert loaded_after(code, ENGINE + ("repro.faults.injector",)) == []
