@@ -18,15 +18,16 @@ many tenants, with nothing beyond the standard library:
 * :mod:`~repro.service.service` -- :class:`RunService`, the worker
   pool tying the above together;
 * :mod:`~repro.service.rest` / :mod:`~repro.service.client` -- the
-  HTTP control plane and its stdlib client;
+  HTTP/1.1 control plane (on ``socketserver``) and its stdlib client;
 * ``python -m repro.service`` -- the server entry point.
 
 Importing the package loads none of its modules: every public name
 resolves on first access (PEP 562) from the submodule that defines it.
 So a library process that only builds catalog plans loads the catalog
-and the spec, not the store, admission or the worker pool, and never
-``http.server``, ``urllib.request`` or ``ssl``; a server boot loads
-the control plane but no engine and no numpy -- the first run does.
+and the spec, not the store, admission or the worker pool, and no
+HTTP code; a server boot loads the control plane but no engine, no
+numpy and no ``http.server``, ``http.client``, ``email`` or ``ssl``
+(the REST layer reads HTTP itself) -- the first run loads the engine.
 
 The load-bearing guarantee: a run executed by the service has the
 same virtual time and trace stream as the same spec run standalone.

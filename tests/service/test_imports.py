@@ -1,9 +1,9 @@
 """Each entry point imports only what it serves.
 
 A library process that builds catalog plans must not pay for the
-service's HTTP stack (``http.server`` pulls in ``http.client`` and
-``ssl``) or the Fortran front end; the server must not load the HTTP
-client.  A server boots on its control plane: the engine stack loads
+service's HTTP stack or the Fortran front end; the server must not load
+the HTTP client, and it reads HTTP itself, so it loads no
+``http.server``, ``http.client``, ``email`` or ``ssl``.  A server boots on its control plane: the engine stack loads
 with the first run, not at start-up.  No run loads numpy: SHARED
 COMMON, exported arrays and window blocks are stdlib Grids, so the
 array apps and Fortran programs run without it.  Every check runs in a
@@ -43,7 +43,8 @@ LIBRARY_MUST_NOT_LOAD = (
     "ssl", "http.server", "http.client", "urllib.request", "repro.fortran",
     "repro.service.rest", "repro.service.client",
 )
-SERVER_MUST_NOT_LOAD = ("urllib.request", "repro.service.client")
+SERVER_MUST_NOT_LOAD = ("urllib.request", "repro.service.client", "ssl",
+                        "http.server", "http.client", "email.parser")
 #: The execution side: none of it loads before the first run is built.
 ENGINE = ("repro.core", "repro.mmos", "repro.apps", "repro.checkpoint",
           "repro.correctness", "repro.obs.profile", "numpy")
