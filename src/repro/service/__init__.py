@@ -44,15 +44,14 @@ __all__ = [
     "LIVE_STATES", "QUEUED", "RUNNING", "RunRecord", "RunService",
     "RunSpec", "RunStore", "RunTimeout", "ServiceClient",
     "ServiceClientError", "ServiceHTTPServer", "TERMINAL_STATES",
-    "TenantQuota", "app_names", "build", "execute_run", "pe_cost", "serve",
+    "TenantQuota", "app_names", "build", "execute_run", "serve",
 ]
 
 #: Public name -> the submodule that defines it, imported on first access.
 _LAZY = {
     **dict.fromkeys(("DEFAULT_QUOTA", "AdmissionScheduler", "TenantQuota"),
                     "admission"),
-    **dict.fromkeys(("APPS", "AppPlan", "app_names", "build", "pe_cost"),
-                    "catalog"),
+    **dict.fromkeys(("APPS", "AppPlan", "app_names", "build"), "catalog"),
     **dict.fromkeys(("ExecutionHandle", "KilledByService", "execute_run"),
                     "executor"),
     **dict.fromkeys(("RunTimeout", "ServiceClient", "ServiceClientError"),

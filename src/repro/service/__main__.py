@@ -17,7 +17,7 @@ import signal
 import sys
 
 from .admission import DEFAULT_QUOTA, TenantQuota
-from .rest import ServiceHTTPServer, _Handler
+from .rest import POLL_S, ServiceHTTPServer, _Handler
 from .service import RunService
 
 
@@ -76,7 +76,7 @@ def main(argv=None) -> int:
 
     signal.signal(signal.SIGTERM, _stop)
     try:
-        server.serve_forever()
+        server.serve_forever(POLL_S)
     except KeyboardInterrupt:
         pass
     finally:

@@ -20,9 +20,13 @@ tenant can starve another by submitting first or submitting a lot --
 a burst of 50 runs from tenant A still lets tenant B's single run in
 on B's next rotation slot.
 
-Deficits and the rotation pointer are in-memory only: fairness state
-is advisory and restarts from zero after a service restart, while the
-queue itself (the store) is what persists.
+A run's cost is the PEs its plan uses.  The scheduler holds each live
+run's plan -- built at submit (:meth:`hold`), or at its first pricing
+after a recovery -- and hands it to the worker that runs it.
+
+Deficits, the rotation pointer and the held plans are in-memory only:
+fairness state is advisory and restarts from zero after a service
+restart, while the queue itself (the store) is what persists.
 """
 
 from __future__ import annotations
@@ -63,29 +67,33 @@ class AdmissionScheduler:
         self.quotas = dict(quotas or {})
         self.default_quota = default_quota
         self.quantum = quantum
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._deficit: Dict[str, int] = {}
         self._rotation: List[str] = []       # fixed visit order, grown
         self._cursor = 0                     # next rotation position
-        #: PE cost per live run id (pruned by :meth:`select`).
-        self._cost_cache: Dict[str, int] = {}
+        #: The plan of each live run id (pruned by :meth:`select`).
+        self._plans: Dict[str, catalog.AppPlan] = {}
 
     def quota_for(self, tenant: str) -> TenantQuota:
         return self.quotas.get(tenant, self.default_quota)
 
-    # ------------------------------------------------------------- cost --
+    # ------------------------------------------------------------- plans --
+
+    def hold(self, run_id: str, plan: catalog.AppPlan) -> None:
+        """Hold the plan a submit built for its run until the run ends."""
+        with self._lock:
+            self._plans[run_id] = plan
+
+    def plan(self, rec: RunRecord) -> catalog.AppPlan:
+        """The run's held plan, built here if it has none."""
+        with self._lock:
+            if rec.run_id not in self._plans:
+                self._plans[rec.run_id] = catalog.build(rec.spec)
+            return self._plans[rec.run_id]
 
     def run_cost(self, rec: RunRecord) -> int:
-        """PE cost of a run (cached -- building the app is pure)."""
-        c = self._cost_cache.get(rec.run_id)
-        if c is None:
-            c = self._cost_cache[rec.run_id] = catalog.pe_cost(rec.spec)
-        return c
-
-    def seed_cost(self, run_id: str, pes: int) -> None:
-        """Cache the cost of a run whose plan the caller already built,
-        so only runs recovered at boot build a plan to be priced."""
-        self._cost_cache[run_id] = pes
+        """PE cost of a run: the PEs its plan's configuration uses."""
+        return len(self.plan(rec).config.used_pes())
 
     # ----------------------------------------------------------- submit --
 
@@ -103,17 +111,18 @@ class AdmissionScheduler:
 
     def usage(self, tenant: str) -> Dict[str, int]:
         """Current consumption against the tenant's quota."""
-        running = self.store.list(tenant=tenant, state=RUNNING) \
-            + self.store.list(tenant=tenant, state=ADMITTED)
         q = self.quota_for(tenant)
-        return {
-            "running": len(running),
-            "queued": len(self.store.list(tenant=tenant, state=QUEUED)),
-            "pes_in_use": sum(self.run_cost(r) for r in running),
-            "max_running": q.max_running,
-            "max_queued": q.max_queued,
-            "pe_budget": q.pe_budget,
-        }
+        with self._lock:        # no select drops a listed run's plan
+            running = self.store.list(tenant=tenant, state=RUNNING) \
+                + self.store.list(tenant=tenant, state=ADMITTED)
+            return {
+                "running": len(running),
+                "queued": len(self.store.list(tenant=tenant, state=QUEUED)),
+                "pes_in_use": sum(self.run_cost(r) for r in running),
+                "max_running": q.max_running,
+                "max_queued": q.max_queued,
+                "pe_budget": q.pe_budget,
+            }
 
     # ------------------------------------------------------------ select --
 
@@ -137,12 +146,12 @@ class AdmissionScheduler:
             for state in (RUNNING, ADMITTED):
                 for rec in self.store.list(state=state):
                     active.setdefault(rec.tenant, []).append(rec)
-            # Forget the costs of finished runs: memory follows the
-            # live queue, not the history.
+            # Drop the plans of finished runs: memory follows the live
+            # queue, not the history.
             live = {r.run_id for recs in (*queued.values(), *active.values())
                     for r in recs}
-            for run_id in self._cost_cache.keys() - live:
-                del self._cost_cache[run_id]
+            for run_id in self._plans.keys() - live:
+                del self._plans[run_id]
             if not queued:
                 return None
 

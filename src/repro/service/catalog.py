@@ -4,8 +4,9 @@ The run service never accepts code from tenants -- it accepts a
 *name* plus JSON parameters (or, for ``"fortran"``, Pisces Fortran
 source text, which the preprocessor turns into a registry).  Each
 catalog entry is a pure function from parameters to an
-:class:`AppPlan`: the task registry, the machine configuration, and
-the root ``(tasktype, args)`` to run.
+:class:`AppPlan`: the task registry, the machine configuration, the
+root ``(tasktype, args)`` to run and the parsed fault plan.  A served
+run is built once, at submit, and executes that plan.
 
 Rebuildability is the point, not a convenience: a run interrupted by a
 service crash is resumed from its latest ``.pckpt`` checkpoint, and
@@ -22,8 +23,8 @@ first builds, so a service that has only booted holds none of them.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from ..config.configuration import ClusterSpec, Configuration
 from ..errors import InvalidRunSpec
@@ -31,6 +32,7 @@ from .spec import RunSpec
 
 if TYPE_CHECKING:
     from ..core.task import TaskRegistry
+    from ..faults.plan import FaultPlan
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,8 @@ class AppPlan:
     config: Configuration
     tasktype: str
     args: Tuple[Any, ...] = ()
+    #: The spec's parsed ``fault_plan``, or None when it has none.
+    fault_plan: Optional[FaultPlan] = None
 
 
 def _same_type(value: Any, default: Any) -> bool:
@@ -275,8 +279,6 @@ APPS: Dict[str, Callable[[RunSpec], AppPlan]] = {
 }
 
 
-_NAMES = tuple(sorted(APPS))
-
 #: Held while a plan is built and wherever the service imports engine
 #: modules lazily.  The first build imports the engine, and two threads
 #: entering its mutually importing modules at once can find one half
@@ -286,7 +288,7 @@ IMPORT_LOCK = threading.RLock()
 
 
 def app_names() -> Tuple[str, ...]:
-    return _NAMES
+    return tuple(sorted(APPS))
 
 
 def build(spec: RunSpec) -> AppPlan:
@@ -298,9 +300,11 @@ def build(spec: RunSpec) -> AppPlan:
             f"unknown app {spec.app!r} "
             f"(catalog: {', '.join(app_names())})") from None
     with IMPORT_LOCK:
-        return builder(spec)
-
-
-def pe_cost(spec: RunSpec) -> int:
-    """PEs the run will occupy -- the admission scheduler's cost unit."""
-    return len(build(spec).config.used_pes())
+        plan = builder(spec)
+        if not spec.fault_plan:
+            return plan
+        from ..faults.plan import loads
+    try:
+        return replace(plan, fault_plan=loads(spec.fault_plan))
+    except Exception as e:            # any parse failure is a 400
+        raise InvalidRunSpec(f"fault_plan did not parse: {e}") from e

@@ -1,5 +1,5 @@
-"""Executing one admitted run: boot, run (or checkpoint-resume),
-archive, record the exit.
+"""Executing one admitted run's plan (the one admission held for it):
+boot, run (or checkpoint-resume), archive, record the exit.
 
 The executor is where the service's three core guarantees live:
 
@@ -16,7 +16,7 @@ The executor is where the service's three core guarantees live:
 * **Recovery** -- a run found interrupted at boot re-executes through
   the same path; if it was checkpointing,
   :func:`~repro.checkpoint.find_latest_checkpoint` plus
-  :func:`restore_vm` (with the catalog-rebuilt registry) resume it
+  :func:`restore_vm` (with the plan's registry) resume it
   from the last ``.pckpt`` instead of starting over.  Only that path
   loads the checkpoint restorer.
 
@@ -35,7 +35,6 @@ from typing import Any, Dict, Optional
 
 from ..api import _ALL_TRACE_EVENTS
 from ..core.vm import PiscesVM
-from ..faults import loads as load_fault_plan
 from ..obs.export import export_run, run_manifest
 from ..util.durable import durable_write
 from . import catalog
@@ -95,10 +94,8 @@ def _plan_vm(spec, plan: catalog.AppPlan, **config) -> PiscesVM:
         run_seed=spec.run_seed,
         **config,
     )
-    fault_plan = (load_fault_plan(spec.fault_plan)
-                  if spec.fault_plan else None)
     with catalog.IMPORT_LOCK:
-        return PiscesVM(config, registry=plan.registry, fault_plan=fault_plan)
+        return PiscesVM(config, plan.registry, fault_plan=plan.fault_plan)
 
 
 def restore_vm(path, registry):
@@ -183,12 +180,12 @@ def standalone_run(spec):
     return vm.run(plan.tasktype, *plan.args, shutdown=True)
 
 
-def execute_run(rec: RunRecord, store: RunStore,
-                handle: ExecutionHandle) -> RunRecord:
-    """Run one ADMITTED record to a terminal state.  Called on a worker
-    thread.  A failure of the run becomes the FAILED state; only a store
-    that cannot persist even that raises, leaving the record at its last
-    persisted state for the next boot to re-queue."""
+def execute_run(rec: RunRecord, store: RunStore, handle: ExecutionHandle,
+                plan: catalog.AppPlan) -> RunRecord:
+    """Run one ADMITTED record's ``plan`` to a terminal state.  Called on
+    a worker thread.  A failure of the run becomes the FAILED state; only
+    a store that cannot persist even that raises, leaving the record at
+    its last persisted state for the next boot to re-queue."""
     if handle.kill_event.is_set():        # killed while waiting to start
         return store.transition(rec.run_id, KILLED,
                                 finished_at=time.time(),
@@ -198,9 +195,6 @@ def execute_run(rec: RunRecord, store: RunStore,
     vm: Optional[PiscesVM] = None
     restored = None
     try:
-        # One plan per execution: it is a pure function of the spec, so
-        # the resume registry and the fresh VM can share it.
-        plan = catalog.build(rec.spec)
         # Prefer checkpoint-resume for recovered runs that were
         # checkpointing; anything else starts fresh.
         if rec.recovered and rec.spec.checkpoint_every:

@@ -35,7 +35,8 @@ line not three words, bad version, header line without a colon, bad
 ``Content-Length``), 411 (any ``Transfer-Encoding``), 413 (body over
 the cap), 414 (request line too long), 431 (header line too long, too
 many headers), 501 (a method other than GET and POST), 505 (not
-HTTP/1).  A client that closes its connection early just ends it.
+HTTP/1).  A client that closes its connection early just ends it, and
+so does one that sends nothing for :data:`READ_TIMEOUT_S`.
 
 Multi-tenancy is cooperative, not authenticated (the service trusts
 the submitted tenant name, like the paper's single-machine PISCES
@@ -71,6 +72,11 @@ MAX_BODY = 1 << 20
 #: After a refusal, how long to read (and drop) what the client still
 #: sends, so closing does not reset the connection under the answer.
 LINGER_S = 1.0
+#: How long a connection waits for its client's next bytes before the
+#: server closes it, so a silent or stalled client frees its thread.
+READ_TIMEOUT_S = 30.0
+#: How often ``serve_forever`` looks for a ``shutdown()`` request.
+POLL_S = 0.05
 
 _REASONS = {
     200: "OK", 201: "Created", 202: "Accepted", 400: "Bad Request",
@@ -93,10 +99,6 @@ def http_date(when: Optional[float] = None) -> str:
             f"{t.tm_year} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
 
 
-def record_json(rec: RunRecord) -> Dict[str, Any]:
-    return rec.to_dict()
-
-
 class _Refused(Exception):
     """A request the server answers with ``code`` and reads no further."""
 
@@ -114,18 +116,15 @@ class _Handler(socketserver.StreamRequestHandler):
     # quiet by default; the __main__ entry point can flip this
     log_to_stderr = False
 
-    @property
-    def service(self) -> RunService:
-        return self.server.service        # type: ignore[attr-defined]
-
     # ------------------------------------------------------------- wire
 
     def handle(self) -> None:
+        self.connection.settimeout(READ_TIMEOUT_S)
         try:
             while self._handle_one():
                 pass
-        except ConnectionError:
-            pass                        # the client left
+        except (ConnectionError, TimeoutError):
+            pass                        # the client left or went silent
 
     def _handle_one(self) -> bool:
         """Serve one request; False when the connection is done."""
@@ -296,7 +295,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _dispatch(self, method: str, parts: Tuple[str, ...],
                   query: Dict[str, str]) -> bool:
-        svc = self.service
+        svc: RunService = self.server.service    # type: ignore
 
         if method == "GET" and parts == ("health",):
             self._send(200, svc.health())
@@ -308,17 +307,17 @@ class _Handler(socketserver.StreamRequestHandler):
             tenant = body.get("tenant") or \
                 self.headers.get("x-pisces-tenant") or ""
             rec = svc.submit(tenant, body.get("spec") or {})
-            self._send(201, record_json(rec))
+            self._send(201, rec.to_dict())
         elif method == "GET" and parts == ("runs",):
             recs = svc.list_runs(tenant=query.get("tenant"),
                                  state=query.get("state"))
-            self._send(200, {"runs": [record_json(r) for r in recs]})
+            self._send(200, {"runs": [r.to_dict() for r in recs]})
         elif method == "GET" and len(parts) == 2 and parts[0] == "runs":
-            self._send(200, record_json(svc.get_run(parts[1])))
+            self._send(200, svc.get_run(parts[1]).to_dict())
         elif method == "POST" and len(parts) == 3 \
                 and parts[0] == "runs" and parts[2] == "kill":
             self._check_tenant(svc.get_run(parts[1]))
-            self._send(202, record_json(svc.kill(parts[1])))
+            self._send(202, svc.kill(parts[1]).to_dict())
         elif method == "GET" and len(parts) == 3 and parts[0] == "runs":
             run_id, leaf = parts[1], parts[2]
             if leaf == "metrics":
@@ -377,7 +376,7 @@ def serve(service: RunService, host: str = "127.0.0.1", port: int = 0,
     ``port=0`` binds an ephemeral port -- read ``server.url``.
     """
     server = ServiceHTTPServer(service, host=host, port=port)
-    thread = threading.Thread(target=server.serve_forever,
+    thread = threading.Thread(target=server.serve_forever, args=(POLL_S,),
                               name="pisces-svc-http", daemon=True)
     thread.start()
     return server, thread

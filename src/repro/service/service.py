@@ -14,9 +14,9 @@ for the next fair-share pick whenever it is free, so admission
 decisions always see the true current load, and a freed slot is
 refilled immediately (the condition variable wakes on submit and on
 run completion).  Everything a worker executes goes through
-:func:`repro.service.executor.execute_run`; the service only tracks
-the live :class:`ExecutionHandle` so kill and the live status /
-metrics / trace queries can reach the running VM.
+:func:`repro.service.executor.execute_run` with the run's held plan;
+the service only tracks the live :class:`ExecutionHandle` so kill and
+the live status / metrics / trace queries can reach the running VM.
 """
 
 from __future__ import annotations
@@ -41,13 +41,13 @@ if TYPE_CHECKING:
 _TENANT_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}\Z")
 
 
-def execute_run(rec: RunRecord, store: RunStore,
-                handle: ExecutionHandle) -> RunRecord:
+def execute_run(rec: RunRecord, store: RunStore, handle: ExecutionHandle,
+                plan: catalog.AppPlan) -> RunRecord:
     """:func:`repro.service.executor.execute_run`, imported at the first
     run: the executor brings the engine, so a boot does not load it."""
     with catalog.IMPORT_LOCK:
         from .executor import execute_run as execute
-    return execute(rec, store, handle)
+    return execute(rec, store, handle, plan)
 
 
 class RunService:
@@ -108,12 +108,13 @@ class RunService:
                     # (bounded, so stop() is never waited out).
                     self._cv.wait(timeout=0.2)
                     continue
+                plan = self.admission.plan(rec)
                 with catalog.IMPORT_LOCK:
                     from .executor import ExecutionHandle
                 handle = ExecutionHandle(rec.run_id, threading.Event())
                 self._handles[rec.run_id] = handle
             try:
-                execute_run(rec, self.store, handle)
+                execute_run(rec, self.store, handle, plan)
             except Exception:
                 # The store could not record the outcome (a full disk,
                 # say).  The worker lives on to serve later runs.
@@ -137,18 +138,10 @@ class RunService:
         if not isinstance(spec, RunSpec):
             spec = RunSpec.from_dict(spec)
         plan = catalog.build(spec)        # reject unbuildable specs now
-        if spec.fault_plan:
-            with catalog.IMPORT_LOCK:
-                from ..faults import loads
-            try:
-                loads(spec.fault_plan)
-            except Exception as e:        # any parse failure is a 400
-                raise InvalidRunSpec(
-                    f"fault_plan did not parse: {e}") from e
         self.admission.check_submit(tenant)           # QuotaExceeded -> 429
-        rec = self.store.create(tenant, spec)
-        self.admission.seed_cost(rec.run_id, len(plan.config.used_pes()))
-        with self._cv:
+        with self._cv:          # no worker selects a run without a plan
+            rec = self.store.create(tenant, spec)
+            self.admission.hold(rec.run_id, plan)
             self._cv.notify_all()
         return rec
 

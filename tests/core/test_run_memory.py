@@ -105,10 +105,11 @@ def test_service_execution_leaves_no_cycles(name, tmp_path):
     rec = store.create("alice", RunSpec.from_dict(spec))
     rec = store.transition(rec.run_id, ADMITTED)
     with gc_off():
+        plan = catalog.build(rec.spec)
         handle = executor.ExecutionHandle(rec.run_id, make_event())
-        final = executor.execute_run(rec, store, handle)
+        final = executor.execute_run(rec, store, handle, plan)
         assert final.state == want
-        del handle
+        del handle, plan
         assert cyclic_repro_garbage() == {}
 
 

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.errors import QuotaExceeded
+from repro.service import catalog
 from repro.service.admission import AdmissionScheduler, TenantQuota
 from repro.service.spec import RunSpec
-from repro.service.store import ADMITTED, DONE, QUEUED, RUNNING, RunStore
+from repro.service.store import (ADMITTED, DONE, KILLED, QUEUED, RUNNING,
+                                 RunStore)
 
 SPIN = RunSpec(app="spin", params={"rounds": 3})           # 1 PE
 FORCE = RunSpec(app="jacobi_force", params={"force_pes": 3})  # 4 PEs
@@ -135,7 +137,7 @@ class TestFairShare:
         sched = AdmissionScheduler(store, default_quota=GENEROUS)
         assert sched.select() is None
 
-    def test_cost_cache_holds_only_live_runs(self, store):
+    def test_held_plans_are_only_live_runs(self, store):
         sched = AdmissionScheduler(store, default_quota=GENEROUS)
         for _ in range(20):
             store.create("t", SPIN)
@@ -143,12 +145,25 @@ class TestFairShare:
             store.transition(rec.run_id, RUNNING)
             store.transition(rec.run_id, DONE)
         live = store.create("t", FORCE)
+        killed = store.create("t", SPIN)
+        sched.hold(killed.run_id, catalog.build(SPIN))
         assert sched.select().run_id == live.run_id
-        assert set(sched._cost_cache) == {live.run_id}
+        assert set(sched._plans) == {live.run_id, killed.run_id}
+        store.transition(killed.run_id, KILLED)       # killed while queued
         store.transition(live.run_id, RUNNING)
         store.transition(live.run_id, DONE)
         assert sched.select() is None
-        assert sched._cost_cache == {}
+        assert sched._plans == {}
+
+    def test_held_plan_prices_and_is_handed_over(self, store, monkeypatch):
+        sched = AdmissionScheduler(store, default_quota=GENEROUS)
+        rec = store.create("t", FORCE)
+        plan = catalog.build(FORCE)
+        sched.hold(rec.run_id, plan)
+        monkeypatch.setattr(catalog, "build", None)     # no second build
+        assert sched.run_cost(rec) == 4
+        assert sched.select().run_id == rec.run_id
+        assert sched.plan(rec) is plan
 
 
 class TestUsage:

@@ -65,18 +65,20 @@ class TestBuild:
         assert a.tasktype == b.tasktype and a.args == b.args
         assert a.registry.names() == b.registry.names()
 
-    def test_pe_cost_positive_for_all_apps(self):
+    def test_every_app_plan_uses_a_pe(self):
         for app in catalog.app_names():
             if app == "fortran":
                 spec = RunSpec(app=app, params={"source": FORTRAN_SOURCE})
             else:
                 spec = RunSpec(app=app)
-            assert catalog.pe_cost(spec) >= 1
+            assert len(catalog.build(spec).config.used_pes()) >= 1
 
     def test_force_apps_cost_their_secondaries(self):
-        assert catalog.pe_cost(RunSpec(app="jacobi_force",
-                                       params={"force_pes": 3})) \
-            > catalog.pe_cost(RunSpec(app="spin"))
+        def pes(spec):
+            return len(catalog.build(spec).config.used_pes())
+
+        assert pes(RunSpec(app="jacobi_force", params={"force_pes": 3})) \
+            > pes(RunSpec(app="spin"))
 
 
 class TestFortran:
@@ -118,6 +120,23 @@ class TestChaosParams:
         with pytest.raises(InvalidRunSpec):
             catalog.build(RunSpec(app="chaos_jacobi",
                                   params={"on_death": "panic"}))
+
+
+class TestFaultPlan:
+
+    def test_plan_carries_the_parsed_fault_plan(self):
+        from repro.faults import FaultPlan, TaskKill, dumps
+
+        fp = FaultPlan(seed=7, kills=(TaskKill(at=5_000,
+                                               tasktype="CWORKER"),))
+        plan = catalog.build(RunSpec(app="chaos_jacobi",
+                                     fault_plan=dumps(fp)))
+        assert dumps(plan.fault_plan) == dumps(fp)
+        assert catalog.build(RunSpec(app="spin")).fault_plan is None
+
+    def test_unparsable_fault_plan_refused(self):
+        with pytest.raises(InvalidRunSpec, match="fault_plan did not parse"):
+            catalog.build(RunSpec(app="spin", fault_plan="crash at=x"))
 
 
 def test_spin_runs_and_charges_virtual_time():

@@ -92,14 +92,15 @@ REPRO_PUBLIC_NAMES = (
     "nasa_langley_flex32", "open_window", "plan_scope", "run_app",
     "simple_configuration", "small_flex", "tasktype",
 )
-#: ``repro.service.__all__`` as it stood when the HTTP names went lazy.
+#: ``repro.service.__all__`` as it stood when the HTTP names went lazy,
+#: less ``pe_cost`` (a run is priced from its held plan).
 PUBLIC_NAMES = (
     "ADMITTED", "APPS", "AdmissionScheduler", "AppPlan", "DEFAULT_QUOTA",
     "DONE", "ExecutionHandle", "FAILED", "KILLED", "KilledByService",
     "LIVE_STATES", "QUEUED", "RUNNING", "RunRecord", "RunService",
     "RunSpec", "RunStore", "RunTimeout", "ServiceClient",
     "ServiceClientError", "ServiceHTTPServer", "TERMINAL_STATES",
-    "TenantQuota", "app_names", "build", "execute_run", "pe_cost", "serve",
+    "TenantQuota", "app_names", "build", "execute_run", "serve",
 )
 
 
@@ -563,7 +564,7 @@ def test_first_checkpointing_runs_on_two_workers(tmp_path):
 
 
 def test_fault_plan_parsing_loads_no_engine():
-    """A submit validates its fault plan before any build; the plan
-    format needs neither the engine nor the injector."""
+    """A catalog build parses its spec's fault plan; the plan format
+    needs neither the engine nor the injector."""
     code = "from repro.faults import loads, plan_scope"
     assert loaded_after(code, ENGINE + ("repro.faults.injector",)) == []

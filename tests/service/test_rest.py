@@ -209,8 +209,7 @@ class TestErrorMapping:
 
 @pytest.fixture(scope="module")
 def wire(tmp_path_factory):
-    """One service for every wire test: a server per test would cost
-    each one a ``shutdown()`` poll (0.5 s)."""
+    """One service for every wire test."""
     svc = RunService(tmp_path_factory.mktemp("wire") / "store",
                      n_workers=2).start()
     server, _ = serve(svc)
@@ -518,4 +517,37 @@ def test_client_that_leaves_prints_nothing(wire, capsys, monkeypatch):
                          struct.pack("ii", 1, 0))      # close = reset
     for _ in paths:
         assert closed.acquire(timeout=10)
+    assert capsys.readouterr().err == ""
+
+
+def test_silent_and_stalled_clients_are_released(wire, capsys,
+                                                 monkeypatch):
+    """Clients that send nothing, half a request line, or a body short
+    of its ``Content-Length`` hold no handler once the read timeout
+    passes: each connection is closed without an answer or a
+    traceback, and the short body submits nothing."""
+    svc, server = wire
+    monkeypatch.setattr(rest, "READ_TIMEOUT_S", 0.3)
+    closed = threading.Semaphore(0)
+    shutdown_request = server.shutdown_request
+
+    def counted(request):           # runs after handle() and handle_error()
+        shutdown_request(request)
+        closed.release()
+
+    monkeypatch.setattr(server, "shutdown_request", counted)
+    stalls = [b""] * 5 + [b"GET /hea", post_runs(
+        b"Content-Length: 100\r\n", b'{"spec": {"app": "spin"}')]
+    sockets = [connect(server) for _ in stalls]
+    try:
+        for s, data in zip(sockets, stalls):
+            s.sendall(data)
+        for s in sockets:
+            assert s.recv(1) == b""             # closed, nothing answered
+        for _ in stalls:
+            assert closed.acquire(timeout=10)
+    finally:
+        for s in sockets:
+            s.close()
+    assert svc.list_runs(tenant="bodies") == []
     assert capsys.readouterr().err == ""

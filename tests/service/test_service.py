@@ -1,5 +1,6 @@
 """RunService in-process: lifecycle, kill, recovery, live queries."""
 
+import sys
 import threading
 import time
 
@@ -185,96 +186,182 @@ class TestRecovery:
 
 
 class TestPlanBuilds:
-    """``execute_run`` builds the catalog plan once per execution, and
-    a submitted run is priced from the plan its validation built."""
+    """A served run is built once: at submit, or, for a run recovered at
+    boot, when admission first prices it.  Admission holds that plan
+    and the executor runs it, so a Fortran source is preprocessed once
+    and a fault plan parsed once per run."""
 
     CKPT = {"app": "spin", "params": {"rounds": 200, "ticks_per_round": 50},
             "checkpoint_every": 2_000}
 
     @staticmethod
-    def count_builds(monkeypatch):
+    def count_calls(monkeypatch, owner, name):
         calls = []
-        build = catalog.build
+        real = getattr(owner, name)
 
-        def counting(spec):
-            calls.append(spec)
-            return build(spec)
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
 
-        monkeypatch.setattr(catalog, "build", counting)
+        monkeypatch.setattr(owner, name, counting)
         return calls
 
+    def count_builds(self, monkeypatch):
+        return self.count_calls(monkeypatch, catalog, "build")
+
     @staticmethod
-    def execute(rec, store):
+    def execute(rec, store, plan):
         handle = executor.ExecutionHandle(rec.run_id, threading.Event())
-        return executor.execute_run(rec, store, handle)
+        return executor.execute_run(rec, store, handle, plan)
+
+    @staticmethod
+    def served(root, tenant, spec):
+        """Submit ``spec`` to a one-worker service over ``root`` and run
+        it to DONE; returns the final record."""
+        svc = RunService(root, n_workers=1)
+        try:
+            rec = svc.submit(tenant, spec)
+            svc.start()
+            return wait_state(svc, rec.run_id, DONE)
+        finally:
+            svc.stop()
 
     def test_fresh_run_builds_once(self, tmp_path, monkeypatch):
+        """The one build is the caller's: the executor runs the plan it
+        is given and builds nothing."""
         store = RunStore(tmp_path / "s")
         rec = store.create("alice", RunSpec.from_dict(QUICK))
         rec = store.transition(rec.run_id, ADMITTED)
         calls = self.count_builds(monkeypatch)
-        final = self.execute(rec, store)
+        final = self.execute(rec, store, catalog.build(rec.spec))
         assert final.state == DONE
         assert calls == [rec.spec]
 
     def interrupted_run(self, root):
         """A checkpointing run that ran and left its checkpoints behind
-        but no terminal state, then the store rebooted over it: returns
-        the recovered record (ADMITTED) and the uninterrupted result."""
+        but no terminal state: returns its record (RUNNING) and the
+        uninterrupted result."""
         store = RunStore(root)
         rec = store.create("alice", RunSpec.from_dict(self.CKPT))
         store.transition(rec.run_id, ADMITTED)
         rec = store.transition(rec.run_id, RUNNING, started_at=1.0)
         plan = catalog.build(rec.spec)
         vm = executor.build_vm(rec, store, plan)
-        result = vm.run(plan.tasktype, *plan.args, shutdown=True)
-        store = RunStore(root)
-        [rec] = store.recover()
-        return store, store.transition(rec.run_id, ADMITTED), result
+        return rec, vm.run(plan.tasktype, *plan.args, shutdown=True)
 
     def test_checkpoint_resume_builds_once(self, tmp_path, monkeypatch):
-        store, rec, uninterrupted = self.interrupted_run(tmp_path / "s")
+        root = tmp_path / "s"
+        rec, uninterrupted = self.interrupted_run(root)
         calls = self.count_builds(monkeypatch)
-        final = self.execute(rec, store)
-        assert final.state == DONE and final.exit["resumed_from"]
+        svc = RunService(root, n_workers=1).start()
+        try:
+            final = wait_state(svc, rec.run_id, DONE)
+        finally:
+            svc.stop()
+        assert final.recovered == 1 and final.exit["resumed_from"]
         assert final.exit["elapsed_ticks"] == uninterrupted.elapsed
         assert calls == [rec.spec]
 
     def test_checkpoint_resume_archives_the_whole_schedule(self, tmp_path):
         """The resumed run's run.psched holds the checkpoint's decision
         prefix and the live tail after it: the uninterrupted run's."""
-        store, rec, uninterrupted = self.interrupted_run(tmp_path / "s")
-        final = self.execute(rec, store)
+        root = tmp_path / "s"
+        _, uninterrupted = self.interrupted_run(root)
+        store = RunStore(root)
+        [rec] = store.recover()
+        rec = store.transition(rec.run_id, ADMITTED)
+        final = self.execute(rec, store, catalog.build(rec.spec))
         assert final.state == DONE and final.exit["resumed_from"]
         assert "run.psched" in final.artifacts
         archived = store.artifacts_dir(rec.run_id) / "run.psched"
         assert archived.read_text() == uninterrupted.vm.sched_hook.dumps()
 
-    def test_submitted_run_builds_twice(self, tmp_path, monkeypatch):
+    def test_submitted_run_builds_once(self, tmp_path, monkeypatch):
         calls = self.count_builds(monkeypatch)
-        svc = RunService(tmp_path / "s", n_workers=1)
-        try:
-            rec = svc.submit("alice", QUICK)
-            assert len(calls) == 1            # validation at submit
-            svc.start()
-            wait_state(svc, rec.run_id, DONE)
-        finally:
-            svc.stop()
-        assert calls == [rec.spec, rec.spec]  # + one execution
+        final = self.served(tmp_path / "s", "alice", QUICK)
+        assert calls == [final.spec]          # validation at submit
 
     def test_recovered_run_is_priced_by_a_build(self, tmp_path,
                                                 monkeypatch):
+        """One build serves both the pricing and the execution."""
         root = tmp_path / "s"
         store = RunStore(root)
         rec = store.create("alice", RunSpec.from_dict(QUICK))
         store.transition(rec.run_id, ADMITTED)
-        calls = self.count_builds(monkeypatch)
+        plans = []
+        build = catalog.build
+
+        def recording(spec):
+            plans.append(build(spec))
+            return plans[-1]
+
+        monkeypatch.setattr(catalog, "build", recording)
+        ran = []
+        build_vm = executor.build_vm
+
+        def running(rec, store, plan):
+            ran.append(plan)
+            return build_vm(rec, store, plan)
+
+        monkeypatch.setattr(executor, "build_vm", running)
         svc = RunService(root, n_workers=1).start()
         try:
             wait_state(svc, rec.run_id, DONE)
         finally:
             svc.stop()
-        assert calls == [rec.spec, rec.spec]  # pricing + one execution
+        assert len(plans) == len(ran) == 1 and ran[0] is plans[0]
+
+    def test_fortran_run_preprocesses_once(self, tmp_path, monkeypatch):
+        from repro.fortran import preprocessor
+        from tests.golden.digests import SPECS
+
+        calls = self.count_calls(monkeypatch, preprocessor, "preprocess")
+        self.served(tmp_path / "s", "alice", SPECS["fortran"])
+        assert calls == [SPECS["fortran"]["params"]["source"]]
+
+    def test_fault_plan_parsed_once(self, tmp_path, monkeypatch):
+        from repro.faults import plan as fault_plan
+        from tests.golden.digests import SPECS
+
+        spec = SPECS["chaos_jacobi_taskkill"]
+        calls = self.count_calls(monkeypatch, fault_plan, "loads")
+        final = self.served(tmp_path / "s", "bob", spec)
+        assert "run.faults.jsonl" in final.artifacts
+        assert calls == [spec["fault_plan"]]
+
+    def test_concurrent_submits_build_once_per_run(self, tmp_path,
+                                                   monkeypatch):
+        """Two tenants submit checkpointing runs while two workers
+        select: no worker ever prices a run whose plan is not held."""
+        calls = self.count_builds(monkeypatch)
+        svc = RunService(tmp_path / "s", n_workers=2,
+                         default_quota=TenantQuota(max_queued=64)).start()
+        runs = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)          # interleave threads finely
+
+        def tenant(name):
+            for i in range(12):
+                spec = dict(self.CKPT, params={"rounds": 100,
+                                               "ticks_per_round": 50},
+                            run_seed=len(name) * 100 + i)
+                runs[name, i] = svc.submit(name, spec).run_id
+
+        try:
+            threads = [threading.Thread(target=tenant, args=(t,))
+                       for t in ("alice", "bob")]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+                assert not t.is_alive()
+            finals = [wait_state(svc, r, DONE) for r in runs.values()]
+        finally:
+            sys.setswitchinterval(interval)
+            svc.stop()
+        assert len(finals) == 24
+        assert sorted(s.run_seed for s in calls) \
+            == sorted(f.spec.run_seed for f in finals)
 
 
 class TestLiveQueries:
