@@ -142,14 +142,14 @@ def run_manifest(vm, files: Optional[Dict[str, Path]] = None,
                  ) -> Dict[str, Any]:
     """Self-describing metadata for an exported bundle: enough to know
     exactly which run produced the artifacts next to it."""
-    import hashlib
-
     from .. import __version__ as repro_version
 
     plan = vm.faults.plan if getattr(vm, "faults", None) is not None else None
     plan_hash = None
     seed = None
     if plan is not None:
+        import hashlib      # maps OpenSSL's libcrypto: only a faulty run
+
         from ..faults import plan as fault_plan_mod
         seed = plan.seed
         plan_hash = hashlib.sha256(

@@ -18,7 +18,8 @@ many tenants, with nothing beyond the standard library:
 * :mod:`~repro.service.service` -- :class:`RunService`, the worker
   pool tying the above together;
 * :mod:`~repro.service.rest` / :mod:`~repro.service.client` -- the
-  HTTP/1.1 control plane (on ``socketserver``) and its stdlib client;
+  HTTP/1.1 control plane (one thread serves every connection) and its
+  stdlib client;
 * ``python -m repro.service`` -- the server entry point.
 
 Importing the package loads none of its modules: every public name
@@ -26,8 +27,9 @@ resolves on first access (PEP 562) from the submodule that defines it.
 So a library process that only builds catalog plans loads the catalog
 and the spec, not the store, admission or the worker pool, and no
 HTTP code; a server boot loads the control plane but no engine, no
-numpy and no ``http.server``, ``http.client``, ``email`` or ``ssl``
-(the REST layer reads HTTP itself) -- the first run loads the engine.
+numpy and no ``http.server``, ``http.client``, ``email``, ``ssl`` or
+``socketserver`` (the REST layer reads HTTP itself) -- the first run
+loads the engine, and only a run with a fault plan loads ``hashlib``.
 
 The load-bearing guarantee: a run executed by the service has the
 same virtual time and trace stream as the same spec run standalone.

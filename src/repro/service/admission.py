@@ -22,7 +22,9 @@ on B's next rotation slot.
 
 A run's cost is the PEs its plan uses.  The scheduler holds each live
 run's plan -- built at submit (:meth:`hold`), or at its first pricing
-after a recovery -- and hands it to the worker that runs it.
+after a recovery -- and hands it to the worker that runs it.  A queued
+run whose stored spec no longer builds ends FAILED at that pricing,
+with the typed error, and selection goes on to the next run.
 
 Deficits, the rotation pointer and the held plans are in-memory only:
 fairness state is advisory and restarts from zero after a service
@@ -32,12 +34,14 @@ restart, while the queue itself (the store) is what persists.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..errors import QuotaExceeded
+from ..errors import InvalidRunSpec, QuotaExceeded
 from . import catalog
-from .store import ADMITTED, QUEUED, RUNNING, RunRecord, RunStore
+from .store import (ADMITTED, FAILED, QUEUED, RUNNING, RunRecord,
+                    RunStore)
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,21 @@ class AdmissionScheduler:
             if rec.run_id not in self._plans:
                 self._plans[rec.run_id] = catalog.build(rec.spec)
             return self._plans[rec.run_id]
+
+    def _buildable(self, rec: RunRecord) -> bool:
+        """Whether a queued run's plan builds.  A stored spec that no
+        longer does (a record written by another version, say) ends its
+        run FAILED with the typed error, through ADMITTED."""
+        try:
+            self.plan(rec)
+        except InvalidRunSpec as e:
+            self.store.transition(rec.run_id, ADMITTED)
+            self.store.transition(
+                rec.run_id, FAILED, finished_at=time.time(),
+                exit={"outcome": "failed",
+                      "error": f"{type(e).__name__}: {e}"})
+            return False
+        return True
 
     def run_cost(self, rec: RunRecord) -> int:
         """PE cost of a run: the PEs its plan's configuration uses."""
@@ -166,6 +185,8 @@ class AdmissionScheduler:
                 pos = (self._cursor + i) % n
                 t = self._rotation[pos]
                 backlog = queued.get(t)
+                while backlog and not self._buildable(backlog[0]):
+                    backlog.pop(0)
                 if not backlog:
                     self._deficit[t] = 0      # idle tenants bank nothing
                     continue

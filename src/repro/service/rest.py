@@ -1,5 +1,5 @@
-"""The REST control plane: HTTP/1.1 on stdlib ``socketserver`` over a
-RunService.
+"""The REST control plane: HTTP/1.1 over a RunService, every connection
+served by one thread.
 
 Endpoints (all JSON unless noted)::
 
@@ -23,6 +23,13 @@ Error mapping: :class:`InvalidRunSpec` -> 400, :class:`UnknownRun` ->
 404, :class:`QuotaExceeded` -> **429**, anything else -> 500; every
 error body is ``{"error": type, "detail": text}``.
 
+:class:`ServiceHTTPServer` is one ``selectors`` loop: it accepts each
+connection, buffers its bytes, parses a request once it is complete,
+dispatches it on the loop's thread and writes the answer from the
+connection's out-buffer.  No thread is started per connection or per
+request, so a client that sends slowly or not at all holds only its
+buffers, and requests are answered one at a time.
+
 The handler reads HTTP/1.1 itself, so a service process loads no
 ``http.server``, ``http.client``, ``email`` or ``ssl``.  A request is a
 line ``METHOD TARGET HTTP/1.x``, at most :data:`MAX_HEADERS` header
@@ -36,7 +43,7 @@ line not three words, bad version, header line without a colon, bad
 the cap), 414 (request line too long), 431 (header line too long, too
 many headers), 501 (a method other than GET and POST), 505 (not
 HTTP/1).  A client that closes its connection early just ends it, and
-so does one that sends nothing for :data:`READ_TIMEOUT_S`.
+so does one that moves no bytes for :data:`READ_TIMEOUT_S`.
 
 Multi-tenancy is cooperative, not authenticated (the service trusts
 the submitted tenant name, like the paper's single-machine PISCES
@@ -49,8 +56,8 @@ from __future__ import annotations
 
 import json
 import re
+import selectors
 import socket
-import socketserver
 import sys
 import threading
 import time
@@ -73,9 +80,10 @@ MAX_BODY = 1 << 20
 #: sends, so closing does not reset the connection under the answer.
 LINGER_S = 1.0
 #: How long a connection waits for its client's next bytes before the
-#: server closes it, so a silent or stalled client frees its thread.
+#: server closes it, so a silent or stalled client frees its socket.
 READ_TIMEOUT_S = 30.0
-#: How often ``serve_forever`` looks for a ``shutdown()`` request.
+#: How often ``serve_forever`` looks for a ``shutdown()`` request and
+#: for connections past their deadline.
 POLL_S = 0.05
 
 _REASONS = {
@@ -107,8 +115,17 @@ class _Refused(Exception):
         self.code = code
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    """One connection.  ``self.server.service`` is the RunService."""
+#: What the request parser yields to ask for the next line.
+_LINE = None
+
+
+class _Handler:
+    """One connection: its buffers, its request parser and the routes.
+
+    The serving loop hands it each socket event (:meth:`ready`); it
+    reads what arrived into its in-buffer, feeds the parser, dispatches
+    each request the parser completes and writes the answers from its
+    out-buffer.  ``self.server.service`` is the RunService."""
 
     server_version = "PiscesRunService/1.0"
     sys_version = "Python/" + sys.version.split()[0]
@@ -116,42 +133,129 @@ class _Handler(socketserver.StreamRequestHandler):
     # quiet by default; the __main__ entry point can flip this
     log_to_stderr = False
 
-    # ------------------------------------------------------------- wire
-
-    def handle(self) -> None:
-        self.connection.settimeout(READ_TIMEOUT_S)
-        try:
-            while self._handle_one():
-                pass
-        except (ConnectionError, TimeoutError):
-            pass                        # the client left or went silent
-
-    def _handle_one(self) -> bool:
-        """Serve one request; False when the connection is done."""
+    def __init__(self, connection: socket.socket, client_address: Any,
+                 server: "ServiceHTTPServer") -> None:
+        self.connection = connection
+        self.client_address = client_address
+        self.server = server
+        #: The socket events the serving loop waits for.
+        self.events = selectors.EVENT_READ
         self.requestline = ""
         self.close_connection = True
+        self._in = bytearray()
+        self._out = bytearray()
+        self._eof = False
+        self._refused = False           # linger once the refusal is out
+        self._lingering = False
+        self._linger_left = MAX_BODY
+        self._touch()
+        self._next_request()
+
+    # ------------------------------------------------------------- wire
+
+    def _touch(self) -> None:
+        """Bytes moved: the connection may wait :data:`READ_TIMEOUT_S`
+        (:data:`LINGER_S` while lingering) for its next ones."""
+        self.deadline = time.monotonic() + (
+            LINGER_S if self._lingering else READ_TIMEOUT_S)
+
+    def ready(self, events: int) -> int:
+        """Serve what the socket is ready for; returns the events to wait
+        for next, 0 when the connection is done."""
+        if events & selectors.EVENT_READ:
+            try:
+                data = self.connection.recv(65536)
+            except BlockingIOError:
+                return self.events
+            if data:
+                self._touch()
+            if self._lingering:
+                self._linger_left -= len(data)
+                return selectors.EVENT_READ \
+                    if data and self._linger_left > 0 else 0
+            if data:
+                self._in += data
+            else:
+                self._eof = True
+        return self._advance()
+
+    def _advance(self) -> int:
+        """Write, parse and dispatch as far as the buffers allow."""
+        while True:
+            if self._out:
+                try:
+                    sent = self.connection.send(self._out)
+                except BlockingIOError:
+                    return selectors.EVENT_WRITE
+                del self._out[:sent]
+                self._touch()
+                if self._out:
+                    return selectors.EVENT_WRITE
+            if self._parser is None:        # the last answer is out
+                return self._linger() if self._refused else 0
+            data = self._take()
+            if data is None:
+                return selectors.EVENT_READ
+            self._feed(data)
+
+    def _next_request(self) -> None:
+        self._parser = self._read_request()
+        self._need = next(self._parser)
+
+    def _take(self) -> Optional[bytes]:
+        """What the parser asked for, cut from the in-buffer the way a
+        buffered ``readline(MAX_LINE + 1)`` or ``read(n)`` returns it;
+        None until the buffer holds it."""
+        buf, need = self._in, self._need
+        if need is _LINE:
+            end = buf.find(b"\n", 0, MAX_LINE + 1) + 1
+            if not end and len(buf) > MAX_LINE:
+                end = MAX_LINE + 1
+        else:
+            end = need if len(buf) >= need else 0
+        if not end:
+            if not self._eof:
+                return None
+            end = len(buf)              # end of input: what is left
+        data = bytes(buf[:end])
+        del buf[:end]
+        return data
+
+    def _feed(self, data: bytes) -> None:
+        """Send the parser ``data``; answer the request it completes."""
         try:
-            if not self._read_request():
-                return False            # end of input: the client left
+            self._need = self._parser.send(data)
+            return
+        except StopIteration as stop:
+            complete = stop.value
         except _Refused as e:
+            self._parser, self._refused = None, True
             self.close_connection = True
             self._send(e.code, {"error": _REASONS[e.code].replace(" ", "")
                                 .replace("-", ""), "detail": str(e)})
-            self._linger()
-            return False
+            return
+        if not complete:
+            self._parser = None             # end of input: the client left
+            return
         self._route(self.command)
-        return not self.close_connection
+        if self.close_connection:
+            self._parser = None
+        else:
+            self._next_request()
 
-    def _readline(self, code: int) -> bytes:
-        line = self.rfile.readline(MAX_LINE + 1)
+    def _readline(self, code: int):
+        line = yield _LINE
         if len(line) > MAX_LINE:
             raise _Refused(code, f"line longer than {MAX_LINE} bytes")
         return line
 
-    def _read_request(self) -> bool:
+    def _read_request(self):
         """Read one request into ``command``, ``path``, ``headers`` (keyed
-        by lower-cased name) and ``body``; False at end of input."""
-        line = self._readline(414)
+        by lower-cased name) and ``body``.  A generator: it yields what
+        it needs next -- :data:`_LINE`, or a body length -- and is sent
+        those bytes, fewer at end of input.  Returns False at end of
+        input."""
+        line = yield from self._readline(414)
         if not line:
             return False
         self.requestline = line.decode("iso-8859-1").rstrip("\r\n")
@@ -167,7 +271,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
         self.headers: Dict[str, str] = {}
         for count in range(MAX_HEADERS + 1):
-            line = self._readline(431)
+            line = yield from self._readline(431)
             if line in (b"\r\n", b"\n"):
                 break
             if not line:
@@ -201,26 +305,21 @@ class _Handler(socketserver.StreamRequestHandler):
         length = int(digits)
         if length and not http10 and \
                 self.headers.get("expect", "").lower() == "100-continue":
-            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        self.body = self.rfile.read(length)
+            self._out += b"HTTP/1.1 100 Continue\r\n\r\n"
+        self.body = (yield length) if length else b""
         return len(self.body) == length
 
-    def _linger(self) -> None:
-        """Read and drop what the client still sends, until it closes or
+    def _linger(self) -> int:
+        """After a refusal, read and drop what the client still sends,
+        until it closes, :data:`MAX_BODY` bytes arrived, or
         :data:`LINGER_S` passes without input: closing a socket with
         unread input resets the connection, and the client may lose the
         answer it has not read yet."""
-        try:
-            self.connection.shutdown(socket.SHUT_WR)
-            self.connection.settimeout(LINGER_S)
-            left = MAX_BODY
-            while left > 0:
-                data = self.connection.recv(65536)
-                if not data:
-                    break
-                left -= len(data)
-        except OSError:
-            pass
+        self._refused, self._lingering = False, True
+        self._in.clear()
+        self.connection.shutdown(socket.SHUT_WR)
+        self._touch()
+        return 0 if self._eof else selectors.EVENT_READ
 
     def log_request(self, code: int, size: int) -> None:
         if self.log_to_stderr:
@@ -244,8 +343,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 f"Content-Length: {len(body)}"]
         if self.close_connection:
             head.append("Connection: close")
-        self.wfile.write("\r\n".join(head).encode("latin-1")
-                         + b"\r\n\r\n" + body)
+        self._out += "\r\n".join(head).encode("latin-1") + b"\r\n\r\n"
+        self._out += body
         self.log_request(code, len(body))
 
     def _error(self, code: int, exc: BaseException) -> None:
@@ -351,22 +450,103 @@ class _Handler(socketserver.StreamRequestHandler):
         return True
 
 
+class ServiceHTTPServer:
+    """The HTTP front end: one thread serves every connection.
 
-class ServiceHTTPServer(socketserver.ThreadingTCPServer):
-    """The HTTP front end; one handler thread per connection."""
-
-    daemon_threads = True
-    allow_reuse_address = True
+    :meth:`serve_forever` is a ``selectors`` loop on the calling thread.
+    It accepts connections, hands each socket event to the connection's
+    :class:`_Handler`, and closes a connection that is done or whose
+    deadline passed.  A request is dispatched on this thread once its
+    bytes are all in, so a slow or silent client holds only its buffers.
+    """
 
     def __init__(self, service: RunService, host: str = "127.0.0.1",
                  port: int = 0) -> None:
-        super().__init__((host, port), _Handler)
         self.service = service
+        self.socket = socket.create_server((host, port))
+        self.socket.setblocking(False)
+        self.server_address = self.socket.getsockname()
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._shutdown_request = False
+        self._is_shut_down = threading.Event()
+        self._is_shut_down.set()
 
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+    def serve_forever(self, poll_interval: float = POLL_S) -> None:
+        """Serve until :meth:`shutdown`, which the loop notices within
+        ``poll_interval`` seconds; the connections still open then are
+        closed."""
+        self._is_shut_down.clear()
+        self._selector = sel = selectors.DefaultSelector()
+        try:
+            sel.register(self.socket, selectors.EVENT_READ)
+            while not self._shutdown_request:
+                for key, events in sel.select(poll_interval):
+                    if key.data is None:
+                        self._accept()
+                    else:
+                        self._serve(key.data, events)
+                now = time.monotonic()
+                for conn in self._connections():
+                    if conn.deadline < now:
+                        self.end_connection(conn)
+        finally:
+            for conn in self._connections():
+                self.end_connection(conn)
+            sel.close()
+            self._shutdown_request = False
+            self._is_shut_down.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned."""
+        self._shutdown_request = True
+        self._is_shut_down.wait()
+
+    def server_close(self) -> None:
+        """Close the listening socket."""
+        self.socket.close()
+
+    def _connections(self):
+        return [key.data for key in self._selector.get_map().values()
+                if key.data is not None]
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                connection, address = self.socket.accept()
+            except OSError:             # none left (or out of descriptors)
+                return
+            connection.setblocking(False)
+            conn = _Handler(connection, address, self)
+            self._selector.register(connection, conn.events, conn)
+
+    def _serve(self, conn: _Handler, events: int) -> None:
+        try:
+            wanted = conn.ready(events)
+        except OSError:                 # the client reset or went away
+            wanted = 0
+        except Exception:               # noqa: BLE001 -- keep serving the rest
+            sys.excepthook(*sys.exc_info())
+            wanted = 0
+        if not wanted:
+            self.end_connection(conn)
+        elif wanted != conn.events:
+            conn.events = wanted
+            self._selector.modify(conn.connection, wanted, conn)
+
+    def end_connection(self, conn: _Handler) -> None:
+        """Close one connection; every connection ends here, after its
+        last answer or its deadline, and after any error."""
+        self._selector.unregister(conn.connection)
+        try:
+            conn.connection.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+        conn.connection.close()
 
 
 def serve(service: RunService, host: str = "127.0.0.1", port: int = 0,

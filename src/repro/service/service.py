@@ -138,8 +138,10 @@ class RunService:
         if not isinstance(spec, RunSpec):
             spec = RunSpec.from_dict(spec)
         plan = catalog.build(spec)        # reject unbuildable specs now
-        self.admission.check_submit(tenant)           # QuotaExceeded -> 429
-        with self._cv:          # no worker selects a run without a plan
+        # One step, so concurrent submits cannot all pass the quota
+        # check, and no worker selects a run without a plan.
+        with self._cv:
+            self.admission.check_submit(tenant)       # QuotaExceeded -> 429
             rec = self.store.create(tenant, spec)
             self.admission.hold(rec.run_id, plan)
             self._cv.notify_all()

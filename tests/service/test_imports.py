@@ -3,8 +3,10 @@
 A library process that builds catalog plans must not pay for the
 service's HTTP stack or the Fortran front end; the server must not load
 the HTTP client, and it reads HTTP itself, so it loads no
-``http.server``, ``http.client``, ``email`` or ``ssl``.  A server boots on its control plane: the engine stack loads
-with the first run, not at start-up.  No run loads numpy: SHARED
+``http.server``, ``http.client``, ``email``, ``ssl`` or
+``socketserver``.  A server boots on its control plane: the engine
+stack loads with the first run, not at start-up, and a served run
+loads ``hashlib`` (OpenSSL) only to hash its fault plan.  No run loads numpy: SHARED
 COMMON, exported arrays and window blocks are stdlib Grids, so the
 array apps and Fortran programs run without it.  Every check runs in a
 fresh interpreter, since this test process has long since imported
@@ -44,7 +46,8 @@ LIBRARY_MUST_NOT_LOAD = (
     "repro.service.rest", "repro.service.client",
 )
 SERVER_MUST_NOT_LOAD = ("urllib.request", "repro.service.client", "ssl",
-                        "http.server", "http.client", "email.parser")
+                        "http.server", "http.client", "email.parser",
+                        "socketserver", "hashlib")
 #: The execution side: none of it loads before the first run is built.
 ENGINE = ("repro.core", "repro.mmos", "repro.apps", "repro.checkpoint",
           "repro.correctness", "repro.obs.profile", "numpy")
@@ -75,6 +78,10 @@ TINY_OPEN_SPECS = {
                  "params": {"n": 12, "sweeps": 2, "n_workers": 2}},
     "addup": {"app": "fortran", "params": {"source": ADDUP_SOURCE}},
 }
+#: What a served run without a fault plan loads none of: numpy (no run
+#: loads it) and the hashing modules, which map OpenSSL's libcrypto
+#: (only a fault plan is hashed, into the run's manifest).
+SERVED_MUST_NOT_LOAD = ("numpy", "hashlib", "_hashlib")
 #: A matmul run draws its inputs from the stdlib generator; numpy's
 #: would load ``numpy.random`` and, through it, the hashing modules.
 MATMUL_MUST_NOT_LOAD = ("numpy.random", "secrets", "hashlib")
@@ -351,7 +358,8 @@ def test_no_catalog_run_loads_numpy():
 
 def test_served_runs_load_no_numpy(tmp_path):
     """Every app served twice -- traced, then untraced and checkpointing
-    -- with the archived bundle written each time."""
+    -- with the archived bundle written each time; none has a fault
+    plan, so none loads the hashing modules either."""
     code = textwrap.dedent(f"""
         import time
         from repro.service import RunService
@@ -364,7 +372,7 @@ def test_served_runs_load_no_numpy(tmp_path):
                 assert svc.get_run(run_id).state == {DONE!r}, name
         svc.stop()
     """)
-    assert loaded_after(code, ("numpy",)) == []
+    assert loaded_after(code, SERVED_MUST_NOT_LOAD) == []
 
 
 def test_tiny_open_specs_served_over_http_load_no_numpy(tmp_path):
@@ -375,7 +383,7 @@ def test_tiny_open_specs_served_over_http_load_no_numpy(tmp_path):
 
     modules = serve_and_list_modules(tmp_path / "store", requests)
     assert "repro.core.grid" in modules
-    assert "numpy" not in modules
+    assert [m for m in SERVED_MUST_NOT_LOAD if m in modules] == []
 
 
 def test_legacy_bundle_restores_without_numpy(tmp_path):

@@ -6,6 +6,7 @@ import re
 import socket
 import struct
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -27,6 +28,7 @@ def stack(tmp_path):
     server, thread = serve(svc)
     yield svc, server
     server.shutdown()
+    server.server_close()
     svc.stop(timeout=10.0, kill_live=True)
 
 
@@ -215,6 +217,7 @@ def wire(tmp_path_factory):
     server, _ = serve(svc)
     yield svc, server
     server.shutdown()
+    server.server_close()
     svc.stop(timeout=10.0, kill_live=True)
 
 
@@ -502,13 +505,13 @@ def test_client_that_leaves_prints_nothing(wire, capsys, monkeypatch):
     the server ends those connections without a traceback."""
     _, server = wire
     closed = threading.Semaphore(0)
-    shutdown_request = server.shutdown_request
+    end_connection = server.end_connection
 
-    def counted(request):           # runs after handle() and handle_error()
-        shutdown_request(request)
+    def counted(conn):              # every connection ends here
+        end_connection(conn)
         closed.release()
 
-    monkeypatch.setattr(server, "shutdown_request", counted)
+    monkeypatch.setattr(server, "end_connection", counted)
     paths = (b"/health", b"/runs", b"/apps")
     for path in paths:
         with connect(server) as s:
@@ -529,13 +532,13 @@ def test_silent_and_stalled_clients_are_released(wire, capsys,
     svc, server = wire
     monkeypatch.setattr(rest, "READ_TIMEOUT_S", 0.3)
     closed = threading.Semaphore(0)
-    shutdown_request = server.shutdown_request
+    end_connection = server.end_connection
 
-    def counted(request):           # runs after handle() and handle_error()
-        shutdown_request(request)
+    def counted(conn):              # every connection ends here
+        end_connection(conn)
         closed.release()
 
-    monkeypatch.setattr(server, "shutdown_request", counted)
+    monkeypatch.setattr(server, "end_connection", counted)
     stalls = [b""] * 5 + [b"GET /hea", post_runs(
         b"Content-Length: 100\r\n", b'{"spec": {"app": "spin"}')]
     sockets = [connect(server) for _ in stalls]
@@ -551,3 +554,42 @@ def test_silent_and_stalled_clients_are_released(wire, capsys,
             s.close()
     assert svc.list_runs(tenant="bodies") == []
     assert capsys.readouterr().err == ""
+
+
+def test_one_thread_serves_every_connection(wire):
+    """Five silent connections and twenty requests, each on its own
+    connection, start no thread."""
+    _, server = wire
+    client = ServiceClient(server.url)
+    client.health()
+    before = threading.active_count()
+    silent = [connect(server) for _ in range(5)]
+    try:
+        for _ in range(20):
+            assert client.health()["status"] == "ok"
+            assert threading.active_count() == before
+    finally:
+        for s in silent:
+            s.close()
+
+
+def test_silent_client_does_not_delay_another(wire):
+    """A connection holding half a request does not hold up another
+    client's answer by more than the loop's poll interval."""
+    _, server = wire
+    request = b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n"
+
+    def fastest_answer():           # the best of three, against noise
+        times = []
+        for _ in range(3):
+            t = time.perf_counter()
+            [(status, _, _)] = exchange(server, request)
+            times.append(time.perf_counter() - t)
+            assert status == 200
+        return min(times)
+
+    alone = fastest_answer()
+    with connect(server) as silent:
+        silent.sendall(b"GET /hea")
+        beside = fastest_answer()
+    assert beside < alone + rest.POLL_S, (alone, beside)

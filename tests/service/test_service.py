@@ -57,6 +57,27 @@ class TestSubmitAndRun:
         for axis in ("exec_core", "window_path", "task_bodies"):
             assert axis not in final.provenance
 
+    def test_fault_plan_hash_in_manifest_and_provenance(self, svc):
+        """A run with a fault plan records the sha256 of its canonical
+        text in ``manifest.json`` and in the record's provenance."""
+        import hashlib
+        import json
+
+        from repro.faults import FaultPlan, TaskKill, dumps
+        plan = dumps(FaultPlan(seed=7, kills=(
+            TaskKill(at=5_000, tasktype="CWORKER"),)))
+        rec = svc.submit("alice", {
+            "app": "chaos_jacobi", "fault_plan": plan,
+            "params": {"n": 12, "sweeps": 2, "on_death": "reassign"}})
+        final = wait_state(svc, rec.run_id, DONE)
+        digest = hashlib.sha256(plan.encode()).hexdigest()
+        assert digest == ("6b4439e2d64ebea4058625b5df8f45bf"
+                          "056a27e71bf78d2a1f625ac6a137f14f")
+        manifest = json.loads(svc.store.artifact_path(
+            rec.run_id, "manifest.json").read_text())
+        assert manifest["fault_plan_hash"] == digest
+        assert final.provenance["fault_plan_hash"] == digest
+
     def test_bad_tenant_refused(self, svc):
         with pytest.raises(InvalidRunSpec, match="tenant"):
             svc.submit("", QUICK)
@@ -94,6 +115,32 @@ class TestSubmitAndRun:
         assert final.state == "FAILED"
         assert "error" in final.exit
 
+
+    def test_max_queued_holds_under_concurrent_submits(self, tmp_path):
+        """Eight in-process submits at once against ``max_queued=2``:
+        the quota check and the create are one step, so exactly two
+        queue, in every trial."""
+        for trial in range(20):
+            svc = RunService(tmp_path / f"t{trial}",
+                             default_quota=TenantQuota(max_queued=2))
+            barrier = threading.Barrier(8)
+            refused = []
+
+            def submit():
+                barrier.wait(timeout=30)
+                try:
+                    svc.submit("alice", QUICK)
+                except QuotaExceeded:
+                    refused.append(1)
+
+            threads = [threading.Thread(target=submit) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            queued = svc.list_runs(tenant="alice", state=QUEUED)
+            assert (len(queued), len(refused)) == (2, 6), trial
 
     def test_unparsable_fault_plan_refused_at_submit(self, svc):
         with pytest.raises(InvalidRunSpec, match="fault_plan"):
@@ -181,6 +228,27 @@ class TestRecovery:
             final = wait_state(svc, rec.run_id, DONE)
             assert final.recovered == 1
             assert final.exit["outcome"] == "done"
+        finally:
+            svc.stop(kill_live=True)
+
+
+    def test_unbuildable_queued_record_fails_and_the_queue_runs_on(
+            self, tmp_path):
+        """A stored spec that no longer builds (here a Fortran source that
+        does not preprocess) ends FAILED with the typed error when
+        admission prices it; the workers live on and run the next."""
+        root = tmp_path / "p"
+        store = RunStore(root)
+        bad = store.create("alice", RunSpec.from_dict(
+            {"app": "fortran", "params": {"source": "      TASK BROKEN\n"
+                                                    "      NOT FORTRAN\n"}}))
+        good = store.create("alice", RunSpec.from_dict(QUICK))
+        svc = RunService(root, n_workers=2).start()
+        try:
+            final = wait_state(svc, bad.run_id, "FAILED", timeout=5.0)
+            assert final.exit["error"].startswith("InvalidRunSpec: ")
+            assert "did not preprocess" in final.exit["error"]
+            assert wait_state(svc, good.run_id, DONE, timeout=5.0)
         finally:
             svc.stop(kill_live=True)
 
