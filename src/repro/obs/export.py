@@ -19,6 +19,7 @@ whole or not at all (:mod:`repro.util.durable`).
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any, Dict, IO, Iterable, List, Optional, Union
 
@@ -138,6 +139,21 @@ def write_metrics_snapshot(registry: MetricsRegistry, f: IO[str],
 # --------------------------------------------------------------- manifest --
 
 
+def sha256_hex(data: bytes) -> str:
+    """The sha256 hex digest of ``data``, from CPython's built-in SHA-256.
+
+    These are the modules ``hashlib`` itself falls back to when built
+    without OpenSSL.  ``hashlib`` would map OpenSSL's libcrypto (3.4 MB
+    resident on x86-64 Linux) into a served run for the one short
+    digest a faulty run's manifest takes.
+    """
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+    return sha256(data).hexdigest()
+
+
 def run_manifest(vm, files: Optional[Dict[str, Path]] = None,
                  ) -> Dict[str, Any]:
     """Self-describing metadata for an exported bundle: enough to know
@@ -148,12 +164,9 @@ def run_manifest(vm, files: Optional[Dict[str, Path]] = None,
     plan_hash = None
     seed = None
     if plan is not None:
-        import hashlib      # maps OpenSSL's libcrypto: only a faulty run
-
         from ..faults import plan as fault_plan_mod
         seed = plan.seed
-        plan_hash = hashlib.sha256(
-            fault_plan_mod.dumps(plan).encode("utf-8")).hexdigest()
+        plan_hash = sha256_hex(fault_plan_mod.dumps(plan).encode("utf-8"))
     det = getattr(vm, "race_detector", None)
     manifest: Dict[str, Any] = {
         "repro_version": repro_version,

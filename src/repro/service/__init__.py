@@ -29,7 +29,7 @@ and the spec, not the store, admission or the worker pool, and no
 HTTP code; a server boot loads the control plane but no engine, no
 numpy and no ``http.server``, ``http.client``, ``email``, ``ssl`` or
 ``socketserver`` (the REST layer reads HTTP itself) -- the first run
-loads the engine, and only a run with a fault plan loads ``hashlib``.
+loads the engine, and no run loads ``hashlib``.
 
 The load-bearing guarantee: a run executed by the service has the
 same virtual time and trace stream as the same spec run standalone.

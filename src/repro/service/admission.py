@@ -194,9 +194,11 @@ class AdmissionScheduler:
                 head = backlog[0]
                 if self.run_cost(head) <= deficit \
                         and self._admissible(head, active):
+                    # Charge only an admission the store recorded.
+                    rec = self.store.transition(head.run_id, ADMITTED)
                     self._deficit[t] = deficit - self.run_cost(head)
                     self._cursor = (pos + 1) % n
-                    return self.store.transition(head.run_id, ADMITTED)
+                    return rec
                 # Over quota or saving up: bank the deficit, move on.
                 self._deficit[t] = deficit
             return None

@@ -305,6 +305,14 @@ def build(spec: RunSpec) -> AppPlan:
             return plan
         from ..faults.plan import loads
     try:
-        return replace(plan, fault_plan=loads(spec.fault_plan))
+        fault_plan = loads(spec.fault_plan)
     except Exception as e:            # any parse failure is a 400
         raise InvalidRunSpec(f"fault_plan did not parse: {e}") from e
+    if fault_plan.host_kills:
+        # A host kill SIGKILLs the process executing the run, which
+        # for a served run is the service: every reboot would recover
+        # the run and die again.
+        raise InvalidRunSpec(
+            "fault_plan: hostkill would SIGKILL the service process; "
+            "a served run may not carry one")
+    return replace(plan, fault_plan=fault_plan)

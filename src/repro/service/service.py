@@ -27,7 +27,8 @@ import threading
 import time
 import traceback
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Tuple,
+                    Union)
 
 from ..errors import InvalidRunSpec, ServiceError, UnknownRun
 from . import catalog
@@ -101,30 +102,55 @@ class RunService:
 
     def _worker_loop(self) -> None:
         while not self._stop.is_set():
+            claimed = self.claim()
+            if claimed is not None:
+                self.run_claimed(*claimed)
+
+    def claim(self) -> Optional[Tuple[RunRecord, ExecutionHandle,
+                                      catalog.AppPlan]]:
+        """Admit the next fair-share pick for this worker: its record,
+        a registered execution handle and its plan.  None, after a
+        bounded wait, when nothing is admissible or the store could not
+        record the admission; the run then stays QUEUED, since a failed
+        store write changes no record."""
+        with self._cv:
+            rec = None
+            if not self._stop.is_set():
+                try:
+                    rec = self.admission.select()
+                except Exception:
+                    # A full disk, say.  The worker lives on and the
+                    # next pick retries once writes succeed.
+                    print("pisces service: admission not recorded",
+                          file=sys.stderr)
+                    traceback.print_exc()
+            if rec is None:
+                # Sleep until a submit/finish (bounded, so stop() is
+                # never waited out and a failing store is not spun on).
+                self._cv.wait(timeout=0.2)
+                return None
+            plan = self.admission.plan(rec)
+            with catalog.IMPORT_LOCK:
+                from .executor import ExecutionHandle
+            handle = ExecutionHandle(rec.run_id, threading.Event())
+            self._handles[rec.run_id] = handle
+            return rec, handle, plan
+
+    def run_claimed(self, rec: RunRecord, handle: ExecutionHandle,
+                    plan: catalog.AppPlan) -> None:
+        """Execute a claimed run to its outcome, then free its handle."""
+        try:
+            execute_run(rec, self.store, handle, plan)
+        except Exception:
+            # The store could not record the outcome (a full disk,
+            # say).  The worker lives on to serve later runs.
+            print(f"pisces service: run {rec.run_id}: outcome not "
+                  f"recorded", file=sys.stderr)
+            traceback.print_exc()
+        finally:
             with self._cv:
-                rec = None if self._stop.is_set() else self.admission.select()
-                if rec is None:
-                    # Nothing admissible; sleep until a submit/finish
-                    # (bounded, so stop() is never waited out).
-                    self._cv.wait(timeout=0.2)
-                    continue
-                plan = self.admission.plan(rec)
-                with catalog.IMPORT_LOCK:
-                    from .executor import ExecutionHandle
-                handle = ExecutionHandle(rec.run_id, threading.Event())
-                self._handles[rec.run_id] = handle
-            try:
-                execute_run(rec, self.store, handle, plan)
-            except Exception:
-                # The store could not record the outcome (a full disk,
-                # say).  The worker lives on to serve later runs.
-                print(f"pisces service: run {rec.run_id}: outcome not "
-                      f"recorded", file=sys.stderr)
-                traceback.print_exc()
-            finally:
-                with self._cv:
-                    self._handles.pop(rec.run_id, None)
-                    self._cv.notify_all()
+                self._handles.pop(rec.run_id, None)
+                self._cv.notify_all()
 
     # ----------------------------------------------------------- submit --
 

@@ -1,5 +1,6 @@
 """Unit + integration tests: JSONL, Chrome trace and export_run."""
 
+import hashlib
 import io
 import json
 
@@ -14,6 +15,8 @@ from repro.obs.export import (
     export_run,
     load_chrome_trace,
     read_jsonl,
+    run_manifest,
+    sha256_hex,
     write_chrome_trace,
     write_jsonl,
     write_metrics_snapshot,
@@ -143,3 +146,44 @@ class TestExportRun:
         with paths["metrics_json"].open() as f:
             snap = json.load(f)
         assert "tasks_started" in snap
+
+
+class TestFaultPlanHash:
+    """The manifest hashes a fault plan with CPython's built-in SHA-256
+    (``_sha256`` before 3.12, ``_sha2`` from it): the digest is the one
+    ``hashlib`` gives, across SHA-256's padding boundaries (a 55-byte
+    message pads into one 64-byte block, 56 bytes into two)."""
+
+    SIZES = (0, 55, 56, 63, 64, 65, 1000)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_digest_is_hashlibs(self, size):
+        data = bytes(i % 251 for i in range(size))
+        assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+    @staticmethod
+    def manifest_hash(plan):
+        from repro.api import make_vm
+        vm = make_vm(n_clusters=1, slots=2, fault_plan=plan)
+        try:
+            assert vm.faults is not None
+            return run_manifest(vm)["fault_plan_hash"]
+        finally:
+            vm.shutdown()
+
+    @pytest.mark.parametrize("size", SIZES[1:])
+    def test_manifest_hash_of_a_plan_text_of_size(self, size):
+        from repro.faults import FaultPlan, dumps
+        short = FaultPlan(name="p", strict_sends=True)
+        pad = size - len(dumps(short).encode("utf-8"))
+        plan = FaultPlan(name="p" + "x" * pad, strict_sends=True)
+        text = dumps(plan).encode("utf-8")
+        assert len(text) == size
+        assert self.manifest_hash(plan) == hashlib.sha256(text).hexdigest()
+
+    def test_manifest_hash_of_a_non_ascii_plan_name(self):
+        from repro.faults import FaultPlan, TaskKill, dumps
+        plan = FaultPlan(seed=7, name="Überlauf-Jacobi ß 雅可比",
+                         kills=(TaskKill(at=5_000, tasktype="CWORKER"),))
+        assert self.manifest_hash(plan) == hashlib.sha256(
+            dumps(plan).encode("utf-8")).hexdigest()

@@ -138,6 +138,12 @@ class TestFaultPlan:
         with pytest.raises(InvalidRunSpec, match="fault_plan did not parse"):
             catalog.build(RunSpec(app="spin", fault_plan="crash at=x"))
 
+    def test_host_kill_refused(self):
+        """A served run executes in the service process, which a host
+        kill would SIGKILL.  Library plans keep :class:`HostKill`."""
+        with pytest.raises(InvalidRunSpec, match="hostkill"):
+            catalog.build(RunSpec(app="spin", fault_plan="hostkill at 10"))
+
 
 def test_spin_runs_and_charges_virtual_time():
     from repro.core.vm import PiscesVM

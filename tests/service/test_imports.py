@@ -5,12 +5,13 @@ service's HTTP stack or the Fortran front end; the server must not load
 the HTTP client, and it reads HTTP itself, so it loads no
 ``http.server``, ``http.client``, ``email``, ``ssl`` or
 ``socketserver``.  A server boots on its control plane: the engine
-stack loads with the first run, not at start-up, and a served run
-loads ``hashlib`` (OpenSSL) only to hash its fault plan.  No run loads numpy: SHARED
-COMMON, exported arrays and window blocks are stdlib Grids, so the
-array apps and Fortran programs run without it.  Every check runs in a
-fresh interpreter, since this test process has long since imported
-everything.
+stack loads with the first run, not at start-up.  No served run loads
+``hashlib`` or maps OpenSSL's libcrypto, a faulty one included: its
+manifest hashes the fault plan with CPython's built-in SHA-256.  No run
+loads numpy: SHARED COMMON, exported arrays and window blocks are
+stdlib Grids, so the array apps and Fortran programs run without it.
+Every check runs in a fresh interpreter, since this test process has
+long since imported everything.
 """
 
 import gc
@@ -36,7 +37,7 @@ from repro.apps.fortran_programs import WINDOW_SUM
 from repro.core import task as core_task
 from repro.core.sizes import DEFAULT_TASKTYPE_CODE_BYTES
 from repro.service.client import ServiceClient
-from tests.golden.digests import ADDUP_SOURCE
+from tests.golden.digests import ADDUP_SOURCE, CHAOS_PLAN
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = str(ROOT / "src")
@@ -78,10 +79,20 @@ TINY_OPEN_SPECS = {
                  "params": {"n": 12, "sweeps": 2, "n_workers": 2}},
     "addup": {"app": "fortran", "params": {"source": ADDUP_SOURCE}},
 }
-#: What a served run without a fault plan loads none of: numpy (no run
-#: loads it) and the hashing modules, which map OpenSSL's libcrypto
-#: (only a fault plan is hashed, into the run's manifest).
-SERVED_MUST_NOT_LOAD = ("numpy", "hashlib", "_hashlib")
+#: svc_ckpt_read's faulty spec, under the CI chaos plan, and one of its
+#: checkpointing specs (benchmarks/e2e/workloads.py).
+CKPT_READ_SPECS = {
+    "chaos_jacobi": {"app": "chaos_jacobi",
+                     "params": {"n": 20, "sweeps": 3, "n_workers": 3,
+                                "on_death": "reassign"},
+                     "checkpoint_every": 2000, "fault_plan": CHAOS_PLAN},
+    "jacobi": {"app": "jacobi",
+               "params": {"n": 24, "sweeps": 6, "n_workers": 6},
+               "checkpoint_every": 2000},
+}
+#: What no served run loads: numpy (no run needs it) and the hashing
+#: modules, which map OpenSSL's libcrypto.
+SERVED_MUST_NOT_LOAD = ("numpy", "hashlib", "_hashlib", "_blake2")
 #: A matmul run draws its inputs from the stdlib generator; numpy's
 #: would load ``numpy.random`` and, through it, the hashing modules.
 MATMUL_MUST_NOT_LOAD = ("numpy.random", "secrets", "hashlib")
@@ -203,15 +214,22 @@ def engine_loaded(modules):
                   if any(m == e or m.startswith(e + ".") for e in ENGINE))
 
 
-def serve_and_list_modules(root, requests):
+def serve_and_inspect(root, requests):
     """Boot ``python -m repro.service`` over ``root``, call
     ``requests(client)`` against it, stop it with SIGTERM and return the
-    modules the server held at exit."""
+    modules the server held at exit and the files it had mapped (empty
+    where there is no ``/proc/self/maps``)."""
     dump = Path(root).with_suffix(".modules.json")
     probe = textwrap.dedent(f"""
-        import atexit, json, sys
-        atexit.register(lambda: open({str(dump)!r}, "w").write(
-            json.dumps(sorted(sys.modules))))
+        import atexit, json, os, sys
+        def write_dump():
+            maps = "/proc/self/maps"
+            mapped = ({{line.split()[-1] for line in open(maps)
+                        if len(line.split()) > 5}}
+                      if os.path.exists(maps) else set())
+            open({str(dump)!r}, "w").write(json.dumps(
+                [sorted(sys.modules), sorted(mapped)]))
+        atexit.register(write_dump)
         from repro.service.__main__ import main
         sys.exit(main(["--root", {str(root)!r}, "--workers", "2"]))
     """)
@@ -226,6 +244,11 @@ def serve_and_list_modules(root, requests):
         proc.stdout.close()
     assert proc.returncode == 0
     return json.loads(dump.read_text())
+
+
+def serve_and_list_modules(root, requests):
+    """The modules the server held at exit (:func:`serve_and_inspect`)."""
+    return serve_and_inspect(root, requests)[0]
 
 
 @pytest.fixture(scope="module")
@@ -358,8 +381,8 @@ def test_no_catalog_run_loads_numpy():
 
 def test_served_runs_load_no_numpy(tmp_path):
     """Every app served twice -- traced, then untraced and checkpointing
-    -- with the archived bundle written each time; none has a fault
-    plan, so none loads the hashing modules either."""
+    -- with the archived bundle written each time: none loads numpy or
+    the hashing modules."""
     code = textwrap.dedent(f"""
         import time
         from repro.service import RunService
@@ -384,6 +407,27 @@ def test_tiny_open_specs_served_over_http_load_no_numpy(tmp_path):
     modules = serve_and_list_modules(tmp_path / "store", requests)
     assert "repro.core.grid" in modules
     assert [m for m in SERVED_MUST_NOT_LOAD if m in modules] == []
+
+
+def test_faulty_and_checkpointing_runs_map_no_openssl(tmp_path):
+    """svc_ckpt_read's runs over HTTP: the faulty one's manifest hashes
+    its fault plan, both write checkpoints and are read back, and the
+    server loads no hashing module and maps no libcrypto."""
+    def requests(client):
+        for name, s in CKPT_READ_SPECS.items():
+            run_id = client.submit(s)["run_id"]
+            rec = client.wait(run_id, timeout=120)
+            assert rec["state"] == DONE, name
+            assert client.trace(run_id, limit=1), name
+            hashes[name] = rec["provenance"]["fault_plan_hash"]
+
+    hashes = {}
+    modules, mapped = serve_and_inspect(tmp_path / "store", requests)
+    assert [m for m in SERVED_MUST_NOT_LOAD if m in modules] == []
+    assert [f for f in mapped if "libcrypto" in f] == []
+    assert hashes == {"chaos_jacobi": "6b4439e2d64ebea4058625b5df8f45bf"
+                                      "056a27e71bf78d2a1f625ac6a137f14f",
+                      "jacobi": None}
 
 
 def test_legacy_bundle_restores_without_numpy(tmp_path):

@@ -1,5 +1,6 @@
 """RunService in-process: lifecycle, kill, recovery, live queries."""
 
+import errno
 import sys
 import threading
 import time
@@ -251,6 +252,35 @@ class TestRecovery:
             assert wait_state(svc, good.run_id, DONE, timeout=5.0)
         finally:
             svc.stop(kill_live=True)
+
+
+class TestWorkers:
+
+    def test_failed_admission_write_keeps_the_worker(self, tmp_path,
+                                                      monkeypatch, capsys):
+        """A store write that fails while a worker admits a run (a full
+        disk) leaves the run QUEUED and the worker alive; the next pick
+        admits and runs it."""
+        svc = RunService(tmp_path / "w", n_workers=1)
+        transition = svc.store.transition
+        refused = []
+
+        def full_once(run_id, new_state, **amend):
+            if new_state == ADMITTED and not refused:
+                refused.append(run_id)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return transition(run_id, new_state, **amend)
+
+        monkeypatch.setattr(svc.store, "transition", full_once)
+        svc.start()
+        try:
+            rec = svc.submit("alice", QUICK)
+            assert wait_state(svc, rec.run_id, DONE, timeout=10.0)
+            assert refused == [rec.run_id]
+            assert [t.is_alive() for t in svc._workers] == [True]
+        finally:
+            svc.stop(kill_live=True)
+        assert "admission not recorded" in capsys.readouterr().err
 
 
 class TestPlanBuilds:
