@@ -3,6 +3,10 @@
 Each name resolves on first access (PEP 562), so importing one app --
 ``pipeline`` or ``integrate``, which hold no arrays -- does not load the
 others, nor numpy through them.
+
+Each app the service catalog serves decides its configuration in one
+plan function of its module (``jacobi.windows_plan``, ...), which its
+``run_*`` entry point and its catalog entry both call.
 """
 
 from .. import lazy_exports

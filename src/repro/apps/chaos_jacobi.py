@@ -26,16 +26,16 @@ recomputed -- every sweep is assembled from the immutable previous grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..config.configuration import ClusterSpec, Configuration
+from ..config.configuration import Configuration, simple_configuration
 from ..core.accept import ALL_RECEIVED
 from ..core.grid import Grid
 from ..core.supervision import Supervision
 from ..core.task import TaskRegistry
 from ..core.taskid import ANY, PARENT
-from ..core.vm import PiscesVM
+from ..core.vm import AppPlan, PiscesVM
 from ..flex.machine import FlexMachine
 from .jacobi import TICKS_PER_CELL, make_problem, split_rows, sweep_rows
 
@@ -159,6 +159,21 @@ def build_chaos_registry(n: int, sweeps: int, n_workers: int,
     return reg
 
 
+def chaos_plan(n: int, sweeps: int, n_workers: int,
+               supervision: Optional[Supervision], on_death: str,
+               resend_delay: int, idle_timeout: int,
+               max_rounds: int) -> AppPlan:
+    if on_death not in ("abort", "reassign"):
+        raise ValueError(f"on_death must be abort|reassign, not {on_death!r}")
+    return AppPlan(
+        registry=build_chaos_registry(n, sweeps, n_workers, supervision,
+                                      on_death, resend_delay, idle_timeout,
+                                      max_rounds),
+        config=simple_configuration(2, max(2, n_workers) + 1,
+                                    name="chaos-jacobi"),
+        tasktype="CMASTER")
+
+
 def run_chaos_jacobi(n: int = 20, sweeps: int = 3, n_workers: int = 3,
                      supervision: Optional[Supervision] = None,
                      on_death: str = "abort",
@@ -173,20 +188,11 @@ def run_chaos_jacobi(n: int = 20, sweeps: int = 3, n_workers: int = 3,
     ``fault_plan`` takes an explicit :class:`~repro.faults.FaultPlan`;
     alternatively wrap the call in :func:`repro.faults.plan_scope`.
     """
-    if on_death not in ("abort", "reassign"):
-        raise ValueError(f"on_death must be abort|reassign, not {on_death!r}")
-    reg = build_chaos_registry(n, sweeps, n_workers, supervision, on_death,
-                               resend_delay, idle_timeout, max_rounds)
-    if config is None:
-        clusters = tuple(
-            ClusterSpec(number=i, primary_pe=2 + i,
-                        slots=max(2, n_workers) + 1)
-            for i in range(1, 3))
-        config = Configuration(clusters=clusters, name="chaos-jacobi")
-    vm = PiscesVM(config, registry=reg, machine=machine,
-                  fault_plan=fault_plan)
-    r = vm.run("CMASTER")
+    plan = chaos_plan(n, sweeps, n_workers, supervision, on_death,
+                      resend_delay, idle_timeout, max_rounds)
+    r = replace(plan, config=config or plan.config,
+                fault_plan=fault_plan).run(machine)
     grid, reason, rounds = r.value
     return ChaosJacobiResult(grid=grid, completed=grid is not None,
                              reason=reason, sweeps=sweeps, rounds=rounds,
-                             elapsed=r.elapsed, vm=vm)
+                             elapsed=r.elapsed, vm=r.vm)

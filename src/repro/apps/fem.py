@@ -19,10 +19,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ..config.configuration import ClusterSpec, Configuration
+from ..config.configuration import simple_configuration
 from ..core.grid import Grid
 from ..core.task import TaskRegistry
-from ..core.vm import PiscesVM
+from ..core.vm import AppPlan, PiscesVM
 from ..flex.machine import FlexMachine
 
 #: Ticks charged per matrix row processed in a matvec.
@@ -189,20 +189,21 @@ def build_fem_registry(problem: FEMProblem, tol: float = 1e-10,
     return reg
 
 
+def fem_plan(problem: FEMProblem, force_pes: int) -> AppPlan:
+    return AppPlan(
+        registry=build_fem_registry(problem),
+        config=simple_configuration(1, 2, force_pes,
+                                    name=f"fem-force-{force_pes + 1}"),
+        tasktype="FEM")
+
+
 def run_fem(n_elements: int = 16, force_pes: int = 3,
             machine: Optional[FlexMachine] = None,
             problem: Optional[FEMProblem] = None) -> FEMResult:
     """Solve the bar problem with a force of ``force_pes + 1`` members."""
     prob = problem or FEMProblem(n_elements=n_elements)
-    reg = build_fem_registry(prob)
-    secondary = tuple(range(4, 4 + force_pes))
-    config = Configuration(
-        clusters=(ClusterSpec(number=1, primary_pe=3, slots=2,
-                              secondary_pes=secondary),),
-        name=f"fem-force-{force_pes + 1}")
-    vm = PiscesVM(config, registry=reg, machine=machine)
-    r = vm.run("FEM")
+    r = fem_plan(prob, force_pes).run(machine)
     u, iters, resid = r.value
     return FEMResult(displacements=u, tip_displacement=float(u[-1]),
                      iterations=iters, elapsed=r.elapsed, residual=resid,
-                     vm=vm)
+                     vm=r.vm)

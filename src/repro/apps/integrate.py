@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..config.configuration import ClusterSpec, Configuration
+from ..config.configuration import simple_configuration
 from ..core.task import TaskRegistry
 from ..core.taskid import ANY, PARENT
-from ..core.vm import PiscesVM
+from ..core.vm import AppPlan, PiscesVM
 from ..flex.machine import FlexMachine
 
 #: Ticks charged per function evaluation.
@@ -93,23 +93,28 @@ def build_integrate_registry(f: Callable[[float], float], a: float, b: float,
     return reg
 
 
+def integrate_plan(pieces: int, points_per_piece: int, n_workers: int,
+                   n_clusters: int, f: Callable[[float], float],
+                   a: float, b: float) -> AppPlan:
+    return AppPlan(
+        registry=build_integrate_registry(f, a, b, pieces, points_per_piece,
+                                          n_workers),
+        config=simple_configuration(n_clusters, max(2, n_workers),
+                                    name="integrate"),
+        tasktype="IMASTER")
+
+
 def run_integrate(pieces: int = 24, points_per_piece: int = 8,
                   n_workers: int = 4, n_clusters: int = 2,
                   f: Callable[[float], float] = default_integrand,
                   a: float = 0.0, b: float = 3.0,
                   machine: Optional[FlexMachine] = None) -> IntegrateResult:
-    reg = build_integrate_registry(f, a, b, pieces, points_per_piece,
-                                   n_workers)
-    clusters = tuple(
-        ClusterSpec(number=i, primary_pe=2 + i, slots=max(2, n_workers))
-        for i in range(1, n_clusters + 1))
-    config = Configuration(clusters=clusters, name="integrate")
-    vm = PiscesVM(config, registry=reg, machine=machine)
-    r = vm.run("IMASTER")
+    r = integrate_plan(pieces, points_per_piece, n_workers, n_clusters,
+                       f, a, b).run(machine)
     total, per_worker = r.value
     exact = _reference(f, a, b)
     return IntegrateResult(value=total, exact=exact, pieces=pieces,
-                           elapsed=r.elapsed, per_worker=per_worker, vm=vm)
+                           elapsed=r.elapsed, per_worker=per_worker, vm=r.vm)
 
 
 def _reference(f: Callable[[float], float], a: float, b: float,

@@ -21,14 +21,14 @@ IEEE operation sequence numpy's vectorized sweep performed.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
-from ..config.configuration import ClusterSpec, Configuration
+from ..config.configuration import Configuration, simple_configuration
 from ..core.grid import Grid
 from ..core.task import TaskRegistry
 from ..core.taskid import PARENT, SENDER
-from ..core.vm import PiscesVM
+from ..core.vm import AppPlan, PiscesVM
 from ..flex.machine import FlexMachine
 
 #: Virtual ticks charged per cell update (five-point stencil).
@@ -148,24 +148,25 @@ def build_windows_registry(n: int, sweeps: int, n_workers: int) -> TaskRegistry:
     return reg
 
 
+def windows_plan(n: int, sweeps: int, n_workers: int) -> AppPlan:
+    return AppPlan(
+        registry=build_windows_registry(n, sweeps, n_workers),
+        config=simple_configuration(2, max(2, n_workers),
+                                    name="jacobi-windows"),
+        tasktype="JMASTER")
+
+
 def run_jacobi_windows(n: int = 32, sweeps: int = 4, n_workers: int = 4,
                        config: Optional[Configuration] = None,
                        machine: Optional[FlexMachine] = None) -> JacobiResult:
-    reg = build_windows_registry(n, sweeps, n_workers)
-    if config is None:
-        clusters = tuple(
-            ClusterSpec(number=i, primary_pe=2 + i,
-                        slots=max(2, n_workers))
-            for i in range(1, 3))
-        config = Configuration(clusters=clusters, name="jacobi-windows")
-    vm = PiscesVM(config, registry=reg, machine=machine)
-    r = vm.run("JMASTER")
+    plan = windows_plan(n, sweeps, n_workers)
+    r = replace(plan, config=config or plan.config).run(machine)
     grid, resid = r.value
     return JacobiResult(grid=grid, sweeps=sweeps, elapsed=r.elapsed,
                         residual=resid,
                         stats_window_bytes=(r.stats.window_bytes_read
                                             + r.stats.window_bytes_written),
-                        vm=vm)
+                        vm=r.vm)
 
 
 # ----------------------------------------------------------------- force --
@@ -203,16 +204,17 @@ def build_force_registry(n: int, sweeps: int) -> TaskRegistry:
     return reg
 
 
+def force_plan(n: int, sweeps: int, force_pes: int) -> AppPlan:
+    return AppPlan(
+        registry=build_force_registry(n, sweeps),
+        config=simple_configuration(1, 2, force_pes,
+                                    name=f"jacobi-force-{force_pes + 1}"),
+        tasktype="JFORCE", args=(n, sweeps))
+
+
 def run_jacobi_force(n: int = 32, sweeps: int = 4, force_pes: int = 3,
                      machine: Optional[FlexMachine] = None) -> JacobiResult:
-    reg = build_force_registry(n, sweeps)
-    secondary = tuple(range(4, 4 + force_pes))
-    config = Configuration(
-        clusters=(ClusterSpec(number=1, primary_pe=3, slots=2,
-                              secondary_pes=secondary),),
-        name=f"jacobi-force-{force_pes + 1}")
-    vm = PiscesVM(config, registry=reg, machine=machine)
-    r = vm.run("JFORCE", n, sweeps)
+    r = force_plan(n, sweeps, force_pes).run(machine)
     grid, resid = r.value
     return JacobiResult(grid=grid, sweeps=sweeps, elapsed=r.elapsed,
-                        residual=resid, stats_window_bytes=0, vm=vm)
+                        residual=resid, stats_window_bytes=0, vm=r.vm)

@@ -28,11 +28,12 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional
 
-from ..config.configuration import ClusterSpec, Configuration
+from ..config.configuration import (ClusterSpec, Configuration,
+                                    simple_configuration)
 from ..core.grid import Grid
 from ..core.task import TaskRegistry
 from ..core.taskid import Cluster, PARENT
-from ..core.vm import PiscesVM
+from ..core.vm import AppPlan, PiscesVM
 from ..flex.machine import FlexMachine
 
 #: Ticks per output cell (an n-length dot product).
@@ -126,16 +127,19 @@ def build_tasks_registry(n: int, n_workers: int) -> TaskRegistry:
     return reg
 
 
+def tasks_plan(n: int, n_workers: int, n_clusters: int) -> AppPlan:
+    return AppPlan(
+        registry=build_tasks_registry(n, n_workers),
+        config=simple_configuration(n_clusters, max(2, n_workers),
+                                    name="matmul-tasks"),
+        tasktype="MMASTER")
+
+
 def run_matmul_tasks(n: int = 24, n_workers: int = 4,
                      n_clusters: int = 2,
                      machine: Optional[FlexMachine] = None) -> MatmulResult:
-    reg = build_tasks_registry(n, n_workers)
-    clusters = tuple(ClusterSpec(i, 2 + i, max(2, n_workers))
-                     for i in range(1, n_clusters + 1))
-    vm = PiscesVM(Configuration(clusters=clusters, name="matmul-tasks"),
-                  registry=reg, machine=machine)
-    r = vm.run("MMASTER")
-    return MatmulResult(C=r.value, elapsed=r.elapsed, vm=vm)
+    r = tasks_plan(n, n_workers, n_clusters).run(machine)
+    return MatmulResult(C=r.value, elapsed=r.elapsed, vm=r.vm)
 
 
 # ------------------------------------------------------------ force grain --
@@ -166,13 +170,10 @@ def build_force_registry(n: int) -> TaskRegistry:
 
 def run_matmul_force(n: int = 24, force_pes: int = 3,
                      machine: Optional[FlexMachine] = None) -> MatmulResult:
-    reg = build_force_registry(n)
-    cfg = Configuration(clusters=(
-        ClusterSpec(1, 3, 2, tuple(range(4, 4 + force_pes))),),
-        name="matmul-force")
-    vm = PiscesVM(cfg, registry=reg, machine=machine)
-    r = vm.run("MFORCE")
-    return MatmulResult(C=r.value, elapsed=r.elapsed, vm=vm)
+    r = AppPlan(build_force_registry(n),
+                simple_configuration(1, 2, force_pes, name="matmul-force"),
+                "MFORCE").run(machine)
+    return MatmulResult(C=r.value, elapsed=r.elapsed, vm=r.vm)
 
 
 # ------------------------------------------------------------ hybrid grain --
@@ -227,21 +228,13 @@ def run_matmul_hybrid(n: int = 24, n_clusters: int = 2,
                       force_pes_per_cluster: int = 2,
                       machine: Optional[FlexMachine] = None) -> MatmulResult:
     """Task grain across clusters x force grain inside each."""
-    reg = build_hybrid_registry(n, n_clusters)
-    specs = []
-    next_pe = 3 + n_clusters + 1          # leave room for primaries + master
-    primaries = list(range(3, 3 + n_clusters + 1))
-    # cluster 1 hosts the master too
-    specs.append(ClusterSpec(1, primaries[0], 3,
-                             tuple(range(next_pe,
-                                         next_pe + force_pes_per_cluster))))
-    next_pe += force_pes_per_cluster
-    for i in range(2, n_clusters + 1):
-        specs.append(ClusterSpec(i, primaries[i - 1], 3,
-                                 tuple(range(next_pe,
-                                             next_pe + force_pes_per_cluster))))
-        next_pe += force_pes_per_cluster
-    vm = PiscesVM(Configuration(clusters=tuple(specs), name="matmul-hybrid"),
-                  registry=reg, machine=machine)
-    r = vm.run("HMASTER")
-    return MatmulResult(C=r.value, elapsed=r.elapsed, vm=vm)
+    # Primaries 3, 4, ... (cluster 1, always present, hosts the master
+    # too); one PE past them is left free before the blocks of force PEs.
+    f, sec = force_pes_per_cluster, 4 + n_clusters
+    clusters = tuple(
+        ClusterSpec(i, 2 + i, 3, tuple(range(sec + (i - 1) * f, sec + i * f)))
+        for i in range(1, max(1, n_clusters) + 1))
+    r = AppPlan(build_hybrid_registry(n, n_clusters),
+                Configuration(clusters=clusters, name="matmul-hybrid"),
+                "HMASTER").run(machine)
+    return MatmulResult(C=r.value, elapsed=r.elapsed, vm=r.vm)

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..config.configuration import ClusterSpec, Configuration
+from ..config.configuration import simple_configuration
 from ..core.task import TaskRegistry
 from ..core.taskid import ANY, PARENT
-from ..core.vm import PiscesVM
+from ..core.vm import AppPlan, PiscesVM
 from ..flex.machine import FlexMachine
 
 #: Ticks each stage charges per item (the pipeline's "work").
@@ -90,16 +90,18 @@ def build_pipeline_registry(n_stages: int, items: Sequence[int]) -> TaskRegistry
     return reg
 
 
+def pipeline_plan(n_stages: int, items: Sequence[int], n_clusters: int,
+                  slots: int) -> AppPlan:
+    return AppPlan(
+        registry=build_pipeline_registry(n_stages, items),
+        config=simple_configuration(n_clusters, slots, name="pipeline"),
+        tasktype="COORD")
+
+
 def run_pipeline(n_stages: int = 3, items: Optional[Sequence[int]] = None,
                  n_clusters: int = 2, slots: int = 4,
                  machine: Optional[FlexMachine] = None) -> PipelineResult:
     data = list(items) if items is not None else list(range(10))
-    reg = build_pipeline_registry(n_stages, data)
-    clusters = tuple(
-        ClusterSpec(number=i, primary_pe=2 + i, slots=slots)
-        for i in range(1, n_clusters + 1))
-    config = Configuration(clusters=clusters, name="pipeline")
-    vm = PiscesVM(config, registry=reg, machine=machine)
-    r = vm.run("COORD")
+    r = pipeline_plan(n_stages, data, n_clusters, slots).run(machine)
     return PipelineResult(outputs=r.value, elapsed=r.elapsed,
-                          stages=n_stages, items=len(data), vm=vm)
+                          stages=n_stages, items=len(data), vm=r.vm)

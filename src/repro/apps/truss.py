@@ -20,10 +20,10 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..config.configuration import ClusterSpec, Configuration
+from ..config.configuration import simple_configuration
 from ..core.grid import Grid
 from ..core.task import TaskRegistry
-from ..core.vm import PiscesVM
+from ..core.vm import AppPlan, PiscesVM
 from ..flex.machine import FlexMachine
 from .fem import dot
 
@@ -242,18 +242,20 @@ def build_truss_registry(problem: TrussProblem, tol: float = 1e-9,
     return reg
 
 
+def truss_plan(problem: TrussProblem, force_pes: int) -> AppPlan:
+    return AppPlan(
+        registry=build_truss_registry(problem),
+        config=simple_configuration(1, 2, force_pes,
+                                    name=f"truss-force-{force_pes + 1}"),
+        tasktype="TRUSS")
+
+
 def run_truss(n_panels: int = 4, force_pes: int = 3,
               machine: Optional[FlexMachine] = None,
               problem: Optional[TrussProblem] = None) -> TrussResult:
     """Solve a truss with a force of ``force_pes + 1`` members."""
     prob = problem or pratt_truss(n_panels=n_panels)
-    reg = build_truss_registry(prob)
-    secondary = tuple(range(4, 4 + force_pes))
-    cfg = Configuration(
-        clusters=(ClusterSpec(1, 3, 2, secondary_pes=secondary),),
-        name=f"truss-force-{force_pes + 1}")
-    vm = PiscesVM(cfg, registry=reg, machine=machine)
-    r = vm.run("TRUSS")
+    r = truss_plan(prob, force_pes).run(machine)
     uf, iters, resid = r.value
     _, _, free = prob.reduced_system()
     u = Grid.zeros(prob.n_dof)
@@ -263,4 +265,4 @@ def run_truss(n_panels: int = 4, force_pes: int = 3,
     return TrussResult(displacements=u,
                        midspan_deflection=float(u[2 * mid_node + 1]),
                        iterations=iters, elapsed=r.elapsed,
-                       residual=resid, vm=vm)
+                       residual=resid, vm=r.vm)

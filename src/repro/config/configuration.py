@@ -343,18 +343,13 @@ def simple_configuration(n_clusters: int = 2, slots: int = 4,
                          force_pes_per_cluster: int = 0,
                          first_pe: int = 3,
                          name: str = "simple") -> Configuration:
-    """Convenience builder: ``n_clusters`` clusters on consecutive PEs
+    """The standard shape: ``n_clusters`` clusters on consecutive PEs
     starting at ``first_pe``, each with ``slots`` slots, then consecutive
-    blocks of ``force_pes_per_cluster`` secondary PEs."""
-    specs = []
-    next_pe = first_pe
-    primaries = []
-    for i in range(1, n_clusters + 1):
-        primaries.append(next_pe)
-        next_pe += 1
-    for i, pe in enumerate(primaries, start=1):
-        sec = tuple(range(next_pe, next_pe + force_pes_per_cluster))
-        next_pe += force_pes_per_cluster
-        specs.append(ClusterSpec(number=i, primary_pe=pe, slots=slots,
-                                 secondary_pes=sec))
-    return Configuration(clusters=tuple(specs), name=name)
+    blocks of ``force_pes_per_cluster`` secondary PEs.  Every app's
+    task-parallel and force configuration is one of these."""
+    force, sec = force_pes_per_cluster, first_pe + n_clusters
+    return Configuration(clusters=tuple(
+        ClusterSpec(number=i, primary_pe=first_pe + i - 1, slots=slots,
+                    secondary_pes=tuple(range(sec + (i - 1) * force,
+                                              sec + i * force)))
+        for i in range(1, n_clusters + 1)), name=name)

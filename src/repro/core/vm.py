@@ -18,7 +18,7 @@ import itertools
 import os
 import random
 from types import SimpleNamespace
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (Any, Callable, Dict, List, Optional,
                     Tuple, Union)
 
@@ -261,6 +261,33 @@ class RunResult(RunRecord):
     console: str
     stats: RunStats
     vm: "PiscesVM"
+
+
+@dataclass(frozen=True)
+class AppPlan:
+    """Everything needed to boot and run one app: the task registry, the
+    configuration (section 9), the root ``(tasktype, args)`` and the
+    fault plan.  An app module's plan function is the one place its
+    configuration is decided; its ``run_*`` entry point and the service
+    catalog both run the plan it returns."""
+
+    registry: TaskRegistry
+    config: Configuration
+    tasktype: str
+    args: Tuple[Any, ...] = ()
+    #: An explicit FaultPlan, or None for the ambient one (if any).
+    fault_plan: Optional[Any] = None
+
+    def boot(self, machine: Optional[FlexMachine] = None,
+             **config: Any) -> "PiscesVM":
+        """A VM for the plan; ``config`` overrides configuration fields."""
+        return PiscesVM(replace(self.config, **config) if config
+                        else self.config, self.registry, machine=machine,
+                        fault_plan=self.fault_plan)
+
+    def run(self, machine: Optional[FlexMachine] = None) -> RunResult:
+        """Boot the plan and run its root task to completion."""
+        return self.boot(machine).run(self.tasktype, *self.args)
 
 
 class PiscesVM:

@@ -53,7 +53,8 @@ __all__ = [
 _LAZY = {
     **dict.fromkeys(("DEFAULT_QUOTA", "AdmissionScheduler", "TenantQuota"),
                     "admission"),
-    **dict.fromkeys(("APPS", "AppPlan", "app_names", "build"), "catalog"),
+    **dict.fromkeys(("APPS", "app_names", "build"), "catalog"),
+    "AppPlan": ".core.vm",
     **dict.fromkeys(("ExecutionHandle", "KilledByService", "execute_run"),
                     "executor"),
     **dict.fromkeys(("RunTimeout", "ServiceClient", "ServiceClientError"),

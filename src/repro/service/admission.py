@@ -3,9 +3,10 @@
 Two gates stand between a submitted run and a worker:
 
 * **Submission quota** -- a tenant may hold at most ``max_queued``
-  unfinished-but-not-yet-running runs.  Checked synchronously at
-  submit time; violation raises :class:`~repro.errors.QuotaExceeded`
-  (HTTP 429 at the REST layer).
+  unfinished-but-not-yet-running runs, and no run over its
+  ``pe_budget``.  Checked synchronously at submit time; violation
+  raises :class:`~repro.errors.QuotaExceeded` (HTTP 429 at the REST
+  layer).
 * **Admission quota** -- a tenant may have at most ``max_running``
   runs executing at once, occupying at most ``pe_budget`` virtual PEs
   in total.  Checked whenever a worker frees up.
@@ -23,8 +24,9 @@ on B's next rotation slot.
 A run's cost is the PEs its plan uses.  The scheduler holds each live
 run's plan -- built at submit (:meth:`hold`), or at its first pricing
 after a recovery -- and hands it to the worker that runs it.  A queued
-run whose stored spec no longer builds ends FAILED at that pricing,
-with the typed error, and selection goes on to the next run.
+run whose stored spec no longer builds, or whose plan is over its
+tenant's ``pe_budget``, ends FAILED at that pricing, with the typed
+error, and selection goes on to the next run.
 
 Deficits, the rotation pointer and the held plans are in-memory only:
 fairness state is advisory and restarts from zero after a service
@@ -36,12 +38,15 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..errors import InvalidRunSpec, QuotaExceeded
 from . import catalog
 from .store import (ADMITTED, FAILED, QUEUED, RUNNING, RunRecord,
                     RunStore)
+
+if TYPE_CHECKING:
+    from ..core.vm import AppPlan
 
 
 @dataclass(frozen=True)
@@ -76,33 +81,33 @@ class AdmissionScheduler:
         self._rotation: List[str] = []       # fixed visit order, grown
         self._cursor = 0                     # next rotation position
         #: The plan of each live run id (pruned by :meth:`select`).
-        self._plans: Dict[str, catalog.AppPlan] = {}
+        self._plans: Dict[str, AppPlan] = {}
 
     def quota_for(self, tenant: str) -> TenantQuota:
         return self.quotas.get(tenant, self.default_quota)
 
     # ------------------------------------------------------------- plans --
 
-    def hold(self, run_id: str, plan: catalog.AppPlan) -> None:
+    def hold(self, run_id: str, plan: AppPlan) -> None:
         """Hold the plan a submit built for its run until the run ends."""
         with self._lock:
             self._plans[run_id] = plan
 
-    def plan(self, rec: RunRecord) -> catalog.AppPlan:
+    def plan(self, rec: RunRecord) -> AppPlan:
         """The run's held plan, built here if it has none."""
         with self._lock:
             if rec.run_id not in self._plans:
                 self._plans[rec.run_id] = catalog.build(rec.spec)
             return self._plans[rec.run_id]
 
-    def _buildable(self, rec: RunRecord) -> bool:
-        """Whether a queued run's plan builds.  A stored spec that no
-        longer does (a record written by another version, say) ends its
-        run FAILED with the typed error, through ADMITTED."""
+    def _viable(self, rec: RunRecord) -> bool:
+        """Whether a queued run's plan builds and fits its tenant's
+        ``pe_budget``.  A run that fails either ends FAILED with the
+        typed error, in one write: if that write fails, the run stays
+        QUEUED and the next pick retries it."""
         try:
-            self.plan(rec)
-        except InvalidRunSpec as e:
-            self.store.transition(rec.run_id, ADMITTED)
+            self._check_budget(rec.tenant, self.plan(rec))
+        except (InvalidRunSpec, QuotaExceeded) as e:
             self.store.transition(
                 rec.run_id, FAILED, finished_at=time.time(),
                 exit={"outcome": "failed",
@@ -116,8 +121,18 @@ class AdmissionScheduler:
 
     # ----------------------------------------------------------- submit --
 
-    def check_submit(self, tenant: str) -> None:
+    def _check_budget(self, tenant: str, plan: AppPlan) -> None:
+        """Refuse a plan no admission could ever fit (DRR would hold the
+        tenant's queue behind it for good)."""
+        cost, budget = len(plan.config.used_pes()), \
+            self.quota_for(tenant).pe_budget
+        if cost > budget:
+            raise QuotaExceeded(
+                tenant, f"run needs {cost} PEs, over pe_budget={budget}")
+
+    def check_submit(self, tenant: str, plan: AppPlan) -> None:
         """Gate a submission; raises :class:`QuotaExceeded` over-quota."""
+        self._check_budget(tenant, plan)
         q = self.quota_for(tenant)
         waiting = len(self.store.list(tenant=tenant, state=QUEUED)) \
             + len(self.store.list(tenant=tenant, state=ADMITTED))
@@ -185,7 +200,7 @@ class AdmissionScheduler:
                 pos = (self._cursor + i) % n
                 t = self._rotation[pos]
                 backlog = queued.get(t)
-                while backlog and not self._buildable(backlog[0]):
+                while backlog and not self._viable(backlog[0]):
                     backlog.pop(0)
                 if not backlog:
                     self._deficit[t] = 0      # idle tenants bank nothing

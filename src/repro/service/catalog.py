@@ -4,9 +4,15 @@ The run service never accepts code from tenants -- it accepts a
 *name* plus JSON parameters (or, for ``"fortran"``, Pisces Fortran
 source text, which the preprocessor turns into a registry).  Each
 catalog entry is a pure function from parameters to an
-:class:`AppPlan`: the task registry, the machine configuration, the
-root ``(tasktype, args)`` to run and the parsed fault plan.  A served
-run is built once, at submit, and executes that plan.
+:class:`~repro.core.vm.AppPlan`: the task registry, the machine
+configuration, the root ``(tasktype, args)`` to run and the parsed
+fault plan.  A served run is built once, at submit, and executes that
+plan.
+
+An entry holds only the tenant-facing part: parameter defaults, type
+checks and the mapping of JSON values onto the app's arguments.  The
+plan function its app's ``run_*`` entry point calls decides the rest;
+``spin`` and ``fortran`` exist only here and are planned here.
 
 Rebuildability is the point, not a convenience: a run interrupted by a
 service crash is resumed from its latest ``.pckpt`` checkpoint, and
@@ -23,28 +29,16 @@ first builds, so a service that has only booted holds none of them.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+from dataclasses import replace
+from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
 
-from ..config.configuration import ClusterSpec, Configuration
+from ..config.configuration import simple_configuration
 from ..errors import InvalidRunSpec
 from .spec import RunSpec
 
 if TYPE_CHECKING:
     from ..core.task import TaskRegistry
-    from ..faults.plan import FaultPlan
-
-
-@dataclass(frozen=True)
-class AppPlan:
-    """Everything needed to boot and run one catalog app."""
-
-    registry: TaskRegistry
-    config: Configuration
-    tasktype: str
-    args: Tuple[Any, ...] = ()
-    #: The spec's parsed ``fault_plan``, or None when it has none.
-    fault_plan: Optional[FaultPlan] = None
+    from ..core.vm import AppPlan
 
 
 def _same_type(value: Any, default: Any) -> bool:
@@ -81,22 +75,6 @@ def _params(spec: RunSpec, allowed: Dict[str, Any]) -> Dict[str, Any]:
     return merged
 
 
-def _task_clusters(n_clusters: int, slots: int, name: str) -> Configuration:
-    """The task-parallel apps' standard shape: ``n_clusters`` clusters
-    on primary PEs 3, 4, ... (matches the app entry points)."""
-    clusters = tuple(ClusterSpec(number=i, primary_pe=2 + i, slots=slots)
-                     for i in range(1, n_clusters + 1))
-    return Configuration(clusters=clusters, name=name)
-
-
-def _force_cluster(force_pes: int, name: str) -> Configuration:
-    """The force apps' shape: one cluster, ``force_pes`` secondaries."""
-    return Configuration(
-        clusters=(ClusterSpec(number=1, primary_pe=3, slots=2,
-                              secondary_pes=tuple(range(4, 4 + force_pes))),),
-        name=name)
-
-
 # ------------------------------------------------------------- builders ----
 
 
@@ -104,33 +82,21 @@ def _build_jacobi(spec: RunSpec) -> AppPlan:
     from ..apps import jacobi
 
     p = _params(spec, dict(n=20, sweeps=3, n_workers=3))
-    return AppPlan(
-        registry=jacobi.build_windows_registry(p["n"], p["sweeps"],
-                                               p["n_workers"]),
-        config=_task_clusters(2, max(2, p["n_workers"]), "jacobi-windows"),
-        tasktype="JMASTER")
+    return jacobi.windows_plan(p["n"], p["sweeps"], p["n_workers"])
 
 
 def _build_jacobi_force(spec: RunSpec) -> AppPlan:
     from ..apps import jacobi
 
     p = _params(spec, dict(n=20, sweeps=3, force_pes=3))
-    return AppPlan(
-        registry=jacobi.build_force_registry(p["n"], p["sweeps"]),
-        config=_force_cluster(p["force_pes"],
-                              f"jacobi-force-{p['force_pes'] + 1}"),
-        tasktype="JFORCE", args=(p["n"], p["sweeps"]))
+    return jacobi.force_plan(p["n"], p["sweeps"], p["force_pes"])
 
 
 def _build_matmul(spec: RunSpec) -> AppPlan:
     from ..apps import matmul
 
     p = _params(spec, dict(n=16, n_workers=3, n_clusters=2))
-    return AppPlan(
-        registry=matmul.build_tasks_registry(p["n"], p["n_workers"]),
-        config=_task_clusters(p["n_clusters"], max(2, p["n_workers"]),
-                              "matmul-tasks"),
-        tasktype="MMASTER")
+    return matmul.tasks_plan(p["n"], p["n_workers"], p["n_clusters"])
 
 
 def _build_integrate(spec: RunSpec) -> AppPlan:
@@ -138,48 +104,33 @@ def _build_integrate(spec: RunSpec) -> AppPlan:
 
     p = _params(spec, dict(pieces=12, points_per_piece=6, n_workers=3,
                            n_clusters=2, a=0.0, b=3.0))
-    return AppPlan(
-        registry=integrate.build_integrate_registry(
-            integrate.default_integrand, float(p["a"]), float(p["b"]),
-            p["pieces"], p["points_per_piece"], p["n_workers"]),
-        config=_task_clusters(p["n_clusters"], max(2, p["n_workers"]),
-                              "integrate"),
-        tasktype="IMASTER")
+    return integrate.integrate_plan(
+        p["pieces"], p["points_per_piece"], p["n_workers"], p["n_clusters"],
+        integrate.default_integrand, float(p["a"]), float(p["b"]))
 
 
 def _build_pipeline(spec: RunSpec) -> AppPlan:
     from ..apps import pipeline
 
     p = _params(spec, dict(n_stages=3, n_items=10, n_clusters=2, slots=4))
-    return AppPlan(
-        registry=pipeline.build_pipeline_registry(
-            p["n_stages"], list(range(p["n_items"]))),
-        config=_task_clusters(p["n_clusters"], p["slots"], "pipeline"),
-        tasktype="COORD")
+    return pipeline.pipeline_plan(p["n_stages"], list(range(p["n_items"])),
+                                  p["n_clusters"], p["slots"])
 
 
 def _build_fem(spec: RunSpec) -> AppPlan:
     from ..apps import fem
 
     p = _params(spec, dict(n_elements=12, force_pes=3))
-    prob = fem.FEMProblem(n_elements=p["n_elements"])
-    return AppPlan(
-        registry=fem.build_fem_registry(prob),
-        config=_force_cluster(p["force_pes"],
-                              f"fem-force-{p['force_pes'] + 1}"),
-        tasktype="FEM")
+    return fem.fem_plan(fem.FEMProblem(n_elements=p["n_elements"]),
+                        p["force_pes"])
 
 
 def _build_truss(spec: RunSpec) -> AppPlan:
     from ..apps import truss
 
     p = _params(spec, dict(n_panels=4, force_pes=3))
-    prob = truss.pratt_truss(n_panels=p["n_panels"])
-    return AppPlan(
-        registry=truss.build_truss_registry(prob),
-        config=_force_cluster(p["force_pes"],
-                              f"truss-force-{p['force_pes'] + 1}"),
-        tasktype="TRUSS")
+    return truss.truss_plan(truss.pratt_truss(n_panels=p["n_panels"]),
+                            p["force_pes"])
 
 
 def _build_chaos_jacobi(spec: RunSpec) -> AppPlan:
@@ -199,15 +150,9 @@ def _build_chaos_jacobi(spec: RunSpec) -> AppPlan:
         sup = Supervision(policy=p["supervision"],
                           max_restarts=p["max_restarts"],
                           backoff_ticks=p["backoff_ticks"])
-    clusters = tuple(ClusterSpec(number=i, primary_pe=2 + i,
-                                 slots=max(2, p["n_workers"]) + 1)
-                     for i in range(1, 3))
-    return AppPlan(
-        registry=chaos_jacobi.build_chaos_registry(
-            p["n"], p["sweeps"], p["n_workers"], sup, p["on_death"],
-            p["resend_delay"], p["idle_timeout"], p["max_rounds"]),
-        config=Configuration(clusters=clusters, name="chaos-jacobi"),
-        tasktype="CMASTER")
+    return chaos_jacobi.chaos_plan(
+        p["n"], p["sweeps"], p["n_workers"], sup, p["on_death"],
+        p["resend_delay"], p["idle_timeout"], p["max_rounds"])
 
 
 def build_spin_registry(rounds: int, ticks_per_round: int) -> TaskRegistry:
@@ -234,14 +179,17 @@ def build_spin_registry(rounds: int, ticks_per_round: int) -> TaskRegistry:
 
 
 def _build_spin(spec: RunSpec) -> AppPlan:
+    from ..core.vm import AppPlan
+
     p = _params(spec, dict(rounds=100, ticks_per_round=50))
     return AppPlan(
         registry=build_spin_registry(p["rounds"], p["ticks_per_round"]),
-        config=_task_clusters(1, 2, "spin"),
+        config=simple_configuration(1, 2, name="spin"),
         tasktype="SPIN", args=(p["rounds"], p["ticks_per_round"]))
 
 
 def _build_fortran(spec: RunSpec) -> AppPlan:
+    from ..core.vm import AppPlan
     from ..fortran.preprocessor import preprocess
 
     p = _params(spec, dict(source="", tasktype="", args=[],
@@ -260,7 +208,8 @@ def _build_fortran(spec: RunSpec) -> AppPlan:
             f"(defines: {', '.join(names) or 'none'})")
     return AppPlan(
         registry=program.registry,
-        config=_task_clusters(p["n_clusters"], p["slots"], "fortran"),
+        config=simple_configuration(p["n_clusters"], p["slots"],
+                                    name="fortran"),
         tasktype=tasktype, args=tuple(p["args"]))
 
 

@@ -30,11 +30,11 @@ from __future__ import annotations
 import threading
 import time
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..api import _ALL_TRACE_EVENTS
-from ..core.vm import PiscesVM
+from ..core.vm import AppPlan, PiscesVM
 from ..obs.export import export_run, run_manifest
 from ..util.durable import durable_write
 from . import catalog
@@ -82,20 +82,15 @@ _PROVENANCE_KEYS = ("dispatcher", "repro_version", "seed",
                     "fault_plan_hash")
 
 
-def _plan_vm(spec, plan: catalog.AppPlan, **config) -> PiscesVM:
+def _plan_vm(spec, plan: AppPlan, **config) -> PiscesVM:
     """The VM for a spec's plan with the spec's run toggles (trace,
     metrics on, run seed) and fault plan; ``config`` overrides further
     configuration fields.  The service's VM and the standalone
     reference leg are both built here, so they cannot drift apart."""
-    config = replace(
-        plan.config,
-        trace_events=_ALL_TRACE_EVENTS if spec.trace else (),
-        metrics_enabled=True,
-        run_seed=spec.run_seed,
-        **config,
-    )
     with catalog.IMPORT_LOCK:
-        return PiscesVM(config, plan.registry, fault_plan=plan.fault_plan)
+        return plan.boot(
+            trace_events=_ALL_TRACE_EVENTS if spec.trace else (),
+            metrics_enabled=True, run_seed=spec.run_seed, **config)
 
 
 def restore_vm(path, registry):
@@ -106,8 +101,7 @@ def restore_vm(path, registry):
         return restore(path, registry=registry)
 
 
-def build_vm(rec: RunRecord, store: RunStore,
-             plan: catalog.AppPlan) -> PiscesVM:
+def build_vm(rec: RunRecord, store: RunStore, plan: AppPlan) -> PiscesVM:
     """Build the (fresh-start) VM for a run record from its plan."""
     spec = rec.spec
     if spec.checkpoint_every:
@@ -181,7 +175,7 @@ def standalone_run(spec):
 
 
 def execute_run(rec: RunRecord, store: RunStore, handle: ExecutionHandle,
-                plan: catalog.AppPlan) -> RunRecord:
+                plan: AppPlan) -> RunRecord:
     """Run one ADMITTED record's ``plan`` to a terminal state.  Called on
     a worker thread.  A failure of the run becomes the FAILED state; only
     a store that cannot persist even that raises, leaving the record at

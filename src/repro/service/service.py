@@ -37,13 +37,14 @@ from .spec import RunSpec
 from .store import KILLED, QUEUED, RunRecord, RunStore, TERMINAL_STATES
 
 if TYPE_CHECKING:
+    from ..core.vm import AppPlan
     from .executor import ExecutionHandle
 
 _TENANT_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}\Z")
 
 
 def execute_run(rec: RunRecord, store: RunStore, handle: ExecutionHandle,
-                plan: catalog.AppPlan) -> RunRecord:
+                plan: AppPlan) -> RunRecord:
     """:func:`repro.service.executor.execute_run`, imported at the first
     run: the executor brings the engine, so a boot does not load it."""
     with catalog.IMPORT_LOCK:
@@ -106,8 +107,7 @@ class RunService:
             if claimed is not None:
                 self.run_claimed(*claimed)
 
-    def claim(self) -> Optional[Tuple[RunRecord, ExecutionHandle,
-                                      catalog.AppPlan]]:
+    def claim(self) -> Optional[Tuple[RunRecord, ExecutionHandle, AppPlan]]:
         """Admit the next fair-share pick for this worker: its record,
         a registered execution handle and its plan.  None, after a
         bounded wait, when nothing is admissible or the store could not
@@ -137,7 +137,7 @@ class RunService:
             return rec, handle, plan
 
     def run_claimed(self, rec: RunRecord, handle: ExecutionHandle,
-                    plan: catalog.AppPlan) -> None:
+                    plan: AppPlan) -> None:
         """Execute a claimed run to its outcome, then free its handle."""
         try:
             execute_run(rec, self.store, handle, plan)
@@ -167,7 +167,7 @@ class RunService:
         # One step, so concurrent submits cannot all pass the quota
         # check, and no worker selects a run without a plan.
         with self._cv:
-            self.admission.check_submit(tenant)       # QuotaExceeded -> 429
+            self.admission.check_submit(tenant, plan)  # QuotaExceeded -> 429
             rec = self.store.create(tenant, spec)
             self.admission.hold(rec.run_id, plan)
             self._cv.notify_all()

@@ -13,7 +13,9 @@ The **record** is the run's state machine:
 
     QUEUED -> ADMITTED -> RUNNING -> DONE | FAILED | KILLED
 
-A run whose VM fails to build goes straight from ADMITTED to FAILED.
+A queued run whose plan no longer builds, or no longer fits its
+tenant's ``pe_budget``, goes straight from QUEUED to FAILED; one whose
+VM fails to build, from ADMITTED to FAILED.
 Only the service process writes records.  Every file under the root
 goes through :mod:`repro.util.durable` (tmp file, fsync,
 ``os.replace``, directory fsync: two fsyncs per file), so a ``kill -9``
@@ -88,7 +90,7 @@ TERMINAL_STATES = (DONE, FAILED, KILLED)
 STATES = LIVE_STATES + TERMINAL_STATES
 
 _TRANSITIONS = {
-    QUEUED: (ADMITTED, KILLED),
+    QUEUED: (ADMITTED, KILLED, FAILED),
     ADMITTED: (RUNNING, QUEUED, KILLED, FAILED),
     RUNNING: (DONE, FAILED, KILLED),
     DONE: (), FAILED: (), KILLED: (),

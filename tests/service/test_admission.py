@@ -26,7 +26,7 @@ class TestSubmitQuota:
         sched = AdmissionScheduler(
             store, default_quota=TenantQuota(max_queued=2))
         store.create("t", SPIN)
-        sched.check_submit("t")
+        sched.check_submit("t", catalog.build(SPIN))
 
     def test_max_queued_refused(self, store):
         sched = AdmissionScheduler(
@@ -34,7 +34,7 @@ class TestSubmitQuota:
         store.create("t", SPIN)
         store.create("t", SPIN)
         with pytest.raises(QuotaExceeded, match="max_queued"):
-            sched.check_submit("t")
+            sched.check_submit("t", catalog.build(SPIN))
 
     def test_admitted_counts_as_waiting(self, store):
         sched = AdmissionScheduler(
@@ -43,15 +43,24 @@ class TestSubmitQuota:
         store.create("t", SPIN)
         store.transition(a.run_id, ADMITTED)
         with pytest.raises(QuotaExceeded):
-            sched.check_submit("t")
+            sched.check_submit("t", catalog.build(SPIN))
 
     def test_quotas_are_per_tenant(self, store):
         sched = AdmissionScheduler(
             store, default_quota=TenantQuota(max_queued=1))
         store.create("a", SPIN)
         with pytest.raises(QuotaExceeded):
-            sched.check_submit("a")
-        sched.check_submit("b")
+            sched.check_submit("a", catalog.build(SPIN))
+        sched.check_submit("b", catalog.build(SPIN))
+
+    def test_plan_over_pe_budget_refused(self, store):
+        """No admission could ever fit a 4-PE plan in a 3-PE budget."""
+        sched = AdmissionScheduler(
+            store, default_quota=TenantQuota(pe_budget=3))
+        with pytest.raises(QuotaExceeded,
+                           match=r"needs 4 PEs, over pe_budget=3"):
+            sched.check_submit("t", catalog.build(FORCE))
+        sched.check_submit("t", catalog.build(SPIN))
 
 
 class TestRunQuotas:
@@ -72,6 +81,23 @@ class TestRunQuotas:
         store.create("t", FORCE)                # would be 8 > 5
         assert sched.select() is not None
         assert sched.select() is None
+
+    def test_queued_run_over_pe_budget_fails_in_one_write(self, store):
+        """A stored run over its tenant's budget (quotas changed since it
+        queued) ends FAILED, straight from QUEUED, and the next run of
+        the tenant is selected."""
+        sched = AdmissionScheduler(
+            store, default_quota=TenantQuota(pe_budget=3))
+        over = store.create("t", FORCE)                 # 4 PEs
+        spin = store.create("t", SPIN)
+        states = []
+        transition = store.transition
+        store.transition = lambda run_id, new_state, **amend: (
+            states.append((run_id, new_state))
+            or transition(run_id, new_state, **amend))
+        assert sched.select().run_id == spin.run_id
+        assert states == [(over.run_id, "FAILED"), (spin.run_id, ADMITTED)]
+        assert "QuotaExceeded: " in store.get(over.run_id).exit["error"]
 
     def test_one_tenant_blocked_does_not_block_others(self, store):
         sched = AdmissionScheduler(

@@ -1,9 +1,14 @@
 """The app catalog: every entry builds deterministically from params."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.apps import (chaos_jacobi, fem, integrate, jacobi, matmul,
+                        pipeline, truss)
+from repro.core.supervision import Supervision
 from repro.errors import InvalidRunSpec
-from repro.service import catalog
+from repro.service import catalog, executor
 from repro.service.spec import RunSpec
 
 FORTRAN_SOURCE = """\
@@ -154,3 +159,78 @@ def test_spin_runs_and_charges_virtual_time():
     r = vm.run(plan.tasktype, *plan.args)
     assert r.value == 10
     assert r.elapsed >= 70
+
+
+#: Each library app: its ``run_*`` entry point called with catalog
+#: params, the catalog's defaults spelled out, and one other set.
+LIBRARY_APPS = {
+    "jacobi": (
+        lambda p: jacobi.run_jacobi_windows(p["n"], p["sweeps"],
+                                            p["n_workers"]),
+        dict(n=20, sweeps=3, n_workers=3),
+        dict(n=12, sweeps=2, n_workers=5)),
+    "jacobi_force": (
+        lambda p: jacobi.run_jacobi_force(p["n"], p["sweeps"],
+                                          p["force_pes"]),
+        dict(n=20, sweeps=3, force_pes=3),
+        dict(n=12, sweeps=2, force_pes=0)),
+    "matmul": (
+        lambda p: matmul.run_matmul_tasks(p["n"], p["n_workers"],
+                                          p["n_clusters"]),
+        dict(n=16, n_workers=3, n_clusters=2),
+        dict(n=12, n_workers=4, n_clusters=3)),
+    "integrate": (
+        lambda p: integrate.run_integrate(
+            p["pieces"], p["points_per_piece"], p["n_workers"],
+            p["n_clusters"], a=p["a"], b=p["b"]),
+        dict(pieces=12, points_per_piece=6, n_workers=3, n_clusters=2,
+             a=0.0, b=3.0),
+        dict(pieces=8, points_per_piece=4, n_workers=2, n_clusters=3,
+             a=1.0, b=2.5)),
+    "pipeline": (
+        lambda p: pipeline.run_pipeline(p["n_stages"], range(p["n_items"]),
+                                        p["n_clusters"], p["slots"]),
+        dict(n_stages=3, n_items=10, n_clusters=2, slots=4),
+        dict(n_stages=2, n_items=6, n_clusters=3, slots=2)),
+    "fem": (
+        lambda p: fem.run_fem(p["n_elements"], p["force_pes"]),
+        dict(n_elements=12, force_pes=3),
+        dict(n_elements=8, force_pes=1)),
+    "truss": (
+        lambda p: truss.run_truss(p["n_panels"], p["force_pes"]),
+        dict(n_panels=4, force_pes=3),
+        dict(n_panels=2, force_pes=5)),
+    "chaos_jacobi": (
+        lambda p: chaos_jacobi.run_chaos_jacobi(
+            p["n"], p["sweeps"], p["n_workers"],
+            supervision=(None if p["supervision"] == "none" else
+                         Supervision(policy=p["supervision"],
+                                     max_restarts=3, backoff_ticks=1_000)),
+            on_death=p["on_death"]),
+        dict(n=20, sweeps=3, n_workers=3, supervision="none",
+             on_death="abort"),
+        dict(n=12, sweeps=2, n_workers=2, supervision="restart",
+             on_death="reassign")),
+}
+
+
+def test_library_apps_are_every_catalog_app_but_spin_and_fortran():
+    assert sorted(LIBRARY_APPS) == sorted(
+        set(catalog.app_names()) - {"spin", "fortran"})
+
+
+@pytest.mark.parametrize("at_defaults", [True, False],
+                         ids=["defaults", "other"])
+@pytest.mark.parametrize("app", sorted(LIBRARY_APPS))
+def test_library_run_and_served_run_are_the_same_run(app, at_defaults):
+    """``run_<app>`` and the catalog plan the service runs boot the same
+    configuration and take the same virtual time.  The served VM differs
+    only by the run toggles the executor sets on every plan."""
+    run, defaults, other = LIBRARY_APPS[app]
+    spec = RunSpec(app=app, params={} if at_defaults else other)
+    lib = run(defaults if at_defaults else other)
+    served = executor.standalone_run(spec)
+    toggles = {name: getattr(served.vm.config, name)
+               for name in ("trace_events", "metrics_enabled", "run_seed")}
+    assert served.vm.config == replace(lib.vm.config, **toggles)
+    assert served.elapsed == lib.elapsed

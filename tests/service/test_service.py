@@ -117,6 +117,23 @@ class TestSubmitAndRun:
         assert "error" in final.exit
 
 
+    def test_over_budget_run_refused_and_the_tenant_runs_on(self,
+                                                              tmp_path):
+        """A run whose plan needs more PEs than its tenant's pe_budget
+        could never be admitted; queued, it would block every later run
+        of the tenant behind it."""
+        svc = RunService(tmp_path / "o", n_workers=1).start()
+        try:
+            with pytest.raises(QuotaExceeded,
+                               match=r"needs 17 PEs, over pe_budget=16"):
+                svc.submit("alice", {"app": "jacobi_force",
+                                     "params": {"force_pes": 16}})
+            assert svc.list_runs(tenant="alice") == []
+            rec = svc.submit("alice", QUICK)
+            assert wait_state(svc, rec.run_id, DONE, timeout=10.0)
+        finally:
+            svc.stop(kill_live=True)
+
     def test_max_queued_holds_under_concurrent_submits(self, tmp_path):
         """Eight in-process submits at once against ``max_queued=2``:
         the quota check and the create are one step, so exactly two
@@ -254,6 +271,27 @@ class TestRecovery:
             svc.stop(kill_live=True)
 
 
+    def test_queued_record_over_budget_fails_and_the_queue_runs_on(
+            self, tmp_path):
+        """A queued run that no longer fits its tenant's pe_budget (the
+        quotas changed across a restart) ends FAILED with the typed
+        error at selection; the tenant's next run is served."""
+        root = tmp_path / "q"
+        store = RunStore(root)
+        over = store.create("alice", RunSpec.from_dict(
+            {"app": "jacobi_force", "params": {"force_pes": 3}}))
+        good = store.create("alice", RunSpec.from_dict(QUICK))
+        svc = RunService(root, n_workers=1,
+                         default_quota=TenantQuota(pe_budget=3)).start()
+        try:
+            final = wait_state(svc, over.run_id, "FAILED", timeout=5.0)
+            assert final.exit["error"].startswith("QuotaExceeded: ")
+            assert "needs 4 PEs, over pe_budget=3" in final.exit["error"]
+            assert wait_state(svc, good.run_id, DONE, timeout=5.0)
+        finally:
+            svc.stop(kill_live=True)
+
+
 class TestWorkers:
 
     def test_failed_admission_write_keeps_the_worker(self, tmp_path,
@@ -278,6 +316,41 @@ class TestWorkers:
             assert wait_state(svc, rec.run_id, DONE, timeout=10.0)
             assert refused == [rec.run_id]
             assert [t.is_alive() for t in svc._workers] == [True]
+        finally:
+            svc.stop(kill_live=True)
+        assert "admission not recorded" in capsys.readouterr().err
+
+    def test_failed_write_of_an_unbuildable_run_leaves_it_queued(
+            self, tmp_path, monkeypatch, capsys):
+        """An unbuildable queued run ends FAILED in one write.  When that
+        write fails (a full disk) the run stays QUEUED -- not ADMITTED
+        without a plan, which every later selection would try to price
+        -- and the next pick fails it and serves the queue."""
+        root = tmp_path / "u"
+        store = RunStore(root)
+        bad = store.create("alice", RunSpec.from_dict(
+            {"app": "fortran", "params": {"source": "      TASK BROKEN\n"
+                                                    "      NOT FORTRAN\n"}}))
+        good = store.create("alice", RunSpec.from_dict(QUICK))
+        svc = RunService(root, n_workers=1)
+        transition = svc.store.transition
+        refused = []
+
+        def full_once(run_id, new_state, **amend):
+            if new_state == "FAILED" and not refused:
+                refused.append(svc.store.get(run_id).state)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return transition(run_id, new_state, **amend)
+
+        monkeypatch.setattr(svc.store, "transition", full_once)
+        svc.start()
+        try:
+            final = wait_state(svc, bad.run_id, "FAILED", ADMITTED,
+                               timeout=5.0)
+            assert final.state == "FAILED"
+            assert final.exit["error"].startswith("InvalidRunSpec: ")
+            assert refused == [QUEUED]
+            assert wait_state(svc, good.run_id, DONE, timeout=5.0)
         finally:
             svc.stop(kill_live=True)
         assert "admission not recorded" in capsys.readouterr().err
