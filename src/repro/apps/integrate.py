@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..config.configuration import simple_configuration
+from ..config.configuration import master_worker_configuration
 from ..core.task import TaskRegistry
 from ..core.taskid import ANY, PARENT
 from ..core.vm import AppPlan, PiscesVM
@@ -99,8 +99,8 @@ def integrate_plan(pieces: int, points_per_piece: int, n_workers: int,
     return AppPlan(
         registry=build_integrate_registry(f, a, b, pieces, points_per_piece,
                                           n_workers),
-        config=simple_configuration(n_clusters, max(2, n_workers),
-                                    name="integrate"),
+        config=master_worker_configuration(n_clusters, n_workers,
+                                           "integrate"),
         tasktype="IMASTER")
 
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..config.configuration import (ClusterSpec, Configuration,
+                                    master_worker_configuration,
                                     simple_configuration)
 from ..core.grid import Grid
 from ..core.task import TaskRegistry
@@ -130,8 +131,8 @@ def build_tasks_registry(n: int, n_workers: int) -> TaskRegistry:
 def tasks_plan(n: int, n_workers: int, n_clusters: int) -> AppPlan:
     return AppPlan(
         registry=build_tasks_registry(n, n_workers),
-        config=simple_configuration(n_clusters, max(2, n_workers),
-                                    name="matmul-tasks"),
+        config=master_worker_configuration(n_clusters, n_workers,
+                                           "matmul-tasks"),
         tasktype="MMASTER")
 
 

@@ -1,7 +1,7 @@
 """Periodic checkpointing: the engine's ``_ckpt_pump`` hook.
 
 Installed by :class:`~repro.core.vm.PiscesVM` when
-``Configuration.checkpoint_every`` (or ``PISCES_CHECKPOINT=``) is set.
+``Configuration.checkpoint_every`` is set.
 The pump runs at the top of every engine step, *before* the dispatcher
 picks -- the one point where the VM is between dispatches and the state
 digest is well-defined.  An unchecked run pays a single attribute test

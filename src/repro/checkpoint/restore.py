@@ -45,9 +45,7 @@ FORMAT_VERSION = 1
 
 
 def config_to_dict(config: Configuration) -> Dict[str, Any]:
-    """Configuration as JSON-stable data.  ``default_accept_delay`` is
-    serialized *resolved*, so a restore is immune to a different
-    ``PISCES_ACCEPT_TIMEOUT`` in the recovering environment."""
+    """Configuration as JSON-stable data, every field included."""
     d: Dict[str, Any] = {}
     for f in _fields(Configuration):
         v = getattr(config, f.name)

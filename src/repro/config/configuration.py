@@ -12,8 +12,7 @@ trace settings (section 11), and may be saved, edited and reused.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -24,24 +23,8 @@ from ..flex.machine import MachineSpec
 MAX_SLOTS = 16
 
 #: Built-in system ACCEPT timeout (ticks) when no DELAY clause is given
-#: and the environment does not override it.
+#: and the configuration does not set one.
 DEFAULT_ACCEPT_DELAY = 1_000_000
-
-#: Every environment variable the runtime recognizes, with the one-line
-#: meaning documented in the users_manual section 10 table.  This is the
-#: single source of truth for the surface: :func:`env_value` refuses
-#: names missing from it (so a new reader cannot slip in undocumented),
-#: and the test suite asserts each entry appears in the manual's table.
-ENV_VARS: Dict[str, str] = {
-    "PISCES_ACCEPT_TIMEOUT": "system ACCEPT timeout in ticks",
-    "PISCES_CHECKPOINT": "periodic checkpoint interval in ticks (0 = off)",
-    "PISCES_CHECKPOINT_DIR": "directory receiving periodic .pckpt bundles",
-    "PISCES_DETECT_RACES": "race detector: 1, record, warn or raise",
-    "PISCES_PROFILE": "enable the causal profiler at boot",
-    "PISCES_RECORD_SCHEDULE": "autosave the dispatch schedule to this path",
-    "PISCES_REPLAY_SCHEDULE": "replay the .psched recording at this path",
-}
-
 
 #: Execution-axis values that artifacts written by older builds carry
 #: (checkpoint manifests, run specs, run records).  Each is checked and
@@ -70,62 +53,6 @@ def map_legacy_axes(d: Dict[str, Any]) -> Dict[str, Any]:
             raise ConfigurationError(
                 f"{key}={v!r} is not one of {'/'.join(filter(None, written))}")
     return out
-
-
-def env_value(name: str, default: str = "") -> str:
-    """Read one recognized ``PISCES_*`` variable.
-
-    Every environment reader in the tree resolves through here, so the
-    recognized surface is exactly :data:`ENV_VARS` -- reading a name
-    missing from the registry is a programming error, not a silent
-    misconfiguration.  The value is stripped; unset or empty yields
-    ``default``.
-    """
-    if name not in ENV_VARS:
-        raise ConfigurationError(
-            f"unregistered environment variable {name!r}; add it to "
-            "configuration.ENV_VARS and the users_manual table")
-    v = os.environ.get(name, "").strip()
-    return v if v else default
-
-
-def env_int(name: str, default: int, minimum: int = 0) -> int:
-    """:func:`env_value` parsed as a tick count with a floor."""
-    v = env_value(name)
-    if not v:
-        return default
-    try:
-        n = int(v)
-    except ValueError:
-        raise ConfigurationError(
-            f"{name}={v!r} is not an integer tick count")
-    if n < minimum:
-        raise ConfigurationError(
-            f"{name}={v!r} must be positive" if minimum > 0
-            else f"{name}={v!r} must be >= {minimum}")
-    return n
-
-
-def env_flag(name: str) -> str:
-    """:func:`env_value` as an on/off switch with an optional mode.
-
-    Returns "" when the variable is unset, empty, or one of the
-    conventional off spellings (``0``/``false``/``off``); any other
-    value -- ``1``, or a mode word like ``record`` -- comes back
-    verbatim for the caller to interpret.
-    """
-    v = env_value(name)
-    return "" if v in ("0", "false", "off") else v
-
-
-def default_accept_delay() -> int:
-    """The system-provided ACCEPT timeout.
-
-    The paper promises a "system-provided timeout value" for ACCEPT
-    without DELAY; ``PISCES_ACCEPT_TIMEOUT`` (ticks) makes it
-    configurable per run without editing configurations.
-    """
-    return env_int("PISCES_ACCEPT_TIMEOUT", DEFAULT_ACCEPT_DELAY, minimum=1)
 
 
 @dataclass(frozen=True)
@@ -184,9 +111,8 @@ class Configuration:
     #: Cluster hosting the file controller (default: lowest; the file
     #: store stands in for the Unix file system on a diskless FLEX).
     file_cluster: Optional[int] = None
-    #: System-provided ACCEPT timeout when no DELAY is given; defaults
-    #: from the ``PISCES_ACCEPT_TIMEOUT`` environment variable.
-    default_accept_delay: int = field(default_factory=default_accept_delay)
+    #: System-provided ACCEPT timeout when no DELAY is given.
+    default_accept_delay: int = DEFAULT_ACCEPT_DELAY
     #: ACCEPT timeout escalation: number of retry waits before the
     #: timeout is surfaced, and the multiplicative backoff applied to
     #: each successive wait (see ``docs/architecture.md``).
@@ -197,16 +123,13 @@ class Configuration:
     detect_races: bool = False
     #: Enable the causal profiler at boot (see
     #: :mod:`repro.obs.profile`); profiling charges no virtual time.
-    #: The ``PISCES_PROFILE`` environment variable also turns it on.
     profile: bool = False
     #: Periodic checkpointing: write a ``.pckpt`` bundle every this many
-    #: virtual ticks (0 disables; the ``PISCES_CHECKPOINT`` environment
-    #: variable also turns it on).  Checkpoints are pure observers: a
+    #: virtual ticks (0 disables).  Checkpoints are pure observers: a
     #: checkpointed run is bit-identical in virtual time to an
     #: unchecked one (see :mod:`repro.checkpoint`).
     checkpoint_every: int = 0
-    #: Directory receiving periodic ``.pckpt`` bundles ("" defers to the
-    #: ``PISCES_CHECKPOINT_DIR`` environment variable, then to the
+    #: Directory receiving periodic ``.pckpt`` bundles ("" is the
     #: current directory).
     checkpoint_dir: str = ""
     #: How many periodic checkpoints to retain (older bundles are
@@ -353,3 +276,18 @@ def simple_configuration(n_clusters: int = 2, slots: int = 4,
                     secondary_pes=tuple(range(sec + (i - 1) * force,
                                               sec + i * force)))
         for i in range(1, n_clusters + 1)), name=name)
+
+
+def master_worker_configuration(n_clusters: int, n_workers: int,
+                                name: str) -> Configuration:
+    """The :func:`simple_configuration` of a master farming ``n_workers``
+    worker tasks: each cluster gets ``max(2, n_workers)`` slots, except
+    that a lone cluster holds the master and every worker.  Raises
+    :class:`ConfigurationError` when that needs more than
+    :data:`MAX_SLOTS` slots."""
+    slots = n_workers + 1 if n_clusters == 1 else max(2, n_workers)
+    if slots > MAX_SLOTS:
+        raise ConfigurationError(
+            f"{n_workers} workers on {n_clusters} cluster(s) need {slots} "
+            f"slots per cluster, over the {MAX_SLOTS} a cluster has")
+    return simple_configuration(n_clusters, slots, name=name)

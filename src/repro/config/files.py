@@ -22,7 +22,7 @@ from typing import List, Optional, TextIO, Union
 
 from ..errors import ConfigurationError
 from ..util.durable import durable_write
-from .configuration import ClusterSpec, Configuration, default_accept_delay
+from .configuration import DEFAULT_ACCEPT_DELAY, ClusterSpec, Configuration
 
 FORMAT_HEADER = "# pisces configuration"
 
@@ -42,7 +42,7 @@ def dumps(cfg: Configuration) -> str:
         out.append(f"user_cluster {cfg.user_cluster}")
     if cfg.file_cluster is not None:
         out.append(f"file_cluster {cfg.file_cluster}")
-    if cfg.default_accept_delay != default_accept_delay():
+    if cfg.default_accept_delay != DEFAULT_ACCEPT_DELAY:
         out.append(f"accept_delay {cfg.default_accept_delay}")
     if cfg.accept_retries:
         out.append(f"accept_retry {cfg.accept_retries} {cfg.accept_backoff}")

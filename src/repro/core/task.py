@@ -357,9 +357,8 @@ class TaskContext:
         """The ACCEPT statement.  See :mod:`repro.core.accept`.
 
         ``delay`` is the DELAY clause in ticks (default: the system
-        timeout, configurable via ``PISCES_ACCEPT_TIMEOUT`` or the
-        configuration's ``default_accept_delay``).  On timeout:
-        ``on_timeout`` is called if given (the DELAY statement
+        timeout, the configuration's ``default_accept_delay``).  On
+        timeout: ``on_timeout`` is called if given (the DELAY statement
         sequence); otherwise, with ``timeout_ok`` the partial result is
         returned with ``timed_out`` set; otherwise
         :class:`~repro.errors.AcceptTimeout` is raised (the

@@ -44,13 +44,7 @@ from ..mmos.loader import (
     CAT_USER_CODE,
     Loadfile,
 )
-from ..config.configuration import (
-    ClusterSpec,
-    Configuration,
-    env_flag,
-    env_int,
-    env_value,
-)
+from ..config.configuration import ClusterSpec, Configuration
 from .accept import RetryPolicy
 from .grid import ITEMSIZE, Grid, as_grid
 from .cluster import ClusterRuntime, PendingInitiate, Slot
@@ -111,39 +105,20 @@ from .windows import (
 )
 
 
-def resolve_checkpoint(config: Configuration) -> Tuple[int, str, int]:
-    """Periodic-checkpoint selection ``(every, directory, keep)``:
-    configuration wins, then the ``PISCES_CHECKPOINT`` /
-    ``PISCES_CHECKPOINT_DIR`` environment variables; ``every == 0``
-    means checkpointing is off."""
-    every = config.checkpoint_every
-    if not every:
-        every = env_int("PISCES_CHECKPOINT", 0)
-    directory = config.checkpoint_dir or \
-        env_value("PISCES_CHECKPOINT_DIR") or "."
-    return every, directory, config.checkpoint_keep
-
-
 def resolve_schedule(schedule: Any, checkpointing: bool) -> Optional[Any]:
     """The run's one decision stream (see
     :mod:`repro.correctness.recorder`): the ``schedule`` argument (a
-    ``.psched`` path replays that recording), then the
-    ``PISCES_REPLAY_SCHEDULE`` recording, then a new recording --
-    autosaved to ``PISCES_RECORD_SCHEDULE`` when that is set, and made
-    when checkpointing (a checkpoint carries the decision prefix).
-    None when nothing asks for one."""
+    ``.psched`` path replays that recording), else a new recording when
+    checkpointing (a checkpoint carries the decision prefix).  None when
+    nothing asks for one."""
+    if schedule is None and not checkpointing:
+        return None
+    from ..correctness.recorder import Schedule
     if schedule is None:
-        schedule = env_value("PISCES_REPLAY_SCHEDULE") or None
+        return Schedule()
     if isinstance(schedule, (str, os.PathLike)):
-        from ..correctness.recorder import Schedule
         return Schedule.load(schedule)
-    if schedule is not None:
-        return schedule
-    path = env_value("PISCES_RECORD_SCHEDULE")
-    if path or checkpointing:
-        from ..correctness.recorder import Schedule
-        return Schedule(path=path or None)
-    return None
+    return schedule
 
 
 #: Controller slots per cluster counted in the static system table
@@ -315,10 +290,10 @@ class PiscesVM:
         self.registry = registry if registry is not None else GLOBAL_REGISTRY
         self.machine = machine if machine is not None else nasa_langley_flex32()
         config.validate(self.machine.spec)
-        ck_every, ck_dir, ck_keep = resolve_checkpoint(config)
         self.kernel = MMOSKernel(
             self.machine, time_limit=config.time_limit,
-            schedule=resolve_schedule(schedule, bool(ck_every)))
+            schedule=resolve_schedule(schedule,
+                                      bool(config.checkpoint_every)))
         self.engine = self.kernel.engine
         #: The run's decision stream (a correctness ``Schedule``) or
         #: None, mirrored from the engine so the run-time library's
@@ -328,29 +303,22 @@ class PiscesVM:
         self.tracer = Tracer()
         for name in config.trace_events:
             self.tracer.enable(TraceEventType(name))
-        #: Happens-before race detector, or None (off).  Resolution
-        #: order: explicit argument, then the configuration flag, then
-        #: the PISCES_DETECT_RACES environment variable.  A True value
-        #: means "record" mode; a string selects record/warn/raise.
+        #: Happens-before race detector, or None (off): the explicit
+        #: argument, else the configuration flag.  A True value means
+        #: "record" mode; a string selects record/warn/raise.
         self.race_detector: Optional[Any] = None
         if detect_races is None:
-            if config.detect_races:
-                detect_races = True
-            else:
-                env = env_flag("PISCES_DETECT_RACES")
-                if env:
-                    detect_races = env if env in ("record", "warn", "raise") \
-                        else True
+            detect_races = config.detect_races
         if detect_races:
             self.enable_race_detection(
                 mode=detect_races if isinstance(detect_races, str)
                 else "record")
         #: Causal profiler (see :mod:`repro.obs.profile`), or None
-        #: (off).  Resolution: the configuration flag, then the
-        #: PISCES_PROFILE environment variable; ``enable_profiling()``
-        #: turns it on explicitly (api.profile_run does).
+        #: (off): the configuration flag turns it on at boot, and
+        #: ``enable_profiling()`` turns it on explicitly (api.profile_run
+        #: does).
         self.profiler: Optional[Any] = None
-        if config.profile or env_flag("PISCES_PROFILE"):
+        if config.profile:
             self.enable_profiling()
         #: Observability registry (see :mod:`repro.obs`).  Disabled by
         #: default: the metrics-only sites guard on ``.enabled``, while
@@ -403,10 +371,12 @@ class PiscesVM:
         #: or None (off).  It needs the full decision stream, which
         #: :func:`resolve_schedule` installed.
         self.checkpointer: Optional[Any] = None
-        if ck_every:
+        if config.checkpoint_every:
             from ..checkpoint.policy import PeriodicCheckpointer
             self.checkpointer = PeriodicCheckpointer(
-                self, every=ck_every, directory=ck_dir, keep=ck_keep)
+                self, every=config.checkpoint_every,
+                directory=config.checkpoint_dir or ".",
+                keep=config.checkpoint_keep)
             self.engine._ckpt_pump = self.checkpointer.pump
 
         self.clusters: Dict[int, ClusterRuntime] = {}

@@ -33,7 +33,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
 
 from ..config.configuration import simple_configuration
-from ..errors import InvalidRunSpec
+from ..errors import ConfigurationError, InvalidRunSpec
 from .spec import RunSpec
 
 if TYPE_CHECKING:
@@ -249,7 +249,10 @@ def build(spec: RunSpec) -> AppPlan:
             f"unknown app {spec.app!r} "
             f"(catalog: {', '.join(app_names())})") from None
     with IMPORT_LOCK:
-        plan = builder(spec)
+        try:
+            plan = builder(spec)
+        except ConfigurationError as e:     # e.g. more slots than a cluster has
+            raise InvalidRunSpec(f"app {spec.app!r}: {e}") from e
         if not spec.fault_plan:
             return plan
         from ..faults.plan import loads

@@ -191,15 +191,6 @@ class TestPeriodicPolicy:
         assert capsys.readouterr().err.count("checkpoint failed") == 1
         assert list((tmp_path / "ckpt").rglob("*")) == []
 
-    def test_env_var_enables_checkpointing(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PISCES_CHECKPOINT", "500")
-        monkeypatch.setenv("PISCES_CHECKPOINT_DIR", str(tmp_path))
-        reg = build_registry()
-        vm = make_vm(config=simple_configuration(n_clusters=2, slots=4),
-                     registry=reg)
-        vm.run("MAIN")
-        assert find_latest_checkpoint(tmp_path) is not None
-
     def test_marks_derive_from_virtual_time(self, tmp_path):
         """Each bundle lands in a distinct interval bucket of the
         virtual clock (the mark sequence is a pure function of the

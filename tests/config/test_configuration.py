@@ -150,38 +150,21 @@ class TestSimpleConfiguration:
         assert all(len(s.secondary_pes) == 2 for s in c.clusters)
 
 
-class TestEnvVarRegistry:
-    """The PISCES_* surface: one registry, one manual table, in sync."""
+class TestNoEnvironment:
+    """A run is configured by its Configuration and explicit arguments
+    only; the environment is not a source of run settings."""
 
-    def test_unregistered_name_rejected(self):
-        from repro.config.configuration import env_value
-        with pytest.raises(ConfigurationError, match="unregistered"):
-            env_value("PISCES_NO_SUCH_KNOB")
-
-    def test_registry_matches_users_manual_table(self):
-        """Every recognized variable appears in the users_manual
-        environment table, and the table invents none."""
-        import re
-        from pathlib import Path
-        from repro.config.configuration import ENV_VARS
-        manual = (Path(__file__).resolve().parents[2]
-                  / "docs" / "users_manual.md").read_text()
-        rows = set(re.findall(r"^\| `(PISCES_[A-Z_]+)` \|", manual,
-                              flags=re.MULTILINE))
-        assert rows == set(ENV_VARS)
-
-    def test_every_reader_goes_through_the_registry(self):
-        """No module reads os.environ["PISCES_*"] directly; the
-        resolution helpers in configuration.py are the only door."""
+    def test_no_module_reads_a_pisces_variable(self):
+        """No module reads a ``PISCES_*`` variable: none that reads the
+        environment (``environ``/``getenv``) names one, in the read or
+        in a string literal the read could take its name from."""
         import re
         from pathlib import Path
         src = Path(__file__).resolve().parents[2] / "src" / "repro"
         offenders = []
         for p in src.rglob("*.py"):
-            if p.name == "configuration.py":
-                continue
-            for i, line in enumerate(p.read_text().splitlines(), 1):
-                if re.search(r"(os\.environ|os\.getenv)[.(\[].*PISCES_",
-                             line):
-                    offenders.append(f"{p.name}:{i}: {line.strip()}")
+            text = p.read_text()
+            if re.search(r"\b(environ|getenv)\b", text) and \
+                    re.search(r"\bPISCES_(?!SYSTEM_)", text):
+                offenders.append(p.name)
         assert not offenders, offenders

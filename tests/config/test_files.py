@@ -1,5 +1,7 @@
 """Unit tests: configuration file save/load (section 9)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import files
@@ -23,6 +25,17 @@ class TestRoundTrip:
     def test_dumps_loads_identity(self):
         c = sample()
         assert files.loads(files.dumps(c)) == c
+
+    def test_round_trip_does_not_depend_on_the_environment(self,
+                                                           monkeypatch):
+        """A file saved in one shell reloads as the same configuration
+        in another: the former PISCES_ACCEPT_TIMEOUT variable does not
+        decide which fields the file spells out."""
+        c = replace(sample(), default_accept_delay=300)
+        monkeypatch.setenv("PISCES_ACCEPT_TIMEOUT", "300")
+        text = files.dumps(c)
+        monkeypatch.delenv("PISCES_ACCEPT_TIMEOUT")
+        assert files.loads(text) == c
 
     def test_save_load_file(self, tmp_path):
         c = sample()

@@ -1,47 +1,51 @@
-"""Behavioral tests: the system ACCEPT timeout, its environment
-override, and retry/backoff escalation."""
+"""Behavioral tests: the system ACCEPT timeout, which only the
+configuration sets, and retry/backoff escalation."""
 
 import pytest
 
+from repro.config import files
 from repro.config.configuration import (
     DEFAULT_ACCEPT_DELAY,
     Configuration,
     ClusterSpec,
-    default_accept_delay,
 )
 from repro.core.accept import RetryPolicy
 from repro.core.taskid import PARENT, SAME
 from repro.errors import AcceptTimeout, ConfigurationError, MessageError
+from repro.flex.presets import nasa_langley_flex32
+
+ONE_CLUSTER = "cluster 1 primary 3 slots 2 force -\n"
 
 
 class TestEnvironmentOverride:
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv("PISCES_ACCEPT_TIMEOUT", raising=False)
-        assert default_accept_delay() == DEFAULT_ACCEPT_DELAY
+    """The environment does not override the system timeout (the former
+    PISCES_ACCEPT_TIMEOUT variable is read by nothing)."""
 
-    def test_env_sets_the_system_timeout(self, monkeypatch):
-        monkeypatch.setenv("PISCES_ACCEPT_TIMEOUT", "5000")
-        assert default_accept_delay() == 5000
+    def test_default_without_env(self):
         cfg = Configuration(clusters=(ClusterSpec(1, 3, 2),))
-        assert cfg.default_accept_delay == 5000
+        assert cfg.default_accept_delay == DEFAULT_ACCEPT_DELAY
+        assert files.loads(ONE_CLUSTER) == cfg
+
+    def test_env_does_not_set_the_system_timeout(self, monkeypatch):
+        monkeypatch.setenv("PISCES_ACCEPT_TIMEOUT", "5000")
+        cfg = Configuration(clusters=(ClusterSpec(1, 3, 2),))
+        assert cfg.default_accept_delay == DEFAULT_ACCEPT_DELAY
 
     @pytest.mark.parametrize("bad", ["banana", "12.5", "0", "-3"])
-    def test_invalid_values_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv("PISCES_ACCEPT_TIMEOUT", bad)
-        with pytest.raises(ConfigurationError, match="PISCES_ACCEPT_TIMEOUT"):
-            default_accept_delay()
+    def test_invalid_values_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            files.loads(ONE_CLUSTER + f"accept_delay {bad}\n").validate(
+                nasa_langley_flex32().spec)
 
     def test_accept_without_delay_times_out_at_system_timeout(
-            self, monkeypatch, make_vm, registry):
-        monkeypatch.setenv("PISCES_ACCEPT_TIMEOUT", "5000")
-
+            self, make_vm, registry):
         @registry.tasktype("MAIN")
         def main(ctx):
             start = ctx.vm.engine.now()
             res = ctx.accept("NEVER", timeout_ok=True)   # no DELAY clause
             return res.timed_out, ctx.vm.engine.now() - start
 
-        vm = make_vm(registry=registry)
+        vm = make_vm(registry=registry, default_accept_delay=5000)
         timed_out, waited = vm.run("MAIN").value
         assert timed_out
         assert 5000 <= waited < DEFAULT_ACCEPT_DELAY

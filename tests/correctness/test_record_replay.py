@@ -6,7 +6,6 @@ shipped communication style (windows, force, task-parallel, pipeline)
 and for the fault-tolerant solver under an actively lossy fault plan.
 """
 
-import os
 from dataclasses import replace
 
 import pytest
@@ -157,31 +156,10 @@ class TestPschedFormat:
                        registry=build_windows_registry(10, 1, 3))
 
 
-class TestEnvWiring:
-    def test_record_env_autosaves_on_shutdown(self, tmp_path, monkeypatch):
-        p = tmp_path / "env.psched"
-        monkeypatch.setenv("PISCES_RECORD_SCHEDULE", str(p))
-        r = run_app("JMASTER", registry=build_windows_registry(8, 2, 2))
-        assert p.exists()
-        monkeypatch.delenv("PISCES_RECORD_SCHEDULE")
-        monkeypatch.setenv("PISCES_REPLAY_SCHEDULE", str(p))
-        r2 = run_app("JMASTER", registry=build_windows_registry(8, 2, 2))
-        assert r2.elapsed == r.elapsed
-        assert r2.stats == r.stats
-
-    def test_replay_dispatcher_without_schedule_is_an_error(self, monkeypatch,
-                                                            tmp_path):
-        monkeypatch.setenv("PISCES_REPLAY_SCHEDULE",
-                           str(tmp_path / "missing.psched"))
-        with pytest.raises(OSError):
-            run_app("JMASTER", registry=build_windows_registry(8, 2, 2))
-
-
 class TestOneSchedule:
     """The VM resolves the run's one decision stream in one place: the
-    ``schedule=`` argument, then PISCES_REPLAY_SCHEDULE, then a
-    recording (autosaved to PISCES_RECORD_SCHEDULE, made when
-    checkpointing).  TestEnvWiring covers the two env vars alone."""
+    ``schedule=`` argument (a ``Schedule`` or a ``.psched`` path), else
+    a recording when checkpointing."""
 
     @staticmethod
     def run(**kw):
@@ -190,6 +168,8 @@ class TestOneSchedule:
 
     def test_explicit_schedule_beats_both_env_vars(self, tmp_path,
                                                    monkeypatch):
+        """The former PISCES_RECORD_SCHEDULE/PISCES_REPLAY_SCHEDULE
+        variables are read by nothing: the argument alone decides."""
         out = tmp_path / "env.psched"
         monkeypatch.setenv("PISCES_RECORD_SCHEDULE", str(out))
         monkeypatch.setenv("PISCES_REPLAY_SCHEDULE",
@@ -203,6 +183,21 @@ class TestOneSchedule:
         r2 = self.run(schedule=sched)
         assert r2.vm.engine.dispatcher == "replay"
         assert r2.elapsed == r.elapsed
+        assert self.run().vm.engine.dispatcher == "indexed"
+
+    def test_schedule_path_autosaves_and_replays(self, tmp_path):
+        p = tmp_path / "run.psched"
+        r = self.run(schedule=Schedule(path=p))
+        assert p.exists()
+        r2 = self.run(schedule=p)
+        assert r2.vm.engine.dispatcher == "replay"
+        r2.vm.sched_hook.check_complete()
+        assert r2.elapsed == r.elapsed
+        assert r2.stats == r.stats
+
+    def test_missing_schedule_file_is_an_error(self, tmp_path):
+        with pytest.raises(OSError):
+            self.run(schedule=tmp_path / "missing.psched")
 
     def test_checkpointing_records_only_without_a_schedule(self, tmp_path):
         config = replace(simple_configuration(n_clusters=1, slots=2),

@@ -21,17 +21,18 @@ Regenerate (every leg must agree, or nothing is written)::
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
+from repro.api import make_vm
+from repro.correctness import Schedule
 from repro.faults import FaultPlan, TaskKill, dumps as dump_plan
 from repro.obs.export import event_to_dict
+from repro.service import catalog
 from repro.service.executor import standalone_run
 from repro.service.spec import RunSpec
 from tests.oracles import LEGS, oracle_leg
@@ -71,20 +72,6 @@ SPECS: Dict[str, dict] = {
         "fault_plan": CHAOS_PLAN},
 }
 
-@contextlib.contextmanager
-def leg_env(env: Dict[str, str]) -> Iterator[None]:
-    saved = {k: os.environ.get(k) for k in env}
-    os.environ.update(env)
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
 def run_digest(result) -> Dict[str, object]:
     """Elapsed ticks plus the trace digest of a finished run."""
     tracer = result.vm.tracer
@@ -96,26 +83,33 @@ def run_digest(result) -> Dict[str, object]:
                 "\n".join(lines).encode("utf-8")).hexdigest()}
 
 
-def digest(spec: dict) -> Dict[str, object]:
-    """Run ``spec`` standalone and digest it."""
-    return run_digest(standalone_run(RunSpec.from_dict(spec)))
-
-
 def leg_digests(spec: dict, leg: Tuple[str, str]
                 ) -> List[Tuple[str, Dict[str, object]]]:
     """(leg label, digest) for the live ``(window_path, task_bodies)``
-    leg, its recording and the replay of that recording."""
+    leg, its recording and the replay of that recording.  The recording
+    and the replay boot the live run's configuration with an explicit
+    ``schedule=``; the replay must read the ``.psched`` the recording
+    wrote and pick every dispatch from it."""
     label = ",".join(leg)
-    with tempfile.TemporaryDirectory() as tmp:
-        psched = str(Path(tmp) / "leg.psched")
-        with oracle_leg(*leg):
-            live = digest(spec)
-            with leg_env({"PISCES_RECORD_SCHEDULE": psched}):
-                recorded = digest(spec)
-            with leg_env({"PISCES_REPLAY_SCHEDULE": psched}):
-                replayed = digest(spec)
-    return [(label, live), (label + ",record", recorded),
-            (label + ",replay", replayed)]
+    run_spec = RunSpec.from_dict(spec)
+    with tempfile.TemporaryDirectory() as tmp, oracle_leg(*leg):
+        psched = Path(tmp) / "leg.psched"
+        live = standalone_run(run_spec)
+        plan = catalog.build(run_spec)
+
+        def scheduled(schedule):
+            vm = make_vm(config=live.vm.config, registry=plan.registry,
+                         fault_plan=plan.fault_plan, schedule=schedule)
+            return vm.run(plan.tasktype, *plan.args)
+
+        recorded = scheduled(Schedule(path=psched))
+        assert psched.is_file(), "the recording did not save its .psched"
+        replayed = scheduled(psched)
+        assert replayed.vm.engine.dispatcher == "replay"
+        replayed.vm.sched_hook.check_complete()
+    return [(label, run_digest(live)),
+            (label + ",record", run_digest(recorded)),
+            (label + ",replay", run_digest(replayed))]
 
 
 def generate() -> dict:

@@ -29,10 +29,6 @@ def run_mode(*args, expect: int = 0):
     env = dict(os.environ)
     # The runner imports the task-body seam from tests/oracles.py.
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
-    # The runner's behaviour must come from its argv alone.
-    for var in ("PISCES_CHECKPOINT", "PISCES_CHECKPOINT_DIR",
-                "PISCES_REPLAY_SCHEDULE"):
-        env.pop(var, None)
     proc = subprocess.run([sys.executable, str(RUNNER), *args],
                           env=env, cwd=ROOT, capture_output=True,
                           text=True, timeout=480)

@@ -12,12 +12,14 @@ body vehicles to the same history under a seeded fault plan.
 
 import pytest
 
+from repro.api import make_vm
 from repro.apps.chaos_jacobi import run_chaos_jacobi
-from repro.apps.fem import run_fem
-from repro.apps.integrate import run_integrate
-from repro.apps.jacobi import build_windows_registry, run_jacobi_windows
-from repro.apps.matmul import run_matmul_tasks
-from repro.apps.pipeline import run_pipeline
+from repro.apps.fem import FEMProblem, fem_plan
+from repro.apps.integrate import default_integrand, integrate_plan
+from repro.apps.jacobi import build_windows_registry, windows_plan
+from repro.apps.matmul import tasks_plan
+from repro.apps.pipeline import pipeline_plan
+from repro.correctness import Schedule
 from repro.faults import RESTART, FaultPlan, PECrash
 from tests.oracles import LEGS, callable_bodies, oracle_leg
 
@@ -38,23 +40,32 @@ def _fingerprint(r):
     return fp
 
 
-def _run_leg(fn, window_path, task_bodies):
+def _run(plan, schedule=None):
+    """Run an app's plan, on ``schedule`` when one is given."""
+    vm = make_vm(config=plan.config, registry=plan.registry,
+                 schedule=schedule)
+    return vm.run(plan.tasktype, *plan.args)
+
+
+def _run_leg(plan, window_path, task_bodies, schedule=None):
     with oracle_leg(window_path, task_bodies):
-        return _fingerprint(fn())
+        return _run(plan, schedule)
 
 
+#: Each app's plan, built fresh per run.
 APPS = [
-    ("jacobi", lambda: run_jacobi_windows(n=12, sweeps=2, n_workers=3)),
-    ("matmul", lambda: run_matmul_tasks(n=8, n_workers=3)),
-    ("fem", lambda: run_fem(n_elements=8)),
-    ("pipeline", lambda: run_pipeline(n_stages=3, items=list(range(8)))),
-    ("integrate", lambda: run_integrate(pieces=12, points_per_piece=4)),
+    ("jacobi", lambda: windows_plan(12, 2, 3)),
+    ("matmul", lambda: tasks_plan(8, 3, 2)),
+    ("fem", lambda: fem_plan(FEMProblem(n_elements=8), 3)),
+    ("pipeline", lambda: pipeline_plan(3, list(range(8)), 2, 4)),
+    ("integrate", lambda: integrate_plan(12, 4, 4, 2, default_integrand,
+                                         0.0, 3.0)),
 ]
 
 
-@pytest.mark.parametrize("name,fn", APPS, ids=[a[0] for a in APPS])
-def test_app_virtual_history_is_leg_independent(name, fn):
-    got = {leg: _run_leg(fn, *leg) for leg in LEGS}
+@pytest.mark.parametrize("name,plan", APPS, ids=[a[0] for a in APPS])
+def test_app_virtual_history_is_leg_independent(name, plan):
+    got = {leg: _fingerprint(_run_leg(plan(), *leg)) for leg in LEGS}
     ref = got[LEGS[0]]
     for leg, fp in got.items():
         assert fp == ref, (
@@ -62,22 +73,20 @@ def test_app_virtual_history_is_leg_independent(name, fn):
             f"vs {LEGS[0][0]}x{LEGS[0][1]}")
 
 
-@pytest.mark.parametrize("name,fn", APPS, ids=[a[0] for a in APPS])
-def test_replay_dispatcher_retraces_recorded_history(name, fn, tmp_path,
-                                                     monkeypatch):
-    """Record each app (PISCES_RECORD_SCHEDULE autosaves the .psched at
-    shutdown), then re-run it under PISCES_REPLAY_SCHEDULE on every leg
-    -- a recording made with one body vehicle must drive the other to
-    the identical history."""
+@pytest.mark.parametrize("name,plan", APPS, ids=[a[0] for a in APPS])
+def test_replay_dispatcher_retraces_recorded_history(name, plan, tmp_path):
+    """Record each app (the schedule autosaves its .psched at
+    shutdown), then replay that file on every leg -- a recording made
+    with one body vehicle must drive the other to the identical
+    history."""
     psched = tmp_path / f"{name}.psched"
-    monkeypatch.setenv("PISCES_RECORD_SCHEDULE", str(psched))
-    recorded = _fingerprint(fn())
-    monkeypatch.delenv("PISCES_RECORD_SCHEDULE")
+    recorded = _fingerprint(_run(plan(), Schedule(path=psched)))
     assert psched.exists(), "recorder did not autosave at shutdown"
-    monkeypatch.setenv("PISCES_REPLAY_SCHEDULE", str(psched))
     for leg in LEGS:
-        replayed = _run_leg(fn, *leg)
-        assert replayed == recorded, (
+        r = _run_leg(plan(), *leg, schedule=psched)
+        assert r.vm.engine.dispatcher == "replay"
+        r.vm.sched_hook.check_complete()
+        assert _fingerprint(r) == recorded, (
             f"{name}: replay on {leg[0]}x{leg[1]} diverged from the "
             f"recording")
 

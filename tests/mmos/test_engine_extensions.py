@@ -161,22 +161,14 @@ class TestStepHorizon:
 
 
 class TestDispatcherSelection:
-    """The heap picks live; a schedule -- passed, or named by
-    PISCES_REPLAY_SCHEDULE, which the VM reads -- selects replay."""
+    """The heap picks live; a schedule passed to the VM -- a parsed
+    recording or a ``.psched`` path -- selects replay."""
 
-    def test_bad_dispatcher_rejected(self, monkeypatch, tmp_path):
+    def test_bad_dispatcher_rejected(self, tmp_path):
         bad = tmp_path / "bad.psched"
         bad.write_text("not a schedule\n")
-        monkeypatch.setenv("PISCES_REPLAY_SCHEDULE", str(bad))
         with pytest.raises(ScheduleFormatError):
-            make_vm()
-
-    def test_env_var_sets_default(self, monkeypatch, tmp_path):
-        assert make_vm().engine.dispatcher == "indexed"
-        path = tmp_path / "run.psched"
-        path.write_text(recorded_schedule_text())
-        monkeypatch.setenv("PISCES_REPLAY_SCHEDULE", str(path))
-        assert make_vm().engine.dispatcher == "replay"
+            make_vm(schedule=bad)
 
     def test_explicit_argument_beats_env(self, monkeypatch, tmp_path):
         sched = Schedule.parse(recorded_schedule_text())
@@ -184,14 +176,19 @@ class TestDispatcherSelection:
                            str(tmp_path / "missing.psched"))
         eng = make_vm(schedule=sched).engine
         assert eng.dispatcher == "replay" and eng.sched_hook is sched
+        path = tmp_path / "run.psched"
+        path.write_text(recorded_schedule_text())
+        assert make_vm(schedule=path).engine.dispatcher == "replay"
 
     def test_engine_reads_no_environment(self, monkeypatch, tmp_path):
+        """Neither the engine nor the VM reads the former
+        PISCES_REPLAY_SCHEDULE/PISCES_RECORD_SCHEDULE variables."""
         monkeypatch.setenv("PISCES_REPLAY_SCHEDULE",
                            str(tmp_path / "missing.psched"))
         monkeypatch.setenv("PISCES_RECORD_SCHEDULE",
                            str(tmp_path / "out.psched"))
-        eng = make_engine()
-        assert eng.dispatcher == "indexed" and eng.sched_hook is None
+        for eng in (make_engine(), make_vm().engine):
+            assert eng.dispatcher == "indexed" and eng.sched_hook is None
 
 
 class TestShutdownLeakReporting:
