@@ -27,7 +27,7 @@ from . import lazy_exports
 from .config.configuration import Configuration, simple_configuration
 from .core.task import TaskRegistry
 from .core.taskid import Placement
-from .core.tracing import TraceEventType
+from .core.tracing import ALL_TRACE_EVENTS
 from .core.vm import PiscesVM, RunResult
 from .core.windows import Window
 from .errors import ConfigurationError, WindowError
@@ -73,11 +73,6 @@ _LAZY = {
 }
 
 __getattr__, __dir__ = lazy_exports(globals(), _LAZY)
-
-#: Trace event type names enabled by record_run/replay_run when
-#: ``trace=True`` (the full stream: its bit-identity is part of the
-#: replay contract).
-_ALL_TRACE_EVENTS = tuple(t.value for t in TraceEventType)
 
 
 def make_vm(n_clusters: int = 2, slots: int = 4, *,
@@ -187,7 +182,7 @@ def record_run(tasktype: str, *args: Any,
 
     schedule = Schedule(path=path, meta={"app": tasktype})
     if trace:
-        vm_kwargs.setdefault("trace_events", _ALL_TRACE_EVENTS)
+        vm_kwargs.setdefault("trace_events", ALL_TRACE_EVENTS)
     vm = make_vm(registry=registry, schedule=schedule, **vm_kwargs)
     if trace:
         vm.tracer.strict_overflow = True
@@ -218,7 +213,7 @@ def replay_run(tasktype: str, *args: Any,
     if isinstance(schedule, RecordedRun):
         schedule = schedule.schedule
     if trace:
-        vm_kwargs.setdefault("trace_events", _ALL_TRACE_EVENTS)
+        vm_kwargs.setdefault("trace_events", ALL_TRACE_EVENTS)
     vm = make_vm(registry=registry, schedule=schedule, **vm_kwargs)
     if trace:
         vm.tracer.strict_overflow = True

@@ -53,6 +53,12 @@ PAPER_EVENT_TYPES = frozenset(t for t in TraceEventType
 
 ALL_EVENT_TYPES = frozenset(TraceEventType)
 
+#: Every event type's name, in declaration order: the ``trace_events``
+#: of a fully traced run (a served ``"trace": true`` run, and
+#: record/replay with ``trace=True``, whose replay contract covers the
+#: whole stream).
+ALL_TRACE_EVENTS = tuple(t.value for t in TraceEventType)
+
 
 @dataclass(frozen=True)
 class TraceEvent:

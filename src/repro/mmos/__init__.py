@@ -16,8 +16,8 @@ from .loader import (
     PISCES_SYSTEM_CATEGORIES,
     Loadfile,
 )
-from .process import KernelProcess, ProcState
-from .scheduler import DEFAULT_KERNEL_COST, Engine
+from .process import DEFAULT_KERNEL_COST, KernelProcess, ProcState
+from .scheduler import Engine
 
 __all__ = [
     "CAT_MMOS_KERNEL",

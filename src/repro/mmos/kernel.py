@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..flex.machine import FlexMachine
-from .process import KernelProcess, co_preempt
-from .scheduler import DEFAULT_KERNEL_COST, Engine
+from .process import DEFAULT_KERNEL_COST, KernelProcess, co_preempt
+from .scheduler import Engine
 
 #: Tick costs of kernel services (arbitrary units; relative magnitudes
 #: follow the usual ordering: process creation >> I/O >> a CPU swap).

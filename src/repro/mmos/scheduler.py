@@ -34,7 +34,13 @@ The engine is a single-threaded discrete-event loop (see
   thread with a raw-lock token handoff: the engine passes control by
   releasing the process's ``handoff`` lock and parks by re-acquiring
   its own ``_resume`` token; the worker does the reverse at every
-  kernel point.
+  kernel point (:class:`~repro.mmos.threads.ThreadVehicle`).
+
+Shutdown, draining and the state dump are
+:class:`~repro.mmos.teardown.Teardown`.  Both are base classes of the
+one :class:`Engine`, each in a module of its own: like the VM's (see
+:mod:`repro.core.vm`), the engine's source is split by concern so that
+no one module is large to compile.
 
 Selection is a two-level stale-free heap (``indexed``), or -- while
 the ``schedule`` passed in (see :mod:`repro.correctness.recorder`)
@@ -47,25 +53,25 @@ import heapq
 import inspect
 import threading
 import time
-import warnings
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import (
     DeadlockError,
-    EngineShutdown,
     NotInProcess,
     ProcessKilled,
     TimeLimitExceeded,
 )
 from ..flex.machine import FlexMachine
-from .process import DEFAULT_KERNEL_COST, KernelOp, KernelProcess, ProcState
+from .process import KernelOp, KernelProcess, ProcState
+from .teardown import Teardown
+from .threads import ThreadVehicle
 
 #: Slices :meth:`Engine.run` dispatches per batch with the actors and
 #: the slice observers read into locals once.
 BATCH = 1024
 
 
-class Engine:
+class Engine(ThreadVehicle, Teardown):
     """The MMOS scheduler/dispatcher for one machine."""
 
     def __init__(self, machine: FlexMachine, time_limit: Optional[int] = None,
@@ -193,25 +199,6 @@ class Engine:
             t.start()
         return p
 
-    # ------------------------------------------------- callable bodies --
-
-    def _thread_body(self, p: KernelProcess) -> None:
-        # Raw-lock park until the first grant (level-triggered, so the
-        # engine's release may legally precede this acquire).
-        p.handoff.acquire()
-        try:
-            if p.killed:
-                raise ProcessKilled(p.name)
-            p.result = p.target()
-        except ProcessKilled:
-            pass
-        except BaseException as e:  # surface in the engine thread
-            p.exc = e
-        finally:
-            # The engine is parked on _resume and nothing else runs.
-            self._proc_exit(p)
-            self._resume.release()
-
     # ----------------------------------------------- slice bookkeeping ----
 
     def _settle_done(self, p: KernelProcess) -> None:
@@ -290,26 +277,6 @@ class Engine:
         p.pending_cost += ticks
         return p
 
-    def preempt(self, cost: int = DEFAULT_KERNEL_COST) -> None:
-        """A kernel point: charge ``cost`` and let the scheduler switch."""
-        p = self.current()
-        p.pending_cost += cost
-        self._yield(p, ProcState.READY)
-
-    def block(self, reason: str, *, deadline: Optional[int] = None,
-              cost: int = DEFAULT_KERNEL_COST) -> Any:
-        """Block the current process until woken (or until ``deadline``).
-
-        Returns the waker's ``info`` value; sets ``timed_out`` on the
-        process when the deadline fired first.
-        """
-        p = self.current()
-        p.pending_cost += cost
-        p.timed_out = False
-        p.wake_info = None
-        self._yield(p, ProcState.BLOCKED, reason=reason, deadline=deadline)
-        return p.wake_info
-
     def wake(self, p: KernelProcess, info: Any = None,
              at_time: Optional[int] = None) -> bool:
         """Make a blocked process runnable; returns False if not blocked.
@@ -347,29 +314,6 @@ class Engine:
                 f(p, p.ready_time)
             p.state = ProcState.READY
             self._requeue(p)
-
-    def _yield(self, p: KernelProcess, new_state: ProcState, *,
-               reason: str = "", deadline: Optional[int] = None) -> None:
-        """Finish a callable body's slice and hand the machine back."""
-        if p.gen is not None:
-            raise RuntimeError(
-                f"coroutine process {p.name!r} called a blocking kernel "
-                "primitive; yield co_preempt()/co_block() instead "
-                "(charge/now are allowed)")
-        self._settle_yield(p, new_state, reason, deadline)
-        self._current = None
-        self._resume.release()
-        p.handoff.acquire()
-        if p.killed:
-            raise self._kill_exc(p)
-
-    def _kill_exc(self, p: KernelProcess) -> ProcessKilled:
-        """The exception a killed process unwinds with."""
-        if self._shutdown:
-            return EngineShutdown(
-                f"engine shut down while {p.name!r} was "
-                f"{p.blocked_on or 'running'}")
-        return ProcessKilled(p.name)
 
     # ------------------------------------------------- coroutine bodies --
 
@@ -783,139 +727,3 @@ class Engine:
         """Run until ``predicate()`` is false or nothing is runnable."""
         while predicate() and self.step():
             pass
-
-    # --------------------------------------------------------- shutdown --
-
-    def shutdown(self, join_timeout: float = 5.0) -> None:
-        """Kill every live process and reap it.
-
-        A worker thread that does not come back to a kernel point within
-        ``join_timeout`` wall-clock seconds (it is stuck in user code,
-        or swallowed :class:`ProcessKilled`) is recorded in
-        :attr:`leaked_threads` and reported with a ``RuntimeWarning`` --
-        a leaked thread is a bug to diagnose, never something to ignore
-        silently.  Coroutine bodies have no thread and can never leak.
-        """
-        if self._shutdown:
-            return
-        self._shutdown = True
-        sh = self.sched_hook
-        if sh is not None:
-            # Flush a recording's .psched artifact (when it has an
-            # autosave path) even when the run ends in an error.
-            sh.autosave()
-        # Pending ACCEPT waiters are drained, not abandoned: each one is
-        # granted below, observes `killed`, and unwinds with a clear
-        # EngineShutdown error instead of waiting on messages that can
-        # never arrive.
-        self.drained_accept_waiters = sorted(
-            p.name for p in self._procs.values()
-            if p.live and p.state is ProcState.BLOCKED
-            and p.blocked_on.startswith("accept("))
-        for p in list(self._procs.values()):
-            if p.live:
-                p.killed = True
-        stuck = self._drain_processes(join_timeout)
-        leaked: List[str] = []
-        for p in self._procs.values():
-            t = p.thread
-            if t is None:
-                continue
-            t.join(timeout=join_timeout if p.name not in stuck else 0.01)
-            if t.is_alive():
-                leaked.append(p.name)
-        self.leaked_threads = sorted(set(stuck) | set(leaked))
-        # A reaped process keeps its scheduling record for post-run
-        # reads but drops its body: the target, generator and exit hook
-        # are closures over the VM, and with the pumps and observers
-        # they are what ties a finished run into reference cycles.
-        for p in self._procs.values():
-            if not p.live:
-                p.target = p.gen = p.on_exit = None
-        self._fault_pump = self._ckpt_pump = None
-        self._observers = []
-        self._on_spawn = self._on_wake = self._on_kill = self._on_slice = ()
-        if self.leaked_threads:
-            warnings.warn(
-                f"engine shutdown leaked {len(self.leaked_threads)} "
-                f"thread(s) (stuck outside kernel points): "
-                f"{', '.join(self.leaked_threads)}",
-                RuntimeWarning, stacklevel=2)
-
-    def _drain_processes(self, join_timeout: float) -> List[str]:
-        """Give every live process the chance to observe ``killed`` and
-        unwind; returns names of processes that stayed stuck in user
-        code past ``join_timeout``.
-
-        Coroutine bodies are closed on the engine thread (their finally
-        clauses and the exit hook run, the process settles DONE).
-        Callable bodies are granted their handoff so the worker observes
-        ``killed`` and unwinds.
-        """
-        stuck: List[str] = []
-        for p in list(self._procs.values()):
-            if not p.live:
-                continue
-            if p.gen is not None:
-                self._current = p
-                self._gen_runner = threading.get_ident()
-                try:
-                    try:
-                        p.gen.close()
-                    except BaseException:
-                        pass
-                    p.exc = None
-                    self._proc_exit(p)
-                finally:
-                    self._gen_runner = None
-                    self._current = None
-                continue
-            while p.live and p.thread is not None and p.thread.is_alive():
-                if p.state is ProcState.DONE:
-                    break
-                p.state = ProcState.RUNNING
-                self._current = p
-                p.handoff.release()
-                limit = time.monotonic() + join_timeout
-                timed_out = False
-                # Re-acquire the engine token; absorb any stray release
-                # from a previously-stuck thread (the state check, not
-                # the lock, decides whether *this* slice ended).
-                while p.state is ProcState.RUNNING:
-                    if not self._resume.acquire(timeout=0.05) \
-                            and time.monotonic() > limit:
-                        timed_out = True
-                        break
-                self._current = None
-                p.exc = None
-                if timed_out:
-                    stuck.append(p.name)
-                    break
-        return stuck
-
-    # ------------------------------------------------------- inspection --
-
-    def processes(self) -> List[KernelProcess]:
-        return list(self._procs.values())
-
-    def live_processes(self) -> List[KernelProcess]:
-        return [p for p in self._procs.values() if p.live]
-
-    def state_dump(self) -> str:
-        lines = [f"engine time {self.now()} ({self.dispatcher} dispatcher), "
-                 f"{len(self.live_processes())} live processes:"]
-        failed = self.machine.failed_pes()
-        if failed:
-            # A hang caused by a crashed PE must be tellable apart from
-            # a true deadlock by the dump alone.
-            lines.append(f"  failed PEs: {failed} (processes pinned there "
-                         f"were killed; blocked peers may be waiting on "
-                         f"messages that will never arrive)")
-        for p in sorted(self._procs.values(), key=lambda q: q.pid):
-            if p.live:
-                lines.append("  " + p.describe())
-        return "\n".join(lines)
-
-    @property
-    def shutting_down(self) -> bool:
-        return self._shutdown

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
 
 from ..config.configuration import simple_configuration
 from ..errors import ConfigurationError, InvalidRunSpec
+from ..flex.presets import nasa_langley_flex32
 from .spec import RunSpec
 
 if TYPE_CHECKING:
@@ -251,6 +252,10 @@ def build(spec: RunSpec) -> AppPlan:
     with IMPORT_LOCK:
         try:
             plan = builder(spec)
+            # The machine every served run boots on (PiscesVM's default):
+            # a configuration it cannot hold is refused here, at submit,
+            # not at VM boot.
+            plan.config.validate(nasa_langley_flex32().spec)
         except ConfigurationError as e:     # e.g. more slots than a cluster has
             raise InvalidRunSpec(f"app {spec.app!r}: {e}") from e
         if not spec.fault_plan:

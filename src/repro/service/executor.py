@@ -33,7 +33,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from ..api import _ALL_TRACE_EVENTS
+from ..core.tracing import ALL_TRACE_EVENTS
 from ..core.vm import AppPlan, PiscesVM
 from ..obs.export import export_run, run_manifest
 from ..util.durable import durable_write
@@ -89,7 +89,7 @@ def _plan_vm(spec, plan: AppPlan, **config) -> PiscesVM:
     reference leg are both built here, so they cannot drift apart."""
     with catalog.IMPORT_LOCK:
         return plan.boot(
-            trace_events=_ALL_TRACE_EVENTS if spec.trace else (),
+            trace_events=ALL_TRACE_EVENTS if spec.trace else (),
             metrics_enabled=True, run_seed=spec.run_seed, **config)
 
 

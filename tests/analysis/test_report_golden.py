@@ -16,11 +16,11 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import run_report
+from repro.core.tracing import ALL_TRACE_EVENTS
 from repro.core.vm import PiscesVM
 from repro.obs.profile import pe_gantt
 from repro.obs.spans import derive_spans, task_gantt
 from repro.service import catalog
-from repro.service.executor import _ALL_TRACE_EVENTS
 from repro.service.spec import RunSpec
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -29,7 +29,7 @@ GOLDEN = Path(__file__).with_name("golden")
 def render():
     """Name -> rendered text for the pinned run."""
     plan = catalog.build(RunSpec.from_dict({"app": "pipeline"}))
-    config = replace(plan.config, trace_events=_ALL_TRACE_EVENTS,
+    config = replace(plan.config, trace_events=ALL_TRACE_EVENTS,
                      metrics_enabled=True)
     vm = PiscesVM(config, registry=plan.registry)
     prof = vm.enable_profiling()

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import _ALL_TRACE_EVENTS
+from repro.core.tracing import ALL_TRACE_EVENTS
 from repro.core.vm import PiscesVM
 from repro.obs.export import export_run, run_manifest
 from repro.obs.profile import pe_gantt
@@ -119,7 +119,7 @@ def test_vm_is_inspectable_after_shutdown_and_freed_on_release(
     """Metrics plus one more engine observer: the profiler, or the race
     detector (which holds the VM until shutdown)."""
     plan = catalog.build(RunSpec.from_dict({"app": "matmul"}))
-    config = replace(plan.config, trace_events=_ALL_TRACE_EVENTS,
+    config = replace(plan.config, trace_events=ALL_TRACE_EVENTS,
                      metrics_enabled=True)
     with gc_off():
         vm = PiscesVM(config, registry=plan.registry,

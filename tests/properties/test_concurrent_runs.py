@@ -9,9 +9,10 @@ host-level interleaving cannot perturb any run's virtual outcome.
 
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.api import _ALL_TRACE_EVENTS, run_app
+from repro.api import run_app
 from repro.apps.jacobi import build_windows_registry
 from repro.apps.matmul import build_tasks_registry
+from repro.core.tracing import ALL_TRACE_EVENTS
 from repro.service.catalog import build_spin_registry
 from tests.oracles import BOTH_VEHICLES
 
@@ -27,7 +28,7 @@ WORKLOADS = [
 def run_one(i: int):
     label, make_reg, tasktype, args = WORKLOADS[i % len(WORKLOADS)]
     r = run_app(tasktype, *args, registry=make_reg(),
-                trace_events=_ALL_TRACE_EVENTS)
+                trace_events=ALL_TRACE_EVENTS)
     return (label, r.elapsed, [e.line() for e in r.vm.tracer.events])
 
 

@@ -15,6 +15,7 @@ long since imported everything.
 """
 
 import gc
+import importlib.util
 import inspect
 import json
 import os
@@ -90,9 +91,16 @@ CKPT_READ_SPECS = {
                "params": {"n": 24, "sweeps": 6, "n_workers": 6},
                "checkpoint_every": 2000},
 }
-#: What no served run loads: numpy (no run needs it) and the hashing
-#: modules, which map OpenSSL's libcrypto.
-SERVED_MUST_NOT_LOAD = ("numpy", "hashlib", "_hashlib", "_blake2")
+#: What no served run loads: numpy (no run needs it), the hashing
+#: modules, which map OpenSSL's libcrypto, and the library facade
+#: ``repro.api`` (the executor builds its VMs from plans).
+SERVED_MUST_NOT_LOAD = ("numpy", "hashlib", "_hashlib", "_blake2",
+                        "repro.api")
+#: The largest ``repro`` source file a served run may load.  A service
+#: started without a bytecode cache (a fresh checkout, a read-only tree)
+#: compiles every module it imports, and the compile of a module this
+#: large sets the service's peak RSS (VmHWM).
+MAX_SERVED_SOURCE_BYTES = 32 * 1024
 #: A matmul run draws its inputs from the stdlib generator; numpy's
 #: would load ``numpy.random`` and, through it, the hashing modules.
 MATMUL_MUST_NOT_LOAD = ("numpy.random", "secrets", "hashlib")
@@ -132,8 +140,9 @@ NEVER_CALLED = (
     "repro.service.admission", "repro.util.durable",
 )
 #: ``repro`` modules that library run loads (48 when this was set, down
-#: from 70 when ``repro.api`` loaded every layer).
-LIBRARY_MODULE_BUDGET = 48
+#: from 70 when ``repro.api`` loaded every layer; 53 since the VM and the
+#: engine are split by concern into five more modules of the same source).
+LIBRARY_MODULE_BUDGET = 53
 #: ``__all__`` of the other modules whose names resolve on first
 #: access, as it stood when the module went lazy.
 LAZY_PUBLIC_NAMES = {
@@ -430,6 +439,27 @@ def test_faulty_and_checkpointing_runs_map_no_openssl(tmp_path):
                       "jacobi": None}
 
 
+def test_served_runs_load_no_large_module(tmp_path):
+    """Every non-Fortran catalog app served over HTTP at its defaults,
+    then svc_ckpt_read's faulty and checkpointing runs: the server loads
+    no ``repro`` module over :data:`MAX_SERVED_SOURCE_BYTES` of source."""
+    def requests(client):
+        specs = [{"app": app} for app in catalog.app_names()
+                 if app != "fortran"] + list(CKPT_READ_SPECS.values())
+        for s in specs:
+            run_id = client.submit(s)["run_id"]
+            assert client.wait(run_id, timeout=120)["state"] == DONE, s
+
+    modules = serve_and_list_modules(tmp_path / "store", requests)
+    sizes = {m: Path(importlib.util.find_spec(m).origin).stat().st_size
+             for m in modules if m == "repro" or m.startswith("repro.")}
+    large = {m: n for m, n in sizes.items() if n > MAX_SERVED_SOURCE_BYTES}
+    assert large == {}, (
+        f"served runs load {large} (bytes of source): without a bytecode "
+        f"cache, compiling a module over {MAX_SERVED_SOURCE_BYTES} bytes "
+        f"sets the service's VmHWM")
+
+
 def test_legacy_bundle_restores_without_numpy(tmp_path):
     """The legacy jacobi bundle's array digests were taken over numpy
     bytes; the Grid's bytes are the same, so it restores and resumes to
@@ -473,6 +503,7 @@ def test_builds_hold_the_import_lock(monkeypatch):
     and fail a submit with HTTP 500, so builds hold one lock (as do the
     service's other lazy engine imports)."""
     seen = []
+    build_spin = catalog.APPS["spin"]
 
     def probe(spec):
         def other_thread():
@@ -483,6 +514,7 @@ def test_builds_hold_the_import_lock(monkeypatch):
         t = threading.Thread(target=other_thread)
         t.start()
         t.join()
+        return build_spin(spec)
 
     monkeypatch.setitem(catalog.APPS, "spin", probe)
     catalog.build(RunSpec(app="spin"))

@@ -123,6 +123,18 @@ class TestErrorMapping:
             with pytest.raises(InvalidRunSpec, match=axis):
                 client.submit({"app": "spin", axis: value})
 
+    @pytest.mark.parametrize("spec, match", [
+        ({"app": "jacobi", "params": {"n_workers": 20}}, "slots must be 1..16"),
+        ({"app": "pipeline", "params": {"slots": 20}}, "slots must be 1..16"),
+        ({"app": "jacobi_force", "params": {"force_pes": 40}},
+         "secondary PE 21 is not an MMOS PE"),
+    ])
+    def test_400_configuration_the_machine_cannot_hold(self, client, spec,
+                                                       match):
+        """Refused at submit, not FAILED at VM boot."""
+        with pytest.raises(InvalidRunSpec, match=match):
+            client.submit(spec)
+
     def test_400_garbage_fault_plan(self, client):
         with pytest.raises(InvalidRunSpec, match="fault_plan"):
             client.submit(dict(QUICK, fault_plan="garbage here"))
