@@ -8,119 +8,64 @@ run-time-library call, and the generated module finishes by registering
 its tasktypes in a :class:`~repro.core.task.TaskRegistry` ready to run
 on a :class:`~repro.core.vm.PiscesVM`.
 
+The emitted units are coroutine bodies: a run-time call that can
+suspend (COMPUTE, ACCEPT, FORCESPLIT, BARRIER, CRITICAL, SELFSCHED,
+PARSEG, the window transfers) is ``yield from ctx.<op>(...)``.  Every
+TASK and force region is a generator, so each task and force member
+runs as a coroutine process with no thread of its own; a SUBROUTINE,
+HANDLER, segment or loop body is a generator only when it can suspend,
+directly or through a CALL.
+
 Use :func:`preprocess` for source -> program object, or the lower-level
 :func:`generate_python` to inspect the emitted code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Tuple
 
 from ..core.task import TaskRegistry
 from ..errors import TranslationError
 from . import runtime as _rt_mod
 from .ast_nodes import (
-    AcceptStmt, ArrayRef, Assign, BarrierStmt, BinOp, CallStmt, ComputeStmt,
-    ContinueStmt, CriticalStmt, Declaration, DoLoop, ForceSplitStmt, IfBlock,
-    InitiateStmt, LogicalConst, LogicalIf, MultiStmt, Num, ParsegStmt,
-    PrintStmt, Program, ProgramUnit, ReturnStmt, SendStmt, StopStmt, Str,
-    UnOp, Var, WhileLoop,
+    AcceptStmt, Assign, BarrierStmt, CallStmt, ComputeStmt, ContinueStmt,
+    CriticalStmt, DoLoop, ForceSplitStmt, IfBlock, InitiateStmt, LogicalIf,
+    MultiStmt, ParsegStmt, PrintStmt, Program, ProgramUnit, ReturnStmt,
+    SendStmt, StopStmt, WhileLoop,
+)
+from .emit import (
+    SUSPENDING_BUILTINS, WINDOW_BUILTINS, Emitter, OpEmitter, UnitInfo,
 )
 from .parser import parse_source
 
-#: TASKID-valued (and force-related) special names usable in
-#: expressions unless shadowed by a declaration: ``KIDS(I) = SENDER``.
-#: MEMBER and FORCESIZE follow the paper's 1-based member numbering.
-_SPECIAL_VARS = {
-    "PARENT": "ctx.parent",
-    "SENDER": "ctx.sender",
-    "SELFID": "ctx.self_id",
-    "MEMBER": "(ctx.member + 1)",
-    "FORCESIZE": "ctx.force_size",
-}
-
-#: Built-in window subroutines (section 8 from Fortran):
-#:   CALL WEXPORT('NAME', A)     export local array A under 'NAME'
-#:   CALL WCREATE(W, 'NAME')     whole-array window on own 'NAME'
-#:   CALL WFILE(W, 'NAME')       window on a file-store array
-#:   CALL WSHRINK(W2, W, lo, hi [, lo2, hi2 ...])  1-based inclusive
-#:   CALL WREAD(A, W)            read window contents into array A
-#:   CALL WWRITE(W, A)           write array A through the window
-_WINDOW_BUILTINS = {"WEXPORT", "WCREATE", "WFILE", "WSHRINK", "WREAD",
-                    "WWRITE"}
-
-_BINOP_PY = {
-    "+": "+", "-": "-", "*": "*", "**": "**",
-    ".EQ.": "==", ".NE.": "!=", ".LT.": "<", ".LE.": "<=",
-    ".GT.": ">", ".GE.": ">=",
-    ".AND.": "and", ".OR.": "or",
-    "//": "+",        # character concatenation
-}
+#: Statements that always suspend: each is a run-time-library call that
+#: returns a KernelOp generator.
+_SUSPENDING = (AcceptStmt, BarrierStmt, ComputeStmt, CriticalStmt,
+               ForceSplitStmt, ParsegStmt)
 
 
-@dataclass
-class UnitInfo:
-    """Name environment of one program unit, built from declarations."""
-
-    unit: ProgramUnit
-    types: Dict[str, str] = field(default_factory=dict)   # name -> ftype
-    arrays: Set[str] = field(default_factory=set)
-    shared_arrays: Set[str] = field(default_factory=set)
-    shared_scalars: Set[str] = field(default_factory=set)
-    array_dims: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, unit: ProgramUnit) -> "UnitInfo":
-        info = cls(unit=unit)
-        for d in unit.decls:
-            for e in d.entities:
-                info.types[e.name] = d.ftype
-                if e.dims:
-                    info.arrays.add(e.name)
-                    info.array_dims[e.name] = _const_dims(e.dims, d.line)
-        for sc in unit.shared:
-            for e in sc.entities:
-                if e.dims:
-                    info.shared_arrays.add(e.name)
-                    info.array_dims[e.name] = _const_dims(e.dims, sc.line)
-                else:
-                    info.shared_scalars.add(e.name)
-        return info
+def _nested(s) -> List[List]:
+    """The statement lists inside ``s`` that run in the same frame as
+    ``s`` (a nested function's body runs in a frame of its own)."""
+    if isinstance(s, IfBlock):
+        return [*s.arms, s.else_arm or []]
+    if isinstance(s, (DoLoop, WhileLoop, CriticalStmt)):
+        return [s.body]
+    if isinstance(s, LogicalIf):
+        return [[s.stmt]]
+    if isinstance(s, AcceptStmt):
+        return [s.delay_body or []]
+    return []
 
 
-def _const_dims(dims, line) -> Tuple[int, ...]:
-    out = []
-    for d in dims:
-        if not isinstance(d, Num) or "." in d.text or "E" in d.text:
-            raise TranslationError(
-                f"line {line}: array dimensions must be integer constants")
-        out.append(int(d.text))
-    if len(out) > 2:
-        raise TranslationError(
-            f"line {line}: arrays have at most 2 dimensions (a window is "
-            f"a rectangle of a row-major array)")
-    return tuple(out)
+def _returns(stmts) -> bool:
+    """Whether ``stmts`` hold a RETURN or STOP in their own frame."""
+    return any(isinstance(s, (ReturnStmt, StopStmt))
+               or any(map(_returns, _nested(s))) for s in stmts)
 
 
-class Emitter:
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-        self.indent = 0
-        self._gensym = 0
-
-    def emit(self, text: str = "") -> None:
-        self.lines.append("    " * self.indent + text if text else "")
-
-    def gensym(self, stem: str) -> str:
-        self._gensym += 1
-        return f"_{stem}{self._gensym}"
-
-    def source(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-
-class CodeGenerator:
+class CodeGenerator(OpEmitter):
     """Translates one parsed Program into a Python module source."""
 
     def __init__(self, program: Program):
@@ -132,6 +77,26 @@ class CodeGenerator:
                             if u.kind == "SUBROUTINE"}
         self.handler_units = {u.name for u in program.units
                               if u.kind == "HANDLER"}
+        # The names a CALL suspends through: the window transfers, then
+        # every SUBROUTINE or HANDLER whose body can suspend, to a
+        # fixed point over the call graph.
+        self.suspending = set(SUSPENDING_BUILTINS)
+        callees = [u for u in program.units if u.kind != "TASK"]
+        grew = True
+        while grew:
+            grew = False
+            for u in callees:
+                if u.name not in self.suspending and self._suspends(u.body):
+                    self.suspending.add(u.name)
+                    grew = True
+
+    def _suspends(self, stmts) -> bool:
+        """Whether running ``stmts`` can suspend their frame."""
+        return any(isinstance(s, _SUSPENDING)
+                   or (isinstance(s, CallStmt) and s.name in self.suspending)
+                   or (isinstance(s, DoLoop) and s.sched == "SELFSCHED")
+                   or any(map(self._suspends, _nested(s)))
+                   for s in stmts)
 
     # --------------------------------------------------------------- top --
 
@@ -180,10 +145,7 @@ class CodeGenerator:
                     em.emit(f"V.{e.name} = _rt.FArray.wrap({blk}.{e.name})")
                 else:
                     em.emit(f"V.{e.name} = {blk}.{e.name}")
-        if not unit.body:
-            em.emit("pass")
-        else:
-            self._gen_stmts(unit.body, info)
+        self._gen_body(unit.body, info, coroutine=unit.kind == "TASK")
         em.indent -= 1
 
     def _gen_registrations(self) -> None:
@@ -237,6 +199,30 @@ class CodeGenerator:
         for s in stmts:
             self._gen_stmt(s, info)
 
+    def _gen_body(self, stmts: List, info: UnitInfo,
+                  coroutine: bool = False) -> None:
+        """A function body.  ``coroutine`` makes it a generator even when
+        nothing in it suspends: a TASK or force member then runs as a
+        coroutine process, with no thread."""
+        self._gen_stmts(stmts, info)
+        if coroutine and not self._suspends(stmts):
+            self.em.emit("return")
+            self.em.emit("yield")
+
+    def _gen_def(self, stem: str, params: str, stmts: List, info: UnitInfo,
+                 *prologue: str) -> str:
+        """A nested function over ``stmts`` (a generator when they can
+        suspend); returns its name."""
+        em = self.em
+        fn = em.gensym(stem)
+        em.emit(f"def {fn}({params}):")
+        em.indent += 1
+        for line in prologue:
+            em.emit(line)
+        self._gen_stmts(stmts, info)
+        em.indent -= 1
+        return fn
+
     def _gen_stmt(self, s, info: UnitInfo) -> None:
         em = self.em
         if isinstance(s, Assign):
@@ -267,11 +253,20 @@ class CodeGenerator:
                    f"{self._expr(s.last, info)}"
                    + (f", {self._expr(s.step, info)}" if s.step else "")
                    + ")")
+            lv = em.gensym("i")
+            if s.sched == "SELFSCHED":
+                # Each claim is a preemption point, so the body runs as
+                # a function per claimed iteration.
+                if _returns(s.body):
+                    raise TranslationError(
+                        f"line {s.line}: RETURN or STOP inside a "
+                        f"SELFSCHED DO")
+                fn = self._gen_def("selfsched_body", lv, s.body, info,
+                                   f"V.{s.var} = {lv}")
+                em.emit(f"yield from ctx.selfsched_do({rng}, {fn})")
+                return
             if s.sched == "PRESCHED":
                 rng = f"ctx.presched({rng})"
-            elif s.sched == "SELFSCHED":
-                rng = f"ctx.selfsched({rng})"
-            lv = em.gensym("i")
             em.emit(f"for {lv} in {rng}:")
             em.indent += 1
             em.emit(f"V.{s.var} = {lv}")
@@ -283,11 +278,13 @@ class CodeGenerator:
             self._gen_stmts(s.body, info)
             em.indent -= 1
         elif isinstance(s, CallStmt):
-            if s.name in _WINDOW_BUILTINS:
+            if s.name in WINDOW_BUILTINS:
                 self._gen_window_call(s, info)
             elif s.name in self.subroutines:
                 args = ", ".join(self._expr(a, info) for a in s.args)
-                em.emit(f"_sub_{s.name}(ctx{', ' if args else ''}{args})")
+                call = f"_sub_{s.name}(ctx{', ' if args else ''}{args})"
+                em.emit(f"yield from {call}" if s.name in self.suspending
+                        else call)
             else:
                 raise TranslationError(
                     f"line {s.line}: CALL of undefined subroutine {s.name}")
@@ -299,7 +296,8 @@ class CodeGenerator:
         elif isinstance(s, ContinueStmt):
             em.emit("pass")
         elif isinstance(s, ComputeStmt):
-            em.emit(f"ctx.compute(int({self._expr(s.ticks, info)}))")
+            ticks = self._expr(s.ticks, info)
+            em.emit(f"yield from ctx.compute(int({ticks}))")
         elif isinstance(s, InitiateStmt):
             if isinstance(s.placement, str):
                 on = f"_rt.{s.placement}"
@@ -317,183 +315,26 @@ class CodeGenerator:
             em.emit(f"def {fn}(ctx, _V0):")
             em.indent += 1
             em.emit("V = _V0.copy()")
-            self._gen_stmts(s.rest, info)
+            self._gen_body(s.rest, info, coroutine=True)
             em.indent -= 1
-            em.emit(f"ctx.forcesplit({fn}, V)")
+            em.emit(f"yield from ctx.forcesplit({fn}, V)")
         elif isinstance(s, BarrierStmt):
             if s.body:
-                fn = em.gensym("barrier_body")
-                em.emit(f"def {fn}():")
-                em.indent += 1
-                self._gen_stmts(s.body, info)
-                em.indent -= 1
-                em.emit(f"ctx.barrier({fn})")
+                fn = self._gen_def("barrier_body", "", s.body, info)
+                em.emit(f"yield from ctx.barrier({fn})")
             else:
-                em.emit("ctx.barrier()")
+                em.emit("yield from ctx.barrier()")
         elif isinstance(s, CriticalStmt):
-            em.emit(f"with ctx.critical({s.lock!r}):")
+            em.emit(f"with (yield from ctx.critical({s.lock!r})):")
             em.indent += 1
             self._gen_stmts(s.body, info)
             em.indent -= 1
         elif isinstance(s, ParsegStmt):
-            names = []
-            for seg in s.segments:
-                fn = em.gensym("seg")
-                names.append(fn)
-                em.emit(f"def {fn}():")
-                em.indent += 1
-                self._gen_stmts(seg, info)
-                em.indent -= 1
-            em.emit(f"ctx.parseg({', '.join(names)})")
+            names = [self._gen_def("seg", "", seg, info)
+                     for seg in s.segments]
+            em.emit(f"yield from ctx.parseg({', '.join(names)})")
         else:
             raise TranslationError(f"cannot translate {type(s).__name__}")
-
-    def _gen_window_call(self, s: CallStmt, info: UnitInfo) -> None:
-        """The CALL-spelled window built-ins (section 8)."""
-        em = self.em
-        a = s.args
-
-        def need(n: int) -> None:
-            if len(a) < n:
-                raise TranslationError(
-                    f"line {s.line}: {s.name} needs {n} arguments")
-
-        def array_arg(e) -> str:
-            if not isinstance(e, Var) or (e.name not in info.arrays
-                                          and e.name not in info.shared_arrays):
-                raise TranslationError(
-                    f"line {s.line}: {s.name} needs a declared array, "
-                    f"got {e!r}")
-            return f"V.{e.name}"
-
-        if s.name == "WEXPORT":
-            need(2)
-            em.emit(f"ctx.export_array({self._expr(a[0], info)}, "
-                    f"{array_arg(a[1])}.data)")
-        elif s.name == "WCREATE":
-            need(2)
-            em.emit(f"{self._lvalue(a[0], info)} = "
-                    f"ctx.window({self._expr(a[1], info)})")
-        elif s.name == "WFILE":
-            need(2)
-            em.emit(f"{self._lvalue(a[0], info)} = "
-                    f"ctx.file_window({self._expr(a[1], info)})")
-        elif s.name == "WSHRINK":
-            need(4)
-            if len(a) % 2 != 0:
-                raise TranslationError(
-                    f"line {s.line}: WSHRINK needs lo/hi bound pairs")
-            pairs = ", ".join(self._expr(x, info) for x in a[2:])
-            em.emit(f"{self._lvalue(a[0], info)} = "
-                    f"_rt.wshrink({self._expr(a[1], info)}, {pairs})")
-        elif s.name == "WREAD":
-            need(2)
-            em.emit(f"_rt.wread(ctx, {array_arg(a[0])}, "
-                    f"{self._expr(a[1], info)})")
-        elif s.name == "WWRITE":
-            need(2)
-            em.emit(f"ctx.window_write({self._expr(a[0], info)}, "
-                    f"{array_arg(a[1])}.data)")
-
-    def _gen_send(self, s: SendStmt, info: UnitInfo) -> None:
-        em = self.em
-        if s.dest_kind in ("PARENT", "SELF", "SENDER", "USER"):
-            dest = f"_rt.{s.dest_kind}"
-        elif s.dest_kind == "TCONTR":
-            dest = f"_rt.TContr(int({self._expr(s.dest_expr, info)}))"
-        elif s.dest_kind == "ALL":
-            if s.dest_expr is None:
-                dest = "_rt.Broadcast(None)"
-            else:
-                dest = f"_rt.Broadcast(int({self._expr(s.dest_expr, info)}))"
-        else:
-            dest = self._expr(s.dest_expr, info)
-        args = ", ".join(self._expr(a, info) for a in s.args)
-        em.emit(f"ctx.send({dest}, {s.mtype!r}"
-                f"{', ' if args else ''}{args})")
-
-    def _gen_accept(self, s: AcceptStmt, info: UnitInfo) -> None:
-        em = self.em
-        specs = []
-        for item in s.items:
-            if item.count is None:
-                specs.append(repr(item.mtype))
-            elif item.count == "ALL":
-                specs.append(f"({item.mtype!r}, _rt.ALL_RECEIVED)")
-            else:
-                specs.append(f"({item.mtype!r}, "
-                             f"int({self._expr(item.count, info)}))")
-        kw = []
-        if s.total is not None:
-            kw.append(f"count=int({self._expr(s.total, info)})")
-        if s.delay is not None:
-            kw.append(f"delay=int({self._expr(s.delay, info)})")
-        if s.delay_body:
-            fn = em.gensym("delay_body")
-            em.emit(f"def {fn}():")
-            em.indent += 1
-            self._gen_stmts(s.delay_body, info)
-            em.indent -= 1
-            kw.append(f"on_timeout={fn}")
-        elif s.delay is not None:
-            # DELAY with an empty statement sequence: continue silently.
-            kw.append("timeout_ok=True")
-        em.emit(f"ctx.accept({', '.join(specs + kw)})")
-
-    # ------------------------------------------------------- expressions --
-
-    def _lvalue(self, target, info: UnitInfo) -> str:
-        if isinstance(target, Var):
-            if target.name in info.shared_scalars:
-                return f"V.{target.name}[()]"
-            return f"V.{target.name}"
-        if isinstance(target, ArrayRef):
-            if (target.name not in info.arrays
-                    and target.name not in info.shared_arrays):
-                raise TranslationError(
-                    f"assignment to undeclared array {target.name}")
-            idx = ", ".join(self._expr(a, info) for a in target.args)
-            return f"V.{target.name}[({idx},)]"
-        raise TranslationError(f"bad assignment target {target!r}")
-
-    def _expr(self, e, info: UnitInfo) -> str:
-        if isinstance(e, Num):
-            return e.text
-        if isinstance(e, Str):
-            return repr(e.value)
-        if isinstance(e, LogicalConst):
-            return "True" if e.value else "False"
-        if isinstance(e, Var):
-            if e.name in info.shared_scalars:
-                return f"V.{e.name}[()]"
-            if (e.name in _SPECIAL_VARS
-                    and e.name not in info.types
-                    and e.name not in info.unit.params
-                    and e.name not in info.shared_arrays):
-                return _SPECIAL_VARS[e.name]
-            return f"V.{e.name}"
-        if isinstance(e, ArrayRef):
-            if e.name in info.arrays or e.name in info.shared_arrays:
-                idx = ", ".join(self._expr(a, info) for a in e.args)
-                return f"V.{e.name}[({idx},)]"
-            if e.name in _rt_mod.INTRINSICS:
-                args = ", ".join(self._expr(a, info) for a in e.args)
-                return f"_rt.intrinsic({e.name!r})({args})"
-            raise TranslationError(
-                f"{e.name} is neither a declared array nor an intrinsic "
-                f"(F77 user functions are not supported; use SUBROUTINE)")
-        if isinstance(e, UnOp):
-            operand = self._expr(e.operand, info)
-            if e.op == ".NOT.":
-                return f"(not {operand})"
-            return f"({e.op}{operand})"
-        if isinstance(e, BinOp):
-            left, right = self._expr(e.left, info), self._expr(e.right, info)
-            if e.op == "/":
-                return f"_rt.div({left}, {right})"
-            op = _BINOP_PY[e.op]
-            return f"({left} {op} {right})"
-        raise TranslationError(f"cannot translate expression {e!r}")
 
 
 @dataclass

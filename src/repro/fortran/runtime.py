@@ -148,9 +148,11 @@ def wshrink(w, *bounds):
     return w.shrink(region)
 
 
-def wread(ctx, farray: FArray, w) -> None:
-    """WREAD helper: window contents into a declared Fortran array."""
-    data = ctx.window_read(w)
+def wread(ctx, farray: FArray, w):
+    """WREAD helper: window contents into a declared Fortran array (a
+    KernelOp generator: the generated code writes ``yield from
+    _rt.wread(ctx, A, W)``)."""
+    data = yield from ctx.window_read(w)
     if data.size != farray.data.size:
         raise ValueError(
             f"WREAD: window has {data.size} elements, array has "

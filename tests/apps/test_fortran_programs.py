@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps import fortran_programs as fp
 from repro.flex.presets import small_flex
+from tests.oracles import TASK_BODIES, oracle_leg
 
 
 class TestLibrary:
@@ -50,3 +51,17 @@ class TestLibrary:
             b.vm.shutdown()
             assert a.result.console == b.result.console
             assert a.result.elapsed == b.result.elapsed
+
+
+@pytest.mark.parametrize("name", fp.names())
+def test_both_vehicles_give_one_history(name):
+    """Each library program on coroutines and on worker threads: the
+    same elapsed ticks, trace and console."""
+    runs = []
+    for bodies in TASK_BODIES:
+        with oracle_leg(task_bodies=bodies):
+            r = fp.run(name, machine=small_flex(12))
+        r.vm.shutdown()
+        runs.append((r.result.elapsed, r.result.console,
+                     [e.line() for e in r.vm.tracer.events]))
+    assert runs[0] == runs[1]

@@ -1,7 +1,11 @@
 """Unit tests: expression/statement translation and runtime shims."""
 
+import inspect
+from pathlib import Path
+
 import pytest
 
+from repro.apps.fortran_programs import PI_BY_FORCE
 from repro.errors import TranslationError
 from repro.fortran.preprocessor import generate_python, preprocess
 from repro.fortran.runtime import FArray, Namespace, div, frange
@@ -68,11 +72,87 @@ class TestStatementTranslation:
             gen("X = 1", decls="SHARED COMMON /G/ A(N)")
 
     def test_compute_translates_to_ctx(self):
-        assert "ctx.compute(int(" in gen("COMPUTE 100")
+        assert "yield from ctx.compute(int(" in gen("COMPUTE 100")
+
+    def test_selfsched_rejects_return_in_its_body(self):
+        with pytest.raises(TranslationError, match="SELFSCHED"):
+            gen("FORCESPLIT\nSELFSCHED DO 10 I = 1, 4\n"
+                "IF (I .EQ. 2) RETURN\n10 CONTINUE")
 
     def test_shared_scalar_uses_zero_d_access(self):
         py = gen("N = N + 1", decls="SHARED COMMON /G/ N\nINTEGER N")
         assert "V.N[()] = (V.N[()] + 1)" in py
+
+
+def units(src):
+    """Generated function name -> whether it is a generator function."""
+    namespace = {}
+    exec(generate_python(src)[0], namespace)
+    return {k: inspect.isgeneratorfunction(v) for k, v in namespace.items()
+            if k.startswith(("_task_", "_sub_", "_hnd_"))}
+
+
+class TestCoroutineBodies:
+    """Every TASK is a generator, so it runs as a coroutine process with
+    no thread; a SUBROUTINE or HANDLER is one only when it can
+    suspend, directly or through a CALL."""
+
+    def test_every_task_is_a_generator(self):
+        assert units("TASK T\nX = 1\nEND TASK\n"
+                     "TASK U\nCOMPUTE 5\nEND TASK") == {
+            "_task_T": True, "_task_U": True}
+
+    def test_subroutines_suspend_through_calls(self):
+        src = """
+        TASK T
+        CALL OUTER
+        CALL PLAIN
+        END TASK
+        SUBROUTINE OUTER
+        CALL INNER
+        END
+        SUBROUTINE INNER
+        COMPUTE 5
+        END
+        SUBROUTINE PLAIN
+        X = 1
+        END
+        """
+        assert units(src) == {"_task_T": True, "_sub_OUTER": True,
+                              "_sub_INNER": True, "_sub_PLAIN": False}
+        py = generate_python(src)[0]
+        assert "yield from _sub_OUTER(ctx)" in py
+        assert "    _sub_PLAIN(ctx)" in py
+
+    def test_handlers_are_generators_only_when_they_suspend(self):
+        src = """
+        TASK T
+        HANDLER A, B
+        ACCEPT 2 OF A, B
+        END TASK
+        HANDLER A(X)
+        PRINT *, X
+        END HANDLER
+        HANDLER B(W)
+        WINDOW W
+        REAL R(2)
+        CALL WREAD(R, W)
+        END HANDLER
+        """
+        assert units(src) == {"_task_T": True, "_hnd_A": False,
+                              "_hnd_B": True}
+
+    def test_the_documented_example_is_current(self):
+        doc = (Path(__file__).resolve().parents[2] / "docs"
+               / "pisces_fortran.md").read_text()
+        block = doc.split("```python\n# Generated by")[1].split("```")[0]
+        assert "# Generated by" + block == generate_python(PI_BY_FORCE)[0]
+
+    def test_force_region_is_a_generator_even_without_suspension(self):
+        py = generate_python("TASK T\nFORCESPLIT\nX = MEMBER\nEND TASK")[0]
+        assert "yield from ctx.forcesplit(_force_region" in py
+        region = py[py.index("def _force_region"):]
+        assert "        return\n        yield\n" in region
 
 
 class TestRuntimeShims:

@@ -3,17 +3,7 @@
 import pytest
 
 from repro.errors import ParseError
-from repro.fortran import preprocess
 from repro.fortran.parser import parse_source
-
-
-@pytest.fixture
-def run_fortran(make_vm):
-    def runner(src, task, *args):
-        prog = preprocess(src)
-        vm = make_vm(registry=prog.registry)
-        return vm.run(task, *args)
-    return runner
 
 
 class TestWrite:
@@ -25,12 +15,12 @@ class TestWrite:
         WRITE (*, *) 'X IS', X
         END TASK
         """
-        r = run_fortran(src, "T")
+        r, _ = run_fortran(src, "T")
         assert "X IS 7" in r.console
 
     def test_write_with_no_items(self, run_fortran):
         src = "TASK T\nWRITE (*, *)\nEND TASK"
-        r = run_fortran(src, "T")
+        r, _ = run_fortran(src, "T")
         assert r.value is None
 
     def test_write_to_unit_number_rejected(self):
@@ -47,7 +37,7 @@ class TestParameter:
         PRINT *, 'N=', N
         END TASK
         """
-        assert "N= 12" in run_fortran(src, "T").console
+        assert "N= 12" in run_fortran(src, "T")[0].console
 
     def test_multiple_parameters(self, run_fortran):
         src = """
@@ -56,7 +46,7 @@ class TestParameter:
         PRINT *, A * B, C
         END TASK
         """
-        assert "6 2" in run_fortran(src, "T").console
+        assert "6 2" in run_fortran(src, "T")[0].console
 
     def test_parameter_expression(self, run_fortran):
         src = """
@@ -65,7 +55,7 @@ class TestParameter:
         PRINT *, N
         END TASK
         """
-        assert "33" in run_fortran(src, "T").console
+        assert "33" in run_fortran(src, "T")[0].console
 
     def test_malformed_parameter_rejected(self):
         with pytest.raises(ParseError):
@@ -82,11 +72,11 @@ class TestData:
         PRINT *, X, K
         END TASK
         """
-        assert "2.5 7" in run_fortran(src, "T").console
+        assert "2.5 7" in run_fortran(src, "T")[0].console
 
     def test_data_single(self, run_fortran):
         src = "TASK T\nDATA Z /9/\nPRINT *, Z\nEND TASK"
-        assert "9" in run_fortran(src, "T").console
+        assert "9" in run_fortran(src, "T")[0].console
 
     def test_data_missing_slash_rejected(self):
         with pytest.raises(ParseError):
@@ -103,4 +93,4 @@ class TestData:
         PRINT *, S
         END TASK
         """
-        assert "15" in run_fortran(src, "T").console
+        assert "15" in run_fortran(src, "T")[0].console

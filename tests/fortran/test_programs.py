@@ -1,20 +1,6 @@
 """End-to-end tests: preprocessed Pisces Fortran programs on the VM."""
 
-import pytest
-
 from repro.config.configuration import ClusterSpec, Configuration
-from repro.core.vm import PiscesVM
-from repro.flex.presets import small_flex
-from repro.fortran import preprocess
-
-
-@pytest.fixture
-def run_fortran(make_vm):
-    def runner(src, task, *args, config=None):
-        prog = preprocess(src)
-        vm = make_vm(config=config, registry=prog.registry)
-        return vm.run(task, *args), vm
-    return runner
 
 
 class TestSequentialPrograms:
@@ -299,3 +285,102 @@ class TestForcePrograms:
         # members get copies of X=100; X+m for m=1..4 -> 101+102+103+104
         r, _ = run_fortran(src, "T", config=self.FORCE_CFG)
         assert "TOT 410" in r.console
+
+
+class TestSuspendingUnits:
+    """Units and nested bodies that suspend, run on both vehicles."""
+
+    FORCE_CFG = TestForcePrograms.FORCE_CFG
+
+    def test_subroutine_suspends_through_a_call_chain(self, run_fortran):
+        src = """
+        TASK T
+        CALL OUTER(30)
+        PRINT *, 'BACK'
+        END TASK
+
+        SUBROUTINE OUTER(K)
+        INTEGER K
+        CALL INNER(K)
+        COMPUTE K
+        END
+
+        SUBROUTINE INNER(K)
+        INTEGER K
+        COMPUTE 2 * K
+        END
+        """
+        r, _ = run_fortran(src, "T")
+        r2, _ = run_fortran(src.replace("COMPUTE", "X ="), "T")
+        assert "BACK" in r.console
+        assert r.elapsed >= r2.elapsed + 90      # 60 + 30 ticks charged
+
+    def test_handler_that_computes(self, run_fortran):
+        src = """
+        TASK MAIN
+        HANDLER WORK
+        ON SAME INITIATE CHILD
+        ACCEPT 1 OF WORK
+        PRINT *, 'HANDLED'
+        END TASK
+
+        TASK CHILD
+        TO PARENT SEND WORK(25)
+        END TASK
+
+        HANDLER WORK(N)
+        INTEGER N
+        COMPUTE N
+        END HANDLER
+        """
+        r, _ = run_fortran(src, "MAIN")
+        assert "HANDLED" in r.console
+
+    def test_delay_statements_suspend_and_return(self, run_fortran):
+        src = """
+        TASK T
+        ACCEPT OF
+          1 OF NEVER
+        DELAY 200 THEN
+          COMPUTE 50
+          PRINT *, 'GAVE UP'
+          RETURN
+        END ACCEPT
+        PRINT *, 'NOT REACHED'
+        END TASK
+        """
+        r, _ = run_fortran(src, "T")
+        assert "GAVE UP" in r.console and "NOT REACHED" not in r.console
+
+    def test_suspending_segments_and_barrier_body(self, run_fortran):
+        src = """
+        TASK T
+        SHARED COMMON /S/ A, B
+        INTEGER A, B
+        FORCESPLIT
+        PARSEG
+          COMPUTE 10
+          A = 1
+        NEXTSEG
+          B = 2
+        ENDSEG
+        BARRIER
+          COMPUTE 5
+          PRINT *, 'SUM', A + B
+        END BARRIER
+        END TASK
+        """
+        r, _ = run_fortran(src, "T", config=self.FORCE_CFG)
+        assert "SUM 3" in r.console
+
+    def test_region_that_never_suspends(self, run_fortran):
+        src = """
+        TASK T
+        SHARED COMMON /S/ SEEN(8)
+        INTEGER SEEN
+        FORCESPLIT
+        SEEN(MEMBER) = MEMBER
+        END TASK
+        """
+        _, vm = run_fortran(src, "T", config=self.FORCE_CFG)
+        assert vm.stats.forcesplits == 1

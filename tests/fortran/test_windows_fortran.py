@@ -4,18 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TranslationError
-from repro.fortran import generate_python, preprocess
-
-
-@pytest.fixture
-def run_fortran(make_vm):
-    def runner(src, task, *args, setup=None):
-        prog = preprocess(src)
-        vm = make_vm(registry=prog.registry)
-        if setup:
-            setup(vm)
-        return vm.run(task, *args), vm
-    return runner
+from repro.fortran import generate_python
 
 
 class TestWindowBuiltins:

@@ -9,7 +9,7 @@ from repro.errors import (
     TimeLimitExceeded,
 )
 from repro.flex.presets import small_flex
-from repro.mmos.process import ProcState
+from repro.mmos.process import ProcState, co_block, co_charge, co_preempt
 from repro.mmos.scheduler import Engine
 
 
@@ -202,6 +202,48 @@ class TestDeadlockAndLimits:
         eng.spawn("t", 3, body)
         with pytest.raises(TimeLimitExceeded):
             eng.run()
+
+    def test_a_dispatch_at_the_time_limit_runs_one_past_it_raises(self):
+        """The second slice starts at tick 100: with ``time_limit=100``
+        it runs, with 99 the dispatch raises."""
+        def run(limit):
+            eng = make_engine(time_limit=limit)
+            ran = []
+
+            def body():
+                yield co_charge(100)
+                yield co_preempt(0)
+                ran.append(eng.now())
+
+            eng.spawn("t", 3, body)
+            eng.run()
+            return ran
+
+        assert run(100) == [100]
+        with pytest.raises(TimeLimitExceeded):
+            run(99)
+
+    def test_a_kill_landing_in_a_slice_that_ends_blocked_leaves_it_runnable(
+            self):
+        """A process killed during its own slice that then blocks must
+        not park where nothing wakes it: the slice ends READY and the
+        next dispatch unwinds it."""
+        eng = make_engine()
+        log = []
+
+        def victim():
+            try:
+                eng.kill(eng.current())
+                yield co_block("forever")
+                log.append("resumed")
+            finally:
+                log.append("unwound")
+
+        p = eng.spawn("v", 3, victim)
+        assert eng.step()
+        assert p.state is ProcState.READY and p.blocked_on == "killed"
+        assert eng.step()
+        assert p.state is ProcState.DONE and log == ["unwound"]
 
     def test_kill_unwinds_blocked_process(self):
         eng = make_engine()

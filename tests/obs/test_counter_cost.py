@@ -18,8 +18,12 @@ from pathlib import Path
 import pytest
 
 from repro import ClusterSpec, Configuration, PiscesVM
+from repro.apps import fortran_programs
 from repro.correctness.recorder import Schedule
+from repro.service import catalog
 from repro.service.executor import ExecutionHandle
+from repro.service.spec import RunSpec
+from tests.golden.digests import ADDUP_SOURCE
 
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
@@ -42,6 +46,13 @@ BACKLOG_MESSAGES = 4_978
 TASK_RUNTIME_OBSERVED = {"profiler": 360_127, "races": 226_896,
                          "service": 265_577, "record": 243_349,
                          "replay": 267_419}
+
+#: Fortran runs as (calls, dispatches), counted with :func:`count_calls`
+#: (CPython 3.11) in a fresh interpreter when the preprocessor emitted
+#: plain functions and every task ran on its own worker thread: ADDUP
+#: on the catalog's ``fortran`` plan, and the ``master_worker`` library
+#: program on its default configuration.
+FORTRAN_THREADED = {"addup": (868, 15), "master_worker": (8_021, 70)}
 
 on_cpython_311 = pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
@@ -188,3 +199,26 @@ def test_observed_calls_per_dispatch_do_not_rise(observers):
     calls, dispatches = _task_runtime(observers == "service", observers)
     assert dispatches == 9_713
     assert calls <= TASK_RUNTIME_OBSERVED[observers]
+
+
+def _fortran(name):
+    """(calls, dispatches) of one :data:`FORTRAN_THREADED` run."""
+    if name == "addup":
+        plan = catalog.build(RunSpec.from_dict(
+            {"app": "fortran", "params": {"source": ADDUP_SOURCE}}))
+        config, registry, tasktype = plan.config, plan.registry, plan.tasktype
+    else:
+        config = fortran_programs.default_configuration(name)
+        registry = fortran_programs.load(name).registry
+        tasktype = "MAIN"
+    vm = PiscesVM(config, registry=registry)
+    return count_calls(vm, tasktype), vm.engine.dispatch_count
+
+
+@on_cpython_311
+@pytest.mark.parametrize("name", sorted(FORTRAN_THREADED))
+def test_fortran_calls_per_dispatch_fall(name):
+    calls, dispatches = _fortran(name)
+    threaded_calls, threaded_dispatches = FORTRAN_THREADED[name]
+    assert dispatches == threaded_dispatches
+    assert calls / dispatches < threaded_calls / threaded_dispatches

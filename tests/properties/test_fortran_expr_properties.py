@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.fortran import runtime as _rt
 from repro.fortran.lexer import tokenize_line
-from repro.fortran.parser import ExprParser
+from repro.fortran.expr import ExprParser
 from repro.fortran.preprocessor import CodeGenerator, UnitInfo
 from repro.fortran.ast_nodes import Program, ProgramUnit
 

@@ -62,6 +62,13 @@ class TestSubmitQuota:
             sched.check_submit("t", catalog.build(FORCE))
         sched.check_submit("t", catalog.build(SPIN))
 
+    def test_plan_needing_exactly_the_pe_budget_accepted(self, store):
+        sched = AdmissionScheduler(
+            store, default_quota=TenantQuota(pe_budget=4))
+        plan = catalog.build(FORCE)
+        assert len(plan.config.used_pes()) == 4
+        sched.check_submit("t", plan)
+
 
 class TestRunQuotas:
 
@@ -150,6 +157,26 @@ class TestFairShare:
         # b's second visit, after a has already had two turns.
         assert order.index("b") >= 2
         assert order.count("a") == 4 and order.count("b") == 2
+
+    def test_admitted_pe_cost_is_charged_to_the_deficit(self, store):
+        """Two backlogged tenants, 1-PE runs against 4-PE runs, with a
+        quantum below both costs: charging each admission's PE cost
+        keeps every tenant's admitted PEs within one quantum plus one
+        run of an equal share, after every admission."""
+        quantum = 1
+        sched = AdmissionScheduler(store, default_quota=GENEROUS,
+                                   quantum=quantum)
+        for _ in range(20):
+            store.create("a", SPIN)
+            store.create("b", FORCE)
+        pes = {"a": 0, "b": 0}
+        for _ in range(25):
+            rec = sched.select()
+            pes[rec.tenant] += sched.run_cost(rec)
+            share = sum(pes.values()) / 2
+            for tenant, admitted in pes.items():
+                assert abs(admitted - share) <= quantum + 4, pes
+        assert pes["a"] > 0 and pes["b"] > 0
 
     def test_selection_marks_admitted(self, store):
         sched = AdmissionScheduler(store, default_quota=GENEROUS)

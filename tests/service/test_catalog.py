@@ -1,5 +1,6 @@
 """The app catalog: every entry builds deterministically from params."""
 
+import threading
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,7 @@ from repro.core.supervision import Supervision
 from repro.errors import InvalidRunSpec
 from repro.service import catalog, executor
 from repro.service.spec import RunSpec
+from tests.service.test_imports import ALL_APP_SPECS
 
 FORTRAN_SOURCE = """\
       TASK HELLO
@@ -234,3 +236,21 @@ def test_library_run_and_served_run_are_the_same_run(app, at_defaults):
                for name in ("trace_events", "metrics_enabled", "run_seed")}
     assert served.vm.config == replace(lib.vm.config, **toggles)
     assert served.elapsed == lib.elapsed
+
+
+@pytest.mark.parametrize("name", sorted(ALL_APP_SPECS))
+def test_every_catalog_run_starts_no_thread(name, monkeypatch):
+    """Every catalog app, Fortran included, runs its tasks, force
+    members and controllers as coroutine processes: a run starts no
+    thread."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    result = executor.standalone_run(RunSpec.from_dict(ALL_APP_SPECS[name]))
+    assert result.elapsed > 0
+    assert started == []

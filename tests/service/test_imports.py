@@ -440,12 +440,12 @@ def test_faulty_and_checkpointing_runs_map_no_openssl(tmp_path):
 
 
 def test_served_runs_load_no_large_module(tmp_path):
-    """Every non-Fortran catalog app served over HTTP at its defaults,
-    then svc_ckpt_read's faulty and checkpointing runs: the server loads
-    no ``repro`` module over :data:`MAX_SERVED_SOURCE_BYTES` of source."""
+    """Every catalog app served over HTTP at its defaults, Fortran with
+    and without arrays, then svc_ckpt_read's faulty and checkpointing
+    runs: the server loads no ``repro`` module over
+    :data:`MAX_SERVED_SOURCE_BYTES` of source."""
     def requests(client):
-        specs = [{"app": app} for app in catalog.app_names()
-                 if app != "fortran"] + list(CKPT_READ_SPECS.values())
+        specs = list(ALL_APP_SPECS.values()) + list(CKPT_READ_SPECS.values())
         for s in specs:
             run_id = client.submit(s)["run_id"]
             assert client.wait(run_id, timeout=120)["state"] == DONE, s
