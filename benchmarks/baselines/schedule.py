@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import PiscesError
-from ..flex.machine import FlexMachine
-from ..flex.presets import small_flex
-from ..mmos.scheduler import Engine
+from repro.errors import PiscesError
+from repro.flex.machine import FlexMachine
+from repro.flex.presets import small_flex
+from repro.mmos.scheduler import Engine
 
 #: Scheduling overhead charged per unit dispatch (comparable in spirit
 #: to the PISCES initiate/message costs).

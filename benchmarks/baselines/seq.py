@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence
 
-from ..flex.machine import FlexMachine
-from ..flex.presets import small_flex
-from ..mmos.scheduler import Engine
+from repro.flex.machine import FlexMachine
+from repro.flex.presets import small_flex
+from repro.mmos.scheduler import Engine
 from .schedule import ScheduleProgram
 
 

@@ -11,7 +11,7 @@ bit-identical across sizes.
 import numpy as np
 import pytest
 
-from repro.analysis.metrics import ScalingPoint, speedup_table
+from scaling import ScalingPoint, speedup_table
 from repro.apps.jacobi import run_jacobi_force, reference_solution
 from repro.flex.presets import nasa_langley_flex32
 from repro.util.tables import format_table

@@ -10,7 +10,7 @@ SELFSCHED wins under block-skewed cost.
 
 import pytest
 
-from repro.analysis.metrics import load_balance
+from scaling import load_balance
 from repro.config.configuration import ClusterSpec, Configuration
 from repro.core.task import TaskRegistry
 from repro.core.vm import PiscesVM

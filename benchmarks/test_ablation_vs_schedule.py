@@ -18,8 +18,8 @@ path.
 
 import pytest
 
-from repro.baselines.schedule import ScheduleProgram, ScheduleRunner
-from repro.baselines.seq import run_program_serial
+from baselines.schedule import ScheduleProgram, ScheduleRunner
+from baselines.seq import run_program_serial
 from repro.config.configuration import ClusterSpec, Configuration
 from repro.core.task import TaskRegistry
 from repro.core.vm import PiscesVM

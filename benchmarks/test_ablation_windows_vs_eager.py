@@ -28,8 +28,7 @@ variant, and writes ``BENCH_windows_dataplane.json`` at the repo root:
   (must be at least 30% faster on the Jacobi tree);
 * determinism: both paths must agree bit-identically in virtual time
   (elapsed ticks and the full trace-event stream) -- the reference
-  path is the oracle, selected through the ``PiscesVM.window_path``
-  test seam.
+  path is the oracle, ``tests.oracles.oracle_leg(window_path=...)``.
 
 ``WINDOWS_BENCH_SMOKE=1`` shrinks the workloads and relaxes the
 wall-clock assertion (CI smoke boxes have noisy clocks).
@@ -39,7 +38,6 @@ import json
 import os
 import time
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,6 +48,7 @@ from repro.core.taskid import PARENT, SAME
 from repro.core.vm import PiscesVM
 from repro.flex.presets import nasa_langley_flex32
 from repro.util.tables import format_table
+from tests.oracles import oracle_leg
 
 N = 32          # array is N x N float64 = 8192 bytes
 LEAVES = 4
@@ -376,7 +375,7 @@ def build_matmul_tree(n, leaves, rounds):
 
 
 def _run_tree(build, args, path, root="OWNER", traced=False):
-    with mock.patch.object(PiscesVM, "window_path", path):
+    with oracle_leg(window_path=path):
         vm = PiscesVM(_tree_config(f"tree-{path}", traced=traced),
                       registry=build(*args), machine=nasa_langley_flex32())
         t0 = time.perf_counter()

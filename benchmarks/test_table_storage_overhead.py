@@ -16,7 +16,7 @@ Each is measured off a live VM on the 20-PE NASA machine model.
 import numpy as np
 import pytest
 
-from repro.analysis.storage import (
+from repro.obs.analysis import (
     PAPER_LOCAL_BOUND,
     PAPER_SHARED_TABLE_BOUND,
     measure,

@@ -16,12 +16,12 @@ Run:  python examples/jacobi_heat.py
 
 import numpy as np
 
-from repro.analysis.metrics import ScalingPoint, speedup_table
 from repro.apps.jacobi import (
     reference_solution,
     run_jacobi_force,
     run_jacobi_windows,
 )
+from repro.util.tables import format_table
 
 N = 24
 SWEEPS = 4
@@ -47,12 +47,15 @@ def main():
     print()
 
     print("force scaling (same program text, configuration-chosen size):")
-    points = []
+    rows = []
     for size in (1, 2, 4):
         r = run_jacobi_force(n=N, sweeps=SWEEPS, force_pes=size - 1)
         r.vm.shutdown()
-        points.append(ScalingPoint(f"force-{size}", size, r.elapsed))
-    print(speedup_table(points))
+        speedup = rows[0][1] / r.elapsed if rows else 1.0
+        rows.append([f"force-{size}", r.elapsed, f"{speedup:.2f}x",
+                     f"{100 * speedup / size:.0f}%"])
+    print(format_table(["config", "elapsed", "speedup", "efficiency"],
+                       rows, title="SCALING"))
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ Run:  python examples/tune_mapping.py
 """
 
 from repro import TaskRegistry, api
-from repro.analysis import force_size_sweep
 from repro.flex.presets import nasa_langley_flex32
+from repro.obs import force_size_sweep
 from repro.obs.profile import idle_report, pe_gantt
 
 reg = TaskRegistry()

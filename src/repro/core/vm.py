@@ -238,15 +238,12 @@ class AppPlan:
 class PiscesVM(TaskLifecycle, MessageDelivery, WindowService):
     """One booted PISCES 2 virtual machine."""
 
-    #: Test seams, never set by a product caller.  ``window_path``:
-    #: "fast" (batched window transfers plus the reader cache) or
-    #: "reference" (one message per row, uncached).  ``task_bodies``:
-    #: "auto" (generator bodies suspend as coroutines at the KernelOp
-    #: seam) or "callable" (the same op stream driven through blocking
-    #: calls on a worker thread).  Each non-default value is an oracle
-    #: with the identical virtual history; ``tests/oracles.py`` holds
-    #: them.
-    window_path = "fast"
+    #: The task-body vehicle: "auto" (generator bodies suspend as
+    #: coroutines at the KernelOp seam) or "callable" (the same op
+    #: stream driven through blocking calls on a worker thread, the
+    #: vehicle plain-callable bodies always use).  Never set by a
+    #: product caller; "callable" is an oracle with the identical
+    #: virtual history, held by ``tests/oracles.py``.
     task_bodies = "auto"
 
     def __init__(self, config: Configuration,

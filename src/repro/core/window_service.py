@@ -1,10 +1,9 @@
 """The window service of the PISCES 2 VM (section 8).
 
 :class:`WindowService` is a base class of :class:`~repro.core.vm.PiscesVM`:
-remote window reads and writes on the fast (batched, cached) and the
-reference (one message per row) data plane, file-store windows and the
-file controller's striped disks.  Its methods read the VM's state through
-``self``.
+remote window reads and writes on the batched, cached data plane,
+file-store windows and the file controller's striped disks.  Its methods
+read the VM's state through ``self``.
 """
 
 from __future__ import annotations
@@ -14,13 +13,13 @@ from typing import Optional
 from ..errors import WindowConflict, WindowError
 from ..mmos.process import co_block, co_preempt
 from .controllers import FileController
-from .grid import ITEMSIZE, Grid, as_grid
+from .grid import ITEMSIZE, as_grid
 from .messages import allocate_message, release_message
 from .sizes import COST_SEND, window_transfer_cost
 from .task import TaskContext
 from .taskid import TaskId
-from .windows import (ArrayStore, MSG_WINDOW_ROW, MSG_WINDOW_TXN,
-                      MSG_WINDOW_TXN_REPLY, Window, WindowTxn, WindowTxnReply)
+from .windows import (ArrayStore, MSG_WINDOW_TXN, MSG_WINDOW_TXN_REPLY,
+                      Window, WindowTxn, WindowTxnReply)
 
 
 class WindowService:
@@ -72,10 +71,12 @@ class WindowService:
         if done > now:
             yield co_block("disk-io", deadline=done, cost=0)
 
-    # Both data-plane paths below charge the identical virtual-time
-    # cost (one window_transfer_cost, the same disk wait, one preempt),
-    # so fast and reference runs are bit-identical in virtual time; the
-    # paths differ only in host-level data movement.
+    # A window access charges one window_transfer_cost, the disk wait
+    # and one preempt, whatever the data plane moves: a cache hit and a
+    # miss cost the same virtual time.  The reader cache
+    # (_requester_cache) and the transaction (_window_txn) are host-level
+    # data movement only, so an oracle may replace either without
+    # changing a run's virtual history.
 
     def _requester_id(self, ctx, store: ArrayStore) -> TaskId:
         return getattr(ctx, "self_id", None) or store.owner
@@ -115,37 +116,6 @@ class WindowService:
         self.stats.window_txns += 1
         return reply
 
-    def _window_read_reference(self, store: ArrayStore, w: Window,
-                               requester: TaskId) -> Grid:
-        """The unbatched oracle: one transient message per leading-axis
-        row, each allocated and freed on the shared heap."""
-        heap = self.machine.shared
-        now = self.engine.now()
-        out = Grid.zeros(w.shape, w.dtype)
-        rest = tuple((0, n) for n in w.shape[1:])
-        i = 0
-        for row in store.read_rows(w, now):
-            msg = allocate_message(heap, MSG_WINDOW_ROW, (w, row),
-                                   sender=store.owner, receiver=requester,
-                                   send_time=now, arrival_time=now)
-            out.write(((i, i + 1),) + rest, row)
-            release_message(heap, msg)
-            i += 1
-        return out
-
-    def _window_write_reference(self, store: ArrayStore, w: Window,
-                                data, requester: TaskId) -> None:
-        heap = self.machine.shared
-        now = self.engine.now()
-
-        def per_row(row: Grid) -> None:
-            msg = allocate_message(heap, MSG_WINDOW_ROW, (w, row),
-                                   sender=requester, receiver=store.owner,
-                                   send_time=now, arrival_time=now)
-            release_message(heap, msg)
-
-        store.write_rows(w, data, now, per_row=per_row)
-
     def window_read_gen(self, ctx: TaskContext, w: Window, *,
                         rows=None, cols=None):
         """Remote read of the data visible in a window (a KernelOp
@@ -156,9 +126,9 @@ class WindowService:
         through the shared-memory message heap; reads of file-controller
         windows additionally wait for the simulated disks (requests to
         distinct stripes overlap; conflicting overlapping requests
-        serialize).  On the fast path a repeated read of an unchanged
-        region validates against the owner's generation counter and
-        hits the reader-side cache -- no payload moves.
+        serialize).  A repeated read of an unchanged region validates
+        against the owner's generation counter and hits the reader-side
+        cache -- no payload moves.
         """
         if rows is not None or cols is not None:
             w = w.shrink(rows=rows, cols=cols)
@@ -169,32 +139,23 @@ class WindowService:
         nbytes = int(w.nbytes)
         self.engine.charge(window_transfer_cost(nbytes))
         yield from self._file_io_wait(w, write=False)
-        hit = False
-        cache = None
-        if self.window_path == "reference":
-            data = self._window_read_reference(
-                store, w, self._requester_id(ctx, store))
-            moved = nbytes
+        cache = self._requester_cache(ctx)
+        entry = cache.lookup(w) if cache is not None else None
+        txn = WindowTxn(op="read", window=w,
+                        cached_generation=None if entry is None
+                        else entry[0])
+        reply = self._window_txn(store, txn, self._requester_id(ctx, store))
+        hit = reply.status == "valid"
+        if hit:
+            data = entry[1].copy()
         else:
-            cache = self._requester_cache(ctx)
-            entry = cache.lookup(w) if cache is not None else None
-            txn = WindowTxn(op="read", window=w,
-                            cached_generation=None if entry is None
-                            else entry[0])
-            reply = self._window_txn(store, txn,
-                                     self._requester_id(ctx, store))
-            if reply.status == "valid":
-                data = entry[1].copy()
-                moved, hit = 0, True
-            else:
-                data = reply.data
-                moved = nbytes
-                if cache is not None and reply.cacheable:
-                    cache.store(w, reply.generation, data.copy())
+            data = reply.data
+            if cache is not None and reply.cacheable:
+                cache.store(w, reply.generation, data.copy())
         self.stats.window_bytes_read += nbytes
         counts = self.counts
         counts.window_ops["read"].value += 1
-        counts.window_bytes_moved["read"].value += moved
+        counts.window_bytes_moved["read"].value += 0 if hit else nbytes
         if cache is not None:
             (counts.window_cache_hits if hit
              else counts.window_cache_misses)[()].value += 1
@@ -214,7 +175,7 @@ class WindowService:
         ``if_unchanged=True`` makes the write conditional: it is refused
         with :class:`WindowConflict` if the region was written through
         the data plane after this task last read it (requires the
-        cached fast path, which tracks observed generations).
+        reader cache, which tracks observed generations).
         """
         if rows is not None or cols is not None:
             w = w.shrink(rows=rows, cols=cols)
@@ -225,32 +186,25 @@ class WindowService:
         nbytes = int(w.nbytes)
         self.engine.charge(window_transfer_cost(nbytes))
         yield from self._file_io_wait(w, write=True)
-        path = self.window_path
-        cache = self._requester_cache(ctx) if path == "fast" else None
+        cache = self._requester_cache(ctx)
         require = None
         if if_unchanged:
             if cache is None:
                 raise WindowConflict(
-                    w, "conditional writes need the cached (fast) window "
-                       "path and a task context")
+                    w, "conditional writes need the reader cache and a "
+                       "task context")
             require = cache.observed_generation(w)
             if require is None:
                 raise WindowConflict(
                     w, "no cached observation to validate against "
                        "(window_read the region first)")
-        if path == "reference":
-            self._window_write_reference(
-                store, w, data, self._requester_id(ctx, store))
-        else:
-            payload = as_grid(data, w.dtype)
-            txn = WindowTxn(op="write", window=w, data=payload,
-                            require_unchanged_since=require)
-            reply = self._window_txn(store, txn,
-                                     self._requester_id(ctx, store))
-            if reply.status == "conflict":
-                self.counts.window_conflicts[()].value += 1
-                yield co_preempt(0)
-                raise WindowConflict(w, reply.detail)
+        txn = WindowTxn(op="write", window=w, data=as_grid(data, w.dtype),
+                        require_unchanged_since=require)
+        reply = self._window_txn(store, txn, self._requester_id(ctx, store))
+        if reply.status == "conflict":
+            self.counts.window_conflicts[()].value += 1
+            yield co_preempt(0)
+            raise WindowConflict(w, reply.detail)
         if cache is not None:
             cache.invalidate_overlapping(w)
         self.stats.window_bytes_written += nbytes

@@ -26,15 +26,16 @@ The data plane behind the pointers lives here too:
 * :class:`WindowCache` -- the reader-side cache of validated blocks.
 
 All of this is host-level machinery: the *virtual-time* cost of a
-window operation is identical on every data-plane path (see
-``PiscesVM.window_read_gen`` and ``docs/architecture.md``).
+window operation does not depend on what the data plane moves, so a
+cache hit costs what a miss costs (see ``PiscesVM.window_read_gen`` and
+``docs/architecture.md``).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, Optional, Tuple, Union
+from typing import Deque, Dict, Optional, Tuple, Union
 
 from ..errors import WindowError
 from .grid import ITEMSIZE, Grid, as_grid
@@ -53,11 +54,9 @@ WRITE_HISTORY = 64
 CACHE_ENTRIES = 32
 
 #: Data-plane message types (the leading @ keeps them out of user
-#: namespaces).  @WTXN/@WTXN_R carry a batched WindowTxn request/reply;
-#: @WROW is the reference path's one-row-per-message transit.
+#: namespaces): a batched WindowTxn request and its reply.
 MSG_WINDOW_TXN = "@WTXN"
 MSG_WINDOW_TXN_REPLY = "@WTXN_R"
-MSG_WINDOW_ROW = "@WROW"
 
 
 def _normalize_region(region, shape: Tuple[int, ...]) -> Tuple[Bounds, ...]:
@@ -477,38 +476,6 @@ class ArrayStore:
         self.access_log.append(("write", w.array, w.bounds, ticks))
         self._observe("write", w)
         base.write(w.bounds, data)
-        self._note_write(w.array, w.bounds)
-
-    # ------------------------------------------- reference (unbatched) --
-
-    def read_rows(self, w: Window, ticks: int) -> Iterator[Grid]:
-        """Reference data path: one leading-axis row copy at a time (the
-        pre-batching one-message-per-row semantics).  Logs the access
-        once; the caller accounts per-row transit."""
-        base = self.get(w.array)
-        self.access_log.append(("read", w.array, w.bounds, ticks))
-        self._observe("read", w)
-        lo, hi = w.bounds[0]
-        rest = w.bounds[1:]
-        for r in range(lo, hi):
-            yield base.read(((r, r + 1),) + rest)
-
-    def write_rows(self, w: Window, data, ticks: int,
-                   per_row=None) -> None:
-        """Reference data path: apply a window write one leading-axis
-        row at a time; ``per_row(row)`` lets the caller charge transit
-        per row.  One logical write: logged and generation-bumped once."""
-        base, data = self._payload(w, data)
-        self.access_log.append(("write", w.array, w.bounds, ticks))
-        self._observe("write", w)
-        lo, hi = w.bounds[0]
-        rest = w.bounds[1:]
-        for i in range(hi - lo):
-            row = data.read(((i, i + 1),) + tuple((0, b - a)
-                                                  for a, b in rest))
-            if per_row is not None:
-                per_row(row)
-            base.write(((lo + i, lo + i + 1),) + rest, row)
         self._note_write(w.array, w.bounds)
 
     # -------------------------------------------------------- transactions --

@@ -209,10 +209,15 @@ class CodeGenerator(OpEmitter):
             self.em.emit("return")
             self.em.emit("yield")
 
-    def _gen_def(self, stem: str, params: str, stmts: List, info: UnitInfo,
-                 *prologue: str) -> str:
-        """A nested function over ``stmts`` (a generator when they can
-        suspend); returns its name."""
+    def _gen_def(self, construct: str, line: int, stem: str, params: str,
+                 stmts: List, info: UnitInfo, *prologue: str) -> str:
+        """A nested function over ``stmts``, the body of the
+        ``construct`` at ``line`` (a generator when they can suspend);
+        returns its name.  A RETURN or STOP there would leave only this
+        function and the unit would go on, so it is refused."""
+        if _returns(stmts):
+            raise TranslationError(
+                f"line {line}: RETURN or STOP inside a {construct}")
         em = self.em
         fn = em.gensym(stem)
         em.emit(f"def {fn}({params}):")
@@ -257,12 +262,8 @@ class CodeGenerator(OpEmitter):
             if s.sched == "SELFSCHED":
                 # Each claim is a preemption point, so the body runs as
                 # a function per claimed iteration.
-                if _returns(s.body):
-                    raise TranslationError(
-                        f"line {s.line}: RETURN or STOP inside a "
-                        f"SELFSCHED DO")
-                fn = self._gen_def("selfsched_body", lv, s.body, info,
-                                   f"V.{s.var} = {lv}")
+                fn = self._gen_def("SELFSCHED DO", s.line, "selfsched_body",
+                                   lv, s.body, info, f"V.{s.var} = {lv}")
                 em.emit(f"yield from ctx.selfsched_do({rng}, {fn})")
                 return
             if s.sched == "PRESCHED":
@@ -320,7 +321,8 @@ class CodeGenerator(OpEmitter):
             em.emit(f"yield from ctx.forcesplit({fn}, V)")
         elif isinstance(s, BarrierStmt):
             if s.body:
-                fn = self._gen_def("barrier_body", "", s.body, info)
+                fn = self._gen_def("BARRIER body", s.line, "barrier_body",
+                                   "", s.body, info)
                 em.emit(f"yield from ctx.barrier({fn})")
             else:
                 em.emit("yield from ctx.barrier()")
@@ -330,8 +332,8 @@ class CodeGenerator(OpEmitter):
             self._gen_stmts(s.body, info)
             em.indent -= 1
         elif isinstance(s, ParsegStmt):
-            names = [self._gen_def("seg", "", seg, info)
-                     for seg in s.segments]
+            names = [self._gen_def("PARSEG segment", s.line, "seg", "",
+                                   seg, info) for seg in s.segments]
             em.emit(f"yield from ctx.parseg({', '.join(names)})")
         else:
             raise TranslationError(f"cannot translate {type(s).__name__}")

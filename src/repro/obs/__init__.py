@@ -9,7 +9,9 @@ message / critical-section intervals from trace events; and
 :mod:`repro.obs.export` writes JSONL event logs, Chrome trace files and
 monitor text snapshots.  :mod:`repro.obs.profile` layers the causal
 profiler on top: wait-state accounting, critical-path extraction and
-flamegraph/Chrome-trace exporters.
+flamegraph/Chrome-trace exporters.  :mod:`repro.obs.analysis` is the
+off-line analysis of a finished run: metrics, storage accounting,
+configuration sweeps and the combined :func:`run_report`.
 """
 
 from .. import lazy_exports
@@ -29,17 +31,22 @@ __all__ = [
     "NULL_REGISTRY",
     "Span",
     "chrome_trace_events",
+    "collect_metrics",
     "derive_spans",
     "event_from_dict",
     "event_to_dict",
     "export_run",
     "extract_critical_path",
+    "force_size_sweep",
     "idle_report",
     "load_chrome_trace",
+    "measure",
     "pe_gantt",
     "profile_report",
     "read_jsonl",
+    "run_report",
     "span_summary",
+    "storage_table",
     "task_gantt",
     "write_chrome_trace",
     "write_jsonl",
@@ -67,6 +74,8 @@ _LAZY = {
     "write_profile": "profile.export",
     **dict.fromkeys(("CausalProfiler", "idle_report", "pe_gantt",
                      "profile_report"), "profile.profiler"),
+    **dict.fromkeys(("collect_metrics", "force_size_sweep", "measure",
+                     "run_report", "storage_table"), "analysis"),
 }
 
 __getattr__, __dir__ = lazy_exports(globals(), _LAZY)

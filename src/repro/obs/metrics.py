@@ -4,8 +4,8 @@ Section 12 gives PISCES 2 event tracing; section 11 gives the live
 monitor.  This module supplies the quantitative layer between the two:
 named metric families, each keyed by a small label set (PE, cluster,
 tasktype, operation...), collected while the machine runs and read out
-as a deterministic snapshot by the monitor, the analysis module and the
-exporters.
+as a deterministic snapshot by the monitor, :mod:`repro.obs.analysis`
+and the exporters.
 
 Design constraints:
 

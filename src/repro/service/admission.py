@@ -13,13 +13,19 @@ Two gates stand between a submitted run and a worker:
 
 Among admissible tenants the scheduler is **deficit round-robin**
 (classic DRR, Shreedhar & Varghese): tenants are visited in a fixed
-rotation; each visit adds ``quantum`` to the tenant's deficit counter;
-the tenant's oldest queued run is admitted when its PE cost fits in
-the deficit, which is then charged.  Cheap-run tenants therefore get
-proportionally more runs per round than expensive-run tenants, and no
-tenant can starve another by submitting first or submitting a lot --
-a burst of 50 runs from tenant A still lets tenant B's single run in
-on B's next rotation slot.
+rotation, and each visit adds ``quantum`` to the tenant's deficit
+counter.  The visit admits the tenant's oldest queued runs, one per
+:meth:`~AdmissionScheduler.select`, while the next one's PE cost fits
+in what is left of the deficit, charging each admission its cost; then
+the rotation moves on and the tenant keeps the remainder.  A tenant
+with nothing queued banks nothing, and one held back by its own quota
+gains no quantum while it waits.  When a whole round admits nothing
+but some tenant is short only of deficit, selection goes round again.
+Each backlogged tenant thus gets about ``quantum`` PEs per round:
+cheap-run tenants get proportionally more runs than expensive-run
+tenants, and no tenant can starve another by submitting first or
+submitting a lot -- a burst of 50 runs from tenant A lets tenant B's
+single run in once A has used one quantum.
 
 A run's cost is the PEs its plan uses.  The scheduler holds each live
 run's plan -- built at submit (:meth:`hold`), or at its first pricing
@@ -72,6 +78,8 @@ class AdmissionScheduler:
                  quotas: Optional[Dict[str, TenantQuota]] = None,
                  default_quota: TenantQuota = DEFAULT_QUOTA,
                  quantum: int = 8) -> None:
+        if quantum < 1:
+            raise ValueError(f"quantum must be at least 1 PE, not {quantum}")
         self.store = store
         self.quotas = dict(quotas or {})
         self.default_quota = default_quota
@@ -80,6 +88,10 @@ class AdmissionScheduler:
         self._deficit: Dict[str, int] = {}
         self._rotation: List[str] = []       # fixed visit order, grown
         self._cursor = 0                     # next rotation position
+        #: Whether the tenant at the cursor is mid-visit: the last
+        #: select admitted its run, and the visit goes on, with no new
+        #: quantum, while the leftover deficit covers its next run.
+        self._continuing = False
         #: The plan of each live run id (pruned by :meth:`select`).
         self._plans: Dict[str, AppPlan] = {}
 
@@ -196,24 +208,34 @@ class AdmissionScheduler:
                     self._rotation.append(t)
 
             n = len(self._rotation)
-            for i in range(n):
-                pos = (self._cursor + i) % n
+            pos, visits, saving = self._cursor, 0, False
+            continuing, self._continuing = self._continuing, False
+            while True:
+                if visits == n:
+                    # A round admitted nothing: go round again only if
+                    # some tenant is short of deficit alone.
+                    if not saving:
+                        return None
+                    visits, saving = 0, False
                 t = self._rotation[pos]
                 backlog = queued.get(t)
                 while backlog and not self._viable(backlog[0]):
                     backlog.pop(0)
                 if not backlog:
                     self._deficit[t] = 0      # idle tenants bank nothing
-                    continue
-                deficit = self._deficit.get(t, 0) + self.quantum
-                head = backlog[0]
-                if self.run_cost(head) <= deficit \
-                        and self._admissible(head, active):
-                    # Charge only an admission the store recorded.
-                    rec = self.store.transition(head.run_id, ADMITTED)
-                    self._deficit[t] = deficit - self.run_cost(head)
-                    self._cursor = (pos + 1) % n
-                    return rec
-                # Over quota or saving up: bank the deficit, move on.
-                self._deficit[t] = deficit
-            return None
+                elif self._admissible(backlog[0], active):
+                    head = backlog[0]
+                    deficit = self._deficit.get(t, 0) \
+                        + (0 if continuing else self.quantum)
+                    cost = self.run_cost(head)
+                    if cost <= deficit:
+                        # Charge only an admission the store recorded.
+                        rec = self.store.transition(head.run_id, ADMITTED)
+                        self._deficit[t] = deficit - cost
+                        self._cursor, self._continuing = pos, True
+                        return rec
+                    self._deficit[t] = deficit
+                    saving = True
+                continuing = False
+                pos = (pos + 1) % n
+                visits += 1

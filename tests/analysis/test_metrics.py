@@ -1,15 +1,11 @@
-"""Unit tests: run metrics, speedup tables, load balance."""
+"""Unit tests: run metrics, lock contention in the metrics registry,
+and the benchmarks' speedup table and load balance."""
 
 import pytest
 
-from repro.analysis.metrics import (
-    ScalingPoint,
-    collect_metrics,
-    load_balance,
-    lock_contention,
-    speedup_table,
-)
+from benchmarks.scaling import ScalingPoint, load_balance, speedup_table
 from repro.core.taskid import SELF
+from repro.obs import collect_metrics
 
 
 class TestCollectMetrics:
@@ -31,6 +27,9 @@ class TestCollectMetrics:
         assert "RUN METRICS" in m.table()
 
     def test_lock_contention_listing(self, make_vm, registry):
+        """The registry lists each lock's acquisitions and the ticks
+        each acquirer waited; the members that queued behind the
+        holder show as non-zero waits."""
         def region(mm):
             with mm.critical("L"):
                 mm.compute(50)
@@ -41,13 +40,13 @@ class TestCollectMetrics:
 
         from repro.config.configuration import ClusterSpec, Configuration
         cfg = Configuration(clusters=(
-            ClusterSpec(1, 3, 2, secondary_pes=(4, 5)),))
+            ClusterSpec(1, 3, 2, secondary_pes=(4, 5)),),
+            metrics_enabled=True)
         vm = make_vm(config=cfg, registry=registry)
         vm.run("T")
-        rows = lock_contention(vm)
-        assert len(rows) == 1
-        name, acq, contended = rows[0]
-        assert acq == 3 and name.endswith("/L")
+        assert vm.metrics.counter("lock_acquisitions", lock="L").value == 3
+        waits = vm.metrics.histogram("lock_wait_ticks", lock="L")
+        assert waits.count == 3 and waits.total >= 50
 
 
 class TestSpeedupTable:
@@ -74,7 +73,7 @@ class TestLoadBalance:
 
 class TestTrafficMatrix:
     def test_counts_flows_by_tasktype(self, make_vm, registry):
-        from repro.analysis.metrics import traffic_matrix, traffic_table
+        from repro.obs.analysis import traffic_matrix, traffic_table
         from repro.core.taskid import PARENT, SAME, USER
 
         @registry.tasktype("CHILD")
@@ -102,7 +101,7 @@ class TestTrafficMatrix:
             self, make_vm, registry):
         """Metrics off, MSG_SEND traced: the matrix comes from the trace,
         with controllers named by kind and the terminal as <user>."""
-        from repro.analysis.metrics import traffic_matrix
+        from repro.obs.analysis import traffic_matrix
         from repro.core.taskid import USER, USER_TERMINAL_ID
         from repro.core.tracing import TraceEvent, TraceEventType
 
@@ -121,7 +120,7 @@ class TestTrafficMatrix:
                                       ("<user>", "MAIN"): 1}
 
     def test_without_tracing_reports_empty(self, make_vm, registry):
-        from repro.analysis.metrics import traffic_table
+        from repro.obs.analysis import traffic_table
 
         @registry.tasktype("MAIN")
         def main(ctx):

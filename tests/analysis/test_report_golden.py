@@ -15,9 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import run_report
 from repro.core.tracing import ALL_TRACE_EVENTS
 from repro.core.vm import PiscesVM
+from repro.obs import run_report
 from repro.obs.profile import pe_gantt
 from repro.obs.spans import derive_spans, task_gantt
 from repro.service import catalog

@@ -2,15 +2,11 @@
 
 import pytest
 
-from repro.analysis.storage import (
-    PAPER_LOCAL_BOUND,
-    PAPER_SHARED_TABLE_BOUND,
-    measure,
-    storage_table,
-)
 from repro.config.configuration import ClusterSpec, Configuration
 from repro.core.vm import PiscesVM
 from repro.flex.presets import nasa_langley_flex32
+from repro.obs import measure, run_report, storage_table
+from repro.obs.analysis import PAPER_LOCAL_BOUND, PAPER_SHARED_TABLE_BOUND
 
 
 @pytest.fixture
@@ -45,8 +41,6 @@ class TestPaperBounds:
         assert "section9" in txt
 
     def test_run_report_combines_sections(self, nasa_vm, registry):
-        from repro.analysis.report import run_report
-
         @registry.tasktype("MAIN")
         def main(ctx):
             ctx.compute(100)
@@ -60,7 +54,6 @@ class TestPaperBounds:
 class TestEnrichedReport:
     def test_report_includes_traffic_and_pe_occupancy(self, nasa_vm,
                                                       registry):
-        from repro.analysis.report import run_report
         from repro.core.taskid import SELF
 
         @registry.tasktype("MAIN")

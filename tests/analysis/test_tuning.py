@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.tuning import force_size_sweep, sweep
+from repro.obs import force_size_sweep
+from repro.obs.analysis import sweep
 from repro.config.configuration import ClusterSpec, Configuration
 from repro.core.task import TaskRegistry
 from repro.flex.presets import small_flex

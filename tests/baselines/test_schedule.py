@@ -1,13 +1,13 @@
-"""Unit tests: the SCHEDULE-style baseline."""
+"""Unit tests: the SCHEDULE-style baseline (``benchmarks/baselines``)."""
 
 import pytest
 
-from repro.baselines.schedule import (
+from benchmarks.baselines.schedule import (
     DISPATCH_COST,
     ScheduleProgram,
     ScheduleRunner,
 )
-from repro.baselines.seq import run_program_serial, run_serial_ticks
+from benchmarks.baselines.seq import run_program_serial, run_serial_ticks
 from repro.errors import PiscesError
 
 

@@ -16,7 +16,8 @@ from repro.errors import CheckpointError, CheckpointFormatError
 from repro.service import catalog
 from repro.service.spec import RunSpec
 from repro.util import durable
-from tests.oracles import BOTH_VEHICLES, callable_bodies, reference_windows
+from tests.oracles import (BOTH_VEHICLES, callable_bodies, leg_of,
+                           reference_windows)
 
 ALL_TRACE = tuple(t.value for t in TraceEventType)
 
@@ -264,14 +265,14 @@ class TestCrossOracleRestore:
         with leg():
             vm = make_vm(config=config(tmp_path, keep=50),
                          registry=make_registry())
-            assert (vm.window_path, vm.task_bodies) != ("fast", "auto")
+            assert leg_of(vm) != ("fast", "auto")
             base = vm.run(tasktype)
             base_trace = [e.line() for e in vm.tracer.events]
         bundles = sorted(tmp_path.glob("*.pckpt"))
         assert len(bundles) >= 2
         for bundle in bundles:
             rr = restore_vm(bundle, registry=make_registry())
-            assert (rr.vm.window_path, rr.vm.task_bodies) == ("fast", "auto")
+            assert leg_of(rr.vm) == ("fast", "auto")
             res = rr.resume()
             assert res.elapsed == base.elapsed, bundle.name
             assert [e.line() for e in rr.vm.tracer.events] == base_trace, \

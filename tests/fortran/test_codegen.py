@@ -79,6 +79,17 @@ class TestStatementTranslation:
             gen("FORCESPLIT\nSELFSCHED DO 10 I = 1, 4\n"
                 "IF (I .EQ. 2) RETURN\n10 CONTINUE")
 
+    def test_barrier_rejects_return_in_its_body(self):
+        with pytest.raises(TranslationError,
+                           match=r"line 4: RETURN or STOP inside a BARRIER"):
+            gen("FORCESPLIT\nBARRIER\nRETURN\nEND BARRIER\nX = 1")
+
+    def test_parseg_rejects_stop_in_a_segment(self):
+        with pytest.raises(TranslationError,
+                           match=r"line 4: RETURN or STOP inside a PARSEG"):
+            gen("FORCESPLIT\nPARSEG\nX = 1\nNEXTSEG\n"
+                "IF (X .EQ. 0) STOP\nENDSEG")
+
     def test_shared_scalar_uses_zero_d_access(self):
         py = gen("N = N + 1", decls="SHARED COMMON /G/ N\nINTEGER N")
         assert "V.N[()] = (V.N[()] + 1)" in py

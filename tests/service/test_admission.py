@@ -121,9 +121,10 @@ class TestRunQuotas:
 class TestFairShare:
 
     def test_drr_interleaves_tenants_despite_burst(self, store):
-        """Tenant a floods 4 runs before b submits 2; selection must
-        alternate, not drain a's burst first."""
-        sched = AdmissionScheduler(store, default_quota=GENEROUS)
+        """Tenant a floods 4 runs before b submits 2; with a quantum of
+        one 1-PE run, selection must alternate, not drain a's burst
+        first."""
+        sched = AdmissionScheduler(store, default_quota=GENEROUS, quantum=1)
         for _ in range(4):
             store.create("a", SPIN)
         for _ in range(2):
@@ -132,7 +133,7 @@ class TestFairShare:
         assert order == ["a", "b", "a", "b", "a", "a"]
 
     def test_three_tenants_round_robin(self, store):
-        sched = AdmissionScheduler(store, default_quota=GENEROUS)
+        sched = AdmissionScheduler(store, default_quota=GENEROUS, quantum=1)
         for t in ("c", "c", "a", "a", "b", "b"):
             store.create(t, SPIN)
         order = [sched.select().tenant for _ in range(6)]
@@ -177,6 +178,54 @@ class TestFairShare:
             for tenant, admitted in pes.items():
                 assert abs(admitted - share) <= quantum + 4, pes
         assert pes["a"] > 0 and pes["b"] > 0
+
+    def test_default_quantum_shares_pes_not_run_counts(self, store):
+        """At the default quantum, above both costs, a visit goes on
+        while the tenant's leftover deficit covers its next run: two
+        backlogged tenants of 1-PE and 4-PE runs keep their admitted
+        PEs within one quantum plus one run of each other."""
+        sched = AdmissionScheduler(store, default_quota=GENEROUS)
+        for _ in range(20):
+            store.create("a", SPIN)
+            store.create("b", FORCE)
+        pes = {"a": 0, "b": 0}
+        order = []
+        for _ in range(15):
+            rec = sched.select()
+            order.append(rec.tenant)
+            pes[rec.tenant] += sched.run_cost(rec)
+            assert abs(pes["a"] - pes["b"]) <= sched.quantum + 4, pes
+        assert order[:10] == ["a"] * 8 + ["b"] * 2
+
+    def test_burst_lets_the_other_tenant_in_after_one_quantum(self, store):
+        sched = AdmissionScheduler(store, default_quota=GENEROUS)
+        for _ in range(50):
+            store.create("a", SPIN)
+        store.create("b", SPIN)
+        order = [sched.select().tenant for _ in range(10)]
+        assert order == ["a"] * 8 + ["b", "a"]
+
+    def test_a_tenant_held_by_its_quota_banks_no_quantum(self, store):
+        """Tenant a's 1-PE runs wait behind its own 4-PE run (pe_budget
+        4) while b is admitted five times; once a's run ends, a banked
+        nothing, so the two alternate instead of a taking five."""
+        sched = AdmissionScheduler(
+            store, quotas={"a": TenantQuota(99, 99, pe_budget=4)},
+            default_quota=GENEROUS, quantum=1)
+        big = store.create("a", FORCE)
+        assert sched.select().run_id == big.run_id
+        for _ in range(10):
+            store.create("a", SPIN)
+            store.create("b", SPIN)
+        assert [sched.select().tenant for _ in range(5)] == ["b"] * 5
+        store.transition(big.run_id, RUNNING)
+        store.transition(big.run_id, DONE)
+        order = [sched.select().tenant for _ in range(4)]
+        assert order.count("a") == 2, order
+
+    def test_quantum_below_one_pe_refused(self, store):
+        with pytest.raises(ValueError, match="quantum"):
+            AdmissionScheduler(store, quantum=0)
 
     def test_selection_marks_admitted(self, store):
         sched = AdmissionScheduler(store, default_quota=GENEROUS)

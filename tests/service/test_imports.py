@@ -166,12 +166,13 @@ LAZY_PUBLIC_NAMES = {
         "CAT_CRITICAL", "CAT_FAULT", "CAT_MESSAGE", "CAT_TASK",
         "CausalProfiler", "CriticalPath", "Counter", "DEFAULT_BUCKETS",
         "Gauge", "Histogram", "MetricsRegistry", "NULL_REGISTRY", "Span",
-        "chrome_trace_events", "derive_spans", "event_from_dict",
-        "event_to_dict", "export_run", "extract_critical_path",
-        "idle_report", "load_chrome_trace", "pe_gantt", "profile_report",
-        "read_jsonl", "span_summary", "task_gantt", "write_chrome_trace",
-        "write_jsonl", "write_metrics_snapshot", "write_profile",
-        "write_run_manifest"),
+        "chrome_trace_events", "collect_metrics", "derive_spans",
+        "event_from_dict", "event_to_dict", "export_run",
+        "extract_critical_path", "force_size_sweep", "idle_report",
+        "load_chrome_trace", "measure", "pe_gantt", "profile_report",
+        "read_jsonl", "run_report", "span_summary", "storage_table",
+        "task_gantt", "write_chrome_trace", "write_jsonl",
+        "write_metrics_snapshot", "write_profile", "write_run_manifest"),
     "repro.obs.profile": (
         "CausalProfiler", "CriticalPath", "PathSegment", "Slice",
         "WaitAccounting", "WaitInterval", "WAIT_ACCEPT", "WAIT_BARRIER",

@@ -137,11 +137,13 @@ def test_soak_three_tenants_twelve_runs_bit_identical(tmp_path):
 
 @pytest.mark.slow
 def test_soak_fair_share_execution_order(tmp_path):
-    """One worker, tenant a floods 6 runs before b submits 3: the
-    execution order must interleave (DRR), not drain a's burst."""
+    """One worker, tenant a floods 6 runs before b submits 3: with a
+    DRR quantum of one 1-PE run, the execution order must interleave,
+    not drain a's burst."""
     quick = {"app": "spin", "params": {"rounds": 5, "ticks_per_round": 10}}
     svc = RunService(tmp_path / "store", n_workers=1,
-                     default_quota=TenantQuota(max_running=4, max_queued=16))
+                     default_quota=TenantQuota(max_running=4, max_queued=16),
+                     quantum=1)
     try:
         a_ids = [svc.submit("a", quick).run_id for _ in range(6)]
         b_ids = [svc.submit("b", quick).run_id for _ in range(3)]
