@@ -118,12 +118,6 @@ class Configuration:
     #: each successive wait (see ``docs/architecture.md``).
     accept_retries: int = 0
     accept_backoff: float = 2.0
-    #: Enable the happens-before race detector at boot (see
-    #: :mod:`repro.correctness`); detection charges no virtual time.
-    detect_races: bool = False
-    #: Enable the causal profiler at boot (see
-    #: :mod:`repro.obs.profile`); profiling charges no virtual time.
-    profile: bool = False
     #: Periodic checkpointing: write a ``.pckpt`` bundle every this many
     #: virtual ticks (0 disables).  Checkpoints are pure observers: a
     #: checkpointed run is bit-identical in virtual time to an
@@ -137,13 +131,9 @@ class Configuration:
     #: needs the latest valid one).
     checkpoint_keep: int = 2
     #: Seed of the VM-level run RNG (``vm.run_rng``): the *only* source
-    #: of randomness consumed at virtual-time-ordered points (backoff
-    #: jitter), so seeded runs stay bit-reproducible.
+    #: of randomness consumed at virtual-time-ordered points (RESTART
+    #: backoff jitter), so seeded runs stay bit-reproducible.
     run_seed: int = 0
-    #: Jitter fraction (0..1) applied to ACCEPT retry backoff waits:
-    #: each wait is perturbed by up to +/- this fraction, drawn from the
-    #: seeded run RNG so determinism holds.
-    accept_jitter: float = 0.0
     name: str = "unnamed"
 
     # ------------------------------------------------------------ access --
@@ -221,9 +211,6 @@ class Configuration:
             raise ConfigurationError("checkpoint_every must be >= 0")
         if self.checkpoint_keep < 1:
             raise ConfigurationError("checkpoint_keep must be >= 1")
-        if not 0.0 <= self.accept_jitter <= 1.0:
-            raise ConfigurationError(
-                f"accept_jitter must be in 0..1, got {self.accept_jitter}")
         return self
 
     # ------------------------------------------------------------ editing --
@@ -251,14 +238,10 @@ class Configuration:
             lines.append(f"  trace: {', '.join(self.trace_events)}")
         if self.metrics_enabled:
             lines.append("  metrics: enabled")
-        if self.profile:
-            lines.append("  profiling: enabled")
         if self.checkpoint_every:
             where = self.checkpoint_dir or "."
             lines.append(f"  checkpoint: every {self.checkpoint_every} ticks "
                          f"to {where} (keep {self.checkpoint_keep})")
-        if self.accept_jitter:
-            lines.append(f"  accept jitter: {self.accept_jitter}")
         return "\n".join(lines)
 
 

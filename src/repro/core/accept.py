@@ -58,33 +58,16 @@ class RetryPolicy:
 
     retries: int = 0
     backoff: float = 2.0
-    #: Jitter fraction (0..1): each wait is perturbed by up to +/- this
-    #: fraction of its deterministic length.  The variate comes from the
-    #: caller-supplied RNG (the VM's seeded run RNG), so jittered runs
-    #: stay bit-reproducible and replayable.
-    jitter: float = 0.0
 
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise MessageError("RetryPolicy.retries must be >= 0")
         if self.backoff < 1.0:
             raise MessageError("RetryPolicy.backoff must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise MessageError("RetryPolicy.jitter must be in 0..1")
 
-    def wait_ticks(self, base_delay: int, attempt: int, rng=None) -> int:
-        """Length of the ``attempt``-th wait (0 = the initial one).
-
-        With ``jitter`` set and an ``rng`` supplied, the wait is spread
-        symmetrically by up to ``jitter * wait`` ticks (never below 1
-        tick); exactly one variate is consumed per jittered wait.
-        """
-        w = max(1, int(base_delay * self.backoff ** attempt))
-        if self.jitter and rng is not None:
-            spread = int(w * self.jitter)
-            if spread:
-                w = max(1, w + rng.randrange(-spread, spread + 1))
-        return w
+    def wait_ticks(self, base_delay: int, attempt: int) -> int:
+        """Length of the ``attempt``-th wait (0 = the initial one)."""
+        return max(1, int(base_delay * self.backoff ** attempt))
 
 
 @dataclass

@@ -427,8 +427,7 @@ class TaskContext:
                     # Escalate: wait again, backed off, before giving
                     # the caller the timeout.
                     attempt += 1
-                    deadline = now + policy.wait_ticks(base_delay, attempt,
-                                                       rng=vm.run_rng)
+                    deadline = now + policy.wait_ticks(base_delay, attempt)
                     vm.counts.accept_retries[self.task.ttype.name].value += 1
                     continue
                 return self._timeout(state, on_timeout, timeout_ok)

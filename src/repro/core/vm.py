@@ -270,23 +270,18 @@ class PiscesVM(TaskLifecycle, MessageDelivery, WindowService):
         self.tracer = Tracer()
         for name in config.trace_events:
             self.tracer.enable(TraceEventType(name))
-        #: Happens-before race detector, or None (off): the explicit
-        #: argument, else the configuration flag.  A True value means
-        #: "record" mode; a string selects record/warn/raise.
+        #: Happens-before race detector, or None (off), as the explicit
+        #: argument asks: a True value means "record" mode; a string
+        #: selects record/warn/raise.
         self.race_detector: Optional[Any] = None
-        if detect_races is None:
-            detect_races = config.detect_races
         if detect_races:
             self.enable_race_detection(
                 mode=detect_races if isinstance(detect_races, str)
                 else "record")
         #: Causal profiler (see :mod:`repro.obs.profile`), or None
-        #: (off): the configuration flag turns it on at boot, and
-        #: ``enable_profiling()`` turns it on explicitly (api.profile_run
+        #: (off): ``enable_profiling()`` turns it on (api.profile_run
         #: does).
         self.profiler: Optional[Any] = None
-        if config.profile:
-            self.enable_profiling()
         #: Observability registry (see :mod:`repro.obs`).  Disabled by
         #: default: the metrics-only sites guard on ``.enabled``, while
         #: the run-count families behind ``stats`` always count.
@@ -309,11 +304,10 @@ class PiscesVM(TaskLifecycle, MessageDelivery, WindowService):
         #: System-wide ACCEPT timeout escalation (satellite 2); None
         #: keeps the paper's single-wait semantics with zero overhead.
         self.accept_retry: Optional[RetryPolicy] = (
-            RetryPolicy(config.accept_retries, config.accept_backoff,
-                        config.accept_jitter)
+            RetryPolicy(config.accept_retries, config.accept_backoff)
             if config.accept_retries else None)
         #: The seeded run RNG: the only source of randomness consumed at
-        #: virtual-time-ordered points (backoff jitter).  Because every
+        #: virtual-time-ordered points (RESTART backoff jitter).  Because every
         #: consumption site executes in deterministic dispatch order, a
         #: seeded run -- and a checkpoint-restored replay of its prefix
         #: -- draws the same variates in the same order.

@@ -10,7 +10,7 @@ many tenants, with nothing beyond the standard library:
 * :mod:`~repro.service.catalog` -- named, deterministically
   rebuildable applications (the app zoo + Pisces Fortran source);
 * :mod:`~repro.service.store` -- the persistent, crash-safe run store
-  (QUEUED -> ADMITTED -> RUNNING -> DONE|FAILED|KILLED);
+  (QUEUED -> RUNNING -> DONE|FAILED|KILLED);
 * :mod:`~repro.service.admission` -- per-tenant quotas and
   deficit-round-robin fair share;
 * :mod:`~repro.service.executor` -- one run's execution: kill seam,
@@ -41,8 +41,8 @@ pure plan, so multi-tenancy costs no determinism.
 from .. import lazy_exports
 
 __all__ = [
-    "ADMITTED", "APPS", "AdmissionScheduler", "AppPlan", "DEFAULT_QUOTA",
-    "DONE", "ExecutionHandle", "FAILED", "KILLED", "KilledByService",
+    "APPS", "AdmissionScheduler", "AppPlan", "DEFAULT_QUOTA", "DONE",
+    "ExecutionHandle", "FAILED", "KILLED", "KilledByService",
     "LIVE_STATES", "QUEUED", "RUNNING", "RunRecord", "RunService",
     "RunSpec", "RunStore", "RunTimeout", "ServiceClient",
     "ServiceClientError", "ServiceHTTPServer", "TERMINAL_STATES",
@@ -62,9 +62,9 @@ _LAZY = {
     **dict.fromkeys(("ServiceHTTPServer", "serve"), "rest"),
     "RunService": "service",
     "RunSpec": "spec",
-    **dict.fromkeys(("ADMITTED", "DONE", "FAILED", "KILLED", "LIVE_STATES",
-                     "QUEUED", "RUNNING", "TERMINAL_STATES", "RunRecord",
-                     "RunStore"), "store"),
+    **dict.fromkeys(("DONE", "FAILED", "KILLED", "LIVE_STATES", "QUEUED",
+                     "RUNNING", "TERMINAL_STATES", "RunRecord", "RunStore"),
+                    "store"),
 }
 
 __getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -3,13 +3,13 @@
 Two gates stand between a submitted run and a worker:
 
 * **Submission quota** -- a tenant may hold at most ``max_queued``
-  unfinished-but-not-yet-running runs, and no run over its
-  ``pe_budget``.  Checked synchronously at submit time; violation
-  raises :class:`~repro.errors.QuotaExceeded` (HTTP 429 at the REST
-  layer).
+  QUEUED runs, and no run over its ``pe_budget``.  Checked
+  synchronously at submit time; violation raises
+  :class:`~repro.errors.QuotaExceeded` (HTTP 429 at the REST layer).
 * **Admission quota** -- a tenant may have at most ``max_running``
-  runs executing at once, occupying at most ``pe_budget`` virtual PEs
-  in total.  Checked whenever a worker frees up.
+  RUNNING runs at once, occupying at most ``pe_budget`` virtual PEs
+  in total.  Checked whenever a worker frees up; an admission moves
+  the run from QUEUED to RUNNING in one record write.
 
 Among admissible tenants the scheduler is **deficit round-robin**
 (classic DRR, Shreedhar & Varghese): tenants are visited in a fixed
@@ -48,8 +48,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..errors import InvalidRunSpec, QuotaExceeded
 from . import catalog
-from .store import (ADMITTED, FAILED, QUEUED, RUNNING, RunRecord,
-                    RunStore)
+from .store import FAILED, QUEUED, RUNNING, RunRecord, RunStore
 
 if TYPE_CHECKING:
     from ..core.vm import AppPlan
@@ -59,9 +58,9 @@ if TYPE_CHECKING:
 class TenantQuota:
     """One tenant's limits."""
 
-    #: Concurrent executing runs.
+    #: Concurrent RUNNING runs.
     max_running: int = 2
-    #: Waiting runs (QUEUED + ADMITTED) the tenant may hold.
+    #: QUEUED runs the tenant may hold.
     max_queued: int = 8
     #: Total virtual PEs the tenant's running runs may occupy.
     pe_budget: int = 16
@@ -146,8 +145,7 @@ class AdmissionScheduler:
         """Gate a submission; raises :class:`QuotaExceeded` over-quota."""
         self._check_budget(tenant, plan)
         q = self.quota_for(tenant)
-        waiting = len(self.store.list(tenant=tenant, state=QUEUED)) \
-            + len(self.store.list(tenant=tenant, state=ADMITTED))
+        waiting = len(self.store.list(tenant=tenant, state=QUEUED))
         if waiting >= q.max_queued:
             raise QuotaExceeded(
                 tenant, f"{waiting} runs already waiting "
@@ -159,8 +157,7 @@ class AdmissionScheduler:
         """Current consumption against the tenant's quota."""
         q = self.quota_for(tenant)
         with self._lock:        # no select drops a listed run's plan
-            running = self.store.list(tenant=tenant, state=RUNNING) \
-                + self.store.list(tenant=tenant, state=ADMITTED)
+            running = self.store.list(tenant=tenant, state=RUNNING)
             return {
                 "running": len(running),
                 "queued": len(self.store.list(tenant=tenant, state=QUEUED)),
@@ -182,16 +179,15 @@ class AdmissionScheduler:
         return in_use + self.run_cost(rec) <= q.pe_budget
 
     def select(self) -> Optional[RunRecord]:
-        """Pick (and mark ADMITTED) the next run a freed worker should
-        execute, or None if nothing is admissible right now."""
+        """Pick (and mark RUNNING, from now) the next run a freed worker
+        should execute, or None if nothing is admissible right now."""
         with self._lock:
             queued: Dict[str, List[RunRecord]] = {}
             for rec in self.store.list(state=QUEUED):     # seq order
                 queued.setdefault(rec.tenant, []).append(rec)
             active: Dict[str, List[RunRecord]] = {}
-            for state in (RUNNING, ADMITTED):
-                for rec in self.store.list(state=state):
-                    active.setdefault(rec.tenant, []).append(rec)
+            for rec in self.store.list(state=RUNNING):
+                active.setdefault(rec.tenant, []).append(rec)
             # Drop the plans of finished runs: memory follows the live
             # queue, not the history.
             live = {r.run_id for recs in (*queued.values(), *active.values())
@@ -230,7 +226,8 @@ class AdmissionScheduler:
                     cost = self.run_cost(head)
                     if cost <= deficit:
                         # Charge only an admission the store recorded.
-                        rec = self.store.transition(head.run_id, ADMITTED)
+                        rec = self.store.transition(
+                            head.run_id, RUNNING, started_at=time.time())
                         self._deficit[t] = deficit - cost
                         self._cursor, self._continuing = pos, True
                         return rec

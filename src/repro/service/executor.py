@@ -1,5 +1,5 @@
-"""Executing one admitted run's plan (the one admission held for it):
-boot, run (or checkpoint-resume), archive, record the exit.
+"""Executing one admitted (RUNNING) run's plan, the one admission held
+for it: boot, run (or checkpoint-resume), archive, record the exit.
 
 The executor is where the service's three core guarantees live:
 
@@ -38,7 +38,7 @@ from ..core.vm import AppPlan, PiscesVM
 from ..obs.export import export_run, run_manifest
 from ..util.durable import durable_write
 from . import catalog
-from .store import (DONE, FAILED, KILLED, RUNNING, RunRecord, RunStore)
+from .store import DONE, FAILED, KILLED, RunRecord, RunStore
 
 
 class KilledByService(BaseException):
@@ -176,7 +176,7 @@ def standalone_run(spec):
 
 def execute_run(rec: RunRecord, store: RunStore, handle: ExecutionHandle,
                 plan: AppPlan) -> RunRecord:
-    """Run one ADMITTED record's ``plan`` to a terminal state.  Called on
+    """Run one RUNNING record's ``plan`` to a terminal state.  Called on
     a worker thread.  A failure of the run becomes the FAILED state; only
     a store that cannot persist even that raises, leaving the record at
     its last persisted state for the next boot to re-queue."""
@@ -206,7 +206,6 @@ def execute_run(rec: RunRecord, store: RunStore, handle: ExecutionHandle,
             vm = build_vm(rec, store, plan)
         handle.vm = vm
         vm.engine.observe(handle)
-        rec = store.transition(rec.run_id, RUNNING, started_at=time.time())
 
         if restored is not None:
             result = restored.resume(shutdown=True)

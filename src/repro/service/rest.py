@@ -7,7 +7,7 @@ Endpoints (all JSON unless noted)::
     GET  /apps                           catalog app names
     POST /runs                           submit {"tenant": t, "spec": {...}}
     GET  /runs[?tenant=&state=]          list run records (state: one
-                                         of the six, else 400)
+                                         of the five, else 400)
     GET  /runs/<id>                      one run record
     POST /runs/<id>/kill                 request kill (poll for KILLED)
     GET  /runs/<id>/metrics              metrics snapshot (live|archived)

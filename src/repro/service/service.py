@@ -13,10 +13,12 @@ Workers are *pull*-model: each loops asking the admission scheduler
 for the next fair-share pick whenever it is free, so admission
 decisions always see the true current load, and a freed slot is
 refilled immediately (the condition variable wakes on submit and on
-run completion).  Everything a worker executes goes through
-:func:`repro.service.executor.execute_run` with the run's held plan;
-the service only tracks the live :class:`ExecutionHandle` so kill and
-the live status / metrics / trace queries can reach the running VM.
+run completion).  A pick is RUNNING from its admission on: a record is
+either waiting for a worker (QUEUED) or on one.  Everything a worker
+executes goes through :func:`repro.service.executor.execute_run` with
+the run's held plan; the service only tracks the live
+:class:`ExecutionHandle` so kill and the live status / metrics / trace
+queries can reach the running VM.
 """
 
 from __future__ import annotations
@@ -108,11 +110,11 @@ class RunService:
                 self.run_claimed(*claimed)
 
     def claim(self) -> Optional[Tuple[RunRecord, ExecutionHandle, AppPlan]]:
-        """Admit the next fair-share pick for this worker: its record,
-        a registered execution handle and its plan.  None, after a
-        bounded wait, when nothing is admissible or the store could not
-        record the admission; the run then stays QUEUED, since a failed
-        store write changes no record."""
+        """Admit the next fair-share pick for this worker (its record
+        goes RUNNING): the record, a registered execution handle and its
+        plan.  None, after a bounded wait, when nothing is admissible or
+        the store could not record the admission; the run then stays
+        QUEUED, since a failed store write changes no record."""
         with self._cv:
             rec = None
             if not self._stop.is_set():
@@ -194,8 +196,7 @@ class RunService:
             rec = self.store.get(run_id)
             if rec.state in TERMINAL_STATES:
                 return rec
-            # Not on a worker: QUEUED (or ADMITTED-but-unclaimed, a
-            # window that doesn't exist in the pull model).
+            # Not on a worker: QUEUED.
             return self.store.transition(
                 run_id, KILLED, finished_at=time.time(),
                 exit={"outcome": "killed", "detail": "killed while queued"})

@@ -9,13 +9,16 @@ Layout under the store root::
         artifacts/           <- export_run bundle, trace JSONL, races,
                                 fault events, .psched ... written at exit
 
-The **record** is the run's state machine:
+The **record** is the run's state machine, one live state per place a
+run can be (waiting for a worker, or on one):
 
-    QUEUED -> ADMITTED -> RUNNING -> DONE | FAILED | KILLED
+    QUEUED -> RUNNING -> DONE | FAILED | KILLED
 
-A queued run whose plan no longer builds, or no longer fits its
-tenant's ``pe_budget``, goes straight from QUEUED to FAILED; one whose
-VM fails to build, from ADMITTED to FAILED.
+Admission moves a run to RUNNING, stamping ``started_at``, when it
+hands the run to a worker; a run whose VM then fails to build goes
+from RUNNING to FAILED.  A queued run whose plan no longer builds, or
+no longer fits its tenant's ``pe_budget``, goes straight from QUEUED
+to FAILED.
 Only the service process writes records.  Every file under the root
 goes through :mod:`repro.util.durable` (tmp file, fsync,
 ``os.replace``, directory fsync: two fsyncs per file), so a ``kill -9``
@@ -23,9 +26,9 @@ never leaves a half-written file -- the worst case is a record one
 transition stale, which the boot rescan repairs.
 
 **Crash safety** is the store's defining feature: :meth:`recover`
-walks every run directory at boot; any run found QUEUED/ADMITTED/
-RUNNING belongs to a previous life of the service and is re-queued
-with ``recovered`` incremented.  Runs that were checkpointing also
+walks every run directory at boot; any run found RUNNING belongs to a
+previous life of the service and is re-queued with ``recovered``
+incremented.  Runs that were checkpointing also
 keep their ``checkpoints/`` directory, so the executor can resume from
 ``find_latest_checkpoint`` instead of starting over.  It deletes the
 ``.tmp`` files a crash left under those runs, in run directories
@@ -35,7 +38,7 @@ run: no write follows the terminal one.
 **Residency** follows the live queue, not the history (the paper's
 system tables are fixed-size slot records, section 11).  A full
 :class:`RunRecord` stays in memory only for live runs (QUEUED/
-ADMITTED/RUNNING).  Every run also has a compact seq-ordered summary
+RUNNING).  Every run also has a compact seq-ordered summary
 ``run_id -> (seq, tenant, state)``.  Queries for a live state walk
 only the live records; :meth:`get` and terminal or unfiltered
 :meth:`list` read terminal records back from disk, which stays the
@@ -78,20 +81,18 @@ from ..util.durable import durable_write
 from .spec import RunSpec
 
 QUEUED = "QUEUED"
-ADMITTED = "ADMITTED"
 RUNNING = "RUNNING"
 DONE = "DONE"
 FAILED = "FAILED"
 KILLED = "KILLED"
 
 #: States a run can still move out of.
-LIVE_STATES = (QUEUED, ADMITTED, RUNNING)
+LIVE_STATES = (QUEUED, RUNNING)
 TERMINAL_STATES = (DONE, FAILED, KILLED)
 STATES = LIVE_STATES + TERMINAL_STATES
 
 _TRANSITIONS = {
-    QUEUED: (ADMITTED, KILLED, FAILED),
-    ADMITTED: (RUNNING, QUEUED, KILLED, FAILED),
+    QUEUED: (RUNNING, KILLED, FAILED),
     RUNNING: (DONE, FAILED, KILLED),
     DONE: (), FAILED: (), KILLED: (),
 }
@@ -136,6 +137,10 @@ class RunRecord:
     def from_dict(cls, d: Dict[str, Any]) -> "RunRecord":
         d = dict(d)
         d["spec"] = RunSpec.from_dict(d["spec"])
+        if d.get("state") == "ADMITTED":
+            # Older builds' state for a run picked but not yet booted:
+            # it was on a worker already, so recovery re-queues it.
+            d["state"] = RUNNING
         return cls(**d)
 
     @property

@@ -26,7 +26,7 @@ from repro.obs.profile import pe_gantt
 from repro.service import catalog, executor
 from repro.service.executor import standalone_run
 from repro.service.spec import RunSpec
-from repro.service.store import ADMITTED, DONE, FAILED, KILLED, RunStore
+from repro.service.store import DONE, FAILED, KILLED, RUNNING, RunStore
 from tests.golden.digests import SPECS
 
 
@@ -103,7 +103,7 @@ def test_service_execution_leaves_no_cycles(name, tmp_path):
     spec, make_event, want = EXECUTIONS[name]
     store = RunStore(tmp_path / "store")
     rec = store.create("alice", RunSpec.from_dict(spec))
-    rec = store.transition(rec.run_id, ADMITTED)
+    rec = store.transition(rec.run_id, RUNNING)
     with gc_off():
         plan = catalog.build(rec.spec)
         handle = executor.ExecutionHandle(rec.run_id, make_event())

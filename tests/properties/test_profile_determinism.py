@@ -13,7 +13,6 @@ Fingerprints use task *labels* and PE numbers, never kernel pids
 (pids are process-global and differ between VMs by construction).
 """
 
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -28,7 +27,7 @@ from tests.oracles import WINDOW_PATHS, ScanEngine, oracle_leg
 
 def _profile_fingerprint(vm, elapsed):
     prof = vm.profiler
-    assert prof is not None, "profile=True should have enabled profiling"
+    assert prof is not None, "enable_profiling() should have profiled"
     acct = prof.accounting()
     cp = extract_critical_path(prof, elapsed=elapsed)
     return {
@@ -52,8 +51,10 @@ def _run(plan, profile=True, schedule=None, engine_cls=None, **leg):
     if leg:
         with oracle_leg(**leg):
             return _run(plan, profile, schedule)
-    vm = make_vm(config=replace(plan.config, profile=profile),
-                 registry=plan.registry, schedule=schedule)
+    vm = make_vm(config=plan.config, registry=plan.registry,
+                 schedule=schedule)
+    if profile:
+        vm.enable_profiling()
     r = vm.run(plan.tasktype, *plan.args)
     if isinstance(schedule, Path):
         assert vm.engine.dispatcher == "replay"

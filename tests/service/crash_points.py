@@ -42,7 +42,7 @@ from repro.obs.export import write_jsonl
 from repro.service import RunService
 from repro.service.executor import standalone_run
 from repro.service.store import (_TRANSITIONS, DONE, KILLED, LIVE_STATES,
-                                 QUEUED, RUNNING, TERMINAL_STATES)
+                                 QUEUED, TERMINAL_STATES)
 from repro.util import durable
 
 REPO = Path(__file__).resolve().parents[2]
@@ -125,10 +125,10 @@ class _Steps:
         self.k += 1
 
 
-def _wait(svc: RunService, run_id: str, states, timeout=120.0) -> None:
+def _wait(cond, what: str, timeout=120.0) -> None:
     deadline = time.monotonic() + timeout
-    while svc.get_run(run_id).state not in states:
-        assert time.monotonic() < deadline, f"{run_id} never reached {states}"
+    while not cond():
+        assert time.monotonic() < deadline, f"never {what}"
         time.sleep(0.005)
 
 
@@ -141,9 +141,12 @@ def lifetime(root: Path, crash_at: Optional[int]) -> None:
         run_id = svc.submit("alice", spec).run_id
         _emit(ack=run_id)
         if spec is VICTIM:
-            _wait(svc, run_id, (RUNNING,) + TERMINAL_STATES)
+            # Killed once its VM runs, so it archives what it did.
+            _wait(lambda: svc._live_vm(run_id) is not None,
+                  f"booted {run_id}")
             svc.kill(run_id)
-        _wait(svc, run_id, TERMINAL_STATES)
+        _wait(lambda: svc.get_run(run_id).state in TERMINAL_STATES,
+              f"finished {run_id}")
     svc.stop()
     RunService(root)                  # the reboot writes runs.index
     _emit(n=steps.k)

@@ -6,8 +6,7 @@ from repro.errors import QuotaExceeded
 from repro.service import catalog
 from repro.service.admission import AdmissionScheduler, TenantQuota
 from repro.service.spec import RunSpec
-from repro.service.store import (ADMITTED, DONE, KILLED, QUEUED, RUNNING,
-                                 RunStore)
+from repro.service.store import DONE, KILLED, QUEUED, RUNNING, RunStore
 
 SPIN = RunSpec(app="spin", params={"rounds": 3})           # 1 PE
 FORCE = RunSpec(app="jacobi_force", params={"force_pes": 3})  # 4 PEs
@@ -36,13 +35,19 @@ class TestSubmitQuota:
         with pytest.raises(QuotaExceeded, match="max_queued"):
             sched.check_submit("t", catalog.build(SPIN))
 
-    def test_admitted_counts_as_waiting(self, store):
+    def test_selected_run_counts_as_running_not_waiting(self, store):
+        """A selected run holds a running slot and no longer a queued
+        one: one run of a (1 running, 1 queued) tenant on a worker
+        leaves room for the next submit."""
         sched = AdmissionScheduler(
-            store, default_quota=TenantQuota(max_queued=2))
-        a = store.create("t", SPIN)
+            store, default_quota=TenantQuota(max_running=1, max_queued=1))
         store.create("t", SPIN)
-        store.transition(a.run_id, ADMITTED)
-        with pytest.raises(QuotaExceeded):
+        assert sched.select() is not None
+        usage = sched.usage("t")
+        assert (usage["running"], usage["queued"]) == (1, 0)
+        sched.check_submit("t", catalog.build(SPIN))
+        store.create("t", SPIN)
+        with pytest.raises(QuotaExceeded, match="1 runs already waiting"):
             sched.check_submit("t", catalog.build(SPIN))
 
     def test_quotas_are_per_tenant(self, store):
@@ -103,7 +108,7 @@ class TestRunQuotas:
             states.append((run_id, new_state))
             or transition(run_id, new_state, **amend))
         assert sched.select().run_id == spin.run_id
-        assert states == [(over.run_id, "FAILED"), (spin.run_id, ADMITTED)]
+        assert states == [(over.run_id, "FAILED"), (spin.run_id, RUNNING)]
         assert "QuotaExceeded: " in store.get(over.run_id).exit["error"]
 
     def test_one_tenant_blocked_does_not_block_others(self, store):
@@ -218,7 +223,6 @@ class TestFairShare:
             store.create("a", SPIN)
             store.create("b", SPIN)
         assert [sched.select().tenant for _ in range(5)] == ["b"] * 5
-        store.transition(big.run_id, RUNNING)
         store.transition(big.run_id, DONE)
         order = [sched.select().tenant for _ in range(4)]
         assert order.count("a") == 2, order
@@ -227,12 +231,20 @@ class TestFairShare:
         with pytest.raises(ValueError, match="quantum"):
             AdmissionScheduler(store, quantum=0)
 
-    def test_selection_marks_admitted(self, store):
+    def test_selection_marks_running(self, store):
+        """Selection moves the run to RUNNING and stamps its start, in
+        the one record write it makes."""
         sched = AdmissionScheduler(store, default_quota=GENEROUS)
         rec = store.create("t", SPIN)
+        writes = []
+        transition = store.transition
+        store.transition = lambda run_id, new_state, **amend: (
+            writes.append(new_state) or transition(run_id, new_state, **amend))
         got = sched.select()
-        assert got.run_id == rec.run_id and got.state == ADMITTED
-        assert store.get(rec.run_id).state == ADMITTED
+        assert got.run_id == rec.run_id and got.state == RUNNING
+        assert writes == [RUNNING]
+        assert got.started_at >= rec.submitted_at
+        assert store.get(rec.run_id) == got
         assert store.list(state=QUEUED) == []
 
     def test_empty_queue_selects_none(self, store):
@@ -244,7 +256,6 @@ class TestFairShare:
         for _ in range(20):
             store.create("t", SPIN)
         while (rec := sched.select()) is not None:
-            store.transition(rec.run_id, RUNNING)
             store.transition(rec.run_id, DONE)
         live = store.create("t", FORCE)
         killed = store.create("t", SPIN)
@@ -252,7 +263,6 @@ class TestFairShare:
         assert sched.select().run_id == live.run_id
         assert set(sched._plans) == {live.run_id, killed.run_id}
         store.transition(killed.run_id, KILLED)       # killed while queued
-        store.transition(live.run_id, RUNNING)
         store.transition(live.run_id, DONE)
         assert sched.select() is None
         assert sched._plans == {}

@@ -31,7 +31,7 @@ import pytest
 
 import repro
 import repro.service
-from repro.service import (ADMITTED, DONE, QUEUED, RUNNING, TERMINAL_STATES,
+from repro.service import (DONE, QUEUED, RUNNING, TERMINAL_STATES,
                            RunService, RunSpec, catalog)
 from repro.api import make_vm
 from repro.apps.fortran_programs import WINDOW_SUM
@@ -121,7 +121,7 @@ REPRO_PUBLIC_NAMES = (
 #: ``repro.service.__all__`` as it stood when the HTTP names went lazy,
 #: less ``pe_cost`` (a run is priced from its held plan).
 PUBLIC_NAMES = (
-    "ADMITTED", "APPS", "AdmissionScheduler", "AppPlan", "DEFAULT_QUOTA",
+    "APPS", "AdmissionScheduler", "AppPlan", "DEFAULT_QUOTA",
     "DONE", "ExecutionHandle", "FAILED", "KILLED", "KilledByService",
     "LIVE_STATES", "QUEUED", "RUNNING", "RunRecord", "RunService",
     "RunSpec", "RunStore", "RunTimeout", "ServiceClient",
@@ -335,7 +335,6 @@ def test_boot_recovery_loads_no_engine(tmp_path):
     it is left to the admission scheduler's first build."""
     store = RunService(tmp_path / "store").store
     run_id = store.create("alice", RunSpec.from_dict(QUICK)).run_id
-    store.transition(run_id, ADMITTED)
     store.transition(run_id, RUNNING)
     code = (f"from repro.service import RunService\n"
             f"svc = RunService({str(store.root)!r})\n"

@@ -12,7 +12,7 @@ from repro.errors import (ConfigurationError, InvalidRunSpec,
 from repro.service import (DONE, KILLED, QUEUED, RUNNING, RunService,
                            TenantQuota, catalog, executor)
 from repro.service.spec import RunSpec
-from repro.service.store import ADMITTED, RunStore
+from repro.service.store import RunStore
 
 QUICK = {"app": "spin", "params": {"rounds": 5, "ticks_per_round": 10}}
 SLOW = {"app": "spin", "params": {"rounds": 400000, "ticks_per_round": 10}}
@@ -167,8 +167,8 @@ class TestSubmitAndRun:
 
     def test_failed_vm_build_fails_the_run_and_frees_its_slot(
             self, tmp_path, monkeypatch):
-        """A run that fails before RUNNING ends FAILED (not stuck in
-        ADMITTED holding one of its tenant's running slots)."""
+        """A run whose VM fails to build goes from RUNNING to FAILED
+        (not stuck holding one of its tenant's running slots)."""
         real = executor.build_vm
 
         def build_vm(rec, store, plan):
@@ -236,7 +236,6 @@ class TestRecovery:
         root = tmp_path / "r"
         store = RunStore(root)
         rec = store.create("alice", RunSpec.from_dict(QUICK))
-        store.transition(rec.run_id, ADMITTED)
         store.transition(rec.run_id, RUNNING, started_at=1.0)
 
         svc = RunService(root, n_workers=1)
@@ -304,7 +303,7 @@ class TestWorkers:
         refused = []
 
         def full_once(run_id, new_state, **amend):
-            if new_state == ADMITTED and not refused:
+            if new_state == RUNNING and not refused:
                 refused.append(run_id)
                 raise OSError(errno.ENOSPC, "No space left on device")
             return transition(run_id, new_state, **amend)
@@ -323,9 +322,9 @@ class TestWorkers:
     def test_failed_write_of_an_unbuildable_run_leaves_it_queued(
             self, tmp_path, monkeypatch, capsys):
         """An unbuildable queued run ends FAILED in one write.  When that
-        write fails (a full disk) the run stays QUEUED -- not ADMITTED
-        without a plan, which every later selection would try to price
-        -- and the next pick fails it and serves the queue."""
+        write fails (a full disk) the run stays QUEUED -- not RUNNING
+        without a plan -- and the next pick fails it and serves the
+        queue."""
         root = tmp_path / "u"
         store = RunStore(root)
         bad = store.create("alice", RunSpec.from_dict(
@@ -345,7 +344,7 @@ class TestWorkers:
         monkeypatch.setattr(svc.store, "transition", full_once)
         svc.start()
         try:
-            final = wait_state(svc, bad.run_id, "FAILED", ADMITTED,
+            final = wait_state(svc, bad.run_id, "FAILED", RUNNING,
                                timeout=5.0)
             assert final.state == "FAILED"
             assert final.exit["error"].startswith("InvalidRunSpec: ")
@@ -402,7 +401,7 @@ class TestPlanBuilds:
         is given and builds nothing."""
         store = RunStore(tmp_path / "s")
         rec = store.create("alice", RunSpec.from_dict(QUICK))
-        rec = store.transition(rec.run_id, ADMITTED)
+        rec = store.transition(rec.run_id, RUNNING)
         calls = self.count_builds(monkeypatch)
         final = self.execute(rec, store, catalog.build(rec.spec))
         assert final.state == DONE
@@ -414,7 +413,6 @@ class TestPlanBuilds:
         uninterrupted result."""
         store = RunStore(root)
         rec = store.create("alice", RunSpec.from_dict(self.CKPT))
-        store.transition(rec.run_id, ADMITTED)
         rec = store.transition(rec.run_id, RUNNING, started_at=1.0)
         plan = catalog.build(rec.spec)
         vm = executor.build_vm(rec, store, plan)
@@ -440,7 +438,7 @@ class TestPlanBuilds:
         _, uninterrupted = self.interrupted_run(root)
         store = RunStore(root)
         [rec] = store.recover()
-        rec = store.transition(rec.run_id, ADMITTED)
+        rec = store.transition(rec.run_id, RUNNING)
         final = self.execute(rec, store, catalog.build(rec.spec))
         assert final.state == DONE and final.exit["resumed_from"]
         assert "run.psched" in final.artifacts
@@ -458,7 +456,7 @@ class TestPlanBuilds:
         root = tmp_path / "s"
         store = RunStore(root)
         rec = store.create("alice", RunSpec.from_dict(QUICK))
-        store.transition(rec.run_id, ADMITTED)
+        store.transition(rec.run_id, RUNNING)
         plans = []
         build = catalog.build
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import InvalidRunSpec, ServiceError, UnknownRun
 from repro.service import store as store_mod
 from repro.service.spec import RunSpec
-from repro.service.store import (_TRANSITIONS, ADMITTED, DONE, INDEX_NAME,
+from repro.service.store import (_TRANSITIONS, DONE, FAILED, INDEX_NAME,
                                  KILLED, LIVE_STATES, QUEUED, RUNNING, STATES,
                                  TERMINAL_STATES, RunRecord, RunStore)
 
@@ -39,7 +39,6 @@ class TestLifecycle:
 
     def test_happy_path_transitions(self, store):
         rec = store.create("t", SPEC)
-        store.transition(rec.run_id, ADMITTED)
         store.transition(rec.run_id, RUNNING)
         final = store.transition(rec.run_id, DONE,
                                  exit={"outcome": "done"})
@@ -48,17 +47,26 @@ class TestLifecycle:
     def test_illegal_transition_refused(self, store):
         rec = store.create("t", SPEC)
         with pytest.raises(ServiceError, match="illegal transition"):
-            store.transition(rec.run_id, RUNNING)   # skips ADMITTED
+            store.transition(rec.run_id, DONE)      # skips RUNNING
 
     def test_terminal_states_are_final(self, store):
         rec = store.create("t", SPEC)
         store.transition(rec.run_id, KILLED)
         with pytest.raises(ServiceError):
-            store.transition(rec.run_id, ADMITTED)
+            store.transition(rec.run_id, RUNNING)
 
     def test_unknown_run(self, store):
         with pytest.raises(UnknownRun):
             store.get("r999999")
+
+    def test_one_live_state_per_place_a_run_can_be(self):
+        """Waiting for a worker (QUEUED) or on one (RUNNING): admission
+        goes straight to RUNNING, and a run that fails to boot or is
+        killed before it starts leaves RUNNING."""
+        assert LIVE_STATES == (QUEUED, RUNNING) and len(STATES) == 5
+        assert _TRANSITIONS[QUEUED] == (RUNNING, KILLED, FAILED)
+        assert _TRANSITIONS[RUNNING] == (DONE, FAILED, KILLED)
+        assert sum(len(v) for v in _TRANSITIONS.values()) == 6
 
 
 class TestPersistence:
@@ -72,7 +80,7 @@ class TestPersistence:
 
     def test_no_tmp_leftover_after_write(self, store):
         rec = store.create("t", SPEC)
-        store.transition(rec.run_id, ADMITTED)
+        store.transition(rec.run_id, RUNNING)
         leftovers = list(store.run_dir(rec.run_id).glob("*.tmp"))
         assert leftovers == []
 
@@ -112,7 +120,6 @@ class TestRecover:
 
     def test_interrupted_runs_requeued_with_bump(self, store):
         rec = store.create("t", SPEC)
-        store.transition(rec.run_id, ADMITTED)
         store.transition(rec.run_id, RUNNING, started_at=123.0)
         reopened = RunStore(store.root)
         recovered = reopened.recover()
@@ -121,10 +128,22 @@ class TestRecover:
         assert got.state == QUEUED and got.recovered == 1
         assert got.started_at is None
 
+    def test_legacy_admitted_record_is_requeued(self, store):
+        """A record an older build left ADMITTED (picked, not yet
+        booted) reads as RUNNING, so boot re-queues it."""
+        rec = store.create("t", SPEC)
+        on_disk = json.loads(store.record_path(rec.run_id).read_text())
+        on_disk.update(state="ADMITTED", recovered=2)
+        store.record_path(rec.run_id).write_text(json.dumps(on_disk))
+        reopened = RunStore(store.root)
+        assert reopened.get(rec.run_id).state == RUNNING
+        assert [r.run_id for r in reopened.recover()] == [rec.run_id]
+        got = RunStore(store.root).get(rec.run_id)
+        assert (got.state, got.recovered) == (QUEUED, 3)
+
     def test_queued_and_terminal_untouched(self, store):
         q = store.create("t", SPEC)
         d = store.create("t", SPEC)
-        store.transition(d.run_id, ADMITTED)
         store.transition(d.run_id, RUNNING)
         store.transition(d.run_id, DONE)
         reopened = RunStore(store.root)
@@ -139,16 +158,17 @@ class TestQueriesAndArtifacts:
     def test_list_filters(self, store):
         a = store.create("alice", SPEC)
         store.create("bob", SPEC)
-        store.transition(a.run_id, ADMITTED)
+        store.transition(a.run_id, RUNNING)
         assert len(store.list()) == 2
         assert [r.tenant for r in store.list(tenant="bob")] == ["bob"]
-        assert [r.run_id for r in store.list(state=ADMITTED)] == [a.run_id]
+        assert [r.run_id for r in store.list(state=RUNNING)] == [a.run_id]
         assert store.tenants() == ["alice", "bob"]
 
     def test_unknown_state_filter_refused(self, store):
         store.create("alice", SPEC)
-        with pytest.raises(InvalidRunSpec, match="unknown run state"):
-            store.list(state="BOGUS")
+        for state in ("BOGUS", "ADMITTED"):     # ADMITTED: a retired state
+            with pytest.raises(InvalidRunSpec, match="unknown run state"):
+                store.list(state=state)
 
     def test_artifacts_listing_and_fetch(self, store):
         rec = store.create("t", SPEC)
@@ -170,7 +190,6 @@ class TestQueriesAndArtifacts:
 
 
 def _finish(store, run_id, state=DONE):
-    store.transition(run_id, ADMITTED)
     store.transition(run_id, RUNNING)
     return store.transition(run_id, state, exit={"outcome": state.lower()})
 
@@ -191,7 +210,6 @@ class TestResidency:
             _finish(store, store.create(tenant, SPEC).run_id)
         queued = store.create(tenant, SPEC).run_id
         running = store.create(tenant, SPEC).run_id
-        store.transition(running, ADMITTED)
         store.transition(running, RUNNING)
         assert _resident(tenant) == [queued, running]
         del store

@@ -18,8 +18,8 @@ from repro.obs import export as obs_export
 from repro.service import RunService
 from repro.service import store as store_mod
 from repro.service.spec import RunSpec
-from repro.service.store import (ADMITTED, DONE, FAILED, INDEX_NAME,
-                                 RUNNING, RunRecord, RunStore)
+from repro.service.store import (DONE, FAILED, INDEX_NAME, RUNNING,
+                                 RunRecord, RunStore)
 from repro.util import durable
 
 QUICK = {"app": "spin", "params": {"rounds": 5, "ticks_per_round": 10}}
@@ -151,7 +151,6 @@ def _finished_store(root, n=3):
     store = RunStore(root)
     for _ in range(n):
         run_id = store.create("t", SPEC).run_id
-        store.transition(run_id, ADMITTED)
         store.transition(run_id, RUNNING)
         store.transition(run_id, DONE)
     return [r.run_id for r in store.list()]
