@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
 from ..core.tracing import ALL_TRACE_EVENTS
@@ -152,11 +152,13 @@ def _archive(vm: PiscesVM, rec: RunRecord, store: RunStore,
 
 def _finish(vm: Optional[PiscesVM], rec: RunRecord, store: RunStore,
             state: str, exit: Dict[str, Any]) -> RunRecord:
-    """Archive the run (if it booted) and record its terminal state."""
+    """Archive the run (if it booted) and record its terminal state,
+    with the checkpoint it resumed from, in one write."""
     provenance = _archive(vm, rec, store, exit) if vm is not None else {}
     return store.transition(rec.run_id, state, finished_at=time.time(),
                             provenance=provenance, exit=exit,
-                            artifacts=store.list_artifacts(rec.run_id))
+                            artifacts=store.list_artifacts(rec.run_id),
+                            resumed_from=rec.resumed_from)
 
 
 def standalone_run(spec):
@@ -199,7 +201,7 @@ def execute_run(rec: RunRecord, store: RunStore, handle: ExecutionHandle,
                 try:
                     restored = restore_vm(ckpt, registry=plan.registry)
                     vm = restored.vm
-                    rec = store.amend(rec.run_id, resumed_from=ckpt.name)
+                    rec = replace(rec, resumed_from=ckpt.name)
                 except Exception:
                     restored, vm = None, None     # fall back to fresh
         if vm is None:

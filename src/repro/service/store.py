@@ -38,29 +38,33 @@ run: no write follows the terminal one.
 **Residency** follows the live queue, not the history (the paper's
 system tables are fixed-size slot records, section 11).  A full
 :class:`RunRecord` stays in memory only for live runs (QUEUED/
-RUNNING).  Every run also has a compact seq-ordered summary
-``run_id -> (seq, tenant, state)``.  Queries for a live state walk
-only the live records; :meth:`get` and terminal or unfiltered
-:meth:`list` read terminal records back from disk, which stays the
-only source of truth.  Run ids come from the highest seq among both
-the valid records and the ``r<seq>`` directory names, so a torn
-record never lends its id -- or its ``artifacts/`` and
-``checkpoints/`` -- to a new run.
+RUNNING).  Every run has a 13-byte row in three packed seq-ordered
+columns: its seq (its id is ``r{seq:06d}``, found by bisection), a
+tenant code into a table of tenant names and a state code.  Queries
+for a live state walk only the live records; :meth:`get` and terminal
+or unfiltered :meth:`list` read terminal records back from disk, which
+stays the only source of truth.  A record is a run only if its
+``run_id`` names its own directory and equals ``r{seq:06d}``, as
+:meth:`create` writes it.  Run ids come from the highest seq among the
+valid records and the ``r<seq>`` directory names, so a torn record,
+or one that is no run, never lends its id -- or its ``artifacts/``
+and ``checkpoints/`` -- to a new run.
 
-**Boot** re-parses only what may have changed.  A finished record never
-changes (no transition leaves a terminal state), so boot keeps a
+**Boot** re-parses only what may have changed, and fills the columns
+in one pass over the run directories in seq order.  A finished record
+never changes (no transition leaves a terminal state), so boot keeps a
 plain-text cache of the finished runs it has validated, ``runs.index``
 at the store root.  It holds one ``run_id seq tenant state size
 mtime_ns crc`` line per run, ``crc`` being the CRC-32 of the rest of
 the line.  Boot stats every ``record.json``: when its size and mtime
-equal the line's, the summary comes from the line; otherwise, and
-always for live runs, the record is parsed and validated.  A line is
-trusted only if its mtime is older than the index file's own, so a
-record rewritten within one file-clock tick of the index write is
-parsed again (git's "racy" rule).  The index is disposable: a missing,
-torn or garbled index costs only a full parse of the runs it does not
-vouch for, and boot rewrites it (atomically, ignoring write errors)
-whenever its content would change.
+equal the line's, the row comes from the line; otherwise, and always
+for live runs, the record is parsed and validated.  A line is trusted
+only if its mtime is older than the index file's own, so a record
+rewritten within one file-clock tick of the index write is parsed
+again (git's "racy" rule).  The index is disposable: a missing, torn
+or garbled index costs only a full parse of the runs it does not vouch
+for, and boot rewrites it (atomically, ignoring write errors) whenever
+its content would change.
 """
 
 from __future__ import annotations
@@ -68,10 +72,11 @@ from __future__ import annotations
 import json
 import os
 import re
-import sys
 import threading
 import time
 import zlib
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -159,9 +164,6 @@ _UNREADABLE = (OSError, ValueError, KeyError, TypeError, InvalidRunSpec)
 #: Run directory names (``r<seq>``); their seq is never handed out again.
 _RUN_DIR = re.compile(r"r([0-9]{1,18})")
 
-#: Per-run summary: (seq, tenant, state).
-_Summary = Tuple[int, str, str]
-
 #: The boot index's file name, at the store root (not under ``runs/``,
 #: whose every entry is taken for a run directory).
 INDEX_NAME = "runs.index"
@@ -176,16 +178,7 @@ def _read_record(path: str) -> RunRecord:
         return RunRecord.from_dict(json.loads(f.read()))
 
 
-def _intern(v: Any) -> Any:
-    # Thousands of summaries share a handful of tenant and state names.
-    return sys.intern(v) if type(v) is str else v
-
-
-def _summary(rec: RunRecord) -> _Summary:
-    return rec.seq, _intern(rec.tenant), _intern(rec.state)
-
-
-def _parse_index_line(line: bytes) -> Tuple[str, _Summary, _Stamp]:
+def _parse_index_line(line: bytes) -> Tuple[str, int, str, str, _Stamp]:
     """One index line back to its fields; ValueError if it is not one."""
     body, _, crc = line.rpartition(b" ")
     if zlib.crc32(body) != int(crc, 16):
@@ -193,51 +186,37 @@ def _parse_index_line(line: bytes) -> Tuple[str, _Summary, _Stamp]:
     run_id, seq, tenant, state, size, mtime_ns = body.decode().split()
     if state not in TERMINAL_STATES:
         raise ValueError(f"not a finished state: {state!r}")
-    return (run_id, (int(seq), _intern(tenant), _intern(state)),
-            (int(size), int(mtime_ns)))
+    return run_id, int(seq), tenant, state, (int(size), int(mtime_ns))
 
 
-def _index_line(run_id: str, summary: _Summary,
-                stamp: _Stamp) -> Optional[bytes]:
+def _index_line(rec: RunRecord, stamp: _Stamp) -> Optional[bytes]:
     """A finished run's index line, or None when the line would not read
-    back as these fields (a tenant with whitespace, say): boot then
+    back as its fields (a tenant with whitespace, say): boot then
     always parses that run."""
-    seq, tenant, state = summary
+    fields = (rec.run_id, rec.seq, rec.tenant, rec.state, stamp)
     try:
-        body = f"{run_id} {seq} {tenant} {state} {stamp[0]} {stamp[1]}" \
-            .encode()
+        body = " ".join(map(str, fields[:4] + stamp)).encode()
         line = b"%s %08x" % (body, zlib.crc32(body))
-        if _parse_index_line(line) == (run_id, summary, stamp):
+        if _parse_index_line(line) == fields:
             return line
     except ValueError:
         pass
     return None
 
 
-def _read_index(path: str) -> Tuple[int, List[bytes]]:
-    """The index file's mtime and its bytes split at newlines; a missing
-    index reads as an empty one."""
+def _vouched(line: bytes, name: str, seq: int, stamp: _Stamp,
+             written_ns: int) -> Optional[Tuple[str, str]]:
+    """The (tenant, state) an index ``line`` holds for run ``seq`` in
+    directory ``name``, if the line is intact, names that run, carries
+    the stamp of its ``record.json`` now and is older than the index
+    (written at ``written_ns``): a record rewritten in the clock tick
+    the index was written in could keep its stamp."""
     try:
-        with open(path, "rb") as f:
-            return os.fstat(f.fileno()).st_mtime_ns, f.read().split(b"\n")
-    except OSError:
-        return 0, [b""]
-
-
-def _vouched(line: bytes, name: str, stamp: _Stamp,
-             written_ns: int) -> Optional[_Summary]:
-    """The summary an index ``line`` holds for run directory ``name``,
-    if the line is intact, names that run and carries the stamp of its
-    ``record.json`` now.  The line must also be older than the index
-    file (written at ``written_ns``): a record rewritten in the clock
-    tick the index was written in could keep its stamp."""
-    try:
-        run_id, summary, was = _parse_index_line(line)
+        run_id, was_seq, tenant, state, was = _parse_index_line(line)
     except ValueError:
         return None
-    if run_id == name and was == stamp and stamp[1] < written_ns:
-        return summary
-    return None
+    ok = (run_id, was_seq, was) == (name, seq, stamp) and stamp[1] < written_ns
+    return (tenant, state) if ok else None
 
 
 class RunStore:
@@ -250,11 +229,14 @@ class RunStore:
         self.runs_dir.mkdir(parents=True, exist_ok=True)
         self._runs_path = os.fspath(self.runs_dir)
         self._lock = threading.RLock()
-        #: Every run's summary, in seq order.
-        self._index: Dict[str, _Summary] = {}
+        #: Every run's row, in seq order: seq, tenant code (a key's place
+        #: in ``_tenants``) and state code (a place in STATES).
+        self._seqs, self._tenant_of = array("q"), array("I")
+        self._state_of = bytearray()
+        self._tenants: Dict[str, int] = {}
+        self._next_seq = 1
         #: Full records of the live runs only, in seq order.
         self._live: Dict[str, RunRecord] = {}
-        self._next_seq = 1
         #: Run directories without a record (a crash inside a submit).
         self._unrecorded: List[str] = []
         self._load_all()
@@ -282,20 +264,25 @@ class RunStore:
     def _load_all(self) -> None:
         with os.scandir(self._runs_path) as entries:
             names = sorted(e.name for e in entries)
+        names.sort(key=len)     # seq order: r999999 before r1000000
         index_path = self.root / INDEX_NAME
-        written_ns, old = _read_index(os.fspath(index_path))
+        try:
+            with open(index_path, "rb") as f:
+                written_ns = os.fstat(f.fileno()).st_mtime_ns
+                old = f.read().split(b"\n")
+        except OSError:
+            written_ns, old = 0, [b""]  # a missing index reads as empty
         by_name = {line.partition(b" ")[0].decode(errors="replace"): line
                    for line in old}
-        index: Dict[str, _Summary] = {}
-        live: Dict[str, RunRecord] = {}
         lines = []                    # the index the next boot reads
         # Whether a line of ``old`` went unused.  A line too new to trust
         # comes out the same, but rewriting it moves the index's mtime on.
         stale = False
+        tenants = self._tenants
         for name in names:
             m = _RUN_DIR.fullmatch(name)
-            if m:
-                self._next_seq = max(self._next_seq, int(m.group(1)) + 1)
+            seq = int(m.group(1)) if m else 0
+            self._next_seq = max(self._next_seq, seq + 1)
             path = self._record_file(name)
             try:
                 st = os.stat(path)
@@ -303,38 +290,36 @@ class RunStore:
                 self._unrecorded.append(name)
                 continue      # no record here: not a run directory
             stamp = (st.st_size, st.st_mtime_ns)
-            line = by_name.get(name)
-            summary = (None if line is None
-                       else _vouched(line, name, stamp, written_ns))
-            if summary is not None:
-                run_id = name
-            else:
+            # Only directory r{seq:06d} can hold a run: create names it.
+            is_run = name == f"r{seq:06d}"
+            line = by_name.get(name) if is_run else None
+            row = (None if line is None
+                   else _vouched(line, name, seq, stamp, written_ns))
+            if row is None:
                 stale = stale or line is not None
                 try:
                     rec = _read_record(path)
                 except _UNREADABLE:
                     continue  # a torn record: not a run
-                run_id, summary, line = rec.run_id, _summary(rec), None
+                self._next_seq = max(self._next_seq, rec.seq + 1)
+                if not is_run or (rec.run_id, rec.seq) != (name, seq):
+                    continue  # a record naming another run: not a run
+                row, line = (rec.tenant, rec.state), None
                 if rec.is_live:
-                    live[run_id] = rec
-                elif run_id == name:
-                    line = _index_line(name, summary, stamp)
+                    self._live[name] = rec
+                else:
+                    line = _index_line(rec, stamp)
             if line is not None:
                 lines.append(line)
-            index[run_id] = summary
-            self._next_seq = max(self._next_seq, summary[0] + 1)
+            self._seqs.append(seq)
+            self._tenant_of.append(tenants.setdefault(row[0], len(tenants)))
+            self._state_of.append(STATES.index(row[1]))
         lines.append(b"")             # the final newline, as split() reads
         if stale or lines != old:
             try:
                 durable_write(index_path, b"\n".join(lines))
             except OSError:
                 pass          # costs the next boot some parsing, no more
-        # Sorted by seq once here; later writes keep the order, since a
-        # new run always takes the highest seq.
-        for run_id in sorted(index, key=lambda r: index[r][0]):
-            self._index[run_id] = index[run_id]
-            if run_id in live:
-                self._live[run_id] = live[run_id]
 
     def recover(self) -> List[RunRecord]:
         """Re-queue every run a previous service life left unfinished.
@@ -366,7 +351,14 @@ class RunStore:
     def _persist(self, rec: RunRecord) -> None:
         self.run_dir(rec.run_id).mkdir(parents=True, exist_ok=True)
         _atomic_write_json(self.record_path(rec.run_id), rec.to_dict())
-        self._index[rec.run_id] = _summary(rec)
+        i = bisect_left(self._seqs, rec.seq)
+        if i == len(self._seqs):    # a new run: it takes the highest seq
+            self._seqs.append(rec.seq)
+            self._tenant_of.append(0)
+            self._state_of.append(0)
+        self._tenant_of[i] = self._tenants.setdefault(rec.tenant,
+                                                      len(self._tenants))
+        self._state_of[i] = STATES.index(rec.state)
         if rec.is_live:
             self._live[rec.run_id] = rec
         else:
@@ -406,7 +398,10 @@ class RunStore:
     # ------------------------------------------------------------- read --
 
     def _known(self, run_id: str) -> None:
-        if run_id not in self._index:
+        m = _RUN_DIR.fullmatch(run_id)
+        seq = int(m.group(1)) if m else 0
+        i = bisect_left(self._seqs, seq)
+        if run_id != f"r{seq:06d}" or seq not in self._seqs[i:i + 1]:
             raise UnknownRun(f"no run {run_id!r}")
 
     def get(self, run_id: str) -> RunRecord:
@@ -440,11 +435,13 @@ class RunStore:
                 return [r for r in self._live.values()
                         if r.state == state
                         and (tenant is None or r.tenant == tenant)]
+            want_t = None if tenant is None else self._tenants.get(tenant, -1)
+            want_s = None if state is None else STATES.index(state)
             recs = []
-            for run_id, (_, t, s) in self._index.items():
-                if (tenant is not None and t != tenant) \
-                        or (state is not None and s != state):
+            for seq, t, s in zip(self._seqs, self._tenant_of, self._state_of):
+                if want_t not in (None, t) or want_s not in (None, s):
                     continue
+                run_id = f"r{seq:06d}"
                 rec = self._live.get(run_id)
                 if rec is None:
                     try:
@@ -456,7 +453,7 @@ class RunStore:
 
     def tenants(self) -> List[str]:
         with self._lock:
-            return sorted({t for _, t, _ in self._index.values()})
+            return sorted(self._tenants)
 
     def list_artifacts(self, run_id: str) -> List[str]:
         with self._lock:

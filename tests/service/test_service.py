@@ -1,6 +1,7 @@
 """RunService in-process: lifecycle, kill, recovery, live queries."""
 
 import errno
+import json
 import sys
 import threading
 import time
@@ -13,6 +14,8 @@ from repro.service import (DONE, KILLED, QUEUED, RUNNING, RunService,
                            TenantQuota, catalog, executor)
 from repro.service.spec import RunSpec
 from repro.service.store import RunStore
+from repro.util import durable
+from tests.service import crash_points
 
 QUICK = {"app": "spin", "params": {"rounds": 5, "ticks_per_round": 10}}
 SLOW = {"app": "spin", "params": {"rounds": 400000, "ticks_per_round": 10}}
@@ -430,6 +433,26 @@ class TestPlanBuilds:
         assert final.recovered == 1 and final.exit["resumed_from"]
         assert final.exit["elapsed_ticks"] == uninterrupted.elapsed
         assert calls == [rec.spec]
+
+    def test_checkpoint_resume_writes_three_records(self, tmp_path,
+                                                    monkeypatch, capsys):
+        """Recovery's QUEUED, admission's RUNNING and the terminal DONE,
+        which names the bundle resumed from: resuming writes no record."""
+        root = tmp_path / "s"
+        rec, _ = self.interrupted_run(root)
+        monkeypatch.setattr(durable, "os", crash_points._Steps(root, None))
+        svc = RunService(root, n_workers=1).start()
+        try:
+            final = wait_state(svc, rec.run_id, DONE)
+        finally:
+            svc.stop()
+        steps = [json.loads(line)
+                 for line in capsys.readouterr().out.splitlines()]
+        assert [s["state"] for s in steps if s["step"] == "replace"
+                and s["path"].endswith("record.json")] \
+            == [QUEUED, RUNNING, DONE]
+        assert final.resumed_from == final.exit["resumed_from"]
+        assert final.resumed_from.endswith(".pckpt")
 
     def test_checkpoint_resume_archives_the_whole_schedule(self, tmp_path):
         """The resumed run's run.psched holds the checkpoint's decision

@@ -6,6 +6,7 @@ import os
 import shutil
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -218,6 +219,37 @@ class TestResidency:
         assert len(reopened.list(tenant=tenant)) == 202
         assert len(reopened.list(state=DONE)) == 200
 
+    def test_a_finished_run_costs_at_most_16_bytes(self, tmp_path):
+        """The history's marginal memory: what a boot over 2N finished
+        runs holds beyond a boot over N, per run.  The difference cancels
+        what does not grow with the history, such as CPython's tuple
+        free list (up to 2,000 x 64 B), so N is 2,000."""
+        n, root = 2000, tmp_path / "store"
+        text = json.dumps(RunRecord(run_id="RUN", tenant="TENANT", spec=SPEC,
+                                    state=DONE, seq=987654321).to_dict())
+
+        def held_after_boot(seqs):
+            for seq in seqs:
+                path = root / "runs" / f"r{seq:06d}" / "record.json"
+                path.parent.mkdir(parents=True)
+                path.write_text(text.replace("RUN", path.parent.name)
+                                .replace("TENANT", TENANTS[seq % 3])
+                                .replace("987654321", str(seq)))
+                _age(path)
+            RunStore(root)                # the measured boot reads the index
+            gc.collect()
+            tracemalloc.start()
+            try:
+                store = RunStore(root)
+                assert store._next_seq == seqs[-1] + 1
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        one = held_after_boot(range(1, n + 1))
+        two = held_after_boot(range(n + 1, 2 * n + 1))
+        assert (two - one) / n <= 16
+
     def test_finished_records_are_read_from_disk(self, store):
         rec = _finish(store, store.create("t", SPEC).run_id)
         on_disk = json.loads(store.record_path(rec.run_id).read_text())
@@ -387,6 +419,8 @@ class TestBootIndex:
 
     def test_record_naming_another_run_is_not_cached(self, tmp_path,
                                                      monkeypatch):
+        """A record is a run only in the directory its run_id names;
+        elsewhere it is skipped like a torn one, but its seq is taken."""
         root = tmp_path / "store"
         path = _write_record(root, RunRecord(
             run_id="r000001", tenant="t", spec=SPEC, state=DONE, seq=1))
@@ -395,7 +429,52 @@ class TestBootIndex:
         for _ in range(2):
             store, parsed = _boot(root, monkeypatch)
             assert parsed == 1
-            assert list(store._index) == ["r000001"]
+            assert store.list() == [] and store.tenants() == []
+            with pytest.raises(UnknownRun, match="no run"):
+                store.get("r000001")
+            assert store._next_seq == 2
+        _assert_boots_agree(store)
+
+    def test_record_whose_seq_is_not_its_id_is_no_run(self, tmp_path,
+                                                      monkeypatch):
+        """Directory r000001 holding a record of seq 5: no run, but the
+        next run id is past its seq."""
+        root = tmp_path / "store"
+        _age(_write_record(root, RunRecord(
+            run_id="r000001", tenant="t", spec=SPEC, state=DONE, seq=5)))
+        store, parsed = _boot(root, monkeypatch)
+        assert parsed == 1 and store.list() == []
+        assert store.create("t", SPEC).run_id == "r000006"
+        assert [r.run_id for r in _boot(root, monkeypatch)[0].list()] \
+            == ["r000006"]
+
+    def test_seq_order_across_the_six_digit_boundary(self, tmp_path,
+                                                     monkeypatch):
+        """As strings r1000000 sorts before r999999: runs keep seq order
+        in listings, lookups and the boot that reads the index."""
+        root = tmp_path / "store"
+        for seq in (999_998, 999_999):
+            _age(_write_record(root, RunRecord(
+                run_id=f"r{seq:06d}", tenant="t", spec=SPEC, state=DONE,
+                seq=seq)))
+        store = RunStore(root)
+        assert store.create("t", SPEC).run_id == "r1000000"
+        ids = ["r999998", "r999999", "r1000000"]
+
+        def assert_seq_order(store):
+            assert [r.run_id for r in store.list()] == ids
+            assert [store.get(r).seq for r in ids] == [999_998, 999_999,
+                                                       1_000_000]
+        assert_seq_order(store)
+        store, parsed = _boot(root, monkeypatch)
+        assert parsed == 1                # the live run; the rest indexed
+        assert_seq_order(store)
+        _finish(store, "r1000000")
+        _age(store.record_path("r1000000"))
+        RunStore(root)
+        store, parsed = _boot(root, monkeypatch)
+        assert parsed == 0
+        assert_seq_order(store)
         _assert_boots_agree(store)
 
     def test_garbled_lines_cost_only_their_runs(self, tmp_path,
@@ -472,7 +551,12 @@ def _assert_boots_agree(store):
             os.replace(aside, index)    # keeps the index's own mtime
         else:
             index.unlink(missing_ok=True)
-    assert list(store._index.items()) == list(plain._index.items())
+
+    def rows(s):
+        names = list(s._tenants)
+        return [(seq, names[t], STATES[c]) for seq, t, c
+                in zip(s._seqs, s._tenant_of, s._state_of)]
+    assert rows(store) == rows(plain)
     assert list(store._live.items()) == list(plain._live.items())
     assert store._next_seq == plain._next_seq
     assert store.tenants() == plain.tenants()
