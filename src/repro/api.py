@@ -171,7 +171,7 @@ def record_run(tasktype: str, *args: Any,
                **vm_kwargs: Any) -> RecordedRun:
     """Run an application while recording its schedule (tentpole API).
 
-    Captures the dispatcher's complete decision stream into a
+    Captures the engine's complete decision stream into a
     ``.psched`` artifact (written to ``path`` when given, else kept in
     memory) so :func:`replay_run` can re-execute the run bit-identically.
     ``trace=True`` (default) also enables the full trace stream in
@@ -200,7 +200,7 @@ def replay_run(tasktype: str, *args: Any,
                on: Placement = None,
                trace: bool = True,
                **vm_kwargs: Any) -> RunResult:
-    """Re-execute a recorded run under the replay dispatcher.
+    """Re-execute a recorded run, checking it against the recording.
 
     ``schedule`` is a :class:`RecordedRun`, an in-memory
     :class:`Schedule`, or a ``.psched`` path.  Every scheduling decision

@@ -4,8 +4,8 @@ Snapshot a live VM between dispatches, restore it in a fresh process,
 and resume to a final trace, profile and race report bit-identical to
 an uninterrupted run -- including after a ``kill -9``.  A bundle
 embeds the run's decision-stream prefix; restore installs it as a
-live-tail :class:`~repro.correctness.recorder.Schedule`, which replays
-to the snapshot point and then records the rest of the run.  See
+live-tail :class:`~repro.correctness.recorder.Schedule`, which checks
+the re-run up to the snapshot point and then records the rest of it.  See
 ``docs/architecture.md`` ("Checkpoint / restore") for the design and
 ``docs/users_manual.md`` section 14 for usage.
 """

@@ -3,7 +3,7 @@
 A checkpoint is *not* a process image -- threads and generator frames
 cannot be serialized and do not need to be.  The system is
 bit-deterministic given its inputs (program, configuration, seeds,
-fault plan) plus the dispatcher's decision stream, so a checkpoint is
+fault plan) plus the engine's decision stream, so a checkpoint is
 exactly those inputs plus the recorded schedule *prefix* and a state
 digest to validate against:
 

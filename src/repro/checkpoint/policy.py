@@ -2,7 +2,7 @@
 
 Installed by :class:`~repro.core.vm.PiscesVM` when
 ``Configuration.checkpoint_every`` is set.
-The pump runs at the top of every engine step, *before* the dispatcher
+The pump runs at the top of every engine step, *before* the engine
 picks -- the one point where the VM is between dispatches and the state
 digest is well-defined.  An unchecked run pays a single attribute test
 per step.

@@ -4,11 +4,11 @@
 Restore does not deserialize threads or coroutine frames -- it cannot,
 and it does not need to.  A restored run is a *reconstruction*: the
 manifest rebuilds an identical VM (same configuration, seeds, fault
-plan, task registry), the embedded ``.psched`` prefix replays the
-original dispatcher's decisions up to the snapshot point, the state
-digest is validated at the replay-to-live switch, and then the run
-continues under a live dispatcher.  Because traces, profiles and race
-reports are *recomputed* during the replay rather than stored, the
+plan, task registry) and re-runs it from the start.  The engine picks
+every dispatch itself; the embedded ``.psched`` prefix checks each
+decision up to the snapshot point, where the state digest is checked
+once, and the run records from there on.  Because traces, profiles and
+race reports are *recomputed* during the replay rather than stored, the
 final artifacts of ``restore → resume`` are bit-identical to an
 uninterrupted run -- that is the recovery guarantee the kill -9 soak
 asserts.
@@ -172,9 +172,9 @@ class RestoredRun(RunRecord):
     """A VM rebuilt from a checkpoint, booted, ready to resume.
 
     :meth:`resume` re-issues the original top-level run request; the
-    engine replays the embedded schedule prefix (recomputing traces,
-    metrics, race reports and profiles on the way), validates the state
-    digest at the switch point, then continues live to completion.
+    engine re-runs the embedded schedule prefix (recomputing traces,
+    metrics, race reports and profiles on the way), checks the state
+    digest at its end, then continues to completion.
     """
 
     vm: Any
@@ -192,7 +192,10 @@ class RestoredRun(RunRecord):
         """Run to completion; returns the :class:`RunResult` an
         uninterrupted run would have produced."""
         name, args, on = _app_request(self.manifest)
-        return self.vm.run(name, *args, on=on, shutdown=shutdown)
+        result = self.vm.run(name, *args, on=on, shutdown=shutdown)
+        # A run that ends inside the prefix never reached the snapshot.
+        self.vm.sched_hook.check_complete()
+        return result
 
 
 def restore_vm(path: Union[str, Path], registry=None) -> RestoredRun:
@@ -219,7 +222,7 @@ def restore_vm(path: Union[str, Path], registry=None) -> RestoredRun:
     except (ConfigurationError, KeyError, TypeError, ValueError) as e:
         raise CheckpointFormatError(
             f"{path}: malformed manifest: {type(e).__name__}: {e}") from None
-    # Replays the prefix to the snapshot point, then records.
+    # Checks the prefix up to the snapshot point, then records.
     sched = Schedule.parse(psched_text, live_tail=True)
     plan = None
     if manifest.get("fault_plan"):
@@ -236,10 +239,20 @@ def restore_vm(path: Union[str, Path], registry=None) -> RestoredRun:
     if manifest.get("profile") and vm.profiler is None:
         vm.enable_profiling()
 
-    def _validate(engine, _vm=vm, _state=state):
-        verify_snapshot(_vm, _state)
+    # The snapshot was taken where the engine calls its checkpoint pump,
+    # between slices, once the prefix's last dispatch had run: check the
+    # state there, once, in front of the periodic checkpointer.
+    at = len(sched.streams["D"])
+    pump = vm.engine._ckpt_pump
 
-    sched.on_prefix_complete = _validate
+    def check_then_pump(engine):
+        if engine.dispatch_count == at:
+            engine._ckpt_pump = pump
+            verify_snapshot(vm, state)
+        if pump is not None:
+            pump(engine)
+
+    vm.engine._ckpt_pump = check_then_pump
     vm.boot()
     return RestoredRun(vm=vm, manifest=manifest, state=state,
                        path=Path(path))

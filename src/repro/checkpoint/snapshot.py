@@ -112,8 +112,8 @@ def verify_snapshot(vm, expected: Dict[str, Any]) -> None:
     """Compare the VM's current state digest against a checkpoint's.
 
     Raises :class:`~repro.errors.CheckpointError` naming the mismatched
-    top-level keys; used at the replay-to-live switch to prove the
-    restored VM reconverged on the checkpointed state.
+    top-level keys; restore uses it at the end of the replayed prefix
+    to prove the restored VM reconverged on the checkpointed state.
     """
     actual = _normalize(snapshot_state(vm))
     expected = _normalize(expected)
@@ -124,6 +124,6 @@ def verify_snapshot(vm, expected: Dict[str, Any]) -> None:
     keys = sorted(set(actual) | set(expected))
     bad = [k for k in keys if actual.get(k) != expected.get(k)]
     raise CheckpointError(
-        "restored run diverged from checkpoint at the replay/live switch; "
+        "restored run diverged from checkpoint at the snapshot point; "
         f"mismatched snapshot sections: {', '.join(bad) or '<structure>'} "
         "(wrong task registry, changed task code, or edited bundle?)")

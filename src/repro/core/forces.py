@@ -18,7 +18,7 @@ import inspect
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import RuntimeLibraryError
-from ..mmos.process import KernelProcess, co_block, drive_kernel_ops
+from ..mmos.process import KernelProcess, co_block
 from .loops import (
     SelfSchedCounter,
     parseg as _parseg,
@@ -248,17 +248,6 @@ def do_forcesplit(ctx: TaskContext, region: Callable[..., Any],
 def _member_body(vm, task: Task, force: Force, member: int,
                  region: Callable[..., Any], args: Tuple[Any, ...]):
     if inspect.isgeneratorfunction(region):
-        if vm.task_bodies == "callable":
-            # Forced vehicle: drive the region's op stream through the
-            # classic blocking calls on this member's worker thread.
-            def body() -> None:
-                eng = vm.engine
-                mctx = ForceContext(task, eng.current(), force, member,
-                                    coroutine=True)
-                force.results[member] = drive_kernel_ops(
-                    eng, region(mctx, *args))
-            return body
-
         def genbody():
             eng = vm.engine
             mctx = ForceContext(task, eng.current(), force, member,

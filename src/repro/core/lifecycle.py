@@ -13,7 +13,6 @@ import inspect
 from typing import Any, Callable, List, Optional, Tuple, Union
 
 from ..errors import MessageError, NoSuchCluster, UnknownTask
-from ..mmos.process import drive_kernel_ops
 from .cluster import ClusterRuntime, PendingInitiate, Slot
 from .controllers import (Controller, MSG_INITIATE, MSG_TASK_DIED,
                           MSG_TERMINATED)
@@ -71,20 +70,11 @@ class TaskLifecycle:
 
         A generator-function body is a *coroutine body*: it ``yield
         from``s the ctx operations, so the whole task suspends at the
-        KernelOp seam, with no worker thread at all.  Under the
-        "callable" vehicle the identical op stream is instead driven
-        through the engine's blocking calls on a worker thread -- the
-        oracle leg of the body-form equivalence suite.  A plain
-        callable body keeps the classic path unchanged.
+        KernelOp seam, with no worker thread at all.  A plain callable
+        body runs on a worker thread of its own.
         """
         if inspect.isgeneratorfunction(task.ttype.fn):
-            if self.task_bodies == "callable":
-                return lambda: drive_kernel_ops(
-                    self.engine, self._task_body_gen(task))
-
             def target():
-                # Inlined _task_body_gen: one less delegation frame on
-                # every resume of the per-dispatch hot path.
                 ctx = TaskContext(task, self.engine.current(),
                                   coroutine=True)
                 task.result = yield from task.ttype.fn(ctx, *task.args)
@@ -95,11 +85,6 @@ class TaskLifecycle:
     def _task_body(self, task: Task) -> Any:
         ctx = TaskContext(task, self.engine.current())
         task.result = task.ttype.fn(ctx, *task.args)
-        return task.result
-
-    def _task_body_gen(self, task: Task):
-        ctx = TaskContext(task, self.engine.current(), coroutine=True)
-        task.result = yield from task.ttype.fn(ctx, *task.args)
         return task.result
 
     def _task_cleanup(self, task: Task) -> None:

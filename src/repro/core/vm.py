@@ -238,14 +238,6 @@ class AppPlan:
 class PiscesVM(TaskLifecycle, MessageDelivery, WindowService):
     """One booted PISCES 2 virtual machine."""
 
-    #: The task-body vehicle: "auto" (generator bodies suspend as
-    #: coroutines at the KernelOp seam) or "callable" (the same op
-    #: stream driven through blocking calls on a worker thread, the
-    #: vehicle plain-callable bodies always use).  Never set by a
-    #: product caller; "callable" is an oracle with the identical
-    #: virtual history, held by ``tests/oracles.py``.
-    task_bodies = "auto"
-
     def __init__(self, config: Configuration,
                  registry: Optional[TaskRegistry] = None,
                  machine: Optional[FlexMachine] = None,

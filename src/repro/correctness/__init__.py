@@ -15,11 +15,11 @@ package closes the loop with two cooperating halves:
   :class:`RaceReport` records.
 
 * **Record/replay** (:mod:`~repro.correctness.recorder`) -- one
-  :class:`Schedule` holds the dispatcher's decision stream: empty, it
+  :class:`Schedule` holds the engine's decision stream: empty, it
   records a run into a compact ``.psched`` artifact; parsed from one,
-  it drives the engine's ``replay`` dispatcher, re-executing the run
-  bit-identically and raising
-  :class:`~repro.errors.ReplayDivergence` on the first mismatch.
+  it checks every decision of a re-execution against the recording,
+  raising :class:`~repro.errors.ReplayDivergence` on the first
+  mismatch.
 
 Both halves are zero-cost when off (one ``is not None`` test per hook
 site) and charge no virtual time when on: elapsed ticks are

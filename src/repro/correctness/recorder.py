@@ -21,15 +21,19 @@ the engine passes every decision to :meth:`Schedule.take`, which
 verifies it against the next recorded one while any remain and, past
 the end, appends it (``live_tail``) or raises
 :class:`~repro.errors.ReplayDivergence`.  An empty schedule records a
-run; a parsed ``.psched`` replays one strictly, the engine *peeking*
-the next D record to drive selection; a checkpoint's prefix with
-``live_tail`` replays to the snapshot point and records from there.
+run; a parsed ``.psched`` replays one strictly; a checkpoint's prefix
+with ``live_tail`` replays to the snapshot point and records from
+there.  Replay never steers the engine: its own picker chooses every
+dispatch, and the D stream checks each choice.  Under the determinism
+contract a recording holds exactly the choices the picker makes, so a
+hand-edited ``.psched`` that reorders two dispatches diverges, even
+when the reordering would have been a feasible schedule.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from ..errors import ReplayDivergence, ScheduleFormatError
 from ..util.durable import durable_write
@@ -66,10 +70,6 @@ class Schedule:
         self.live_tail = live_tail
         #: When set, :meth:`save` runs automatically at engine shutdown.
         self.autosave_path = None if path is None else Path(path)
-        #: Called once with the engine when a live-tail schedule's
-        #: recorded dispatches run out (restore validates the snapshot
-        #: there).
-        self.on_prefix_complete: Optional[Callable] = None
         self._saved = False
         self.reset()
 
@@ -153,12 +153,6 @@ class Schedule:
         self._end = {tag: len(records)
                      for tag, records in self.streams.items()}
 
-    @property
-    def replays(self) -> bool:
-        """Whether the engine selects from this schedule: always for a
-        strict one, while recorded decisions remain for a live tail."""
-        return not self.live_tail or self._cursor != self._end
-
     def take(self, tag: str, record: tuple, name: str = "") -> None:
         """One decision of stream ``tag``: verify it against the next
         recorded one, or past the end append it (``live_tail``) or
@@ -184,16 +178,6 @@ class Schedule:
     @staticmethod
     def _what(tag: str, name: str) -> str:
         return f"{_WHAT[tag]} of {name!r}" if name else _WHAT[tag]
-
-    def peek_dispatch(self) -> Optional[Tuple[int, int]]:
-        """The next recorded dispatch (ordinal, start), not taken."""
-        i = self._cursor["D"]
-        if i >= self._end["D"]:
-            return None
-        return self.streams["D"][i]
-
-    def name_of(self, ordinal: int) -> str:
-        return dict(self.streams["P"]).get(ordinal, f"<spawn #{ordinal}>")
 
     def position(self) -> Dict[str, int]:
         """Per-stream decisions taken (stamped into export/checkpoint

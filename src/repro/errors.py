@@ -204,7 +204,7 @@ class TraceOverflow(RuntimeLibraryError):
 class ReplayDivergence(MMOSError):
     """A replayed run diverged from its recorded schedule.
 
-    The replay dispatcher verifies every decision (dispatch order and
+    Replay checks every decision the engine makes (dispatch order and
     start times, SELFSCHED grabs, lock grant order, accept matches)
     against the ``.psched`` stream; any mismatch -- a changed program,
     configuration, fault plan or environment -- raises this with the

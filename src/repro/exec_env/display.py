@@ -63,8 +63,7 @@ def render_system_dump(vm: PiscesVM) -> str:
     """DUMP SYSTEM STATE: clusters, slots, queues, memory, engine."""
     parts: List[str] = [
         "PISCES 2 SYSTEM STATE DUMP",
-        f"virtual time: {vm.machine.elapsed()} ticks "
-        f"({vm.engine.dispatcher} dispatcher)"]
+        f"virtual time: {vm.machine.elapsed()} ticks"]
     for num, cr in sorted(vm.clusters.items()):
         parts.append(cr.describe())
         for t in cr.running_tasks():

@@ -42,9 +42,9 @@ one :class:`Engine`, each in a module of its own: like the VM's (see
 :mod:`repro.core.vm`), the engine's source is split by concern so that
 no one module is large to compile.
 
-Selection is a two-level stale-free heap (``indexed``), or -- while
-the ``schedule`` passed in (see :mod:`repro.correctness.recorder`)
-holds recorded decisions -- the recorded decision stream (``replay``).
+Selection is one two-level stale-free heap.  A ``schedule`` passed in
+(see :mod:`repro.correctness.recorder`) never steers it: each dispatch
+is checked against the recording, or appended to it.
 """
 
 from __future__ import annotations
@@ -146,15 +146,11 @@ class Engine(ThreadVehicle, Teardown):
         self._spawn_seq = 0
         self._by_ordinal: List[KernelProcess] = []
         #: The run's decision stream (a correctness ``Schedule``), or
-        #: None: every decision is taken from it -- verified while
+        #: None: every decision is passed to it -- verified while
         #: recorded decisions remain, appended past them when it records.
         self.sched_hook: Optional[Any] = schedule
         if schedule is not None:
             schedule.reset()
-        #: True while the recorded stream drives selection; "replay"
-        #: then, else "indexed" (manifest stamping and state dumps).
-        self._replay = schedule is not None and schedule.replays
-        self.dispatcher = "replay" if self._replay else "indexed"
 
     # ------------------------------------------------------------ spawn --
 
@@ -393,34 +389,17 @@ class Engine(ThreadVehicle, Teardown):
 
     # ----------------------------------------------------- engine-side ----
 
-    def _runnable_key(self, p: KernelProcess):
-        # Round-robin among equals: earliest start first, then the
-        # process that has waited longest since its last slice, then pid.
-        pe_clock = p.clock.ticks
-        if p.state is ProcState.READY:
-            return (max(p.ready_time, pe_clock), p.last_dispatched, p.pid)
-        # blocked with a deadline: runnable at the deadline
-        return (max(p.deadline, pe_clock), p.last_dispatched, p.pid)
-
-    @staticmethod
-    def _is_runnable(p: KernelProcess) -> bool:
-        return p.state is ProcState.READY or (
-            p.state is ProcState.BLOCKED and p.deadline is not None)
-
     def _requeue(self, p: KernelProcess) -> None:
         """Re-index ``p`` after any scheduling-state change.
 
         Bumps the process's generation (invalidating every entry it
         already has in the per-PE heaps), inserts one fresh entry if the
-        process is runnable, and refreshes its PE's candidate.  No-op
-        while a replay drives selection.
+        process is runnable, and refreshes its PE's candidate.
         """
-        if self._replay:
-            return
         p.sched_gen += 1
         pe = p.pe
-        # Inlined _is_runnable/_runnable_key: this runs once per state
-        # change, which is about once per dispatch.
+        # A process is runnable when READY, or BLOCKED with a deadline
+        # (runnable at the deadline).
         state = p.state
         if state is ProcState.READY:
             base = p.ready_time
@@ -511,54 +490,6 @@ class Engine(ThreadVehicle, Teardown):
             return self._procs[pid], key
         return None, None
 
-    def _peek_replay(self) -> Tuple[Optional[KernelProcess], Optional[tuple]]:
-        """Replay selection: the recorded stream *is* the dispatch order.
-
-        Peeks (does not take) the next D record; the ``take("D", ...)``
-        in :meth:`_dispatch` verifies it.  A record naming a process
-        that does not exist or is not runnable means the live run
-        diverged from the recording.
-        """
-        from ..errors import ReplayDivergence
-        sched = self.sched_hook
-        rec = sched.peek_dispatch()
-        if rec is None:
-            return None, None
-        ordinal, start = rec
-        if ordinal >= len(self._by_ordinal):
-            raise ReplayDivergence(
-                f"schedule names spawn #{ordinal} "
-                f"({sched.name_of(ordinal)!r}) but only "
-                f"{len(self._by_ordinal)} processes have spawned "
-                f"({sched.progress()})")
-        p = self._by_ordinal[ordinal]
-        if not self._is_runnable(p):
-            raise ReplayDivergence(
-                f"schedule dispatches {p.name!r} (spawn #{ordinal}, "
-                f"recorded start {start}) but it is {p.state.value}"
-                + (f" on {p.blocked_on!r}" if p.blocked_on else "")
-                + f" ({sched.progress()})")
-        return p, self._runnable_key(p)
-
-    def _switch_to_live(self) -> None:
-        """A live-tail schedule (a restored checkpoint's prefix) ran
-        dry: hand selection back to the heap and keep going.
-
-        Only selection changes -- ``sched_hook`` stays installed and
-        records the live tail.  During replay the heaps were never fed
-        (``_requeue`` no-ops), so requeueing every process in pid order
-        rebuilds them exactly as a fresh engine would have.
-        """
-        self.dispatcher = "indexed"
-        self._replay = False
-        for p in sorted(self._procs.values(), key=lambda q: q.pid):
-            self._requeue(p)
-        cb = self.sched_hook.on_prefix_complete
-        if cb is not None:
-            # Restore validation: the replayed state must match the
-            # snapshot digests before the run continues live.
-            cb(self)
-
     def step(self, horizon: Optional[int] = None) -> bool:
         """Dispatch one slice.  Returns False when nothing is runnable.
 
@@ -573,10 +504,9 @@ class Engine(ThreadVehicle, Teardown):
 
         The actors and the slice observers are read into locals once per
         batch, so an observer registered mid-batch fires from the next;
-        each costs one test per slice when off.  The replay -> live
-        switch is the only place selection changes mid-run, so it ends
-        the batch.  Returns False when nothing was runnable (or the next
-        slice would start after ``horizon``), True otherwise.
+        each costs one test per slice when off.  Returns False when
+        nothing was runnable (or the next slice would start after
+        ``horizon``), True otherwise.
         """
         ck = self._ckpt_pump
         fp = self._fault_pump
@@ -584,8 +514,7 @@ class Engine(ThreadVehicle, Teardown):
         limit = self.time_limit
         on_slice = self._on_slice
         wall = self._wants_wall
-        replay = self._replay
-        pick = self._peek_replay if replay else self._pop_runnable
+        pick = self._pop_runnable
         resume = self._resume
         for _ in range(batch):
             if ck is not None:
@@ -596,9 +525,6 @@ class Engine(ThreadVehicle, Teardown):
             while True:
                 p, key = pick()
                 if p is None:
-                    if replay and sh.live_tail:
-                        self._switch_to_live()
-                        return True
                     return False
                 if horizon is not None and key[0] > horizon:
                     # The pick was valid; re-index it for the next step.
@@ -625,8 +551,9 @@ class Engine(ThreadVehicle, Teardown):
             if limit is not None and start > limit:
                 raise TimeLimitExceeded(limit)
             if sh is not None:
-                # Recording appends; replay verifies (the start tick
-                # doubles as a virtual-time checksum).
+                # Recording appends; replay checks the pick against
+                # the recording (the start tick doubles as a
+                # virtual-time checksum).
                 sh.take("D", (p.spawn_ordinal, start), p.name)
             if start > self._now:
                 self._now = start

@@ -138,7 +138,7 @@ class Teardown:
         return [p for p in self._procs.values() if p.live]
 
     def state_dump(self) -> str:
-        lines = [f"engine time {self.now()} ({self.dispatcher} dispatcher), "
+        lines = [f"engine time {self.now()}, "
                  f"{len(self.live_processes())} live processes:"]
         failed = self.machine.failed_pes()
         if failed:

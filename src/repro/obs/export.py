@@ -170,7 +170,6 @@ def run_manifest(vm, files: Optional[Dict[str, Path]] = None,
     det = getattr(vm, "race_detector", None)
     manifest: Dict[str, Any] = {
         "repro_version": repro_version,
-        "dispatcher": vm.engine.dispatcher,
         "seed": seed,
         "fault_plan_hash": plan_hash,
         "detect_races": det.mode if det is not None else None,
@@ -219,7 +218,7 @@ def export_run(vm, directory: Union[str, Path],
 
     Writes ``<prefix>.events.jsonl``, ``<prefix>.chrome.json``,
     ``<prefix>.metrics.json``, ``<prefix>.metrics.txt`` and a
-    ``manifest.json`` describing the run (dispatcher, fault seed/hash,
+    ``manifest.json`` describing the run (fault seed/hash,
     config summary, repro version); returns the written paths keyed by
     kind.  The event stream is written even when tracing kept no events
     (readers of a run's archive expect the file, empty or not); the

@@ -28,8 +28,8 @@ t_hi, so segments tile [0, elapsed] with no gaps or overlaps):
 
 Everything here is derived from virtual timestamps and engine dispatch
 order only -- wall-clock measurements never influence the path -- so
-the path is bit-identical across the ``indexed``/``replay``
-dispatchers and the ``fast``/``reference`` window paths.
+the path is bit-identical across recording, replay and the
+``fast``/``reference`` window paths.
 """
 
 from __future__ import annotations

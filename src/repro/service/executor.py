@@ -78,8 +78,7 @@ class ExecutionHandle:
 #: still leaves a previous complete one to resume from.
 CHECKPOINT_KEEP = 3
 
-_PROVENANCE_KEYS = ("dispatcher", "repro_version", "seed",
-                    "fault_plan_hash")
+_PROVENANCE_KEYS = ("repro_version", "seed", "fault_plan_hash")
 
 
 def _plan_vm(spec, plan: AppPlan, **config) -> PiscesVM:

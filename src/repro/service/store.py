@@ -129,8 +129,8 @@ class RunRecord:
     #: Archived artifact filenames (relative to ``artifacts/``).
     artifacts: List[str] = field(default_factory=list)
     #: Execution provenance mirrored from the run manifest so the
-    #: record alone identifies how the run executed (dispatcher, build
-    #: version, fault plan -- see obs/export.py).
+    #: record alone identifies how the run executed (build version,
+    #: fault plan -- see obs/export.py).
     provenance: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -141,6 +141,9 @@ class RunRecord:
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "RunRecord":
         d = dict(d)
+        if type(d.get("seq", 0)) is not int:
+            # Not bool either: ``true`` would pass as seq 1.
+            raise TypeError(f"seq must be an integer, not {d['seq']!r}")
         d["spec"] = RunSpec.from_dict(d["spec"])
         if d.get("state") == "ADMITTED":
             # Older builds' state for a run picked but not yet booted:

@@ -315,3 +315,39 @@ class TestMalformedManifest:
         bad.write_text(dumps_bundle(manifest, state, psched))
         with pytest.raises(CheckpointFormatError, match="bad.pckpt"):
             restore_vm(bad, registry=build_registry())
+
+
+class TestSnapshotCheck:
+    """Restore checks the rebuilt state against the bundle's digest
+    once, where the snapshot was taken: after the prefix's last
+    dispatch, between slices."""
+
+    @pytest.mark.parametrize("section", ["clocks", "stats"])
+    def test_a_changed_state_section_is_named(self, section, tmp_path):
+        run(ckpt_dir=tmp_path)
+        manifest, state, psched = load_bundle(find_latest_checkpoint(tmp_path))
+        key = sorted(state[section])[0]
+        state[section][key] += 1
+        bad = tmp_path / "tampered.pckpt"
+        bad.write_text(dumps_bundle(manifest, state, psched))
+        rr = restore_vm(bad, registry=build_registry())
+        with pytest.raises(CheckpointError,
+                           match=f"mismatched snapshot sections: {section} "):
+            rr.resume()
+
+    def test_the_check_runs_once_at_the_snapshot_point(self, tmp_path,
+                                                       monkeypatch):
+        import repro.checkpoint.restore as restore_mod
+        run(ckpt_dir=tmp_path)
+        latest = find_latest_checkpoint(tmp_path)
+        at = []
+
+        def counting(vm, expected):
+            at.append(vm.engine.dispatch_count)
+            verify(vm, expected)
+
+        verify = restore_mod.verify_snapshot
+        monkeypatch.setattr(restore_mod, "verify_snapshot", counting)
+        rr = restore_vm(latest, registry=build_registry())
+        rr.resume()
+        assert at == [rr.manifest["dispatch_seq"]]

@@ -73,8 +73,6 @@ class TestPschedFormat:
         text = rec.dumps()
         s = Schedule.parse(text)
         assert s.dumps() == text
-        assert s.name_of(1) == "worker:1"
-        assert s.peek_dispatch() == (0, 0)
         # Feeding the same stream back must verify the whole schedule
         # without divergence.
         for tag, record in self.DECISIONS:
@@ -128,10 +126,7 @@ class TestPschedFormat:
         record_run("JMASTER", registry=build_windows_registry(8, 2, 2),
                    path=p)
         # Point a mid-stream dispatch record at a spawn ordinal the run
-        # never creates: the replay dispatcher must refuse to invent it.
-        # (Swapping two same-instant records would merely be a different
-        # *feasible* schedule, which replay executes happily -- only
-        # decisions that cannot be honoured diverge.)
+        # never creates: the engine's own pick differs from it.
         lines = p.read_text().splitlines()
         for i, line in enumerate(lines):
             if not line.startswith("D "):
@@ -144,6 +139,20 @@ class TestPschedFormat:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ReplayDivergence):
             replay_run("JMASTER", schedule=p,
+                       registry=build_windows_registry(8, 2, 2))
+
+    def test_swapped_same_tick_dispatches_diverge(self):
+        """Replay checks the engine's picks, it does not steer them: two
+        adjacent dispatches at the same start tick swapped by hand
+        diverge, although the swapped order would be feasible."""
+        rec = record_run("JMASTER", registry=build_windows_registry(8, 2, 2),
+                         trace=False)
+        d = rec.schedule.streams["D"]
+        i = next(i for i in range(len(d) - 1)
+                 if d[i][1] == d[i + 1][1] and d[i][0] != d[i + 1][0])
+        d[i], d[i + 1] = d[i + 1], d[i]
+        with pytest.raises(ReplayDivergence, match=f"dispatch .* #{i}:"):
+            replay_run("JMASTER", schedule=rec, trace=False,
                        registry=build_windows_registry(8, 2, 2))
 
     def test_incomplete_consumption_is_an_error(self):
@@ -181,16 +190,17 @@ class TestOneSchedule:
         # A recording replays through the same argument.
         sched.live_tail = False
         r2 = self.run(schedule=sched)
-        assert r2.vm.engine.dispatcher == "replay"
+        assert r2.vm.sched_hook is sched
+        sched.check_complete()
         assert r2.elapsed == r.elapsed
-        assert self.run().vm.engine.dispatcher == "indexed"
+        assert self.run().vm.sched_hook is None
 
     def test_schedule_path_autosaves_and_replays(self, tmp_path):
         p = tmp_path / "run.psched"
         r = self.run(schedule=Schedule(path=p))
         assert p.exists()
         r2 = self.run(schedule=p)
-        assert r2.vm.engine.dispatcher == "replay"
+        assert not r2.vm.sched_hook.live_tail
         r2.vm.sched_hook.check_complete()
         assert r2.elapsed == r.elapsed
         assert r2.stats == r.stats
@@ -204,7 +214,8 @@ class TestOneSchedule:
                          checkpoint_every=1_000,
                          checkpoint_dir=str(tmp_path))
         made = PiscesVM(config, autoboot=False).sched_hook
-        assert made is not None and made.live_tail and not made.replays
+        assert made is not None and made.live_tail
+        assert not any(made.streams.values())
         given = Schedule.parse(Schedule().dumps())
         assert PiscesVM(config, schedule=given,
                         autoboot=False).sched_hook is given

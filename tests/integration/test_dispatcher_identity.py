@@ -84,7 +84,7 @@ def test_replay_dispatcher_retraces_recorded_history(name, plan, tmp_path):
     assert psched.exists(), "recorder did not autosave at shutdown"
     for leg in LEGS:
         r = _run_leg(plan(), *leg, schedule=psched)
-        assert r.vm.engine.dispatcher == "replay"
+        assert not r.vm.sched_hook.live_tail
         r.vm.sched_hook.check_complete()
         assert _fingerprint(r) == recorded, (
             f"{name}: replay on {leg[0]}x{leg[1]} diverged from the "

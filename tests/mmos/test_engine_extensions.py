@@ -161,8 +161,8 @@ class TestStepHorizon:
 
 
 class TestDispatcherSelection:
-    """The heap picks live; a schedule passed to the VM -- a parsed
-    recording or a ``.psched`` path -- selects replay."""
+    """The heap always picks; a schedule passed to the VM -- a parsed
+    recording or a ``.psched`` path -- checks its picks."""
 
     def test_bad_dispatcher_rejected(self, tmp_path):
         bad = tmp_path / "bad.psched"
@@ -175,10 +175,11 @@ class TestDispatcherSelection:
         monkeypatch.setenv("PISCES_REPLAY_SCHEDULE",
                            str(tmp_path / "missing.psched"))
         eng = make_vm(schedule=sched).engine
-        assert eng.dispatcher == "replay" and eng.sched_hook is sched
+        assert eng.sched_hook is sched
         path = tmp_path / "run.psched"
         path.write_text(recorded_schedule_text())
-        assert make_vm(schedule=path).engine.dispatcher == "replay"
+        hook = make_vm(schedule=path).engine.sched_hook
+        assert hook.streams == sched.streams and not hook.live_tail
 
     def test_engine_reads_no_environment(self, monkeypatch, tmp_path):
         """Neither the engine nor the VM reads the former
@@ -188,7 +189,7 @@ class TestDispatcherSelection:
         monkeypatch.setenv("PISCES_RECORD_SCHEDULE",
                            str(tmp_path / "out.psched"))
         for eng in (make_engine(), make_vm().engine):
-            assert eng.dispatcher == "indexed" and eng.sched_hook is None
+            assert eng.sched_hook is None
 
 
 class TestShutdownLeakReporting:

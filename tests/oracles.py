@@ -5,9 +5,9 @@ paths are held to, reachable from tests only.
   row moves as its own message, off the transaction queue, with no
   batching and no reader cache (a patch of ``WindowService``).
 * :func:`callable_bodies` -- generator task bodies and force regions
-  driven through the engine's blocking calls on worker threads
-  (``PiscesVM.task_bodies = "callable"``) instead of resumed as
-  coroutines on the engine thread.
+  driven through the engine's blocking calls on worker threads instead
+  of resumed as coroutines on the engine thread (a patch of
+  ``TaskLifecycle._make_task_target`` and ``forces._member_body``).
 * :func:`oracle_leg` -- both seams at once, for the leg matrices;
   :func:`leg_of` names the leg a VM runs on.
 * :class:`ScanEngine` -- the brute-force O(n) dispatch picker; swap it
@@ -20,23 +20,30 @@ paths are held to, reachable from tests only.
 
 Each oracle has a virtual history identical to the production path;
 the golden digests, dispatcher-identity and dispatch-equivalence suites
-assert it.  The seams are class attributes, so they reach every VM
-built while they are held, on any thread.
+assert it.  The seams are patched class attributes and module
+functions, so they reach every VM built while they are held, on any
+thread.
 """
 
 from __future__ import annotations
 
 import contextlib
+import inspect
 from typing import Iterator, Tuple
 from unittest import mock
 
 import pytest
 
+from repro.core import forces
+from repro.core.forces import ForceContext
 from repro.core.grid import Grid
+from repro.core.lifecycle import TaskLifecycle
 from repro.core.messages import allocate_message, release_message
+from repro.core.task import TaskContext
 from repro.core.vm import PiscesVM
 from repro.core.window_service import WindowService
 from repro.core.windows import WindowTxnReply
+from repro.mmos.process import ProcState, drive_kernel_ops
 from repro.mmos.scheduler import Engine
 
 #: Window data planes: production first, then the oracle.
@@ -90,6 +97,38 @@ def _per_row_txn(vm, store, txn, requester):
     return WindowTxnReply(status="ok")
 
 
+#: The production choices of a task's and a force member's body.
+_task_target = TaskLifecycle._make_task_target
+_member_body = forces._member_body
+
+
+def _callable_task_target(vm, task):
+    """A generator task body's op stream driven through the engine's
+    blocking calls on a worker thread; any other body as in production."""
+    if not inspect.isgeneratorfunction(task.ttype.fn):
+        return _task_target(vm, task)
+
+    def body_gen():
+        ctx = TaskContext(task, vm.engine.current(), coroutine=True)
+        task.result = yield from task.ttype.fn(ctx, *task.args)
+        return task.result
+    return lambda: drive_kernel_ops(vm.engine, body_gen())
+
+
+def _callable_member_body(vm, task, force, member, region, args):
+    """A generator force region driven the same way on the member's
+    worker thread; any other region as in production."""
+    if not inspect.isgeneratorfunction(region):
+        return _member_body(vm, task, force, member, region, args)
+
+    def body() -> None:
+        eng = vm.engine
+        mctx = ForceContext(task, eng.current(), force, member,
+                            coroutine=True)
+        force.results[member] = drive_kernel_ops(eng, region(mctx, *args))
+    return body
+
+
 @contextlib.contextmanager
 def oracle_leg(window_path: str = "fast",
                task_bodies: str = "auto") -> Iterator[None]:
@@ -102,15 +141,20 @@ def oracle_leg(window_path: str = "fast",
                 WindowService, "_requester_cache", _no_cache))
             stack.enter_context(mock.patch.object(
                 WindowService, "_window_txn", _per_row_txn))
-        stack.enter_context(
-            mock.patch.object(PiscesVM, "task_bodies", task_bodies))
+        if task_bodies == "callable":
+            stack.enter_context(mock.patch.object(
+                TaskLifecycle, "_make_task_target", _callable_task_target))
+            stack.enter_context(mock.patch.object(
+                forces, "_member_body", _callable_member_body))
         yield
 
 
 def leg_of(vm: PiscesVM) -> Tuple[str, str]:
     """The (window path, task-body vehicle) leg ``vm`` runs on."""
     per_row = type(vm)._window_txn is _per_row_txn
-    return ("reference" if per_row else "fast", vm.task_bodies)
+    threaded = type(vm)._make_task_target is _callable_task_target
+    return ("reference" if per_row else "fast",
+            "callable" if threaded else "auto")
 
 
 def reference_windows():
@@ -130,13 +174,24 @@ class ScanEngine(Engine):
     def _requeue(self, p):
         pass
 
+    @staticmethod
+    def _runnable_key(p):
+        """The dispatch key of a runnable process (READY, or BLOCKED
+        with a deadline, runnable at the deadline), else None."""
+        if p.state is ProcState.READY:
+            base = p.ready_time
+        elif p.state is ProcState.BLOCKED and p.deadline is not None:
+            base = p.deadline
+        else:
+            return None
+        return (max(base, p.clock.ticks), p.last_dispatched, p.pid)
+
     def _pop_runnable(self):
         best, best_key = None, None
         for p in self._procs.values():
-            if self._is_runnable(p):
-                key = self._runnable_key(p)
-                if best_key is None or key < best_key:
-                    best, best_key = p, key
+            key = self._runnable_key(p)
+            if key is not None and (best_key is None or key < best_key):
+                best, best_key = p, key
         return best, best_key
 
 
@@ -147,7 +202,7 @@ BOTH_VEHICLES = pytest.mark.parametrize("bodies", [
 
 @pytest.fixture
 def bodies(request) -> Iterator[str]:
-    """The task-body vehicle named by :data:`BOTH_VEHICLES`, held on
-    :class:`PiscesVM` for the whole test."""
+    """The task-body vehicle named by :data:`BOTH_VEHICLES`, held for
+    the whole test."""
     with oracle_leg(task_bodies=request.param):
         yield request.param

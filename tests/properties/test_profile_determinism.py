@@ -57,7 +57,7 @@ def _run(plan, profile=True, schedule=None, engine_cls=None, **leg):
         vm.enable_profiling()
     r = vm.run(plan.tasktype, *plan.args)
     if isinstance(schedule, Path):
-        assert vm.engine.dispatcher == "replay"
+        assert not vm.sched_hook.live_tail
         vm.sched_hook.check_complete()
     return _profile_fingerprint(vm, int(r.elapsed)) if profile else None
 

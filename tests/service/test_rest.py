@@ -57,7 +57,7 @@ class TestEndpoints:
         path = client.fetch_artifact(rec["run_id"], "manifest.json",
                                      tmp_path / "m.json")
         manifest = json.loads(path.read_text())
-        assert manifest["dispatcher"] == "indexed"
+        assert "dispatcher" not in manifest
         assert "task_bodies" not in manifest
 
     def test_untraced_run_archives_no_empty_chrome_trace(self, client):

@@ -56,9 +56,8 @@ class TestSubmitAndRun:
         names no retired execution axis."""
         rec = svc.submit("alice", QUICK)
         final = wait_state(svc, rec.run_id, DONE)
-        assert final.provenance["dispatcher"] == "indexed"
         assert final.provenance["repro_version"]
-        for axis in ("exec_core", "window_path", "task_bodies"):
+        for axis in ("exec_core", "dispatcher", "window_path", "task_bodies"):
             assert axis not in final.provenance
 
     def test_fault_plan_hash_in_manifest_and_provenance(self, svc):

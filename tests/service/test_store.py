@@ -99,6 +99,22 @@ class TestPersistence:
         reopened = RunStore(store.root)
         assert [r.run_id for r in reopened.list()] == [other.run_id]
 
+    @pytest.mark.parametrize("seq", ["1", True, 1.0, None])
+    def test_record_whose_seq_is_no_integer_is_skipped(self, store, seq):
+        """A ``seq`` that is not a plain int makes a record unreadable
+        (``true`` would pass as seq 1): boot skips it like a torn one."""
+        rec = store.create("a", SPEC)
+        other = store.create("b", SPEC)
+        path = store.record_path(rec.run_id)
+        d = json.loads(path.read_text())
+        d["seq"] = seq
+        path.write_text(json.dumps(d))
+        with pytest.raises(TypeError, match="seq must be an integer"):
+            RunRecord.from_dict(d)
+        reopened = RunStore(store.root)
+        assert [r.run_id for r in reopened.list()] == [other.run_id]
+        assert reopened.create("c", SPEC).run_id == "r000003"
+
     def test_torn_newest_record_does_not_lend_its_id(self, store):
         store.create("a", SPEC)
         torn = store.create("a", SPEC)
